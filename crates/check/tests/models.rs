@@ -230,7 +230,7 @@ fn combiner_panicking_exec_answers_followers_with_substitute() {
 }
 
 // ---------------------------------------------------------------------
-// weighted-fair admission (mbt_engine::FairGate — the AdmissionGate core)
+// weighted-fair admission (mbt_engine::FairGate — the core of the engine's admit stage)
 // ---------------------------------------------------------------------
 
 /// Slot exclusivity and hand-off liveness through a width-1 gate: no

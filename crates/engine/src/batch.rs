@@ -1,22 +1,24 @@
 //! The hot batch-evaluation path.
 //!
-//! A drained batch of coalesced requests against one plan becomes a
-//! **single** chunked sweep: all points are packed into one arena, the
-//! treecode's `*_at_into` kernels evaluate them with PR 1's per-chunk
-//! `Scratch`/workspace machinery, and the output arena is split back per
-//! request. Allocation discipline (enforced by `cargo xtask lint`): one
-//! point arena + one value arena per drained batch and one result buffer
-//! per request handed to its caller — never an allocation per point or
-//! per interaction.
+//! A drained batch of coalesced requests against one target becomes a
+//! **single** sweep, and every backend runs it through the same
+//! [`packed_sweep`]: all points are packed into one arena, the backend
+//! fills one value arena over it — the treecode's `*_at_into` kernels
+//! with their per-chunk `Scratch`/workspace machinery, the compiled
+//! FMM's L2P + near field, or the guarded direct sum — and the value
+//! arena is split back per request. Allocation discipline (enforced by
+//! `cargo xtask lint`): one point arena + one value arena per drained
+//! batch and one result buffer per request handed to its caller — never
+//! an allocation per point or per interaction.
 //!
-//! Because every target's traversal is independent, packing requests
+//! Because every target's evaluation is independent, packing requests
 //! together is **bit-exact**: each request's values are identical to what
 //! a lone `potentials_at`/`fields_at` call on the same plan would return.
 
 use std::time::Instant;
 
 use mbt_fmm::CompiledFmm;
-use mbt_geometry::Vec3;
+use mbt_geometry::{Particle, Vec3};
 use mbt_obs::Phase;
 use mbt_treecode::{EvalStats, Treecode};
 
@@ -75,17 +77,40 @@ impl QueryOutput {
     }
 }
 
-/// Evaluates one drained batch against one plan's treecode under the
-/// treecode's **own** execution configuration. See
-/// [`evaluate_batch_with`] for the engine path, where the configuration
-/// travels with the request rather than the plan.
-#[must_use]
-pub fn evaluate_batch(
-    treecode: &Treecode,
+/// The one pack → sweep → split shape every backend shares: the
+/// per-request point slices are packed into one arena, `sweep` fills a
+/// zeroed value arena of `kind` over it, and the arena is split back per
+/// request, in request order.
+pub(crate) fn packed_sweep<S>(
     kind: QueryKind,
     requests: &[&[Vec3]],
-) -> (Vec<QueryOutput>, EvalStats) {
-    evaluate_batch_with(treecode, kind, requests, EvalConfig::of(treecode.params()))
+    sweep: impl FnOnce(&[Vec3], &mut QueryOutput) -> S,
+) -> (Vec<QueryOutput>, S) {
+    let total: usize = requests.iter().map(|r| r.len()).sum();
+    let mut points: Vec<Vec3> = Vec::with_capacity(total);
+    for r in requests {
+        points.extend_from_slice(r);
+    }
+    let mut arena = match kind {
+        // lint: allow(alloc, one value arena per drained batch)
+        QueryKind::Potential => QueryOutput::Potentials(vec![0.0f64; total]),
+        // lint: allow(alloc, one value arena per drained batch)
+        QueryKind::Field => QueryOutput::Fields(vec![(0.0f64, Vec3::ZERO); total]),
+    };
+    let swept = sweep(&points, &mut arena);
+    let mut outputs: Vec<QueryOutput> = Vec::with_capacity(requests.len());
+    let mut offset = 0;
+    for r in requests {
+        let range = offset..offset + r.len();
+        outputs.push(match &arena {
+            // lint: allow(alloc, per-request result buffer handed to its caller)
+            QueryOutput::Potentials(v) => QueryOutput::Potentials(v[range].to_vec()),
+            // lint: allow(alloc, per-request result buffer handed to its caller)
+            QueryOutput::Fields(v) => QueryOutput::Fields(v[range].to_vec()),
+        });
+        offset += r.len();
+    }
+    (outputs, swept)
 }
 
 /// Evaluates one drained batch against one plan's treecode: `requests`
@@ -94,62 +119,20 @@ pub fn evaluate_batch(
 /// `cfg`, not the parameters the treecode was built with — plan identity
 /// excludes execution knobs ([`crate::plan::PlanKey`]), so one cached
 /// plan serves requests at any chunk width or mode, bit-identically.
-#[must_use]
-pub fn evaluate_batch_with(
+pub(crate) fn evaluate_batch_with(
     treecode: &Treecode,
     kind: QueryKind,
     requests: &[&[Vec3]],
     cfg: EvalConfig,
 ) -> (Vec<QueryOutput>, EvalStats) {
-    let total: usize = requests.iter().map(|r| r.len()).sum();
-    // lint: allow(alloc, one packed point arena per drained batch)
-    let mut points: Vec<Vec3> = Vec::with_capacity(total);
-    for r in requests {
-        points.extend_from_slice(r);
-    }
-    // lint: allow(alloc, O(batch) split of the output arena)
-    let mut outputs: Vec<QueryOutput> = Vec::with_capacity(requests.len());
-    let stats = match kind {
-        QueryKind::Potential => {
-            // lint: allow(alloc, one value arena per drained batch)
-            let mut values = vec![0.0f64; total];
-            let stats = treecode.potentials_at_into_with(
-                &points,
-                &mut values,
-                cfg.chunk,
-                cfg.mode,
-                cfg.precision,
-            );
-            let mut offset = 0;
-            for r in requests {
-                let slice = &values[offset..offset + r.len()];
-                // lint: allow(alloc, per-request result buffer handed to its caller)
-                outputs.push(QueryOutput::Potentials(slice.to_vec()));
-                offset += r.len();
-            }
-            stats
+    packed_sweep(kind, requests, |points, arena| match arena {
+        QueryOutput::Potentials(values) => {
+            treecode.potentials_at_into_with(points, values, cfg.chunk, cfg.mode, cfg.precision)
         }
-        QueryKind::Field => {
-            // lint: allow(alloc, one value arena per drained batch)
-            let mut values = vec![(0.0f64, Vec3::ZERO); total];
-            let stats = treecode.fields_at_into_with(
-                &points,
-                &mut values,
-                cfg.chunk,
-                cfg.mode,
-                cfg.precision,
-            );
-            let mut offset = 0;
-            for r in requests {
-                let slice = &values[offset..offset + r.len()];
-                // lint: allow(alloc, per-request result buffer handed to its caller)
-                outputs.push(QueryOutput::Fields(slice.to_vec()));
-                offset += r.len();
-            }
-            stats
+        QueryOutput::Fields(values) => {
+            treecode.fields_at_into_with(points, values, cfg.chunk, cfg.mode, cfg.precision)
         }
-    };
-    (outputs, stats)
+    })
 }
 
 /// Evaluates one drained batch against whichever artifact the plan
@@ -170,55 +153,76 @@ pub fn evaluate_plan_batch(
     }
 }
 
-/// Evaluates one drained batch against a compiled FMM: packs the
-/// per-request point slices into one arena, runs a single L2P + near
-/// field sweep, and splits the output arena back per request — the same
-/// shape as [`evaluate_batch_with`], recorded as [`Phase::FmmSweep`].
-#[must_use]
-pub fn evaluate_fmm_batch(
+/// Evaluates one drained batch against a compiled FMM — a single L2P +
+/// near field sweep over the packed arena, recorded as
+/// [`Phase::FmmSweep`].
+fn evaluate_fmm_batch(
     fmm: &CompiledFmm,
     kind: QueryKind,
     requests: &[&[Vec3]],
 ) -> (Vec<QueryOutput>, EvalStats) {
     let t0 = Instant::now();
-    let total: usize = requests.iter().map(|r| r.len()).sum();
-    // lint: allow(alloc, one packed point arena per drained batch)
-    let mut points: Vec<Vec3> = Vec::with_capacity(total);
-    for r in requests {
-        points.extend_from_slice(r);
-    }
-    // lint: allow(alloc, O(batch) split of the output arena)
-    let mut outputs: Vec<QueryOutput> = Vec::with_capacity(requests.len());
-    let stats = match kind {
-        QueryKind::Potential => {
-            // lint: allow(alloc, one value arena per drained batch)
-            let mut values = vec![0.0f64; total];
-            let stats = fmm.potentials_at_into(&points, &mut values);
-            let mut offset = 0;
-            for r in requests {
-                let slice = &values[offset..offset + r.len()];
-                // lint: allow(alloc, per-request result buffer handed to its caller)
-                outputs.push(QueryOutput::Potentials(slice.to_vec()));
-                offset += r.len();
-            }
-            stats
-        }
-        QueryKind::Field => {
-            // lint: allow(alloc, one value arena per drained batch)
-            let mut values = vec![(0.0f64, Vec3::ZERO); total];
-            let stats = fmm.fields_at_into(&points, &mut values);
-            let mut offset = 0;
-            for r in requests {
-                let slice = &values[offset..offset + r.len()];
-                // lint: allow(alloc, per-request result buffer handed to its caller)
-                outputs.push(QueryOutput::Fields(slice.to_vec()));
-                offset += r.len();
-            }
-            stats
-        }
-    };
+    let out = packed_sweep(kind, requests, |points, arena| match arena {
+        QueryOutput::Potentials(values) => fmm.potentials_at_into(points, values),
+        QueryOutput::Fields(values) => fmm.fields_at_into(points, values),
+    });
     mbt_obs::record_since(Phase::FmmSweep, t0);
-    (outputs, stats)
+    out
+}
+
+/// Evaluates one batch of requests by guarded direct summation over
+/// `particles` — the backend for tiny-n routed queries. Below
+/// [`crate::route::DIRECT_MAX_SOURCES`] sources a guarded SIMD direct
+/// sum beats either tree build even on a cold cache, and it is *exact*
+/// (its Theorem bound is zero). There is no artifact worth caching: the
+/// particle SoA gather below is the whole "build".
+///
+/// The `r = 0` guard skips self-pairs when a target coincides with a
+/// source, matching the treecode's own near-field convention;
+/// `softening` is the Plummer term `ε` of the resolved parameters.
+pub(crate) fn evaluate_direct(
+    particles: &[Particle],
+    softening: f64,
+    kind: QueryKind,
+    requests: &[&[Vec3]],
+) -> (Vec<QueryOutput>, EvalStats) {
+    let t0 = Instant::now();
+    let eps2 = softening * softening;
+    // one SoA gather per sweep, shared by every request in the batch
+    let mut xs = Vec::with_capacity(particles.len());
+    let mut ys = Vec::with_capacity(particles.len());
+    let mut zs = Vec::with_capacity(particles.len());
+    let mut qs = Vec::with_capacity(particles.len());
+    for p in particles {
+        xs.push(p.position.x);
+        ys.push(p.position.y);
+        zs.push(p.position.z);
+        qs.push(p.charge);
+    }
+    let out = packed_sweep(kind, requests, |points, arena| {
+        let mut stats = EvalStats::for_targets(points.len() as u64);
+        match arena {
+            QueryOutput::Potentials(values) => {
+                for (value, &pt) in values.iter_mut().zip(points) {
+                    let (phi, pairs) =
+                        mbt_multipole::p2p_potential_span_guarded(&xs, &ys, &zs, &qs, pt, eps2);
+                    stats.record_direct(pairs);
+                    *value = phi;
+                }
+            }
+            QueryOutput::Fields(values) => {
+                for (value, &pt) in values.iter_mut().zip(points) {
+                    let (phi, grad, pairs) =
+                        mbt_multipole::p2p_field_span_guarded(&xs, &ys, &zs, &qs, pt, eps2);
+                    stats.record_direct(pairs);
+                    *value = (phi, grad);
+                }
+            }
+        }
+        stats
+    });
+    mbt_obs::record_since(Phase::DirectSweep, t0);
+    out
 }
 
 #[cfg(test)]
@@ -226,6 +230,15 @@ mod tests {
     use super::*;
     use mbt_geometry::distribution::{uniform_cube, ChargeModel};
     use mbt_treecode::TreecodeParams;
+
+    /// [`evaluate_batch_with`] under the treecode's own configuration.
+    fn evaluate_batch(
+        treecode: &Treecode,
+        kind: QueryKind,
+        requests: &[&[Vec3]],
+    ) -> (Vec<QueryOutput>, EvalStats) {
+        evaluate_batch_with(treecode, kind, requests, EvalConfig::of(treecode.params()))
+    }
 
     #[test]
     fn batched_eval_matches_individual_calls_bitwise() {
@@ -330,6 +343,55 @@ mod tests {
         for (phi, g) in fields[0].fields().unwrap() {
             assert!(phi.is_finite() && g.is_finite());
         }
+    }
+
+    #[test]
+    fn direct_matches_naive_summation() {
+        let ps = uniform_cube(90, 1.0, ChargeModel::RandomSign { magnitude: 1.0 }, 3);
+        let pts: Vec<Vec3> = (0..7)
+            .map(|i| Vec3::new(0.3 * f64::from(i) - 1.0, 0.2, -0.4))
+            .collect();
+        let (out, stats) = evaluate_direct(&ps, 0.0, QueryKind::Potential, &[&pts]);
+        let got = out[0].potentials().unwrap();
+        for (x, phi) in pts.iter().zip(got) {
+            let exact: f64 = ps.iter().map(|p| p.charge / p.position.distance(*x)).sum();
+            assert!((phi - exact).abs() <= 1e-12 * exact.abs().max(1.0));
+        }
+        assert_eq!(stats.targets, 7);
+        assert_eq!(stats.direct_pairs, 7 * 90);
+        assert_eq!(stats.pc_interactions, 0);
+    }
+
+    #[test]
+    fn self_pairs_are_guarded_and_fields_have_gradients() {
+        let ps = uniform_cube(40, 1.0, ChargeModel::UnitPositive { magnitude: 1.0 }, 5);
+        // targets AT the sources: the r = 0 guard must drop each self pair
+        let pts: Vec<Vec3> = ps.iter().map(|p| p.position).collect();
+        let (out, stats) = evaluate_direct(&ps, 0.0, QueryKind::Field, &[&pts]);
+        assert_eq!(stats.direct_pairs, 40 * 39);
+        for (phi, g) in out[0].fields().unwrap() {
+            assert!(phi.is_finite() && g.is_finite());
+        }
+    }
+
+    #[test]
+    fn softening_regularises_coincident_targets() {
+        let ps = vec![Particle::new(Vec3::ZERO, 1.0)];
+        let pt = [Vec3::new(1e-12, 0.0, 0.0)];
+        let (out, _) = evaluate_direct(&ps, 0.1, QueryKind::Potential, &[&pt]);
+        let phi = out[0].potentials().unwrap()[0];
+        assert!((phi - 1.0 / 0.1f64.hypot(1e-12)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn multiple_requests_split_in_order() {
+        let ps = uniform_cube(30, 1.0, ChargeModel::UnitPositive { magnitude: 1.0 }, 9);
+        let a = [Vec3::new(2.0, 0.0, 0.0)];
+        let b = [Vec3::new(0.0, 2.0, 0.0), Vec3::new(0.0, 0.0, 2.0)];
+        let (out, stats) = evaluate_direct(&ps, 0.0, QueryKind::Potential, &[&a, &b]);
+        assert_eq!(out[0].len(), 1);
+        assert_eq!(out[1].len(), 2);
+        assert_eq!(stats.targets, 3);
     }
 
     #[test]

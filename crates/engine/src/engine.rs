@@ -1,5 +1,24 @@
-//! The engine facade: registry → plan cache → batched scheduler →
-//! admission control, behind one thread-safe object.
+//! The engine facade and its one request pipeline, behind one
+//! thread-safe object.
+//!
+//! Every request — through [`Engine::query`] or [`Engine::query_batch`] —
+//! passes the same four stages, each written once in this file:
+//!
+//! 1. **admit** ([`Engine::admit`]): tenant budget checks, then one
+//!    weighted-fair gate slot, tenant/stats accounting, an RAII permit;
+//! 2. **resolve** ([`Engine::resolve`]): registry → resolved parameters →
+//!    validation → routing → group key, once per request and carried;
+//! 3. **prepare** ([`Engine::prepare`]): what the group evaluates against
+//!    — a [`Target`]: the dataset's particles, one cached plan, or shard
+//!    plans + skeleton — with built plans billed to the group's opener;
+//! 4. **sweep** ([`sweep`]): shed expired riders, evaluate the rest as
+//!    one packed sweep, record it, scatter per-rider answers;
+//!
+//! and [`Engine::respond`] turns an answer into a [`QueryResponse`]. The
+//! two drivers differ only where their contracts do: `query` takes one
+//! slot per request and lets a lone request against a cached plan ride
+//! the cross-caller [`Batcher`]; `query_batch` takes one slot per call
+//! and sweeps each of its groups on the caller's thread.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -12,18 +31,17 @@ use rayon::prelude::*;
 
 use mbt_obs::{SlowQuery, Span};
 
-use crate::admission::AdmissionGate;
-use crate::batch::{evaluate_plan_batch, QueryKind, QueryOutput};
+use crate::batch::{evaluate_direct, evaluate_plan_batch, QueryKind, QueryOutput};
 use crate::cache::{CacheOutcome, PlanCache};
-use crate::direct::evaluate_direct;
 use crate::error::EngineError;
-use crate::fanout::{evaluate_sharded, FanoutBreakdown};
+use crate::fanout::evaluate_sharded;
 use crate::plan::{Accuracy, EvalConfig, Plan, PlanKey};
 use crate::registry::{Dataset, DatasetId, DatasetRegistry};
 use crate::route::{route, Backend};
-use crate::scheduler::Batcher;
+use crate::scheduler::{Batcher, GroupKey};
 use crate::stats::{EngineStats, Gauges, StatsCollector};
 use crate::tenant::{TenantConfig, TenantId, TenantTable};
+use crate::wfq::{Admission, FairGate};
 
 /// Engine-wide settings.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -212,6 +230,159 @@ fn aggregate_outcome<I: IntoIterator<Item = CacheOutcome>>(outcomes: I) -> Cache
     agg
 }
 
+/// An admitted call's slot. Dropping it hands the slot to the scheduled
+/// queue head — on unwind too, which is why the release is RAII.
+#[derive(Debug)]
+struct Permit<'a>(&'a FairGate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+/// What [`Engine::resolve`] learned about one request. Carried through
+/// the later stages, never re-fetched or re-resolved.
+struct Resolved {
+    ds: Arc<Dataset>,
+    params: TreecodeParams,
+    backend: Backend,
+    /// What this request may share a sweep with.
+    group: GroupKey,
+}
+
+/// What one group evaluates against — the only place that knows the
+/// backends apart.
+pub(crate) enum Target {
+    /// Direct summation over the dataset's particles: no plan, no cache.
+    Direct(Arc<Dataset>, f64),
+    /// One cached treecode or FMM plan, and how it was obtained.
+    Plan(Arc<Plan>, CacheOutcome),
+    /// Per-shard plans in shard order behind their global skeleton, and
+    /// the aggregate of how the plans were obtained.
+    Sharded(Vec<Arc<Plan>>, Arc<Skeleton>, CacheOutcome),
+}
+
+impl Target {
+    /// Evaluates `slices` as one sweep of `group`'s kind and records it:
+    /// one batch under the group's plan key, or — sharded — one fan-out
+    /// plus one batch per opened shard under that shard's key, so the
+    /// per-plan breakdown separates shards.
+    fn evaluate(
+        &self,
+        group: &GroupKey,
+        slices: &[&[Vec3]],
+        stats: &StatsCollector,
+    ) -> (Vec<QueryOutput>, EvalStats) {
+        let t0 = Instant::now();
+        let (outputs, eval) = match self {
+            Target::Direct(ds, softening) => {
+                evaluate_direct(ds.particles(), *softening, group.kind, slices)
+            }
+            Target::Plan(plan, _) => evaluate_plan_batch(plan, group.kind, slices, group.cfg),
+            Target::Sharded(plans, skeleton, _) => {
+                let (outputs, eval, fan) =
+                    evaluate_sharded(plans, skeleton, group.kind, slices, group.cfg);
+                stats.record_fanout(&fan, t0.elapsed());
+                for shard in &fan.per_shard {
+                    stats.record_batch(plans[shard.shard].key, 1, shard.points, shard.elapsed);
+                }
+                return (outputs, eval);
+            }
+        };
+        let points = slices.iter().map(|s| s.len()).sum();
+        stats.record_batch(group.plan, slices.len(), points, t0.elapsed());
+        (outputs, eval)
+    }
+
+    /// How the target's plans were obtained ([`CacheOutcome::Bypassed`]
+    /// for direct summation, which has none).
+    fn cache_outcome(&self) -> CacheOutcome {
+        match self {
+            Target::Direct(..) => CacheOutcome::Bypassed,
+            Target::Plan(_, outcome) | Target::Sharded(_, _, outcome) => *outcome,
+        }
+    }
+
+    /// Resident bytes of the plans serving this target.
+    fn plan_bytes(&self) -> usize {
+        match self {
+            Target::Direct(..) => 0,
+            Target::Plan(plan, _) => plan.bytes,
+            Target::Sharded(plans, ..) => plans.iter().map(|p| p.bytes).sum(),
+        }
+    }
+}
+
+/// One request's share of a sweep: its points and its deadline.
+#[derive(Debug)]
+pub(crate) struct Rider<P> {
+    pub(crate) points: P,
+    pub(crate) deadline: Option<Instant>,
+}
+
+/// One rider's answer from the sweep it rode in.
+#[derive(Debug)]
+pub(crate) struct Swept {
+    pub(crate) output: QueryOutput,
+    /// Counters of the whole sweep, not only this rider's points.
+    pub(crate) eval: EvalStats,
+    /// This rider's even share of the sweep's wall time — an even split
+    /// (rather than a per-point one) keeps the charge independent of who
+    /// else happened to coalesce in.
+    share: Duration,
+}
+
+/// Stage 4 — sweep: riders whose deadline has passed are shed without
+/// costing evaluation work, the rest are evaluated against `target` as
+/// one packed sweep. Answers are index-aligned with `riders`. Runs on
+/// whichever thread drives the group: a `query_batch` caller, a `query`
+/// caller, or the [`Batcher`] leader a `query` coalesced onto.
+pub(crate) fn sweep<P: AsRef<[Vec3]>>(
+    target: &Target,
+    group: &GroupKey,
+    riders: &[Rider<P>],
+    stats: &StatsCollector,
+) -> Vec<Result<Swept, EngineError>> {
+    let now = Instant::now();
+    let mut answers = Vec::with_capacity(riders.len());
+    let mut live = Vec::with_capacity(riders.len());
+    for (i, rider) in riders.iter().enumerate() {
+        if rider.deadline.is_some_and(|d| now >= d) {
+            stats.record_shed_deadline();
+            answers.push(Err(EngineError::DeadlineExceeded));
+        } else {
+            live.push(i);
+            // overwritten below; a missing output is an evaluator bug and
+            // must not masquerade as client-caused shedding
+            answers.push(Err(EngineError::Internal("sweep returned no output")));
+        }
+    }
+    if live.is_empty() {
+        return answers;
+    }
+    let slices: Vec<&[Vec3]> = live.iter().map(|&i| riders[i].points.as_ref()).collect();
+    let t0 = Instant::now();
+    let (outputs, eval) = target.evaluate(group, &slices, stats);
+    let share = t0.elapsed() / u32::try_from(live.len()).unwrap_or(u32::MAX);
+    debug_assert_eq!(outputs.len(), live.len());
+    for (&i, output) in live.iter().zip(outputs) {
+        answers[i] = Ok(Swept {
+            output,
+            eval: eval.clone(),
+            share,
+        });
+    }
+    answers
+}
+
+/// A plan and how the cache came by it.
+type Obtained = (Arc<Plan>, CacheOutcome);
+
+/// One request's place in a driver's result vector, `None` until a stage
+/// answers it.
+type Slot = Option<Result<QueryResponse, EngineError>>;
+
 /// The multi-tenant treecode query engine.
 ///
 /// `Engine` is `Sync`: share one instance (e.g. behind an `Arc`) across
@@ -222,7 +393,7 @@ pub struct Engine {
     registry: DatasetRegistry,
     cache: PlanCache,
     batcher: Batcher,
-    gate: AdmissionGate,
+    gate: FairGate,
     stats: StatsCollector,
     tenants: TenantTable,
     /// Cached global skeletons for sharded datasets, keyed by the
@@ -243,7 +414,7 @@ impl Engine {
             registry: DatasetRegistry::new(),
             cache: PlanCache::new(config.cache_budget_bytes),
             batcher: Batcher::with_window(config.batch_window),
-            gate: AdmissionGate::new(config.max_in_flight, config.max_queued),
+            gate: FairGate::new(config.max_in_flight, config.max_queued),
             stats: StatsCollector::with_slow_threshold(config.slow_query_threshold),
             tenants: TenantTable::new(),
             skeletons: Mutex::new(HashMap::new()),
@@ -346,19 +517,13 @@ impl Engine {
     /// report their single plan as shard 0.
     pub fn warm(&self, dataset: DatasetId, accuracy: Accuracy) -> Result<WarmReport, EngineError> {
         let ds = self.registry.get(dataset)?;
-        if !ds.is_sharded() {
-            let (plan, outcome, _) = self.plan_for_ds(&ds, accuracy)?;
-            return Ok(WarmReport {
-                outcome,
-                shards: vec![ShardWarm {
-                    shard: 0,
-                    outcome,
-                    bytes: plan.bytes,
-                    build_time: plan.build_time,
-                }],
-            });
-        }
-        let (plans, _, _) = self.shard_plans(&ds, accuracy)?;
+        let params = self.resolve_params_profiled(&ds, accuracy);
+        params.validate().map_err(EngineError::InvalidParams)?;
+        let plans = if ds.is_sharded() {
+            self.shard_plans(&ds, params)?.0
+        } else {
+            vec![self.plan_routed(&ds, params, Backend::Treecode)?]
+        };
         let shards: Vec<ShardWarm> = plans
             .iter()
             .enumerate()
@@ -375,17 +540,6 @@ impl Engine {
         })
     }
 
-    fn plan_for_ds(
-        &self,
-        ds: &Arc<Dataset>,
-        accuracy: Accuracy,
-    ) -> Result<(Arc<Plan>, CacheOutcome, TreecodeParams), EngineError> {
-        let params = self.resolve_params_profiled(ds, accuracy);
-        params.validate().map_err(EngineError::InvalidParams)?;
-        let (plan, outcome) = self.plan_routed(ds, params, Backend::Treecode)?;
-        Ok((plan, outcome, params))
-    }
-
     /// Resolves the routed backend's cached plan for `(ds, params)` —
     /// building it under the key's single-flight on a miss. `params`
     /// must already be validated.
@@ -394,7 +548,7 @@ impl Engine {
         ds: &Arc<Dataset>,
         params: TreecodeParams,
         backend: Backend,
-    ) -> Result<(Arc<Plan>, CacheOutcome), EngineError> {
+    ) -> Result<Obtained, EngineError> {
         // PlanKey excludes precision (and the other execution knobs), so
         // the f64 and f32 tiers of one request shape share one cached
         // tree + coefficient arena.
@@ -408,24 +562,14 @@ impl Engine {
     /// shards concurrently — each shard is its own cache entry behind its
     /// own single-flight, so a cold dataset costs roughly one shard's
     /// build time given threads, not the sum) plus the matching global
-    /// skeleton.
-    #[allow(clippy::type_complexity)]
+    /// skeleton. `params` must already be validated.
     fn shard_plans(
         &self,
         ds: &Arc<Dataset>,
-        accuracy: Accuracy,
-    ) -> Result<
-        (
-            Vec<(Arc<Plan>, CacheOutcome)>,
-            TreecodeParams,
-            Arc<Skeleton>,
-        ),
-        EngineError,
-    > {
-        let params = self.resolve_params_profiled(ds, accuracy);
-        params.validate().map_err(EngineError::InvalidParams)?;
+        params: TreecodeParams,
+    ) -> Result<(Vec<Obtained>, Arc<Skeleton>), EngineError> {
         let k = ds.shard_count();
-        let built: Vec<Result<(Arc<Plan>, CacheOutcome), EngineError>> = (0..k)
+        let built: Vec<Result<Obtained, EngineError>> = (0..k)
             .into_par_iter()
             .map(|s| {
                 let key = PlanKey::sharded(ds.id, &params, s, k);
@@ -434,28 +578,18 @@ impl Engine {
                 })
             })
             .collect();
-        let mut plans = Vec::with_capacity(k);
-        let mut fresh = false;
-        for r in built {
-            let (plan, outcome) = r?;
-            fresh |= outcome != CacheOutcome::Hit;
-            plans.push((plan, outcome));
-        }
+        let plans = built.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let fresh = plans.iter().any(|(_, o)| *o != CacheOutcome::Hit);
         let skey = PlanKey::sharded(ds.id, &params, 0, k);
         let skeleton = self.skeleton_for(skey, &plans, fresh);
-        Ok((plans, params, skeleton))
+        Ok((plans, skeleton))
     }
 
     /// The cached skeleton for this plan generation, rebuilt whenever any
     /// shard plan was freshly built (deterministic builds make the
     /// rebuild idempotent; the invalidation only exists so the summary
     /// can never outlive an evicted shard's coefficients).
-    fn skeleton_for(
-        &self,
-        key: PlanKey,
-        plans: &[(Arc<Plan>, CacheOutcome)],
-        rebuild: bool,
-    ) -> Arc<Skeleton> {
+    fn skeleton_for(&self, key: PlanKey, plans: &[Obtained], rebuild: bool) -> Arc<Skeleton> {
         let mut map = self
             .skeletons
             .lock()
@@ -471,84 +605,60 @@ impl Engine {
         sk
     }
 
-    /// Bills `tenant` for every plan in `plans` it caused to be built
-    /// this call (cache hits and coalesced waits are free: the bytes were
-    /// already paid for by whoever built them).
-    fn charge_built_plans(&self, tenant: TenantId, plans: &[(Arc<Plan>, CacheOutcome)]) {
-        let built: usize = plans
-            .iter()
-            .filter(|(_, o)| *o == CacheOutcome::Built)
-            .map(|(p, _)| p.bytes)
-            .sum();
-        if built > 0 {
-            self.tenants.charge_plan_bytes(tenant, built);
-        }
-    }
-
-    /// Splits one coalesced sweep's wall time evenly across the requests
-    /// riding it, billing each request's tenant one share. An even split
-    /// (rather than a per-point one) keeps the charge independent of who
-    /// else happened to coalesce in.
-    fn charge_eval_split(&self, requests: &[QueryRequest], live: &[usize], took: Duration) {
-        let Ok(n) = u32::try_from(live.len()) else {
-            return;
-        };
-        if n == 0 {
-            return;
-        }
-        let share = took / n;
-        for &i in live {
-            self.tenants.charge_eval(requests[i].tenant, share);
-        }
-    }
-
-    /// Feeds one fan-out's routing counters plus its per-shard sweeps
-    /// (under their sharded plan keys, so the ordinary per-plan
-    /// breakdown separates shards) into the collector.
-    fn record_fanout_stats(
-        &self,
-        ds: &Dataset,
-        params: &TreecodeParams,
-        fan: &FanoutBreakdown,
-        took: Duration,
-    ) {
-        self.stats.record_fanout(fan, took);
-        let k = ds.shard_count();
-        for sweep in &fan.per_shard {
-            let key = PlanKey::sharded(ds.id, params, sweep.shard, k);
-            self.stats.record_batch(key, 1, sweep.points, sweep.elapsed);
-        }
-    }
-
-    /// Serves one query: admission → plan resolution (cached, built, or
-    /// coalesced onto an in-flight build) → batched evaluation.
-    ///
-    /// Blocking; safe to call from many threads at once — that is the
-    /// intended use, and concurrent queries against the same plan are
-    /// coalesced into shared sweeps.
-    pub fn query(&self, request: QueryRequest) -> Result<QueryResponse, EngineError> {
-        let arrived = Instant::now();
-        // budgets first: a tenant over quota is shed before it can queue
-        // (its backlog would only steal gate capacity from solvent ones)
-        if let Err(e) = self.tenants.admit_request(request.tenant) {
-            self.stats.record_shed_quota();
-            return Err(e);
-        }
-        let weight = self.tenants.weight(request.tenant);
-        let _permit = match self
-            .gate
-            .admit(request.tenant, weight, request.deadline, &self.stats)
-        {
-            Ok(p) => {
-                self.tenants.note_admitted(request.tenant);
-                p
+    /// Stage 1 — admit: the whole call queues as one unit and takes one
+    /// gate slot. Budgets come first: a request whose tenant is over
+    /// quota is shed before it can queue (its backlog would only steal
+    /// gate capacity from solvent tenants), and a call with nothing left
+    /// to serve takes no slot at all. The survivors queue under the first
+    /// one's tenant, with the earliest deadline among them for queue
+    /// shedding; admission or shedding is then noted in every survivor's
+    /// tenant row. Every shed request's slot is answered here; `None`
+    /// means no request is left to serve.
+    fn admit(&self, requests: &[QueryRequest], slots: &mut [Slot]) -> Option<Permit<'_>> {
+        let mut solvent = Vec::with_capacity(requests.len());
+        for (i, r) in requests.iter().enumerate() {
+            match self.tenants.admit_request(r.tenant) {
+                Ok(()) => solvent.push(i),
+                Err(e) => {
+                    self.stats.record_shed_quota();
+                    slots[i] = Some(Err(e));
+                }
             }
-            Err(e) => {
-                self.tenants.note_shed(request.tenant);
-                return Err(e);
+        }
+        let tenant = requests[*solvent.first()?].tenant;
+        let deadline = solvent.iter().filter_map(|&i| requests[i].deadline).min();
+        let weight = self.tenants.weight(tenant);
+        let admission = self.gate.admit_observed(tenant, weight, deadline, |depth| {
+            self.stats.observe_queue_depth(depth);
+        });
+        let shed = match admission {
+            Admission::Admitted { waited } => {
+                self.stats.record_admitted();
+                self.stats.record_admission_wait(waited);
+                for &i in &solvent {
+                    self.tenants.note_admitted(requests[i].tenant);
+                }
+                return Some(Permit(&self.gate));
+            }
+            Admission::Overloaded { in_flight, queued } => {
+                self.stats.record_shed_overload();
+                EngineError::Overloaded { in_flight, queued }
+            }
+            Admission::DeadlineExpired => {
+                self.stats.record_shed_deadline();
+                EngineError::DeadlineExceeded
             }
         };
-        let waited = arrived.elapsed();
+        for &i in &solvent {
+            self.tenants.note_shed(requests[i].tenant);
+            slots[i] = Some(Err(shed.clone()));
+        }
+        None
+    }
+
+    /// Stage 2 — resolve: everything about `request` that does not
+    /// depend on who it shares a sweep with.
+    fn resolve(&self, request: &QueryRequest) -> Result<Resolved, EngineError> {
         let ds = self.registry.get(request.dataset)?;
         let params = self.resolve_params_profiled(&ds, request.accuracy);
         params.validate().map_err(EngineError::InvalidParams)?;
@@ -558,373 +668,189 @@ impl Engine {
         let pinned = ds.is_sharded() || matches!(request.accuracy, Accuracy::Params(_));
         let backend = route(ds.len(), request.points.len(), pinned, &params);
         self.stats.record_route(backend);
-        if ds.is_sharded() {
-            return self.query_sharded(&ds, &request, arrived, waited);
-        }
-        if backend == Backend::Direct {
-            return self.query_direct(&ds, &params, &request, arrived, waited);
-        }
-        let (plan, outcome) = self.plan_routed(&ds, params, backend)?;
-        if outcome == CacheOutcome::Built {
-            self.tenants.charge_plan_bytes(request.tenant, plan.bytes);
-        }
-        // a cold build may have consumed the whole budget
-        if request.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.stats.record_shed_deadline();
-            return Err(EngineError::DeadlineExceeded);
-        }
-        let cfg = EvalConfig::of(&params);
-        let n_points = request.points.len();
-        let tenant = request.tenant;
-        let t_eval = Instant::now();
-        let (output, eval) = self.batcher.run(
-            &plan,
-            request.kind,
-            cfg,
-            request.points,
-            request.deadline,
-            &self.stats,
-        )?;
-        self.tenants.charge_eval(tenant, t_eval.elapsed());
-        self.stats
-            .record_request(request.dataset, n_points, arrived.elapsed(), waited);
-        Ok(QueryResponse {
-            output,
-            eval,
-            cache: outcome,
-            plan_bytes: plan.bytes,
-            backend,
-        })
-    }
-
-    /// The direct-summation serving path: no plan, no cache — one
-    /// guarded sweep over the dataset's particles. Runs under the permit
-    /// `query` already holds.
-    fn query_direct(
-        &self,
-        ds: &Arc<Dataset>,
-        params: &TreecodeParams,
-        request: &QueryRequest,
-        arrived: Instant,
-        waited: Duration,
-    ) -> Result<QueryResponse, EngineError> {
-        if request.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.stats.record_shed_deadline();
-            return Err(EngineError::DeadlineExceeded);
-        }
-        let key = PlanKey::routed(ds.id, params, Backend::Direct);
-        let n_points = request.points.len();
-        let t0 = Instant::now();
-        let (mut outputs, eval) = evaluate_direct(
-            ds.particles(),
-            params.softening,
-            request.kind,
-            &[&request.points],
-        );
-        self.stats.record_batch(key, 1, n_points, t0.elapsed());
-        self.tenants.charge_eval(request.tenant, t0.elapsed());
-        self.stats
-            .record_request(request.dataset, n_points, arrived.elapsed(), waited);
-        // one slice in ⇒ exactly one output out; a missing output is an
-        // evaluator bug and must not masquerade as a zero-length success
-        debug_assert_eq!(outputs.len(), 1);
-        let output = outputs
-            .pop()
-            .ok_or(EngineError::Internal("direct sweep returned no output"))?;
-        Ok(QueryResponse {
-            output,
-            eval,
-            cache: CacheOutcome::Bypassed,
-            plan_bytes: 0,
-            backend: Backend::Direct,
-        })
-    }
-
-    /// The sharded serving path: resolve every shard plan (concurrent
-    /// cold builds) and the skeleton, then fan out / reduce. Runs under
-    /// the permit `query` already holds.
-    fn query_sharded(
-        &self,
-        ds: &Arc<Dataset>,
-        request: &QueryRequest,
-        arrived: Instant,
-        waited: Duration,
-    ) -> Result<QueryResponse, EngineError> {
-        let (plans, params, skeleton) = self.shard_plans(ds, request.accuracy)?;
-        self.charge_built_plans(request.tenant, &plans);
-        // cold shard builds may have consumed the whole budget
-        if request.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.stats.record_shed_deadline();
-            return Err(EngineError::DeadlineExceeded);
-        }
-        let cfg = EvalConfig::of(&params);
-        let n_points = request.points.len();
-        let arc_plans: Vec<Arc<Plan>> = plans.iter().map(|(p, _)| Arc::clone(p)).collect();
-        let t0 = Instant::now();
-        let (mut outputs, eval, fan) =
-            evaluate_sharded(&arc_plans, &skeleton, request.kind, &[&request.points], cfg);
-        self.record_fanout_stats(ds, &params, &fan, t0.elapsed());
-        self.tenants.charge_eval(request.tenant, t0.elapsed());
-        self.stats
-            .record_request(request.dataset, n_points, arrived.elapsed(), waited);
-        // one slice in ⇒ exactly one output out (see `query_direct`)
-        debug_assert_eq!(outputs.len(), 1);
-        let output = outputs
-            .pop()
-            .ok_or(EngineError::Internal("sharded fan-out returned no output"))?;
-        Ok(QueryResponse {
-            output,
-            eval,
-            cache: aggregate_outcome(plans.iter().map(|(_, o)| *o)),
-            plan_bytes: plans.iter().map(|(p, _)| p.bytes).sum(),
-            backend: Backend::Treecode,
-        })
-    }
-
-    /// One `query_batch` group against a sharded dataset: resolve the
-    /// shard plans + skeleton once, fan the group's live requests out as
-    /// one multi-request sweep, and scatter the per-request results.
-    #[allow(clippy::too_many_arguments)]
-    fn batch_group_sharded(
-        &self,
-        ds: &Arc<Dataset>,
-        requests: &[QueryRequest],
-        indices: Vec<usize>,
-        kind: QueryKind,
-        cfg: EvalConfig,
-        arrived: Instant,
-        waited: Duration,
-        results: &mut [Option<Result<QueryResponse, EngineError>>],
-    ) {
-        let first = indices[0];
-        let (plans, params, skeleton) = match self.shard_plans(ds, requests[first].accuracy) {
-            Ok(t) => t,
-            Err(e) => {
-                for &i in &indices {
-                    results[i] = Some(Err(e.clone()));
-                }
-                return;
-            }
+        // sharded datasets group under their shard-0 key, so one sweep
+        // per (dataset, params, kind) covers the whole fan-out; unsharded
+        // requests group under their routed backend's key, so
+        // differently-routed shapes batch into separate sweeps
+        let plan = if ds.is_sharded() {
+            PlanKey::sharded(ds.id, &params, 0, ds.shard_count())
+        } else {
+            PlanKey::routed(ds.id, &params, backend)
         };
-        // the group shares (dataset, accuracy): builds bill its opener
-        self.charge_built_plans(requests[first].tenant, &plans);
-        let now = Instant::now();
-        let live: Vec<usize> = indices
-            .into_iter()
-            .filter(|&i| {
-                if requests[i].deadline.is_some_and(|d| now >= d) {
-                    self.stats.record_shed_deadline();
-                    results[i] = Some(Err(EngineError::DeadlineExceeded));
-                    false
-                } else {
-                    true
-                }
+        let group = GroupKey {
+            plan,
+            kind: request.kind,
+            cfg: EvalConfig::of(&params),
+        };
+        Ok(Resolved {
+            ds,
+            params,
+            backend,
+            group,
+        })
+    }
+
+    /// Stage 3 — prepare: resolves what `job`'s group evaluates against
+    /// (cached, built, or coalesced onto an in-flight build) and bills
+    /// `opener` for every plan it caused to be built — cache hits and
+    /// coalesced waits are free: whoever built those bytes paid for them.
+    fn prepare(&self, job: &Resolved, opener: TenantId) -> Result<Target, EngineError> {
+        let (target, built) = if job.ds.is_sharded() {
+            let (plans, skeleton) = self.shard_plans(&job.ds, job.params)?;
+            let outcome = aggregate_outcome(plans.iter().map(|(_, o)| *o));
+            let built = plans
+                .iter()
+                .filter(|(_, o)| *o == CacheOutcome::Built)
+                .map(|(p, _)| p.bytes)
+                .sum();
+            let plans = plans.into_iter().map(|(p, _)| p).collect();
+            (Target::Sharded(plans, skeleton, outcome), built)
+        } else if job.backend == Backend::Direct {
+            let direct = Target::Direct(Arc::clone(&job.ds), job.params.softening);
+            (direct, 0)
+        } else {
+            let (plan, outcome) = self.plan_routed(&job.ds, job.params, job.backend)?;
+            let built = if outcome == CacheOutcome::Built {
+                plan.bytes
+            } else {
+                0
+            };
+            (Target::Plan(plan, outcome), built)
+        };
+        if built > 0 {
+            self.tenants.charge_plan_bytes(opener, built);
+        }
+        Ok(target)
+    }
+
+    /// Turns one rider's sweep answer into its response: bills the
+    /// tenant its share of the sweep and feeds the query-latency
+    /// histogram and slow-query log.
+    fn respond(
+        &self,
+        request: &QueryRequest,
+        job: &Resolved,
+        target: &Target,
+        swept: Swept,
+        arrived: Instant,
+        waited: Duration,
+    ) -> QueryResponse {
+        self.tenants.charge_eval(request.tenant, swept.share);
+        let n_points = swept.output.len();
+        self.stats
+            .record_request(request.dataset, n_points, arrived.elapsed(), waited);
+        QueryResponse {
+            output: swept.output,
+            eval: swept.eval,
+            cache: target.cache_outcome(),
+            plan_bytes: target.plan_bytes(),
+            backend: job.backend,
+        }
+    }
+
+    /// A slot no stage answered means a worker never delivered — an
+    /// engine fault that must not masquerade as client-caused shedding.
+    fn settle(&self, slot: Slot) -> Result<QueryResponse, EngineError> {
+        slot.unwrap_or_else(|| {
+            self.stats.record_worker_panic();
+            Err(EngineError::WorkerPanicked)
+        })
+    }
+
+    /// Serves one query: admit → resolve → prepare → sweep, holding one
+    /// admission slot throughout.
+    ///
+    /// Blocking; safe to call from many threads at once — that is the
+    /// intended use: concurrent queries against the same cached plan are
+    /// coalesced into shared sweeps (the first arrival leads and sweeps
+    /// for everyone who queued behind it). Direct and sharded targets
+    /// sweep on the caller's thread.
+    pub fn query(&self, mut request: QueryRequest) -> Result<QueryResponse, EngineError> {
+        let arrived = Instant::now();
+        let mut slot = [None];
+        let Some(_permit) = self.admit(std::slice::from_ref(&request), &mut slot) else {
+            let [shed] = slot;
+            return self.settle(shed);
+        };
+        let waited = arrived.elapsed();
+        let job = self.resolve(&request)?;
+        let target = self.prepare(&job, request.tenant)?;
+        let rider = Rider {
+            points: std::mem::take(&mut request.points),
+            deadline: request.deadline,
+        };
+        let swept = if matches!(target, Target::Plan(..)) {
+            self.batcher.run(job.group, rider, &self.stats, |riders| {
+                sweep(&target, &job.group, &riders, &self.stats)
             })
-            .collect();
-        if live.is_empty() {
-            return;
-        }
-        let slices: Vec<&[Vec3]> = live
-            .iter()
-            .map(|&i| requests[i].points.as_slice())
-            .collect();
-        let arc_plans: Vec<Arc<Plan>> = plans.iter().map(|(p, _)| Arc::clone(p)).collect();
-        let t0 = Instant::now();
-        let (outputs, sweep, fan) = evaluate_sharded(&arc_plans, &skeleton, kind, &slices, cfg);
-        self.record_fanout_stats(ds, &params, &fan, t0.elapsed());
-        self.charge_eval_split(requests, &live, t0.elapsed());
-        let outcome = aggregate_outcome(plans.iter().map(|(_, o)| *o));
-        let plan_bytes: usize = plans.iter().map(|(p, _)| p.bytes).sum();
-        for (&i, output) in live.iter().zip(outputs) {
-            self.stats.record_request(
-                requests[i].dataset,
-                requests[i].points.len(),
-                arrived.elapsed(),
-                waited,
-            );
-            results[i] = Some(Ok(QueryResponse {
-                output,
-                eval: sweep.clone(),
-                cache: outcome,
-                plan_bytes,
-                backend: Backend::Treecode,
-            }));
-        }
+        } else {
+            sweep(&target, &job.group, &[rider], &self.stats)
+                .pop()
+                .unwrap_or(Err(EngineError::Internal("sweep returned no answer")))
+        }?;
+        Ok(self.respond(&request, &job, &target, swept, arrived, waited))
     }
 
     /// Serves many queries from one caller as explicitly formed batches:
-    /// requests are grouped by `(dataset, params, kind)`, each group is
-    /// evaluated as one sweep, and results come back in request order.
+    /// requests are grouped by `(dataset, params, kind)`, the groups are
+    /// served in order of first appearance — each as one sweep on the
+    /// caller's thread — and results come back in request order.
     ///
-    /// The whole call occupies **one** admission slot (it is one caller),
-    /// using the earliest deadline among the requests for queue shedding.
+    /// The whole call occupies **one** admission slot (it is one caller);
+    /// budgets are still checked and billed per request, so mixed-tenant
+    /// batches stay honest.
     pub fn query_batch(
         &self,
         requests: &[QueryRequest],
     ) -> Vec<Result<QueryResponse, EngineError>> {
         let arrived = Instant::now();
-        let earliest = requests.iter().filter_map(|r| r.deadline).min();
-        // the whole batch is one caller and queues as one unit, scheduled
-        // under its first request's tenant; budgets are still checked and
-        // billed per request below, so mixed-tenant batches stay honest
-        let tenant = requests.first().map_or(TenantId::DEFAULT, |r| r.tenant);
-        let weight = self.tenants.weight(tenant);
-        let permit = match self.gate.admit(tenant, weight, earliest, &self.stats) {
-            Ok(p) => p,
-            Err(e) => return requests.iter().map(|_| Err(e.clone())).collect(),
-        };
-        let waited = arrived.elapsed();
-
-        let mut results: Vec<Option<Result<QueryResponse, EngineError>>> =
-            requests.iter().map(|_| None).collect();
-        let mut groups: HashMap<(PlanKey, QueryKind, EvalConfig), Vec<usize>> = HashMap::new();
-        for (i, r) in requests.iter().enumerate() {
-            if let Err(e) = self.tenants.admit_request(r.tenant) {
-                self.stats.record_shed_quota();
-                results[i] = Some(Err(e));
-                continue;
-            }
-            self.tenants.note_admitted(r.tenant);
-            let ds = match self.registry.get(r.dataset) {
-                Ok(ds) => ds,
-                Err(e) => {
-                    results[i] = Some(Err(e));
-                    continue;
+        let mut slots: Vec<Slot> = requests.iter().map(|_| None).collect();
+        if let Some(_permit) = self.admit(requests, &mut slots) {
+            let waited = arrived.elapsed();
+            let mut groups: Vec<(Resolved, Vec<usize>)> = Vec::new();
+            let mut index: HashMap<GroupKey, usize> = HashMap::new();
+            for (i, r) in requests.iter().enumerate() {
+                if slots[i].is_some() {
+                    continue; // shed by its tenant's budget
                 }
-            };
-            let params = self.resolve_params_profiled(&ds, r.accuracy);
-            if let Err(e) = params.validate() {
-                results[i] = Some(Err(EngineError::InvalidParams(e)));
-                continue;
-            }
-            let pinned = ds.is_sharded() || matches!(r.accuracy, Accuracy::Params(_));
-            let backend = route(ds.len(), r.points.len(), pinned, &params);
-            self.stats.record_route(backend);
-            // sharded datasets group under their shard-0 key (== the
-            // plain key when the dataset is unsharded), so one sweep per
-            // (dataset, params, kind) still covers the whole fan-out;
-            // unsharded requests group under their routed backend's key,
-            // so differently-routed shapes batch into separate sweeps
-            let key = if ds.is_sharded() {
-                PlanKey::sharded(r.dataset, &params, 0, ds.shard_count())
-            } else {
-                PlanKey::routed(r.dataset, &params, backend)
-            };
-            groups
-                .entry((key, r.kind, EvalConfig::of(&params)))
-                .or_default()
-                .push(i);
-        }
-
-        for ((key, kind, cfg), indices) in groups {
-            // all requests in a group share (dataset, accuracy)
-            let first = indices[0];
-            let ds = match self.registry.get(requests[first].dataset) {
-                Ok(ds) => ds,
-                Err(e) => {
-                    for &i in &indices {
-                        results[i] = Some(Err(e.clone()));
-                    }
-                    continue;
-                }
-            };
-            if ds.is_sharded() {
-                self.batch_group_sharded(
-                    &ds,
-                    requests,
-                    indices,
-                    kind,
-                    cfg,
-                    arrived,
-                    waited,
-                    &mut results,
-                );
-                continue;
-            }
-            // re-resolution of the first request's accuracy (validated
-            // during grouping) covers the whole group
-            let params = self.resolve_params_profiled(&ds, requests[first].accuracy);
-            let backend = key.backend();
-            let (plan, outcome) = if backend == Backend::Direct {
-                (None, CacheOutcome::Bypassed)
-            } else {
-                match self.plan_routed(&ds, params, backend) {
-                    Ok((plan, outcome)) => {
-                        if outcome == CacheOutcome::Built {
-                            self.tenants
-                                .charge_plan_bytes(requests[first].tenant, plan.bytes);
+                match self.resolve(r) {
+                    Ok(job) => {
+                        let at = *index.entry(job.group).or_insert(groups.len());
+                        if at == groups.len() {
+                            groups.push((job, Vec::new()));
                         }
-                        (Some(plan), outcome)
+                        groups[at].1.push(i);
+                    }
+                    Err(e) => slots[i] = Some(Err(e)),
+                }
+            }
+            for (job, members) in &groups {
+                // the group shares (dataset, params): its first request opens it
+                match self.prepare(job, requests[members[0]].tenant) {
+                    Ok(target) => {
+                        let riders: Vec<Rider<&Vec<Vec3>>> = members
+                            .iter()
+                            .map(|&i| Rider {
+                                points: &requests[i].points,
+                                deadline: requests[i].deadline,
+                            })
+                            .collect();
+                        let answers = sweep(&target, &job.group, &riders, &self.stats);
+                        for (&i, answer) in members.iter().zip(answers) {
+                            slots[i] = Some(answer.map(|swept| {
+                                self.respond(&requests[i], job, &target, swept, arrived, waited)
+                            }));
+                        }
                     }
                     Err(e) => {
-                        for &i in &indices {
-                            results[i] = Some(Err(e.clone()));
+                        for &i in members {
+                            slots[i] = Some(Err(e.clone()));
                         }
-                        continue;
                     }
                 }
-            };
-            let now = Instant::now();
-            let live: Vec<usize> = indices
-                .into_iter()
-                .filter(|&i| {
-                    if requests[i].deadline.is_some_and(|d| now >= d) {
-                        self.stats.record_shed_deadline();
-                        results[i] = Some(Err(EngineError::DeadlineExceeded));
-                        false
-                    } else {
-                        true
-                    }
-                })
-                .collect();
-            if live.is_empty() {
-                continue;
-            }
-            let slices: Vec<&[Vec3]> = live
-                .iter()
-                .map(|&i| requests[i].points.as_slice())
-                .collect();
-            let total_points: usize = slices.iter().map(|s| s.len()).sum();
-            let t0 = Instant::now();
-            let (outputs, sweep) = match &plan {
-                Some(plan) => evaluate_plan_batch(plan, kind, &slices, cfg),
-                None => evaluate_direct(ds.particles(), params.softening, kind, &slices),
-            };
-            self.stats
-                .record_batch(key, live.len(), total_points, t0.elapsed());
-            self.charge_eval_split(requests, &live, t0.elapsed());
-            let plan_bytes = plan.as_ref().map_or(0, |p| p.bytes);
-            for (&i, output) in live.iter().zip(outputs) {
-                self.stats.record_request(
-                    requests[i].dataset,
-                    requests[i].points.len(),
-                    arrived.elapsed(),
-                    waited,
-                );
-                results[i] = Some(Ok(QueryResponse {
-                    output,
-                    eval: sweep.clone(),
-                    cache: outcome,
-                    plan_bytes,
-                    backend,
-                }));
             }
         }
-        drop(permit);
-
-        // every slot was filled by its group above; an empty one means a
-        // worker never delivered — that is an engine fault and must not
-        // masquerade as client-caused deadline shedding
-        debug_assert!(results.iter().all(Option::is_some));
-        results
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    self.stats.record_worker_panic();
-                    Err(EngineError::WorkerPanicked)
-                })
-            })
-            .collect()
+        slots.into_iter().map(|slot| self.settle(slot)).collect()
     }
 
     /// Recent engine-phase spans (admission wait, plan build, batch
@@ -984,6 +910,100 @@ mod tests {
         (0..n)
             .map(|i| Vec3::new(1.2 + i as f64 * 0.01, -0.3, 0.4))
             .collect()
+    }
+
+    fn gated(max_in_flight: usize, max_queued: usize) -> Engine {
+        Engine::new(EngineConfig {
+            max_in_flight,
+            max_queued,
+            ..EngineConfig::default()
+        })
+        .unwrap()
+    }
+
+    /// One request through the admit stage alone.
+    fn admit_one(
+        engine: &Engine,
+        tenant: TenantId,
+        deadline: Option<Instant>,
+    ) -> Result<Permit<'_>, EngineError> {
+        let mut request = QueryRequest::potentials(DatasetId(0), Accuracy::Fixed(4), Vec::new())
+            .with_tenant(tenant);
+        request.deadline = deadline;
+        let mut slot = [None];
+        engine
+            .admit(std::slice::from_ref(&request), &mut slot)
+            .ok_or_else(|| {
+                let [shed] = slot;
+                shed.expect("a shed request is answered").unwrap_err()
+            })
+    }
+
+    #[test]
+    fn admits_up_to_capacity() {
+        let engine = gated(2, 0);
+        let p1 = admit_one(&engine, TenantId::DEFAULT, None).unwrap();
+        let _p2 = admit_one(&engine, TenantId::DEFAULT, None).unwrap();
+        assert_eq!(engine.gate.depth(), (2, 0));
+        // gate full, queue size 0 → immediate overload
+        assert!(matches!(
+            admit_one(&engine, TenantId::DEFAULT, None),
+            Err(EngineError::Overloaded {
+                in_flight: 2,
+                queued: 0
+            })
+        ));
+        drop(p1);
+        assert_eq!(engine.gate.depth(), (1, 0));
+        let _p3 = admit_one(&engine, TenantId::DEFAULT, None).unwrap();
+    }
+
+    #[test]
+    fn queued_request_sheds_on_deadline() {
+        let engine = gated(1, 4);
+        let _held = admit_one(&engine, TenantId::DEFAULT, None).unwrap();
+        let deadline = Instant::now() + Duration::from_millis(30);
+        let t0 = Instant::now();
+        let res = admit_one(&engine, TenantId::DEFAULT, Some(deadline));
+        assert_eq!(res.unwrap_err(), EngineError::DeadlineExceeded);
+        assert!(t0.elapsed() >= Duration::from_millis(25));
+        assert_eq!(engine.gate.depth(), (1, 0)); // the shed request left the queue
+    }
+
+    #[test]
+    fn queued_request_proceeds_when_slot_frees() {
+        let engine = gated(1, 4);
+        let held = admit_one(&engine, TenantId::DEFAULT, None).unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let deadline = Instant::now() + Duration::from_secs(5);
+                admit_one(&engine, TenantId(1), Some(deadline)).map(|_p| ())
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            drop(held);
+            assert!(waiter.join().unwrap().is_ok());
+        });
+        assert_eq!(engine.gate.depth(), (0, 0));
+        // both admissions fed the wait histogram: the holder at ~0, the
+        // waiter at ≥ the 20 ms it spent queued
+        let s = engine.stats();
+        assert_eq!(s.admission_wait.count, 2);
+        assert!(s.admission_wait.max_ms >= 15.0, "{:?}", s.admission_wait);
+        assert_eq!(s.queue_peak, 1, "the waiter's enqueue fed the peak");
+    }
+
+    #[test]
+    fn expired_deadline_sheds_immediately_when_queued() {
+        let engine = gated(1, 4);
+        let _held = admit_one(&engine, TenantId::DEFAULT, None).unwrap();
+        let past = Instant::now()
+            .checked_sub(Duration::from_millis(1))
+            .unwrap();
+        assert_eq!(
+            admit_one(&engine, TenantId::DEFAULT, Some(past)).unwrap_err(),
+            EngineError::DeadlineExceeded
+        );
+        assert_eq!(engine.stats().shed_deadline, 1);
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //! its opened-shard contributions in ascending shard order during the
 //! sweep pass — so repeated queries see bit-identical sums.
 //!
-//! Allocation discipline (enforced by `cargo xtask lint`): one packed
-//! point arena, one accumulator arena, and one per-shard open list per
-//! fan-out; the per-shard sweeps reuse [`evaluate_batch_with`]'s own
-//! arena discipline. Never an allocation per point or per interaction.
+//! Allocation discipline (enforced by `cargo xtask lint`): the packed
+//! point arena and the accumulator arena are [`packed_sweep`]'s, plus one
+//! per-shard open list per fan-out; the per-shard sweeps reuse
+//! [`evaluate_batch_with`]'s own arena discipline. Never an allocation
+//! per point or per interaction.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,7 +34,7 @@ use mbt_multipole::Workspace;
 use mbt_shard::Skeleton;
 use mbt_treecode::EvalStats;
 
-use crate::batch::{evaluate_batch_with, QueryKind, QueryOutput};
+use crate::batch::{evaluate_batch_with, packed_sweep, QueryKind, QueryOutput};
 use crate::plan::{EvalConfig, Plan};
 
 /// One opened shard's near sweep inside a fan-out: which shard, how many
@@ -83,22 +84,27 @@ pub fn evaluate_sharded(
     requests: &[&[Vec3]],
     cfg: EvalConfig,
 ) -> (Vec<QueryOutput>, EvalStats, FanoutBreakdown) {
-    let total: usize = requests.iter().map(|r| r.len()).sum();
-    let k = plans.len();
-    // lint: allow(alloc, one packed point arena per fan-out)
-    let mut points: Vec<Vec3> = Vec::with_capacity(total);
-    for r in requests {
-        points.extend_from_slice(r);
-    }
+    let (outputs, (stats, fan)) = packed_sweep(kind, requests, |points, acc| {
+        fan_out(plans, skeleton, kind, cfg, points, acc)
+    });
+    (outputs, stats, fan)
+}
 
+/// The fan-out proper over one packed point arena, accumulating into the
+/// zeroed value arena `acc` (of `kind`).
+fn fan_out(
+    plans: &[Arc<Plan>],
+    skeleton: &Skeleton,
+    kind: QueryKind,
+    cfg: EvalConfig,
+    points: &[Vec3],
+    acc: &mut QueryOutput,
+) -> (EvalStats, FanoutBreakdown) {
+    let k = plans.len();
     let mut ws = Workspace::with_capacity(skeleton.max_degree());
-    let mut stats = EvalStats::for_targets(total as u64);
+    let mut stats = EvalStats::for_targets(points.len() as u64);
     let mut fan = FanoutBreakdown::default();
-    // lint: allow(alloc, one accumulator arena per fan-out)
-    let mut phi = vec![0.0f64; total];
-    // lint: allow(alloc, one gradient arena per fan-out; unused slots for potential-only queries cost nothing per point)
-    let mut grad = vec![Vec3::ZERO; if kind == QueryKind::Field { total } else { 0 }];
-    // lint: allow(alloc, k per-shard open lists per fan-out, not per point)
+    // k per-shard open lists per fan-out, not per point
     let mut open: Vec<Vec<usize>> = Vec::with_capacity(k);
     for _ in 0..k {
         open.push(Vec::with_capacity(0));
@@ -106,8 +112,8 @@ pub fn evaluate_sharded(
 
     // routing pass: global shortcut, else per-shard far field, else open
     for (i, &x) in points.iter().enumerate() {
-        match kind {
-            QueryKind::Potential => {
+        match acc {
+            QueryOutput::Potentials(phi) => {
                 if let Some(p) = skeleton.try_global_potential(x, &mut ws, &mut stats) {
                     phi[i] = p;
                     fan.global_shortcuts += 1;
@@ -123,17 +129,16 @@ pub fn evaluate_sharded(
                     }
                 }
             }
-            QueryKind::Field => {
-                if let Some((p, g)) = skeleton.try_global_field(x, &mut ws, &mut stats) {
-                    phi[i] = p;
-                    grad[i] = g;
+            QueryOutput::Fields(vals) => {
+                if let Some(pg) = skeleton.try_global_field(x, &mut ws, &mut stats) {
+                    vals[i] = pg;
                     fan.global_shortcuts += 1;
                     continue;
                 }
                 for (s, list) in open.iter_mut().enumerate() {
                     if let Some((p, g)) = skeleton.try_far_field(s, x, &mut ws, &mut stats) {
-                        phi[i] += p;
-                        grad[i] += g;
+                        vals[i].0 += p;
+                        vals[i].1 += g;
                         fan.skeleton_evals += 1;
                     } else {
                         list.push(i);
@@ -145,7 +150,7 @@ pub fn evaluate_sharded(
     }
 
     // sweep pass: one batched evaluation per opened shard, in shard order
-    // lint: allow(alloc, one gather buffer reused across opened shards)
+    // (one gather buffer reused across opened shards)
     let mut gathered: Vec<Vec3> = Vec::with_capacity(0);
     for (s, list) in open.iter().enumerate() {
         if list.is_empty() {
@@ -160,19 +165,19 @@ pub fn evaluate_sharded(
         let (outs, sweep) = evaluate_batch_with(plans[s].treecode(), kind, &[&gathered], cfg);
         let elapsed = t0.elapsed();
         stats.merge(&sweep);
-        match outs.into_iter().next() {
-            Some(QueryOutput::Potentials(vals)) => {
+        match (&mut *acc, outs.into_iter().next()) {
+            (QueryOutput::Potentials(phi), Some(QueryOutput::Potentials(vals))) => {
                 for (&i, v) in list.iter().zip(vals) {
                     phi[i] += v;
                 }
             }
-            Some(QueryOutput::Fields(vals)) => {
+            (QueryOutput::Fields(acc), Some(QueryOutput::Fields(vals))) => {
                 for (&i, (p, g)) in list.iter().zip(vals) {
-                    phi[i] += p;
-                    grad[i] += g;
+                    acc[i].0 += p;
+                    acc[i].1 += g;
                 }
             }
-            None => {}
+            _ => {}
         }
         fan.per_shard.push(ShardSweep {
             shard: s,
@@ -182,30 +187,8 @@ pub fn evaluate_sharded(
     }
     // merge() sums `targets`, but every sweep saw a subset of the same
     // point arena — normalise to the distinct point count
-    stats.targets = total as u64;
-
-    // split the accumulators back per request, in request order
-    // lint: allow(alloc, O(batch) split of the output arena)
-    let mut outputs: Vec<QueryOutput> = Vec::with_capacity(requests.len());
-    let mut offset = 0;
-    for r in requests {
-        match kind {
-            QueryKind::Potential => {
-                let vals = phi[offset..offset + r.len()].to_vec(); // lint: allow(alloc, per-request result buffer handed to its caller)
-                outputs.push(QueryOutput::Potentials(vals));
-            }
-            QueryKind::Field => {
-                // lint: allow(alloc, per-request result buffer handed to its caller)
-                let mut vals: Vec<(f64, Vec3)> = Vec::with_capacity(r.len());
-                for i in offset..offset + r.len() {
-                    vals.push((phi[i], grad[i]));
-                }
-                outputs.push(QueryOutput::Fields(vals));
-            }
-        }
-        offset += r.len();
-    }
-    (outputs, stats, fan)
+    stats.targets = points.len() as u64;
+    (stats, fan)
 }
 
 #[cfg(test)]

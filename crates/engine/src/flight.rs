@@ -5,7 +5,7 @@
 //! result — the heart of [`PlanCache`](crate::PlanCache). [`Combiner`]
 //! is leader/follower batching: the first arrival for a group drains
 //! everything queued behind it and answers every follower — the heart of
-//! [`Batcher`](crate::Batcher).
+//! the cross-caller `Batcher` in `scheduler.rs`.
 //!
 //! Both are deliberately *policy-free*: no stats, no clocks, no domain
 //! types. Callers inject those through closures (`probe` / `classify` /

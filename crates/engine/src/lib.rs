@@ -9,38 +9,59 @@
 //!
 //! # Architecture
 //!
+//! Both entry points drive **one pipeline** of four stages, each written
+//! once in `engine.rs`:
+//!
 //! ```text
-//!             ┌─────────────────────────────────────────────┐
-//!   register ─►  DatasetRegistry   (ids, validation)        │
-//!             ├─────────────────────────────────────────────┤
-//!   query ────►  AdmissionGate     (bounded in-flight,      │
-//!             │                     deadline shedding)      │
-//!             ├─────────────────────────────────────────────┤
-//!             │  PlanCache         (byte-budget LRU,        │
-//!             │                     single-flight builds)   │
-//!             ├─────────────────────────────────────────────┤
-//!             │  Batcher           (cross-caller coalescing │
-//!             │   └ evaluate_batch  into shared sweeps)     │
-//!             └─────────────────────────────────────────────┘
+//!   register ──► DatasetRegistry (ids, validation, Hilbert shards)
+//!
+//!   query ────────┐  one slot per request
+//!   query_batch ──┤  one slot per call
+//!                 ▼
+//!   1 admit    tenant budgets ─► FairGate (weighted-fair queue, deadline
+//!              │                 shedding) ─► tenant rows ─► RAII permit
+//!              ▼
+//!   2 resolve  registry ─► resolved params ─► validate ─► route ─► group key
+//!              │           (once per request; carried, never re-derived)
+//!              ▼
+//!   3 prepare  Target = Direct(particles)           no plan, no cache
+//!              │        | Plan(cached plan)          PlanCache: byte-budget
+//!              │        | Sharded(plans, skeleton)   LRU + single-flight;
+//!              │                                     builds bill the opener
+//!              ▼
+//!   4 sweep    shed expired riders ─► pack points ─► Target::evaluate ─►
+//!              │ record ─► scatter   (on the caller's thread; a lone
+//!              │                      `query` against a cached plan rides
+//!              │                      the cross-caller Batcher, whose
+//!              ▼                      leader runs this same sweep)
+//!     respond  eval billing ─► latency / slow log ─► QueryResponse
 //! ```
 //!
 //! - **Registry** ([`DatasetRegistry`]): charge systems are registered
 //!   once, validated (non-empty, finite), and referred to by stable
 //!   [`DatasetId`]s.
-//! - **Plan cache** ([`PlanCache`]): a plan is keyed by
-//!   `(dataset, resolved parameters)`. Residency is a strict-LRU policy
-//!   against a byte budget ([`ByteLru`]), sized by the real heap footprint
-//!   of tree + arena. Concurrent cold misses on one key run **one** build
-//!   (single-flight); followers wait and share the `Arc<Plan>`.
-//! - **Scheduler** ([`Batcher`] / [`evaluate_batch`]): requests against
-//!   the same plan coalesce into single chunked sweeps that reuse the
-//!   allocation-free evaluation kernels. Per-target independence makes
-//!   the coalescing bit-exact.
-//! - **Admission** ([`AdmissionGate`] — internal to [`Engine::query`]):
-//!   bounded in-flight work over per-tenant weighted-fair queues
-//!   ([`FairGate`] — virtual-time WFQ, strict no-barging hand-off), with
-//!   overload, deadline, and tenant-budget shedding as typed
-//!   [`EngineError`]s. The engine never panics.
+//! - **Admit**: bounded in-flight work over per-tenant weighted-fair
+//!   queues ([`FairGate`] — virtual-time WFQ, strict no-barging
+//!   hand-off), with overload, deadline, and tenant-budget shedding as
+//!   typed [`EngineError`]s; budgets are checked before the gate by both
+//!   entry points. The engine never panics.
+//! - **Resolve / routing** ([`route`]): each request's [`Accuracy`] is
+//!   resolved against the engine defaults and the dataset's profile, and
+//!   its shape picks a [`Backend`] — guarded direct summation for tiny
+//!   datasets, the compiled FMM for matvec shapes, the treecode otherwise
+//!   (and always for sharded datasets and explicit parameters).
+//! - **Prepare / plan cache** ([`PlanCache`]): a plan is keyed by
+//!   `(dataset, resolved parameters, backend, shard)`. Residency is a
+//!   cost-aware LRU policy against a byte budget ([`ByteLru`]), sized by
+//!   the real heap footprint of tree + arena. Concurrent cold misses on
+//!   one key run **one** build (single-flight); followers wait and share
+//!   the `Arc<Plan>`.
+//! - **Sweep** ([`evaluate_plan_batch`] and its direct / sharded
+//!   siblings behind the target): requests that share a group — plan ×
+//!   kind × [`EvalConfig`] — are packed into single chunked sweeps that
+//!   reuse the allocation-free evaluation kernels. Per-target
+//!   independence makes the packing bit-exact. Groups form explicitly in
+//!   [`Engine::query_batch`] and across callers in [`Engine::query`].
 //! - **Tenancy** ([`TenantId`] / [`TenantConfig`]): requests carry a
 //!   tenant; registered tenants get a fair-share weight and optional
 //!   budgets on plan-cache bytes and evaluation milliseconds, enforced
@@ -78,10 +99,8 @@
 //! # Ok::<(), mbt_engine::EngineError>(())
 //! ```
 
-mod admission;
 mod batch;
 mod cache;
-mod direct;
 mod engine;
 mod error;
 mod export;
@@ -89,20 +108,15 @@ mod fanout;
 mod plan;
 mod registry;
 mod route;
+mod scheduler;
 mod stats;
 mod tenant;
 mod wfq;
 
 pub mod flight;
-pub mod scheduler;
 
-pub use admission::{AdmissionGate, Permit};
-pub use batch::{
-    evaluate_batch, evaluate_batch_with, evaluate_fmm_batch, evaluate_plan_batch, QueryKind,
-    QueryOutput,
-};
+pub use batch::{evaluate_plan_batch, QueryKind, QueryOutput};
 pub use cache::{ByteLru, CacheOutcome, Inserted, PlanCache};
-pub use direct::evaluate_direct;
 pub use engine::{Engine, EngineConfig, QueryRequest, QueryResponse, ShardWarm, WarmReport};
 pub use error::EngineError;
 pub use fanout::{evaluate_sharded, FanoutBreakdown, ShardSweep};
@@ -113,7 +127,6 @@ pub use route::{
     fmm_admissible, fmm_params_for, route, routing_pinned, Backend, DIRECT_MAX_SOURCES,
     FMM_ALPHA_EFF, FMM_MIN_SOURCES, FMM_MIN_TARGETS,
 };
-pub use scheduler::Batcher;
 pub use stats::{DatasetBreakdown, EngineStats, LatencySummary, PlanBreakdown, StatsCollector};
 pub use tenant::{TenantBreakdown, TenantConfig, TenantId};
 pub use wfq::{Admission, FairGate, VT_SCALE};

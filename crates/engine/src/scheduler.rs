@@ -1,182 +1,118 @@
 //! Cross-caller query coalescing.
 //!
-//! Concurrent requests against the same plan and query kind are combined:
-//! the first arrival for a group becomes its **leader**, drains whatever
-//! has queued up, and evaluates the whole batch as one sweep
-//! ([`crate::batch::evaluate_batch`]); later arrivals park on a result
-//! slot. While the leader is inside a sweep, new requests keep queueing —
-//! so under load, batches form *naturally*: the busier a plan, the more
+//! Concurrent [`crate::Engine::query`] requests against the same cached
+//! plan and query kind are combined: the first arrival for a group
+//! becomes its **leader**, drains whatever has queued up, and runs the
+//! whole batch through the pipeline's one sweep stage
+//! ([`crate::engine::sweep`]); later arrivals park on a result slot.
+//! While the leader is inside a sweep, new requests keep queueing — so
+//! under load, batches form *naturally*: the busier a plan, the more
 //! requests each sweep amortises (an optional `window` adds a fixed
 //! coalescing wait on top for latency-insensitive deployments).
 //!
-//! Shedding: requests whose deadline has passed by the time their batch
-//! is drained are answered [`EngineError::DeadlineExceeded`] without
-//! costing any evaluation work.
+//! Shedding is the sweep stage's: requests whose deadline has passed by
+//! the time their batch is drained are answered
+//! [`EngineError::DeadlineExceeded`] without costing any evaluation work.
 //!
 //! Panic labeling: a sweep that panics answers everyone riding it with
 //! [`EngineError::WorkerPanicked`] (counted in `worker_panics`) — never
 //! the `DeadlineExceeded` mislabel the engine used to report, which made
 //! an engine bug look like client-caused shedding.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use mbt_check::sync::Arc;
 use mbt_geometry::Vec3;
-use mbt_treecode::EvalStats;
 
-use crate::batch::{evaluate_plan_batch, QueryKind, QueryOutput};
+use crate::batch::QueryKind;
+use crate::engine::{Rider, Swept};
 use crate::error::EngineError;
 use crate::flight::Combiner;
-use crate::plan::{EvalConfig, Plan, PlanKey};
+use crate::plan::{EvalConfig, PlanKey};
 use crate::stats::StatsCollector;
 
-/// One coalescing group: a plan × what is being computed × how the sweep
-/// executes. Plan identity excludes execution knobs, so requests at
-/// different chunk widths or modes share a cached plan — but each
-/// coalesced sweep must run under a single configuration, hence the
-/// `cfg` component here.
+/// What requests must share to ride one sweep: a plan × what is being
+/// computed × how the sweep executes. Plan identity excludes execution
+/// knobs, so requests at different chunk widths or modes share a cached
+/// plan — but each sweep must run under a single configuration, hence
+/// the `cfg` component here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct GroupKey {
-    plan: PlanKey,
-    kind: QueryKind,
-    cfg: EvalConfig,
+pub(crate) struct GroupKey {
+    pub(crate) plan: PlanKey,
+    pub(crate) kind: QueryKind,
+    pub(crate) cfg: EvalConfig,
 }
 
-/// One queued request.
-#[derive(Debug)]
-struct Pending {
-    points: Vec<Vec3>,
-    deadline: Option<Instant>,
-}
+/// A coalescing rider owns its points: they cross to the leader's thread.
+type Queued = Rider<Vec<Vec3>>;
 
 /// The per-engine combiner.
 ///
 /// The leader/follower mechanics — group ownership, queue draining,
 /// result hand-back, leader hand-off when a group runs dry — live in
 /// [`Combiner`], a policy-free core the `mbt-check` model suite explores
-/// exhaustively. This type wires in the engine's policy: deadline
-/// shedding at drain time, the coalescing window, the evaluation sweep,
-/// and stats recording.
+/// exhaustively. This type wires in the engine's policy: the coalescing
+/// window and the panic substitute; the sweep itself is the caller's.
 #[derive(Debug, Default)]
-pub struct Batcher {
-    combiner: Combiner<GroupKey, Pending, Result<(QueryOutput, EvalStats), EngineError>>,
+pub(crate) struct Batcher {
+    combiner: Combiner<GroupKey, Queued, Result<Swept, EngineError>>,
     /// Fixed coalescing wait a leader sleeps before its first drain.
     window: Duration,
 }
 
 impl Batcher {
-    /// An empty batcher with no coalescing window.
-    #[must_use]
-    pub fn new() -> Batcher {
-        Batcher::default()
-    }
-
     /// An empty batcher whose leaders wait `window` before draining,
-    /// growing batches at the cost of latency.
-    #[must_use]
-    pub fn with_window(window: Duration) -> Batcher {
+    /// growing batches at the cost of latency (zero: no wait).
+    pub(crate) fn with_window(window: Duration) -> Batcher {
         Batcher {
             window,
             ..Batcher::default()
         }
     }
 
-    /// Runs one request through the combiner, blocking until its values
-    /// are computed (possibly by another caller's sweep). The returned
-    /// [`EvalStats`] cover the whole sweep this request rode in.
-    pub fn run(
-        &self,
-        plan: &Arc<Plan>,
-        kind: QueryKind,
-        cfg: EvalConfig,
-        points: Vec<Vec3>,
-        deadline: Option<Instant>,
-        stats: &StatsCollector,
-    ) -> Result<(QueryOutput, EvalStats), EngineError> {
-        let key = GroupKey {
-            plan: plan.key,
-            kind,
-            cfg,
-        };
-        self.submit(key, Pending { points, deadline }, stats, |batch| {
-            Batcher::execute(plan, kind, key, stats, &batch)
-        })
-    }
-
-    /// Combiner wiring shared by [`Batcher::run`] and the tests that
-    /// inject a broken evaluator: the coalescing window before a leader's
-    /// first drain, and [`EngineError::WorkerPanicked`] (plus its
-    /// counter) as the substitute a panicking sweep leaves behind.
-    fn submit(
+    /// Runs one rider through the combiner, blocking until its answer is
+    /// computed — by `sweep` on this thread if this caller leads its
+    /// group, by the leader's otherwise. `sweep` answers a drained batch
+    /// index-aligned; one that panics leaves
+    /// [`EngineError::WorkerPanicked`] (plus its counter) behind for
+    /// everyone riding it.
+    pub(crate) fn run(
         &self,
         key: GroupKey,
-        pending: Pending,
+        rider: Queued,
         stats: &StatsCollector,
-        exec: impl Fn(Vec<Pending>) -> Vec<Result<(QueryOutput, EvalStats), EngineError>>,
-    ) -> Result<(QueryOutput, EvalStats), EngineError> {
+        sweep: impl Fn(Vec<Queued>) -> Vec<Result<Swept, EngineError>>,
+    ) -> Result<Swept, EngineError> {
         self.combiner.submit(
             key,
-            pending,
+            rider,
             || {
                 if !self.window.is_zero() {
                     std::thread::sleep(self.window);
                 }
             },
-            exec,
+            sweep,
             || {
                 stats.record_worker_panic();
                 Err(EngineError::WorkerPanicked)
             },
         )
     }
-
-    /// Evaluates one drained batch, answering every request in order:
-    /// expired deadlines are shed without costing evaluation work, the
-    /// rest ride a single shared sweep.
-    fn execute(
-        plan: &Arc<Plan>,
-        kind: QueryKind,
-        key: GroupKey,
-        stats: &StatsCollector,
-        batch: &[Pending],
-    ) -> Vec<Result<(QueryOutput, EvalStats), EngineError>> {
-        // shed what has already missed its deadline
-        let now = Instant::now();
-        let mut results: Vec<Result<(QueryOutput, EvalStats), EngineError>> =
-            Vec::with_capacity(batch.len());
-        let mut live: Vec<usize> = Vec::with_capacity(batch.len());
-        for (i, p) in batch.iter().enumerate() {
-            if p.deadline.is_some_and(|d| now >= d) {
-                stats.record_shed_deadline();
-            } else {
-                live.push(i);
-            }
-            results.push(Err(EngineError::DeadlineExceeded));
-        }
-        if live.is_empty() {
-            return results;
-        }
-
-        let slices: Vec<&[Vec3]> = live.iter().map(|&i| batch[i].points.as_slice()).collect();
-        let total_points: usize = slices.iter().map(|s| s.len()).sum();
-        let t0 = Instant::now();
-        let (outputs, sweep_stats) = evaluate_plan_batch(plan, kind, &slices, key.cfg);
-        stats.record_batch(key.plan, live.len(), total_points, t0.elapsed());
-        debug_assert_eq!(outputs.len(), live.len());
-        for (&i, out) in live.iter().zip(outputs) {
-            results[i] = Ok((out, sweep_stats.clone()));
-        }
-        results
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanKey;
+    use std::time::Instant;
+
+    use mbt_check::sync::Arc;
+
+    use crate::batch::QueryOutput;
+    use crate::cache::CacheOutcome;
+    use crate::engine::{sweep, Target};
+    use crate::plan::Plan;
     use crate::registry::DatasetId;
     use mbt_geometry::distribution::{uniform_cube, ChargeModel};
-    use mbt_treecode::TreecodeParams;
+    use mbt_treecode::{EvalStats, TreecodeParams};
 
     fn plan() -> (Arc<Plan>, EvalConfig) {
         let ps = uniform_cube(600, 1.0, ChargeModel::RandomSign { magnitude: 1.0 }, 9);
@@ -186,22 +122,40 @@ mod tests {
         (Arc::new(Plan::build(key, &ps, params).unwrap()), cfg)
     }
 
+    fn group(plan: &Plan, cfg: EvalConfig) -> GroupKey {
+        GroupKey {
+            plan: plan.key,
+            kind: QueryKind::Potential,
+            cfg,
+        }
+    }
+
+    /// One potential request through `batcher` the way `Engine::query`
+    /// sends it: the leader sweeps the drained batch against the plan.
+    fn run(
+        batcher: &Batcher,
+        plan: &Arc<Plan>,
+        cfg: EvalConfig,
+        points: Vec<Vec3>,
+        deadline: Option<Instant>,
+        stats: &StatsCollector,
+    ) -> Result<(QueryOutput, EvalStats), EngineError> {
+        let key = group(plan, cfg);
+        let target = Target::Plan(Arc::clone(plan), CacheOutcome::Hit);
+        batcher
+            .run(key, Rider { points, deadline }, stats, |riders| {
+                sweep(&target, &key, &riders, stats)
+            })
+            .map(|swept| (swept.output, swept.eval))
+    }
+
     #[test]
     fn single_caller_round_trips() {
         let (plan, cfg) = plan();
-        let batcher = Batcher::new();
+        let batcher = Batcher::default();
         let stats = StatsCollector::default();
         let points = vec![Vec3::new(2.0, 0.0, 0.0), Vec3::new(0.0, 3.0, 0.0)];
-        let (out, sweep) = batcher
-            .run(
-                &plan,
-                QueryKind::Potential,
-                cfg,
-                points.clone(),
-                None,
-                &stats,
-            )
-            .unwrap();
+        let (out, sweep) = run(&batcher, &plan, cfg, points.clone(), None, &stats).unwrap();
         let direct = plan.treecode().potentials_at(&points);
         assert_eq!(out.potentials().unwrap(), direct.values.as_slice());
         assert_eq!(sweep.targets, 2);
@@ -223,9 +177,8 @@ mod tests {
                         let points: Vec<Vec3> = (0..10)
                             .map(|i| Vec3::new(1.5 + t as f64, f64::from(i) * 0.1, 0.0))
                             .collect();
-                        let (out, _) = batcher
-                            .run(plan, QueryKind::Potential, cfg, points.clone(), None, stats)
-                            .unwrap();
+                        let (out, _) =
+                            run(batcher, plan, cfg, points.clone(), None, stats).unwrap();
                         let direct = plan.treecode().potentials_at(&points);
                         assert_eq!(out.potentials().unwrap(), direct.values.as_slice());
                     })
@@ -245,11 +198,11 @@ mod tests {
     #[test]
     fn expired_deadline_is_shed_at_drain() {
         let (plan, cfg) = plan();
-        let batcher = Batcher::new();
+        let batcher = Batcher::default();
         let stats = StatsCollector::default();
-        let res = batcher.run(
+        let res = run(
+            &batcher,
             &plan,
-            QueryKind::Potential,
             cfg,
             vec![Vec3::new(2.0, 0.0, 0.0)],
             Some(
@@ -271,17 +224,12 @@ mod tests {
     #[test]
     fn panicking_evaluator_surfaces_worker_panicked() {
         let (plan, cfg) = plan();
-        let batcher = Batcher::new();
+        let batcher = Batcher::default();
         let stats = StatsCollector::default();
-        let key = GroupKey {
-            plan: plan.key,
-            kind: QueryKind::Potential,
-            cfg,
-        };
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            batcher.submit(
-                key,
-                Pending {
+            batcher.run(
+                group(&plan, cfg),
+                Rider {
                     points: vec![Vec3::new(2.0, 0.0, 0.0)],
                     deadline: None,
                 },
@@ -297,16 +245,15 @@ mod tests {
         assert_eq!(snap.shed_deadline, 0, "a panic is not client shedding");
 
         // the group retired: the batcher still serves afterwards
-        let (out, _) = batcher
-            .run(
-                &plan,
-                QueryKind::Potential,
-                cfg,
-                vec![Vec3::new(2.0, 0.0, 0.0)],
-                None,
-                &stats,
-            )
-            .unwrap();
+        let (out, _) = run(
+            &batcher,
+            &plan,
+            cfg,
+            vec![Vec3::new(2.0, 0.0, 0.0)],
+            None,
+            &stats,
+        )
+        .unwrap();
         assert_eq!(out.potentials().unwrap().len(), 1);
     }
 }

@@ -6,7 +6,7 @@
 //! [`TenantConfig`] buys two things:
 //!
 //! - a **weight** for the weighted-fair admission queue
-//!   ([`crate::AdmissionGate`]) — a tenant with weight `w` receives `w`
+//!   ([`crate::FairGate`]) — a tenant with weight `w` receives `w`
 //!   admission slots for every one a weight-1 tenant receives while both
 //!   have backlog;
 //! - **budgets**: cumulative quotas on plan-cache bytes charged for

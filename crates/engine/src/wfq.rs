@@ -4,7 +4,7 @@
 //! [`FairGate`] is deliberately policy-free — no stats, no `EngineError`,
 //! nothing but the queueing protocol — so the interleaving models in
 //! `mbt-check` can explore it with a small state space. The engine-facing
-//! wrapper ([`crate::AdmissionGate`]) maps its [`Admission`] outcomes to
+//! admit stage (`Engine::admit`) maps its [`Admission`] outcomes to
 //! stats counters and typed errors.
 //!
 //! # Virtual-time tags
@@ -173,8 +173,8 @@ impl WfqState {
     }
 }
 
-/// The policy-free weighted-fair gate. One per engine, wrapped by
-/// [`crate::AdmissionGate`].
+/// The policy-free weighted-fair gate. One per engine, entered only by
+/// its admit stage.
 #[derive(Debug)]
 pub struct FairGate {
     max_in_flight: usize,
