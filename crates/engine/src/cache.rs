@@ -17,7 +17,17 @@
 //! with the concurrency the engine needs: one mutex around the residency
 //! state, and a ticket table guaranteeing that N concurrent misses on one
 //! key run **one** build while the other N−1 wait for its result.
+//!
+//! **Charge epochs.** Residency is keyed by [`PlanKey`] — a plan's
+//! geometry — and holds at most one plan per key, at whatever charge
+//! epoch it was last built or recharged to. Flights are keyed by
+//! `(PlanKey, epoch)`, so a flight's riders all receive a plan at exactly
+//! the epoch they asked for, and a lookup that finds the key resident at
+//! *another* epoch hands that plan to the flight leader to recharge
+//! instead of building from nothing. Publishing replaces the resident
+//! entry — never a second copy — unless a newer epoch landed first.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::time::{Duration, Instant};
@@ -27,6 +37,7 @@ use mbt_check::sync::Arc;
 use crate::error::EngineError;
 use crate::flight::{Flight, SingleFlight};
 use crate::plan::{Plan, PlanKey};
+use crate::registry::DatasetId;
 use crate::stats::StatsCollector;
 
 /// One resident entry.
@@ -139,6 +150,27 @@ impl<K: Eq + Hash + Clone, V> ByteLru<K, V> {
         }
     }
 
+    /// Looks `key` up without touching its recency or hit count.
+    #[must_use]
+    pub fn peek(&self, key: &K) -> Option<&V> {
+        self.entries.get(key).map(|e| &e.value)
+    }
+
+    /// The resident keys, in no particular order.
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
+        self.entries.keys()
+    }
+
+    /// Removes `key`, returning its accounted bytes and value. A removal
+    /// is the caller's decision, not budget pressure: nothing else is
+    /// disturbed and nothing is reported evicted.
+    pub fn remove(&mut self, key: &K) -> Option<(usize, V)> {
+        let entry = self.entries.remove(key)?;
+        self.index.remove(&entry.rank());
+        self.total -= entry.bytes;
+        Some((entry.bytes, entry.value))
+    }
+
     /// Inserts `key → value` accounted at `bytes` with zero rebuild
     /// cost: among such entries eviction is exactly strict LRU.
     pub fn insert(&mut self, key: K, value: V, bytes: usize) -> Inserted<K, V> {
@@ -243,8 +275,12 @@ pub enum CacheOutcome {
     Hit,
     /// This caller built the plan.
     Built,
-    /// Another caller was already building it; this one waited
-    /// (single-flight coalescing).
+    /// This caller carried a resident plan of another charge epoch to
+    /// the requested one: geometry reused, charge pass re-run, resident
+    /// entry replaced.
+    Recharged,
+    /// Another caller was already building (or recharging) it; this one
+    /// waited (single-flight coalescing).
     Coalesced,
     /// The request never touched the cache: the routed backend has no
     /// artifact worth caching (direct summation builds nothing).
@@ -264,10 +300,11 @@ pub struct PlanCache {
     flight: PlanFlight,
 }
 
-/// The cache's flight core: [`ByteLru`] residency as flight state, keyed
-/// by [`PlanKey`], landing a shareable build result per flight.
+/// The cache's flight core: [`ByteLru`] residency (by [`PlanKey`]) as
+/// flight state, flights keyed by `(PlanKey, charge epoch)`, landing a
+/// shareable build result per flight.
 type PlanFlight =
-    SingleFlight<ByteLru<PlanKey, Arc<Plan>>, PlanKey, Result<Arc<Plan>, EngineError>>;
+    SingleFlight<ByteLru<PlanKey, Arc<Plan>>, (PlanKey, u64), Result<Arc<Plan>, EngineError>>;
 
 impl PlanCache {
     /// An empty cache with the given byte budget.
@@ -283,28 +320,68 @@ impl PlanCache {
         self.flight.with_state(|lru| (lru.len(), lru.total_bytes()))
     }
 
-    /// Returns the plan for `key`, building it with `build` on a miss.
-    ///
-    /// Concurrent calls with the same cold key run `build` exactly once:
-    /// the first caller becomes the builder, the rest park on its ticket
-    /// and receive the same `Arc<Plan>` (or the same error). Build errors
-    /// are not cached — the next request retries. A builder that
-    /// *panics* answers its waiters [`EngineError::BuildPanicked`]
-    /// (they never hang on the dead flight) and the panic propagates to
-    /// the building caller alone.
+    /// Drops every resident plan of `dataset`, returning how many went.
+    /// Plans still held by in-flight queries live on through their `Arc`s.
+    pub fn retire(&self, dataset: DatasetId) -> usize {
+        self.flight.with_state(|lru| {
+            let keys: Vec<PlanKey> = lru
+                .keys()
+                .filter(|k| k.dataset() == dataset)
+                .copied()
+                .collect();
+            for key in &keys {
+                lru.remove(key);
+            }
+            keys.len()
+        })
+    }
+
+    /// Returns the plan for `key`, building it with `build` on a miss —
+    /// [`PlanCache::get_or_build_at`] for callers whose datasets never
+    /// leave charge epoch 0.
     pub fn get_or_build(
         &self,
         key: PlanKey,
         stats: &StatsCollector,
         build: impl FnOnce() -> Result<Plan, EngineError>,
     ) -> Result<(Arc<Plan>, CacheOutcome), EngineError> {
+        self.get_or_build_at(key, 0, stats, |_| build())
+    }
+
+    /// Returns the plan for `key` at charge epoch `epoch`, making it with
+    /// `make` when the resident plan (if any) is at another epoch. `make`
+    /// receives that other-epoch plan to recharge from, or `None` to
+    /// build from nothing, and must return a plan at `epoch`.
+    ///
+    /// Concurrent calls with the same cold `(key, epoch)` run `make`
+    /// exactly once: the first caller leads, the rest park on its ticket
+    /// and receive the same `Arc<Plan>` (or the same error). Errors are
+    /// not cached — the next request retries. A leader that *panics*
+    /// answers its waiters [`EngineError::BuildPanicked`] (they never
+    /// hang on the dead flight) and the panic propagates to the leading
+    /// caller alone. The made plan replaces the key's resident entry
+    /// unless that entry is already at a newer epoch (flights for
+    /// different epochs of one key may land in either order).
+    pub fn get_or_build_at(
+        &self,
+        key: PlanKey,
+        epoch: u64,
+        stats: &StatsCollector,
+        make: impl FnOnce(Option<&Plan>) -> Result<Plan, EngineError>,
+    ) -> Result<(Arc<Plan>, CacheOutcome), EngineError> {
+        // the resident plan at another epoch, from the probe to the leader
+        let other: RefCell<Option<Arc<Plan>>> = RefCell::new(None);
         let flight = self.flight.run(
-            key,
+            (key, epoch),
             |lru| {
-                lru.get(&key).map(|plan| {
+                let plan = Arc::clone(lru.get(&key)?);
+                if plan.epoch == epoch {
                     stats.record_hit();
-                    Arc::clone(plan)
-                })
+                    Some(plan)
+                } else {
+                    *other.borrow_mut() = Some(plan);
+                    None
+                }
             },
             |leads| {
                 if leads {
@@ -315,22 +392,35 @@ impl PlanCache {
             },
             || {
                 let t0 = Instant::now();
-                let built = build().map(Arc::new);
-                if built.is_ok() {
-                    stats.record_build(key, t0.elapsed());
+                let other = other.borrow();
+                let made = make(other.as_deref()).map(Arc::new);
+                if made.is_ok() {
+                    if other.is_some() {
+                        stats.record_recharge(t0.elapsed());
+                    } else {
+                        stats.record_build(key, t0.elapsed());
+                    }
                 }
-                built
+                made
             },
             || Err(EngineError::BuildPanicked),
-            |lru, built| {
-                if let Ok(plan) = built {
-                    // residency is cost-aware: the plan's measured build
-                    // time (the same duration `record_build` charged)
-                    // makes expensive plans the last to go
-                    let ins =
-                        lru.insert_with_cost(key, Arc::clone(plan), plan.bytes, plan.build_time);
-                    for (_, bytes, _) in &ins.evicted {
-                        stats.record_eviction(*bytes);
+            |lru, made| {
+                if let Ok(plan) = made {
+                    let superseded = lru.peek(&key).is_some_and(|r| r.epoch > plan.epoch);
+                    if !superseded {
+                        // residency is cost-aware: the plan's measured
+                        // build time makes expensive plans the last to go
+                        let ins = lru.insert_with_cost(
+                            key,
+                            Arc::clone(plan),
+                            plan.bytes,
+                            plan.build_time,
+                        );
+                        // the key's own previous epoch comes back out as
+                        // replaced, not evicted
+                        for (_, bytes, _) in ins.evicted.iter().filter(|(k, ..)| *k != key) {
+                            stats.record_eviction(*bytes);
+                        }
                     }
                 }
                 #[cfg(feature = "validate")]
@@ -342,7 +432,14 @@ impl PlanCache {
         );
         match flight {
             Flight::Hit(plan) => Ok((plan, CacheOutcome::Hit)),
-            Flight::Led(result) => result.map(|p| (p, CacheOutcome::Built)),
+            Flight::Led(result) => {
+                let outcome = if other.borrow().is_some() {
+                    CacheOutcome::Recharged
+                } else {
+                    CacheOutcome::Built
+                };
+                result.map(|p| (p, outcome))
+            }
             Flight::Joined(result) => result.map(|p| (p, CacheOutcome::Coalesced)),
         }
     }
@@ -393,6 +490,60 @@ mod tests {
         assert_eq!(lru.get(&1), Some(&11));
         assert_eq!(lru.total_bytes(), 30);
         assert!(lru.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn remove_frees_bytes_without_evicting_anything_else() {
+        let mut lru: ByteLru<u32, u32> = ByteLru::new(100);
+        lru.insert(1, 10, 40);
+        lru.insert(2, 20, 40);
+        assert_eq!(lru.peek(&1), Some(&10));
+        assert_eq!(lru.remove(&1), Some((40, 10)));
+        assert_eq!(lru.remove(&1), None);
+        assert_eq!(lru.total_bytes(), 40);
+        assert_eq!(lru.keys().copied().collect::<Vec<_>>(), vec![2]);
+        assert!(lru.check_invariants().is_ok());
+        // the freed bytes are really free: no eviction needed for 60 more
+        assert!(lru.insert(3, 30, 60).evicted.is_empty());
+    }
+
+    #[test]
+    fn a_resident_plan_at_another_epoch_is_recharged_and_replaced() {
+        use crate::plan::PlanKey;
+        use mbt_geometry::distribution::{uniform_cube, ChargeModel};
+        use mbt_treecode::TreecodeParams;
+
+        let cache = PlanCache::new(1 << 26);
+        let stats = StatsCollector::default();
+        let params = TreecodeParams::fixed(4, 0.6);
+        let key = PlanKey::new(DatasetId(0), &params);
+        let ps = uniform_cube(300, 1.0, ChargeModel::UnitPositive { magnitude: 1.0 }, 3);
+        let make = |epoch: u64| {
+            let ps = &ps;
+            move |other: Option<&Plan>| match other {
+                Some(old) => old.recharge(ps, params, epoch),
+                None => Plan::build(key, ps, params).map(|p| p.at_epoch(epoch)),
+            }
+        };
+        let (_, outcome) = cache.get_or_build_at(key, 0, &stats, make(0)).unwrap();
+        assert_eq!(outcome, CacheOutcome::Built);
+        let (plan, outcome) = cache.get_or_build_at(key, 3, &stats, make(3)).unwrap();
+        assert_eq!((plan.epoch, outcome), (3, CacheOutcome::Recharged));
+        assert_eq!(cache.residency(), (1, plan.bytes), "replaced, not added");
+        let (_, outcome) = cache.get_or_build_at(key, 3, &stats, make(3)).unwrap();
+        assert_eq!(outcome, CacheOutcome::Hit);
+        // a straggler from an older epoch is served at its own epoch from
+        // the newer plan's geometry, and does not displace it
+        let (old, outcome) = cache.get_or_build_at(key, 1, &stats, make(1)).unwrap();
+        assert_eq!((old.epoch, outcome), (1, CacheOutcome::Recharged));
+        let (plan, outcome) = cache.get_or_build_at(key, 3, &stats, make(3)).unwrap();
+        assert_eq!((plan.epoch, outcome), (3, CacheOutcome::Hit));
+        let s = stats.snapshot(crate::stats::Gauges::default());
+        assert_eq!((s.plan_builds, s.plan_recharges, s.evictions), (1, 2, 0));
+        assert_eq!((s.cache_hits, s.cache_misses), (2, 3));
+        assert_eq!(cache.retire(DatasetId(1)), 0);
+        assert_eq!(cache.retire(DatasetId(0)), 1);
+        assert_eq!(cache.residency(), (0, 0));
     }
 
     #[test]

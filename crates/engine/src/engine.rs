@@ -6,11 +6,14 @@
 //!
 //! 1. **admit** ([`Engine::admit`]): tenant budget checks, then one
 //!    weighted-fair gate slot, tenant/stats accounting, an RAII permit;
-//! 2. **resolve** ([`Engine::resolve`]): registry → resolved parameters →
-//!    validation → routing → group key, once per request and carried;
+//! 2. **resolve** ([`Engine::resolve`]): registry → the dataset snapshot
+//!    at its current charge epoch → resolved parameters → validation →
+//!    routing → group key, once per request and carried;
 //! 3. **prepare** ([`Engine::prepare`]): what the group evaluates against
-//!    — a [`Target`]: the dataset's particles, one cached plan, or shard
-//!    plans + skeleton — with built plans billed to the group's opener;
+//!    — a [`Target`]: the snapshot's particles, one cached plan at the
+//!    snapshot's epoch (recharged over its cached geometry when the
+//!    resident one is at another), or shard plans + skeleton — with built
+//!    plans billed to the group's opener;
 //! 4. **sweep** ([`sweep`]): shed expired riders, evaluate the rest as
 //!    one packed sweep, record it, scatter per-rider answers;
 //!
@@ -187,6 +190,12 @@ pub struct QueryResponse {
     /// artifact at build time (dense-grid depth cap) still reports
     /// [`Backend::Fmm`].
     pub backend: Backend,
+    /// The dataset charge epoch this answer was computed from — every
+    /// value in `output` comes from that one charge vector. A query that
+    /// starts after [`Engine::update_charges`] returns sees the new
+    /// epoch; one that races it sees one epoch or the other, and says
+    /// which here.
+    pub epoch: u64,
 }
 
 /// Result of [`Engine::warm`]: the aggregate cache outcome plus one
@@ -432,6 +441,52 @@ impl Engine {
         self.registry.register(name, particles)
     }
 
+    /// Replaces the charges of dataset `id` (one per particle, in the
+    /// registered order; positions, name and id unchanged) and returns
+    /// the dataset's new charge epoch.
+    ///
+    /// Afterwards every answer is bit-identical to what a fresh engine
+    /// that registered the same positions with `charges` would give —
+    /// degrees, the f32 near-field tier and bounds are all re-resolved
+    /// from the new charges — but the dataset's cached plans are not
+    /// rebuilt: the next query for each finds it one or more epochs
+    /// behind and recharges it in place over its cached geometry
+    /// ([`CacheOutcome::Recharged`]). A query that starts after this
+    /// returns sees the new epoch; one racing it sees one epoch or the
+    /// other, never a mixture ([`QueryResponse::epoch`]).
+    ///
+    /// An all-zero vector is legal (every potential is then exactly 0).
+    /// Typed refusals: [`EngineError::UnknownDataset`],
+    /// [`EngineError::ChargeCountMismatch`],
+    /// [`EngineError::NonFiniteCharge`], and
+    /// [`EngineError::ShardedChargeUpdate`] for sharded datasets.
+    pub fn update_charges(&self, id: DatasetId, charges: &[f64]) -> Result<u64, EngineError> {
+        self.registry.update_charges(id, charges)
+    }
+
+    /// Retires dataset `id`: its registry entry (the name becomes
+    /// reusable), resident plans, skeletons and per-plan stats rows all
+    /// go. Queries in flight finish on the snapshots and plans they
+    /// hold; later ones get [`EngineError::UnknownDataset`].
+    pub fn unregister(&self, id: DatasetId) -> Result<(), EngineError> {
+        self.registry.remove(id)?;
+        self.stats.record_retired();
+        self.purge(id);
+        Ok(())
+    }
+
+    /// Drops everything the engine keeps per dataset outside the
+    /// registry. Idempotent: run by [`Engine::unregister`], and again by
+    /// [`Engine::after_writes`] for a call overtaken by the retirement.
+    fn purge(&self, id: DatasetId) {
+        self.cache.retire(id);
+        self.skeletons
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|key, _| key.dataset() != id);
+        self.stats.forget_dataset(id);
+    }
+
     /// Validates, Hilbert-partitions into `shards` contiguous key
     /// ranges, and registers a particle set under `name`. Queries are
     /// served by independent per-shard plans (built concurrently on a
@@ -534,6 +589,7 @@ impl Engine {
                 build_time: plan.build_time,
             })
             .collect();
+        self.after_writes(&ds);
         Ok(WarmReport {
             outcome: aggregate_outcome(plans.iter().map(|(_, o)| *o)),
             shards,
@@ -551,11 +607,15 @@ impl Engine {
     ) -> Result<Obtained, EngineError> {
         // PlanKey excludes precision (and the other execution knobs), so
         // the f64 and f32 tiers of one request shape share one cached
-        // tree + coefficient arena.
+        // tree + coefficient arena. It excludes the charges too: a plan
+        // resident at another epoch of this dataset is recharged, not
+        // rebuilt.
         let key = PlanKey::routed(ds.id, &params, backend);
-        self.cache.get_or_build(key, &self.stats, || {
-            Plan::build(key, ds.particles(), params)
-        })
+        self.cache
+            .get_or_build_at(key, ds.epoch, &self.stats, |other| match other {
+                Some(plan) => plan.recharge(ds.particles(), params, ds.epoch),
+                None => Plan::build(key, ds.particles(), params).map(|p| p.at_epoch(ds.epoch)),
+            })
     }
 
     /// Resolves every shard plan of a sharded dataset (building cold
@@ -681,6 +741,7 @@ impl Engine {
             plan,
             kind: request.kind,
             cfg: EvalConfig::of(&params),
+            epoch: ds.epoch,
         };
         Ok(Resolved {
             ds,
@@ -710,6 +771,7 @@ impl Engine {
             (direct, 0)
         } else {
             let (plan, outcome) = self.plan_routed(&job.ds, job.params, job.backend)?;
+            // a recharge replaces resident bytes rather than adding any
             let built = if outcome == CacheOutcome::Built {
                 plan.bytes
             } else {
@@ -745,6 +807,18 @@ impl Engine {
             cache: target.cache_outcome(),
             plan_bytes: target.plan_bytes(),
             backend: job.backend,
+            epoch: job.ds.epoch,
+        }
+    }
+
+    /// Called once a group's sweep (or a warm-up's builds) is over —
+    /// every write the call makes to `ds`'s per-dataset state (a
+    /// published plan, a per-plan stats row) is behind it. If the dataset
+    /// was retired meanwhile, those writes may have landed after the
+    /// retirement's purge, so the call purges again.
+    fn after_writes(&self, ds: &Dataset) {
+        if ds.is_retired() {
+            self.purge(ds.id);
         }
     }
 
@@ -787,8 +861,9 @@ impl Engine {
             sweep(&target, &job.group, &[rider], &self.stats)
                 .pop()
                 .unwrap_or(Err(EngineError::Internal("sweep returned no answer")))
-        }?;
-        Ok(self.respond(&request, &job, &target, swept, arrived, waited))
+        };
+        self.after_writes(&job.ds);
+        Ok(self.respond(&request, &job, &target, swept?, arrived, waited))
     }
 
     /// Serves many queries from one caller as explicitly formed batches:
@@ -836,6 +911,7 @@ impl Engine {
                             })
                             .collect();
                         let answers = sweep(&target, &job.group, &riders, &self.stats);
+                        self.after_writes(&job.ds);
                         for (&i, answer) in members.iter().zip(answers) {
                             slots[i] = Some(answer.map(|swept| {
                                 self.respond(&requests[i], job, &target, swept, arrived, waited)
@@ -891,6 +967,7 @@ impl Engine {
             queue_depth,
             skeletons,
             skeleton_bytes,
+            shared_operator_bytes: mbt_fmm::shared_operator_bytes(),
         });
         stats.per_tenant = self.tenants.breakdown();
         stats

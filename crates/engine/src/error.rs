@@ -36,6 +36,22 @@ pub enum EngineError {
         /// Particles in the submitted set.
         particles: usize,
     },
+    /// A charge update's vector does not have one charge per particle.
+    ChargeCountMismatch {
+        /// Particles in the registered dataset.
+        expected: usize,
+        /// Charges in the submitted vector.
+        got: usize,
+    },
+    /// A charge update contained a NaN or infinite charge.
+    NonFiniteCharge {
+        /// Index of the offending charge in the submitted vector.
+        index: usize,
+    },
+    /// A charge update named a sharded dataset. Its per-shard particle
+    /// copies and skeleton would have to follow the update; it is refused
+    /// rather than served stale.
+    ShardedChargeUpdate(DatasetId),
     /// The request's resolved treecode parameters failed validation.
     InvalidParams(TreecodeError),
     /// Plan construction failed below the engine.
@@ -99,6 +115,19 @@ impl std::fmt::Display for EngineError {
                 "cannot cut {particles} particles into {requested} shards \
                  (need 1 <= shards <= particles)"
             ),
+            EngineError::ChargeCountMismatch { expected, got } => write!(
+                f,
+                "charge update has {got} charges for a dataset of {expected} particles"
+            ),
+            EngineError::NonFiniteCharge { index } => {
+                write!(f, "charge {index} of the update is not finite")
+            }
+            EngineError::ShardedChargeUpdate(id) => {
+                write!(
+                    f,
+                    "dataset {id:?} is sharded; its charges cannot be updated"
+                )
+            }
             EngineError::InvalidParams(e) => write!(f, "invalid query parameters: {e}"),
             EngineError::Build(e) => write!(f, "plan construction failed: {e}"),
             EngineError::FmmBuild(e) => write!(f, "FMM plan construction failed: {e}"),
@@ -145,6 +174,12 @@ mod tests {
                 requested: 8,
                 particles: 5,
             },
+            EngineError::ChargeCountMismatch {
+                expected: 5,
+                got: 4,
+            },
+            EngineError::NonFiniteCharge { index: 2 },
+            EngineError::ShardedChargeUpdate(DatasetId(1)),
             EngineError::InvalidParams(TreecodeError::InvalidAlpha(-1.0)),
             EngineError::Build(TreecodeError::DegreeTooLarge(99)),
             EngineError::FmmBuild(FmmError::Empty),

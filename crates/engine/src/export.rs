@@ -104,12 +104,14 @@ impl EngineStats {
         w.field_u64("coalesced_misses", self.coalesced_misses);
         w.field_f64("hit_rate", self.hit_rate());
         w.field_u64("plan_builds", self.plan_builds);
+        w.field_u64("plan_recharges", self.plan_recharges);
         w.field_f64("build_seconds", self.build_seconds);
         w.field_u64("evictions", self.evictions);
         w.field_u64("evicted_bytes", self.evicted_bytes);
         w.field_u64("resident_plans", self.resident_plans as u64);
         w.field_u64("resident_bytes", self.resident_bytes as u64);
         w.field_u64("budget_bytes", self.cache_budget_bytes as u64);
+        w.field_u64("shared_operator_bytes", self.shared_operator_bytes as u64);
         w.end_object();
 
         w.begin_object_field("eval");
@@ -148,6 +150,7 @@ impl EngineStats {
         w.end_object();
 
         w.field_u64("datasets", self.datasets as u64);
+        w.field_u64("datasets_retired", self.datasets_retired);
         w.field_u64("slow_queries", self.slow_queries);
         w.field_u64("spans_dropped", self.spans_dropped);
         w.field_u64("span_read_retries", self.span_read_retries);
@@ -240,7 +243,7 @@ impl EngineStats {
         prom_counter(
             &mut w,
             "mbt_cache_misses_total",
-            "Queries that triggered a plan build",
+            "Queries that led a plan build or recharge",
             self.cache_misses,
         );
         prom_counter(
@@ -254,6 +257,12 @@ impl EngineStats {
             "mbt_plan_builds_total",
             "Plans actually built",
             self.plan_builds,
+        );
+        prom_counter(
+            &mut w,
+            "mbt_plan_recharges_total",
+            "Resident plans carried to a new charge epoch over cached geometry",
+            self.plan_recharges,
         );
         prom_counter(
             &mut w,
@@ -287,9 +296,21 @@ impl EngineStats {
         );
         prom_gauge(
             &mut w,
+            "mbt_shared_operator_bytes",
+            "Process-wide FMM unit operator tables, outside the cache budget",
+            self.shared_operator_bytes as f64,
+        );
+        prom_gauge(
+            &mut w,
             "mbt_datasets",
             "Registered datasets",
             self.datasets as f64,
+        );
+        prom_counter(
+            &mut w,
+            "mbt_datasets_retired_total",
+            "Datasets unregistered",
+            self.datasets_retired,
         );
 
         prom_counter(
@@ -650,6 +671,8 @@ mod tests {
         c.record_miss();
         c.record_build(k0, Duration::from_millis(5));
         c.record_build(k1, Duration::from_millis(2));
+        c.record_recharge(Duration::from_millis(1));
+        c.record_retired();
         c.record_batch(k0, 3, 120, Duration::from_micros(800));
         c.record_batch(k1, 1, 10, Duration::from_micros(90));
         c.record_request(DatasetId(0), 120, Duration::from_millis(1), Duration::ZERO);
@@ -685,6 +708,7 @@ mod tests {
             queue_depth: 0,
             skeletons: 1,
             skeleton_bytes: 2048,
+            shared_operator_bytes: 7 << 20,
         });
         // the engine splices the tenant table in the same way
         s.per_tenant = vec![crate::tenant::TenantBreakdown {
@@ -715,6 +739,9 @@ mod tests {
             "\"query\"",
             "\"admission_wait\"",
             "\"slow_queries\":1",
+            "\"plan_recharges\":1",
+            "\"datasets_retired\":1",
+            "\"shared_operator_bytes\":7340032",
             "\"span_read_retries\":0",
             "\"sharding\"",
             "\"routing\"",
@@ -747,6 +774,9 @@ mod tests {
             "mbt_build_latency_seconds_count 2",
             "mbt_query_latency_p99_seconds",
             "mbt_slow_queries_total 1",
+            "mbt_plan_recharges_total 1",
+            "mbt_datasets_retired_total 1",
+            "mbt_shared_operator_bytes 7340032",
             "mbt_span_read_retries_total 0",
             "mbt_sharded_queries_total 1",
             "mbt_routed_treecode_total 2",

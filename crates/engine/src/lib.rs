@@ -13,7 +13,9 @@
 //! once in `engine.rs`:
 //!
 //! ```text
-//!   register ──► DatasetRegistry (ids, validation, Hilbert shards)
+//!   register / update_charges / unregister
+//!            ──► DatasetRegistry (ids, validation, Hilbert shards; one
+//!                immutable snapshot per charge epoch)
 //!
 //!   query ────────┐  one slot per request
 //!   query_batch ──┤  one slot per call
@@ -21,12 +23,15 @@
 //!   1 admit    tenant budgets ─► FairGate (weighted-fair queue, deadline
 //!              │                 shedding) ─► tenant rows ─► RAII permit
 //!              ▼
-//!   2 resolve  registry ─► resolved params ─► validate ─► route ─► group key
+//!   2 resolve  registry ─► snapshot @ epoch ─► resolved params ─► validate
+//!              │           ─► route ─► group key (plan × kind × cfg × epoch)
 //!              │           (once per request; carried, never re-derived)
 //!              ▼
-//!   3 prepare  Target = Direct(particles)           no plan, no cache
-//!              │        | Plan(cached plan)          PlanCache: byte-budget
-//!              │        | Sharded(plans, skeleton)   LRU + single-flight;
+//!   3 prepare  Target = Direct(snapshot)            no plan, no cache
+//!              │        | Plan(cached plan @ epoch)  PlanCache: byte-budget
+//!              │        | Sharded(plans, skeleton)   LRU + single-flight; a
+//!              │                                     plan at another epoch
+//!              │                                     is recharged in place;
 //!              │                                     builds bill the opener
 //!              ▼
 //!   4 sweep    shed expired riders ─► pack points ─► Target::evaluate ─►
@@ -39,7 +44,11 @@
 //!
 //! - **Registry** ([`DatasetRegistry`]): charge systems are registered
 //!   once, validated (non-empty, finite), and referred to by stable
-//!   [`DatasetId`]s.
+//!   [`DatasetId`]s. Positions are fixed for a dataset's life; its
+//!   charges can be replaced ([`Engine::update_charges`] — a new charge
+//!   *epoch* under the same id, after which every answer is bit-identical
+//!   to a fresh engine's over the new charges), and the dataset retired
+//!   ([`Engine::unregister`]).
 //! - **Admit**: bounded in-flight work over per-tenant weighted-fair
 //!   queues ([`FairGate`] — virtual-time WFQ, strict no-barging
 //!   hand-off), with overload, deadline, and tenant-budget shedding as
@@ -55,7 +64,10 @@
 //!   cost-aware LRU policy against a byte budget ([`ByteLru`]), sized by
 //!   the real heap footprint of tree + arena. Concurrent cold misses on
 //!   one key run **one** build (single-flight); followers wait and share
-//!   the `Arc<Plan>`.
+//!   the `Arc<Plan>`. The key names the plan's *geometry*: a resident
+//!   plan found at another charge epoch is carried over by
+//!   [`Plan::recharge`] — sort, tree or grids, lists and operators reused
+//!   — and replaces the resident entry ([`CacheOutcome::Recharged`]).
 //! - **Sweep** ([`evaluate_plan_batch`] and its direct / sharded
 //!   siblings behind the target): requests that share a group — plan ×
 //!   kind × [`EvalConfig`] — are packed into single chunked sweeps that

@@ -7,6 +7,12 @@
 //! of one such artifact (`TreecodeParams` holds floats, so the key stores
 //! their exact bit patterns), and [`Plan`] bundles the treecode with the
 //! byte and timing accounting the cache and stats layers need.
+//!
+//! A key names the plan's **geometry** — dataset, parameters, backend,
+//! shard. The dataset's charges are not part of it: a plan records the
+//! charge *epoch* it was built at, and [`Plan::recharge`] carries it to
+//! another epoch over the same geometry (sort, tree or grids, lists,
+//! operators all reused) instead of building again.
 
 use std::time::{Duration, Instant};
 
@@ -286,6 +292,9 @@ impl EvalConfig {
 /// The built evaluation machinery a [`Plan`] caches — one variant per
 /// backend that has an artifact worth caching ([`Backend::Direct`] has
 /// none and bypasses the cache).
+// one artifact per plan, always behind the cache's `Arc<Plan>`: boxing the
+// treecode would buy nothing and put an indirection under every sweep
+#[allow(clippy::large_enum_variant)]
 pub enum PlanArtifact {
     /// Octree + upward-pass coefficient arena (the treecode backend).
     Treecode(Treecode),
@@ -315,8 +324,12 @@ pub struct Plan {
     /// Resident heap bytes — what the cache charges against its budget.
     pub bytes: usize,
     /// Wall time of the build (tree + degree selection + upward pass, or
-    /// the FMM's grid construction + upward + M2L/L2L downward pass).
+    /// the FMM's grid construction + upward + M2L/L2L downward pass) —
+    /// what evicting this plan would cost to undo. A recharged plan keeps
+    /// the time of the full build it descends from.
     pub build_time: Duration,
+    /// The dataset charge epoch this plan's coefficients were formed at.
+    pub epoch: u64,
 }
 
 impl std::fmt::Debug for Plan {
@@ -325,6 +338,7 @@ impl std::fmt::Debug for Plan {
             .field("key", &self.key)
             .field("bytes", &self.bytes)
             .field("build_time", &self.build_time)
+            .field("epoch", &self.epoch)
             .finish_non_exhaustive()
     }
 }
@@ -333,9 +347,10 @@ impl Plan {
     /// Builds the plan for the key's backend: validates the parameters,
     /// constructs the artifact, and sizes it.
     ///
-    /// An FMM-keyed build whose dataset geometry exceeds the compiled
-    /// dense-grid depth cap falls back to a treecode artifact under the
-    /// same key — the router's choice is a performance hint, and the
+    /// An FMM-keyed build the compiled backend cannot represent (dataset
+    /// geometry past the dense-grid depth cap, or a resolved degree past
+    /// the operator-table cap) falls back to a treecode artifact under
+    /// the same key — the router's choice is a performance hint, and the
     /// treecode meets the same resolved accuracy (its α is *tighter* than
     /// the FMM's effective α = 1/2 whenever the FMM was admissible).
     pub fn build(
@@ -359,13 +374,11 @@ impl Plan {
         }
         let t0 = Instant::now();
         let artifact = match key.backend() {
-            Backend::Fmm => match CompiledFmm::new(particles, fmm_params_for(&params)) {
-                Ok(fmm) => PlanArtifact::Fmm(fmm),
-                Err(FmmError::DenseGridTooDeep { .. }) => PlanArtifact::Treecode(
-                    Treecode::new(particles, params).map_err(EngineError::Build)?,
-                ),
-                Err(e) => return Err(EngineError::FmmBuild(e)),
-            },
+            Backend::Fmm => fmm_or_fallback(
+                CompiledFmm::new(particles, fmm_params_for(&params)),
+                particles,
+                params,
+            )?,
             Backend::Treecode | Backend::Direct => PlanArtifact::Treecode(
                 Treecode::new(particles, params).map_err(EngineError::Build)?,
             ),
@@ -377,6 +390,55 @@ impl Plan {
             artifact,
             bytes,
             build_time,
+            epoch: 0,
+        })
+    }
+
+    /// This plan at the given charge epoch.
+    #[must_use]
+    pub fn at_epoch(mut self, epoch: u64) -> Plan {
+        self.epoch = epoch;
+        self
+    }
+
+    /// This plan's geometry under the charges of `particles` — the same
+    /// positions in the same order, at charge epoch `epoch`. The result
+    /// is bit-identical to [`Plan::build`] over `particles`: degrees and
+    /// bounds are re-resolved from the new charges, while everything the
+    /// charges cannot move is reused — an FMM artifact shares its
+    /// geometry half and re-runs the charge pass
+    /// ([`CompiledFmm::with_charges`]), a treecode artifact keeps its
+    /// sorted octree topology and re-runs aggregates, degree selection
+    /// and the upward pass.
+    ///
+    /// An FMM-keyed plan holding a fallback treecode is built afresh:
+    /// whether the FMM is representable can depend on the charges.
+    pub fn recharge(
+        &self,
+        particles: &[Particle],
+        params: TreecodeParams,
+        epoch: u64,
+    ) -> Result<Plan, EngineError> {
+        let charges: Vec<f64> = particles.iter().map(|p| p.charge).collect();
+        let artifact = match (&self.artifact, self.key.backend()) {
+            (PlanArtifact::Fmm(fmm), _) => {
+                fmm_or_fallback(fmm.with_charges(&charges), particles, params)?
+            }
+            (PlanArtifact::Treecode(_), Backend::Fmm) => {
+                return Plan::build(self.key, particles, params).map(|p| p.at_epoch(epoch));
+            }
+            (PlanArtifact::Treecode(tc), _) => PlanArtifact::Treecode(Treecode::from_tree(
+                tc.tree().with_charges(&charges),
+                params,
+            )),
+        };
+        let bytes = artifact.heap_bytes();
+        Ok(Plan {
+            key: self.key,
+            artifact,
+            bytes,
+            build_time: self.build_time,
+            epoch,
         })
     }
 
@@ -392,6 +454,26 @@ impl Plan {
                 unreachable!("treecode() on an FMM plan: this path is pinned to Backend::Treecode")
             }
         }
+    }
+}
+
+/// The artifact of an FMM-keyed plan: the compiled FMM when it is
+/// representable, else — hierarchy past the dense-grid depth cap, or a
+/// resolved degree past the operator-table cap — a treecode under the
+/// same key.
+fn fmm_or_fallback(
+    fmm: Result<CompiledFmm, FmmError>,
+    particles: &[Particle],
+    params: TreecodeParams,
+) -> Result<PlanArtifact, EngineError> {
+    match fmm {
+        Ok(fmm) => Ok(PlanArtifact::Fmm(fmm)),
+        Err(FmmError::DenseGridTooDeep { .. } | FmmError::OperatorTableTooLarge { .. }) => {
+            Treecode::new(particles, params)
+                .map(PlanArtifact::Treecode)
+                .map_err(EngineError::Build)
+        }
+        Err(e) => Err(EngineError::FmmBuild(e)),
     }
 }
 
@@ -524,6 +606,40 @@ mod tests {
         assert!(matches!(plan.artifact, PlanArtifact::Fmm(_)));
         assert_eq!(plan.bytes, plan.artifact.heap_bytes());
         assert!(plan.bytes > 0);
+    }
+
+    #[test]
+    fn recharge_is_bit_identical_to_a_fresh_build_and_keeps_the_rebuild_cost() {
+        let before = ps(900);
+        let after: Vec<Particle> = before
+            .iter()
+            .enumerate()
+            .map(|(i, p)| Particle::new(p.position, 0.25 + (i as f64 * 0.3).sin()))
+            .collect();
+        let params = TreecodeParams::adaptive(3, 0.6);
+        let pts: Vec<Vec3> = (0..20)
+            .map(|i| Vec3::new(0.1 * f64::from(i) - 1.0, 0.3, -0.2))
+            .collect();
+        for backend in [Backend::Treecode, Backend::Fmm] {
+            let key = PlanKey::routed(DatasetId(0), &params, backend);
+            let old = Plan::build(key, &before, params).unwrap();
+            assert_eq!(old.epoch, 0);
+            let recharged = old.recharge(&after, params, 7).unwrap();
+            let fresh = Plan::build(key, &after, params).unwrap();
+            assert_eq!(recharged.epoch, 7);
+            assert_eq!(recharged.key, key);
+            assert_eq!(recharged.bytes, fresh.bytes);
+            assert_eq!(recharged.build_time, old.build_time);
+            let eval = |plan: &Plan| {
+                crate::batch::evaluate_plan_batch(
+                    plan,
+                    crate::batch::QueryKind::Field,
+                    &[&pts],
+                    EvalConfig::of(&params),
+                )
+            };
+            assert_eq!(eval(&recharged), eval(&fresh), "{backend:?}");
+        }
     }
 
     #[test]

@@ -6,8 +6,16 @@
 //! across callers. Ingestion validates what the layers below would only
 //! reject at build time — emptiness, non-finite positions or charges — so
 //! a bad upload fails at registration, not on the first query.
+//!
+//! A dataset's **positions** are fixed for its lifetime; its **charges**
+//! may be replaced ([`DatasetRegistry::update_charges`]), which publishes
+//! a new immutable [`Dataset`] snapshot under the same id at the next
+//! charge *epoch*. A query works on the one snapshot it resolved, so it
+//! sees exactly one epoch however updates race it. Retirement
+//! ([`DatasetRegistry::remove`]) frees both the id and the name.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use mbt_geometry::{Aabb, Particle, Vec3};
@@ -19,14 +27,18 @@ use crate::error::EngineError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DatasetId(pub u64);
 
-/// An immutable registered particle set plus the summary facts the
-/// planner reads without touching the particles.
+/// An immutable snapshot of a registered particle set at one charge
+/// epoch, plus the summary facts the planner reads without touching the
+/// particles.
 #[derive(Debug)]
 pub struct Dataset {
     /// The registry handle.
     pub id: DatasetId,
     /// The caller-chosen name.
     pub name: String,
+    /// The charge epoch of this snapshot: 0 as registered, +1 per
+    /// [`DatasetRegistry::update_charges`].
+    pub epoch: u64,
     /// Cubical hull of the particle positions.
     pub bounds: Aabb,
     /// Total absolute charge `A = Σ|qᵢ|` — the quantity the paper's error
@@ -47,6 +59,9 @@ pub struct Dataset {
     /// Per-shard summary facts (index, count, weight, key range),
     /// parallel to `shard_parts`.
     shard_infos: Vec<ShardInfo>,
+    /// Set when the dataset is unregistered; shared by every epoch's
+    /// snapshot, so a query still holding one can tell its dataset is gone.
+    retired: Arc<AtomicBool>,
 }
 
 impl Dataset {
@@ -100,6 +115,23 @@ impl Dataset {
     pub fn shards(&self) -> &[ShardInfo] {
         &self.shard_infos
     }
+
+    /// Whether the dataset has been unregistered since this snapshot was
+    /// taken.
+    #[inline]
+    #[must_use]
+    pub fn is_retired(&self) -> bool {
+        // ordering: SeqCst — pairs with the store in `DatasetRegistry::remove`: a query that reads `false` after recording its work is ordered before the retirement's purge, which then sees that work
+        self.retired.load(Ordering::SeqCst)
+    }
+}
+
+/// `(Σ|qᵢ|, max|qᵢ|)` — the charge facts a [`Dataset`] carries, computed
+/// the same way at registration and at every charge update.
+fn charge_profile(particles: &[Particle]) -> (f64, f64) {
+    let abs_charge = particles.iter().map(|p| p.charge.abs()).sum();
+    let q_max = particles.iter().map(|p| p.charge.abs()).fold(0.0, f64::max);
+    (abs_charge, q_max)
 }
 
 #[derive(Debug, Default)]
@@ -172,6 +204,75 @@ impl DatasetRegistry {
         self.insert(name, particles, parts, infos)
     }
 
+    /// Replaces the charges of dataset `id` (caller's original particle
+    /// order; positions, name and id unchanged) and returns the new
+    /// epoch. Queries that already resolved the previous snapshot finish
+    /// on it; every later lookup sees the new one. Sharded datasets are
+    /// refused: their per-shard particle copies and skeleton would have
+    /// to follow, and serving them stale is not an option.
+    pub fn update_charges(&self, id: DatasetId, charges: &[f64]) -> Result<u64, EngineError> {
+        let current = self.get(id)?;
+        if current.is_sharded() {
+            return Err(EngineError::ShardedChargeUpdate(id));
+        }
+        if charges.len() != current.len() {
+            return Err(EngineError::ChargeCountMismatch {
+                expected: current.len(),
+                got: charges.len(),
+            });
+        }
+        if let Some(index) = charges.iter().position(|q| !q.is_finite()) {
+            return Err(EngineError::NonFiniteCharge { index });
+        }
+        // positions never change, so the new snapshot can be assembled
+        // from any epoch's — outside the lock
+        let particles: Arc<[Particle]> = current
+            .particles
+            .iter()
+            .zip(charges)
+            .map(|(p, &q)| Particle::new(p.position, q))
+            .collect();
+        let (abs_charge, q_max) = charge_profile(&particles);
+
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        // re-read under the write lock: the epoch must follow whatever
+        // snapshot is current *now*, and the dataset may be gone
+        let slot = inner
+            .by_id
+            .get_mut(&id)
+            .ok_or(EngineError::UnknownDataset(id))?;
+        let epoch = slot.epoch + 1;
+        *slot = Arc::new(Dataset {
+            id,
+            name: slot.name.clone(),
+            epoch,
+            bounds: slot.bounds,
+            abs_charge,
+            q_max,
+            bytes: slot.bytes,
+            particles,
+            shard_parts: Vec::new(),
+            shard_infos: Vec::new(),
+            retired: Arc::clone(&slot.retired),
+        });
+        Ok(epoch)
+    }
+
+    /// Retires dataset `id`: later lookups by id or name miss, and the
+    /// name is free to register again. Snapshots already handed out stay
+    /// valid (and report [`Dataset::is_retired`]).
+    pub fn remove(&self, id: DatasetId) -> Result<Arc<Dataset>, EngineError> {
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        let ds = inner
+            .by_id
+            .remove(&id)
+            .ok_or(EngineError::UnknownDataset(id))?;
+        inner.by_name.remove(&ds.name);
+        // ordering: SeqCst — pairs with the load in `Dataset::is_retired` (see there)
+        ds.retired.store(true, Ordering::SeqCst);
+        Ok(ds)
+    }
+
     fn validate_particles(particles: &[Particle]) -> Result<(), EngineError> {
         if particles.is_empty() {
             return Err(EngineError::EmptyDataset);
@@ -193,8 +294,7 @@ impl DatasetRegistry {
     ) -> Result<DatasetId, EngineError> {
         let positions: Vec<Vec3> = particles.iter().map(|p| p.position).collect();
         let bounds = Aabb::cubical_hull(&positions, 1e-9);
-        let abs_charge: f64 = particles.iter().map(|p| p.charge.abs()).sum();
-        let q_max = particles.iter().map(|p| p.charge.abs()).fold(0.0, f64::max);
+        let (abs_charge, q_max) = charge_profile(&particles);
         let copies = particles.len() + shard_parts.iter().map(|p| p.len()).sum::<usize>();
         let bytes = copies * std::mem::size_of::<Particle>();
 
@@ -207,6 +307,7 @@ impl DatasetRegistry {
         let ds = Arc::new(Dataset {
             id,
             name: name.to_string(),
+            epoch: 0,
             bounds,
             abs_charge,
             q_max,
@@ -214,6 +315,7 @@ impl DatasetRegistry {
             particles: particles.into(),
             shard_parts,
             shard_infos,
+            retired: Arc::new(AtomicBool::new(false)),
         });
         inner.by_id.insert(id, ds);
         inner.by_name.insert(name.to_string(), id);
@@ -366,6 +468,80 @@ mod tests {
             reg.register_sharded("e", vec![], 2),
             Err(EngineError::EmptyDataset)
         );
+    }
+
+    #[test]
+    fn update_charges_publishes_the_next_epoch_under_the_same_id() {
+        let reg = DatasetRegistry::new();
+        let id = reg.register("a", ps(4)).unwrap();
+        let before = reg.get(id).unwrap();
+        assert_eq!(before.epoch, 0);
+        assert_eq!(reg.update_charges(id, &[2.0, -3.0, 0.0, 0.5]), Ok(1));
+        let after = reg.get(id).unwrap();
+        assert_eq!((after.id, after.epoch, after.name.as_str()), (id, 1, "a"));
+        assert_eq!(after.bounds, before.bounds);
+        assert_eq!(after.bytes, before.bytes);
+        assert!((after.abs_charge - 5.5).abs() < 1e-15);
+        assert!((after.q_max - 3.0).abs() < 1e-15);
+        for (new, old) in after.particles().iter().zip(before.particles()) {
+            assert_eq!(new.position, old.position);
+        }
+        assert_eq!(after.particles()[1].charge, -3.0);
+        // the snapshot a query already holds is untouched
+        assert_eq!(before.particles()[1].charge, -1.0);
+        assert_eq!(reg.update_charges(id, &[0.0; 4]), Ok(2));
+        assert_eq!(reg.lookup("a"), Some(id));
+        assert_eq!(reg.len(), 1);
+    }
+
+    #[test]
+    fn update_charges_rejections_are_typed_and_change_nothing() {
+        let reg = DatasetRegistry::new();
+        let id = reg.register("a", ps(3)).unwrap();
+        assert_eq!(
+            reg.update_charges(id, &[1.0; 4]),
+            Err(EngineError::ChargeCountMismatch {
+                expected: 3,
+                got: 4
+            })
+        );
+        assert_eq!(
+            reg.update_charges(id, &[1.0, f64::NAN, 1.0]),
+            Err(EngineError::NonFiniteCharge { index: 1 })
+        );
+        assert_eq!(
+            reg.update_charges(DatasetId(9), &[1.0]),
+            Err(EngineError::UnknownDataset(DatasetId(9)))
+        );
+        let sharded = reg.register_sharded("s", ps(8), 2).unwrap();
+        assert_eq!(
+            reg.update_charges(sharded, &[1.0; 8]),
+            Err(EngineError::ShardedChargeUpdate(sharded))
+        );
+        assert_eq!(reg.get(id).unwrap().epoch, 0);
+    }
+
+    #[test]
+    fn remove_frees_the_id_and_the_name() {
+        let reg = DatasetRegistry::new();
+        let id = reg.register("a", ps(3)).unwrap();
+        let held = reg.get(id).unwrap();
+        assert!(!held.is_retired());
+        let removed = reg.remove(id).unwrap();
+        assert_eq!(removed.id, id);
+        assert!(held.is_retired(), "every snapshot learns of the retirement");
+        assert_eq!(reg.len(), 0);
+        assert_eq!(reg.lookup("a"), None);
+        assert_eq!(reg.get(id).unwrap_err(), EngineError::UnknownDataset(id));
+        assert_eq!(reg.remove(id).unwrap_err(), EngineError::UnknownDataset(id));
+        assert_eq!(
+            reg.update_charges(id, &[1.0; 3]),
+            Err(EngineError::UnknownDataset(id))
+        );
+        // the name is reusable, under a fresh id
+        let again = reg.register("a", ps(3)).unwrap();
+        assert_ne!(again, id);
+        assert!(!reg.get(again).unwrap().is_retired());
     }
 
     #[test]

@@ -31,15 +31,18 @@ use crate::plan::{EvalConfig, PlanKey};
 use crate::stats::StatsCollector;
 
 /// What requests must share to ride one sweep: a plan × what is being
-/// computed × how the sweep executes. Plan identity excludes execution
-/// knobs, so requests at different chunk widths or modes share a cached
-/// plan — but each sweep must run under a single configuration, hence
-/// the `cfg` component here.
+/// computed × how the sweep executes × the dataset's charge epoch. Plan
+/// identity excludes execution knobs, so requests at different chunk
+/// widths or modes share a cached plan — but each sweep must run under a
+/// single configuration, hence the `cfg` component here. Plan identity
+/// excludes the charges too, so `epoch` keeps requests that resolved
+/// different charge vectors out of each other's sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct GroupKey {
     pub(crate) plan: PlanKey,
     pub(crate) kind: QueryKind,
     pub(crate) cfg: EvalConfig,
+    pub(crate) epoch: u64,
 }
 
 /// A coalescing rider owns its points: they cross to the leader's thread.
@@ -127,6 +130,7 @@ mod tests {
             plan: plan.key,
             kind: QueryKind::Potential,
             cfg,
+            epoch: plan.epoch,
         }
     }
 

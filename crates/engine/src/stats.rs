@@ -87,6 +87,8 @@ pub struct StatsCollector {
     cache_misses: AtomicU64,
     coalesced_misses: AtomicU64,
     plan_builds: AtomicU64,
+    plan_recharges: AtomicU64,
+    datasets_retired: AtomicU64,
     evictions: AtomicU64,
     evicted_bytes: AtomicU64,
     // batched evaluation
@@ -141,6 +143,8 @@ impl StatsCollector {
             cache_misses: AtomicU64::new(0),
             coalesced_misses: AtomicU64::new(0),
             plan_builds: AtomicU64::new(0),
+            plan_recharges: AtomicU64::new(0),
+            datasets_retired: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             evicted_bytes: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -210,6 +214,30 @@ impl StatsCollector {
             .or_insert_with(|| PlanCounters::new(key.dataset().0));
         entry.builds += 1;
         entry.build_ns += saturating_ns(took);
+    }
+
+    /// One resident plan carried to another charge epoch. Counted apart
+    /// from builds (`plan_builds` and the build histogram are geometry
+    /// builds only); the time shows as a [`Phase::PlanBuild`] span.
+    pub(crate) fn record_recharge(&self, took: Duration) {
+        // ordering: Relaxed — independent monotonic counter; no data is published through it
+        self.plan_recharges.fetch_add(1, Ordering::Relaxed);
+        self.emit_span(Phase::PlanBuild, took);
+    }
+
+    /// One dataset unregistered.
+    pub(crate) fn record_retired(&self) {
+        // ordering: Relaxed — independent monotonic counter; no data is published through it
+        self.datasets_retired.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Drops the per-plan rows of a retired `dataset` (idempotent), so a
+    /// long-running engine's breakdown tracks live datasets only.
+    pub(crate) fn forget_dataset(&self, dataset: DatasetId) {
+        self.per_plan
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|key, _| key.dataset() != dataset);
     }
 
     pub(crate) fn record_eviction(&self, bytes: usize) {
@@ -411,6 +439,8 @@ impl StatsCollector {
             cache_misses: ld(&self.cache_misses),
             coalesced_misses: ld(&self.coalesced_misses),
             plan_builds: ld(&self.plan_builds),
+            plan_recharges: ld(&self.plan_recharges),
+            datasets_retired: ld(&self.datasets_retired),
             build_seconds: build.sum_ns as f64 * 1e-9,
             evictions: ld(&self.evictions),
             evicted_bytes: ld(&self.evicted_bytes),
@@ -458,6 +488,7 @@ impl StatsCollector {
             queue_depth: gauges.queue_depth,
             skeletons: gauges.skeletons,
             skeleton_bytes: gauges.skeleton_bytes,
+            shared_operator_bytes: gauges.shared_operator_bytes,
         }
     }
 }
@@ -473,6 +504,7 @@ pub(crate) struct Gauges {
     pub queue_depth: usize,
     pub skeletons: usize,
     pub skeleton_bytes: usize,
+    pub shared_operator_bytes: usize,
 }
 
 /// Five-number latency digest of one histogram, in milliseconds.
@@ -558,13 +590,23 @@ pub struct DatasetBreakdown {
 pub struct EngineStats {
     /// Queries served from a resident plan.
     pub cache_hits: u64,
-    /// Queries that found no resident plan and triggered a build.
+    /// Queries that found no resident plan at their dataset's charge
+    /// epoch and led a build or a recharge (`plan_builds` +
+    /// `plan_recharges`, plus any that failed).
     pub cache_misses: u64,
     /// Queries that found a build already in flight and waited for it
     /// (single-flight coalescing).
     pub coalesced_misses: u64,
-    /// Plans actually built.
+    /// Plans actually built — geometry builds; recharges are not among
+    /// them.
     pub plan_builds: u64,
+    /// Resident plans carried to another charge epoch over their cached
+    /// geometry (after [`crate::Engine::update_charges`]) instead of
+    /// being built.
+    pub plan_recharges: u64,
+    /// Datasets unregistered ([`crate::Engine::unregister`]); their plans
+    /// left the cache as retirements, not evictions.
+    pub datasets_retired: u64,
     /// Total wall time spent building plans.
     pub build_seconds: f64,
     /// Plans evicted to respect the byte budget.
@@ -610,6 +652,10 @@ pub struct EngineStats {
     pub skeletons: usize,
     /// Heap bytes held by those skeletons.
     pub skeleton_bytes: usize,
+    /// Heap bytes of the process-wide FMM unit operator tables — shared
+    /// by every engine in the process, owned by no plan, outside the
+    /// cache budget ([`mbt_fmm::shared_operator_bytes`]).
+    pub shared_operator_bytes: usize,
     /// Requests admitted past the gate.
     pub admitted: u64,
     /// Requests shed because the queue was full.
@@ -704,10 +750,11 @@ impl std::fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "plans: {} builds in {:.3}s; eval: {} batches / {} requests \
+            "plans: {} builds in {:.3}s, {} recharges; eval: {} batches / {} requests \
              (mean {:.2}, max {}), {} points in {:.3}s",
             self.plan_builds,
             self.build_seconds,
+            self.plan_recharges,
             self.batches,
             self.batched_requests,
             self.mean_batch(),
@@ -764,6 +811,7 @@ mod tests {
         c.record_coalesced();
         c.record_build(key(0, 4), Duration::from_millis(5));
         c.record_eviction(1024);
+        c.record_recharge(Duration::from_millis(1));
         c.record_batch(key(0, 4), 3, 300, Duration::from_millis(2));
         c.record_batch(key(0, 4), 7, 700, Duration::from_millis(2));
         c.record_admitted();
@@ -786,6 +834,7 @@ mod tests {
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.coalesced_misses, 1);
         assert_eq!(s.plan_builds, 1);
+        assert_eq!(s.plan_recharges, 1);
         assert!(s.build_seconds > 0.004);
         assert_eq!(s.evictions, 1);
         assert_eq!(s.evicted_bytes, 1024);
@@ -800,7 +849,7 @@ mod tests {
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
         assert!((s.mean_batch() - 5.0).abs() < 1e-12);
         // the histograms carry exactly what the counters saw
-        assert_eq!(s.build_latency.count, 1);
+        assert_eq!(s.build_latency.count, 1, "recharges stay out of it");
         assert_eq!(s.eval_latency.count, 2);
         assert_eq!(s.build_histogram.sum_ns, 5_000_000);
         assert_eq!(s.eval_histogram.count, 2);
@@ -817,8 +866,8 @@ mod tests {
         assert_eq!(s.per_dataset.len(), 1);
         assert_eq!(s.per_dataset[0].plans, 1);
         assert_eq!(s.per_dataset[0].eval.count, 2);
-        // engine-phase spans were ringed: 1 build + 2 batches
-        assert_eq!(c.spans().len(), 3);
+        // engine-phase spans were ringed: 1 build + 1 recharge + 2 batches
+        assert_eq!(c.spans().len(), 4);
         let text = format!("{s}");
         assert!(text.contains("hit rate"));
         assert!(text.contains("admission"));
@@ -846,6 +895,28 @@ mod tests {
         assert_eq!(s.per_dataset[1].dataset, 1);
         assert_eq!(s.per_dataset[1].plans, 1);
         assert_eq!(s.per_dataset[1].eval.count, 0);
+    }
+
+    #[test]
+    fn retiring_a_dataset_drops_its_rows_and_only_its_rows() {
+        let c = StatsCollector::default();
+        c.record_build(key(0, 4), Duration::from_millis(1));
+        c.record_batch(key(0, 5), 1, 10, Duration::from_micros(100));
+        c.record_build(key(1, 4), Duration::from_millis(1));
+        c.record_retired();
+        c.forget_dataset(DatasetId(0));
+        let s = c.snapshot(Gauges {
+            shared_operator_bytes: 4096,
+            ..Gauges::default()
+        });
+        assert_eq!(s.datasets_retired, 1);
+        assert_eq!(s.shared_operator_bytes, 4096);
+        assert_eq!(s.per_plan.len(), 1);
+        assert_eq!(s.per_plan[0].dataset, 1);
+        assert_eq!(s.per_dataset.len(), 1);
+        // the global counters keep their history
+        assert_eq!(s.plan_builds, 2);
+        assert_eq!(s.batches, 1);
     }
 
     #[test]

@@ -1,34 +1,51 @@
-//! The compiled FMM backend: flat per-level SoA arenas with precomputed
-//! per-offset M2L/L2L operators executed by the dense batch kernel.
+//! The compiled FMM backend: flat per-level SoA arenas, one process-wide
+//! unit-cube M2L operator table per degree, and a build split into a
+//! shared **geometry half** and a per-charge-vector **charge half**.
 //!
 //! The scalar reference ([`crate::Fmm`]) walks `HashMap` grids and
 //! re-derives every translation from spherical-harmonic recurrences on the
 //! hot path. This module compiles the level-synchronised pipeline instead:
 //!
-//! * **Operator probing.** Within a level, an M2L translation depends only
-//!   on the integer cell offset `Δ = s − t` (Chebyshev norm ≥ 2, each
-//!   component in `[-3, 3]` — at most 316 geometric classes). Each class is
-//!   probed column-by-column through the public translation API (basis
-//!   coefficient `1`, then `i`), which captures the full *real-linear*
-//!   operator on the stored `m ≥ 0` triangular representation — including
-//!   the implicit conjugate mirrors — as a dense real matrix over
-//!   interleaved `(re, im)` spans. L2L needs only the 8 child-octant
-//!   offsets per level. Probed operators are bit-consistent with the
-//!   scalar math by construction.
-//! * **Flat arenas.** Multipole and local coefficients live in per-level
-//!   `Vec<f64>` arenas (occupied cells × `2·tri_len(p_l)`), particles in
-//!   SoA spans sorted by finest-level Morton key, and cell occupancy in a
-//!   dense Morton-indexed table per level — no hashing anywhere on the
-//!   downward or near-field path.
-//! * **CSR interaction lists.** The M2L list of every occupied cell is
-//!   compiled once into `(source index, operator index)` CSR rows; the
-//!   whole downward pass is then [`mbt_multipole::m2l_apply`] calls.
+//! * **One unit M2L table per degree, for the whole process.** Within a
+//!   level, an M2L translation depends only on the integer cell offset
+//!   `Δ = s − t` (Chebyshev norm ≥ 2, each component in `[-3, 3]` — at
+//!   most 316 geometric classes) and the cell edge `d`. The Laplace kernel
+//!   is scale invariant: the entry taking multipole coefficient `(n, m)`
+//!   to local coefficient `(j, k)` over separation `d·Δ` is the unit-edge
+//!   entry times `d^-(j+n+1)`. So each class is probed **once per degree**
+//!   at `d = 1` — column-by-column through the public translation API
+//!   (basis coefficient `1`, then `i`), which captures the full
+//!   *real-linear* operator on the stored `m ≥ 0` triangular
+//!   representation, conjugate mirrors included, as a dense real matrix
+//!   over interleaved `(re, im)` spans — and kept for the life of the
+//!   process (`316 · (2T)²` reals with `T = (p+1)(p+2)/2`: 2.3 MB at
+//!   `p = 4`, 7.9 MB at `p = 6`, 20 MB at `p = 8`; see
+//!   [`shared_operator_bytes`]). A level applies it by storing its
+//!   multipoles pre-scaled by `d^-n` and post-scaling the accumulated M2L
+//!   sum by `d^-(j+1)`; no per-plan or per-level operator copy exists.
+//!   L2L needs only the 8 child-octant offsets per level and stays probed
+//!   per geometry (it adds unscaled).
+//! * **Geometry half** ([`FmmGeometry`], `Arc`-shared): everything that
+//!   depends on the particle *positions* and the resolved degree vector —
+//!   bounds, sort permutation, level grids, SoA positions, dense
+//!   Morton-indexed occupancy, CSR interaction lists (`(source index,
+//!   operator index)` rows per occupied cell), scale vectors and L2L
+//!   operators.
+//! * **Charge half** ([`CompiledFmm`]'s own fields): charges, pre-scaled
+//!   multipole arenas and local arenas (occupied cells × `2·tri_len(p_l)`
+//!   per level) — P2M straight into the arenas for the levels whose
+//!   multipoles are read (`l ≥ 2`), then the downward pass as
+//!   [`mbt_multipole::m2l_apply`] calls. [`CompiledFmm::with_charges`]
+//!   re-runs only this half over the shared geometry, and is bit-identical
+//!   to [`CompiledFmm::new`] over the same positions and new charges.
 //!
 //! External targets are served too: a target inside the root cube but in
 //! an *unoccupied* finest cell gets its local expansion from an on-demand
 //! L2L/M2L chain down its cell path (computed once per distinct cell and
 //! shared by all targets in it); a target outside the root cube falls back
 //! to a guarded direct sum over all particles.
+
+use std::sync::{Arc, OnceLock};
 
 use mbt_geometry::{Aabb, Particle, Vec3};
 use mbt_multipole::tables::tri_index;
@@ -40,7 +57,7 @@ use mbt_treecode::{EvalResult, EvalStats};
 use rayon::prelude::*;
 
 use crate::grid::{cell_center, cell_of, key_coords, FmmError, LevelGrid};
-use crate::method::{build_structure, Fmm, FmmEvalMode, FmmParams, FmmStructure};
+use crate::method::{build_structure, level_degrees, Fmm, FmmEvalMode, FmmParams, FmmStructure};
 
 /// Deepest level the compiled backend supports: the dense Morton-indexed
 /// occupancy tables hold `8^l` entries per level, so depth is capped where
@@ -48,13 +65,27 @@ use crate::method::{build_structure, Fmm, FmmEvalMode, FmmParams, FmmStructure};
 /// hierarchies (e.g. huge collinear clouds) stay on the scalar reference.
 pub const COMPILED_MAX_LEVELS: usize = 8;
 
+/// Largest degree a level with an M2L list may resolve in the compiled
+/// backend. The unit operator tables are process-wide and never freed, so
+/// this caps them: 146 MB for the largest single table (under the
+/// engine's default 256 MB plan budget, which a per-plan copy of it would
+/// have had to fit anyway), 527 MB if every degree up to the cap is ever
+/// used (see [`shared_operator_bytes`]). Higher degrees stay on the
+/// scalar reference or, in the engine, the treecode.
+pub const COMPILED_MAX_DEGREE: usize = 14;
+
 /// Number of distinct geometric M2L offset classes (`Δ ∈ [-3,3]³` with
 /// Chebyshev norm ≥ 2).
 const M2L_OFFSET_CLASSES: usize = 316;
 
-/// Build-time offset tables shared by every level: the dense offset list
-/// and, per target parity class (`x&1 | y&1<<1 | z&1<<2`), the subset of
-/// offsets its interaction list can reach.
+/// Occupied cells per parallel work item of the charge pass. One
+/// workspace and one coefficient scratch serve a whole block, so the
+/// pass allocates per block, not per cell.
+const CHARGE_BLOCK: usize = 32;
+
+/// Offset tables shared by every level, degree and plan: the dense offset
+/// list and, per target parity class (`x&1 | y&1<<1 | z&1<<2`), the
+/// subset of offsets its interaction list can reach.
 struct OffsetTables {
     /// All reachable offsets, in a fixed order (= operator order).
     offsets: Vec<(i32, i32, i32)>,
@@ -62,8 +93,14 @@ struct OffsetTables {
     by_parity: Vec<Vec<(i32, i32, i32, u16)>>,
 }
 
-fn offset_tables() -> OffsetTables {
-    // lint: allow(alloc, cold path: offset tables are built once per plan)
+/// The offset tables, built on first use.
+fn offset_tables() -> &'static OffsetTables {
+    static TABLES: OnceLock<OffsetTables> = OnceLock::new();
+    TABLES.get_or_init(build_offset_tables)
+}
+
+fn build_offset_tables() -> OffsetTables {
+    // lint: allow(alloc, offset tables are built once per process)
     let mut offsets = Vec::new();
     for dz in -3i32..=3 {
         for dy in -3i32..=3 {
@@ -82,7 +119,7 @@ fn offset_tables() -> OffsetTables {
             // lint: allow(panic, the 7-cube scan above inserted every reachable offset)
             .expect("offset in table") as u16
     };
-    // lint: allow(alloc, cold path: offset tables are built once per plan)
+    // lint: allow(alloc, offset tables are built once per process)
     let mut by_parity: Vec<Vec<(i32, i32, i32, u16)>> = vec![Vec::new(); 8];
     for (parity, list) in by_parity.iter_mut().enumerate() {
         let b = (
@@ -112,14 +149,61 @@ fn offset_tables() -> OffsetTables {
     OffsetTables { offsets, by_parity }
 }
 
-/// Compiled translation operators and interaction lists of one level.
+/// The process-wide unit-cube M2L tables, one slot per degree, each
+/// filled on first use and never freed.
+static UNIT_M2L: [OnceLock<Box<[f64]>>; COMPILED_MAX_DEGREE + 1] =
+    [const { OnceLock::new() }; COMPILED_MAX_DEGREE + 1];
+
+/// The degree-`p` unit table: the 316 offset-class operators at cell
+/// edge 1, concatenated in offset-table order, each `2T × 2T`
+/// column-major reals over interleaved coefficient spans. The first
+/// caller per degree probes it (`O(p⁶)`); concurrent first callers wait
+/// for that one fill.
+fn unit_m2l(p: usize) -> &'static [f64] {
+    UNIT_M2L[p].get_or_init(|| {
+        let t = tri_len(p);
+        let stride = (2 * t) * (2 * t);
+        let offsets = &offset_tables().offsets;
+        // lint: allow(alloc, once per process and degree)
+        let mut table = vec![0.0f64; M2L_OFFSET_CLASSES * stride];
+        table
+            .par_chunks_mut(stride)
+            .enumerate()
+            .for_each(|(oi, mat)| {
+                let (dx, dy, dz) = offsets[oi];
+                probe_m2l(
+                    mat,
+                    Vec3::new(f64::from(dx), f64::from(dy), f64::from(dz)),
+                    p,
+                    t,
+                );
+            });
+        table.into_boxed_slice()
+    })
+}
+
+/// Heap bytes held by the process-wide unit M2L tables filled so far:
+/// `316 · (2T)² · 8` per degree in use, `T = (p+1)(p+2)/2`. Shared by
+/// every compiled FMM in the process and counted in none of them.
+#[must_use]
+pub fn shared_operator_bytes() -> usize {
+    UNIT_M2L
+        .iter()
+        .filter_map(OnceLock::get)
+        .map(|table| std::mem::size_of_val(&**table))
+        .sum()
+}
+
+/// Per-level operators and interaction lists: everything the downward
+/// pass needs besides the unit M2L table and the arenas.
 #[derive(Debug, Default)]
 struct LevelOps {
-    /// Dense M2L matrices, concatenated in offset-table order; each is
-    /// `2T × 2T` column-major reals over interleaved coefficient spans.
-    m2l_ops: Vec<f64>,
-    /// Stride between consecutive M2L operators.
-    m2l_stride: usize,
+    /// `d^-n` per interleaved multipole entry `(n, m)` — the scale a
+    /// level's stored multipoles carry so the unit table applies to them.
+    pre_scale: Vec<f64>,
+    /// `d^-(j+1)` per interleaved local entry `(j, k)` — the scale that
+    /// takes the accumulated unit-table M2L sum to this level's edge.
+    post_scale: Vec<f64>,
     /// The 8 child-octant L2L matrices (`2T_child × 2T_parent`).
     l2l_ops: Vec<f64>,
     /// Stride between consecutive L2L operators.
@@ -142,82 +226,67 @@ struct NearGather {
     qs: Vec<f64>,
 }
 
-/// The FMM compiled into flat arenas, ready to evaluate at sources and at
-/// arbitrary external targets.
-pub struct CompiledFmm {
+/// The geometry half of a compiled FMM: a pure function of the particle
+/// positions, the parameters and the resolved degree vector. Shared by
+/// `Arc` between a compiled FMM and every re-charge of it.
+struct FmmGeometry {
+    params: FmmParams,
     bounds: Aabb,
     levels: usize,
     degrees: Vec<usize>,
-    particles: Vec<Particle>,
     perm: Vec<usize>,
     grids: Vec<LevelGrid>,
-    /// SoA mirror of the sorted particles for the near-field kernels.
+    /// SoA positions of the sorted particles.
     xs: Vec<f64>,
     ys: Vec<f64>,
     zs: Vec<f64>,
-    qs: Vec<f64>,
     /// Per level: dense Morton-indexed occupancy (`occupied index + 1`).
     occ: Vec<Vec<u32>>,
     /// Per level: Morton code of each occupied cell (dense order).
     mortons: Vec<Vec<u64>>,
-    /// Per level: interleaved multipole coefficients (occupied × `2T`).
-    mult_re: Vec<Vec<f64>>,
-    /// Per level: interleaved local coefficients (occupied × `2T`).
-    locals_re: Vec<Vec<f64>>,
-    /// Per level: compiled operators and CSR lists (levels 0/1 empty).
+    /// Per level: scales, L2L operators and CSR lists (levels 0/1 empty).
     ops: Vec<LevelOps>,
-    /// Offset subsets per target parity class (shared by all levels).
-    by_parity: Vec<Vec<(i32, i32, i32, u16)>>,
-    /// P2M terms formed during the upward pass (scalar-compatible counter).
-    pub translation_terms: u64,
     /// Total compiled M2L list entries across all levels.
-    pub m2l_pairs: u64,
+    m2l_pairs: u64,
 }
 
-impl CompiledFmm {
-    /// Builds the compiled FMM over a particle set.
-    pub fn new(particles: &[Particle], params: FmmParams) -> Result<CompiledFmm, FmmError> {
+impl FmmGeometry {
+    /// Compiles occupancy, scales, L2L operators and interaction lists
+    /// over a built structure, for the degree vector its charges
+    /// resolved. Hands the sorted particles back for the charge pass.
+    fn compile(
+        structure: FmmStructure,
+        degrees: Vec<usize>,
+        params: FmmParams,
+    ) -> (FmmGeometry, Vec<Particle>) {
         let FmmStructure {
             bounds,
             levels,
-            degrees,
             sorted,
             perm,
             grids,
-        } = build_structure(particles, &params)?;
-        if levels > COMPILED_MAX_LEVELS {
-            return Err(FmmError::DenseGridTooDeep {
-                levels,
-                max: COMPILED_MAX_LEVELS,
-            });
-        }
-        let max_degree = degrees.iter().copied().max().unwrap_or(0);
+        } = structure;
 
-        // SoA mirror of the sorted particles
-        // lint: allow(alloc, cold path: compiled once per plan build)
-        let xs: Vec<f64> = sorted.iter().map(|p| p.position.x).collect();
-        // lint: allow(alloc, cold path: compiled once per plan build)
-        let ys: Vec<f64> = sorted.iter().map(|p| p.position.y).collect();
-        // lint: allow(alloc, cold path: compiled once per plan build)
-        let zs: Vec<f64> = sorted.iter().map(|p| p.position.z).collect();
-        // lint: allow(alloc, cold path: compiled once per plan build)
-        let qs: Vec<f64> = sorted.iter().map(|p| p.charge).collect();
+        let mut xs = Vec::with_capacity(sorted.len());
+        let mut ys = Vec::with_capacity(sorted.len());
+        let mut zs = Vec::with_capacity(sorted.len());
+        for p in &sorted {
+            xs.push(p.position.x);
+            ys.push(p.position.y);
+            zs.push(p.position.z);
+        }
 
         // dense occupancy + morton codes per level
         let mut occ: Vec<Vec<u32>> = Vec::with_capacity(levels + 1);
         let mut mortons: Vec<Vec<u64>> = Vec::with_capacity(levels + 1);
         for grid in &grids {
-            // lint: allow(alloc, cold path: compiled once per plan build)
+            // lint: allow(alloc, once per geometry build)
             let mut table = vec![0u32; 1usize << (3 * grid.level)];
-            let codes: Vec<u64> = grid
-                .keys
-                .iter()
-                .map(|&k| {
-                    let (x, y, z) = key_coords(k);
-                    mbt_geometry::morton::encode(x, y, z)
-                })
-                // lint: allow(alloc, cold path: compiled once per plan build)
-                .collect();
+            let mut codes: Vec<u64> = Vec::with_capacity(grid.len());
+            codes.extend(grid.keys.iter().map(|&k| {
+                let (x, y, z) = key_coords(k);
+                mbt_geometry::morton::encode(x, y, z)
+            }));
             for (ci, &code) in codes.iter().enumerate() {
                 table[code as usize] = ci as u32 + 1;
             }
@@ -225,42 +294,10 @@ impl CompiledFmm {
             mortons.push(codes);
         }
 
-        // upward: P2M straight into the interleaved arenas
-        let mut translation_terms = 0u64;
-        let mut mult_re: Vec<Vec<f64>> = Vec::with_capacity(levels + 1);
-        for (l, grid) in grids.iter().enumerate() {
-            let p = degrees[l];
-            let t = tri_len(p);
-            // lint: allow(alloc, cold path: compiled once per plan build)
-            let mut arena = vec![0.0f64; grid.len() * 2 * t];
-            arena
-                .par_chunks_mut(2 * t)
-                .enumerate()
-                .for_each(|(ci, span)| {
-                    let mut ws = Workspace::with_capacity(max_degree);
-                    // lint: allow(alloc, cold path: per-cell P2M scratch at build)
-                    let mut scratch = vec![Complex::ZERO; t];
-                    let (s, e) = grid.ranges[ci];
-                    p2m_into(
-                        &mut scratch,
-                        grid.centers[ci],
-                        p,
-                        &sorted[s as usize..e as usize],
-                        &mut ws,
-                    );
-                    for (k, c) in scratch.iter().enumerate() {
-                        span[2 * k] = c.re;
-                        span[2 * k + 1] = c.im;
-                    }
-                });
-            translation_terms += (grid.len() as u64) * ((p as u64 + 1) * (p as u64 + 1));
-            mult_re.push(arena);
-        }
-
-        // compile per-level operators and CSR interaction lists
+        // per-level scales, L2L operators and CSR interaction lists
         let tables = offset_tables();
-        // lint: allow(alloc, cold path: compiled once per plan build)
-        let mut ops: Vec<LevelOps> = (0..=levels).map(|_| LevelOps::default()).collect();
+        let mut ops: Vec<LevelOps> = Vec::with_capacity(levels + 1);
+        ops.resize_with(levels + 1, LevelOps::default);
         let mut m2l_pairs = 0u64;
         for l in 2..=levels {
             let p = degrees[l];
@@ -270,27 +307,26 @@ impl CompiledFmm {
             let edge = grids[l].cell_edge;
             let lv = &mut ops[l];
 
-            // M2L: probe every geometric offset class
-            lv.m2l_stride = (2 * t) * (2 * t);
-            // lint: allow(alloc, cold path: compiled once per plan build)
-            lv.m2l_ops = vec![0.0f64; M2L_OFFSET_CLASSES * lv.m2l_stride];
-            let offsets = &tables.offsets;
-            lv.m2l_ops
-                .par_chunks_mut(lv.m2l_stride)
-                .enumerate()
-                .for_each(|(oi, mat)| {
-                    let (dx, dy, dz) = offsets[oi];
-                    let d_vec = Vec3::new(
-                        f64::from(dx) * edge,
-                        f64::from(dy) * edge,
-                        f64::from(dz) * edge,
-                    );
-                    probe_m2l(mat, d_vec, p, t);
-                });
+            // d^-n for n = 0..=p+1, by repeated multiplication
+            let mut inv_pow = Vec::with_capacity(p + 2);
+            let mut power = 1.0f64;
+            for _ in 0..p + 2 {
+                inv_pow.push(power);
+                power /= edge;
+            }
+            lv.pre_scale = Vec::with_capacity(2 * t);
+            lv.post_scale = Vec::with_capacity(2 * t);
+            for n in 0..=p {
+                for m in 0..=n {
+                    debug_assert_eq!(lv.pre_scale.len(), 2 * tri_index(n, m));
+                    lv.pre_scale.extend([inv_pow[n]; 2]);
+                    lv.post_scale.extend([inv_pow[n + 1]; 2]);
+                }
+            }
 
             // L2L: probe the 8 child octants
             lv.l2l_stride = (2 * t) * (2 * t_par);
-            // lint: allow(alloc, cold path: compiled once per plan build)
+            // lint: allow(alloc, once per geometry build)
             lv.l2l_ops = vec![0.0f64; 8 * lv.l2l_stride];
             for (octant, mat) in lv.l2l_ops.chunks_mut(lv.l2l_stride).enumerate() {
                 let (bx, by, bz) = mbt_geometry::morton::decode(octant as u64);
@@ -329,124 +365,288 @@ impl CompiledFmm {
             m2l_pairs += lv.csr_src.len() as u64;
         }
 
-        // downward: L2L from the parent, then the compiled M2L list
-        let mut locals_re: Vec<Vec<f64>> = (0..=levels)
-            // lint: allow(alloc, cold path: compiled once per plan build)
-            .map(|l| vec![0.0f64; grids[l].len() * 2 * tri_len(degrees[l])])
-            // lint: allow(alloc, cold path: compiled once per plan build)
-            .collect();
-        for l in 2..=levels {
-            let t = tri_len(degrees[l]);
-            let t_par = tri_len(degrees[l - 1]);
-            let (before, after) = locals_re.split_at_mut(l);
-            let parents = &before[l - 1];
-            let lv = &ops[l];
-            let mult = &mult_re[l];
-            let level_mortons = &mortons[l];
-            let parent_occ = &occ[l - 1];
-            after[0]
-                .par_chunks_mut(2 * t)
-                .enumerate()
-                .for_each(|(ci, y)| {
-                    let tm = level_mortons[ci];
-                    let pi = parent_occ[(tm >> 3) as usize] as usize - 1;
-                    let octant = (tm & 7) as usize;
-                    m2l_apply(
-                        &lv.l2l_ops[octant * lv.l2l_stride..(octant + 1) * lv.l2l_stride],
-                        &parents[pi * 2 * t_par..(pi + 1) * 2 * t_par],
-                        y,
-                    );
-                    let (s, e) = (lv.csr_off[ci] as usize, lv.csr_off[ci + 1] as usize);
-                    for k in s..e {
-                        let si = lv.csr_src[k] as usize;
-                        let oi = lv.csr_op[k] as usize;
-                        m2l_apply(
-                            &lv.m2l_ops[oi * lv.m2l_stride..(oi + 1) * lv.m2l_stride],
-                            &mult[si * 2 * t..(si + 1) * 2 * t],
-                            y,
-                        );
-                    }
-                });
-        }
-
-        Ok(CompiledFmm {
+        let geometry = FmmGeometry {
+            params,
             bounds,
             levels,
             degrees,
-            particles: sorted,
             perm,
             grids,
             xs,
             ys,
             zs,
-            qs,
             occ,
             mortons,
+            ops,
+            m2l_pairs,
+        };
+        (geometry, sorted)
+    }
+
+    /// Adds the M2L contribution of one level-`l` cell's interaction list
+    /// — unit-table operators over the level's pre-scaled multipoles,
+    /// post-scaled to the level's edge — into the local span `y`, using
+    /// `acc` (same length, any contents) as accumulator scratch.
+    fn add_m2l(
+        &self,
+        l: usize,
+        mult: &[f64],
+        list: impl Iterator<Item = (usize, usize)>,
+        acc: &mut [f64],
+        y: &mut [f64],
+    ) {
+        let width = y.len();
+        let stride = width * width;
+        let unit = unit_m2l(self.degrees[l]);
+        acc.fill(0.0);
+        for (si, oi) in list {
+            m2l_apply(
+                &unit[oi * stride..(oi + 1) * stride],
+                &mult[si * width..(si + 1) * width],
+                acc,
+            );
+        }
+        for ((y, a), s) in y.iter_mut().zip(&*acc).zip(&self.ops[l].post_scale) {
+            *y += a * s;
+        }
+    }
+}
+
+/// The FMM compiled into flat arenas, ready to evaluate at sources and at
+/// arbitrary external targets: a shared geometry half plus the charge
+/// half built over it (see the module docs).
+pub struct CompiledFmm {
+    geo: Arc<FmmGeometry>,
+    /// The sorted particles, carrying this charge vector.
+    particles: Vec<Particle>,
+    /// SoA charges of the sorted particles for the near-field kernels.
+    qs: Vec<f64>,
+    /// Per level: interleaved multipole coefficients (occupied × `2T`),
+    /// pre-scaled by `d^-n`; empty for levels 0/1, which nothing reads.
+    mult_re: Vec<Vec<f64>>,
+    /// Per level: interleaved local coefficients (occupied × `2T`).
+    locals_re: Vec<Vec<f64>>,
+    /// P2M terms formed during the upward pass (scalar-compatible counter).
+    pub translation_terms: u64,
+    /// Total compiled M2L list entries across all levels.
+    pub m2l_pairs: u64,
+}
+
+impl CompiledFmm {
+    /// Builds the compiled FMM over a particle set: geometry, then the
+    /// charge pass.
+    pub fn new(particles: &[Particle], params: FmmParams) -> Result<CompiledFmm, FmmError> {
+        let structure = build_structure(particles, &params)?;
+        if structure.levels > COMPILED_MAX_LEVELS {
+            return Err(FmmError::DenseGridTooDeep {
+                levels: structure.levels,
+                max: COMPILED_MAX_LEVELS,
+            });
+        }
+        let degrees = level_degrees(&structure.grids, &structure.sorted, params.degree);
+        if let Some(&degree) = degrees.iter().skip(2).find(|&&p| p > COMPILED_MAX_DEGREE) {
+            return Err(FmmError::OperatorTableTooLarge {
+                degree,
+                max: COMPILED_MAX_DEGREE,
+            });
+        }
+        let (geometry, sorted) = FmmGeometry::compile(structure, degrees, params);
+        Ok(CompiledFmm::charge(Arc::new(geometry), sorted))
+    }
+
+    /// The same particle positions under a new charge vector (caller's
+    /// original order): re-resolves the degree vector from the new
+    /// charges and, when it is unchanged (always, for a fixed degree),
+    /// runs only the charge pass over the shared geometry; a moved degree
+    /// vector rebuilds. Either way the result is bit-identical to
+    /// [`CompiledFmm::new`] over the same positions and `charges`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `charges.len()` differs from the particle count.
+    pub fn with_charges(&self, charges: &[f64]) -> Result<CompiledFmm, FmmError> {
+        let geo = &self.geo;
+        assert_eq!(
+            charges.len(),
+            geo.perm.len(),
+            "charge vector length must match the particle count"
+        );
+        if let Some(index) = charges.iter().position(|q| !q.is_finite()) {
+            return Err(FmmError::NonFinite { index });
+        }
+        let mut sorted: Vec<Particle> = Vec::with_capacity(charges.len());
+        sorted.extend(geo.perm.iter().enumerate().map(|(i, &orig)| {
+            Particle::new(Vec3::new(geo.xs[i], geo.ys[i], geo.zs[i]), charges[orig])
+        }));
+        let degrees = level_degrees(&geo.grids, &sorted, geo.params.degree);
+        if degrees == geo.degrees {
+            return Ok(CompiledFmm::charge(Arc::clone(geo), sorted));
+        }
+        // the L2L operators, scales and arena shapes follow the degree
+        // vector: rebuild from the caller-order particles
+        // lint: allow(alloc, once per degree-changing charge update)
+        let mut particles = sorted.clone();
+        for (p, &orig) in sorted.iter().zip(&geo.perm) {
+            particles[orig] = *p;
+        }
+        CompiledFmm::new(&particles, geo.params)
+    }
+
+    /// The charge pass: P2M into pre-scaled multipole arenas, then the
+    /// downward pass (L2L from the parent plus the compiled M2L list)
+    /// into the local arenas.
+    fn charge(geo: Arc<FmmGeometry>, sorted: Vec<Particle>) -> CompiledFmm {
+        let levels = geo.levels;
+        let mut qs: Vec<f64> = Vec::with_capacity(sorted.len());
+        qs.extend(sorted.iter().map(|p| p.charge));
+
+        // upward: P2M straight into the interleaved arenas of the levels
+        // whose multipoles are read (levels 0 and 1 have no M2L lists)
+        let mut translation_terms = 0u64;
+        // lint: allow(alloc, empty per-level slots, filled below for the levels that are read)
+        let mut mult_re: Vec<Vec<f64>> = vec![Vec::new(); levels + 1];
+        #[allow(clippy::needless_range_loop)] // `l` indexes several level-keyed arrays
+        for l in 2..=levels {
+            let grid = &geo.grids[l];
+            let p = geo.degrees[l];
+            let t = tri_len(p);
+            let pre_scale = &geo.ops[l].pre_scale;
+            // lint: allow(alloc, one multipole arena per level and charge pass)
+            let mut arena = vec![0.0f64; grid.len() * 2 * t];
+            arena
+                .par_chunks_mut(CHARGE_BLOCK * 2 * t)
+                .enumerate()
+                .for_each(|(block, spans)| {
+                    let mut ws = Workspace::with_capacity(p);
+                    // lint: allow(alloc, one P2M scratch per block of cells)
+                    let mut scratch = vec![Complex::ZERO; t];
+                    for (k, span) in spans.chunks_mut(2 * t).enumerate() {
+                        let ci = block * CHARGE_BLOCK + k;
+                        let (s, e) = grid.ranges[ci];
+                        p2m_into(
+                            &mut scratch,
+                            grid.centers[ci],
+                            p,
+                            &sorted[s as usize..e as usize],
+                            &mut ws,
+                        );
+                        for (k, c) in scratch.iter().enumerate() {
+                            span[2 * k] = c.re * pre_scale[2 * k];
+                            span[2 * k + 1] = c.im * pre_scale[2 * k + 1];
+                        }
+                    }
+                });
+            translation_terms += (grid.len() as u64) * ((p as u64 + 1) * (p as u64 + 1));
+            mult_re[l] = arena;
+        }
+
+        // downward: L2L from the parent, then the compiled M2L list
+        let mut locals_re: Vec<Vec<f64>> = Vec::with_capacity(levels + 1);
+        for l in 0..=levels {
+            // lint: allow(alloc, one local arena per level and charge pass)
+            locals_re.push(vec![
+                0.0f64;
+                geo.grids[l].len() * 2 * tri_len(geo.degrees[l])
+            ]);
+        }
+        for l in 2..=levels {
+            let t = tri_len(geo.degrees[l]);
+            let t_par = tri_len(geo.degrees[l - 1]);
+            let (before, after) = locals_re.split_at_mut(l);
+            let parents = &before[l - 1];
+            let lv = &geo.ops[l];
+            let mult = &mult_re[l];
+            let level_mortons = &geo.mortons[l];
+            let parent_occ = &geo.occ[l - 1];
+            after[0]
+                .par_chunks_mut(CHARGE_BLOCK * 2 * t)
+                .enumerate()
+                .for_each(|(block, spans)| {
+                    // lint: allow(alloc, one M2L accumulator per block of cells)
+                    let mut acc = vec![0.0f64; 2 * t];
+                    for (k, y) in spans.chunks_mut(2 * t).enumerate() {
+                        let ci = block * CHARGE_BLOCK + k;
+                        let tm = level_mortons[ci];
+                        let pi = parent_occ[(tm >> 3) as usize] as usize - 1;
+                        let octant = (tm & 7) as usize;
+                        m2l_apply(
+                            &lv.l2l_ops[octant * lv.l2l_stride..(octant + 1) * lv.l2l_stride],
+                            &parents[pi * 2 * t_par..(pi + 1) * 2 * t_par],
+                            y,
+                        );
+                        let (s, e) = (lv.csr_off[ci] as usize, lv.csr_off[ci + 1] as usize);
+                        let list = (s..e).map(|k| (lv.csr_src[k] as usize, lv.csr_op[k] as usize));
+                        geo.add_m2l(l, mult, list, &mut acc, y);
+                    }
+                });
+        }
+
+        CompiledFmm {
+            m2l_pairs: geo.m2l_pairs,
+            geo,
+            particles: sorted,
+            qs,
             mult_re,
             locals_re,
-            ops,
-            by_parity: tables.by_parity,
             translation_terms,
-            m2l_pairs,
-        })
+        }
     }
 
     /// The finest level index.
     #[must_use]
     pub fn levels(&self) -> usize {
-        self.levels
+        self.geo.levels
     }
 
     /// The per-level expansion degrees.
     #[must_use]
     pub fn degrees(&self) -> &[usize] {
-        &self.degrees
+        &self.geo.degrees
     }
 
     /// The root bounding cube.
     #[must_use]
     pub fn bounds(&self) -> Aabb {
-        self.bounds
+        self.geo.bounds
     }
 
-    /// Approximate owned heap footprint: arenas, operators, occupancy
-    /// tables, lists, and particle mirrors (for cache accounting).
+    /// Approximate owned heap footprint, both halves: arenas, L2L
+    /// operators, occupancy tables, lists, and particle mirrors (for cache
+    /// accounting). The process-wide unit M2L tables are not owned and not
+    /// counted ([`shared_operator_bytes`]).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        let f64s = self.xs.len() * 4 * 8
+        let geo = &*self.geo;
+        let f64s = geo.xs.len() * 4 * 8
             + self.particles.len() * std::mem::size_of::<Particle>()
-            + self.perm.len() * 8;
+            + geo.perm.len() * 8;
         let arenas: usize = self
             .mult_re
             .iter()
             .zip(&self.locals_re)
             .map(|(m, l)| (m.len() + l.len()) * 8)
             .sum();
-        let occ: usize = self.occ.iter().map(|t| t.len() * 4).sum();
-        let mortons: usize = self.mortons.iter().map(|m| m.len() * 8).sum();
-        let ops: usize = self
+        let occ: usize = geo.occ.iter().map(|t| t.len() * 4).sum();
+        let mortons: usize = geo.mortons.iter().map(|m| m.len() * 8).sum();
+        let ops: usize = geo
             .ops
             .iter()
             .map(|o| {
-                (o.m2l_ops.len() + o.l2l_ops.len()) * 8
+                (o.pre_scale.len() + o.post_scale.len() + o.l2l_ops.len()) * 8
                     + o.csr_off.len() * 4
                     + o.csr_src.len() * 4
                     + o.csr_op.len() * 2
             })
             .sum();
-        let grids: usize = self
-            .grids
-            .iter()
-            .map(|g| g.len() * (8 + 24 + 8 + 8 + 48))
-            .sum();
+        let grids: usize = geo.grids.iter().map(|g| g.len() * (8 + 24 + 8 + 48)).sum();
         f64s + arenas + occ + mortons + ops + grids
     }
 
     /// Gathers (and coalesces) the near-field particle ranges of the 27
     /// finest cells around `(x, y, z)`.
     fn near_ranges(&self, x: u32, y: u32, z: u32) -> Vec<(u32, u32)> {
-        let finest = &self.grids[self.levels];
-        let side = 1i64 << self.levels;
+        let finest = &self.geo.grids[self.geo.levels];
+        let side = 1i64 << self.geo.levels;
         let mut near: Vec<(u32, u32)> = Vec::with_capacity(27);
         for dz in -1i64..=1 {
             for dy in -1i64..=1 {
@@ -458,7 +658,7 @@ impl CompiledFmm {
                         continue;
                     }
                     let code = mbt_geometry::morton::encode(nx as u32, ny as u32, nz as u32);
-                    let ni = self.occ[self.levels][code as usize];
+                    let ni = self.geo.occ[self.geo.levels][code as usize];
                     if ni != 0 {
                         near.push(finest.ranges[ni as usize - 1]);
                     }
@@ -489,9 +689,9 @@ impl CompiledFmm {
         out.qs.clear();
         for &(ns, ne) in ranges {
             let (ns, ne) = (ns as usize, ne as usize);
-            out.xs.extend_from_slice(&self.xs[ns..ne]);
-            out.ys.extend_from_slice(&self.ys[ns..ne]);
-            out.zs.extend_from_slice(&self.zs[ns..ne]);
+            out.xs.extend_from_slice(&self.geo.xs[ns..ne]);
+            out.ys.extend_from_slice(&self.geo.ys[ns..ne]);
+            out.zs.extend_from_slice(&self.geo.zs[ns..ne]);
             out.qs.extend_from_slice(&self.qs[ns..ne]);
         }
     }
@@ -506,8 +706,8 @@ impl CompiledFmm {
     /// Potentials at all source particles, caller order.
     #[must_use]
     pub fn potentials(&self) -> EvalResult<f64> {
-        let finest = &self.grids[self.levels];
-        let p = self.degrees[self.levels];
+        let finest = &self.geo.grids[self.geo.levels];
+        let p = self.geo.degrees[self.geo.levels];
         let t = tri_len(p);
 
         let per_cell: Vec<(Vec<f64>, EvalStats)> = (0..finest.len())
@@ -524,7 +724,7 @@ impl CompiledFmm {
                 let near = self.near_ranges(x, y, z);
                 self.gather_near(&near, &mut gather);
                 Self::lift_local(
-                    &self.locals_re[self.levels][ci * 2 * t..(ci + 1) * 2 * t],
+                    &self.locals_re[self.geo.levels][ci * 2 * t..(ci + 1) * 2 * t],
                     lc,
                 );
                 let center = finest.centers[ci];
@@ -560,7 +760,7 @@ impl CompiledFmm {
         }
         // lint: allow(alloc, result buffer handed to the caller)
         let mut out = vec![0.0f64; values.len()];
-        for (i, &orig) in self.perm.iter().enumerate() {
+        for (i, &orig) in self.geo.perm.iter().enumerate() {
             out[orig] = values[i];
         }
         EvalResult { values: out, stats }
@@ -570,41 +770,45 @@ impl CompiledFmm {
     /// cell: occupied cells read the arena; empty cells get an on-demand
     /// L2L/M2L chain down their cell path.
     fn local_for_cell(&self, code: u64) -> Vec<f64> {
-        let t = tri_len(self.degrees[self.levels]);
-        let oc = self.occ[self.levels][code as usize];
+        let geo = &*self.geo;
+        let t = tri_len(geo.degrees[geo.levels]);
+        let oc = geo.occ[geo.levels][code as usize];
         if oc != 0 {
             let ci = oc as usize - 1;
             // lint: allow(alloc, O(p^2) local copy per external target group)
-            return self.locals_re[self.levels][ci * 2 * t..(ci + 1) * 2 * t].to_vec();
+            return self.locals_re[geo.levels][ci * 2 * t..(ci + 1) * 2 * t].to_vec();
         }
         // cell path from the root
         // lint: allow(alloc, O(levels) path scratch per empty-cell chain)
-        let mut path = vec![0u64; self.levels + 1];
-        path[self.levels] = code;
-        for l in (1..=self.levels).rev() {
+        let mut path = vec![0u64; geo.levels + 1];
+        path[geo.levels] = code;
+        for l in (1..=geo.levels).rev() {
             path[l - 1] = path[l] >> 3;
         }
         // deepest occupied ancestor (the root is always occupied)
-        let mut la = self.levels;
-        while self.occ[la][path[la] as usize] == 0 {
+        let mut la = geo.levels;
+        while geo.occ[la][path[la] as usize] == 0 {
             la -= 1;
         }
         let mut cur: Vec<f64> = if la >= 2 {
-            let tl = tri_len(self.degrees[la]);
-            let ci = self.occ[la][path[la] as usize] as usize - 1;
+            let tl = tri_len(geo.degrees[la]);
+            let ci = geo.occ[la][path[la] as usize] as usize - 1;
             // lint: allow(alloc, O(p^2) local copy per external target group)
             self.locals_re[la][ci * 2 * tl..(ci + 1) * 2 * tl].to_vec()
         } else {
             // lint: allow(alloc, O(p^2) zero local at the top of the chain)
-            vec![0.0f64; 2 * tri_len(self.degrees[la])]
+            vec![0.0f64; 2 * tri_len(geo.degrees[la])]
         };
+        let widest = geo.degrees.iter().copied().max().unwrap_or(0);
+        // lint: allow(alloc, O(p^2) M2L accumulator per empty-cell chain)
+        let mut acc = vec![0.0f64; 2 * tri_len(widest)];
         #[allow(clippy::needless_range_loop)] // `l` indexes several level-keyed arrays
-        for l in la + 1..=self.levels {
-            let tl = tri_len(self.degrees[l]);
+        for l in la + 1..=geo.levels {
+            let tl = tri_len(geo.degrees[l]);
             // lint: allow(alloc, O(p^2) per level of the on-demand chain)
             let mut next = vec![0.0f64; 2 * tl];
             if l >= 2 {
-                let lv = &self.ops[l];
+                let lv = &geo.ops[l];
                 // L2L from the (possibly itself empty) parent chain; the
                 // parent local below level 2 is identically zero.
                 // lint: allow(float_cmp, exact-zero skip of an identically-zero parent local)
@@ -620,26 +824,23 @@ impl CompiledFmm {
                 let (x, y, z) = mbt_geometry::morton::decode(path[l]);
                 let parity = ((x & 1) | (y & 1) << 1 | (z & 1) << 2) as usize;
                 let side = 1i64 << l;
-                let mult = &self.mult_re[l];
-                for &(dx, dy, dz, op) in &self.by_parity[parity] {
-                    let sx = i64::from(x) + i64::from(dx);
-                    let sy = i64::from(y) + i64::from(dy);
-                    let sz = i64::from(z) + i64::from(dz);
-                    if sx < 0 || sy < 0 || sz < 0 || sx >= side || sy >= side || sz >= side {
-                        continue;
-                    }
-                    let scode = mbt_geometry::morton::encode(sx as u32, sy as u32, sz as u32);
-                    let si = self.occ[l][scode as usize];
-                    if si != 0 {
-                        let si = si as usize - 1;
-                        let oi = op as usize;
-                        m2l_apply(
-                            &lv.m2l_ops[oi * lv.m2l_stride..(oi + 1) * lv.m2l_stride],
-                            &mult[si * 2 * tl..(si + 1) * 2 * tl],
-                            &mut next,
-                        );
-                    }
-                }
+                let list =
+                    offset_tables().by_parity[parity]
+                        .iter()
+                        .filter_map(|&(dx, dy, dz, op)| {
+                            let sx = i64::from(x) + i64::from(dx);
+                            let sy = i64::from(y) + i64::from(dy);
+                            let sz = i64::from(z) + i64::from(dz);
+                            if sx < 0 || sy < 0 || sz < 0 || sx >= side || sy >= side || sz >= side
+                            {
+                                return None;
+                            }
+                            let scode =
+                                mbt_geometry::morton::encode(sx as u32, sy as u32, sz as u32);
+                            let si = geo.occ[l][scode as usize] as usize;
+                            (si != 0).then(|| (si - 1, op as usize))
+                        });
+                geo.add_m2l(l, &self.mult_re[l], list, &mut acc[..2 * tl], &mut next);
             }
             cur = next;
         }
@@ -688,16 +889,16 @@ impl CompiledFmm {
         fields: &mut [(f64, Vec3)],
         want_fields: bool,
     ) -> EvalStats {
-        let p = self.degrees[self.levels];
-        let cells = 1u32 << self.levels;
+        let p = self.geo.degrees[self.geo.levels];
+        let cells = 1u32 << self.geo.levels;
 
         // group in-bounds points by finest cell; out-of-bounds directly
         let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(points.len());
         // lint: allow(alloc, O(points) grouping scratch per external query)
         let mut outside: Vec<u32> = Vec::new();
         for (i, pt) in points.iter().enumerate() {
-            if self.bounds.contains(*pt) {
-                let (x, y, z) = cell_of(&self.bounds, cells, *pt);
+            if self.geo.bounds.contains(*pt) {
+                let (x, y, z) = cell_of(&self.geo.bounds, cells, *pt);
                 keyed.push((mbt_geometry::morton::encode(x, y, z), i as u32));
             } else {
                 outside.push(i as u32);
@@ -728,7 +929,7 @@ impl CompiledFmm {
                 let local = self.local_for_cell(code);
                 let mut lc = Vec::with_capacity(local.len() / 2);
                 Self::lift_local(&local, &mut lc);
-                let center = cell_center(&self.bounds, cells, x, y, z);
+                let center = cell_center(&self.geo.bounds, cells, x, y, z);
                 let near = self.near_ranges(x, y, z);
                 let mut gather = NearGather::default();
                 self.gather_near(&near, &mut gather);
@@ -783,12 +984,22 @@ impl CompiledFmm {
                 let pt = points[idx as usize];
                 if want_fields {
                     let (phi, grad, pairs) = mbt_multipole::p2p_field_span_guarded(
-                        &self.xs, &self.ys, &self.zs, &self.qs, pt, 0.0,
+                        &self.geo.xs,
+                        &self.geo.ys,
+                        &self.geo.zs,
+                        &self.qs,
+                        pt,
+                        0.0,
                     );
                     (idx, phi, grad, pairs)
                 } else {
                     let (phi, pairs) = mbt_multipole::p2p_potential_span_guarded(
-                        &self.xs, &self.ys, &self.zs, &self.qs, pt, 0.0,
+                        &self.geo.xs,
+                        &self.geo.ys,
+                        &self.geo.zs,
+                        &self.qs,
+                        pt,
+                        0.0,
                     );
                     (idx, phi, Vec3::ZERO, pairs)
                 }
@@ -810,9 +1021,11 @@ impl CompiledFmm {
 
 /// Probes one M2L operator: the real-linear map from a source multipole's
 /// stored `m ≥ 0` span to the target local's span, for source center
-/// `d_vec` relative to the target. Column-major `2T × 2T`.
+/// `d_vec` relative to the target. Column-major `2T × 2T`. Called only to
+/// fill the unit table ([`unit_m2l`]) — and by the tests that hold the
+/// scaled table against it.
 fn probe_m2l(mat: &mut [f64], d_vec: Vec3, p: usize, t: usize) {
-    // lint: allow(alloc, cold path: operator probe at plan build)
+    // lint: allow(alloc, one probe vector per operator of a unit-table fill)
     let mut probe = vec![Complex::ZERO; t];
     for k in 0..t {
         for (part, unit) in [Complex::ONE, Complex::I].into_iter().enumerate() {
@@ -838,7 +1051,7 @@ fn probe_m2l(mat: &mut [f64], d_vec: Vec3, p: usize, t: usize) {
 /// a child local (degree `p`) centered at `delta`. Column-major
 /// `2T × 2T_par`.
 fn probe_l2l(mat: &mut [f64], delta: Vec3, p_par: usize, p: usize, t_par: usize, t: usize) {
-    // lint: allow(alloc, cold path: operator probe at plan build)
+    // lint: allow(alloc, one probe vector per L2L operator of a geometry build)
     let mut probe = vec![Complex::ZERO; t_par];
     for k in 0..t_par {
         for (part, unit) in [Complex::ONE, Complex::I].into_iter().enumerate() {
@@ -862,8 +1075,9 @@ fn probe_l2l(mat: &mut [f64], delta: Vec3, p_par: usize, p: usize, t_par: usize,
 /// The [`FmmEvalMode`]-dispatching front door: builds whichever
 /// implementation the params select and exposes the shared evaluation
 /// surface. When the compiled backend cannot represent the hierarchy
-/// (deeper than [`COMPILED_MAX_LEVELS`]), construction falls back to the
-/// scalar reference rather than failing.
+/// (deeper than [`COMPILED_MAX_LEVELS`], or a degree above
+/// [`COMPILED_MAX_DEGREE`]), construction falls back to the scalar
+/// reference rather than failing.
 pub enum FmmEvaluator {
     /// The per-cell scalar reference pipeline.
     Scalar(Fmm),
@@ -878,7 +1092,7 @@ impl FmmEvaluator {
             FmmEvalMode::Scalar => Fmm::new(particles, params).map(FmmEvaluator::Scalar),
             FmmEvalMode::Compiled => match CompiledFmm::new(particles, params) {
                 Ok(c) => Ok(FmmEvaluator::Compiled(c)),
-                Err(FmmError::DenseGridTooDeep { .. }) => {
+                Err(FmmError::DenseGridTooDeep { .. } | FmmError::OperatorTableTooLarge { .. }) => {
                     Fmm::new(particles, params).map(FmmEvaluator::Scalar)
                 }
                 Err(e) => Err(e),
@@ -939,6 +1153,50 @@ mod tests {
                 (x & 1, y & 1, z & 1)
             );
         }
+    }
+
+    #[test]
+    fn scaled_unit_table_matches_probing_at_every_edge() {
+        // scale invariance: the operator over separation d·Δ is the unit
+        // table entry times d^-(j+n+1), across twelve decades of edge
+        let p = 5;
+        let t = tri_len(p);
+        let width = 2 * t;
+        let unit = unit_m2l(p);
+        let offsets = &offset_tables().offsets;
+        let mut degree_of = Vec::with_capacity(width);
+        for n in 0..=p {
+            for _ in 0..=n {
+                degree_of.extend([n as i32; 2]);
+            }
+        }
+        let mut probed = vec![0.0f64; width * width];
+        for edge in [1e-6, 0.25, 1.0, 1e6] {
+            for oi in [0usize, 57, 158, 315] {
+                let (dx, dy, dz) = offsets[oi];
+                probed.fill(0.0);
+                let d_vec = Vec3::new(f64::from(dx), f64::from(dy), f64::from(dz)) * edge;
+                probe_m2l(&mut probed, d_vec, p, t);
+                let mat = &unit[oi * width * width..(oi + 1) * width * width];
+                let largest = probed.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                assert!(largest > 0.0);
+                for col in 0..width {
+                    for row in 0..width {
+                        let scale = edge.powi(-(degree_of[row] + degree_of[col] + 1));
+                        let want = probed[col * width + row];
+                        let got = mat[col * width + row] * scale;
+                        // entries of one (j, n) block share a scale, so
+                        // compare against the block's own magnitude
+                        let block = scale * mat.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                        assert!(
+                            (got - want).abs() <= 1e-10 * want.abs().max(1e-6 * block),
+                            "edge {edge}, offset {oi}, ({row},{col}): {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(shared_operator_bytes() >= M2L_OFFSET_CLASSES * width * width * 8);
     }
 
     #[test]

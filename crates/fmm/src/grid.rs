@@ -1,10 +1,12 @@
 //! Level-synchronised cell grids for the FMM.
 //!
 //! Level `l` divides the root cube into `2^l` cells per axis. Only occupied
-//! cells are stored; each knows its integer coordinates, geometric center,
-//! contiguous particle range (particles are sorted by finest-level Morton
-//! key, and coarse cells cover contiguous unions of their children's
-//! ranges), and total absolute charge.
+//! cells are stored; each knows its integer coordinates, geometric center
+//! and contiguous particle range (particles are sorted by finest-level
+//! Morton key, and coarse cells cover contiguous unions of their children's
+//! ranges). A grid is pure geometry: the per-cell absolute charges the
+//! degree rule weighs are computed beside it
+//! ([`crate::method::level_degrees`]), so a charge update never touches it.
 
 use std::collections::HashMap;
 
@@ -41,6 +43,17 @@ pub enum FmmError {
         /// The compiled maximum ([`crate::compiled::COMPILED_MAX_LEVELS`]).
         max: usize,
     },
+    /// A level with an M2L list resolved a degree above the compiled
+    /// backend's cap: its unit operator table is process-wide and never
+    /// freed, so its size is bounded by refusing larger degrees (the
+    /// scalar reference has no such limit; [`crate::FmmEvaluator`] falls
+    /// back to it).
+    OperatorTableTooLarge {
+        /// The offending degree.
+        degree: usize,
+        /// The compiled maximum ([`crate::compiled::COMPILED_MAX_DEGREE`]).
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for FmmError {
@@ -63,6 +76,12 @@ impl std::fmt::Display for FmmError {
                 write!(
                     f,
                     "{levels} levels exceed the compiled backend's dense-table maximum of {max}"
+                )
+            }
+            FmmError::OperatorTableTooLarge { degree, max } => {
+                write!(
+                    f,
+                    "expansion degree {degree} exceeds the compiled backend's operator-table maximum of {max}"
                 )
             }
         }
@@ -88,8 +107,6 @@ pub struct LevelGrid {
     pub centers: Vec<Vec3>,
     /// Contiguous particle ranges `[start, end)` in the sorted array.
     pub ranges: Vec<(u32, u32)>,
-    /// Total absolute charge per cell.
-    pub abs_charge: Vec<f64>,
     /// Cell edge length at this level.
     pub cell_edge: f64,
 }
@@ -115,23 +132,22 @@ impl LevelGrid {
     pub fn find(&self, x: u32, y: u32, z: u32) -> Option<usize> {
         self.index.get(&cell_key(x, y, z)).copied()
     }
+}
 
-    /// Median positive cell `|charge|` — the reference weight for the
-    /// per-level adaptive degree rule.
-    pub fn median_abs_charge(&self) -> f64 {
-        let mut ws: Vec<f64> = self
-            .abs_charge
-            .iter()
-            .copied()
-            .filter(|&w| w > 0.0)
-            // lint: allow(alloc, cold path: weight medians are taken once per build)
-            .collect();
-        if ws.is_empty() {
-            return 0.0;
-        }
-        let mid = ws.len() / 2;
-        *ws.select_nth_unstable_by(mid, f64::total_cmp).1
+/// Median positive cell `|charge|` of one level — the reference weight
+/// for the per-level adaptive degree rule.
+pub(crate) fn median_positive(abs_charge: &[f64]) -> f64 {
+    let mut ws: Vec<f64> = abs_charge
+        .iter()
+        .copied()
+        .filter(|&w| w > 0.0)
+        // lint: allow(alloc, weight medians are taken once per level and charge pass)
+        .collect();
+    if ws.is_empty() {
+        return 0.0;
     }
+    let mid = ws.len() / 2;
+    *ws.select_nth_unstable_by(mid, f64::total_cmp).1
 }
 
 /// The geometric center of cell `(x, y, z)` at a level with `cells` cells

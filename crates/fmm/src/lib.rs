@@ -30,6 +30,8 @@ pub mod compiled;
 pub mod grid;
 pub mod method;
 
-pub use compiled::{CompiledFmm, FmmEvaluator, COMPILED_MAX_LEVELS};
+pub use compiled::{
+    shared_operator_bytes, CompiledFmm, FmmEvaluator, COMPILED_MAX_DEGREE, COMPILED_MAX_LEVELS,
+};
 pub use grid::{cell_key, FmmError, LevelGrid};
 pub use method::{Fmm, FmmEvalMode, FmmParams, MAX_LEVELS};

@@ -7,7 +7,9 @@ use mbt_multipole::{DegreeSelector, LocalExpansion, MultipoleExpansion, MAX_DEGR
 use mbt_treecode::EvalStats;
 use rayon::prelude::*;
 
-use crate::grid::{cell_center, cell_key, cell_of, key_coords, FmmError, LevelGrid};
+use crate::grid::{
+    cell_center, cell_key, cell_of, key_coords, median_positive, FmmError, LevelGrid,
+};
 
 /// Deepest supported level: finest-level cell coordinates must fit the
 /// 21-bit-per-axis key resolution with headroom.
@@ -195,19 +197,20 @@ fn spread_rank(particles: &[Particle]) -> SpreadRank {
     SpreadRank::Collinear
 }
 
-/// The structure every FMM implementation shares: Morton-sorted particles,
-/// per-level occupied-cell grids, and per-level expansion degrees.
+/// The geometry every FMM implementation shares: Morton-sorted particles
+/// and per-level occupied-cell grids. A pure function of the particle
+/// **positions** and the level count — charges ride along in `sorted` but
+/// influence nothing here, which is what lets a charge update reuse it.
 pub(crate) struct FmmStructure {
     pub bounds: Aabb,
     pub levels: usize,
-    pub degrees: Vec<usize>,
     pub sorted: Vec<Particle>,
     pub perm: Vec<usize>,
     pub grids: Vec<LevelGrid>,
 }
 
-/// Validates, sorts, grids, and picks degrees — the build prefix common to
-/// the scalar reference and the compiled arenas.
+/// Validates, sorts and grids — the build prefix common to the scalar
+/// reference and the compiled arenas.
 pub(crate) fn build_structure(
     particles: &[Particle],
     params: &FmmParams,
@@ -237,7 +240,6 @@ pub(crate) fn build_structure(
             keys: Vec::new(),
             centers: Vec::new(),
             ranges: Vec::new(),
-            abs_charge: Vec::new(),
             cell_edge: bounds.edge() / f64::from(1u32 << level),
         });
     }
@@ -256,8 +258,6 @@ pub(crate) fn build_structure(
             g.keys.push(key);
             g.centers.push(cell_center(&bounds, cells_finest, x, y, z));
             g.ranges.push((start as u32, end as u32));
-            g.abs_charge
-                .push(sorted[start..end].iter().map(|p| p.charge.abs()).sum());
             start = end;
         }
     }
@@ -274,51 +274,84 @@ pub(crate) fn build_structure(
             if let Some(&pi) = coarse.index.get(&pk) {
                 coarse.ranges[pi].1 = coarse.ranges[pi].1.max(fine.ranges[ci].1);
                 coarse.ranges[pi].0 = coarse.ranges[pi].0.min(fine.ranges[ci].0);
-                coarse.abs_charge[pi] += fine.abs_charge[ci];
             } else {
                 let (px, py, pz) = (x >> 1, y >> 1, z >> 1);
                 coarse.index.insert(pk, coarse.keys.len());
                 coarse.keys.push(pk);
                 coarse.centers.push(cell_center(&bounds, cells, px, py, pz));
                 coarse.ranges.push(fine.ranges[ci]);
-                coarse.abs_charge.push(fine.abs_charge[ci]);
             }
         }
     }
 
-    // per-level degrees. Fixed/Adaptive equalise against the finest
-    // level's median weight as reference (weights grow toward the root);
-    // Tolerance picks, per level, the smallest degree whose Theorem-1
-    // bound at the level's worst M2L geometry (cluster radius d·√3/2,
-    // center separation 2d — the nearest non-adjacent cell) over the
-    // level's **largest** cell charge meets the budget, so every compiled
-    // translation honours `tol`.
-    let ref_weight = grids[levels].median_abs_charge().max(1e-300);
-    let degrees: Vec<usize> = (0..=levels)
-        .map(|l| {
-            if let DegreeSelector::Tolerance { tol, p_min, p_max } = params.degree {
-                let edge = grids[l].cell_edge;
-                let a = edge * mbt_multipole::bounds::CUBE_CIRCUMRADIUS_RATIO;
-                let q_max = grids[l].abs_charge.iter().copied().fold(0.0f64, f64::max);
-                return mbt_multipole::degree_for_tolerance_at(q_max, a, 2.0 * edge, tol, p_max)
-                    .max(p_min);
-            }
-            let w = params
-                .degree
-                .weight(grids[l].median_abs_charge(), grids[l].cell_edge);
-            let wr = params.degree.weight(ref_weight, grids[levels].cell_edge);
-            params.degree.degree_for(w, wr)
-        })
-        .collect();
-
     Ok(FmmStructure {
         bounds,
         levels,
-        degrees,
         sorted,
         perm,
         grids,
     })
+}
+
+/// The per-level expansion degrees for the charges in `sorted` — the one
+/// charge-dependent decision of the build, shared by the scalar
+/// reference, the compiled build and the compiled charge update so all
+/// three resolve identical degree vectors from identical inputs.
+///
+/// Fixed/Adaptive equalise against the finest level's median cell weight
+/// as reference (weights grow toward the root); Tolerance picks, per
+/// level, the smallest degree whose Theorem-1 bound at the level's worst
+/// M2L geometry (cluster radius d·√3/2, center separation 2d — the
+/// nearest non-adjacent cell) over the level's **largest** cell charge
+/// meets the budget, so every compiled translation honours `tol`.
+pub(crate) fn level_degrees(
+    grids: &[LevelGrid],
+    sorted: &[Particle],
+    selector: DegreeSelector,
+) -> Vec<usize> {
+    // per-cell |charge|: the finest level from its particle runs, coarser
+    // levels from their children (Morton order keeps a parent's children
+    // contiguous, so one forward walk over the parents finds each)
+    let levels = grids.len() - 1;
+    let mut abs_charge: Vec<Vec<f64>> = vec![Vec::new(); levels + 1];
+    abs_charge[levels] = grids[levels]
+        .ranges
+        .iter()
+        .map(|&(s, e)| {
+            sorted[s as usize..e as usize]
+                .iter()
+                .map(|p| p.charge.abs())
+                .sum()
+        })
+        .collect();
+    for l in (0..levels).rev() {
+        let (coarse, fine) = (&grids[l], &grids[l + 1]);
+        let mut weights = vec![0.0f64; coarse.len()];
+        let mut pi = 0usize;
+        for (ci, &w) in abs_charge[l + 1].iter().enumerate() {
+            while coarse.ranges[pi].1 <= fine.ranges[ci].0 {
+                pi += 1;
+            }
+            weights[pi] += w;
+        }
+        abs_charge[l] = weights;
+    }
+
+    let ref_weight = median_positive(&abs_charge[levels]).max(1e-300);
+    let wr = selector.weight(ref_weight, grids[levels].cell_edge);
+    (0..=levels)
+        .map(|l| {
+            let edge = grids[l].cell_edge;
+            if let DegreeSelector::Tolerance { tol, p_min, p_max } = selector {
+                let a = edge * mbt_multipole::bounds::CUBE_CIRCUMRADIUS_RATIO;
+                let q_max = abs_charge[l].iter().copied().fold(0.0f64, f64::max);
+                return mbt_multipole::degree_for_tolerance_at(q_max, a, 2.0 * edge, tol, p_max)
+                    .max(p_min);
+            }
+            let w = selector.weight(median_positive(&abs_charge[l]), edge);
+            selector.degree_for(w, wr)
+        })
+        .collect()
 }
 
 /// A fully built FMM, ready to evaluate.
@@ -342,17 +375,19 @@ impl Fmm {
         let FmmStructure {
             bounds,
             levels,
-            degrees,
             sorted,
             perm,
             grids,
         } = build_structure(particles, &params)?;
+        let degrees = level_degrees(&grids, &sorted, params.degree);
 
         // upward: P2M per level directly from the particles (each level's
-        // expansion is then exact at its own degree — see the crate docs)
+        // expansion is then exact at its own degree — see the crate docs).
+        // Levels 0 and 1 have no well-separated cells, so nothing ever
+        // reads their multipoles: they are not formed.
         let mut translation_terms = 0u64;
-        let mut multipoles: Vec<Vec<MultipoleExpansion>> = Vec::with_capacity(levels + 1);
-        for (l, grid) in grids.iter().enumerate() {
+        let mut multipoles: Vec<Vec<MultipoleExpansion>> = vec![Vec::new(); levels + 1];
+        for (l, grid) in grids.iter().enumerate().skip(2) {
             let p = degrees[l];
             let exps: Vec<MultipoleExpansion> = (0..grid.len())
                 .into_par_iter()
@@ -366,7 +401,7 @@ impl Fmm {
                 })
                 .collect();
             translation_terms += (grid.len() as u64) * ((p as u64 + 1) * (p as u64 + 1));
-            multipoles.push(exps);
+            multipoles[l] = exps;
         }
 
         // downward: locals per level; levels 0 and 1 have no
@@ -479,6 +514,8 @@ impl Fmm {
     }
 
     /// The multipole expansions of one level (diagnostics / testing).
+    /// Empty for levels 0 and 1, whose multipoles are never read and so
+    /// never formed.
     #[must_use]
     pub fn multipoles(&self, level: usize) -> &[MultipoleExpansion] {
         &self.multipoles[level]
