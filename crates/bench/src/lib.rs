@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use mbt_geometry::distribution::{overlapped_gaussians, uniform_cube, ChargeModel};
 use mbt_geometry::Particle;
-use mbt_treecode::{sampled_relative_error, EvalStats, Treecode, TreecodeParams};
+use mbt_treecode::{sampled_relative_error, Treecode, TreecodeParams};
 
 /// Times a closure, returning (result, seconds).
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -124,17 +124,6 @@ pub fn per_chunk_work(tc: &Treecode, chunk: usize) -> Vec<u64> {
         start = end;
     }
     works
-}
-
-/// Formats a stats line for harness output.
-#[must_use]
-pub fn stats_line(stats: &EvalStats) -> String {
-    format!(
-        "interactions/target = {:.1}, direct pairs = {}, max degree = {}",
-        stats.interactions_per_target(),
-        stats.direct_pairs,
-        stats.max_degree_used()
-    )
 }
 
 #[cfg(test)]

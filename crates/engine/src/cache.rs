@@ -38,7 +38,7 @@ use crate::error::EngineError;
 use crate::flight::{Flight, SingleFlight};
 use crate::plan::{Plan, PlanKey};
 use crate::registry::DatasetId;
-use crate::stats::StatsCollector;
+use crate::stats::{Metric, StatsCollector};
 
 /// One resident entry.
 #[derive(Debug)]
@@ -376,7 +376,7 @@ impl PlanCache {
             |lru| {
                 let plan = Arc::clone(lru.get(&key)?);
                 if plan.epoch == epoch {
-                    stats.record_hit();
+                    stats.bump(Metric::cache_hits);
                     Some(plan)
                 } else {
                     *other.borrow_mut() = Some(plan);
@@ -385,9 +385,9 @@ impl PlanCache {
             },
             |leads| {
                 if leads {
-                    stats.record_miss();
+                    stats.bump(Metric::cache_misses);
                 } else {
-                    stats.record_coalesced();
+                    stats.bump(Metric::coalesced_misses);
                 }
             },
             || {
@@ -538,7 +538,7 @@ mod tests {
         assert_eq!((old.epoch, outcome), (1, CacheOutcome::Recharged));
         let (plan, outcome) = cache.get_or_build_at(key, 3, &stats, make(3)).unwrap();
         assert_eq!((plan.epoch, outcome), (3, CacheOutcome::Hit));
-        let s = stats.snapshot(crate::stats::Gauges::default());
+        let s = stats.snapshot(&[]);
         assert_eq!((s.plan_builds, s.plan_recharges, s.evictions), (1, 2, 0));
         assert_eq!((s.cache_hits, s.cache_misses), (2, 3));
         assert_eq!(cache.retire(DatasetId(1)), 0);
@@ -563,18 +563,14 @@ mod tests {
                     // hold the flight open until the follower has
                     // coalesced, so the panic demonstrably lands on a
                     // parked waiter rather than an empty ticket
-                    while stats
-                        .snapshot(crate::stats::Gauges::default())
-                        .coalesced_misses
-                        == 0
-                    {
+                    while stats.snapshot(&[]).coalesced_misses == 0 {
                         std::thread::yield_now();
                     }
                     panic!("builder died mid-flight")
                 })
             });
             // wait until the leader owns the flight, then coalesce onto it
-            while stats.snapshot(crate::stats::Gauges::default()).cache_misses == 0 {
+            while stats.snapshot(&[]).cache_misses == 0 {
                 std::thread::yield_now();
             }
             let got =

@@ -42,7 +42,7 @@ use crate::plan::{Accuracy, EvalConfig, Plan, PlanKey};
 use crate::registry::{Dataset, DatasetId, DatasetRegistry};
 use crate::route::{route, Backend};
 use crate::scheduler::{Batcher, GroupKey};
-use crate::stats::{EngineStats, Gauges, StatsCollector};
+use crate::stats::{EngineStats, Metric, StatsCollector};
 use crate::tenant::{TenantConfig, TenantId, TenantTable};
 use crate::wfq::{Admission, FairGate};
 
@@ -358,7 +358,7 @@ pub(crate) fn sweep<P: AsRef<[Vec3]>>(
     let mut live = Vec::with_capacity(riders.len());
     for (i, rider) in riders.iter().enumerate() {
         if rider.deadline.is_some_and(|d| now >= d) {
-            stats.record_shed_deadline();
+            stats.bump(Metric::shed_deadline);
             answers.push(Err(EngineError::DeadlineExceeded));
         } else {
             live.push(i);
@@ -470,7 +470,7 @@ impl Engine {
     /// hold; later ones get [`EngineError::UnknownDataset`].
     pub fn unregister(&self, id: DatasetId) -> Result<(), EngineError> {
         self.registry.remove(id)?;
-        self.stats.record_retired();
+        self.stats.bump(Metric::datasets_retired);
         self.purge(id);
         Ok(())
     }
@@ -680,7 +680,7 @@ impl Engine {
             match self.tenants.admit_request(r.tenant) {
                 Ok(()) => solvent.push(i),
                 Err(e) => {
-                    self.stats.record_shed_quota();
+                    self.stats.bump(Metric::shed_quota);
                     slots[i] = Some(Err(e));
                 }
             }
@@ -689,11 +689,11 @@ impl Engine {
         let deadline = solvent.iter().filter_map(|&i| requests[i].deadline).min();
         let weight = self.tenants.weight(tenant);
         let admission = self.gate.admit_observed(tenant, weight, deadline, |depth| {
-            self.stats.observe_queue_depth(depth);
+            self.stats.max(Metric::queue_peak, depth as u64);
         });
         let shed = match admission {
             Admission::Admitted { waited } => {
-                self.stats.record_admitted();
+                self.stats.bump(Metric::admitted);
                 self.stats.record_admission_wait(waited);
                 for &i in &solvent {
                     self.tenants.note_admitted(requests[i].tenant);
@@ -701,11 +701,11 @@ impl Engine {
                 return Some(Permit(&self.gate));
             }
             Admission::Overloaded { in_flight, queued } => {
-                self.stats.record_shed_overload();
+                self.stats.bump(Metric::shed_overload);
                 EngineError::Overloaded { in_flight, queued }
             }
             Admission::DeadlineExpired => {
-                self.stats.record_shed_deadline();
+                self.stats.bump(Metric::shed_deadline);
                 EngineError::DeadlineExceeded
             }
         };
@@ -826,7 +826,7 @@ impl Engine {
     /// engine fault that must not masquerade as client-caused shedding.
     fn settle(&self, slot: Slot) -> Result<QueryResponse, EngineError> {
         slot.unwrap_or_else(|| {
-            self.stats.record_worker_panic();
+            self.stats.bump(Metric::worker_panics);
             Err(EngineError::WorkerPanicked)
         })
     }
@@ -958,17 +958,20 @@ impl Engine {
                 .unwrap_or_else(PoisonError::into_inner);
             (map.len(), map.values().map(|s| s.heap_bytes()).sum())
         };
-        let mut stats = self.stats.snapshot(Gauges {
-            resident_plans,
-            resident_bytes,
-            cache_budget_bytes: self.config.cache_budget_bytes,
-            datasets: self.registry.len(),
-            in_flight,
-            queue_depth,
-            skeletons,
-            skeleton_bytes,
-            shared_operator_bytes: mbt_fmm::shared_operator_bytes(),
-        });
+        let mut stats = self.stats.snapshot(&[
+            (Metric::resident_plans, resident_plans),
+            (Metric::resident_bytes, resident_bytes),
+            (Metric::cache_budget_bytes, self.config.cache_budget_bytes),
+            (Metric::datasets, self.registry.len()),
+            (Metric::in_flight, in_flight),
+            (Metric::queue_depth, queue_depth),
+            (Metric::skeletons, skeletons),
+            (Metric::skeleton_bytes, skeleton_bytes),
+            (
+                Metric::shared_operator_bytes,
+                mbt_fmm::shared_operator_bytes(),
+            ),
+        ]);
         stats.per_tenant = self.tenants.breakdown();
         stats
     }

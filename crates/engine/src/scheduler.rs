@@ -28,7 +28,7 @@ use crate::engine::{Rider, Swept};
 use crate::error::EngineError;
 use crate::flight::Combiner;
 use crate::plan::{EvalConfig, PlanKey};
-use crate::stats::StatsCollector;
+use crate::stats::{Metric, StatsCollector};
 
 /// What requests must share to ride one sweep: a plan × what is being
 /// computed × how the sweep executes × the dataset's charge epoch. Plan
@@ -95,7 +95,7 @@ impl Batcher {
             },
             sweep,
             || {
-                stats.record_worker_panic();
+                stats.bump(Metric::worker_panics);
                 Err(EngineError::WorkerPanicked)
             },
         )
@@ -193,7 +193,7 @@ mod tests {
             }
         });
         // every request was answered through some batch
-        let snap = stats.snapshot(crate::stats::Gauges::default());
+        let snap = stats.snapshot(&[]);
         assert_eq!(snap.batched_requests, n_threads);
         assert!(snap.batches <= n_threads);
         assert_eq!(snap.eval_points, n_threads * 10);
@@ -217,7 +217,7 @@ mod tests {
             &stats,
         );
         assert_eq!(res.unwrap_err(), EngineError::DeadlineExceeded);
-        let snap = stats.snapshot(crate::stats::Gauges::default());
+        let snap = stats.snapshot(&[]);
         assert_eq!(snap.shed_deadline, 1);
         assert_eq!(snap.batches, 0); // no evaluation ran
     }
@@ -244,7 +244,7 @@ mod tests {
         // the panic reached the leading caller; the substitute stamped
         // the typed error and its counter on the way out
         assert!(attempt.is_err());
-        let snap = stats.snapshot(crate::stats::Gauges::default());
+        let snap = stats.snapshot(&[]);
         assert_eq!(snap.worker_panics, 1);
         assert_eq!(snap.shed_deadline, 0, "a panic is not client shedding");
 

@@ -1,12 +1,20 @@
 //! Engine observability.
 //!
-//! [`StatsCollector`] is the write side: plain atomics and fixed-bucket
-//! [`Histogram`]s bumped from the hot paths (no allocation; the only
-//! lock guards the per-plan breakdown and is taken once per *build* or
-//! *batch*, never per point). [`EngineStats`] is the read side: a plain
-//! owned struct snapshotted on demand. Serialisation to Prometheus text
-//! and JSON lives in [`crate::export`] so the snapshot itself stays free
-//! of any exporter dependency.
+//! Everything the engine counts is declared **once**, in the
+//! `engine_metrics!` table below: a row names the [`EngineStats`] field,
+//! its JSON group and key, its Prometheus series (counter or gauge, with
+//! help text) — or says why one format lacks it. The macro derives from
+//! the rows the snapshot struct, the [`Metric`] index of the collector's
+//! counter array, the snapshot assembly, and the [`SCALARS`] /
+//! [`DISTRIBUTIONS`] tables that [`crate::export`] walks to write both
+//! documents. Adding a counter is one row plus its
+//! [`StatsCollector::bump`] call site.
+//!
+//! [`StatsCollector`] is the write side: one array of atomics and
+//! fixed-bucket [`Histogram`]s bumped from the hot paths (no allocation;
+//! the only lock guards the per-plan breakdown and is taken once per
+//! *build* or *batch*, never per point). [`EngineStats`] is the read
+//! side: a plain owned struct snapshotted on demand.
 //!
 //! Latency is tracked as half-octave (√2-spaced) histograms, so
 //! `build_seconds`/`eval_seconds` totals are exact sums while p50/p95/p99
@@ -26,6 +34,7 @@ use mbt_obs::{
     Histogram, HistogramSnapshot, Phase, Recorder, RingRecorder, SlowLog, SlowQuery, Span,
 };
 
+use crate::export::{prom, Column, Distribution, Value};
 use crate::fanout::FanoutBreakdown;
 use crate::plan::PlanKey;
 use crate::registry::DatasetId;
@@ -39,8 +48,312 @@ const SLOW_LOG_CAPACITY: usize = 128;
 /// Default slow-query threshold when none is configured.
 pub(crate) const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_millis(250);
 
+/// How a scalar of each field type is read out of its `u64` slot and
+/// handed to the exporters.
+trait Scalar: Copy {
+    fn from_slot(raw: u64) -> Self;
+    fn value(self) -> Value;
+}
+
+impl Scalar for u64 {
+    fn from_slot(raw: u64) -> u64 {
+        raw
+    }
+    fn value(self) -> Value {
+        Value::U64(self)
+    }
+}
+
+impl Scalar for usize {
+    fn from_slot(raw: u64) -> usize {
+        raw as usize
+    }
+    fn value(self) -> Value {
+        Value::U64(self as u64)
+    }
+}
+
+/// The `f64` scalars are nanosecond totals, read out in seconds.
+impl Scalar for f64 {
+    fn from_slot(raw: u64) -> f64 {
+        raw as f64 * 1e-9
+    }
+    fn value(self) -> Value {
+        Value::F64(self)
+    }
+}
+
+/// Declares the engine's metrics. Per scalar row:
+/// `/// doc` `field: type => "json key" [counter|gauge "prometheus name"
+/// "help"];` inside its JSON group (`""` is the document root), or
+/// `[json_only]` with the reason in a comment; an `f64` field is a
+/// nanosecond total read out in seconds (see [`Scalar`]). Per latency
+/// row: the digest field, the raw-bucket field, then the JSON key, the
+/// Prometheus base name and the help text (see [`Distribution`]).
+macro_rules! engine_metrics {
+    (
+        scalars { $( $group:literal { $(
+            $(#[$doc:meta])* $field:ident: $ty:ty => $key:literal $prom:tt;
+        )* } )* }
+        latencies { $(
+            $(#[$ddoc:meta])* $digest:ident, $(#[$bdoc:meta])* $buckets:ident
+                => $lkey:literal, $base:literal, $help:literal;
+        )* }
+    ) => {
+        /// The index of one scalar in the collector's counter array —
+        /// the argument of [`StatsCollector::bump`], `add` and `max`.
+        /// Slots the collector does not count itself (gauges the engine
+        /// supplies, values read off the ring, the slow log and the
+        /// histograms) stay zero there and are filled at snapshot time.
+        #[allow(non_camel_case_types)]
+        #[derive(Debug, Clone, Copy)]
+        pub(crate) enum Metric { $($( $field, )*)* }
+
+        const METRICS: usize = [$($( Metric::$field, )*)*].len();
+
+        /// The index of one latency distribution in the collector's
+        /// histogram array.
+        #[allow(non_camel_case_types)]
+        #[derive(Debug, Clone, Copy)]
+        enum Latency { $( $digest, )* }
+
+        const LATENCIES: usize = [$( Latency::$digest, )*].len();
+
+        /// A point-in-time view of everything the engine counts. Plain
+        /// data — `Clone`, no atomics, no locks — so exporters can hold
+        /// or diff snapshots freely. [`EngineStats::to_prometheus`] and
+        /// [`EngineStats::to_json`] (in [`crate::export`]) serialise it.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct EngineStats {
+            $($( $(#[$doc])* pub $field: $ty, )*)*
+            $( $(#[$ddoc])* pub $digest: LatencySummary, )*
+            $( $(#[$bdoc])* pub $buckets: HistogramSnapshot, )*
+            /// Per-plan work breakdown, sorted by `(dataset, plan)`.
+            pub per_plan: Vec<PlanBreakdown>,
+            /// Per-dataset aggregate, sorted by dataset id.
+            pub per_dataset: Vec<DatasetBreakdown>,
+            /// Per-tenant accounts (weights, admissions, sheds, budget
+            /// charges), sorted by tenant id. Empty until a request
+            /// names a tenant.
+            pub per_tenant: Vec<TenantBreakdown>,
+        }
+
+        impl EngineStats {
+            /// One value per [`Metric`] and one histogram per
+            /// [`Latency`], as the snapshot's fields. The engine owns the
+            /// tenant table and splices `per_tenant` in afterwards.
+            fn assemble(
+                slots: &[u64; METRICS],
+                histograms: [HistogramSnapshot; LATENCIES],
+                per_plan: Vec<PlanBreakdown>,
+                per_dataset: Vec<DatasetBreakdown>,
+            ) -> EngineStats {
+                let [$( $buckets, )*] = histograms;
+                EngineStats {
+                    $($( $field: <$ty as Scalar>::from_slot(slots[Metric::$field as usize]), )*)*
+                    $( $digest: LatencySummary::of(&$buckets), $buckets, )*
+                    per_plan,
+                    per_dataset,
+                    per_tenant: Vec::new(),
+                }
+            }
+        }
+
+        /// Every scalar, by JSON group, in declaration order.
+        pub(crate) static SCALARS: &[(&str, &[Column<EngineStats>])] = &[$(
+            ($group, &[$( Column {
+                key: $key,
+                get: |s| s.$field.value(),
+                prom: prom!($prom),
+            }, )*]),
+        )*];
+
+        /// The five latency distributions, in declaration order.
+        pub(crate) static DISTRIBUTIONS: &[Distribution] = &[$( Distribution {
+            key: $lkey,
+            base: $base,
+            help: $help,
+            digest: |s| &s.$digest,
+            buckets: |s| &s.$buckets,
+        }, )*];
+    };
+}
+
+engine_metrics! {
+    scalars {
+        "cache" {
+            /// Queries served from a resident plan.
+            cache_hits: u64 => "hits"
+                [counter "mbt_cache_hits_total" "Queries served from a resident plan"];
+            /// Queries that found no resident plan at their dataset's
+            /// charge epoch and led a build or a recharge (`plan_builds`
+            /// + `plan_recharges`, plus any that failed).
+            cache_misses: u64 => "misses"
+                [counter "mbt_cache_misses_total" "Queries that led a plan build or recharge"];
+            /// Queries that found a build already in flight and waited
+            /// for it (single-flight coalescing).
+            coalesced_misses: u64 => "coalesced_misses" [counter
+                "mbt_cache_coalesced_misses_total" "Queries that waited on an in-flight build"];
+            /// Plans actually built — geometry builds; recharges are not
+            /// among them.
+            plan_builds: u64 => "plan_builds"
+                [counter "mbt_plan_builds_total" "Plans actually built"];
+            /// Resident plans carried to another charge epoch over their
+            /// cached geometry (after [`crate::Engine::update_charges`])
+            /// instead of being built.
+            plan_recharges: u64 => "plan_recharges" [counter "mbt_plan_recharges_total"
+                "Resident plans carried to a new charge epoch over cached geometry"];
+            /// Total wall time spent building plans.
+            // json_only: Prometheus carries it as mbt_build_latency_seconds_sum
+            build_seconds: f64 => "build_seconds" [json_only];
+            /// Plans evicted to respect the byte budget.
+            evictions: u64 => "evictions"
+                [counter "mbt_plan_evictions_total" "Plans evicted for the byte budget"];
+            /// Total bytes of evicted plans.
+            evicted_bytes: u64 => "evicted_bytes"
+                [counter "mbt_evicted_bytes_total" "Bytes of evicted plans"];
+            /// Plans currently resident in the cache.
+            resident_plans: usize => "resident_plans"
+                [gauge "mbt_resident_plans" "Plans resident in the cache"];
+            /// Bytes currently resident in the cache.
+            resident_bytes: usize => "resident_bytes"
+                [gauge "mbt_resident_bytes" "Bytes resident in the cache"];
+            /// The cache byte budget.
+            cache_budget_bytes: usize => "budget_bytes"
+                [gauge "mbt_cache_budget_bytes" "Plan-cache byte budget"];
+            /// Heap bytes of the process-wide FMM unit operator tables —
+            /// shared by every engine in the process, owned by no plan,
+            /// outside the cache budget
+            /// ([`mbt_fmm::shared_operator_bytes`]).
+            shared_operator_bytes: usize => "shared_operator_bytes"
+                [gauge "mbt_shared_operator_bytes"
+                "Process-wide FMM unit operator tables, outside the cache budget"];
+        }
+        "eval" {
+            /// Batched evaluation sweeps executed.
+            batches: u64 => "batches" [counter "mbt_batches_total" "Evaluation sweeps executed"];
+            /// Requests that rode in those sweeps.
+            batched_requests: u64 => "batched_requests"
+                [counter "mbt_batched_requests_total" "Requests served by those sweeps"];
+            /// Largest number of requests coalesced into one sweep.
+            max_batch: u64 => "max_batch" [gauge "mbt_max_batch" "Largest coalesced sweep"];
+            /// Total observation points evaluated.
+            eval_points: u64 => "points"
+                [counter "mbt_eval_points_total" "Observation points evaluated"];
+            /// Total wall time spent in evaluation sweeps.
+            // json_only: Prometheus carries it as mbt_eval_latency_seconds_sum
+            eval_seconds: f64 => "eval_seconds" [json_only];
+            /// Evaluation sweeps whose leader panicked (surfaced to riders
+            /// as [`crate::EngineError::WorkerPanicked`]).
+            worker_panics: u64 => "worker_panics" [counter "mbt_worker_panics_total"
+                "Evaluation sweeps that panicked (answered WorkerPanicked)"];
+        }
+        "admission" {
+            /// Requests admitted past the gate.
+            admitted: u64 => "admitted"
+                [counter "mbt_admitted_total" "Requests admitted past the gate"];
+            /// Requests shed because the queue was full.
+            shed_overload: u64 => "shed_overload"
+                [counter "mbt_shed_overload_total" "Requests shed on a full queue"];
+            /// Requests shed because their deadline expired while queued.
+            shed_deadline: u64 => "shed_deadline"
+                [counter "mbt_shed_deadline_total" "Requests shed on an expired deadline"];
+            /// Requests shed because their tenant exhausted a configured
+            /// budget.
+            shed_quota: u64 => "shed_quota"
+                [counter "mbt_shed_quota_total" "Requests shed on an exhausted tenant budget"];
+            /// Requests currently being evaluated.
+            in_flight: usize => "in_flight"
+                [gauge "mbt_in_flight" "Requests currently evaluating"];
+            /// Requests currently waiting for an evaluation slot.
+            queue_depth: usize => "queue_depth"
+                [gauge "mbt_queue_depth" "Requests waiting for a slot"];
+            /// Largest queue depth observed.
+            queue_peak: u64 => "queue_peak"
+                [gauge "mbt_queue_peak" "Largest observed queue depth"];
+        }
+        "sharding" {
+            /// Queries (or batch groups) served through the sharded
+            /// fan-out path.
+            sharded_queries: u64 => "queries" [counter "mbt_sharded_queries_total"
+                "Queries served through the sharded fan-out path"];
+            /// Fan-out routing decisions answered entirely by the global
+            /// aggregate expansion (one evaluation instead of `k`).
+            global_shortcuts: u64 => "global_shortcuts" [counter "mbt_global_shortcuts_total"
+                "Fan-out decisions answered by the global aggregate expansion"];
+            /// Fan-out `(point, shard)` pairs answered by a shard's
+            /// skeleton summary without opening the shard's plan.
+            skeleton_evals: u64 => "skeleton_evals" [counter "mbt_skeleton_evals_total"
+                "Point-shard pairs answered by a skeleton summary"];
+            /// Fan-out `(point, shard)` pairs that had to open the shard's
+            /// plan because the error bound refused the skeleton summary.
+            shard_opens: u64 => "shard_opens" [counter "mbt_shard_opens_total"
+                "Point-shard pairs that opened the shard's plan"];
+            /// Global skeletons currently cached.
+            skeletons: usize => "skeletons"
+                [gauge "mbt_skeletons" "Global skeletons currently cached"];
+            /// Heap bytes held by those skeletons.
+            skeleton_bytes: usize => "skeleton_bytes"
+                [gauge "mbt_skeleton_bytes" "Heap bytes held by cached skeletons"];
+        }
+        "routing" {
+            /// Requests the router sent to the direct-summation backend.
+            routed_direct: u64 => "direct"
+                [counter "mbt_routed_direct_total" "Requests routed to direct summation"];
+            /// Requests the router sent to the treecode backend.
+            routed_treecode: u64 => "treecode" [counter "mbt_routed_treecode_total"
+                "Requests routed to the compiled treecode backend"];
+            /// Requests the router sent to the compiled-FMM backend.
+            routed_fmm: u64 => "fmm"
+                [counter "mbt_routed_fmm_total" "Requests routed to the compiled FMM backend"];
+        }
+        "" {
+            /// Registered datasets.
+            datasets: usize => "datasets" [gauge "mbt_datasets" "Registered datasets"];
+            /// Datasets unregistered ([`crate::Engine::unregister`]); their
+            /// plans left the cache as retirements, not evictions.
+            datasets_retired: u64 => "datasets_retired"
+                [counter "mbt_datasets_retired_total" "Datasets unregistered"];
+            /// Requests that crossed the slow-query threshold.
+            slow_queries: u64 => "slow_queries"
+                [counter "mbt_slow_queries_total" "Requests past the slow-query threshold"];
+            /// Engine-phase spans dropped by the bounded ring under
+            /// contention.
+            spans_dropped: u64 => "spans_dropped" [counter "mbt_spans_dropped_total"
+                "Engine-phase spans dropped by the bounded ring"];
+            /// Seqlock validation retries taken while snapshotting the
+            /// span ring (a reader raced a writer mid-slot and re-read it).
+            span_read_retries: u64 => "span_read_retries" [counter "mbt_span_read_retries_total"
+                "Seqlock validation retries while snapshotting the span ring"];
+        }
+    }
+    latencies {
+        /// Plan-build latency digest.
+        build_latency,
+        /// Raw plan-build latency buckets.
+        build_histogram => "build", "mbt_build_latency", "Plan-build wall time";
+        /// Evaluation-sweep latency digest.
+        eval_latency,
+        /// Raw evaluation-sweep latency buckets.
+        eval_histogram => "eval", "mbt_eval_latency", "Evaluation-sweep wall time";
+        /// End-to-end request latency digest (admission → response).
+        query_latency,
+        /// Raw end-to-end request latency buckets.
+        query_histogram => "query", "mbt_query_latency", "End-to-end request wall time";
+        /// Admission-queue wait digest (zeros dominate when uncontended).
+        admission_wait,
+        /// Raw admission-wait buckets.
+        wait_histogram => "admission_wait", "mbt_admission_wait", "Admission-queue wait";
+        /// Sharded fan-out latency digest (routing + shard sweeps +
+        /// reduce).
+        fanout_latency,
+        /// Raw sharded fan-out latency buckets.
+        fanout_histogram => "fanout", "mbt_fanout_latency", "Sharded fan-out wall time";
+    }
+}
+
 /// Per-plan running totals, guarded by the collector's mutex.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PlanCounters {
     dataset: u64,
     builds: u64,
@@ -49,20 +362,6 @@ struct PlanCounters {
     requests: u64,
     points: u64,
     eval: Histogram,
-}
-
-impl PlanCounters {
-    fn new(dataset: u64) -> PlanCounters {
-        PlanCounters {
-            dataset,
-            builds: 0,
-            build_ns: 0,
-            batches: 0,
-            requests: 0,
-            points: 0,
-            eval: Histogram::new(),
-        }
-    }
 }
 
 /// A stable per-process label for one plan: the key's hash under a
@@ -82,43 +381,10 @@ fn saturating_ns(d: Duration) -> u64 {
 /// Lock-free counters and histograms the engine's layers write into.
 #[derive(Debug)]
 pub struct StatsCollector {
-    // plan cache
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    coalesced_misses: AtomicU64,
-    plan_builds: AtomicU64,
-    plan_recharges: AtomicU64,
-    datasets_retired: AtomicU64,
-    evictions: AtomicU64,
-    evicted_bytes: AtomicU64,
-    // batched evaluation
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    max_batch: AtomicU64,
-    eval_points: AtomicU64,
-    // backend routing decisions
-    routed_direct: AtomicU64,
-    routed_treecode: AtomicU64,
-    routed_fmm: AtomicU64,
-    // sharded fan-out routing
-    sharded_queries: AtomicU64,
-    global_shortcuts: AtomicU64,
-    skeleton_evals: AtomicU64,
-    shard_opens: AtomicU64,
-    // admission control
-    admitted: AtomicU64,
-    shed_overload: AtomicU64,
-    shed_deadline: AtomicU64,
-    shed_quota: AtomicU64,
-    queue_peak: AtomicU64,
-    // batch-leader panics surfaced as WorkerPanicked
-    worker_panics: AtomicU64,
-    // latency distributions
-    build_hist: Histogram,
-    eval_hist: Histogram,
-    query_hist: Histogram,
-    wait_hist: Histogram,
-    fanout_hist: Histogram,
+    /// One slot per [`Metric`].
+    counters: [AtomicU64; METRICS],
+    /// One histogram per [`Latency`].
+    latencies: [Histogram; LATENCIES],
     // bounded engine-phase span ring + slow-query log
     spans: RingRecorder,
     slow: SlowLog,
@@ -139,41 +405,34 @@ impl StatsCollector {
     #[must_use]
     pub fn with_slow_threshold(slow_threshold: Duration) -> StatsCollector {
         StatsCollector {
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            coalesced_misses: AtomicU64::new(0),
-            plan_builds: AtomicU64::new(0),
-            plan_recharges: AtomicU64::new(0),
-            datasets_retired: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            evicted_bytes: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-            eval_points: AtomicU64::new(0),
-            routed_direct: AtomicU64::new(0),
-            routed_treecode: AtomicU64::new(0),
-            routed_fmm: AtomicU64::new(0),
-            sharded_queries: AtomicU64::new(0),
-            global_shortcuts: AtomicU64::new(0),
-            skeleton_evals: AtomicU64::new(0),
-            shard_opens: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            shed_overload: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
-            shed_quota: AtomicU64::new(0),
-            queue_peak: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            build_hist: Histogram::new(),
-            eval_hist: Histogram::new(),
-            query_hist: Histogram::new(),
-            wait_hist: Histogram::new(),
-            fanout_hist: Histogram::new(),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            latencies: std::array::from_fn(|_| Histogram::new()),
             spans: RingRecorder::new(SPAN_RING_CAPACITY),
             slow: SlowLog::new(SLOW_LOG_CAPACITY),
             slow_threshold_ns: saturating_ns(slow_threshold),
             per_plan: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// Adds `by` to a monotonic counter.
+    pub(crate) fn add(&self, metric: Metric, by: u64) {
+        // ordering: Relaxed — independent monotonic counter; no data is published through it
+        self.counters[metric as usize].fetch_add(by, Ordering::Relaxed);
+    }
+
+    /// Adds one to a monotonic counter.
+    pub(crate) fn bump(&self, metric: Metric) {
+        self.add(metric, 1);
+    }
+
+    /// Raises a running maximum to at least `seen`.
+    pub(crate) fn max(&self, metric: Metric, seen: u64) {
+        // ordering: Relaxed — running maximum; the RMW itself is atomic, order against other counters is irrelevant
+        self.counters[metric as usize].fetch_max(seen, Ordering::Relaxed);
+    }
+
+    fn observe(&self, latency: Latency, took: Duration) {
+        self.latencies[latency as usize].record(took);
     }
 
     /// One span, ending now on the process-epoch timeline, into the
@@ -188,47 +447,32 @@ impl StatsCollector {
         });
     }
 
-    pub(crate) fn record_hit(&self) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_miss(&self) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_coalesced(&self) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.coalesced_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_build(&self, key: PlanKey, took: Duration) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.plan_builds.fetch_add(1, Ordering::Relaxed);
-        self.build_hist.record(took);
-        self.emit_span(Phase::PlanBuild, took);
+    /// Updates `key`'s row of the per-plan breakdown under its lock.
+    fn with_plan(&self, key: PlanKey, update: impl FnOnce(&mut PlanCounters)) {
         let mut plans = self.per_plan.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = plans
-            .entry(key)
-            .or_insert_with(|| PlanCounters::new(key.dataset().0));
-        entry.builds += 1;
-        entry.build_ns += saturating_ns(took);
+        update(plans.entry(key).or_insert_with(|| PlanCounters {
+            dataset: key.dataset().0,
+            ..PlanCounters::default()
+        }));
+    }
+
+    /// One geometry build of `key`'s plan.
+    pub(crate) fn record_build(&self, key: PlanKey, took: Duration) {
+        self.bump(Metric::plan_builds);
+        self.observe(Latency::build_latency, took);
+        self.emit_span(Phase::PlanBuild, took);
+        self.with_plan(key, |plan| {
+            plan.builds += 1;
+            plan.build_ns += saturating_ns(took);
+        });
     }
 
     /// One resident plan carried to another charge epoch. Counted apart
     /// from builds (`plan_builds` and the build histogram are geometry
     /// builds only); the time shows as a [`Phase::PlanBuild`] span.
     pub(crate) fn record_recharge(&self, took: Duration) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.plan_recharges.fetch_add(1, Ordering::Relaxed);
+        self.bump(Metric::plan_recharges);
         self.emit_span(Phase::PlanBuild, took);
-    }
-
-    /// One dataset unregistered.
-    pub(crate) fn record_retired(&self) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.datasets_retired.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drops the per-plan rows of a retired `dataset` (idempotent), so a
@@ -240,14 +484,13 @@ impl StatsCollector {
             .retain(|key, _| key.dataset() != dataset);
     }
 
+    /// One plan of `bytes` evicted for the byte budget.
     pub(crate) fn record_eviction(&self, bytes: usize) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.evicted_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        self.bump(Metric::evictions);
+        self.add(Metric::evicted_bytes, bytes as u64);
     }
 
+    /// One evaluation sweep against `key`'s plan.
     pub(crate) fn record_batch(
         &self,
         key: PlanKey,
@@ -255,60 +498,45 @@ impl StatsCollector {
         points: usize,
         took: Duration,
     ) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.batched_requests
-            .fetch_add(requests as u64, Ordering::Relaxed);
-        // ordering: Relaxed — running maximum; the RMW itself is atomic, order against other counters is irrelevant
-        self.max_batch.fetch_max(requests as u64, Ordering::Relaxed);
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.eval_points.fetch_add(points as u64, Ordering::Relaxed);
-        self.eval_hist.record(took);
+        self.bump(Metric::batches);
+        self.add(Metric::batched_requests, requests as u64);
+        self.max(Metric::max_batch, requests as u64);
+        self.add(Metric::eval_points, points as u64);
+        self.observe(Latency::eval_latency, took);
         self.emit_span(Phase::BatchExecute, took);
-        let mut plans = self.per_plan.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = plans
-            .entry(key)
-            .or_insert_with(|| PlanCounters::new(key.dataset().0));
-        entry.batches += 1;
-        entry.requests += requests as u64;
-        entry.points += points as u64;
-        entry.eval.record(took);
+        self.with_plan(key, |plan| {
+            plan.batches += 1;
+            plan.requests += requests as u64;
+            plan.points += points as u64;
+            plan.eval.record(took);
+        });
     }
 
     /// One backend routing decision (one per request, batched or not).
     pub(crate) fn record_route(&self, backend: Backend) {
-        let counter = match backend {
-            Backend::Direct => &self.routed_direct,
-            Backend::Treecode => &self.routed_treecode,
-            Backend::Fmm => &self.routed_fmm,
-        };
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.bump(match backend {
+            Backend::Direct => Metric::routed_direct,
+            Backend::Treecode => Metric::routed_treecode,
+            Backend::Fmm => Metric::routed_fmm,
+        });
     }
 
     /// One sharded fan-out: its routing counters (per-tier interaction
     /// decisions summed over the fan-out's points × shards) plus its
     /// end-to-end latency.
     pub(crate) fn record_fanout(&self, fan: &FanoutBreakdown, took: Duration) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.sharded_queries.fetch_add(1, Ordering::Relaxed);
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.global_shortcuts
-            .fetch_add(fan.global_shortcuts, Ordering::Relaxed);
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.skeleton_evals
-            .fetch_add(fan.skeleton_evals, Ordering::Relaxed);
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.shard_opens.fetch_add(fan.opens, Ordering::Relaxed);
-        self.fanout_hist.record(took);
+        self.bump(Metric::sharded_queries);
+        self.add(Metric::global_shortcuts, fan.global_shortcuts);
+        self.add(Metric::skeleton_evals, fan.skeleton_evals);
+        self.add(Metric::shard_opens, fan.opens);
+        self.observe(Latency::fanout_latency, took);
         self.emit_span(Phase::ShardFanout, took);
     }
 
     /// Time a request spent queued at the admission gate (zero for
     /// fast-path admissions, which emit no span).
     pub(crate) fn record_admission_wait(&self, waited: Duration) {
-        self.wait_hist.record(waited);
+        self.observe(Latency::admission_wait, waited);
         if !waited.is_zero() {
             self.emit_span(Phase::AdmissionWait, waited);
         }
@@ -323,7 +551,7 @@ impl StatsCollector {
         total: Duration,
         waited: Duration,
     ) {
-        self.query_hist.record(total);
+        self.observe(Latency::query_latency, total);
         let total_ns = saturating_ns(total);
         if total_ns >= self.slow_threshold_ns {
             self.slow.record(SlowQuery {
@@ -333,36 +561,6 @@ impl StatsCollector {
                 wait_ns: saturating_ns(waited),
             });
         }
-    }
-
-    pub(crate) fn record_admitted(&self) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_shed_overload(&self) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.shed_overload.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_shed_deadline(&self) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.shed_deadline.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_shed_quota(&self) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.shed_quota.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_worker_panic(&self) {
-        // ordering: Relaxed — independent monotonic counter; no data is published through it
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn observe_queue_depth(&self, depth: usize) {
-        // ordering: Relaxed — running maximum; the RMW itself is atomic, order against other counters is irrelevant
-        self.queue_peak.fetch_max(depth as u64, Ordering::Relaxed);
     }
 
     /// Recent engine-phase spans (admission wait, plan build, batch
@@ -376,17 +574,24 @@ impl StatsCollector {
         self.slow.entries()
     }
 
-    /// Snapshot of the counters; the gauges (`queue_depth`, `in_flight`,
-    /// cache residency, dataset count) are supplied by the engine, which
-    /// owns the structures they describe.
-    pub(crate) fn snapshot(&self, gauges: Gauges) -> EngineStats {
-        // ordering: Relaxed — statistical snapshot; counters are independent, slight skew between them is acceptable
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let build = self.build_hist.snapshot();
-        let eval = self.eval_hist.snapshot();
-        let query = self.query_hist.snapshot();
-        let wait = self.wait_hist.snapshot();
-        let fanout = self.fanout_hist.snapshot();
+    /// Snapshot of everything counted here, plus `gauges`: the values
+    /// of the metrics the engine reads off the structures it owns
+    /// (`queue_depth`, `in_flight`, cache residency, dataset count, …).
+    pub(crate) fn snapshot(&self, gauges: &[(Metric, usize)]) -> EngineStats {
+        let mut slots: [u64; METRICS] = std::array::from_fn(|i| {
+            // ordering: Relaxed — statistical snapshot; counters are independent, slight skew between them is acceptable
+            self.counters[i].load(Ordering::Relaxed)
+        });
+        let histograms: [HistogramSnapshot; LATENCIES] =
+            std::array::from_fn(|i| self.latencies[i].snapshot());
+        slots[Metric::build_seconds as usize] = histograms[Latency::build_latency as usize].sum_ns;
+        slots[Metric::eval_seconds as usize] = histograms[Latency::eval_latency as usize].sum_ns;
+        slots[Metric::slow_queries as usize] = self.slow.recorded();
+        slots[Metric::spans_dropped as usize] = self.spans.dropped();
+        slots[Metric::span_read_retries as usize] = self.spans.read_retries();
+        for &(metric, value) in gauges {
+            slots[metric as usize] = value as u64;
+        }
 
         let (per_plan, per_dataset) = {
             let plans = self.per_plan.lock().unwrap_or_else(PoisonError::into_inner);
@@ -434,77 +639,8 @@ impl StatsCollector {
             (per_plan, per_dataset)
         };
 
-        EngineStats {
-            cache_hits: ld(&self.cache_hits),
-            cache_misses: ld(&self.cache_misses),
-            coalesced_misses: ld(&self.coalesced_misses),
-            plan_builds: ld(&self.plan_builds),
-            plan_recharges: ld(&self.plan_recharges),
-            datasets_retired: ld(&self.datasets_retired),
-            build_seconds: build.sum_ns as f64 * 1e-9,
-            evictions: ld(&self.evictions),
-            evicted_bytes: ld(&self.evicted_bytes),
-            batches: ld(&self.batches),
-            batched_requests: ld(&self.batched_requests),
-            max_batch: ld(&self.max_batch),
-            eval_seconds: eval.sum_ns as f64 * 1e-9,
-            eval_points: ld(&self.eval_points),
-            routed_direct: ld(&self.routed_direct),
-            routed_treecode: ld(&self.routed_treecode),
-            routed_fmm: ld(&self.routed_fmm),
-            sharded_queries: ld(&self.sharded_queries),
-            global_shortcuts: ld(&self.global_shortcuts),
-            skeleton_evals: ld(&self.skeleton_evals),
-            shard_opens: ld(&self.shard_opens),
-            admitted: ld(&self.admitted),
-            shed_overload: ld(&self.shed_overload),
-            shed_deadline: ld(&self.shed_deadline),
-            shed_quota: ld(&self.shed_quota),
-            queue_peak: ld(&self.queue_peak),
-            worker_panics: ld(&self.worker_panics),
-            build_latency: LatencySummary::of(&build),
-            eval_latency: LatencySummary::of(&eval),
-            query_latency: LatencySummary::of(&query),
-            admission_wait: LatencySummary::of(&wait),
-            fanout_latency: LatencySummary::of(&fanout),
-            build_histogram: build,
-            eval_histogram: eval,
-            query_histogram: query,
-            wait_histogram: wait,
-            fanout_histogram: fanout,
-            slow_queries: self.slow.recorded(),
-            spans_dropped: self.spans.dropped(),
-            span_read_retries: self.spans.read_retries(),
-            per_plan,
-            per_dataset,
-            // the engine owns the tenant table and fills this in
-            // Engine::stats; a bare collector snapshot reports none
-            per_tenant: Vec::new(),
-            resident_plans: gauges.resident_plans,
-            resident_bytes: gauges.resident_bytes,
-            cache_budget_bytes: gauges.cache_budget_bytes,
-            datasets: gauges.datasets,
-            in_flight: gauges.in_flight,
-            queue_depth: gauges.queue_depth,
-            skeletons: gauges.skeletons,
-            skeleton_bytes: gauges.skeleton_bytes,
-            shared_operator_bytes: gauges.shared_operator_bytes,
-        }
+        EngineStats::assemble(&slots, histograms, per_plan, per_dataset)
     }
-}
-
-/// Point-in-time gauges merged into a snapshot.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Gauges {
-    pub resident_plans: usize,
-    pub resident_bytes: usize,
-    pub cache_budget_bytes: usize,
-    pub datasets: usize,
-    pub in_flight: usize,
-    pub queue_depth: usize,
-    pub skeletons: usize,
-    pub skeleton_bytes: usize,
-    pub shared_operator_bytes: usize,
 }
 
 /// Five-number latency digest of one histogram, in milliseconds.
@@ -580,133 +716,6 @@ pub struct DatasetBreakdown {
     pub points: u64,
     /// Sweep-latency digest merged across the dataset's plans.
     pub eval: LatencySummary,
-}
-
-/// A point-in-time view of everything the engine counts. Plain data —
-/// `Clone`, no atomics, no locks — so exporters can hold or diff
-/// snapshots freely. [`EngineStats::to_prometheus`] and
-/// [`EngineStats::to_json`] (in [`crate::export`]) serialise it.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EngineStats {
-    /// Queries served from a resident plan.
-    pub cache_hits: u64,
-    /// Queries that found no resident plan at their dataset's charge
-    /// epoch and led a build or a recharge (`plan_builds` +
-    /// `plan_recharges`, plus any that failed).
-    pub cache_misses: u64,
-    /// Queries that found a build already in flight and waited for it
-    /// (single-flight coalescing).
-    pub coalesced_misses: u64,
-    /// Plans actually built — geometry builds; recharges are not among
-    /// them.
-    pub plan_builds: u64,
-    /// Resident plans carried to another charge epoch over their cached
-    /// geometry (after [`crate::Engine::update_charges`]) instead of
-    /// being built.
-    pub plan_recharges: u64,
-    /// Datasets unregistered ([`crate::Engine::unregister`]); their plans
-    /// left the cache as retirements, not evictions.
-    pub datasets_retired: u64,
-    /// Total wall time spent building plans.
-    pub build_seconds: f64,
-    /// Plans evicted to respect the byte budget.
-    pub evictions: u64,
-    /// Total bytes of evicted plans.
-    pub evicted_bytes: u64,
-    /// Plans currently resident in the cache.
-    pub resident_plans: usize,
-    /// Bytes currently resident in the cache.
-    pub resident_bytes: usize,
-    /// The cache byte budget.
-    pub cache_budget_bytes: usize,
-    /// Registered datasets.
-    pub datasets: usize,
-    /// Batched evaluation sweeps executed.
-    pub batches: u64,
-    /// Requests that rode in those sweeps.
-    pub batched_requests: u64,
-    /// Largest number of requests coalesced into one sweep.
-    pub max_batch: u64,
-    /// Total wall time spent in evaluation sweeps.
-    pub eval_seconds: f64,
-    /// Total observation points evaluated.
-    pub eval_points: u64,
-    /// Requests the router sent to the direct-summation backend.
-    pub routed_direct: u64,
-    /// Requests the router sent to the treecode backend.
-    pub routed_treecode: u64,
-    /// Requests the router sent to the compiled-FMM backend.
-    pub routed_fmm: u64,
-    /// Queries (or batch groups) served through the sharded fan-out path.
-    pub sharded_queries: u64,
-    /// Fan-out routing decisions answered entirely by the global
-    /// aggregate expansion (one evaluation instead of `k`).
-    pub global_shortcuts: u64,
-    /// Fan-out `(point, shard)` pairs answered by a shard's skeleton
-    /// summary without opening the shard's plan.
-    pub skeleton_evals: u64,
-    /// Fan-out `(point, shard)` pairs that had to open the shard's plan
-    /// because the error bound refused the skeleton summary.
-    pub shard_opens: u64,
-    /// Global skeletons currently cached.
-    pub skeletons: usize,
-    /// Heap bytes held by those skeletons.
-    pub skeleton_bytes: usize,
-    /// Heap bytes of the process-wide FMM unit operator tables — shared
-    /// by every engine in the process, owned by no plan, outside the
-    /// cache budget ([`mbt_fmm::shared_operator_bytes`]).
-    pub shared_operator_bytes: usize,
-    /// Requests admitted past the gate.
-    pub admitted: u64,
-    /// Requests shed because the queue was full.
-    pub shed_overload: u64,
-    /// Requests shed because their deadline expired while queued.
-    pub shed_deadline: u64,
-    /// Requests shed because their tenant exhausted a configured budget.
-    pub shed_quota: u64,
-    /// Evaluation sweeps whose leader panicked (surfaced to riders as
-    /// [`crate::EngineError::WorkerPanicked`]).
-    pub worker_panics: u64,
-    /// Requests currently being evaluated.
-    pub in_flight: usize,
-    /// Requests currently waiting for an evaluation slot.
-    pub queue_depth: usize,
-    /// Largest queue depth observed.
-    pub queue_peak: u64,
-    /// Plan-build latency digest.
-    pub build_latency: LatencySummary,
-    /// Evaluation-sweep latency digest.
-    pub eval_latency: LatencySummary,
-    /// End-to-end request latency digest (admission → response).
-    pub query_latency: LatencySummary,
-    /// Admission-queue wait digest (zeros dominate when uncontended).
-    pub admission_wait: LatencySummary,
-    /// Sharded fan-out latency digest (routing + shard sweeps + reduce).
-    pub fanout_latency: LatencySummary,
-    /// Raw plan-build latency buckets.
-    pub build_histogram: HistogramSnapshot,
-    /// Raw evaluation-sweep latency buckets.
-    pub eval_histogram: HistogramSnapshot,
-    /// Raw end-to-end request latency buckets.
-    pub query_histogram: HistogramSnapshot,
-    /// Raw admission-wait buckets.
-    pub wait_histogram: HistogramSnapshot,
-    /// Raw sharded fan-out latency buckets.
-    pub fanout_histogram: HistogramSnapshot,
-    /// Requests that crossed the slow-query threshold.
-    pub slow_queries: u64,
-    /// Engine-phase spans dropped by the bounded ring under contention.
-    pub spans_dropped: u64,
-    /// Seqlock validation retries taken while snapshotting the span ring
-    /// (a reader raced a writer mid-slot and re-read it).
-    pub span_read_retries: u64,
-    /// Per-plan work breakdown, sorted by `(dataset, plan)`.
-    pub per_plan: Vec<PlanBreakdown>,
-    /// Per-dataset aggregate, sorted by dataset id.
-    pub per_dataset: Vec<DatasetBreakdown>,
-    /// Per-tenant accounts (weights, admissions, sheds, budget charges),
-    /// sorted by tenant id. Empty until a request names a tenant.
-    pub per_tenant: Vec<TenantBreakdown>,
 }
 
 impl EngineStats {
@@ -805,31 +814,29 @@ mod tests {
     #[test]
     fn counters_roll_up_into_snapshot() {
         let c = StatsCollector::default();
-        c.record_hit();
-        c.record_hit();
-        c.record_miss();
-        c.record_coalesced();
+        c.bump(Metric::cache_hits);
+        c.bump(Metric::cache_hits);
+        c.bump(Metric::cache_misses);
+        c.bump(Metric::coalesced_misses);
         c.record_build(key(0, 4), Duration::from_millis(5));
         c.record_eviction(1024);
         c.record_recharge(Duration::from_millis(1));
         c.record_batch(key(0, 4), 3, 300, Duration::from_millis(2));
         c.record_batch(key(0, 4), 7, 700, Duration::from_millis(2));
-        c.record_admitted();
-        c.record_shed_overload();
-        c.record_shed_deadline();
-        c.record_shed_quota();
-        c.record_worker_panic();
-        c.observe_queue_depth(4);
-        c.observe_queue_depth(2);
-        let s = c.snapshot(Gauges {
-            resident_plans: 1,
-            resident_bytes: 4096,
-            cache_budget_bytes: 1 << 20,
-            datasets: 2,
-            in_flight: 1,
-            queue_depth: 0,
-            ..Gauges::default()
-        });
+        c.bump(Metric::admitted);
+        c.bump(Metric::shed_overload);
+        c.bump(Metric::shed_deadline);
+        c.bump(Metric::shed_quota);
+        c.bump(Metric::worker_panics);
+        c.max(Metric::queue_peak, 4);
+        c.max(Metric::queue_peak, 2);
+        let s = c.snapshot(&[
+            (Metric::resident_plans, 1),
+            (Metric::resident_bytes, 4096),
+            (Metric::cache_budget_bytes, 1 << 20),
+            (Metric::datasets, 2),
+            (Metric::in_flight, 1),
+        ]);
         assert_eq!(s.cache_hits, 2);
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.coalesced_misses, 1);
@@ -882,7 +889,7 @@ mod tests {
         c.record_build(key(1, 4), Duration::from_millis(1));
         c.record_batch(key(0, 4), 1, 10, Duration::from_micros(100));
         c.record_batch(key(0, 5), 2, 20, Duration::from_micros(200));
-        let s = c.snapshot(Gauges::default());
+        let s = c.snapshot(&[]);
         assert_eq!(s.per_plan.len(), 3);
         // sorted by (dataset, plan): dataset 1 comes last
         assert_eq!(s.per_plan[2].dataset, 1);
@@ -903,12 +910,9 @@ mod tests {
         c.record_build(key(0, 4), Duration::from_millis(1));
         c.record_batch(key(0, 5), 1, 10, Duration::from_micros(100));
         c.record_build(key(1, 4), Duration::from_millis(1));
-        c.record_retired();
+        c.bump(Metric::datasets_retired);
         c.forget_dataset(DatasetId(0));
-        let s = c.snapshot(Gauges {
-            shared_operator_bytes: 4096,
-            ..Gauges::default()
-        });
+        let s = c.snapshot(&[(Metric::shared_operator_bytes, 4096)]);
         assert_eq!(s.datasets_retired, 1);
         assert_eq!(s.shared_operator_bytes, 4096);
         assert_eq!(s.per_plan.len(), 1);
@@ -926,7 +930,7 @@ mod tests {
         c.record_route(Backend::Treecode);
         c.record_route(Backend::Fmm);
         c.record_route(Backend::Direct);
-        let s = c.snapshot(Gauges::default());
+        let s = c.snapshot(&[]);
         assert_eq!(s.routed_treecode, 2);
         assert_eq!(s.routed_fmm, 1);
         assert_eq!(s.routed_direct, 1);
@@ -945,7 +949,7 @@ mod tests {
         assert_eq!(slow[0].points, 80);
         assert_eq!(slow[0].total_ns, 12_000_000);
         assert_eq!(slow[0].wait_ns, 4_000_000);
-        let s = c.snapshot(Gauges::default());
+        let s = c.snapshot(&[]);
         assert_eq!(s.query_latency.count, 2);
         assert_eq!(s.slow_queries, 1);
     }
@@ -955,7 +959,7 @@ mod tests {
         let c = StatsCollector::default();
         c.record_admission_wait(Duration::ZERO);
         c.record_admission_wait(Duration::from_millis(3));
-        let s = c.snapshot(Gauges::default());
+        let s = c.snapshot(&[]);
         assert_eq!(s.admission_wait.count, 2);
         assert!((s.admission_wait.max_ms - 3.0).abs() < 1e-9);
         let spans = c.spans();
@@ -975,11 +979,7 @@ mod tests {
         };
         c.record_fanout(&fan, Duration::from_millis(3));
         c.record_fanout(&fan, Duration::from_millis(1));
-        let s = c.snapshot(Gauges {
-            skeletons: 2,
-            skeleton_bytes: 512,
-            ..Gauges::default()
-        });
+        let s = c.snapshot(&[(Metric::skeletons, 2), (Metric::skeleton_bytes, 512)]);
         assert_eq!(s.sharded_queries, 2);
         assert_eq!(s.global_shortcuts, 10);
         assert_eq!(s.skeleton_evals, 22);

@@ -3,9 +3,10 @@
 //!
 //! The writers exist so `EngineStats` can be exported without pulling a
 //! serialisation crate into the workspace; the checkers
-//! ([`json_is_valid`], [`prometheus_is_valid`]) let bench smoke tests
-//! assert that whatever the writers produced actually parses, keeping
-//! the hand-rolled encoders honest.
+//! ([`json_is_valid`], [`prometheus_is_valid`]) are independent
+//! hand-rolled parsers, so the engine's export tests (and its
+//! concurrent-load consistency test) assert that whatever the writers
+//! produced parses against a grammar rather than against themselves.
 
 use std::fmt::Write as _;
 
