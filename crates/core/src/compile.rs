@@ -33,11 +33,9 @@
 use mbt_geometry::Vec3;
 use mbt_multipole::batch::{
     m2p_field_group, m2p_field_group_uniform, m2p_potential_group, m2p_potential_group_uniform,
-    p2p_field_span_guarded, p2p_field_span_guarded_f32, p2p_potential_span, p2p_potential_span_f32,
-    p2p_potential_span_guarded, p2p_potential_span_guarded_f32, BatchWorkspace, M2pGroup,
-    M2P_LANES,
+    p2p_span, BatchWorkspace, M2pGroup, M2P_LANES,
 };
-use mbt_multipole::{simd, Complex};
+use mbt_multipole::{simd, Complex, Real};
 use mbt_tree::NodeId;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -651,13 +649,14 @@ impl Treecode {
         }
     }
 
-    /// Streams the P2P spans over the SoA particle mirror. `unguarded`
-    /// selects the source-sweep kernel (self already excluded by span
-    /// splitting, pairs counted at compile time); external sweeps use the
-    /// guarded kernel and count surviving pairs here, matching the scalar
-    /// external loop. With [`Precision::F32Near`] the spans stream over
-    /// the tree's f32 mirror instead — admitted only when the far-field
-    /// truncation bound already dominates f32 roundoff (DESIGN.md §12).
+    /// Streams the P2P spans through the near-field kernel
+    /// ([`p2p_span`]). `unguarded` selects the source-sweep kernel (self
+    /// already excluded by span splitting, pairs counted at compile
+    /// time); external sweeps use the guarded kernel and count surviving
+    /// pairs here, matching the scalar external loop. With
+    /// [`Precision::F32Near`] the spans stream over the tree's f32 mirror
+    /// instead — admitted only when the far-field truncation bound already
+    /// dominates f32 roundoff (DESIGN.md §12).
     fn exec_p2p_potential(
         &self,
         cs: &CompiledScratch,
@@ -666,61 +665,15 @@ impl Treecode {
         out: &mut [f64],
         stats: &mut EvalStats,
     ) {
-        let eps2 = self.params.softening * self.params.softening;
-        if precision == Precision::F32Near {
-            let soa = self.tree.particles_soa_f32();
-            for sp in &cs.spans {
-                let (s, e) = (sp.start as usize, sp.end as usize);
-                let t = cs.targets[sp.target as usize];
-                if unguarded {
-                    out[sp.target as usize] += p2p_potential_span_f32(
-                        &soa.x[s..e],
-                        &soa.y[s..e],
-                        &soa.z[s..e],
-                        &soa.q[s..e],
-                        t,
-                        eps2,
-                    );
-                } else {
-                    let (phi, pairs) = p2p_potential_span_guarded_f32(
-                        &soa.x[s..e],
-                        &soa.y[s..e],
-                        &soa.z[s..e],
-                        &soa.q[s..e],
-                        t,
-                        eps2,
-                    );
-                    out[sp.target as usize] += phi;
-                    stats.record_direct(pairs);
-                }
-            }
-            return;
-        }
-        let soa = self.tree.particles_soa();
-        for sp in &cs.spans {
-            let (s, e) = (sp.start as usize, sp.end as usize);
-            let t = cs.targets[sp.target as usize];
-            if unguarded {
-                out[sp.target as usize] += p2p_potential_span(
-                    &soa.x[s..e],
-                    &soa.y[s..e],
-                    &soa.z[s..e],
-                    &soa.q[s..e],
-                    t,
-                    eps2,
-                );
-            } else {
-                let (phi, pairs) = p2p_potential_span_guarded(
-                    &soa.x[s..e],
-                    &soa.y[s..e],
-                    &soa.z[s..e],
-                    &soa.q[s..e],
-                    t,
-                    eps2,
-                );
-                out[sp.target as usize] += phi;
-                stats.record_direct(pairs);
-            }
+        let add = |i: usize, phi: f64, _: Vec3| out[i] += phi;
+        let (soa, soa32) = (self.tree.particles_soa(), self.tree.particles_soa_f32());
+        let f64s = [&soa.x[..], &soa.y, &soa.z, &soa.q];
+        let f32s = [&soa32.x[..], &soa32.y, &soa32.z, &soa32.q];
+        match (precision, unguarded) {
+            (Precision::F32Near, true) => self.exec_p2p::<f32, false, false>(cs, f32s, stats, add),
+            (Precision::F32Near, false) => self.exec_p2p::<f32, true, false>(cs, f32s, stats, add),
+            (Precision::F64, true) => self.exec_p2p::<f64, false, false>(cs, f64s, stats, add),
+            (Precision::F64, false) => self.exec_p2p::<f64, true, false>(cs, f64s, stats, add),
         }
     }
 
@@ -733,43 +686,43 @@ impl Treecode {
         out: &mut [(f64, Vec3)],
         stats: &mut EvalStats,
     ) {
-        let eps2 = self.params.softening * self.params.softening;
-        if precision == Precision::F32Near {
-            let soa = self.tree.particles_soa_f32();
-            for sp in &cs.spans {
-                let (s, e) = (sp.start as usize, sp.end as usize);
-                let t = cs.targets[sp.target as usize];
-                let (phi, grad, pairs) = p2p_field_span_guarded_f32(
-                    &soa.x[s..e],
-                    &soa.y[s..e],
-                    &soa.z[s..e],
-                    &soa.q[s..e],
-                    t,
-                    eps2,
-                );
-                let slot = &mut out[sp.target as usize];
-                slot.0 += phi;
-                slot.1 += grad;
-                stats.record_direct(pairs);
+        let add = |i: usize, phi: f64, grad: Vec3| {
+            out[i].0 += phi;
+            out[i].1 += grad;
+        };
+        let (soa, soa32) = (self.tree.particles_soa(), self.tree.particles_soa_f32());
+        match precision {
+            Precision::F32Near => {
+                let f32s = [&soa32.x[..], &soa32.y, &soa32.z, &soa32.q];
+                self.exec_p2p::<f32, true, true>(cs, f32s, stats, add);
             }
-            return;
+            Precision::F64 => {
+                let f64s = [&soa.x[..], &soa.y, &soa.z, &soa.q];
+                self.exec_p2p::<f64, true, true>(cs, f64s, stats, add);
+            }
         }
-        let soa = self.tree.particles_soa();
+    }
+
+    /// Runs every span of the chunk over one SoA mirror (`[x, y, z, q]`),
+    /// handing `(target, Φ, ∇Φ)` to `add`; guarded spans count their
+    /// surviving pairs into `stats`.
+    fn exec_p2p<T: Real, const GUARD: bool, const FIELD: bool>(
+        &self,
+        cs: &CompiledScratch,
+        [x, y, z, q]: [&[T]; 4],
+        stats: &mut EvalStats,
+        mut add: impl FnMut(usize, f64, Vec3),
+    ) {
+        let eps2 = self.params.softening * self.params.softening;
         for sp in &cs.spans {
             let (s, e) = (sp.start as usize, sp.end as usize);
             let t = cs.targets[sp.target as usize];
-            let (phi, grad, pairs) = p2p_field_span_guarded(
-                &soa.x[s..e],
-                &soa.y[s..e],
-                &soa.z[s..e],
-                &soa.q[s..e],
-                t,
-                eps2,
-            );
-            let slot = &mut out[sp.target as usize];
-            slot.0 += phi;
-            slot.1 += grad;
-            stats.record_direct(pairs);
+            let (phi, grad, pairs) =
+                p2p_span::<T, GUARD, FIELD>(&x[s..e], &y[s..e], &z[s..e], &q[s..e], t, eps2);
+            add(sp.target as usize, phi, grad);
+            if GUARD {
+                stats.record_direct(pairs);
+            }
         }
     }
 }

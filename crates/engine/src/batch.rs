@@ -204,8 +204,8 @@ pub(crate) fn evaluate_direct(
         match arena {
             QueryOutput::Potentials(values) => {
                 for (value, &pt) in values.iter_mut().zip(points) {
-                    let (phi, pairs) =
-                        mbt_multipole::p2p_potential_span_guarded(&xs, &ys, &zs, &qs, pt, eps2);
+                    let (phi, _, pairs) =
+                        mbt_multipole::p2p_span::<f64, true, false>(&xs, &ys, &zs, &qs, pt, eps2);
                     stats.record_direct(pairs);
                     *value = phi;
                 }
@@ -213,7 +213,7 @@ pub(crate) fn evaluate_direct(
             QueryOutput::Fields(values) => {
                 for (value, &pt) in values.iter_mut().zip(points) {
                     let (phi, grad, pairs) =
-                        mbt_multipole::p2p_field_span_guarded(&xs, &ys, &zs, &qs, pt, eps2);
+                        mbt_multipole::p2p_span::<f64, true, true>(&xs, &ys, &zs, &qs, pt, eps2);
                     stats.record_direct(pairs);
                     *value = (phi, grad);
                 }

@@ -38,6 +38,16 @@
 //!   [`mbt_multipole::m2l_apply`] calls. [`CompiledFmm::with_charges`]
 //!   re-runs only this half over the shared geometry, and is bit-identical
 //!   to [`CompiledFmm::new`] over the same positions and new charges.
+//! * **Evaluation: one per-cell routine** (`CompiledFmm::eval_cell`)
+//!   serves the source sweep ([`CompiledFmm::potentials`]) and the
+//!   external sweeps (`potentials_at` / `fields_at`) alike. Per finest
+//!   cell it gathers the 27-cell near field once into contiguous SoA
+//!   scratch, runs L2P for all of the cell's targets as
+//!   broadcast-coefficient lane groups straight off the local arena
+//!   ([`mbt_multipole::l2p_potential_group`]), then one guarded
+//!   near-field span per target ([`mbt_multipole::p2p_span`]). Every
+//!   buffer it needs lives in a per-work-item `CellScratch` reused over
+//!   a block of cells.
 //!
 //! External targets are served too: a target inside the root cube but in
 //! an *unoccupied* finest cell gets its local expansion from an on-demand
@@ -50,8 +60,8 @@ use std::sync::{Arc, OnceLock};
 use mbt_geometry::{Aabb, Particle, Vec3};
 use mbt_multipole::tables::tri_index;
 use mbt_multipole::{
-    l2p_field_with, l2p_potential_with, m2l_apply, p2m_into, tri_len, Complex, ExpansionRef,
-    LocalExpansion, Workspace,
+    l2p_field_group, l2p_potential_group, m2l_apply, p2m_into, p2p_span, simd, tri_len,
+    BatchWorkspace, Complex, ExpansionRef, LocalExpansion, Workspace, M2P_LANES,
 };
 use mbt_treecode::{EvalResult, EvalStats};
 use rayon::prelude::*;
@@ -77,6 +87,10 @@ pub const COMPILED_MAX_DEGREE: usize = 14;
 /// Number of distinct geometric M2L offset classes (`Δ ∈ [-3,3]³` with
 /// Chebyshev norm ≥ 2).
 const M2L_OFFSET_CLASSES: usize = 316;
+
+/// Occupied finest cells (or external-target cell groups) per parallel
+/// work item of the evaluation sweeps; one [`CellScratch`] serves a block.
+const EVAL_BLOCK: usize = 16;
 
 /// Occupied cells per parallel work item of the charge pass. One
 /// workspace and one coefficient scratch serve a whole block, so the
@@ -224,6 +238,39 @@ struct NearGather {
     ys: Vec<f64>,
     zs: Vec<f64>,
     qs: Vec<f64>,
+}
+
+/// Per-work-item scratch of the finest-cell evaluation routine
+/// ([`CompiledFmm::eval_cell`]), reused across a block of cells so the
+/// sweep allocates per block, not per cell.
+#[derive(Debug, Default)]
+struct CellScratch {
+    /// Lane width of the L2P groups: the dispatched width, fixed for the
+    /// block.
+    lanes: usize,
+    bws: BatchWorkspace,
+    /// Near-field particle ranges of the current cell.
+    near: Vec<(u32, u32)>,
+    gather: NearGather,
+    /// Target positions of the current cell.
+    targets: Vec<Vec3>,
+    /// `(Φ, ∇Φ)` per target of the current cell.
+    out: Vec<(f64, Vec3)>,
+    /// On-demand local chain of an unoccupied cell: current level, next
+    /// level, M2L accumulator.
+    chain: [Vec<f64>; 3],
+}
+
+impl CellScratch {
+    /// Scratch for L2P at the finest degree `p`.
+    fn new(p: usize) -> CellScratch {
+        let mut sc = CellScratch {
+            lanes: simd::m2p_lanes(),
+            ..CellScratch::default()
+        };
+        sc.bws.prepare_degree_lanes(p, sc.lanes);
+        sc
+    }
 }
 
 /// The geometry half of a compiled FMM: a pure function of the particle
@@ -642,12 +689,125 @@ impl CompiledFmm {
         f64s + arenas + occ + mortons + ops + grids
     }
 
-    /// Gathers (and coalesces) the near-field particle ranges of the 27
-    /// finest cells around `(x, y, z)`.
-    fn near_ranges(&self, x: u32, y: u32, z: u32) -> Vec<(u32, u32)> {
-        let finest = &self.geo.grids[self.geo.levels];
-        let side = 1i64 << self.geo.levels;
-        let mut near: Vec<(u32, u32)> = Vec::with_capacity(27);
+    /// Potentials at all source particles, caller order.
+    #[must_use]
+    pub fn potentials(&self) -> EvalResult<f64> {
+        let geo = &*self.geo;
+        let finest = &geo.grids[geo.levels];
+        let codes = &geo.mortons[geo.levels];
+        let per_block: Vec<(Vec<f64>, EvalStats)> = finest
+            .ranges
+            .par_chunks(EVAL_BLOCK)
+            .enumerate()
+            .map(|(block, ranges)| {
+                let mut sc = CellScratch::new(geo.degrees[geo.levels]);
+                let mut stats = EvalStats::default();
+                let total = ranges.iter().map(|&(s, e)| (e - s) as usize).sum();
+                let mut vals = Vec::with_capacity(total);
+                for (k, &(s, e)) in ranges.iter().enumerate() {
+                    sc.targets.clear();
+                    sc.targets
+                        .extend((s..e).map(|i| self.particles[i as usize].position));
+                    self.eval_cell::<false>(codes[block * EVAL_BLOCK + k], &mut sc, &mut stats);
+                    vals.extend(sc.out.iter().map(|&(phi, _)| phi));
+                }
+                (vals, stats)
+            })
+            // lint: allow(alloc, one result per block of cells)
+            .collect();
+
+        // lint: allow(alloc, result buffer handed to the caller)
+        let mut out = vec![0.0f64; self.particles.len()];
+        let mut stats = EvalStats::default();
+        for (block, (vals, block_stats)) in per_block.iter().enumerate() {
+            let ranges = finest.ranges[block * EVAL_BLOCK..].iter().take(EVAL_BLOCK);
+            let sorted = ranges.flat_map(|&(s, e)| s as usize..e as usize);
+            for (i, &v) in sorted.zip(vals) {
+                out[geo.perm[i]] = v;
+            }
+            stats.merge(block_stats);
+        }
+        EvalResult { values: out, stats }
+    }
+
+    /// The one per-cell routine behind [`Self::potentials`] and the
+    /// external sweeps: L2P of finest cell `code`'s local expansion at
+    /// `sc.targets`, in broadcast-coefficient lane groups of the
+    /// dispatched width, then one guarded near-field span per target over
+    /// the gathered 27-cell neighbourhood (the `r = 0` guard drops a
+    /// target's own source). Writes `(Φ, ∇Φ)` per target into `sc.out`
+    /// (`∇Φ` only with `FIELD`) and records the counters.
+    fn eval_cell<const FIELD: bool>(&self, code: u64, sc: &mut CellScratch, stats: &mut EvalStats) {
+        if sc.lanes == 8 {
+            self.eval_cell_lanes::<8, FIELD>(code, sc, stats);
+        } else {
+            self.eval_cell_lanes::<M2P_LANES, FIELD>(code, sc, stats);
+        }
+    }
+
+    fn eval_cell_lanes<const L: usize, const FIELD: bool>(
+        &self,
+        code: u64,
+        sc: &mut CellScratch,
+        stats: &mut EvalStats,
+    ) {
+        let geo = &*self.geo;
+        let p = geo.degrees[geo.levels];
+        let (x, y, z) = mbt_geometry::morton::decode(code);
+        let center = cell_center(&geo.bounds, 1u32 << geo.levels, x, y, z);
+        let CellScratch {
+            bws,
+            near,
+            gather,
+            targets,
+            out,
+            chain,
+            ..
+        } = sc;
+        let local = self.local_for_cell(code, chain);
+        self.gather_near(x, y, z, near, gather);
+        out.clear();
+        for group in targets.chunks(L) {
+            // pad a short group by repeating its last point
+            let points = std::array::from_fn(|l| group[l.min(group.len() - 1)]);
+            let (phi, grad) = if FIELD {
+                l2p_field_group::<L>(center, local, &points, bws)
+            } else {
+                (
+                    l2p_potential_group::<L>(center, local, &points, bws),
+                    [Vec3::ZERO; L],
+                )
+            };
+            out.extend((0..group.len()).map(|l| (phi[l], grad[l])));
+        }
+        let NearGather { xs, ys, zs, qs } = gather;
+        for (slot, &t) in out.iter_mut().zip(targets.iter()) {
+            stats.record_interaction(p);
+            let (phi, grad, pairs) = p2p_span::<f64, true, FIELD>(xs, ys, zs, qs, t, 0.0);
+            slot.0 += phi;
+            slot.1 += grad;
+            stats.record_direct(pairs);
+        }
+        stats.targets += targets.len() as u64;
+    }
+
+    /// Copies the particles of the (up to 27) occupied finest cells around
+    /// `(x, y, z)` into one contiguous SoA scratch, in sorted-range order,
+    /// so each target makes a single span call: the gather is amortised
+    /// over every target of the cell, and one full-width sweep with one
+    /// tail replaces per-range calls with per-range tails.
+    fn gather_near(
+        &self,
+        x: u32,
+        y: u32,
+        z: u32,
+        near: &mut Vec<(u32, u32)>,
+        out: &mut NearGather,
+    ) {
+        let geo = &*self.geo;
+        let finest = &geo.grids[geo.levels];
+        let side = 1i64 << geo.levels;
+        near.clear();
         for dz in -1i64..=1 {
             for dy in -1i64..=1 {
                 for dx in -1i64..=1 {
@@ -658,170 +818,75 @@ impl CompiledFmm {
                         continue;
                     }
                     let code = mbt_geometry::morton::encode(nx as u32, ny as u32, nz as u32);
-                    let ni = self.geo.occ[self.geo.levels][code as usize];
+                    let ni = geo.occ[geo.levels][code as usize];
                     if ni != 0 {
                         near.push(finest.ranges[ni as usize - 1]);
                     }
                 }
             }
         }
-        // Morton-sorted ranges often abut; coalescing shrinks the number
-        // of SIMD span calls without changing the pair set.
         near.sort_unstable();
-        let mut merged: Vec<(u32, u32)> = Vec::with_capacity(near.len());
-        for r in near {
-            match merged.last_mut() {
-                Some(last) if last.1 == r.0 => last.1 = r.1,
-                _ => merged.push(r),
-            }
-        }
-        merged
-    }
-
-    /// Copies the near-field ranges into one contiguous SoA scratch so each
-    /// target makes a single guarded span call (the gather cost is amortised
-    /// over every target in the cell; full-width SIMD sweeps with one tail
-    /// replace per-range calls with per-range tails).
-    fn gather_near(&self, ranges: &[(u32, u32)], out: &mut NearGather) {
         out.xs.clear();
         out.ys.clear();
         out.zs.clear();
         out.qs.clear();
-        for &(ns, ne) in ranges {
+        for &(ns, ne) in near.iter() {
             let (ns, ne) = (ns as usize, ne as usize);
-            out.xs.extend_from_slice(&self.geo.xs[ns..ne]);
-            out.ys.extend_from_slice(&self.geo.ys[ns..ne]);
-            out.zs.extend_from_slice(&self.geo.zs[ns..ne]);
+            out.xs.extend_from_slice(&geo.xs[ns..ne]);
+            out.ys.extend_from_slice(&geo.ys[ns..ne]);
+            out.zs.extend_from_slice(&geo.zs[ns..ne]);
             out.qs.extend_from_slice(&self.qs[ns..ne]);
         }
     }
 
-    /// Lifts the interleaved local span of one finest cell into complex
-    /// scratch for the L2P kernels.
-    fn lift_local(span: &[f64], scratch: &mut Vec<Complex>) {
-        scratch.clear();
-        scratch.extend(span.chunks_exact(2).map(|c| Complex { re: c[0], im: c[1] }));
-    }
-
-    /// Potentials at all source particles, caller order.
-    #[must_use]
-    pub fn potentials(&self) -> EvalResult<f64> {
-        let finest = &self.geo.grids[self.geo.levels];
-        let p = self.geo.degrees[self.geo.levels];
-        let t = tri_len(p);
-
-        let per_cell: Vec<(Vec<f64>, EvalStats)> = (0..finest.len())
-            .into_par_iter()
-            .map(|ci| {
-                let mut ws = Workspace::with_capacity(p);
-                let ws = &mut ws;
-                let mut lc_store: Vec<Complex> = Vec::with_capacity(t);
-                let lc = &mut lc_store;
-                let mut gather = NearGather::default();
-                let mut stats = EvalStats::default();
-                let (s, e) = finest.ranges[ci];
-                let (x, y, z) = key_coords(finest.keys[ci]);
-                let near = self.near_ranges(x, y, z);
-                self.gather_near(&near, &mut gather);
-                Self::lift_local(
-                    &self.locals_re[self.geo.levels][ci * 2 * t..(ci + 1) * 2 * t],
-                    lc,
-                );
-                let center = finest.centers[ci];
-                let vals: Vec<f64> = (s..e)
-                    .map(|i| {
-                        let xi = self.particles[i as usize].position;
-                        let mut phi = l2p_potential_with(center, p, lc, xi, ws);
-                        stats.record_interaction(p);
-                        // one contiguous guarded span over all 27 cells;
-                        // the r = 0 guard drops the self pair
-                        let (v, pairs) = mbt_multipole::p2p_potential_span_guarded(
-                            &gather.xs, &gather.ys, &gather.zs, &gather.qs, xi, 0.0,
-                        );
-                        phi += v;
-                        stats.record_direct(pairs);
-                        phi
-                    })
-                    // lint: allow(alloc, one output buffer per finest cell of the bulk sweep)
-                    .collect();
-                stats.targets = u64::from(e - s);
-                (vals, stats)
-            })
-            // lint: allow(alloc, one arena per bulk sweep)
-            .collect();
-
-        // lint: allow(alloc, result buffer handed to the caller)
-        let mut values = vec![0.0f64; self.particles.len()];
-        let mut stats = EvalStats::default();
-        for (ci, (vals, s)) in per_cell.into_iter().enumerate() {
-            let (cs, _) = finest.ranges[ci];
-            values[cs as usize..cs as usize + vals.len()].copy_from_slice(&vals);
-            stats.merge(&s);
-        }
-        // lint: allow(alloc, result buffer handed to the caller)
-        let mut out = vec![0.0f64; values.len()];
-        for (i, &orig) in self.geo.perm.iter().enumerate() {
-            out[orig] = values[i];
-        }
-        EvalResult { values: out, stats }
-    }
-
-    /// Resolves the interleaved local coefficients of an arbitrary finest
-    /// cell: occupied cells read the arena; empty cells get an on-demand
-    /// L2L/M2L chain down their cell path.
-    fn local_for_cell(&self, code: u64) -> Vec<f64> {
+    /// The interleaved local coefficients of finest cell `code`. An
+    /// occupied cell's span is read from the arena in place; an empty cell
+    /// gets an on-demand L2L/M2L chain down its cell path, built in the
+    /// `chain` scratch (`[current, next, M2L accumulator]`).
+    fn local_for_cell<'a>(&'a self, code: u64, chain: &'a mut [Vec<f64>; 3]) -> &'a [f64] {
         let geo = &*self.geo;
         let t = tri_len(geo.degrees[geo.levels]);
         let oc = geo.occ[geo.levels][code as usize];
         if oc != 0 {
             let ci = oc as usize - 1;
-            // lint: allow(alloc, O(p^2) local copy per external target group)
-            return self.locals_re[geo.levels][ci * 2 * t..(ci + 1) * 2 * t].to_vec();
+            return &self.locals_re[geo.levels][ci * 2 * t..(ci + 1) * 2 * t];
         }
-        // cell path from the root
-        // lint: allow(alloc, O(levels) path scratch per empty-cell chain)
-        let mut path = vec![0u64; geo.levels + 1];
-        path[geo.levels] = code;
-        for l in (1..=geo.levels).rev() {
-            path[l - 1] = path[l] >> 3;
-        }
+        // the level-`l` ancestor on the cell path from the root
+        let path = |l: usize| code >> (3 * (geo.levels - l));
         // deepest occupied ancestor (the root is always occupied)
         let mut la = geo.levels;
-        while geo.occ[la][path[la] as usize] == 0 {
+        while geo.occ[la][path(la) as usize] == 0 {
             la -= 1;
         }
-        let mut cur: Vec<f64> = if la >= 2 {
+        let [cur, next, acc] = chain;
+        cur.clear();
+        if la >= 2 {
             let tl = tri_len(geo.degrees[la]);
-            let ci = geo.occ[la][path[la] as usize] as usize - 1;
-            // lint: allow(alloc, O(p^2) local copy per external target group)
-            self.locals_re[la][ci * 2 * tl..(ci + 1) * 2 * tl].to_vec()
+            let ci = geo.occ[la][path(la) as usize] as usize - 1;
+            cur.extend_from_slice(&self.locals_re[la][ci * 2 * tl..(ci + 1) * 2 * tl]);
         } else {
-            // lint: allow(alloc, O(p^2) zero local at the top of the chain)
-            vec![0.0f64; 2 * tri_len(geo.degrees[la])]
-        };
-        let widest = geo.degrees.iter().copied().max().unwrap_or(0);
-        // lint: allow(alloc, O(p^2) M2L accumulator per empty-cell chain)
-        let mut acc = vec![0.0f64; 2 * tri_len(widest)];
+            cur.resize(2 * tri_len(geo.degrees[la]), 0.0);
+        }
         #[allow(clippy::needless_range_loop)] // `l` indexes several level-keyed arrays
         for l in la + 1..=geo.levels {
             let tl = tri_len(geo.degrees[l]);
-            // lint: allow(alloc, O(p^2) per level of the on-demand chain)
-            let mut next = vec![0.0f64; 2 * tl];
+            next.clear();
+            next.resize(2 * tl, 0.0);
             if l >= 2 {
                 let lv = &geo.ops[l];
                 // L2L from the (possibly itself empty) parent chain; the
                 // parent local below level 2 is identically zero.
                 // lint: allow(float_cmp, exact-zero skip of an identically-zero parent local)
                 if l > 2 || cur.iter().any(|&v| v != 0.0) {
-                    let octant = (path[l] & 7) as usize;
+                    let octant = (path(l) & 7) as usize;
                     m2l_apply(
                         &lv.l2l_ops[octant * lv.l2l_stride..(octant + 1) * lv.l2l_stride],
-                        &cur,
-                        &mut next,
+                        cur,
+                        next,
                     );
                 }
                 // M2L over the interaction list of this (empty) cell
-                let (x, y, z) = mbt_geometry::morton::decode(path[l]);
+                let (x, y, z) = mbt_geometry::morton::decode(path(l));
                 let parity = ((x & 1) | (y & 1) << 1 | (z & 1) << 2) as usize;
                 let side = 1i64 << l;
                 let list =
@@ -840,9 +905,10 @@ impl CompiledFmm {
                             let si = geo.occ[l][scode as usize] as usize;
                             (si != 0).then(|| (si - 1, op as usize))
                         });
-                geo.add_m2l(l, &self.mult_re[l], list, &mut acc[..2 * tl], &mut next);
+                acc.resize(2 * tl, 0.0);
+                geo.add_m2l(l, &self.mult_re[l], list, acc, next);
             }
-            cur = next;
+            std::mem::swap(cur, next);
         }
         cur
     }
@@ -860,7 +926,7 @@ impl CompiledFmm {
     /// [`Self::potentials_at`] into a caller-provided slice.
     pub fn potentials_at_into(&self, points: &[Vec3], out: &mut [f64]) -> EvalStats {
         assert_eq!(points.len(), out.len());
-        self.eval_external(points, out, &mut [], false)
+        self.eval_external::<false>(points, |i, phi, _| out[i] = phi)
     }
 
     /// Potentials and gradients at arbitrary points.
@@ -875,30 +941,28 @@ impl CompiledFmm {
     /// [`Self::fields_at`] into a caller-provided slice.
     pub fn fields_at_into(&self, points: &[Vec3], out: &mut [(f64, Vec3)]) -> EvalStats {
         assert_eq!(points.len(), out.len());
-        // lint: allow(alloc, potential scratch backing the caller's field slice)
-        let mut phis = vec![0.0f64; points.len()];
-        self.eval_external(points, &mut phis, out, true)
+        self.eval_external::<true>(points, |i, phi, grad| out[i] = (phi, grad))
     }
 
-    /// Shared external-target sweep. With `want_fields`, `fields` receives
-    /// `(φ, ∇φ)` per point; otherwise `phis` receives `φ`.
-    fn eval_external(
+    /// Shared external-target sweep: in-bounds points grouped by finest
+    /// cell through [`Self::eval_cell`], the rest by guarded direct sums
+    /// over all particles. Hands `(point index, Φ, ∇Φ)` to `write`
+    /// (`∇Φ` only with `FIELD`).
+    fn eval_external<const FIELD: bool>(
         &self,
         points: &[Vec3],
-        phis: &mut [f64],
-        fields: &mut [(f64, Vec3)],
-        want_fields: bool,
+        mut write: impl FnMut(usize, f64, Vec3),
     ) -> EvalStats {
-        let p = self.geo.degrees[self.geo.levels];
-        let cells = 1u32 << self.geo.levels;
+        let geo = &*self.geo;
+        let cells = 1u32 << geo.levels;
 
         // group in-bounds points by finest cell; out-of-bounds directly
         let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(points.len());
         // lint: allow(alloc, O(points) grouping scratch per external query)
         let mut outside: Vec<u32> = Vec::new();
         for (i, pt) in points.iter().enumerate() {
-            if self.geo.bounds.contains(*pt) {
-                let (x, y, z) = cell_of(&self.geo.bounds, cells, *pt);
+            if geo.bounds.contains(*pt) {
+                let (x, y, z) = cell_of(&geo.bounds, cells, *pt);
                 keyed.push((mbt_geometry::morton::encode(x, y, z), i as u32));
             } else {
                 outside.push(i as u32);
@@ -918,62 +982,33 @@ impl CompiledFmm {
             start = end;
         }
 
-        #[allow(clippy::type_complexity)] // per-group (index, φ, ∇φ) triples + stats
+        #[allow(clippy::type_complexity)] // per-block (index, φ, ∇φ) triples + stats
         let results: Vec<(Vec<(u32, f64, Vec3)>, EvalStats)> = groups
-            .par_iter()
-            .map(|&(code, s, e)| {
-                let mut ws = Workspace::with_capacity(p);
-                let ws = &mut ws;
+            .par_chunks(EVAL_BLOCK)
+            .map(|block| {
+                let mut sc = CellScratch::new(geo.degrees[geo.levels]);
                 let mut stats = EvalStats::default();
-                let (x, y, z) = mbt_geometry::morton::decode(code);
-                let local = self.local_for_cell(code);
-                let mut lc = Vec::with_capacity(local.len() / 2);
-                Self::lift_local(&local, &mut lc);
-                let center = cell_center(&self.geo.bounds, cells, x, y, z);
-                let near = self.near_ranges(x, y, z);
-                let mut gather = NearGather::default();
-                self.gather_near(&near, &mut gather);
-                let vals: Vec<(u32, f64, Vec3)> = keyed[s..e]
-                    .iter()
-                    .map(|&(_, idx)| {
-                        let pt = points[idx as usize];
-                        stats.record_interaction(p);
-                        if want_fields {
-                            let (mut phi, mut grad) = l2p_field_with(center, p, &lc, pt, ws);
-                            let (v, g, pairs) = mbt_multipole::p2p_field_span_guarded(
-                                &gather.xs, &gather.ys, &gather.zs, &gather.qs, pt, 0.0,
-                            );
-                            phi += v;
-                            grad += g;
-                            stats.record_direct(pairs);
-                            (idx, phi, grad)
-                        } else {
-                            let mut phi = l2p_potential_with(center, p, &lc, pt, ws);
-                            let (v, pairs) = mbt_multipole::p2p_potential_span_guarded(
-                                &gather.xs, &gather.ys, &gather.zs, &gather.qs, pt, 0.0,
-                            );
-                            phi += v;
-                            stats.record_direct(pairs);
-                            (idx, phi, Vec3::ZERO)
-                        }
-                    })
-                    // lint: allow(alloc, one output buffer per target group)
-                    .collect();
-                stats.targets = (e - s) as u64;
+                let total = block.iter().map(|&(_, s, e)| e - s).sum();
+                let mut vals = Vec::with_capacity(total);
+                for &(code, s, e) in block {
+                    let group = &keyed[s..e];
+                    sc.targets.clear();
+                    sc.targets
+                        .extend(group.iter().map(|&(_, idx)| points[idx as usize]));
+                    self.eval_cell::<FIELD>(code, &mut sc, &mut stats);
+                    let rows = group.iter().zip(&sc.out);
+                    vals.extend(rows.map(|(&(_, idx), &(phi, grad))| (idx, phi, grad)));
+                }
                 (vals, stats)
             })
-            // lint: allow(alloc, one arena per external sweep)
+            // lint: allow(alloc, one result per block of cells)
             .collect();
 
         let mut stats = EvalStats::default();
         for (vals, s) in &results {
             stats.merge(s);
             for &(idx, phi, grad) in vals {
-                if want_fields {
-                    fields[idx as usize] = (phi, grad);
-                } else {
-                    phis[idx as usize] = phi;
-                }
+                write(idx as usize, phi, grad);
             }
         }
 
@@ -981,39 +1016,22 @@ impl CompiledFmm {
         let direct: Vec<(u32, f64, Vec3, u64)> = outside
             .par_iter()
             .map(|&idx| {
-                let pt = points[idx as usize];
-                if want_fields {
-                    let (phi, grad, pairs) = mbt_multipole::p2p_field_span_guarded(
-                        &self.geo.xs,
-                        &self.geo.ys,
-                        &self.geo.zs,
-                        &self.qs,
-                        pt,
-                        0.0,
-                    );
-                    (idx, phi, grad, pairs)
-                } else {
-                    let (phi, pairs) = mbt_multipole::p2p_potential_span_guarded(
-                        &self.geo.xs,
-                        &self.geo.ys,
-                        &self.geo.zs,
-                        &self.qs,
-                        pt,
-                        0.0,
-                    );
-                    (idx, phi, Vec3::ZERO, pairs)
-                }
+                let (phi, grad, pairs) = p2p_span::<f64, true, FIELD>(
+                    &geo.xs,
+                    &geo.ys,
+                    &geo.zs,
+                    &self.qs,
+                    points[idx as usize],
+                    0.0,
+                );
+                (idx, phi, grad, pairs)
             })
             // lint: allow(alloc, out-of-bounds fallback results, one tuple per point)
             .collect();
         for (idx, phi, grad, pairs) in direct {
             stats.targets += 1;
             stats.record_direct(pairs);
-            if want_fields {
-                fields[idx as usize] = (phi, grad);
-            } else {
-                phis[idx as usize] = phi;
-            }
+            write(idx as usize, phi, grad);
         }
         stats
     }

@@ -13,6 +13,7 @@
 use mbt_fmm::{CompiledFmm, Fmm, FmmEvalMode, FmmParams};
 use mbt_geometry::distribution::{overlapped_gaussians, uniform_cube, ChargeModel};
 use mbt_geometry::{Particle, Vec3};
+use mbt_multipole::{simd, SimdLevel};
 use mbt_treecode::direct::direct_potentials_at;
 use mbt_treecode::{relative_error, Treecode, TreecodeParams};
 
@@ -165,5 +166,47 @@ fn degree_policies_resolve_identically_across_fmm_modes() {
         let scalar = Fmm::new(&ps, params.with_eval_mode(FmmEvalMode::Scalar)).unwrap();
         let compiled = CompiledFmm::new(&ps, params).unwrap();
         assert_eq!(scalar.degrees(), compiled.degrees(), "tol = {tol}");
+    }
+}
+
+/// The compiled FMM is pure codegen across SIMD dispatch levels:
+/// `set_level(Scalar)` and the detected level give bit-identical
+/// potentials and fields, at sources and at external points in every
+/// regime (occupied cells, empty cells, outside the bounds). L2P lanes
+/// never mix, so the group width changes nothing, and the P2P spans run
+/// a fixed logical width at every level. Safe beside concurrently running
+/// tests for the same reason: a sweep that observes either level
+/// computes the same bits.
+#[test]
+fn simd_dispatch_level_is_bit_invariant() {
+    let ps = clustered(3000, 41);
+    let fmm = CompiledFmm::new(&ps, FmmParams::fixed(5).with_levels(3)).unwrap();
+    let mut points: Vec<Vec3> = ps.iter().step_by(7).map(|p| p.position).collect();
+    points.extend(probe_points());
+    let sweep = || {
+        (
+            fmm.potentials(),
+            fmm.potentials_at(&points),
+            fmm.fields_at(&points),
+        )
+    };
+    let detected = simd::detect();
+    simd::set_level(SimdLevel::Scalar);
+    let narrow = sweep();
+    simd::set_level(detected);
+    let wide = sweep();
+    assert_eq!(narrow.0.stats, wide.0.stats);
+    assert_eq!(narrow.1.stats, wide.1.stats);
+    assert_eq!(narrow.2.stats, wide.2.stats);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&narrow.0.values), bits(&wide.0.values), "potentials()");
+    assert_eq!(
+        bits(&narrow.1.values),
+        bits(&wide.1.values),
+        "potentials_at"
+    );
+    for (k, ((pa, ga), (pb, gb))) in narrow.2.values.iter().zip(&wide.2.values).enumerate() {
+        let (a, b) = ([*pa, ga.x, ga.y, ga.z], [*pb, gb.x, gb.y, gb.z]);
+        assert_eq!(bits(&a), bits(&b), "fields_at point {k}");
     }
 }

@@ -1,48 +1,64 @@
-//! Batched SoA evaluation kernels: M2P lane groups and P2P source spans.
+//! Batched SoA evaluation kernels: expansion lane groups (M2P and L2P)
+//! and P2P source spans.
 //!
 //! The scalar kernels in [`expansion`](crate::expansion) evaluate one
-//! (target, node) interaction at a time, interleaved with tree traversal.
-//! This module provides the dense "execute" half of a two-phase evaluator:
-//! a list compiler (in `mbt-treecode`) turns traversals into flat task
-//! lists, and these kernels burn through the lists in lane groups whose
-//! width is the **dispatched vector width** of the running CPU
-//! ([`crate::simd::m2p_lanes`]: 8×f64 on AVX-512, 4×f64 otherwise). Every
-//! kernel is monomorphized over the lane count `L` and written against the
-//! [`F64Lanes`]/[`F32Lanes`] types from [`crate::simd`], whose elementwise
-//! ops are the exact shape LLVM lowers to full-width vector registers; the
-//! public entry points run the monomorphized body through
-//! [`crate::simd::dispatch`] so it is compiled with the instruction set the
-//! CPU was probed to support. [`M2P_LANES`] remains the baseline
-//! (scalar-fallback) group width; the P2P span kernels instead run a
-//! *fixed* logical width ([`P2P_LANES`]/[`P2P_LANES_F32`]) at every level
-//! so their summation order never depends on the dispatched level.
+//! (target, expansion) interaction at a time, interleaved with tree
+//! traversal. This module provides the dense "execute" half of a two-phase
+//! evaluator: a list compiler (the treecode's `compile`, the compiled FMM's
+//! per-cell routine) turns traversals into flat work, and two kernel bodies
+//! burn through it, both written against the [`Lanes`] types of
+//! [`crate::simd`] (elementwise ops in the exact shape LLVM lowers to
+//! full-width vector registers) and run through [`crate::simd::dispatch`]
+//! so they are compiled with the instruction set the CPU was probed for:
+//!
+//! * **One group body** evaluates a truncated series at `L` points per call
+//!   — M2P ([`m2p_potential_group`] and friends, radial factor
+//!   `r^-(n+1)`) and L2P ([`l2p_potential_group`], [`l2p_field_group`],
+//!   radial factor `r^n`), potential or field. `L` is the **dispatched
+//!   vector width** ([`crate::simd::m2p_lanes`]: 8×f64 on AVX-512, 4×f64
+//!   otherwise; [`M2P_LANES`] is the baseline).
+//! * **One span body** ([`p2p_span`]) sums the near field of one source
+//!   span at one target, generic over precision (f64 / f32), guard and
+//!   output (potential / field), at a *fixed* logical width
+//!   ([`P2P_LANES`] / [`P2P_LANES_F32`]) so its summation order never
+//!   depends on the dispatched level. [`p2p_potential_span`] and
+//!   [`p2p_potential_span_f32`] remain as one-line instances of it.
 //!
 //! # Determinism contract
 //!
-//! Per lane, the group kernels run the **same Legendre recurrences and
-//! multiply/accumulate association** as their scalar counterparts
-//! ([`ExpansionRef::potential_at_degree_with`](crate::ExpansionRef::potential_at_degree_with)
-//! etc.), but convert the observation offset to spherical form
-//! *algebraically* — `cos θ = dz/r`, `sin θ = r_xy/r`, `e^{iφ} =
-//! (dx + i·dy)/r_xy` — instead of round-tripping through
-//! `acos`/`atan2`/`sin_cos`. The quantities are mathematically identical
-//! and agree to ULP precision (the kernel tests pin ≤ 1e-13 relative per
-//! lane), but the serial libm calls that dominate small-degree setup are
-//! replaced by straight-line `sqrt`/`div` the vectorizer packs across
-//! lanes. Lanes are arithmetically independent and the lane-`l` operation
-//! sequence does not depend on `L`, so the same task produces bit-identical
-//! output in a 4-wide and an 8-wide group — dispatching a wider width on
-//! wider hardware cannot change results (pinned by
-//! `lane_width_does_not_change_values`). Together with the compiled mode's
-//! documented reassociation (per-interaction partials are summed in
+//! Per lane, the group body runs the **same Legendre recurrences and
+//! multiply/accumulate association** as the scalar kernels
+//! ([`ExpansionRef::potential_at_degree_with`](crate::ExpansionRef::potential_at_degree_with),
+//! [`l2p_potential_with`](crate::l2p_potential_with) etc.), but converts
+//! the observation offset to spherical form *algebraically* — `cos θ =
+//! dz/r`, `sin θ = r_xy/r`, `e^{iφ} = (dx + i·dy)/r_xy` — instead of
+//! round-tripping through `acos`/`atan2`/`sin_cos`. The quantities are
+//! mathematically identical and agree to ULP precision (the kernel tests
+//! pin ≤ 1e-13 relative per lane), but the serial libm calls that dominate
+//! small-degree setup are replaced by straight-line `sqrt`/`div` the
+//! vectorizer packs across lanes. Lanes are arithmetically independent
+//! and the lane-`l` operation sequence does not depend on `L`, so the same
+//! task produces bit-identical output in a 4-wide and an 8-wide group —
+//! dispatching a wider width on wider hardware cannot change results
+//! (pinned by `lane_width_does_not_change_values` and
+//! `l2p_lane_width_and_padding_are_inert`). Together with the compiled
+//! mode's documented reassociation (per-interaction partials are summed in
 //! degree-bucket order), the compiled/scalar divergence stays well below
 //! 1e-12 relative for the workloads the treecode serves.
 //!
-//! The `_f32` P2P kernels are the one deliberate exception: they evaluate
-//! the near field in single precision over an f32 mirror of the particle
-//! SoA and widen only the final reduction. Their use is gated by the
-//! Theorem 1/2 budget test in [`crate::bounds::f32_near_admissible`] — the
-//! caller opts in only when the far-field truncation error already
+//! The span body replaces two correctly rounded operations per pair in one
+//! case: an f64 *potential* span computes `q/r` as `q · (1/√r²)` from an
+//! f32-seeded reciprocal square root refined by two Newton steps
+//! (`Lanes::rsqrt_seeded`, within 4e-16 relative), for every vector
+//! whose `r²` lanes are all inside the seed's range; any other vector,
+//! the scalar tail, field spans and f32 spans divide by an IEEE square
+//! root. The near field thus stays an exact sum up to a few ULPs per pair,
+//! identically at every dispatch level. f32 spans are the one deliberate
+//! loss of precision:
+//! they evaluate the near field in single precision over an f32 mirror of
+//! the particle SoA and widen only the final reduction. Their use is gated
+//! by the Theorem 1/2 budget test in [`crate::bounds::f32_near_admissible`]
+//! — the caller opts in only when the far-field truncation error already
 //! dominates the f32 near-field roundoff.
 //!
 //! # Layout
@@ -54,7 +70,7 @@
 use mbt_geometry::Vec3;
 
 use crate::complex::Complex;
-use crate::simd::{self, F32Lanes, F64Lanes};
+use crate::simd::{self, F64Lanes, Lanes, Real};
 use crate::tables::{tri_index, tri_len, Tables};
 
 /// Baseline (scalar-fallback) targets per M2P group and the default lane
@@ -183,20 +199,6 @@ impl BatchWorkspace {
         self.degree = degree;
         self.lanes = self.lanes.max(lanes);
     }
-
-    /// The degree the workspace is currently prepared for.
-    #[inline]
-    #[must_use]
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-
-    /// The lane stride the buffers are sized for.
-    #[inline]
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
 }
 
 /// Lane-major `P_n^m` via the same recurrences as
@@ -295,51 +297,41 @@ fn legendre_pqd_lanes<const L: usize>(
     }
 }
 
-/// Algebraic spherical setup shared by the M2P kernels: radius inverse,
-/// `cos θ`, `sin θ`, and `e^{iφ}` per lane, with no `acos`/`atan2`.
-/// `r_xy = 0` (z-axis) pins `e^{iφ} = 1`, matching
-/// `Spherical::from_cartesian`'s `φ = 0`.
+/// Per-lane spherical form of the observation offsets `point − center`.
+struct Offsets<const L: usize> {
+    r: F64Lanes<L>,
+    inv_r: F64Lanes<L>,
+    cos_t: F64Lanes<L>,
+    sin_t: F64Lanes<L>,
+    /// `e^{iφ}`, which doubles as the in-plane unit vector `(cos φ, sin φ)`.
+    cos_p: F64Lanes<L>,
+    sin_p: F64Lanes<L>,
+}
+
+/// Algebraic spherical setup shared by the group kernels, with no
+/// `acos`/`atan2`. Conventions match `Spherical::from_cartesian`:
+/// `r_xy = 0` (z-axis) pins `e^{iφ} = 1`, and the expansion center itself
+/// (`r = 0`, reachable only by a local series) takes `θ = 0`.
 #[inline(always)]
-#[allow(clippy::type_complexity)]
-fn spherical_setup<const L: usize>(
-    centers: &[Vec3; L],
-    points: &[Vec3; L],
-) -> (
-    F64Lanes<L>,
-    F64Lanes<L>,
-    F64Lanes<L>,
-    F64Lanes<L>,
-    F64Lanes<L>,
-) {
+fn spherical_setup<const L: usize>(centers: &[Vec3; L], points: &[Vec3; L]) -> Offsets<L> {
     let dx = F64Lanes::<L>::from_fn(|l| points[l].x - centers[l].x);
     let dy = F64Lanes::<L>::from_fn(|l| points[l].y - centers[l].y);
     let dz = F64Lanes::<L>::from_fn(|l| points[l].z - centers[l].z);
     let rxy2 = dx * dx + dy * dy;
     let r = (rxy2 + dz * dz).sqrt();
     let rxy = rxy2.sqrt();
-    for l in 0..L {
-        debug_assert!(r.0[l] > 0.0, "evaluation at the expansion center");
+    // lint: allow(float_cmp, exact expansion center: θ convention pinned to 0)
+    let center = |l: usize| r.0[l] == 0.0;
+    // lint: allow(float_cmp, exact z-axis: φ convention pinned to 0)
+    let axis = |l: usize| rxy.0[l] == 0.0;
+    Offsets {
+        r,
+        inv_r: F64Lanes::splat(1.0) / r,
+        cos_t: F64Lanes::from_fn(|l| if center(l) { 1.0 } else { dz.0[l] / r.0[l] }),
+        sin_t: F64Lanes::from_fn(|l| if center(l) { 0.0 } else { rxy.0[l] / r.0[l] }),
+        cos_p: F64Lanes::from_fn(|l| if axis(l) { 1.0 } else { dx.0[l] / rxy.0[l] }),
+        sin_p: F64Lanes::from_fn(|l| if axis(l) { 0.0 } else { dy.0[l] / rxy.0[l] }),
     }
-    let inv_r = F64Lanes::splat(1.0) / r;
-    let cos_t = dz / r;
-    let sin_t = rxy / r;
-    let e1_re = F64Lanes::from_fn(|l| {
-        // lint: allow(float_cmp, exact z-axis: φ convention pinned to 0)
-        if rxy.0[l] == 0.0 {
-            1.0
-        } else {
-            dx.0[l] / rxy.0[l]
-        }
-    });
-    let e1_im = F64Lanes::from_fn(|l| {
-        // lint: allow(float_cmp, exact z-axis: φ convention pinned to 0)
-        if rxy.0[l] == 0.0 {
-            0.0
-        } else {
-            dy.0[l] / rxy.0[l]
-        }
-    });
-    (inv_r, cos_t, sin_t, e1_re, e1_im)
 }
 
 /// Evaluates one group of same-degree M2P tasks (the degree the workspace
@@ -354,19 +346,7 @@ pub fn m2p_potential_group<const L: usize>(
     g: &M2pGroup<'_, L>,
     ws: &mut BatchWorkspace,
 ) -> [f64; L] {
-    simd::dispatch(|| {
-        m2p_potential_group_core(
-            &g.centers,
-            &g.points,
-            &|ti| {
-                (
-                    F64Lanes::<L>::from_fn(|l| g.coeffs[l][ti].re),
-                    F64Lanes::<L>::from_fn(|l| g.coeffs[l][ti].im),
-                )
-            },
-            ws,
-        )
-    })
+    simd::dispatch(|| group_core::<L, false, false>(&g.centers, &g.points, &gather(g), ws).0)
 }
 
 /// [`m2p_potential_group`] for `L` tasks that share one expansion: the
@@ -384,63 +364,8 @@ pub fn m2p_potential_group_uniform<const L: usize>(
     points: &[Vec3; L],
     ws: &mut BatchWorkspace,
 ) -> [f64; L] {
-    let centers = [center; L];
-    simd::dispatch(|| {
-        m2p_potential_group_core(
-            &centers,
-            points,
-            &|ti| {
-                (
-                    F64Lanes::<L>::splat(coeffs[ti].re),
-                    F64Lanes::<L>::splat(coeffs[ti].im),
-                )
-            },
-            ws,
-        )
-    })
-}
-
-#[inline(always)]
-fn m2p_potential_group_core<const L: usize>(
-    centers: &[Vec3; L],
-    points: &[Vec3; L],
-    coeff: &impl Fn(usize) -> (F64Lanes<L>, F64Lanes<L>),
-    ws: &mut BatchWorkspace,
-) -> [f64; L] {
-    let degree = ws.degree;
-    debug_assert!(ws.lanes >= L, "workspace prepared narrower than kernel");
-    let (inv_r, cos_t, sin_t, e1_re, e1_im) = spherical_setup(centers, points);
-    legendre_p_lanes(degree, cos_t, sin_t, &mut ws.leg_p);
-
-    let acc = &mut ws.acc_pot[..(degree + 1) * L];
-    acc.fill(0.0);
-    let norm = &ws.norm;
-    let leg = &ws.leg_p;
-    let mut eim_re = F64Lanes::<L>::splat(1.0);
-    let mut eim_im = F64Lanes::<L>::splat(0.0);
-    for m in 0..=degree {
-        let w = if m == 0 { 1.0 } else { 2.0 };
-        for n in m..=degree {
-            let ti = tri_index(n, m);
-            let nr = F64Lanes::splat(norm[ti]);
-            let row = n * L;
-            let (c_re, c_im) = coeff(ti);
-            let rot = c_re * eim_re - c_im * eim_im;
-            let term = F64Lanes::splat(w) * rot * nr * F64Lanes::load(&leg[ti * L..]);
-            (F64Lanes::load(&acc[row..]) + term).store(&mut acc[row..]);
-        }
-        let re = eim_re * e1_re - eim_im * e1_im;
-        let im = eim_re * e1_im + eim_im * e1_re;
-        eim_re = re;
-        eim_im = im;
-    }
-    let mut phi = F64Lanes::<L>::splat(0.0);
-    let mut rpow = inv_r;
-    for n in 0..=degree {
-        phi += F64Lanes::load(&acc[n * L..]) * rpow;
-        rpow = rpow * inv_r;
-    }
-    phi.0
+    let coeff = |ti: usize| splat_complex(coeffs[ti].re, coeffs[ti].im);
+    simd::dispatch(|| group_core::<L, false, false>(&[center; L], points, &coeff, ws).0)
 }
 
 /// Potential-and-gradient analogue of [`m2p_potential_group`]; lane `l`
@@ -453,19 +378,7 @@ pub fn m2p_field_group<const L: usize>(
     g: &M2pGroup<'_, L>,
     ws: &mut BatchWorkspace,
 ) -> ([f64; L], [Vec3; L]) {
-    simd::dispatch(|| {
-        m2p_field_group_core(
-            &g.centers,
-            &g.points,
-            &|ti| {
-                (
-                    F64Lanes::<L>::from_fn(|l| g.coeffs[l][ti].re),
-                    F64Lanes::<L>::from_fn(|l| g.coeffs[l][ti].im),
-                )
-            },
-            ws,
-        )
-    })
+    simd::dispatch(|| group_core::<L, false, true>(&g.centers, &g.points, &gather(g), ws))
 }
 
 /// Shared-expansion variant of [`m2p_field_group`]; see
@@ -477,24 +390,73 @@ pub fn m2p_field_group_uniform<const L: usize>(
     points: &[Vec3; L],
     ws: &mut BatchWorkspace,
 ) -> ([f64; L], [Vec3; L]) {
-    let centers = [center; L];
-    simd::dispatch(|| {
-        m2p_field_group_core(
-            &centers,
-            points,
-            &|ti| {
-                (
-                    F64Lanes::<L>::splat(coeffs[ti].re),
-                    F64Lanes::<L>::splat(coeffs[ti].im),
-                )
-            },
-            ws,
-        )
-    })
+    let coeff = |ti: usize| splat_complex(coeffs[ti].re, coeffs[ti].im);
+    simd::dispatch(|| group_core::<L, false, true>(&[center; L], points, &coeff, ws))
 }
 
+/// L2P for `L` targets around one local expansion (the degree the
+/// workspace was last prepared for). The coefficients are an interleaved
+/// `(re, im)` span in `tri_index` order — `2·tri_len(degree)` reals, the
+/// compiled FMM's local-arena layout — broadcast to every lane, so the
+/// arena is read in place. Runs the M2P group body with the inner radial
+/// factor `r^n`; lane `l` matches
+/// [`l2p_potential_with`](crate::l2p_potential_with) to ULP precision,
+/// including a target exactly at the center (the `n = 0` term). Pad short
+/// groups by repeating a live point.
+#[must_use]
+pub fn l2p_potential_group<const L: usize>(
+    center: Vec3,
+    coeffs: &[f64],
+    points: &[Vec3; L],
+    ws: &mut BatchWorkspace,
+) -> [f64; L] {
+    let coeff = |ti: usize| splat_complex(coeffs[2 * ti], coeffs[2 * ti + 1]);
+    simd::dispatch(|| group_core::<L, true, false>(&[center; L], points, &coeff, ws).0)
+}
+
+/// Potential-and-gradient analogue of [`l2p_potential_group`]; lane `l`
+/// matches [`l2p_field_with`](crate::l2p_field_with) to ULP precision.
+#[must_use]
+pub fn l2p_field_group<const L: usize>(
+    center: Vec3,
+    coeffs: &[f64],
+    points: &[Vec3; L],
+    ws: &mut BatchWorkspace,
+) -> ([f64; L], [Vec3; L]) {
+    let coeff = |ti: usize| splat_complex(coeffs[2 * ti], coeffs[2 * ti + 1]);
+    simd::dispatch(|| group_core::<L, true, true>(&[center; L], points, &coeff, ws))
+}
+
+/// Per-term coefficient of a gather group: lane `l` reads its own span.
 #[inline(always)]
-fn m2p_field_group_core<const L: usize>(
+fn gather<'g, const L: usize>(
+    g: &'g M2pGroup<'_, L>,
+) -> impl Fn(usize) -> (F64Lanes<L>, F64Lanes<L>) + 'g {
+    move |ti| {
+        (
+            F64Lanes::from_fn(|l| g.coeffs[l][ti].re),
+            F64Lanes::from_fn(|l| g.coeffs[l][ti].im),
+        )
+    }
+}
+
+/// One coefficient broadcast to every lane.
+#[inline(always)]
+fn splat_complex<const L: usize>(re: f64, im: f64) -> (F64Lanes<L>, F64Lanes<L>) {
+    (F64Lanes::splat(re), F64Lanes::splat(im))
+}
+
+/// The one group body behind M2P and L2P, potential and field:
+/// `Σ_{n,m} w_m Re(c_n^m e^{imφ}) N_n^m P_n^m(cos θ) · R_n(r)` per lane,
+/// with the radial factor `R_n` the outer `r^-(n+1)` (`LOCAL = false`,
+/// multipole series) or the inner `r^n` (`LOCAL = true`, local series).
+/// Terms accumulate into per-degree lane rows and are weighted by `R_n`
+/// last, so both series share every recurrence. With `FIELD` the gradient
+/// follows in spherical components from the same rows (`dP/dθ`,
+/// `P/sin θ`) and is rotated to Cartesian per lane; otherwise the
+/// returned gradients are zero.
+#[inline(always)]
+fn group_core<const L: usize, const LOCAL: bool, const FIELD: bool>(
     centers: &[Vec3; L],
     points: &[Vec3; L],
     coeff: &impl Fn(usize) -> (F64Lanes<L>, F64Lanes<L>),
@@ -502,18 +464,10 @@ fn m2p_field_group_core<const L: usize>(
 ) -> ([f64; L], [Vec3; L]) {
     let degree = ws.degree;
     debug_assert!(ws.lanes >= L, "workspace prepared narrower than kernel");
-    // cos φ + i sin φ doubles as the in-plane unit vector of the setup.
-    let (inv_r, cos_t, sin_t, cos_p, sin_p) = spherical_setup(centers, points);
-    {
-        let BatchWorkspace {
-            leg_p,
-            leg_q,
-            leg_d,
-            ..
-        } = ws;
-        legendre_pqd_lanes(degree, cos_t, sin_t, leg_p, leg_q, leg_d);
+    let o = spherical_setup(centers, points);
+    for l in 0..L {
+        debug_assert!(LOCAL || o.r.0[l] > 0.0, "M2P at the expansion center");
     }
-
     let rows = (degree + 1) * L;
     let BatchWorkspace {
         norm,
@@ -525,13 +479,19 @@ fn m2p_field_group_core<const L: usize>(
         acc_dph,
         ..
     } = ws;
+    if FIELD {
+        legendre_pqd_lanes(degree, o.cos_t, o.sin_t, leg_p, leg_q, leg_d);
+    } else {
+        legendre_p_lanes(degree, o.cos_t, o.sin_t, leg_p);
+    }
     let pot = &mut acc_pot[..rows];
     let dth = &mut acc_dth[..rows];
     let dph = &mut acc_dph[..rows];
     pot.fill(0.0);
-    dth.fill(0.0);
-    dph.fill(0.0);
-    // e1 = cos φ + i sin φ, as in the scalar field kernel
+    if FIELD {
+        dth.fill(0.0);
+        dph.fill(0.0);
+    }
     let mut eim_re = F64Lanes::<L>::splat(1.0);
     let mut eim_im = F64Lanes::<L>::splat(0.0);
     for m in 0..=degree {
@@ -546,54 +506,63 @@ fn m2p_field_group_core<const L: usize>(
             let wnr = F64Lanes::splat(w) * rot_re * nr;
             (F64Lanes::load(&pot[row..]) + wnr * F64Lanes::load(&leg_p[lrow..]))
                 .store(&mut pot[row..]);
-            (F64Lanes::load(&dth[row..]) + wnr * F64Lanes::load(&leg_d[lrow..]))
-                .store(&mut dth[row..]);
-            if m >= 1 {
-                let rot_im = c_re * eim_im + c_im * eim_re;
-                let t = F64Lanes::splat(-2.0 * m as f64) * rot_im * nr;
-                (F64Lanes::load(&dph[row..]) + t * F64Lanes::load(&leg_q[lrow..]))
-                    .store(&mut dph[row..]);
+            if FIELD {
+                (F64Lanes::load(&dth[row..]) + wnr * F64Lanes::load(&leg_d[lrow..]))
+                    .store(&mut dth[row..]);
+                if m >= 1 {
+                    let rot_im = c_re * eim_im + c_im * eim_re;
+                    let t = F64Lanes::splat(-2.0 * m as f64) * rot_im * nr;
+                    (F64Lanes::load(&dph[row..]) + t * F64Lanes::load(&leg_q[lrow..]))
+                        .store(&mut dph[row..]);
+                }
             }
         }
-        let re = eim_re * cos_p - eim_im * sin_p;
-        let im = eim_re * sin_p + eim_im * cos_p;
+        let re = eim_re * o.cos_p - eim_im * o.sin_p;
+        let im = eim_re * o.sin_p + eim_im * o.cos_p;
         eim_re = re;
         eim_im = im;
     }
+    // Radial weights of degree n: `a` scales Φ's row, `b` the gradient's.
+    // Outer: a = r^-(n+1), b = r^-(n+2), ∂/∂r factor −(n+1). Inner:
+    // a = r^n, b = r^(n−1) (0 at n = 0, whose gradient row is zero — so a
+    // target at the center never forms 1/r), ∂/∂r factor n.
+    let step = if LOCAL { o.r } else { o.inv_r };
+    let mut a = if LOCAL { F64Lanes::splat(1.0) } else { o.inv_r };
+    let mut a_prev = F64Lanes::<L>::splat(0.0);
     let mut phi = F64Lanes::<L>::splat(0.0);
     let mut g_r = F64Lanes::<L>::splat(0.0);
     let mut g_t = F64Lanes::<L>::splat(0.0);
     let mut g_p = F64Lanes::<L>::splat(0.0);
-    let mut rpow1 = inv_r;
     for n in 0..=degree {
-        let rpow2 = rpow1 * inv_r;
+        let a_next = a * step;
         let potv = F64Lanes::<L>::load(&pot[n * L..]);
-        phi += potv * rpow1;
-        g_r += F64Lanes::splat(-((n + 1) as f64)) * potv * rpow2;
-        g_t += F64Lanes::<L>::load(&dth[n * L..]) * rpow2;
-        g_p += F64Lanes::<L>::load(&dph[n * L..]) * rpow2;
-        rpow1 = rpow2;
+        phi += potv * a;
+        if FIELD {
+            let b = if LOCAL { a_prev } else { a_next };
+            let dr = if LOCAL { n as f64 } else { -((n + 1) as f64) };
+            g_r += F64Lanes::splat(dr) * potv * b;
+            g_t += F64Lanes::<L>::load(&dth[n * L..]) * b;
+            g_p += F64Lanes::<L>::load(&dph[n * L..]) * b;
+        }
+        a_prev = a;
+        a = a_next;
     }
     let mut grad_out = [Vec3::ZERO; L];
-    for (l, out) in grad_out.iter_mut().enumerate() {
-        let e_r = Vec3::new(sin_t.0[l] * cos_p.0[l], sin_t.0[l] * sin_p.0[l], cos_t.0[l]);
-        let e_t = Vec3::new(
-            cos_t.0[l] * cos_p.0[l],
-            cos_t.0[l] * sin_p.0[l],
-            -sin_t.0[l],
-        );
-        let e_p = Vec3::new(-sin_p.0[l], cos_p.0[l], 0.0);
-        *out = e_r * g_r.0[l] + e_t * g_t.0[l] + e_p * g_p.0[l];
+    if FIELD {
+        let (st, ct, sp, cp) = (o.sin_t.0, o.cos_t.0, o.sin_p.0, o.cos_p.0);
+        for (l, out) in grad_out.iter_mut().enumerate() {
+            let e_r = Vec3::new(st[l] * cp[l], st[l] * sp[l], ct[l]);
+            let e_t = Vec3::new(ct[l] * cp[l], ct[l] * sp[l], -st[l]);
+            let e_p = Vec3::new(-sp[l], cp[l], 0.0);
+            *out = e_r * g_r.0[l] + e_t * g_t.0[l] + e_p * g_p.0[l];
+        }
     }
     (phi.0, grad_out)
 }
 
 /// Near-field potential over one SoA source span, **without** a
 /// zero-distance guard: the caller must have excluded the self particle
-/// (the list compiler splits spans around it). Each pair performs the
-/// same arithmetic as the scalar near-field loop; only the summation
-/// order differs ([`P2P_LANES`] independent accumulators at every
-/// dispatch level, the tail padded with zero-charge lanes).
+/// (the list compiler splits spans around it). See [`p2p_span`].
 #[must_use]
 pub fn p2p_potential_span(
     xs: &[f64],
@@ -603,214 +572,11 @@ pub fn p2p_potential_span(
     t: Vec3,
     eps2: f64,
 ) -> f64 {
-    simd::dispatch(|| p2p_potential_span_impl::<P2P_LANES>(xs, ys, zs, qs, t, eps2))
+    p2p_span::<f64, false, false>(xs, ys, zs, qs, t, eps2).0
 }
 
-#[inline(always)]
-fn p2p_potential_span_impl<const L: usize>(
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qs: &[f64],
-    t: Vec3,
-    eps2: f64,
-) -> f64 {
-    debug_assert!(xs.len() == ys.len() && ys.len() == zs.len() && zs.len() == qs.len());
-    // Hoisted into lane splats: `t` is passed indirectly (three f64s), and
-    // field loads inside the loop defeat the vectorizer at opt-level 3.
-    let tx = F64Lanes::<L>::splat(t.x);
-    let ty = F64Lanes::<L>::splat(t.y);
-    let tz = F64Lanes::<L>::splat(t.z);
-    let ev = F64Lanes::<L>::splat(eps2);
-    let main = xs.len() - xs.len() % L;
-    let mut acc = F64Lanes::<L>::splat(0.0);
-    for (((xc, yc), zc), qc) in xs[..main]
-        .chunks_exact(L)
-        .zip(ys[..main].chunks_exact(L))
-        .zip(zs[..main].chunks_exact(L))
-        .zip(qs[..main].chunks_exact(L))
-    {
-        let dx = F64Lanes::<L>::load(xc) - tx;
-        let dy = F64Lanes::<L>::load(yc) - ty;
-        let dz = F64Lanes::<L>::load(zc) - tz;
-        let r2 = dx * dx + dy * dy + dz * dz + ev;
-        acc += F64Lanes::load(qc) / r2.sqrt();
-    }
-    // Tail: padded full-vector iteration; see the f32 kernel for the
-    // `q = 0` at `x = f64::MAX` pad-lane contract (exactly +0.0).
-    if main < xs.len() {
-        let rem = xs.len() - main;
-        let mut px = [f64::MAX; L];
-        let mut py = [0.0f64; L];
-        let mut pz = [0.0f64; L];
-        let mut pq = [0.0f64; L];
-        px[..rem].copy_from_slice(&xs[main..]);
-        py[..rem].copy_from_slice(&ys[main..]);
-        pz[..rem].copy_from_slice(&zs[main..]);
-        pq[..rem].copy_from_slice(&qs[main..]);
-        let dx = F64Lanes::<L>::load(&px) - tx;
-        let dy = F64Lanes::<L>::load(&py) - ty;
-        let dz = F64Lanes::<L>::load(&pz) - tz;
-        let r2 = dx * dx + dy * dy + dz * dz + ev;
-        acc += F64Lanes::load(&pq) / r2.sqrt();
-    }
-    acc.sum()
-}
-
-/// Near-field potential over one SoA span with the external-target guard:
-/// pairs at exactly zero (softened) distance contribute nothing and are
-/// not counted, matching the scalar external-point loop. Returns the
-/// potential and the number of counted pairs.
-#[must_use]
-pub fn p2p_potential_span_guarded(
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qs: &[f64],
-    t: Vec3,
-    eps2: f64,
-) -> (f64, u64) {
-    simd::dispatch(|| p2p_potential_span_guarded_impl::<P2P_LANES>(xs, ys, zs, qs, t, eps2))
-}
-
-#[inline(always)]
-fn p2p_potential_span_guarded_impl<const L: usize>(
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qs: &[f64],
-    t: Vec3,
-    eps2: f64,
-) -> (f64, u64) {
-    debug_assert!(xs.len() == ys.len() && ys.len() == zs.len() && zs.len() == qs.len());
-    // See `p2p_potential_span` for why `t` is hoisted into locals.
-    let (tx, ty, tz) = (t.x, t.y, t.z);
-    let main = xs.len() - xs.len() % L;
-    let mut acc = [0.0f64; L];
-    let mut cnt = [0u64; L];
-    for (((xc, yc), zc), qc) in xs[..main]
-        .chunks_exact(L)
-        .zip(ys[..main].chunks_exact(L))
-        .zip(zs[..main].chunks_exact(L))
-        .zip(qs[..main].chunks_exact(L))
-    {
-        for l in 0..L {
-            let dx = xc[l] - tx;
-            let dy = yc[l] - ty;
-            let dz = zc[l] - tz;
-            let r2 = dx * dx + dy * dy + dz * dz + eps2;
-            if r2 > 0.0 {
-                acc[l] += qc[l] / r2.sqrt();
-                cnt[l] += 1;
-            }
-        }
-    }
-    let mut phi = 0.0;
-    let mut pairs = 0u64;
-    for l in 0..L {
-        phi += acc[l];
-        pairs += cnt[l];
-    }
-    for j in main..xs.len() {
-        let dx = xs[j] - tx;
-        let dy = ys[j] - ty;
-        let dz = zs[j] - tz;
-        let r2 = dx * dx + dy * dy + dz * dz + eps2;
-        if r2 > 0.0 {
-            phi += qs[j] / r2.sqrt();
-            pairs += 1;
-        }
-    }
-    (phi, pairs)
-}
-
-/// Near-field potential and gradient over one SoA span with the
-/// zero-distance guard (the scalar field loop guards both source and
-/// external targets). The self particle, when in range, must already be
-/// excluded by span splitting. Returns `(Φ, ∇Φ, counted pairs)`.
-#[must_use]
-pub fn p2p_field_span_guarded(
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qs: &[f64],
-    t: Vec3,
-    eps2: f64,
-) -> (f64, Vec3, u64) {
-    simd::dispatch(|| p2p_field_span_guarded_impl::<P2P_LANES>(xs, ys, zs, qs, t, eps2))
-}
-
-#[inline(always)]
-fn p2p_field_span_guarded_impl<const L: usize>(
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qs: &[f64],
-    t: Vec3,
-    eps2: f64,
-) -> (f64, Vec3, u64) {
-    debug_assert!(xs.len() == ys.len() && ys.len() == zs.len() && zs.len() == qs.len());
-    // See `p2p_potential_span` for why `t` is hoisted into locals.
-    let (tx, ty, tz) = (t.x, t.y, t.z);
-    let main = xs.len() - xs.len() % L;
-    let mut acc_phi = [0.0f64; L];
-    let mut acc_gx = [0.0f64; L];
-    let mut acc_gy = [0.0f64; L];
-    let mut acc_gz = [0.0f64; L];
-    let mut cnt = [0u64; L];
-    for (((xc, yc), zc), qc) in xs[..main]
-        .chunks_exact(L)
-        .zip(ys[..main].chunks_exact(L))
-        .zip(zs[..main].chunks_exact(L))
-        .zip(qs[..main].chunks_exact(L))
-    {
-        for l in 0..L {
-            // d = target − source, as in the scalar field loop (the
-            // gradient uses the signed components)
-            let dx = tx - xc[l];
-            let dy = ty - yc[l];
-            let dz = tz - zc[l];
-            let r2 = dx * dx + dy * dy + dz * dz + eps2;
-            if r2 > 0.0 {
-                let r = r2.sqrt();
-                let f = -qc[l] / (r2 * r);
-                acc_phi[l] += qc[l] / r;
-                acc_gx[l] += dx * f;
-                acc_gy[l] += dy * f;
-                acc_gz[l] += dz * f;
-                cnt[l] += 1;
-            }
-        }
-    }
-    let mut phi = 0.0;
-    let mut grad = Vec3::ZERO;
-    let mut pairs = 0u64;
-    for l in 0..L {
-        phi += acc_phi[l];
-        grad += Vec3::new(acc_gx[l], acc_gy[l], acc_gz[l]);
-        pairs += cnt[l];
-    }
-    for j in main..xs.len() {
-        let dx = tx - xs[j];
-        let dy = ty - ys[j];
-        let dz = tz - zs[j];
-        let r2 = dx * dx + dy * dy + dz * dz + eps2;
-        if r2 > 0.0 {
-            let r = r2.sqrt();
-            let f = -qs[j] / (r2 * r);
-            phi += qs[j] / r;
-            grad += Vec3::new(dx * f, dy * f, dz * f);
-            pairs += 1;
-        }
-    }
-    (phi, grad, pairs)
-}
-
-/// f32 near-field potential over one span of the f32 SoA mirror,
-/// **without** a zero-distance guard (self particle excluded by span
-/// splitting). Pair arithmetic is f32; only the final lane reduction is
-/// widened to f64. The caller opts in via
-/// [`crate::bounds::f32_near_admissible`].
+/// f32 analogue of [`p2p_potential_span`] over the f32 SoA mirror; the
+/// caller opts in via [`crate::bounds::f32_near_admissible`].
 #[must_use]
 pub fn p2p_potential_span_f32(
     xs: &[f32],
@@ -820,206 +586,234 @@ pub fn p2p_potential_span_f32(
     t: Vec3,
     eps2: f64,
 ) -> f64 {
-    simd::dispatch(|| p2p_potential_span_f32_impl::<P2P_LANES_F32>(xs, ys, zs, qs, t, eps2))
+    p2p_span::<f32, false, false>(xs, ys, zs, qs, t, eps2).0
 }
 
-#[inline(always)]
-fn p2p_potential_span_f32_impl<const L: usize>(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    qs: &[f32],
-    t: Vec3,
-    eps2: f64,
-) -> f64 {
-    debug_assert!(xs.len() == ys.len() && ys.len() == zs.len() && zs.len() == qs.len());
-    let tx = F32Lanes::<L>::splat(t.x as f32);
-    let ty = F32Lanes::<L>::splat(t.y as f32);
-    let tz = F32Lanes::<L>::splat(t.z as f32);
-    let ev = F32Lanes::<L>::splat(eps2 as f32);
-    let main = xs.len() - xs.len() % L;
-    let mut acc = F32Lanes::<L>::splat(0.0);
-    for (((xc, yc), zc), qc) in xs[..main]
-        .chunks_exact(L)
-        .zip(ys[..main].chunks_exact(L))
-        .zip(zs[..main].chunks_exact(L))
-        .zip(qs[..main].chunks_exact(L))
-    {
-        let dx = F32Lanes::<L>::load(xc) - tx;
-        let dy = F32Lanes::<L>::load(yc) - ty;
-        let dz = F32Lanes::<L>::load(zc) - tz;
-        let r2 = dx * dx + dy * dy + dz * dz + ev;
-        acc += F32Lanes::load(qc) / r2.sqrt();
-    }
-    // Tail: pad to one more full vector instead of a scalar loop (spans
-    // are ~leaf-sized, so the tail is a large fraction of the work). Pad
-    // lanes carry `q = 0` at `x = f32::MAX`, so `dx²` overflows to +inf
-    // and the lane contributes exactly `0/∞ = +0.0` — value-neutral and
-    // identical at every dispatch level.
-    if main < xs.len() {
-        let rem = xs.len() - main;
-        let mut px = [f32::MAX; L];
-        let mut py = [0.0f32; L];
-        let mut pz = [0.0f32; L];
-        let mut pq = [0.0f32; L];
-        px[..rem].copy_from_slice(&xs[main..]);
-        py[..rem].copy_from_slice(&ys[main..]);
-        pz[..rem].copy_from_slice(&zs[main..]);
-        pq[..rem].copy_from_slice(&qs[main..]);
-        let dx = F32Lanes::<L>::load(&px) - tx;
-        let dy = F32Lanes::<L>::load(&py) - ty;
-        let dz = F32Lanes::<L>::load(&pz) - tz;
-        let r2 = dx * dx + dy * dy + dz * dz + ev;
-        acc += F32Lanes::load(&pq) / r2.sqrt();
-    }
-    acc.sum_f64()
-}
-
-/// Guarded f32 analogue of [`p2p_potential_span_guarded`]: pairs at
-/// exactly zero (softened) f32 distance contribute nothing and are not
-/// counted. Returns the widened potential and the counted pairs. Note
-/// the guard tests the *f32* distance, so a pair separated by less than
-/// an f32 ULP from the target is skipped where the f64 kernel would keep
-/// it — within the roundoff budget that gates this tier.
+/// The near-field kernel: `Φ = Σ_j q_j / r_j` and, with `FIELD`,
+/// `∇Φ = Σ_j −q_j d_j / r_j³` (`d_j = t − x_j`, `r_j² = |d_j|² + eps2`)
+/// over one SoA source span, returned widened to f64 with the number of
+/// counted pairs (`∇Φ` is zero without `FIELD`).
+///
+/// * **Precision** `T`: f64, or f32 over the f32 mirror — pair
+///   arithmetic and lane accumulators in f32, only the final reduction
+///   widened. The f32 guard tests the *f32* distance, so a source within
+///   an f32 ULP of the target is skipped where f64 would keep it — inside
+///   the roundoff budget that gates the tier.
+/// * **Guard** `GUARD`: pairs at exactly zero (softened) distance
+///   contribute nothing and are not counted. It is a per-lane select
+///   (the pair term becomes `0` where `r² > 0` fails, NaN included) plus
+///   a per-lane count, so the main loop stays packed; `q/0` in a dropped
+///   lane is computed and discarded. Unguarded spans count every pair
+///   (the caller excluded the self particle by span splitting).
+/// * **Output** `FIELD`: potential only, or potential and gradient. An
+///   f64 potential takes `q · (1/√r²)` from `Lanes::rsqrt_seeded`
+///   (≤ 4e-16 relative) for each main-body vector whose `r²` lanes are
+///   all in `Lanes::in_rsqrt_seed_range` — a per-vector branch, so the
+///   range check costs no per-lane work — and `q/√r²` otherwise, which
+///   also covers the guard's `r² = 0` lanes. The tail, fields and f32
+///   always divide by an IEEE square root.
+///
+/// Lanes: a fixed logical width at every dispatch level ([`P2P_LANES`]
+/// for f64, [`P2P_LANES_F32`] for f32), so the summation order — and the
+/// seeded-or-divide choice per vector — never depends on the hardware.
+/// The `len % width` tail runs pair by pair in the scalar form of the
+/// divide path, not as a padded vector: there are no pad lanes, so
+/// nothing can slip past the guard's count, and a short span pays for its
+/// few pairs only. An unguarded span adds tail pair `k` into lane `k`
+/// before reducing the lanes sequentially; a guarded span reduces the
+/// lanes first and then adds the tail pairs in order. Both are the orders
+/// of the dedicated kernels this body replaced, so wherever the divide is
+/// taken every value is bit-identical to theirs.
 #[must_use]
-pub fn p2p_potential_span_guarded_f32(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    qs: &[f32],
-    t: Vec3,
-    eps2: f64,
-) -> (f64, u64) {
-    simd::dispatch(|| p2p_potential_span_guarded_f32_impl::<P2P_LANES_F32>(xs, ys, zs, qs, t, eps2))
-}
-
-#[inline(always)]
-fn p2p_potential_span_guarded_f32_impl<const L: usize>(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    qs: &[f32],
-    t: Vec3,
-    eps2: f64,
-) -> (f64, u64) {
-    debug_assert!(xs.len() == ys.len() && ys.len() == zs.len() && zs.len() == qs.len());
-    let (tx, ty, tz, ev) = (t.x as f32, t.y as f32, t.z as f32, eps2 as f32);
-    let main = xs.len() - xs.len() % L;
-    let mut acc = [0.0f32; L];
-    let mut cnt = [0u64; L];
-    for (((xc, yc), zc), qc) in xs[..main]
-        .chunks_exact(L)
-        .zip(ys[..main].chunks_exact(L))
-        .zip(zs[..main].chunks_exact(L))
-        .zip(qs[..main].chunks_exact(L))
-    {
-        for l in 0..L {
-            let dx = xc[l] - tx;
-            let dy = yc[l] - ty;
-            let dz = zc[l] - tz;
-            let r2 = dx * dx + dy * dy + dz * dz + ev;
-            if r2 > 0.0 {
-                acc[l] += qc[l] / r2.sqrt();
-                cnt[l] += 1;
-            }
-        }
-    }
-    let mut phi = 0.0f64;
-    let mut pairs = 0u64;
-    for l in 0..L {
-        phi += f64::from(acc[l]);
-        pairs += cnt[l];
-    }
-    for j in main..xs.len() {
-        let dx = xs[j] - tx;
-        let dy = ys[j] - ty;
-        let dz = zs[j] - tz;
-        let r2 = dx * dx + dy * dy + dz * dz + ev;
-        if r2 > 0.0 {
-            phi += f64::from(qs[j] / r2.sqrt());
-            pairs += 1;
-        }
-    }
-    (phi, pairs)
-}
-
-/// Guarded f32 analogue of [`p2p_field_span_guarded`]; see
-/// [`p2p_potential_span_guarded_f32`] for the guard semantics. Returns
-/// `(Φ, ∇Φ, counted pairs)` widened to f64.
-#[must_use]
-pub fn p2p_field_span_guarded_f32(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    qs: &[f32],
+pub fn p2p_span<T: Real, const GUARD: bool, const FIELD: bool>(
+    xs: &[T],
+    ys: &[T],
+    zs: &[T],
+    qs: &[T],
     t: Vec3,
     eps2: f64,
 ) -> (f64, Vec3, u64) {
-    simd::dispatch(|| p2p_field_span_guarded_f32_impl::<P2P_LANES_F32>(xs, ys, zs, qs, t, eps2))
+    if is_f64::<T>() {
+        simd::dispatch(move || p2p_lanes::<T, P2P_LANES, GUARD, FIELD>(xs, ys, zs, qs, t, eps2))
+    } else {
+        simd::dispatch(move || p2p_lanes::<T, P2P_LANES_F32, GUARD, FIELD>(xs, ys, zs, qs, t, eps2))
+    }
 }
 
+/// Whether the lane element is f64 (the only other [`Real`] is f32).
 #[inline(always)]
-fn p2p_field_span_guarded_f32_impl<const L: usize>(
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    qs: &[f32],
-    t: Vec3,
-    eps2: f64,
-) -> (f64, Vec3, u64) {
-    debug_assert!(xs.len() == ys.len() && ys.len() == zs.len() && zs.len() == qs.len());
-    let (tx, ty, tz, ev) = (t.x as f32, t.y as f32, t.z as f32, eps2 as f32);
-    let main = xs.len() - xs.len() % L;
-    let mut acc_phi = [0.0f32; L];
-    let mut acc_gx = [0.0f32; L];
-    let mut acc_gy = [0.0f32; L];
-    let mut acc_gz = [0.0f32; L];
-    let mut cnt = [0u64; L];
-    for (((xc, yc), zc), qc) in xs[..main]
-        .chunks_exact(L)
-        .zip(ys[..main].chunks_exact(L))
-        .zip(zs[..main].chunks_exact(L))
-        .zip(qs[..main].chunks_exact(L))
-    {
-        for l in 0..L {
-            let dx = tx - xc[l];
-            let dy = ty - yc[l];
-            let dz = tz - zc[l];
-            let r2 = dx * dx + dy * dy + dz * dz + ev;
-            if r2 > 0.0 {
-                let r = r2.sqrt();
-                let f = -qc[l] / (r2 * r);
-                acc_phi[l] += qc[l] / r;
-                acc_gx[l] += dx * f;
-                acc_gy[l] += dy * f;
-                acc_gz[l] += dz * f;
-                cnt[l] += 1;
-            }
-        }
-    }
-    let mut phi = 0.0f64;
-    let mut grad = Vec3::ZERO;
-    let mut pairs = 0u64;
-    for l in 0..L {
-        phi += f64::from(acc_phi[l]);
-        grad += Vec3::new(
-            f64::from(acc_gx[l]),
-            f64::from(acc_gy[l]),
-            f64::from(acc_gz[l]),
-        );
-        pairs += cnt[l];
-    }
-    for j in main..xs.len() {
-        let dx = tx - xs[j];
-        let dy = ty - ys[j];
-        let dz = tz - zs[j];
+fn is_f64<T: Real>() -> bool {
+    std::mem::size_of::<T>() == std::mem::size_of::<f64>()
+}
+
+/// One lane group of pair terms — `q/r`, `−q/(r²·r)` (with `FIELD`) and
+/// `d = t − x` — with the dropped lanes' terms zeroed, plus `r²`, whose
+/// sign is the guard.
+struct PairTerms<T, const L: usize> {
+    pot: Lanes<T, L>,
+    f: Lanes<T, L>,
+    dx: Lanes<T, L>,
+    dy: Lanes<T, L>,
+    dz: Lanes<T, L>,
+    r2: Lanes<T, L>,
+}
+
+impl<T: Real, const L: usize> PairTerms<T, L> {
+    /// The terms of sources `[x, y, z, q]` at target `[tx, ty, tz]` with
+    /// softening `ev = eps2`.
+    #[inline(always)]
+    fn new<const GUARD: bool, const FIELD: bool>(
+        [tx, ty, tz, ev]: [Lanes<T, L>; 4],
+        [x, y, z, q]: [Lanes<T, L>; 4],
+    ) -> Self {
+        // d = target − source, as in the scalar field loop (the potential
+        // needs only r², which the sign cannot change)
+        let dx = tx - x;
+        let dy = ty - y;
+        let dz = tz - z;
         let r2 = dx * dx + dy * dy + dz * dz + ev;
-        if r2 > 0.0 {
+        let keep = |v: Lanes<T, L>| if GUARD { v.select_positive(r2) } else { v };
+        let zero = Lanes::splat(T::ZERO);
+        let (pot, f) = if !FIELD && is_f64::<T>() && r2.in_rsqrt_seed_range() {
+            (q * r2.rsqrt_seeded(), zero)
+        } else {
             let r = r2.sqrt();
-            let f = -qs[j] / (r2 * r);
-            phi += f64::from(qs[j] / r);
-            grad += Vec3::new(f64::from(dx * f), f64::from(dy * f), f64::from(dz * f));
-            pairs += 1;
+            (q / r, if FIELD { -q / (r2 * r) } else { zero })
+        };
+        PairTerms {
+            pot: keep(pot),
+            f: if FIELD { keep(f) } else { zero },
+            dx,
+            dy,
+            dz,
+            r2,
+        }
+    }
+}
+
+/// One pair in the scalar form of [`PairTerms`]' divide path, for the
+/// span tail: `(r², q/r, d·(−q/(r²·r)))` with `d = t − x` and
+/// `t = [tx, ty, tz, eps2]`.
+#[inline(always)]
+fn scalar_pair<T: Real>([tx, ty, tz, ev]: [T; 4], x: T, y: T, z: T, q: T) -> (T, T, [T; 3]) {
+    let (dx, dy, dz) = (tx - x, ty - y, tz - z);
+    let r2 = dx * dx + dy * dy + dz * dz + ev;
+    let r = r2.sqrt();
+    let f = -q / (r2 * r);
+    (r2, q / r, [dx * f, dy * f, dz * f])
+}
+
+#[inline(always)]
+fn p2p_lanes<T: Real, const L: usize, const GUARD: bool, const FIELD: bool>(
+    xs: &[T],
+    ys: &[T],
+    zs: &[T],
+    qs: &[T],
+    t: Vec3,
+    eps2: f64,
+) -> (f64, Vec3, u64) {
+    debug_assert!(xs.len() == ys.len() && ys.len() == zs.len() && zs.len() == qs.len());
+    // equal lengths, visibly to the optimizer (no per-pair bounds checks)
+    let (ys, zs, qs) = (&ys[..xs.len()], &zs[..xs.len()], &qs[..xs.len()]);
+    // Hoisted into lane splats: `t` is passed indirectly (three f64s), and
+    // field loads inside the loop defeat the vectorizer at opt-level 3.
+    let splat = |v: f64| Lanes::<T, L>::splat(T::from_f64(v));
+    let target = [splat(t.x), splat(t.y), splat(t.z), splat(eps2)];
+    // Lane accumulator rows of Φ and ∇Φ, and the guard's per-lane count.
+    let mut acc = [[T::ZERO; L]; 4];
+    let mut cnt = [0u64; L];
+    let main = xs.len() - xs.len() % L;
+    if main > 0 {
+        // For the field the rows live in memory behind `black_box` while
+        // the main loop runs: the per-iteration load-add-store of each row
+        // is what seeds LLVM's SLP vectorizer, which leaves the loop scalar
+        // with four register accumulators. A span with no full vector
+        // never touches them.
+        let mut rows = acc;
+        let rows = if FIELD {
+            std::hint::black_box(&mut rows)
+        } else {
+            &mut rows
+        };
+        for (((xc, yc), zc), qc) in xs[..main]
+            .chunks_exact(L)
+            .zip(ys[..main].chunks_exact(L))
+            .zip(zs[..main].chunks_exact(L))
+            .zip(qs[..main].chunks_exact(L))
+        {
+            let src = [
+                Lanes::load(xc),
+                Lanes::load(yc),
+                Lanes::load(zc),
+                Lanes::load(qc),
+            ];
+            let p = PairTerms::new::<GUARD, FIELD>(target, src);
+            let [phi, gx, gy, gz] = &mut *rows;
+            (Lanes(*phi) + p.pot).store(phi);
+            if FIELD {
+                (Lanes(*gx) + p.dx * p.f).store(gx);
+                (Lanes(*gy) + p.dy * p.f).store(gy);
+                (Lanes(*gz) + p.dz * p.f).store(gz);
+            }
+            if GUARD {
+                p.r2.count_positive(&mut cnt);
+            }
+        }
+        acc = *rows;
+    }
+    // Tail: the `len % L` remaining pairs one at a time (a padded vector
+    // would cost more than the few pairs of a short span). Unguarded, tail
+    // pair `k` accumulates into lane `k`, as a padded vector would.
+    // Otherwise the pairs follow the lane reduction in order; a span with
+    // no full vector skips that reduction, since appending its pairs to
+    // `+0.0` gives the same bits as folding them into zero lanes.
+    let t1 = [
+        T::from_f64(t.x),
+        T::from_f64(t.y),
+        T::from_f64(t.z),
+        T::from_f64(eps2),
+    ];
+    let fold_tail = !GUARD && main > 0;
+    if fold_tail {
+        for (k, j) in (main..xs.len()).enumerate() {
+            let (_, pot, g) = scalar_pair(t1, xs[j], ys[j], zs[j], qs[j]);
+            acc[0][k] += pot;
+            if FIELD {
+                for (row, gc) in acc[1..].iter_mut().zip(g) {
+                    row[k] += gc;
+                }
+            }
+        }
+    }
+    let sum = |row: [T; L]| Lanes(row).sum_f64();
+    let (mut phi, mut grad) = match (main > 0, FIELD) {
+        (false, _) => (0.0, Vec3::ZERO),
+        (true, false) => (sum(acc[0]), Vec3::ZERO),
+        (true, true) => (
+            sum(acc[0]),
+            Vec3::new(sum(acc[1]), sum(acc[2]), sum(acc[3])),
+        ),
+    };
+    let mut pairs = if GUARD {
+        cnt.iter().sum()
+    } else {
+        xs.len() as u64
+    };
+    if !fold_tail {
+        let widen = |v: T| -> f64 { v.into() };
+        for j in main..xs.len() {
+            let (r2, pot, [gx, gy, gz]) = scalar_pair(t1, xs[j], ys[j], zs[j], qs[j]);
+            let kept = r2 > T::ZERO;
+            if GUARD && !kept {
+                continue;
+            }
+            phi += widen(pot);
+            if FIELD {
+                grad += Vec3::new(widen(gx), widen(gy), widen(gz));
+            }
+            if GUARD {
+                pairs += 1;
+            }
         }
     }
     (phi, grad, pairs)
@@ -1096,7 +890,9 @@ fn m2l_apply_impl<const L: usize>(op: &[f64], x: &[f64], y: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expansion::MultipoleExpansion;
+    use crate::expansion::{
+        l2p_field_with, l2p_potential_with, LocalExpansion, MultipoleExpansion,
+    };
     use crate::workspace::Workspace;
     use mbt_geometry::Particle;
     use proptest::prelude::*;
@@ -1403,80 +1199,6 @@ mod tests {
         )
     }
 
-    #[test]
-    fn p2p_span_matches_scalar_loop() {
-        // span lengths straddling the widest lane count, with and
-        // without guard
-        for n in [0usize, 1, 3, 4, 5, 8, 13, 17] {
-            let ps = cluster(Vec3::ZERO, 1.0, n, 7 + n as u64);
-            let (xs, ys, zs, qs) = soa_of(&ps);
-            let t = Vec3::new(0.3, -0.8, 0.2);
-            for eps2 in [0.0, 1e-4] {
-                let want: f64 = ps
-                    .iter()
-                    .map(|p| p.charge / (p.position.distance_sq(t) + eps2).sqrt())
-                    .sum();
-                let got = p2p_potential_span(&xs, &ys, &zs, &qs, t, eps2);
-                assert!(
-                    (got - want).abs() <= 1e-14 * want.abs().max(1.0),
-                    "n={n} eps2={eps2}: {got} vs {want}"
-                );
-                let (gphi, gpairs) = p2p_potential_span_guarded(&xs, &ys, &zs, &qs, t, eps2);
-                assert!((gphi - want).abs() <= 1e-14 * want.abs().max(1.0));
-                assert_eq!(gpairs, n as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn p2p_guard_skips_coincident_source() {
-        let ps = [
-            Particle::new(Vec3::ZERO, 2.0),
-            Particle::new(Vec3::X, 1.0),
-            Particle::new(Vec3::new(0.0, 2.0, 0.0), -1.0),
-        ];
-        let (xs, ys, zs, qs) = soa_of(&ps);
-        let (phi, pairs) = p2p_potential_span_guarded(&xs, &ys, &zs, &qs, Vec3::ZERO, 0.0);
-        assert_eq!(pairs, 2);
-        assert!((phi - (1.0 - 0.5)).abs() < 1e-15);
-        let (fphi, fgrad, fpairs) = p2p_field_span_guarded(&xs, &ys, &zs, &qs, Vec3::ZERO, 0.0);
-        assert_eq!(fpairs, 2);
-        assert!((fphi - 0.5).abs() < 1e-15);
-        assert!(fgrad.is_finite());
-        // f32 guard: same skip semantics at f32 resolution
-        let (x3, y3, z3, q3) = soa32_of(&ps);
-        let (phi32, pairs32) = p2p_potential_span_guarded_f32(&x3, &y3, &z3, &q3, Vec3::ZERO, 0.0);
-        assert_eq!(pairs32, 2);
-        assert!((phi32 - 0.5).abs() < 1e-6);
-        let (f3, g3, c3) = p2p_field_span_guarded_f32(&x3, &y3, &z3, &q3, Vec3::ZERO, 0.0);
-        assert_eq!(c3, 2);
-        assert!((f3 - 0.5).abs() < 1e-6);
-        assert!(g3.is_finite());
-    }
-
-    #[test]
-    fn p2p_field_matches_scalar_loop() {
-        for n in [1usize, 4, 6, 11] {
-            let ps = cluster(Vec3::new(0.2, 0.1, -0.3), 0.8, n, 100 + n as u64);
-            let (xs, ys, zs, qs) = soa_of(&ps);
-            let t = Vec3::new(-0.4, 0.9, 0.1);
-            let eps2 = 1e-6;
-            let mut wphi = 0.0;
-            let mut wgrad = Vec3::ZERO;
-            for p in &ps {
-                let d = t - p.position;
-                let r2 = d.norm_sq() + eps2;
-                let r = r2.sqrt();
-                wphi += p.charge / r;
-                wgrad += d * (-p.charge / (r2 * r));
-            }
-            let (phi, grad, pairs) = p2p_field_span_guarded(&xs, &ys, &zs, &qs, t, eps2);
-            assert_eq!(pairs, n as u64);
-            assert!((phi - wphi).abs() <= 1e-13 * wphi.abs().max(1.0));
-            assert!(grad.distance(wgrad) <= 1e-13 * wgrad.norm().max(1.0));
-        }
-    }
-
     /// The f32 span kernels track the f64 reference within single-
     /// precision roundoff: a handful of ULPs per pair, far inside the
     /// `ε32·pairs` budget that gates the tier.
@@ -1495,16 +1217,272 @@ mod tests {
                     (got - want).abs() <= tol,
                     "unguarded n={n} eps2={eps2}: {got} vs {want}"
                 );
-                let (gphi, gpairs) = p2p_potential_span_guarded_f32(&x3, &y3, &z3, &q3, t, eps2);
+                let (gphi, _, gpairs) = p2p_span::<f32, true, false>(&x3, &y3, &z3, &q3, t, eps2);
                 assert!((gphi - want).abs() <= tol);
                 assert_eq!(gpairs, n as u64);
             }
-            let (wphi, wgrad, _) = p2p_field_span_guarded(&xs, &ys, &zs, &qs, t, 1e-6);
-            let (fphi, fgrad, fpairs) = p2p_field_span_guarded_f32(&x3, &y3, &z3, &q3, t, 1e-6);
+            let (wphi, wgrad, _) = p2p_span::<f64, true, true>(&xs, &ys, &zs, &qs, t, 1e-6);
+            let (fphi, fgrad, fpairs) = p2p_span::<f32, true, true>(&x3, &y3, &z3, &q3, t, 1e-6);
             assert_eq!(fpairs, n as u64);
             let tol = 1e-4 * (n.max(1) as f64);
             assert!((fphi - wphi).abs() <= tol * wphi.abs().max(1.0));
             assert!(fgrad.distance(wgrad) <= tol * wgrad.norm().max(1.0));
+        }
+    }
+
+    /// Scalar model of [`p2p_span`] at logical width `L`. Arithmetic: an
+    /// f64 potential takes the seeded `1/√r²` for every main-body vector
+    /// whose `r²` lanes are all in the seed's range, `q/√r²` otherwise;
+    /// the tail, fields and f32 always divide. Order: main-body pair `j` accumulates into lane `j % L`;
+    /// unguarded spans fold the tail pairs into lanes `0..rem` before the
+    /// sequential lane reduction, guarded spans reduce first and then
+    /// append the surviving tail pairs in order.
+    fn p2p_model<T: Real, const L: usize>(
+        [xs, ys, zs, qs]: [&[T]; 4],
+        t: Vec3,
+        eps2: f64,
+        guard: bool,
+        field: bool,
+    ) -> (f64, Vec3, u64) {
+        let n = xs.len();
+        let main = n - n % L;
+        let (tx, ty, tz, ev) = (
+            T::from_f64(t.x),
+            T::from_f64(t.y),
+            T::from_f64(t.z),
+            T::from_f64(eps2),
+        );
+        let d = |j: usize| [tx - xs[j], ty - ys[j], tz - zs[j]];
+        let r2 = |j: usize| {
+            let d = d(j);
+            d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + ev
+        };
+        let (lo, hi) = (
+            f64::from(f32::MIN_POSITIVE) * 4.0,
+            f64::from(f32::MAX) / 4.0,
+        );
+        let in_range = |j: usize| (lo..=hi).contains(&r2(j).into());
+        let seeded = |j: usize| {
+            let v0 = j - j % L;
+            !field && is_f64::<T>() && j < main && (v0..v0 + L).all(in_range)
+        };
+        let mut lanes = [(T::ZERO, [T::ZERO; 3]); L];
+        let mut tail = Vec::new();
+        let mut pairs = 0;
+        for j in 0..n {
+            let (d, r2, q) = (d(j), r2(j), qs[j]);
+            let kept = r2 > T::ZERO;
+            if guard && !kept {
+                continue;
+            }
+            pairs += 1;
+            let r = r2.sqrt();
+            let pot = if seeded(j) {
+                let x: f64 = r2.into();
+                let y0 = T::from_f64(f64::from(1.0f32 / (x as f32).sqrt()));
+                let h = T::from_f64(0.5) * r2;
+                let c = T::from_f64(1.5);
+                let y1 = y0 * (c - h * y0 * y0);
+                q * (y1 * (c - h * y1 * y1))
+            } else {
+                q / r
+            };
+            let f = -q / (r2 * r);
+            let term = (pot, [d[0] * f, d[1] * f, d[2] * f]);
+            if j < main || !guard {
+                let lane = &mut lanes[j % L];
+                lane.0 += term.0;
+                for k in 0..3 {
+                    lane.1[k] += term.1[k];
+                }
+            } else {
+                tail.push(term);
+            }
+        }
+        let (mut phi, mut g) = (0.0f64, [0.0f64; 3]);
+        for (p, gl) in lanes.iter().chain(&tail) {
+            phi += (*p).into();
+            for k in 0..3 {
+                g[k] += gl[k].into();
+            }
+        }
+        (phi, Vec3::new(g[0], g[1], g[2]), pairs)
+    }
+
+    /// Span lengths `0..=3L+1` with a coincident source at every index
+    /// `≡ c (mod L)` — one lane position in every main-body vector and in
+    /// the tail — for every `c`: the guard drops exactly those pairs, and
+    /// every kernel variant is bit-identical to the scalar model of its
+    /// summation order, at both precisions.
+    #[test]
+    fn p2p_span_is_bit_identical_to_its_lane_model() {
+        fn check<T: Real, const L: usize>(scale: f64) {
+            let t = Vec3::new(0.3, -0.8, 0.2) * scale;
+            let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+            for n in 0..=3 * L + 1 {
+                let ps = cluster(Vec3::ZERO, scale, n, 11 + n as u64);
+                // c == L: no coincident source
+                for c in 0..=L {
+                    let hit = |j: usize| j % L == c;
+                    let col = |at: &dyn Fn(&Particle) -> f64, on: f64| -> Vec<T> {
+                        let v = |(j, p)| T::from_f64(if hit(j) { on } else { at(p) });
+                        ps.iter().enumerate().map(v).collect()
+                    };
+                    let xs = col(&|p| p.position.x, t.x);
+                    let ys = col(&|p| p.position.y, t.y);
+                    let zs = col(&|p| p.position.z, t.z);
+                    let qs: Vec<T> = ps.iter().map(|p| T::from_f64(p.charge)).collect();
+                    let soa = [&xs[..], &ys, &zs, &qs];
+                    let live = (0..n).filter(|&j| !hit(j)).count() as u64;
+                    let want = p2p_model::<T, L>(soa, t, 0.0, true, false);
+                    assert_eq!(want.2, live, "model count n={n} c={c}");
+                    let pot = p2p_span::<T, true, false>(&xs, &ys, &zs, &qs, t, 0.0);
+                    assert_eq!(pot.0.to_bits(), want.0.to_bits(), "guarded Φ n={n} c={c}");
+                    // and the model is the textbook sum, to roundoff
+                    let (mut plain, mut scale) = (0.0, 0.0);
+                    for (j, p) in ps.iter().enumerate().filter(|&(j, _)| !hit(j)) {
+                        let x = [xs[j], ys[j], zs[j]].map(|v| -> f64 { v.into() });
+                        let term = p.charge / Vec3::new(x[0], x[1], x[2]).distance(t);
+                        plain += term;
+                        scale += term.abs();
+                    }
+                    let tol = if is_f64::<T>() { 1e-15 } else { 1e-6 } * scale;
+                    assert!(
+                        (pot.0 - plain).abs() <= tol,
+                        "Φ n={n} c={c}: {} vs {plain}",
+                        pot.0
+                    );
+                    assert_eq!(pot.2, live, "guarded count n={n} c={c}");
+                    let field = p2p_span::<T, true, true>(&xs, &ys, &zs, &qs, t, 0.0);
+                    let want = p2p_model::<T, L>(soa, t, 0.0, true, true);
+                    assert_eq!(field.0.to_bits(), want.0.to_bits(), "field Φ n={n} c={c}");
+                    assert_eq!(bits(field.1), bits(want.1), "field ∇Φ n={n} c={c}");
+                    assert_eq!(field.2, live, "field count n={n} c={c}");
+                    if c < L {
+                        continue;
+                    }
+                    for eps2 in [0.0, 1e-4] {
+                        let want = p2p_model::<T, L>(soa, t, eps2, false, false);
+                        let pot = p2p_span::<T, false, false>(&xs, &ys, &zs, &qs, t, eps2);
+                        assert_eq!(pot.0.to_bits(), want.0.to_bits(), "unguarded Φ n={n}");
+                        assert_eq!(pot.2, n as u64);
+                        let want = p2p_model::<T, L>(soa, t, eps2, false, true);
+                        let field = p2p_span::<T, false, true>(&xs, &ys, &zs, &qs, t, eps2);
+                        assert_eq!(bits(field.1), bits(want.1), "unguarded ∇Φ n={n}");
+                    }
+                }
+            }
+        }
+        // 1e-25 and 1e22 put every r² outside the seeded reciprocal
+        // square root's range, so f64 potentials take the divide there
+        for scale in [1.0, 1e-25, 1e22] {
+            check::<f64, P2P_LANES>(scale);
+        }
+        check::<f32, P2P_LANES_F32>(1.0);
+    }
+
+    /// A degree-`p` local expansion of a distant cluster about `center`:
+    /// the scalar kernels' `Complex` span and the group kernels'
+    /// interleaved `(re, im)` span.
+    fn local_spans(center: Vec3, degree: usize) -> (Vec<Complex>, Vec<f64>) {
+        let far = cluster(center + Vec3::new(3.0, -2.0, 2.5), 0.8, 30, 5);
+        let e = LocalExpansion::from_distant_particles(center, degree, &far);
+        let mut c = Vec::new();
+        for n in 0..=degree {
+            for m in 0..=n {
+                c.push(e.coeff(n, m as i64));
+            }
+        }
+        let interleaved = c.iter().flat_map(|z| [z.re, z.im]).collect();
+        (c, interleaved)
+    }
+
+    /// Every lane of the L2P group kernels reproduces the scalar L2P
+    /// kernels to ULP precision, including a target exactly at the
+    /// expansion center (the `n = 0` term and its `θ = 0` gradient) and
+    /// targets on the z-axis through it.
+    #[test]
+    fn l2p_groups_match_scalar_per_lane() {
+        let center = Vec3::new(0.2, -0.1, 0.3);
+        let points: [Vec3; 8] = [
+            center,
+            center + Vec3::new(0.0, 0.0, 0.4),
+            center + Vec3::new(0.0, 0.0, -0.25),
+            center + Vec3::new(0.3, -0.2, 0.1),
+            center + Vec3::new(-0.4, 0.1, -0.3),
+            center + Vec3::new(0.05, 0.45, 0.2),
+            center + Vec3::new(-0.1, -0.1, 0.0),
+            center + Vec3::new(0.5, 0.0, 0.0),
+        ];
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-13 * b.abs().max(1e-300);
+        let mut bws = BatchWorkspace::new();
+        let mut ws = Workspace::new();
+        for degree in [0usize, 1, 4, 6, 14] {
+            let (c, inter) = local_spans(center, degree);
+            bws.prepare_degree_lanes(degree, 8);
+            let pot = l2p_potential_group::<8>(center, &inter, &points, &mut bws);
+            let (fphi, fgrad) = l2p_field_group::<8>(center, &inter, &points, &mut bws);
+            for (l, &pt) in points.iter().enumerate() {
+                let want = l2p_potential_with(center, degree, &c, pt, &mut ws);
+                assert!(
+                    close(pot[l], want),
+                    "Φ lane {l} p={degree}: {} vs {want}",
+                    pot[l]
+                );
+                let (wphi, wgrad) = l2p_field_with(center, degree, &c, pt, &mut ws);
+                assert!(close(fphi[l], wphi), "field Φ lane {l} p={degree}");
+                assert!(
+                    fgrad[l].distance(wgrad) <= 1e-13 * wgrad.norm().max(1e-300),
+                    "∇Φ lane {l} p={degree}: {:?} vs {wgrad:?}",
+                    fgrad[l]
+                );
+            }
+        }
+    }
+
+    /// L2P lanes are independent: a 4-wide and an 8-wide group over the
+    /// same points agree bit for bit, and replacing the lanes past `take`
+    /// with unrelated (or replicated) points leaves the live lanes'
+    /// bits unchanged.
+    #[test]
+    fn l2p_lane_width_and_padding_are_inert() {
+        let center = Vec3::new(-0.3, 0.4, 0.1);
+        let (_, inter) = local_spans(center, 6);
+        let pts: [Vec3; 8] = std::array::from_fn(|l| {
+            center
+                + Vec3::new(
+                    0.1 * l as f64 - 0.35,
+                    0.2 - 0.05 * l as f64,
+                    0.03 * l as f64,
+                )
+        });
+        let mut bws = BatchWorkspace::new();
+        bws.prepare_degree_lanes(6, 8);
+        let full = l2p_field_group::<8>(center, &inter, &pts, &mut bws);
+        for half in [0usize, 4] {
+            let four: [Vec3; 4] = std::array::from_fn(|l| pts[half + l]);
+            let pot4 = l2p_potential_group::<4>(center, &inter, &four, &mut bws);
+            let (phi4, grad4) = l2p_field_group::<4>(center, &inter, &four, &mut bws);
+            for l in 0..4 {
+                assert_eq!(pot4[l].to_bits(), full.0[half + l].to_bits());
+                assert_eq!(phi4[l].to_bits(), full.0[half + l].to_bits());
+                assert_eq!(grad4[l], full.1[half + l]);
+            }
+        }
+        for take in 1..8 {
+            for pad in [pts[take - 1], center, Vec3::new(9.0, -9.0, 9.0)] {
+                let padded: [Vec3; 8] =
+                    std::array::from_fn(|l| if l < take { pts[l] } else { pad });
+                let (phi, grad) = l2p_field_group::<8>(center, &inter, &padded, &mut bws);
+                for l in 0..take {
+                    assert_eq!(
+                        phi[l].to_bits(),
+                        full.0[l].to_bits(),
+                        "take {take} lane {l}"
+                    );
+                    assert_eq!(grad[l], full.1[l], "take {take} lane {l}");
+                }
+            }
         }
     }
 

@@ -51,11 +51,9 @@ mod translation;
 pub mod workspace;
 
 pub use batch::{
-    m2l_apply, m2p_field_group, m2p_field_group_uniform, m2p_potential_group,
-    m2p_potential_group_uniform, p2p_field_span_guarded, p2p_field_span_guarded_f32,
-    p2p_potential_span, p2p_potential_span_f32, p2p_potential_span_guarded,
-    p2p_potential_span_guarded_f32, BatchWorkspace, M2pGroup, M2L_LANES, M2P_LANES, P2P_LANES,
-    P2P_LANES_F32,
+    l2p_field_group, l2p_potential_group, m2l_apply, m2p_field_group, m2p_field_group_uniform,
+    m2p_potential_group, m2p_potential_group_uniform, p2p_potential_span, p2p_potential_span_f32,
+    p2p_span, BatchWorkspace, M2pGroup, M2L_LANES, M2P_LANES, P2P_LANES, P2P_LANES_F32,
 };
 pub use bounds::{
     degree_for_tolerance, degree_for_tolerance_at, kappa, theorem1_bound, theorem2_bound,
@@ -66,6 +64,6 @@ pub use expansion::{
     l2p_field_with, l2p_potential_with, p2m_into, ExpansionRef, LocalExpansion, MultipoleExpansion,
 };
 pub use harmonics::Harmonics;
-pub use simd::{F32Lanes, F64Lanes, SimdLevel};
+pub use simd::{F32Lanes, F64Lanes, Lanes, Real, SimdLevel};
 pub use tables::{coeff_bytes, tri_len, MAX_DEGREE};
 pub use workspace::Workspace;

@@ -4,9 +4,10 @@
 //! The batch kernels ([`crate::batch`]) are written against two
 //! primitives from this module:
 //!
-//! * **Lane types** [`F64Lanes<N>`] / [`F32Lanes<N>`] — thin
-//!   `[f; N]` newtypes whose arithmetic is expressed as straight-line
-//!   elementwise loops over a compile-time constant `N`. Every op is
+//! * **Lane type** [`Lanes<T, N>`] (aliases [`F64Lanes<N>`] /
+//!   [`F32Lanes<N>`]) — a thin `[T; N]` newtype over a [`Real`] element
+//!   whose arithmetic is expressed as straight-line elementwise loops
+//!   over a compile-time constant `N`. Every op is
 //!   `#[inline(always)]`, so inside a kernel monomorphized for a given
 //!   width the optimizer sees plain unrolled arithmetic on fixed-size
 //!   arrays — the canonical shape LLVM lowers to full-width vector
@@ -234,9 +235,55 @@ unsafe fn dispatch_avx2<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// `N` f64 lanes with elementwise arithmetic.
+/// A lane element: `f64` or `f32`, the two precisions the batch kernels
+/// run in.
+pub trait Real:
+    Copy
+    + PartialOrd
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+    + AddAssign
+    + Into<f64>
+{
+    /// Additive identity.
+    const ZERO: Self;
+    /// Rounds an f64 into this precision (`as` conversion).
+    fn from_f64(v: f64) -> Self;
+    /// Correctly rounded square root.
+    #[must_use]
+    fn sqrt(self) -> Self;
+}
+
+impl Real for f64 {
+    const ZERO: f64 = 0.0;
+    #[inline(always)]
+    fn from_f64(v: f64) -> f64 {
+        v
+    }
+    #[inline(always)]
+    fn sqrt(self) -> f64 {
+        f64::sqrt(self)
+    }
+}
+
+impl Real for f32 {
+    const ZERO: f32 = 0.0;
+    #[inline(always)]
+    fn from_f64(v: f64) -> f32 {
+        v as f32
+    }
+    #[inline(always)]
+    fn sqrt(self) -> f32 {
+        f32::sqrt(self)
+    }
+}
+
+/// `N` lanes of `T` with elementwise arithmetic.
 ///
-/// A `repr(transparent)` newtype over `[f64; N]`: every op is an
+/// A `repr(transparent)` newtype over `[T; N]`: every op is an
 /// `#[inline(always)]` fixed-trip-count loop, the shape LLVM reliably
 /// lowers to vector registers inside a [`dispatch`]ed kernel. Arithmetic
 /// is plain (no FMA contraction), so lane `l` of any expression is
@@ -245,135 +292,176 @@ unsafe fn dispatch_avx2<R>(f: impl FnOnce() -> R) -> R {
 /// padded-tail contracts rest on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(transparent)]
-pub struct F64Lanes<const N: usize>(pub [f64; N]);
+pub struct Lanes<T, const N: usize>(pub [T; N]);
 
-/// `N` f32 lanes with elementwise arithmetic; see [`F64Lanes`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(transparent)]
-pub struct F32Lanes<const N: usize>(pub [f32; N]);
+/// `N` f64 lanes.
+pub type F64Lanes<const N: usize> = Lanes<f64, N>;
 
-macro_rules! lanes_impl {
-    ($name:ident, $elem:ty) => {
-        impl<const N: usize> $name<N> {
-            /// All lanes equal to `v`.
-            #[inline(always)]
-            #[must_use]
-            pub fn splat(v: $elem) -> Self {
-                Self([v; N])
-            }
+/// `N` f32 lanes.
+pub type F32Lanes<const N: usize> = Lanes<f32, N>;
 
-            /// Lanes from the first `N` elements of `s` (panics if shorter).
-            #[inline(always)]
-            #[must_use]
-            pub fn load(s: &[$elem]) -> Self {
-                let mut out = [0.0; N];
-                out.copy_from_slice(&s[..N]);
-                Self(out)
-            }
+impl<T: Real, const N: usize> Lanes<T, N> {
+    /// All lanes equal to `v`.
+    #[inline(always)]
+    #[must_use]
+    pub fn splat(v: T) -> Self {
+        Self([v; N])
+    }
 
-            /// Lane `l` = `f(l)`.
-            #[inline(always)]
-            #[must_use]
-            pub fn from_fn(f: impl FnMut(usize) -> $elem) -> Self {
-                Self(std::array::from_fn(f))
-            }
+    /// Lanes from the first `N` elements of `s` (panics if shorter).
+    #[inline(always)]
+    #[must_use]
+    pub fn load(s: &[T]) -> Self {
+        let mut out = [T::ZERO; N];
+        out.copy_from_slice(&s[..N]);
+        Self(out)
+    }
 
-            /// Writes the lanes to the first `N` elements of `dst`
-            /// (panics if shorter).
-            #[inline(always)]
-            pub fn store(self, dst: &mut [$elem]) {
-                dst[..N].copy_from_slice(&self.0);
-            }
+    /// Lane `l` = `f(l)`.
+    #[inline(always)]
+    #[must_use]
+    pub fn from_fn(f: impl FnMut(usize) -> T) -> Self {
+        Self(std::array::from_fn(f))
+    }
 
-            /// Elementwise square root.
-            #[inline(always)]
-            #[must_use]
-            pub fn sqrt(self) -> Self {
-                let mut out = self.0;
-                for v in &mut out {
-                    *v = v.sqrt();
-                }
-                Self(out)
-            }
+    /// Writes the lanes to the first `N` elements of `dst`
+    /// (panics if shorter).
+    #[inline(always)]
+    pub fn store(self, dst: &mut [T]) {
+        dst[..N].copy_from_slice(&self.0);
+    }
 
-            /// Sequential lane sum (`((l0 + l1) + l2) + …`), deterministic
-            /// for a fixed `N`.
-            #[inline(always)]
-            #[must_use]
-            pub fn sum(self) -> $elem {
-                let mut acc = 0.0;
-                for v in self.0 {
-                    acc += v;
-                }
-                acc
-            }
+    /// Elementwise square root.
+    #[inline(always)]
+    #[must_use]
+    pub fn sqrt(self) -> Self {
+        let mut out = self.0;
+        for v in &mut out {
+            *v = v.sqrt();
         }
+        Self(out)
+    }
 
-        impl<const N: usize> Add for $name<N> {
-            type Output = Self;
-            #[inline(always)]
-            fn add(self, rhs: Self) -> Self {
-                Self(std::array::from_fn(|l| self.0[l] + rhs.0[l]))
+    /// Lane `l` where `pred[l] > 0`, else `+0.0` — the select form of a
+    /// `pred > 0` branch (a compare into a mask plus a masked move, no
+    /// jump). NaN predicates select `+0.0`, as the branch would skip.
+    #[inline(always)]
+    #[must_use]
+    pub(crate) fn select_positive(self, pred: Self) -> Self {
+        Self(std::array::from_fn(|l| {
+            if pred.0[l] > T::ZERO {
+                self.0[l]
+            } else {
+                T::ZERO
             }
+        }))
+    }
+
+    /// Whether every lane lies where [`Lanes::rsqrt_seeded`] is accurate:
+    /// inside f32's normal range, with a factor of 4 of headroom at each
+    /// end so the rounding to f32 can neither overflow nor go subnormal.
+    /// False for any zero, NaN or infinite lane.
+    #[inline(always)]
+    #[must_use]
+    // `&`, not `&&`: no per-lane branch, so the test stays two packed
+    // compares and one mask check per vector
+    #[allow(clippy::needless_bitwise_bool)]
+    pub(crate) fn in_rsqrt_seed_range(self) -> bool {
+        let lo = T::from_f64(f64::from(f32::MIN_POSITIVE) * 4.0);
+        let hi = T::from_f64(f64::from(f32::MAX) / 4.0);
+        self.0
+            .iter()
+            .fold(true, |all, &v| all & (v >= lo) & (v <= hi))
+    }
+
+    /// `1/√x` per lane without a divide or square root at full width: an
+    /// f32 seed (`x` rounded to f32, IEEE f32 `sqrt` and `/`, ~1e-7
+    /// relative) refined by two Newton steps `y ← y·(3/2 − (x/2)·y²)` in
+    /// plain multiplies and subtracts. Every step is correctly rounded
+    /// IEEE arithmetic, so the result is the same at every dispatch level;
+    /// it lies within 4e-16 relative of `1/√x` for `x` in
+    /// [`Lanes::in_rsqrt_seed_range`].
+    #[inline(always)]
+    #[must_use]
+    pub(crate) fn rsqrt_seeded(self) -> Self {
+        let y0 = Self::from_fn(|l| {
+            let x: f64 = self.0[l].into();
+            T::from_f64(f64::from(1.0f32 / (x as f32).sqrt()))
+        });
+        let h = Self::splat(T::from_f64(0.5)) * self;
+        let c = Self::splat(T::from_f64(1.5));
+        let y1 = y0 * (c - h * y0 * y0);
+        y1 * (c - h * y1 * y1)
+    }
+
+    /// Adds one to `cnt[l]` for every lane with `self[l] > 0`.
+    #[inline(always)]
+    pub(crate) fn count_positive(self, cnt: &mut [u64; N]) {
+        for (c, &v) in cnt.iter_mut().zip(&self.0) {
+            *c += u64::from(v > T::ZERO);
         }
+    }
 
-        impl<const N: usize> Sub for $name<N> {
-            type Output = Self;
-            #[inline(always)]
-            fn sub(self, rhs: Self) -> Self {
-                Self(std::array::from_fn(|l| self.0[l] - rhs.0[l]))
-            }
-        }
-
-        impl<const N: usize> Mul for $name<N> {
-            type Output = Self;
-            #[inline(always)]
-            fn mul(self, rhs: Self) -> Self {
-                Self(std::array::from_fn(|l| self.0[l] * rhs.0[l]))
-            }
-        }
-
-        impl<const N: usize> Div for $name<N> {
-            type Output = Self;
-            #[inline(always)]
-            fn div(self, rhs: Self) -> Self {
-                Self(std::array::from_fn(|l| self.0[l] / rhs.0[l]))
-            }
-        }
-
-        impl<const N: usize> Neg for $name<N> {
-            type Output = Self;
-            #[inline(always)]
-            fn neg(self) -> Self {
-                Self(std::array::from_fn(|l| -self.0[l]))
-            }
-        }
-
-        impl<const N: usize> AddAssign for $name<N> {
-            #[inline(always)]
-            fn add_assign(&mut self, rhs: Self) {
-                for l in 0..N {
-                    self.0[l] += rhs.0[l];
-                }
-            }
-        }
-    };
-}
-
-lanes_impl!(F64Lanes, f64);
-lanes_impl!(F32Lanes, f32);
-
-impl<const N: usize> F32Lanes<N> {
-    /// Lane sum widened to f64 before accumulating, so the final
-    /// reduction adds no f32 rounding on top of the per-lane error.
+    /// Sequential lane sum (`((l0 + l1) + l2) + …`, deterministic for a
+    /// fixed `N`) with every lane widened to f64 before accumulating, so
+    /// the reduction adds no f32 rounding on top of the per-lane error.
     #[inline(always)]
     #[must_use]
     pub fn sum_f64(self) -> f64 {
         let mut acc = 0.0f64;
         for v in self.0 {
-            acc += f64::from(v);
+            acc += v.into();
         }
         acc
+    }
+}
+
+impl<T: Real, const N: usize> Add for Lanes<T, N> {
+    type Output = Self;
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        Self(std::array::from_fn(|l| self.0[l] + rhs.0[l]))
+    }
+}
+
+impl<T: Real, const N: usize> Sub for Lanes<T, N> {
+    type Output = Self;
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        Self(std::array::from_fn(|l| self.0[l] - rhs.0[l]))
+    }
+}
+
+impl<T: Real, const N: usize> Mul for Lanes<T, N> {
+    type Output = Self;
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        Self(std::array::from_fn(|l| self.0[l] * rhs.0[l]))
+    }
+}
+
+impl<T: Real, const N: usize> Div for Lanes<T, N> {
+    type Output = Self;
+    #[inline(always)]
+    fn div(self, rhs: Self) -> Self {
+        Self(std::array::from_fn(|l| self.0[l] / rhs.0[l]))
+    }
+}
+
+impl<T: Real, const N: usize> Neg for Lanes<T, N> {
+    type Output = Self;
+    #[inline(always)]
+    fn neg(self) -> Self {
+        Self(std::array::from_fn(|l| -self.0[l]))
+    }
+}
+
+impl<T: Real, const N: usize> AddAssign for Lanes<T, N> {
+    #[inline(always)]
+    fn add_assign(&mut self, rhs: Self) {
+        for l in 0..N {
+            self.0[l] += rhs.0[l];
+        }
     }
 }
 
@@ -417,7 +505,7 @@ mod tests {
     #[test]
     fn dispatch_runs_closure_and_returns() {
         let xs = F64Lanes::<4>::from_fn(|l| l as f64 + 1.0);
-        let got = dispatch(|| (xs * xs + xs).sum());
+        let got = dispatch(|| (xs * xs + xs).sum_f64());
         // 1*1+1 + 2*2+2 + 3*3+3 + 4*4+4 = 2 + 6 + 12 + 20
         assert!((got - 40.0).abs() < 1e-12);
     }
@@ -442,7 +530,33 @@ mod tests {
         let mut acc = F64Lanes::<8>::splat(0.0);
         acc += a;
         acc += a;
-        assert!((acc.sum() - 56.0).abs() < 1e-12);
+        assert!((acc.sum_f64() - 56.0).abs() < 1e-12);
+    }
+
+    /// The seeded reciprocal square root stays within 4e-16 relative of
+    /// `1/√x` across the whole range it admits, and the range test
+    /// rejects zero, NaN, infinities and the ends of f32's range.
+    #[test]
+    fn seeded_rsqrt_is_accurate_where_admitted() {
+        let mut worst = 0.0f64;
+        for e in -120..=120 {
+            let x = F64Lanes::<8>::from_fn(|l| 10f64.powf(f64::from(e) * 0.3 + 0.037 * l as f64));
+            assert!(
+                x.in_rsqrt_seed_range(),
+                "10^{} admitted",
+                f64::from(e) * 0.3
+            );
+            let y = x.rsqrt_seeded();
+            for l in 0..8 {
+                let want = 1.0 / x.0[l].sqrt();
+                worst = worst.max(((y.0[l] - want) / want).abs());
+            }
+        }
+        assert!(worst <= 4e-16, "worst relative error {worst:e}");
+        for bad in [0.0, f64::NAN, f64::INFINITY, 1e-40, 1e39, -1.0] {
+            let x = F64Lanes::<8>::from_fn(|l| if l == 5 { bad } else { 1.0 });
+            assert!(!x.in_rsqrt_seed_range(), "{bad} rejected");
+        }
     }
 
     #[test]
@@ -451,6 +565,6 @@ mod tests {
         assert!((v.sum_f64() - 120.0).abs() < 1e-9);
         let loaded = F32Lanes::<4>::load(&[1.0, 2.0, 3.0, 4.0, 99.0]);
         assert_eq!(loaded.0, [1.0, 2.0, 3.0, 4.0]);
-        assert!((loaded.sum() - 10.0).abs() < 1e-6);
+        assert!((loaded.sum_f64() - 10.0).abs() < 1e-6);
     }
 }
