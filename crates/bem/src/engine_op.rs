@@ -190,7 +190,7 @@ mod tests {
     use crate::quadrature::QuadRule;
     use crate::shapes::icosphere;
     use crate::single_layer::{DenseSingleLayer, TreecodeSingleLayer};
-    use mbt_engine::{routing_pinned, EngineConfig};
+    use mbt_engine::EngineConfig;
     use mbt_solvers::{GmresOptions, GmresOutcome};
     use mbt_treecode::TreecodeParams;
 
@@ -240,12 +240,8 @@ mod tests {
         let op = EngineSingleLayer::new(g.clone(), Arc::clone(&e), Accuracy::Fixed(6));
         let x = vec![1.0; op.dim()];
         let phi = op.apply_vec(&x);
-        if routing_pinned() {
-            assert_eq!(op.last_backend(), Some(Backend::Treecode));
-        } else {
-            assert_eq!(op.last_backend(), Some(Backend::Fmm));
-            assert!(e.stats().routed_fmm > 0);
-        }
+        assert_eq!(op.last_backend(), Some(Backend::Fmm));
+        assert!(e.stats().routed_fmm > 0);
         // the answer must agree with the owned treecode operator
         let tc = TreecodeSingleLayer::new(g, TreecodeParams::fixed(8, 0.4));
         let yt = tc.apply_vec(&x);

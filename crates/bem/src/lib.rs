@@ -20,8 +20,6 @@
 //! * [`SingleLayerOperator`] — the collocation single-layer potential
 //!   operator with piecewise-linear densities, applied either densely
 //!   (exact reference) or through the treecode,
-//! * [`double_layer`] — the double-layer operator (dense + treecode via
-//!   finite-difference dipoles), validated against the Gauss identities,
 //! * [`EngineSingleLayer`] — the same operator applied through a shared
 //!   `mbt-engine` instance as routed `query_batch` traffic (all-targets
 //!   matvec shapes reach the compiled FMM backend),
@@ -29,7 +27,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod double_layer;
 pub mod engine_op;
 pub mod mesh;
 pub mod problem;
@@ -37,7 +34,6 @@ pub mod quadrature;
 pub mod shapes;
 pub mod single_layer;
 
-pub use double_layer::{DenseDoubleLayer, TreecodeDoubleLayer};
 pub use engine_op::EngineSingleLayer;
 pub use mesh::TriMesh;
 pub use problem::CapacitanceProblem;

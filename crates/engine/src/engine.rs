@@ -38,7 +38,7 @@ use crate::batch::{evaluate_direct, evaluate_plan_batch, QueryKind, QueryOutput}
 use crate::cache::{CacheOutcome, PlanCache};
 use crate::error::EngineError;
 use crate::fanout::evaluate_sharded;
-use crate::plan::{Accuracy, EvalConfig, Plan, PlanKey};
+use crate::plan::{Accuracy, EvalConfig, Plan, PlanArtifact, PlanKey};
 use crate::registry::{Dataset, DatasetId, DatasetRegistry};
 use crate::route::{route, Backend};
 use crate::scheduler::{Batcher, GroupKey};
@@ -185,10 +185,11 @@ pub struct QueryResponse {
     /// Resident size of the plan that served this query (zero for
     /// direct-routed queries).
     pub plan_bytes: usize,
-    /// The backend the router selected for this request. Reflects the
-    /// routing decision — an FMM-keyed plan that fell back to a treecode
-    /// artifact at build time (dense-grid depth cap) still reports
-    /// [`Backend::Fmm`].
+    /// The backend whose artifact computed this answer. An FMM-routed
+    /// request whose plan fell back to a treecode artifact (dense-grid
+    /// depth cap or operator-table degree cap) reports
+    /// [`Backend::Treecode`]; the `routed_*` counters keep counting the
+    /// routing decision.
     pub backend: Backend,
     /// The dataset charge epoch this answer was computed from — every
     /// value in `output` comes from that one charge vector. A query that
@@ -310,6 +311,18 @@ impl Target {
         match self {
             Target::Direct(..) => CacheOutcome::Bypassed,
             Target::Plan(_, outcome) | Target::Sharded(_, _, outcome) => *outcome,
+        }
+    }
+
+    /// The backend whose artifact answers for this target.
+    fn backend(&self) -> Backend {
+        match self {
+            Target::Direct(..) => Backend::Direct,
+            Target::Plan(plan, _) => match plan.artifact {
+                PlanArtifact::Treecode(_) => Backend::Treecode,
+                PlanArtifact::Fmm(_) => Backend::Fmm,
+            },
+            Target::Sharded(..) => Backend::Treecode,
         }
     }
 
@@ -806,7 +819,7 @@ impl Engine {
             eval: swept.eval,
             cache: target.cache_outcome(),
             plan_bytes: target.plan_bytes(),
-            backend: job.backend,
+            backend: target.backend(),
             epoch: job.ds.epoch,
         }
     }
@@ -1434,7 +1447,7 @@ mod tests {
         use mbt_treecode::Precision;
         // α = 0.7 with p = 4: the Theorem 1 far-field bound dominates the
         // f32 near-field roundoff budget, so the resolver downgrades the
-        // near field (compiled builds only; `validate` pins scalar f64)
+        // near field
         let engine = Engine::new(EngineConfig {
             alpha: 0.7,
             ..EngineConfig::default()
@@ -1443,7 +1456,6 @@ mod tests {
         let id = engine.register("t", particles(2000, 43)).unwrap();
         let ds = engine.dataset(id).unwrap();
         let resolved = Accuracy::Fixed(4).resolve_with_profile(0.7, 32, 64, ds.len(), ds.q_max);
-        #[cfg(not(feature = "validate"))]
         assert_eq!(resolved.near_precision, Precision::F32Near);
 
         let pts = points(16);

@@ -136,8 +136,8 @@ pub use flight::{Combiner, Flight, SingleFlight};
 pub use plan::{Accuracy, EvalConfig, Plan, PlanArtifact, PlanKey};
 pub use registry::{Dataset, DatasetId, DatasetRegistry};
 pub use route::{
-    fmm_admissible, fmm_params_for, route, routing_pinned, Backend, DIRECT_MAX_SOURCES,
-    FMM_ALPHA_EFF, FMM_MIN_SOURCES, FMM_MIN_TARGETS,
+    fmm_admissible, fmm_params_for, route, Backend, DIRECT_MAX_SOURCES, FMM_ALPHA_EFF,
+    FMM_MIN_SOURCES, FMM_MIN_TARGETS,
 };
 pub use stats::{DatasetBreakdown, EngineStats, LatencySummary, PlanBreakdown, StatsCollector};
 pub use tenant::{TenantBreakdown, TenantConfig, TenantId};

@@ -53,16 +53,11 @@ impl Accuracy {
     /// MAC parameter and tree-shape settings.
     ///
     /// The three shorthand variants opt into the compiled (interaction-list)
-    /// evaluation mode — the engine's throughput path — except under the
-    /// `validate` feature, which pins the bit-exact scalar reference.
+    /// evaluation mode — the engine's throughput path — in every build.
     /// [`Accuracy::Params`] passes through untouched, so callers needing a
     /// specific mode state it explicitly.
     #[must_use]
     pub fn resolve(self, alpha: f64, leaf_capacity: usize, eval_chunk: usize) -> TreecodeParams {
-        #[cfg(feature = "validate")]
-        let mode = EvalMode::Scalar;
-        #[cfg(not(feature = "validate"))]
-        let mode = EvalMode::Compiled;
         let base = match self {
             Accuracy::Fixed(p) => TreecodeParams::fixed(p, alpha),
             Accuracy::Adaptive { p_min } => TreecodeParams::adaptive(p_min, alpha),
@@ -71,7 +66,7 @@ impl Accuracy {
         };
         base.with_leaf_capacity(leaf_capacity)
             .with_eval_chunk(eval_chunk)
-            .with_eval_mode(mode)
+            .with_eval_mode(EvalMode::Compiled)
     }
 
     /// [`Accuracy::resolve`], then — knowing the dataset's size and
@@ -81,9 +76,6 @@ impl Accuracy {
     /// of a worst-case near-field sum, so the downgrade is invisible at
     /// the request's accuracy level. [`Accuracy::Params`] passes through
     /// untouched: explicit parameters state their own precision.
-    ///
-    /// Scalar mode (the `validate` feature) keeps f64 — the scalar path
-    /// is the bit-exact reference and ignores the knob anyway.
     #[must_use]
     pub fn resolve_with_profile(
         self,
@@ -94,7 +86,7 @@ impl Accuracy {
         q_max: f64,
     ) -> TreecodeParams {
         let base = self.resolve(alpha, leaf_capacity, eval_chunk);
-        if matches!(self, Accuracy::Params(_)) || base.eval_mode != EvalMode::Compiled {
+        if matches!(self, Accuracy::Params(_)) {
             return base;
         }
         if f32_near_admissible(&base.degree, base.alpha, n, q_max, base.leaf_capacity) {
@@ -606,6 +598,18 @@ mod tests {
         assert!(matches!(plan.artifact, PlanArtifact::Fmm(_)));
         assert_eq!(plan.bytes, plan.artifact.heap_bytes());
         assert!(plan.bytes > 0);
+    }
+
+    // The router never keys an FMM plan below α = 1/2, so only a direct
+    // build reaches this contract.
+    #[cfg(feature = "validate")]
+    #[test]
+    #[should_panic(expected = "exceeds what the request accepted")]
+    fn fmm_keyed_build_below_the_effective_alpha_breaks_the_contract() {
+        let particles = ps(600);
+        let params = TreecodeParams::fixed(4, 0.4);
+        let key = PlanKey::routed(DatasetId(0), &params, Backend::Fmm);
+        let _ = Plan::build(key, &particles, params);
     }
 
     #[test]

@@ -29,9 +29,8 @@
 //! degrees the FMM geometry needs), and `Tolerance` resolves per level
 //! against the FMM's own worst-case geometry inside `mbt-fmm`.
 //!
-//! The `validate` feature pins every query to the treecode — the
-//! bit-exact reference path the rest of the validation suite compares
-//! against.
+//! Routing is the same in every build: under the `validate` feature the
+//! contract checks run on whichever backend serves the query.
 
 use mbt_fmm::FmmParams;
 use mbt_multipole::kappa;
@@ -82,14 +81,6 @@ pub const FMM_MIN_TARGETS: usize = 128;
 /// separation than the FMM geometry provides and stay on the treecode.
 pub const FMM_ALPHA_EFF: f64 = 0.5;
 
-/// Whether this build pins every query to the treecode reference path
-/// (the `validate` feature). Downstream crates — which cannot see this
-/// crate's features — use this to know whether shape routing is live.
-#[must_use]
-pub fn routing_pinned() -> bool {
-    cfg!(feature = "validate")
-}
-
 /// Whether the compiled FMM's resolved Theorem 1/2 bound is no worse
 /// than what the request already accepted at MAC parameter `alpha`:
 /// `kappa(FMM_ALPHA_EFF) ≤ kappa(alpha)`.
@@ -107,9 +98,7 @@ pub fn fmm_admissible(alpha: f64) -> bool {
 /// mode themselves) set it.
 #[must_use]
 pub fn route(n_sources: usize, n_targets: usize, pinned: bool, params: &TreecodeParams) -> Backend {
-    // the validation suite compares against the bit-exact scalar
-    // treecode; routing away from it would invalidate the comparison
-    if cfg!(feature = "validate") || pinned {
+    if pinned {
         return Backend::Treecode;
     }
     if n_sources <= DIRECT_MAX_SOURCES {
@@ -130,13 +119,12 @@ pub fn route(n_sources: usize, n_targets: usize, pinned: bool, params: &Treecode
 /// The FMM parameters a routed request runs with: the treecode's degree
 /// policy carried over unchanged (see the module docs for why each
 /// variant stays conservative under the FMM's `α_eff = 1/2` geometry),
-/// automatic level selection, compiled arenas.
+/// automatic level selection.
 #[must_use]
 pub fn fmm_params_for(params: &TreecodeParams) -> FmmParams {
     FmmParams {
         levels: None,
         degree: params.degree,
-        eval_mode: mbt_fmm::FmmEvalMode::Compiled,
     }
 }
 
@@ -148,9 +136,6 @@ mod tests {
         TreecodeParams::fixed(4, alpha)
     }
 
-    // Shape-routing tests assume routing is live; under `validate`
-    // every query is pinned to the treecode reference path.
-    #[cfg(not(feature = "validate"))]
     #[test]
     fn tiny_n_routes_direct() {
         assert_eq!(route(10, 10_000, false, &params(0.6)), Backend::Direct);
@@ -160,7 +145,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "validate"))]
     #[test]
     fn matvec_shape_routes_fmm() {
         // all-targets: every source is a target
@@ -193,7 +177,6 @@ mod tests {
         assert!(fmm_admissible(0.9));
     }
 
-    #[cfg(not(feature = "validate"))]
     #[test]
     fn softened_kernels_stay_on_the_treecode() {
         let softened = params(0.6).with_softening(1e-3);

@@ -3,16 +3,12 @@
 //! sent through either must produce the same answer, the same response
 //! metadata and the same counter movements on every target — plus the
 //! admission and ordering contracts `query_batch` shares with `query`.
-//!
-//! Under the `validate` feature the router pins every request to the
-//! treecode, so the direct target degrades to a second treecode case and
-//! the FMM case is skipped; the driver comparison holds either way.
 
 use std::time::{Duration, Instant};
 
 use mbt_engine::{
-    routing_pinned, Accuracy, Backend, CacheOutcome, DatasetId, Engine, EngineConfig, EngineError,
-    EngineStats, QueryKind, QueryRequest, TenantConfig, TenantId,
+    Accuracy, Backend, CacheOutcome, DatasetId, Engine, EngineConfig, EngineError, EngineStats,
+    QueryKind, QueryRequest, TenantConfig, TenantId,
 };
 use mbt_geometry::distribution::{uniform_cube, ChargeModel};
 use mbt_geometry::{Particle, Vec3};
@@ -31,7 +27,7 @@ fn probe_points(n: usize) -> Vec<Vec3> {
 }
 
 /// One serving shape: how its dataset is registered and queried, and the
-/// backend an unpinned router picks for it.
+/// backend the router picks for it.
 #[derive(Debug, Clone, Copy)]
 struct Shape {
     name: &'static str,
@@ -41,8 +37,8 @@ struct Shape {
     backend: Backend,
 }
 
-fn shapes() -> Vec<Shape> {
-    let mut shapes = vec![
+fn shapes() -> [Shape; 4] {
+    [
         Shape {
             name: "direct",
             sources: 400,
@@ -64,17 +60,14 @@ fn shapes() -> Vec<Shape> {
             targets: 24,
             backend: Backend::Treecode,
         },
-    ];
-    if !routing_pinned() {
-        shapes.push(Shape {
+        Shape {
             name: "fmm",
             sources: 4200,
             shards: 1,
             targets: 300,
             backend: Backend::Fmm,
-        });
-    }
-    shapes
+        },
+    ]
 }
 
 /// A fresh engine holding `shape`'s dataset, and the request against it.
@@ -135,11 +128,9 @@ fn query_and_query_batch_of_one_agree_on_every_target() {
             assert_eq!(solo.cache, batch.cache, "{case}");
             assert_eq!(solo.backend, batch.backend, "{case}");
             assert_eq!(solo.plan_bytes, batch.plan_bytes, "{case}");
-            if !routing_pinned() {
-                assert_eq!(solo.backend, shape.backend, "{case}");
-                let direct = shape.backend == Backend::Direct;
-                assert_eq!(solo.cache == CacheOutcome::Bypassed, direct, "{case}");
-            }
+            assert_eq!(solo.backend, shape.backend, "{case}");
+            let direct = shape.backend == Backend::Direct;
+            assert_eq!(solo.cache == CacheOutcome::Bypassed, direct, "{case}");
 
             let solo_moves = movements(&solo_engine.stats(), request.tenant);
             let batch_moves = movements(&batch_engine.stats(), request.tenant);

@@ -1,11 +1,6 @@
 //! Backend-routing integration: shape-based selection, bit-identity of
 //! the routed few-targets path against the treecode, direct-sum bypass,
 //! and the Theorem-bound admission contract as a property test.
-//!
-//! Under the `validate` feature the router pins every query to the
-//! treecode reference path, so the shape tests gate themselves on
-//! `cfg!(feature = "validate")`; the admission property holds either way
-//! (pinning satisfies it vacuously).
 
 use mbt_engine::{
     fmm_admissible, route, Accuracy, Backend, CacheOutcome, Engine, EngineConfig, QueryRequest,
@@ -70,7 +65,6 @@ fn few_targets_are_bit_identical_to_the_treecode() {
     assert_eq!(pinned.output, r.output);
 }
 
-#[cfg(not(feature = "validate"))]
 #[test]
 fn tiny_datasets_bypass_the_cache_and_match_the_direct_sum() {
     let engine = Engine::new(EngineConfig::default()).unwrap();
@@ -101,7 +95,6 @@ fn tiny_datasets_bypass_the_cache_and_match_the_direct_sum() {
     assert_eq!(s.plan_builds, 0, "direct routing must not build a plan");
 }
 
-#[cfg(not(feature = "validate"))]
 #[test]
 fn matvec_shapes_route_to_the_fmm_within_the_treecode_budget() {
     let engine = Engine::new(EngineConfig::default()).unwrap();
@@ -131,7 +124,6 @@ fn matvec_shapes_route_to_the_fmm_within_the_treecode_budget() {
     }
 }
 
-#[cfg(not(feature = "validate"))]
 #[test]
 fn field_queries_route_like_potential_queries() {
     let engine = Engine::new(EngineConfig::default()).unwrap();
@@ -210,7 +202,7 @@ proptest! {
             }
             Backend::Treecode => {} // the reference the bound was priced on
         }
-        if pinned || cfg!(feature = "validate") {
+        if pinned {
             prop_assert_eq!(backend, Backend::Treecode);
         }
     }

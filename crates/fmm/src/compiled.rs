@@ -67,7 +67,7 @@ use mbt_treecode::{EvalResult, EvalStats};
 use rayon::prelude::*;
 
 use crate::grid::{cell_center, cell_of, key_coords, FmmError, LevelGrid};
-use crate::method::{build_structure, level_degrees, Fmm, FmmEvalMode, FmmParams, FmmStructure};
+use crate::method::{build_structure, level_degrees, FmmParams, FmmStructure};
 
 /// Deepest level the compiled backend supports: the dense Morton-indexed
 /// occupancy tables hold `8^l` entries per level, so depth is capped where
@@ -1090,65 +1090,10 @@ fn probe_l2l(mat: &mut [f64], delta: Vec3, p_par: usize, p: usize, t_par: usize,
     }
 }
 
-/// The [`FmmEvalMode`]-dispatching front door: builds whichever
-/// implementation the params select and exposes the shared evaluation
-/// surface. When the compiled backend cannot represent the hierarchy
-/// (deeper than [`COMPILED_MAX_LEVELS`], or a degree above
-/// [`COMPILED_MAX_DEGREE`]), construction falls back to the scalar
-/// reference rather than failing.
-pub enum FmmEvaluator {
-    /// The per-cell scalar reference pipeline.
-    Scalar(Fmm),
-    /// The flat-arena compiled pipeline.
-    Compiled(CompiledFmm),
-}
-
-impl FmmEvaluator {
-    /// Builds the implementation selected by `params.eval_mode`.
-    pub fn new(particles: &[Particle], params: FmmParams) -> Result<FmmEvaluator, FmmError> {
-        match params.eval_mode {
-            FmmEvalMode::Scalar => Fmm::new(particles, params).map(FmmEvaluator::Scalar),
-            FmmEvalMode::Compiled => match CompiledFmm::new(particles, params) {
-                Ok(c) => Ok(FmmEvaluator::Compiled(c)),
-                Err(FmmError::DenseGridTooDeep { .. } | FmmError::OperatorTableTooLarge { .. }) => {
-                    Fmm::new(particles, params).map(FmmEvaluator::Scalar)
-                }
-                Err(e) => Err(e),
-            },
-        }
-    }
-
-    /// Potentials at all source particles, caller order.
-    #[must_use]
-    pub fn potentials(&self) -> EvalResult<f64> {
-        match self {
-            FmmEvaluator::Scalar(f) => f.potentials(),
-            FmmEvaluator::Compiled(c) => c.potentials(),
-        }
-    }
-
-    /// The finest level index.
-    #[must_use]
-    pub fn levels(&self) -> usize {
-        match self {
-            FmmEvaluator::Scalar(f) => f.levels(),
-            FmmEvaluator::Compiled(c) => c.levels(),
-        }
-    }
-
-    /// The per-level expansion degrees.
-    #[must_use]
-    pub fn degrees(&self) -> &[usize] {
-        match self {
-            FmmEvaluator::Scalar(f) => f.degrees(),
-            FmmEvaluator::Compiled(c) => c.degrees(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fmm;
     use mbt_geometry::distribution::{gaussian, uniform_cube, ChargeModel};
     use mbt_treecode::relative_error;
 
@@ -1224,7 +1169,7 @@ mod tests {
             FmmParams::fixed(5).with_levels(3),
             FmmParams::adaptive(3, 0.7).with_levels(3),
         ] {
-            let scalar = Fmm::new(&ps, params.with_eval_mode(FmmEvalMode::Scalar)).unwrap();
+            let scalar = Fmm::new(&ps, params).unwrap();
             let compiled = CompiledFmm::new(&ps, params).unwrap();
             assert_eq!(scalar.degrees(), compiled.degrees());
             let rs = scalar.potentials();
@@ -1320,22 +1265,10 @@ mod tests {
     }
 
     #[test]
-    fn evaluator_dispatches_and_falls_back() {
+    fn compiled_refuses_grids_past_the_depth_cap() {
         let ps = uniform_cube(500, 1.0, charges(), 31);
-        let scalar =
-            FmmEvaluator::new(&ps, FmmParams::fixed(4).with_eval_mode(FmmEvalMode::Scalar))
-                .unwrap();
-        assert!(matches!(scalar, FmmEvaluator::Scalar(_)));
-        let compiled = FmmEvaluator::new(&ps, FmmParams::fixed(4)).unwrap();
-        assert!(matches!(compiled, FmmEvaluator::Compiled(_)));
-        let es = scalar.potentials();
-        let ec = compiled.potentials();
-        assert_eq!(es.stats, ec.stats);
-        // deeper than the dense tables allow: evaluator falls back to the
-        // scalar reference instead of failing
-        let deep = FmmEvaluator::new(&ps, FmmParams::fixed(3).with_levels(9)).unwrap();
-        assert!(matches!(deep, FmmEvaluator::Scalar(_)));
-        // ...while the compiled constructor itself reports a typed error
+        // deeper than the dense tables allow: a typed error, which the
+        // engine answers with a treecode plan under the same key
         assert!(matches!(
             CompiledFmm::new(&ps, FmmParams::fixed(3).with_levels(9)),
             Err(FmmError::DenseGridTooDeep { levels: 9, max: 8 })

@@ -35,8 +35,9 @@ pub enum FmmError {
         max: usize,
     },
     /// The hierarchy is deeper than the compiled backend's dense
-    /// Morton-indexed tables support (the scalar reference has no such
-    /// limit; [`crate::FmmEvaluator`] falls back to it).
+    /// Morton-indexed tables support. The scalar reference has no such
+    /// limit; the engine answers an FMM-routed request that hits it with
+    /// a treecode plan.
     DenseGridTooDeep {
         /// Requested level count.
         levels: usize,
@@ -45,9 +46,9 @@ pub enum FmmError {
     },
     /// A level with an M2L list resolved a degree above the compiled
     /// backend's cap: its unit operator table is process-wide and never
-    /// freed, so its size is bounded by refusing larger degrees (the
-    /// scalar reference has no such limit; [`crate::FmmEvaluator`] falls
-    /// back to it).
+    /// freed, so its size is bounded by refusing larger degrees. The
+    /// scalar reference has no such limit; the engine answers an
+    /// FMM-routed request that hits it with a treecode plan.
     OperatorTableTooLarge {
         /// The offending degree.
         degree: usize,

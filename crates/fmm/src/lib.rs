@@ -30,8 +30,6 @@ pub mod compiled;
 pub mod grid;
 pub mod method;
 
-pub use compiled::{
-    shared_operator_bytes, CompiledFmm, FmmEvaluator, COMPILED_MAX_DEGREE, COMPILED_MAX_LEVELS,
-};
+pub use compiled::{shared_operator_bytes, CompiledFmm, COMPILED_MAX_DEGREE, COMPILED_MAX_LEVELS};
 pub use grid::{cell_key, FmmError, LevelGrid};
-pub use method::{Fmm, FmmEvalMode, FmmParams, MAX_LEVELS};
+pub use method::{Fmm, FmmParams, MAX_LEVELS};

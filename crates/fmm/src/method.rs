@@ -15,17 +15,6 @@ use crate::grid::{
 /// 21-bit-per-axis key resolution with headroom.
 pub const MAX_LEVELS: usize = 20;
 
-/// Which FMM implementation evaluates a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FmmEvalMode {
-    /// The original per-cell scalar pipeline — the bit-exact reference.
-    Scalar,
-    /// Flat SoA arenas with precomputed per-offset M2L/L2L operators and
-    /// batch kernels (see [`crate::compiled`]). Default.
-    #[default]
-    Compiled,
-}
-
 /// FMM parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FmmParams {
@@ -38,8 +27,6 @@ pub struct FmmParams {
     /// ramps the degree per level by cluster weight (Theorem 3 applied to
     /// the level-synchronised hierarchy).
     pub degree: DegreeSelector,
-    /// Implementation switch (scalar reference vs compiled arenas).
-    pub eval_mode: FmmEvalMode,
 }
 
 impl FmmParams {
@@ -49,7 +36,6 @@ impl FmmParams {
         FmmParams {
             levels: None,
             degree: DegreeSelector::Fixed(p),
-            eval_mode: FmmEvalMode::default(),
         }
     }
 
@@ -61,7 +47,6 @@ impl FmmParams {
         FmmParams {
             levels: None,
             degree: DegreeSelector::adaptive(p_min, alpha),
-            eval_mode: FmmEvalMode::default(),
         }
     }
 
@@ -75,7 +60,6 @@ impl FmmParams {
         FmmParams {
             levels: None,
             degree: DegreeSelector::tolerance(tol),
-            eval_mode: FmmEvalMode::default(),
         }
     }
 
@@ -83,13 +67,6 @@ impl FmmParams {
     #[must_use]
     pub fn with_levels(mut self, levels: usize) -> Self {
         self.levels = Some(levels);
-        self
-    }
-
-    /// Selects the implementation.
-    #[must_use]
-    pub fn with_eval_mode(mut self, mode: FmmEvalMode) -> Self {
-        self.eval_mode = mode;
         self
     }
 

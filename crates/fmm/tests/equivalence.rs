@@ -10,7 +10,7 @@
 //! real error well under the sum — the 4× factor is the same safety
 //! margin the rest of the workspace pins.
 
-use mbt_fmm::{CompiledFmm, Fmm, FmmEvalMode, FmmParams};
+use mbt_fmm::{CompiledFmm, Fmm, FmmParams};
 use mbt_geometry::distribution::{overlapped_gaussians, uniform_cube, ChargeModel};
 use mbt_geometry::{Particle, Vec3};
 use mbt_multipole::{simd, SimdLevel};
@@ -50,7 +50,7 @@ fn compiled_matches_scalar_on_both_distributions() {
             FmmParams::fixed(5).with_levels(3),
             FmmParams::adaptive(3, 0.7).with_levels(3),
         ] {
-            let scalar = Fmm::new(&ps, params.with_eval_mode(FmmEvalMode::Scalar)).unwrap();
+            let scalar = Fmm::new(&ps, params).unwrap();
             let compiled = CompiledFmm::new(&ps, params).unwrap();
             assert_eq!(scalar.degrees(), compiled.degrees(), "{label}");
             let rs = scalar.potentials();
@@ -163,7 +163,7 @@ fn degree_policies_resolve_identically_across_fmm_modes() {
     let ps = uniform(2000, 19);
     for tol in [1e-2, 1e-3] {
         let params = FmmParams::tolerance(tol);
-        let scalar = Fmm::new(&ps, params.with_eval_mode(FmmEvalMode::Scalar)).unwrap();
+        let scalar = Fmm::new(&ps, params).unwrap();
         let compiled = CompiledFmm::new(&ps, params).unwrap();
         assert_eq!(scalar.degrees(), compiled.degrees(), "tol = {tol}");
     }

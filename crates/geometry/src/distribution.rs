@@ -5,8 +5,8 @@
 //! * **Gaussian** — single Gaussian density,
 //! * **Overlapped Gaussians** — "multiple Gaussians superimposed" (the
 //!   unstructured instances),
-//! * **Plummer** — the standard astrophysical cluster model, used by the
-//!   galaxy example.
+//! * **Plummer** — the standard astrophysical cluster model, a strongly
+//!   centrally concentrated set (the query-service example serves one).
 //!
 //! Charges default to the protein-like regime the paper motivates: uniform
 //! magnitude with random sign, so charge density is "largely uniform across

@@ -207,7 +207,7 @@ mod tests {
         assert!(!classify("crates/bench/src/lib.rs").library);
         assert!(!classify("crates/bench/src/bin/table1.rs").library);
         assert!(!classify("shims/rayon/src/lib.rs").library);
-        assert!(!classify("examples/galaxy.rs").library);
+        assert!(!classify("examples/quickstart.rs").library);
         assert!(classify("src/lib.rs").library);
         assert!(!classify("tests/end_to_end.rs").library);
     }

@@ -21,7 +21,6 @@
 //! | [`engine`] | `mbt-engine` | multi-tenant query engine: plan caching, batching, admission |
 //! | [`fmm`] | `mbt-fmm` | the FMM extension |
 //! | [`bem`] | `mbt-bem` | boundary-element substrate |
-//! | [`sim`] | `mbt-sim` | N-body dynamics (leapfrog + diagnostics) |
 //! | [`solvers`] | `mbt-solvers` | GMRES and dense kernels |
 //!
 //! # Quick start
@@ -48,7 +47,6 @@ pub use mbt_engine as engine;
 pub use mbt_fmm as fmm;
 pub use mbt_geometry as geometry;
 pub use mbt_multipole as multipole;
-pub use mbt_sim as sim;
 pub use mbt_solvers as solvers;
 pub use mbt_tree as tree;
 pub use mbt_treecode as treecode;
@@ -72,7 +70,6 @@ pub mod prelude {
         kappa, theorem1_bound, theorem2_bound, DegreeSelector, DegreeWeighting, LocalExpansion,
         MultipoleExpansion,
     };
-    pub use mbt_sim::{ForceModel, Simulation};
     pub use mbt_solvers::{
         cg, gmres, CgOptions, CgOutcome, DenseMatrix, GmresOptions, GmresOutcome, LinearOperator,
     };

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use mbt::bem::EngineSingleLayer;
-use mbt::engine::{routing_pinned, Backend};
+use mbt::engine::Backend;
 use mbt::prelude::*;
 
 fn sphere(subdivisions: u32) -> SingleLayerGeometry {
@@ -74,9 +74,6 @@ fn a_hundred_matvecs_leave_the_engine_as_large_as_two() {
 
 #[test]
 fn fmm_routed_matvecs_recharge_one_plan() {
-    if routing_pinned() {
-        return; // the validate build pins every request to the treecode
-    }
     // icosphere(3): 7680 Gauss sources against 642 vertices — the paper's
     // Table 3 shape, which the router sends to the compiled FMM
     let g = sphere(3);
