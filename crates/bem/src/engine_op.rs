@@ -20,7 +20,8 @@
 //!    the shape the router sends to the compiled FMM once the quadrature
 //!    is fine enough (`n_gauss ≥ FMM_MIN_SOURCES`) — while
 //!    [`with_requests`](EngineSingleLayer::with_requests) splits the
-//!    vertex set to exercise the coalescer instead.
+//!    vertex set into several requests, which `query_batch` groups
+//!    back into one sweep.
 //!
 //! Per-target independence of every backend makes the split bit-exact
 //! against the single-request form at equal accuracy. Dropping the
@@ -78,7 +79,7 @@ impl EngineSingleLayer {
 
     /// Splits each application's vertex set into `requests` contiguous
     /// `query_batch` entries (clamped to at least 1). More requests per
-    /// apply exercises the engine's grouping and coalescing; the answers
+    /// apply exercises `query_batch`'s grouping into one sweep; the answers
     /// are bit-identical to the single-request form.
     #[must_use]
     pub fn with_requests(mut self, requests: usize) -> Self {

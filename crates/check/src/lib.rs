@@ -3,8 +3,7 @@
 //!
 //! The workspace's least-verified code is its concurrency layer: the
 //! seqlock span ring in `mbt-obs`, and the plan cache's single-flight
-//! slot, the leader/follower batcher, and the admission gate in
-//! `mbt-engine`. Their correctness rests on hand-picked atomic
+//! slot and the admission gate in `mbt-engine`. Their correctness rests on hand-picked atomic
 //! `Ordering`s and condvar protocols that ordinary tests cannot falsify —
 //! the OS scheduler only ever shows a few interleavings, and TSan only
 //! sees the ones it happens to run.

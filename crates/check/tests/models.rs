@@ -6,9 +6,10 @@
 //!
 //! Each test here explores *production* code, not a re-implementation:
 //! the seqlock ring is `mbt_obs::Ring`, single-flight is
-//! `mbt_engine::SingleFlight` (what `PlanCache` runs on), batching is
-//! `mbt_engine::Combiner` (what `Batcher` runs on). The one local
-//! re-implementation — `MiniSeqlock` — exists to prove the checker
+//! `mbt_engine::SingleFlight` (what `PlanCache` runs on), admission is
+//! `mbt_engine::FairGate`. Batching needs no model: a `query_batch`
+//! group is swept on its caller's thread, so nothing hands requests
+//! between threads. The one local re-implementation — `MiniSeqlock` — exists to prove the checker
 //! *catches* a broken ordering, as a fixture.
 
 #![cfg(feature = "check")]
@@ -16,7 +17,7 @@
 use mbt_check::sync::atomic::{AtomicU64, Ordering};
 use mbt_check::sync::Arc;
 use mbt_check::{model, sched};
-use mbt_engine::{Admission, Combiner, FairGate, Flight, SingleFlight, TenantId};
+use mbt_engine::{Admission, FairGate, Flight, SingleFlight, TenantId};
 use mbt_obs::{Histogram, Ring};
 
 // ---------------------------------------------------------------------
@@ -149,83 +150,6 @@ fn single_flight_builder_panic_liveness() {
         // the child either panicked (its own build) or succeeded (joined
         // ours); both are legitimate modeled outcomes
         let _ = t.join();
-    });
-}
-
-// ---------------------------------------------------------------------
-// leader/follower batching (mbt_engine::Combiner — the Batcher core)
-// ---------------------------------------------------------------------
-
-/// Racing submitters always all get their own answers: whichever caller
-/// becomes leader drains everyone queued, and when a group runs dry and
-/// retires, a late arrival leads a fresh group (leader hand-off).
-#[test]
-fn combiner_hand_off_answers_every_caller() {
-    let report = sched::check(|| {
-        let c = Arc::new(Combiner::<u8, u64, u64>::new());
-        let submit = |c: &Combiner<u8, u64, u64>, payload: u64| {
-            let out = c.submit(
-                0,
-                payload,
-                || {},
-                |batch| batch.into_iter().map(|p| p * 2).collect(),
-                || unreachable!("healthy exec never needs the substitute"),
-            );
-            assert_eq!(out, payload * 2, "answer must be ours, not a peer's");
-        };
-        let t1 = {
-            let c = Arc::clone(&c);
-            model::spawn(move || submit(&c, 10))
-        };
-        let t2 = {
-            let c = Arc::clone(&c);
-            model::spawn(move || submit(&c, 20))
-        };
-        submit(&c, 30);
-        t1.join().unwrap();
-        t2.join().unwrap();
-    });
-    assert!(report.executions > 1, "must explore real interleavings");
-}
-
-/// Sweep-panic liveness: a leader whose exec panics must answer every
-/// follower it drained with the substitute and retire the group — no
-/// interleaving may strand a follower, and a later caller must lead a
-/// fresh group cleanly.
-#[test]
-fn combiner_panicking_exec_answers_followers_with_substitute() {
-    sched::check(|| {
-        let c = Arc::new(Combiner::<u8, u64, u64>::new());
-        let t = {
-            let c = Arc::clone(&c);
-            model::spawn(move || {
-                // if this caller leads, its exec dies mid-drain (the
-                // thread panic is a legitimate modeled outcome); anyone
-                // it drained must still be answered
-                let out = c.submit(0, 20, || {}, |_| panic!("exec dies"), || 99);
-                // reachable only as a follower of main's healthy sweep
-                assert_eq!(out, 40);
-            })
-        };
-        let out = c.submit(
-            0,
-            10,
-            || {},
-            |batch| batch.into_iter().map(|p| p * 2).collect(),
-            || 99,
-        );
-        // led our own healthy sweep, or rode the panicking leader's drain
-        // and woke with the substitute — never a hang, never a peer's value
-        assert!(out == 20 || out == 99, "got {out}");
-        let _ = t.join();
-        let out = c.submit(
-            0,
-            3,
-            || {},
-            |batch| batch.into_iter().map(|p| p * 2).collect(),
-            || 99,
-        );
-        assert_eq!(out, 6, "the dead group must have retired");
     });
 }
 

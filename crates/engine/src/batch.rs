@@ -1,14 +1,14 @@
 //! The hot batch-evaluation path.
 //!
-//! A drained batch of coalesced requests against one target becomes a
+//! One `query_batch` group of requests against one target becomes a
 //! **single** sweep, and every backend runs it through the same
 //! [`packed_sweep`]: all points are packed into one arena, the backend
 //! fills one value arena over it — the treecode's `*_at_into` kernels
 //! with their per-chunk `Scratch`/workspace machinery, the compiled
 //! FMM's L2P + near field, or the guarded direct sum — and the value
 //! arena is split back per request. Allocation discipline (enforced by
-//! `cargo xtask lint`): one point arena + one value arena per drained
-//! batch and one result buffer per request handed to its caller — never
+//! `cargo xtask lint`): one point arena + one value arena per batch
+//! and one result buffer per request handed to its caller — never
 //! an allocation per point or per interaction.
 //!
 //! Because every target's evaluation is independent, packing requests
@@ -92,9 +92,9 @@ pub(crate) fn packed_sweep<S>(
         points.extend_from_slice(r);
     }
     let mut arena = match kind {
-        // lint: allow(alloc, one value arena per drained batch)
+        // lint: allow(alloc, one value arena per batch)
         QueryKind::Potential => QueryOutput::Potentials(vec![0.0f64; total]),
-        // lint: allow(alloc, one value arena per drained batch)
+        // lint: allow(alloc, one value arena per batch)
         QueryKind::Field => QueryOutput::Fields(vec![(0.0f64, Vec3::ZERO); total]),
     };
     let swept = sweep(&points, &mut arena);
@@ -113,7 +113,7 @@ pub(crate) fn packed_sweep<S>(
     (outputs, swept)
 }
 
-/// Evaluates one drained batch against one plan's treecode: `requests`
+/// Evaluates one batch against one plan's treecode: `requests`
 /// are the per-request point slices; returns per-request outputs in the
 /// same order plus the merged sweep counters. The sweep runs under
 /// `cfg`, not the parameters the treecode was built with — plan identity
@@ -135,7 +135,7 @@ pub(crate) fn evaluate_batch_with(
     })
 }
 
-/// Evaluates one drained batch against whichever artifact the plan
+/// Evaluates one batch against whichever artifact the plan
 /// holds: treecode plans run [`evaluate_batch_with`] under `cfg`, FMM
 /// plans run [`evaluate_fmm_batch`] (the FMM's execution shape is baked
 /// into its compiled arenas, so `cfg` only applies to the treecode
@@ -153,7 +153,7 @@ pub fn evaluate_plan_batch(
     }
 }
 
-/// Evaluates one drained batch against a compiled FMM — a single L2P +
+/// Evaluates one batch against a compiled FMM — a single L2P +
 /// near field sweep over the packed arena, recorded as
 /// [`Phase::FmmSweep`].
 fn evaluate_fmm_batch(

@@ -1,8 +1,8 @@
 //! The engine facade and its one request pipeline, behind one
 //! thread-safe object.
 //!
-//! Every request — through [`Engine::query`] or [`Engine::query_batch`] —
-//! passes the same four stages, each written once in this file:
+//! Every request passes the same four stages, each written once in this
+//! file and run by one entry point, [`Engine::query_batch`]:
 //!
 //! 1. **admit** ([`Engine::admit`]): tenant budget checks, then one
 //!    weighted-fair gate slot, tenant/stats accounting, an RAII permit;
@@ -17,11 +17,10 @@
 //! 4. **sweep** ([`sweep`]): shed expired riders, evaluate the rest as
 //!    one packed sweep, record it, scatter per-rider answers;
 //!
-//! and [`Engine::respond`] turns an answer into a [`QueryResponse`]. The
-//! two drivers differ only where their contracts do: `query` takes one
-//! slot per request and lets a lone request against a cached plan ride
-//! the cross-caller [`Batcher`]; `query_batch` takes one slot per call
-//! and sweeps each of its groups on the caller's thread.
+//! and [`Engine::respond`] turns an answer into a [`QueryResponse`].
+//! [`Engine::query`] is a one-request `query_batch`. A call takes one
+//! admission slot and sweeps each of its groups on the caller's thread;
+//! requests from different calls never share a sweep.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -41,7 +40,6 @@ use crate::fanout::evaluate_sharded;
 use crate::plan::{Accuracy, EvalConfig, Plan, PlanArtifact, PlanKey};
 use crate::registry::{Dataset, DatasetId, DatasetRegistry};
 use crate::route::{route, Backend};
-use crate::scheduler::{Batcher, GroupKey};
 use crate::stats::{EngineStats, Metric, StatsCollector};
 use crate::tenant::{TenantConfig, TenantId, TenantTable};
 use crate::wfq::{Admission, FairGate};
@@ -63,10 +61,6 @@ pub struct EngineConfig {
     /// Maximum requests waiting for an evaluation slot; a full queue
     /// sheds new arrivals immediately.
     pub max_queued: usize,
-    /// Extra coalescing wait a batch leader performs before draining its
-    /// group. Zero (default) relies on natural batching: requests
-    /// arriving while a sweep runs are drained by the next one.
-    pub batch_window: Duration,
     /// Requests slower than this (admission → response) land in the
     /// bounded slow-query log ([`Engine::slow_queries`]).
     pub slow_query_threshold: Duration,
@@ -81,7 +75,6 @@ impl Default for EngineConfig {
             cache_budget_bytes: 256 << 20,
             max_in_flight: 32,
             max_queued: 1024,
-            batch_window: Duration::ZERO,
             slow_query_threshold: Duration::from_millis(250),
         }
     }
@@ -174,9 +167,9 @@ impl QueryRequest {
 pub struct QueryResponse {
     /// Per-point values, in the request's point order.
     pub output: QueryOutput,
-    /// Counters of the evaluation sweep this request rode in. Sweeps may
-    /// serve several coalesced requests, so these cover the whole batch,
-    /// not only this request's points.
+    /// Counters of the evaluation sweep this request rode in. A
+    /// [`Engine::query_batch`] group shares one sweep, so these cover the
+    /// whole group, not only this request's points.
     pub eval: EvalStats,
     /// How the plan was obtained (cache hit / built / coalesced build;
     /// [`CacheOutcome::Bypassed`] for direct-routed queries, which have
@@ -261,9 +254,25 @@ struct Resolved {
     group: GroupKey,
 }
 
+/// What requests of one [`Engine::query_batch`] call must share to ride
+/// one sweep: a plan × what is being computed × how the sweep executes ×
+/// the dataset's charge epoch. Plan identity excludes execution knobs, so
+/// requests at different chunk widths or modes share a cached plan — but
+/// each sweep must run under a single configuration, hence the `cfg`
+/// component here. Plan identity excludes the charges too, so `epoch`
+/// keeps requests that resolved different charge vectors out of each
+/// other's sweeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct GroupKey {
+    plan: PlanKey,
+    kind: QueryKind,
+    cfg: EvalConfig,
+    epoch: u64,
+}
+
 /// What one group evaluates against — the only place that knows the
 /// backends apart.
-pub(crate) enum Target {
+enum Target {
     /// Direct summation over the dataset's particles: no plan, no cache.
     Direct(Arc<Dataset>, f64),
     /// One cached treecode or FMM plan, and how it was obtained.
@@ -336,34 +345,33 @@ impl Target {
     }
 }
 
-/// One request's share of a sweep: its points and its deadline.
+/// One request's share of a sweep: its borrowed points and its deadline.
 #[derive(Debug)]
-pub(crate) struct Rider<P> {
-    pub(crate) points: P,
-    pub(crate) deadline: Option<Instant>,
+struct Rider<'a> {
+    points: &'a [Vec3],
+    deadline: Option<Instant>,
 }
 
 /// One rider's answer from the sweep it rode in.
 #[derive(Debug)]
-pub(crate) struct Swept {
-    pub(crate) output: QueryOutput,
+struct Swept {
+    output: QueryOutput,
     /// Counters of the whole sweep, not only this rider's points.
-    pub(crate) eval: EvalStats,
+    eval: EvalStats,
     /// This rider's even share of the sweep's wall time — an even split
     /// (rather than a per-point one) keeps the charge independent of who
-    /// else happened to coalesce in.
+    /// else shares the group.
     share: Duration,
 }
 
 /// Stage 4 — sweep: riders whose deadline has passed are shed without
 /// costing evaluation work, the rest are evaluated against `target` as
-/// one packed sweep. Answers are index-aligned with `riders`. Runs on
-/// whichever thread drives the group: a `query_batch` caller, a `query`
-/// caller, or the [`Batcher`] leader a `query` coalesced onto.
-pub(crate) fn sweep<P: AsRef<[Vec3]>>(
+/// one packed sweep. Answers are index-aligned with `riders`. Runs on the
+/// thread of the `query_batch` caller whose group it is.
+fn sweep(
     target: &Target,
     group: &GroupKey,
-    riders: &[Rider<P>],
+    riders: &[Rider<'_>],
     stats: &StatsCollector,
 ) -> Vec<Result<Swept, EngineError>> {
     let now = Instant::now();
@@ -383,7 +391,7 @@ pub(crate) fn sweep<P: AsRef<[Vec3]>>(
     if live.is_empty() {
         return answers;
     }
-    let slices: Vec<&[Vec3]> = live.iter().map(|&i| riders[i].points.as_ref()).collect();
+    let slices: Vec<&[Vec3]> = live.iter().map(|&i| riders[i].points).collect();
     let t0 = Instant::now();
     let (outputs, eval) = target.evaluate(group, &slices, stats);
     let share = t0.elapsed() / u32::try_from(live.len()).unwrap_or(u32::MAX);
@@ -414,7 +422,6 @@ pub struct Engine {
     config: EngineConfig,
     registry: DatasetRegistry,
     cache: PlanCache,
-    batcher: Batcher,
     gate: FairGate,
     stats: StatsCollector,
     tenants: TenantTable,
@@ -435,7 +442,6 @@ impl Engine {
             config,
             registry: DatasetRegistry::new(),
             cache: PlanCache::new(config.cache_budget_bytes),
-            batcher: Batcher::with_window(config.batch_window),
             gate: FairGate::new(config.max_in_flight, config.max_queued),
             stats: StatsCollector::with_slow_threshold(config.slow_query_threshold),
             tenants: TenantTable::new(),
@@ -844,39 +850,16 @@ impl Engine {
         })
     }
 
-    /// Serves one query: admit → resolve → prepare → sweep, holding one
-    /// admission slot throughout.
+    /// Serves one query: a [`Engine::query_batch`] of this one request,
+    /// so it takes one admission slot and sweeps on the caller's thread.
     ///
     /// Blocking; safe to call from many threads at once — that is the
-    /// intended use: concurrent queries against the same cached plan are
-    /// coalesced into shared sweeps (the first arrival leads and sweeps
-    /// for everyone who queued behind it). Direct and sharded targets
-    /// sweep on the caller's thread.
-    pub fn query(&self, mut request: QueryRequest) -> Result<QueryResponse, EngineError> {
-        let arrived = Instant::now();
-        let mut slot = [None];
-        let Some(_permit) = self.admit(std::slice::from_ref(&request), &mut slot) else {
-            let [shed] = slot;
-            return self.settle(shed);
-        };
-        let waited = arrived.elapsed();
-        let job = self.resolve(&request)?;
-        let target = self.prepare(&job, request.tenant)?;
-        let rider = Rider {
-            points: std::mem::take(&mut request.points),
-            deadline: request.deadline,
-        };
-        let swept = if matches!(target, Target::Plan(..)) {
-            self.batcher.run(job.group, rider, &self.stats, |riders| {
-                sweep(&target, &job.group, &riders, &self.stats)
-            })
-        } else {
-            sweep(&target, &job.group, &[rider], &self.stats)
-                .pop()
-                .unwrap_or(Err(EngineError::Internal("sweep returned no answer")))
-        };
-        self.after_writes(&job.ds);
-        Ok(self.respond(&request, &job, &target, swept?, arrived, waited))
+    /// intended use. Concurrent callers never share a sweep: each one's
+    /// evaluation runs on its own thread.
+    pub fn query(&self, request: QueryRequest) -> Result<QueryResponse, EngineError> {
+        self.query_batch(&[request])
+            .pop()
+            .unwrap_or(Err(EngineError::Internal("query_batch returned no answer")))
     }
 
     /// Serves many queries from one caller as explicitly formed batches:
@@ -886,7 +869,8 @@ impl Engine {
     ///
     /// The whole call occupies **one** admission slot (it is one caller);
     /// budgets are still checked and billed per request, so mixed-tenant
-    /// batches stay honest.
+    /// batches stay honest. Every request runs through here:
+    /// [`Engine::query`] calls it with a single request.
     pub fn query_batch(
         &self,
         requests: &[QueryRequest],
@@ -916,7 +900,7 @@ impl Engine {
                 // the group shares (dataset, params): its first request opens it
                 match self.prepare(job, requests[members[0]].tenant) {
                     Ok(target) => {
-                        let riders: Vec<Rider<&Vec<Vec3>>> = members
+                        let riders: Vec<Rider<'_>> = members
                             .iter()
                             .map(|&i| Rider {
                                 points: &requests[i].points,

@@ -74,10 +74,9 @@ pub enum EngineError {
     /// Coalesced waiters receive this instead of hanging on the dead
     /// flight; the next request for the key retries the build.
     BuildPanicked,
-    /// The caller leading this request's coalesced evaluation sweep
-    /// panicked. Requests riding that sweep receive this instead of
-    /// hanging (and instead of the misleading `DeadlineExceeded` the
-    /// engine used to report); retrying re-runs the evaluation.
+    /// No pipeline stage answered this request — an engine fault, never
+    /// client-caused shedding. (A sweep that panics unwinds to its own
+    /// caller, the only thread riding it.)
     WorkerPanicked,
     /// The requesting tenant exhausted one of its configured budgets;
     /// the request was shed before costing any work.
@@ -143,10 +142,7 @@ impl std::fmt::Display for EngineError {
                 )
             }
             EngineError::WorkerPanicked => {
-                write!(
-                    f,
-                    "evaluation sweep panicked in the batch leader; retry the request"
-                )
+                write!(f, "no pipeline stage answered the request; retry it")
             }
             EngineError::QuotaExceeded { tenant, resource } => {
                 write!(f, "tenant {} exhausted its {resource} budget", tenant.0)

@@ -1,28 +1,24 @@
-//! In-flight work sharing: the engine's two concurrency cores.
+//! In-flight work sharing: the engine's single-flight core.
 //!
 //! [`SingleFlight`] guarantees that N concurrent misses on one key run
 //! **one** build while the other N−1 park on a ticket and share the
-//! result — the heart of [`PlanCache`](crate::PlanCache). [`Combiner`]
-//! is leader/follower batching: the first arrival for a group drains
-//! everything queued behind it and answers every follower — the heart of
-//! the cross-caller `Batcher` in `scheduler.rs`.
+//! result — the heart of [`PlanCache`](crate::PlanCache). It is the only
+//! place one caller's result is handed to another: query sweeps never
+//! leave their caller's thread ([`Engine::query`](crate::Engine::query)
+//! is a one-request [`Engine::query_batch`](crate::Engine::query_batch)).
 //!
-//! Both are deliberately *policy-free*: no stats, no clocks, no domain
-//! types. Callers inject those through closures (`probe` / `classify` /
-//! `publish`, `exec`), which keeps these cores small enough for the
-//! `mbt-check` model suite to explore their interleavings exhaustively
+//! The core is deliberately *policy-free*: no stats, no clocks, no
+//! domain types. Callers inject those through closures (`probe` /
+//! `classify` / `build` / `publish`), which keeps it small enough for the
+//! `mbt-check` model suite to explore its interleavings exhaustively
 //! (`crates/check/tests/models.rs`) while production wires in the real
-//! LRU, stats counters, and evaluation sweeps.
+//! LRU and stats counters.
 //!
 //! Panic safety is part of the contract: a builder that unwinds must not
 //! strand its followers. [`SingleFlight::run`] installs a drop guard
 //! around the build so an unwind removes the ticket and fills the slot
 //! with a caller-supplied substitute value before the panic propagates —
 //! followers always wake with *something* typed, never hang.
-//! [`Combiner::submit`] makes the same promise for batch execution: a
-//! leader whose `exec` sweep unwinds answers its drained batch *and*
-//! anything queued behind it with the substitute, retires the group, and
-//! re-throws to its own caller alone.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -206,187 +202,6 @@ impl<S, K: Eq + Hash + Clone, V: Clone> SingleFlight<S, K, V> {
     }
 }
 
-/// One batching group: whether a leader is draining it, plus the queue.
-#[derive(Debug)]
-struct Group<P, R> {
-    leader: bool,
-    pending: Vec<(P, Arc<Ticket<R>>)>,
-}
-
-impl<P, R> Default for Group<P, R> {
-    fn default() -> Group<P, R> {
-        Group {
-            leader: false,
-            pending: Vec::new(),
-        }
-    }
-}
-
-/// Keyed leader/follower batching.
-///
-/// The first caller into an idle group becomes its **leader**: it drains
-/// whatever has queued, executes the whole batch at once, and answers
-/// every participant. While it executes, new arrivals keep queueing —
-/// the leader loops until the group runs dry, then retires it, and the
-/// next arrival leads a fresh group (leader hand-off).
-#[derive(Debug)]
-pub struct Combiner<K, P, R> {
-    groups: Mutex<HashMap<K, Group<P, R>>>,
-}
-
-impl<K, P, R> Default for Combiner<K, P, R> {
-    fn default() -> Combiner<K, P, R> {
-        Combiner {
-            groups: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl<K: Eq + Hash + Clone, P, R> Combiner<K, P, R> {
-    /// An empty combiner.
-    #[must_use]
-    pub fn new() -> Combiner<K, P, R> {
-        Combiner::default()
-    }
-
-    /// Runs one payload through the combiner, blocking until its result
-    /// is computed — by this caller's own drain if it leads, by another
-    /// caller's otherwise.
-    ///
-    /// `exec` maps a drained batch to its results, index-aligned (it
-    /// must return exactly one result per payload). `before_first_drain`
-    /// runs once if — and only if — this caller became the leader,
-    /// before its first drain: the hook for an optional coalescing wait.
-    ///
-    /// `substitute` is the panic answer: if the leader's `exec` unwinds,
-    /// every participant of the drained batch — and anything that queued
-    /// behind it — receives `substitute()` instead of hanging, the group
-    /// retires, and the panic propagates to the leading caller only. It
-    /// also backfills any ticket `exec` under-delivered for (a
-    /// `debug_assert` catches that contract break in dev builds).
-    pub fn submit(
-        &self,
-        key: K,
-        payload: P,
-        before_first_drain: impl FnOnce(),
-        exec: impl Fn(Vec<P>) -> Vec<R>,
-        substitute: impl Fn() -> R,
-    ) -> R {
-        let ticket = Arc::new(Ticket::new());
-        let drain_key = key.clone();
-        let is_leader = {
-            let mut groups = self.groups.lock().unwrap_or_else(PoisonError::into_inner);
-            let group = groups.entry(key).or_default();
-            group.pending.push((payload, Arc::clone(&ticket)));
-            if group.leader {
-                false
-            } else {
-                group.leader = true;
-                true
-            }
-        };
-        if is_leader {
-            before_first_drain();
-            self.drain(&drain_key, &exec, &substitute);
-        }
-        // park until some drain fills our ticket (possibly our own)
-        let mut slot = ticket.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = ticket
-                .done
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Leader loop: drain and execute batches until the group runs dry,
-    /// then retire it so the next arrival leads afresh.
-    fn drain(&self, key: &K, exec: &impl Fn(Vec<P>) -> Vec<R>, substitute: &impl Fn() -> R) {
-        loop {
-            let batch: Vec<(P, Arc<Ticket<R>>)> = {
-                let mut groups = self.groups.lock().unwrap_or_else(PoisonError::into_inner);
-                let Some(group) = groups.get_mut(key) else {
-                    return; // unreachable: the leader owns the group until it removes it
-                };
-                if group.pending.is_empty() {
-                    groups.remove(key);
-                    return;
-                }
-                std::mem::take(&mut group.pending)
-            };
-            let (payloads, tickets): (Vec<P>, Vec<Arc<Ticket<R>>>) = batch.into_iter().unzip();
-            let results = {
-                let guard = DrainGuard {
-                    combiner: self,
-                    key,
-                    batch: &tickets,
-                    substitute,
-                };
-                let results = exec(payloads);
-                debug_assert_eq!(
-                    results.len(),
-                    tickets.len(),
-                    "exec must answer every payload"
-                );
-                guard.defuse();
-                results
-            };
-            let mut results = results.into_iter();
-            for ticket in &tickets {
-                // an under-delivering exec (a contract break the
-                // debug_assert above catches in dev builds) must not
-                // strand a follower: backfill with the substitute
-                match results.next() {
-                    Some(result) => ticket.fill(result),
-                    None => ticket.fill(substitute()),
-                }
-            }
-        }
-    }
-}
-
-/// Answers the drained batch — and everything queued behind it — with the
-/// substitute if `exec` unwinds, so no follower is stranded on a group
-/// whose leader died mid-sweep.
-struct DrainGuard<'a, K: Eq + Hash + Clone, P, R, F: Fn() -> R> {
-    combiner: &'a Combiner<K, P, R>,
-    key: &'a K,
-    /// Tickets of the batch `exec` is running over.
-    batch: &'a [Arc<Ticket<R>>],
-    substitute: &'a F,
-}
-
-impl<K: Eq + Hash + Clone, P, R, F: Fn() -> R> DrainGuard<'_, K, P, R, F> {
-    fn defuse(self) {
-        std::mem::forget(self);
-    }
-}
-
-impl<K: Eq + Hash + Clone, P, R, F: Fn() -> R> Drop for DrainGuard<'_, K, P, R, F> {
-    fn drop(&mut self) {
-        // The leader's exec is unwinding. Retire the group first so the
-        // next arrival leads a fresh one, collecting any followers that
-        // queued behind the dying batch, then answer everyone.
-        let late = {
-            let mut groups = self
-                .combiner
-                .groups
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            groups.remove(self.key).map(|g| g.pending)
-        };
-        for ticket in self.batch {
-            ticket.fill((self.substitute)());
-        }
-        for (_, ticket) in late.into_iter().flatten() {
-            ticket.fill((self.substitute)());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,100 +269,5 @@ mod tests {
             |s, v| *s = Some(*v),
         );
         assert!(matches!(out, Flight::Led(1)));
-    }
-
-    #[test]
-    fn combiner_single_caller_round_trips() {
-        let c: Combiner<u8, u32, u32> = Combiner::new();
-        let mut led = false;
-        let out = c.submit(
-            0,
-            5,
-            || led = true,
-            |batch| batch.into_iter().map(|p| p * 2).collect(),
-            || unreachable!("exec does not panic"),
-        );
-        assert_eq!(out, 10);
-        assert!(led);
-    }
-
-    #[test]
-    fn panicking_exec_answers_followers_and_retires_group() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        let c = Arc::new(Combiner::<u8, u32, u32>::new());
-        // set inside the main caller's exec — i.e. strictly after its
-        // first drain took the batch — so the spawned caller is a
-        // *follower* on every schedule (were it free to race, it could
-        // lead, panic, retire the group, and leave the main caller's
-        // exec waiting for a follower that will never come)
-        let leading = Arc::new(AtomicBool::new(false));
-        std::thread::scope(|s| {
-            let follower = {
-                let c = Arc::clone(&c);
-                let leading = Arc::clone(&leading);
-                s.spawn(move || {
-                    while !leading.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                    c.submit(
-                        0,
-                        7,
-                        || {},
-                        |_| panic!("follower must not lead this test"),
-                        || 99,
-                    )
-                })
-            };
-            // lead a batch whose exec dies only after the follower has
-            // queued behind it, so the substitute demonstrably answers a
-            // parked caller
-            let leader = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                c.submit(
-                    0,
-                    5,
-                    || {},
-                    |batch| {
-                        assert_eq!(batch, vec![5]);
-                        leading.store(true, Ordering::Release);
-                        while {
-                            let groups = c.groups.lock().unwrap();
-                            groups.get(&0).is_none_or(|g| g.pending.is_empty())
-                        } {
-                            std::thread::yield_now();
-                        }
-                        panic!("sweep died mid-batch")
-                    },
-                    || 99,
-                )
-            }));
-            // the panic reached the leading caller alone; the queued
-            // follower woke with the typed substitute instead of hanging
-            assert!(leader.is_err());
-            assert_eq!(follower.join().unwrap(), 99);
-        });
-        // the group retired: the next caller leads afresh and succeeds
-        let out = c.submit(
-            0,
-            3,
-            || {},
-            |batch| batch.into_iter().map(|p| p + 1).collect(),
-            || unreachable!("healthy exec"),
-        );
-        assert_eq!(out, 4);
-    }
-
-    #[test]
-    fn under_delivering_exec_backfills_with_substitute() {
-        let c: Combiner<u8, u32, u32> = Combiner::new();
-        // exec breaks its contract and returns nothing; release builds
-        // must still answer the caller (debug builds assert instead)
-        let run = || c.submit(0, 5, || {}, |_| Vec::new(), || 77);
-        if cfg!(debug_assertions) {
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
-            assert!(out.is_err(), "debug builds catch the contract break");
-        } else {
-            assert_eq!(run(), 77);
-        }
     }
 }

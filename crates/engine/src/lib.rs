@@ -9,16 +9,17 @@
 //!
 //! # Architecture
 //!
-//! Both entry points drive **one pipeline** of four stages, each written
-//! once in `engine.rs`:
+//! One entry point, [`Engine::query_batch`], runs **one pipeline** of four
+//! stages, each written once in `engine.rs`; [`Engine::query`] is a
+//! one-request `query_batch`:
 //!
 //! ```text
 //!   register / update_charges / unregister
 //!            ──► DatasetRegistry (ids, validation, Hilbert shards; one
 //!                immutable snapshot per charge epoch)
 //!
-//!   query ────────┐  one slot per request
-//!   query_batch ──┤  one slot per call
+//!   query ──────► query_batch of one request
+//!   query_batch ──┐  one slot per call
 //!                 ▼
 //!   1 admit    tenant budgets ─► FairGate (weighted-fair queue, deadline
 //!              │                 shedding) ─► tenant rows ─► RAII permit
@@ -35,10 +36,8 @@
 //!              │                                     builds bill the opener
 //!              ▼
 //!   4 sweep    shed expired riders ─► pack points ─► Target::evaluate ─►
-//!              │ record ─► scatter   (on the caller's thread; a lone
-//!              │                      `query` against a cached plan rides
-//!              │                      the cross-caller Batcher, whose
-//!              ▼                      leader runs this same sweep)
+//!              │ record ─► scatter   (one sweep per group, always on the
+//!              ▼                      caller's thread)
 //!     respond  eval billing ─► latency / slow log ─► QueryResponse
 //! ```
 //!
@@ -72,8 +71,9 @@
 //!   siblings behind the target): requests that share a group — plan ×
 //!   kind × [`EvalConfig`] — are packed into single chunked sweeps that
 //!   reuse the allocation-free evaluation kernels. Per-target
-//!   independence makes the packing bit-exact. Groups form explicitly in
-//!   [`Engine::query_batch`] and across callers in [`Engine::query`].
+//!   independence makes the packing bit-exact. Groups form only inside
+//!   one [`Engine::query_batch`] call: requests from different callers
+//!   never share a sweep, so each caller's sweep runs on its own thread.
 //! - **Tenancy** ([`TenantId`] / [`TenantConfig`]): requests carry a
 //!   tenant; registered tenants get a fair-share weight and optional
 //!   budgets on plan-cache bytes and evaluation milliseconds, enforced
@@ -120,7 +120,6 @@ mod fanout;
 mod plan;
 mod registry;
 mod route;
-mod scheduler;
 mod stats;
 mod tenant;
 mod wfq;
@@ -132,7 +131,7 @@ pub use cache::{ByteLru, CacheOutcome, Inserted, PlanCache};
 pub use engine::{Engine, EngineConfig, QueryRequest, QueryResponse, ShardWarm, WarmReport};
 pub use error::EngineError;
 pub use fanout::{evaluate_sharded, FanoutBreakdown, ShardSweep};
-pub use flight::{Combiner, Flight, SingleFlight};
+pub use flight::{Flight, SingleFlight};
 pub use plan::{Accuracy, EvalConfig, Plan, PlanArtifact, PlanKey};
 pub use registry::{Dataset, DatasetId, DatasetRegistry};
 pub use route::{

@@ -253,8 +253,8 @@ impl PlanKey {
 /// The per-request execution configuration a plan is evaluated under:
 /// everything in `TreecodeParams` that does **not** participate in
 /// [`PlanKey`] identity. Requests differing only here share one cached
-/// plan; the batcher still groups by `EvalConfig` so each coalesced
-/// sweep runs under a single configuration.
+/// plan; `Engine::query_batch` still groups by `EvalConfig` so each
+/// group's sweep runs under a single configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EvalConfig {
     /// Aggregation width `w` of the sweep.
@@ -265,7 +265,7 @@ pub struct EvalConfig {
     /// execution configuration, not plan identity: the f64 and f32 tiers
     /// share one cached tree + coefficient arena (the f32 particle
     /// mirror lives inside the tree), so requests differing only in
-    /// precision coalesce onto one plan but batch into separate sweeps.
+    /// precision share one plan but batch into separate sweeps.
     pub precision: Precision,
 }
 

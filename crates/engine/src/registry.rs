@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-use mbt_geometry::{Aabb, Particle, Vec3};
+use mbt_geometry::{Aabb, Particle};
 use mbt_shard::{HilbertPartition, ShardInfo};
 
 use crate::error::EngineError;
@@ -50,7 +50,9 @@ pub struct Dataset {
     /// Resident bytes of the particle storage (submitted order plus, for
     /// sharded datasets, the Hilbert-partitioned per-shard copies).
     pub bytes: usize,
-    particles: Arc<[Particle]>,
+    /// The submitted particles; an `Arc<Vec<_>>` rather than `Arc<[_]>`
+    /// so registration takes the caller's buffer instead of copying it.
+    particles: Arc<Vec<Particle>>,
     /// Hilbert-contiguous per-shard particle sets (empty when the dataset
     /// was registered unsharded). Each shard preserves the submitted
     /// relative order of its particles, so shard plans are deterministic
@@ -106,7 +108,7 @@ impl Dataset {
     #[inline]
     #[must_use]
     pub fn shard_particles(&self, s: usize) -> &[Particle] {
-        self.shard_parts.get(s).map_or(&self.particles, |p| p)
+        self.shard_parts.get(s).map_or(&self.particles[..], |p| p)
     }
 
     /// Per-shard partition facts, in shard order (empty when unsharded).
@@ -132,6 +134,17 @@ fn charge_profile(particles: &[Particle]) -> (f64, f64) {
     let abs_charge = particles.iter().map(|p| p.charge.abs()).sum();
     let q_max = particles.iter().map(|p| p.charge.abs()).fold(0.0, f64::max);
     (abs_charge, q_max)
+}
+
+/// The padded cubical hull of the particle positions, without copying
+/// them out: the hull of the tight box's two corners is the hull of the
+/// whole set.
+fn hull(particles: &[Particle]) -> Aabb {
+    let mut tight = Aabb::empty();
+    for p in particles {
+        tight.grow(p.position);
+    }
+    Aabb::cubical_hull(&[tight.min, tight.max], 1e-9)
 }
 
 #[derive(Debug, Default)]
@@ -183,8 +196,7 @@ impl DatasetRegistry {
         if shards == 1 {
             return self.insert(name, particles, Vec::new(), Vec::new());
         }
-        let positions: Vec<Vec3> = particles.iter().map(|p| p.position).collect();
-        let bounds = Aabb::cubical_hull(&positions, 1e-9);
+        let bounds = hull(&particles);
         let partition =
             HilbertPartition::new(&particles, &bounds, shards).map_err(|e| match e {
                 mbt_shard::ShardError::InvalidCount {
@@ -226,12 +238,14 @@ impl DatasetRegistry {
         }
         // positions never change, so the new snapshot can be assembled
         // from any epoch's — outside the lock
-        let particles: Arc<[Particle]> = current
-            .particles
-            .iter()
-            .zip(charges)
-            .map(|(p, &q)| Particle::new(p.position, q))
-            .collect();
+        let particles: Arc<Vec<Particle>> = Arc::new(
+            current
+                .particles
+                .iter()
+                .zip(charges)
+                .map(|(p, &q)| Particle::new(p.position, q))
+                .collect(),
+        );
         let (abs_charge, q_max) = charge_profile(&particles);
 
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
@@ -292,8 +306,7 @@ impl DatasetRegistry {
         shard_parts: Vec<Arc<[Particle]>>,
         shard_infos: Vec<ShardInfo>,
     ) -> Result<DatasetId, EngineError> {
-        let positions: Vec<Vec3> = particles.iter().map(|p| p.position).collect();
-        let bounds = Aabb::cubical_hull(&positions, 1e-9);
+        let bounds = hull(&particles);
         let (abs_charge, q_max) = charge_profile(&particles);
         let copies = particles.len() + shard_parts.iter().map(|p| p.len()).sum::<usize>();
         let bytes = copies * std::mem::size_of::<Particle>();
@@ -312,7 +325,7 @@ impl DatasetRegistry {
             abs_charge,
             q_max,
             bytes,
-            particles: particles.into(),
+            particles: Arc::new(particles),
             shard_parts,
             shard_infos,
             retired: Arc::new(AtomicBool::new(false)),
@@ -364,6 +377,7 @@ impl DatasetRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbt_geometry::Vec3;
 
     fn ps(n: usize) -> Vec<Particle> {
         (0..n)

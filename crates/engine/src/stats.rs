@@ -235,18 +235,18 @@ engine_metrics! {
             /// Requests that rode in those sweeps.
             batched_requests: u64 => "batched_requests"
                 [counter "mbt_batched_requests_total" "Requests served by those sweeps"];
-            /// Largest number of requests coalesced into one sweep.
-            max_batch: u64 => "max_batch" [gauge "mbt_max_batch" "Largest coalesced sweep"];
+            /// Largest number of requests one `query_batch` group swept at once.
+            max_batch: u64 => "max_batch" [gauge "mbt_max_batch" "Largest sweep"];
             /// Total observation points evaluated.
             eval_points: u64 => "points"
                 [counter "mbt_eval_points_total" "Observation points evaluated"];
             /// Total wall time spent in evaluation sweeps.
             // json_only: Prometheus carries it as mbt_eval_latency_seconds_sum
             eval_seconds: f64 => "eval_seconds" [json_only];
-            /// Evaluation sweeps whose leader panicked (surfaced to riders
-            /// as [`crate::EngineError::WorkerPanicked`]).
+            /// Requests no pipeline stage answered (surfaced as
+            /// [`crate::EngineError::WorkerPanicked`]).
             worker_panics: u64 => "worker_panics" [counter "mbt_worker_panics_total"
-                "Evaluation sweeps that panicked (answered WorkerPanicked)"];
+                "Requests no pipeline stage answered (answered WorkerPanicked)"];
         }
         "admission" {
             /// Requests admitted past the gate.

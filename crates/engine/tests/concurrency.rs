@@ -93,6 +93,10 @@ fn concurrent_cold_misses_build_exactly_once_and_serve_exact_values() {
     );
     assert_eq!(stats.admitted, n_threads as u64);
     assert_eq!(stats.batched_requests, n_threads as u64);
+    // `query` is a one-request `query_batch`: racing callers never share
+    // a sweep, so each one runs exactly one sweep of its own
+    assert_eq!(stats.batches, n_threads as u64, "one sweep per query");
+    assert_eq!(stats.max_batch, 1, "no query rode another caller's sweep");
     assert_eq!(stats.resident_plans, 1);
 }
 

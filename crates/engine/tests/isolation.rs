@@ -10,18 +10,16 @@
 //!
 //! The gate is width 1 so sweeps never time-share the CPU (wider gates
 //! measure the scheduler's noise, not the gate's fairness). The hog runs
-//! at a *different* accuracy, hence its own plan, so cross-caller
-//! coalescing cannot quietly serve light queries inside hog sweeps and
-//! flatter the numbers. Hog queries are deliberately small: the gate is
-//! non-preemptive, so the bound WFQ can promise is `residual + own
-//! service`, and small hog quanta keep it tight — the hog saturates by
-//! *rate*, not by per-query size.
+//! at a *different* accuracy, hence its own plan. Hog queries are
+//! deliberately small: the gate is non-preemptive, so the bound WFQ can
+//! promise is `residual + own service`, and small hog quanta keep it
+//! tight — the hog saturates by *rate*, not by per-query size.
 //!
-//! Sized for the debug test profile (~6.5 s): a light sweep is ~14 ms
-//! there, a hog sweep ~0.5 ms, and the lights alone keep the gate about
-//! as busy as they did in the release-mode harness this test replaces
-//! (hog-free p99 ≈ 3x p50). Measured over 20 consecutive runs on the
-//! 2-vCPU reference box the ratio below sat between 0.7 and 1.5.
+//! Sized for the debug test profile: a light sweep takes tens of
+//! milliseconds there, a hog sweep ~0.5 ms. The lights' think time is
+//! measured, not fixed: it is [`THINK_PER_SWEEP`] warm light sweeps, so
+//! the lights keep the gate equally busy however fast this build sweeps
+//! (hog-free p99 ≈ 3x p50).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -35,11 +33,13 @@ const LIGHT_REPS: usize = 40;
 const LIGHT_POINTS: usize = 48;
 const HOG_THREADS: usize = 4;
 const HOG_POINTS: usize = 1;
-/// Base think time between a light tenant's queries — an occasional-query
-/// workload well under the gate's capacity. Each light adds its index in
-/// milliseconds: identical periods phase-lock the fleet into repeated
-/// pileups, which makes the measured tails schedule-dependent noise.
-const LIGHT_THINK: Duration = Duration::from_millis(60);
+/// Base think time between a light tenant's queries, in warm light
+/// sweeps: the 60 ms : 14 ms ratio the test was designed at, an
+/// occasional-query workload well under the gate's capacity. Each light
+/// adds its index in milliseconds: identical periods phase-lock the fleet
+/// into repeated pileups, which makes the measured tails
+/// schedule-dependent noise.
+const THINK_PER_SWEEP: f64 = 60.0 / 14.0;
 
 fn points(n: usize) -> Vec<Vec3> {
     (0..n)
@@ -67,6 +67,22 @@ fn light_tenants_keep_their_tail_under_a_saturating_hog() {
     let hog_accuracy = Accuracy::Fixed(6);
     engine.warm(dataset, light_accuracy).unwrap();
     engine.warm(dataset, hog_accuracy).unwrap();
+
+    // the median of a few warm light queries, before any tenant exists
+    let light_sweep = {
+        let mut took: Vec<Duration> = (0..5)
+            .map(|_| {
+                let request =
+                    QueryRequest::potentials(dataset, light_accuracy, points(LIGHT_POINTS));
+                let t0 = Instant::now();
+                engine.query(request).unwrap();
+                t0.elapsed()
+            })
+            .collect();
+        took.sort();
+        took[took.len() / 2]
+    };
+    let light_think = light_sweep.mul_f64(THINK_PER_SWEEP);
 
     let hog = TenantId(1);
     engine.register_tenant(hog, TenantConfig::weighted(1));
@@ -96,7 +112,7 @@ fn light_tenants_keep_their_tail_under_a_saturating_hog() {
                                 let t0 = Instant::now();
                                 engine.query(request.with_tenant(tenant)).unwrap();
                                 let took = t0.elapsed();
-                                std::thread::sleep(LIGHT_THINK + Duration::from_millis(i));
+                                std::thread::sleep(light_think + Duration::from_millis(i));
                                 took
                             })
                             .collect::<Vec<_>>()
@@ -163,8 +179,8 @@ fn light_tenants_keep_their_tail_under_a_saturating_hog() {
     let (base, under_hog) = (p99(&baseline), p99(&contended));
     let ratio = under_hog.as_secs_f64() / base.as_secs_f64().max(1e-9);
     println!(
-        "hog-free p99 {base:.2?}; under {hog_queries} hog queries p99 {under_hog:.2?} \
-         ({ratio:.2}x), queue peak {}",
+        "light sweep {light_sweep:.2?}, think {light_think:.2?}; hog-free p99 {base:.2?}; \
+         under {hog_queries} hog queries p99 {under_hog:.2?} ({ratio:.2}x), queue peak {}",
         stats.queue_peak
     );
     assert!(

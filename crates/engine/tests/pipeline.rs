@@ -235,22 +235,22 @@ fn batch_with_nothing_to_serve_takes_no_slot() {
 
 /// Runs `arrival` against an engine with one slot and no queue while
 /// another query holds the slot, and returns the stats afterwards. The
-/// holder keeps its slot for the whole coalescing window its batch
-/// leader sleeps before draining, so the arrival meets a full gate.
+/// holder keeps its slot for its own sweep — 3000 targets, well over
+/// 100 ms in the debug profile — so the arrival meets a full gate.
 fn stats_after_arriving_at_a_full_gate(
     arrival: impl FnOnce(&Engine, &QueryRequest),
 ) -> EngineStats {
     let engine = Engine::new(EngineConfig {
         max_in_flight: 1,
         max_queued: 0,
-        batch_window: Duration::from_secs(1),
         ..EngineConfig::default()
     })
     .unwrap();
     let id = engine.register("t", particles(900, 5)).unwrap();
     let request = QueryRequest::potentials(id, Accuracy::Fixed(4), probe_points(4));
+    let long = QueryRequest::potentials(id, Accuracy::Fixed(4), probe_points(3000));
     std::thread::scope(|s| {
-        let holder = s.spawn(|| engine.query(request.clone()).unwrap());
+        let holder = s.spawn(|| engine.query(long).unwrap());
         while engine.stats().in_flight == 0 {
             std::thread::yield_now();
         }

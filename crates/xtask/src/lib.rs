@@ -80,7 +80,6 @@ pub const SYNC_FACADE_MODULES: &[&str] = &[
     "crates/obs/src/ring.rs",
     "crates/obs/src/hist.rs",
     "crates/engine/src/cache.rs",
-    "crates/engine/src/scheduler.rs",
     "crates/engine/src/stats.rs",
     "crates/engine/src/wfq.rs",
     "crates/engine/src/tenant.rs",

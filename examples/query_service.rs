@@ -5,8 +5,8 @@
 //! process holding several charge systems, answering interleaved
 //! potential/field queries from independent threads. Each `(dataset,
 //! accuracy)` pair resolves to one cached plan: the first query builds
-//! it, everything after hits cache, and concurrent callers against the
-//! same plan are coalesced into shared evaluation sweeps.
+//! it, everything after hits cache, and each caller's query sweeps on its
+//! own thread (`Engine::query` is a one-request `query_batch`).
 //!
 //! Run with: `cargo run --release --example query_service`
 
