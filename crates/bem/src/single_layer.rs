@@ -188,10 +188,12 @@ pub struct TreecodeSingleLayer {
 impl TreecodeSingleLayer {
     /// Builds the operator (one octree construction over the Gauss points).
     ///
-    /// The tree geometry — expansion centers, cluster radii, adaptive
-    /// degrees — is frozen from the quadrature weights (`|q| = w·area`,
-    /// realistic cluster weights), so every subsequent application is the
-    /// same, exactly linear, operator.
+    /// The tree geometry — expansion centers and cluster radii — depends on
+    /// the Gauss points alone, and the adaptive degrees are frozen from the
+    /// quadrature weights (`|q| = w·area`, realistic cluster weights), so
+    /// every subsequent application is the same, exactly linear, operator
+    /// (under `Fixed` or `Adaptive` degrees; see
+    /// [`Treecode::with_charges`]).
     #[must_use]
     pub fn new(geometry: SingleLayerGeometry, params: TreecodeParams) -> Self {
         let particles: Vec<Particle> = geometry
@@ -247,7 +249,11 @@ impl LinearOperator for TreecodeSingleLayer {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         let charges = self.geometry.charges(x);
-        let tc = self.base.with_charges(&charges);
+        let tc = self
+            .base
+            .with_charges(&charges)
+            // lint: allow(panic, one charge per Gauss point the base tree was built over)
+            .expect("gauss charges match the base tree's particle count");
         let result = tc.potentials_at(&self.geometry.mesh.vertices);
         y.copy_from_slice(&result.values);
         self.stats

@@ -50,6 +50,8 @@ pub use accuracy::{relative_error, sampled_relative_error, SampledError};
 pub use eval::EvalResult;
 pub use mbt_multipole::bounds::f32_near_admissible;
 pub use mbt_multipole::{DegreeSelector, DegreeWeighting};
+/// The octree error a [`TreecodeError::Tree`] carries.
+pub use mbt_tree::TreeError;
 pub use params::{EvalMode, Precision, RefWeight, TreecodeError, TreecodeParams};
 pub use stats::EvalStats;
 pub use upward::{upward_pass_count, Treecode};

@@ -1,13 +1,15 @@
 //! The multipole acceptance criterion (α-criterion).
 //!
 //! A particle–cluster interaction is admitted when the ratio of the
-//! distance `r` (target to the cluster's center of charge) to the enclosing
-//! box dimension `d` exceeds `1/α`, i.e. `d ≤ α·r`. Two safety conditions
-//! accompany it:
+//! distance `r` (target to the cluster's expansion center, the centroid of
+//! its particles) to the enclosing box dimension `d` exceeds `1/α`, i.e.
+//! `d ≤ α·r`. The center depends on positions alone, so every decision is
+//! a function of (positions, α) and no charge vector changes the lists.
+//! Two safety conditions accompany the ratio test:
 //!
 //! * the target must lie outside the cluster's box (a box can pass the
-//!   ratio test while containing the target, when the center of charge
-//!   sits far from the target's corner), and
+//!   ratio test while containing the target, when the particles crowd one
+//!   corner and pull the centroid far from the target's corner), and
 //! * `r` must exceed the cluster's tight radius `a` (Theorem 1's region of
 //!   convergence).
 
@@ -109,17 +111,20 @@ mod tests {
 
     #[test]
     fn containing_box_is_never_accepted() {
-        // center of charge in one corner, target in the opposite corner:
-        // the ratio test could pass, the containment guard must refuse
-        let ps = [
-            Particle::new(Vec3::new(-0.49, -0.49, -0.49), 5.0),
-            Particle::new(Vec3::new(0.49, 0.49, 0.49), 0.001),
-        ];
-        let t = Octree::build(&ps, OctreeParams { leaf_capacity: 4 }).unwrap();
+        // the particles crowd one corner, pulling the centroid there; the
+        // target sits inside the box near the opposite corner, clear of
+        // the cluster sphere: the ratio and radius tests both pass, so
+        // only the containment guard can refuse
+        let mut ps = vec![Particle::new(Vec3::new(-0.49, -0.49, -0.49), 1.0); 30];
+        ps.push(Particle::new(Vec3::new(0.49, -0.49, -0.49), 1.0));
+        let t = Octree::build(&ps, OctreeParams { leaf_capacity: 40 }).unwrap();
         let root = t.node(t.root());
-        let target = Vec3::new(0.49, 0.49, 0.49);
+        let target = Vec3::new(0.45, -0.05, -0.05);
+        let alpha = 1.0;
+        let r = target.distance(root.center);
         assert!(root.bbox.contains(target));
-        assert_eq!(mac(root, target, 0.9), MacDecision::Open);
+        assert!(root.edge() <= alpha * r && r > root.radius);
+        assert_eq!(mac(root, target, alpha), MacDecision::Open);
     }
 
     #[test]

@@ -7,9 +7,6 @@ use mbt_tree::TreeError;
 /// "threshold value" that receives the minimum degree) is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RefWeight {
-    /// The smallest positive leaf-cluster weight. Most conservative: every
-    /// heavier cluster is boosted, maximising accuracy (and cost).
-    MinLeaf,
     /// The median leaf-cluster weight (default). Clusters at or below a
     /// typical leaf get `p_min`; only genuinely heavier clusters are
     /// boosted — this is the paper's thresholding, and keeps the term-count
@@ -231,7 +228,7 @@ impl Default for TreecodeParams {
 /// Treecode construction failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TreecodeError {
-    /// Underlying octree construction failed.
+    /// Underlying octree construction (or charge update) failed.
     Tree(TreeError),
     /// `alpha` was zero, negative, or non-finite.
     InvalidAlpha(f64),
@@ -316,13 +313,11 @@ mod tests {
         }
         let ok = TreecodeParams::adaptive(3, 0.5).with_ref_weight(RefWeight::Explicit(2.5));
         assert!(ok.validate().is_ok());
-        // the policy choices carry no caller value and stay unchecked
-        for policy in [RefWeight::MinLeaf, RefWeight::MedianLeaf] {
-            assert!(TreecodeParams::adaptive(3, 0.5)
-                .with_ref_weight(policy)
-                .validate()
-                .is_ok());
-        }
+        // the policy choice carries no caller value and stays unchecked
+        assert!(TreecodeParams::adaptive(3, 0.5)
+            .with_ref_weight(RefWeight::MedianLeaf)
+            .validate()
+            .is_ok());
     }
 
     #[test]

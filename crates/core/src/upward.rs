@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mbt_geometry::{Particle, Vec3};
+use mbt_geometry::Particle;
 use mbt_multipole::{p2m_into, tri_len, Complex, ExpansionRef, Workspace};
 use mbt_tree::{Octree, OctreeParams};
 use rayon::prelude::*;
@@ -160,9 +160,6 @@ impl Treecode {
         let selector = params.degree;
         let ref_weight = {
             let w = match params.ref_weight {
-                crate::params::RefWeight::MinLeaf => {
-                    tree.min_leaf_weight(|n| selector.weight(n.abs_charge, n.edge()))
-                }
                 crate::params::RefWeight::MedianLeaf => {
                     let mut ws: Vec<f64> = tree
                         .nodes()
@@ -281,27 +278,29 @@ impl Treecode {
     }
 
     /// Rebuilds the expansions for a new charge vector (caller's original
-    /// order) while keeping every geometric quantity — expansion centers,
-    /// cluster radii, and per-node degrees — exactly as built.
+    /// order) over [`Octree::with_charges`], keeping the per-node degrees
+    /// exactly as built. The tree's geometry (expansion centers, cluster
+    /// radii, MAC decisions) is a function of the positions alone, and
+    /// only `A` and the net charge follow the new charges.
     ///
-    /// The returned treecode is therefore an **exactly linear** map of the
-    /// charge vector, which is what an iterative solver needs from a
-    /// repeated matvec over fixed geometry (the paper's BEM use case: the
-    /// Gauss points never move; only the density iterates).
-    #[must_use]
-    pub fn with_charges(&self, charges: &[f64]) -> Treecode {
-        // lint: allow(alloc, once per solver matvec, not per interaction)
-        let mut tree = self.tree.clone();
-        tree.set_charges_only(charges);
+    /// Under `Fixed` and `Adaptive` degrees the returned treecode is
+    /// therefore an **exactly linear** map of the charge vector, which is
+    /// what an iterative solver needs from a repeated matvec over fixed
+    /// geometry (the paper's BEM use case: the Gauss points never move;
+    /// only the density iterates). Under `Tolerance` it is not: each
+    /// interaction is truncated per Theorem 1 by the new `A`, so the
+    /// degrees an evaluation sums move with the charges.
+    pub fn with_charges(&self, charges: &[f64]) -> Result<Treecode, TreecodeError> {
+        let tree = self.tree.with_charges(charges)?;
         let degrees = self.degrees.clone(); // lint: allow(alloc, once per matvec)
         let arena = Self::upward_pass(&tree, &degrees);
-        Treecode {
+        Ok(Treecode {
             tree,
             params: self.params,
             degrees,
             arena,
             ref_weight: self.ref_weight,
-        }
+        })
     }
 
     /// The underlying octree.
@@ -373,15 +372,6 @@ impl Treecode {
             .iter()
             .map(|&p| ((p + 1) * (p + 2) / 2) as u64)
             .sum()
-    }
-
-    /// The positions of the source particles in the caller's original
-    /// order.
-    #[must_use]
-    pub fn original_positions(&self) -> Vec<Vec3> {
-        // lint: allow(alloc, diagnostic accessor, not on the evaluation path)
-        let sorted: Vec<Vec3> = self.tree.particles().iter().map(|p| p.position).collect();
-        self.tree.unsort(&sorted)
     }
 }
 
@@ -505,11 +495,26 @@ mod tests {
     }
 
     #[test]
+    fn with_charges_refuses_a_wrong_length_vector() {
+        let ps = particles(200);
+        let tc = Treecode::new(&ps, TreecodeParams::fixed(3, 0.6)).unwrap();
+        assert_eq!(
+            tc.with_charges(&vec![1.0; 199]).err(),
+            Some(TreecodeError::Tree(
+                mbt_tree::TreeError::ChargeCountMismatch {
+                    expected: 200,
+                    got: 199,
+                }
+            ))
+        );
+    }
+
+    #[test]
     fn upward_pass_counter_advances_per_build() {
         let ps = particles(300);
         let before = upward_pass_count();
         let tc = Treecode::new(&ps, TreecodeParams::fixed(3, 0.6)).unwrap();
-        let _rebuilt = tc.with_charges(&vec![1.0; ps.len()]);
+        let _rebuilt = tc.with_charges(&vec![1.0; ps.len()]).unwrap();
         // other tests run concurrently in this process, so the counter may
         // advance by more than our two passes — never fewer
         assert!(upward_pass_count() >= before + 2);

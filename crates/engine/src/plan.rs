@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 use mbt_fmm::{CompiledFmm, FmmError};
 use mbt_geometry::Particle;
 use mbt_treecode::{
-    f32_near_admissible, DegreeSelector, DegreeWeighting, EvalMode, Precision, RefWeight, Treecode,
-    TreecodeParams,
+    f32_near_admissible, DegreeSelector, DegreeWeighting, EvalMode, Precision, RefWeight,
+    TreeError, Treecode, TreecodeParams,
 };
 
 use crate::error::EngineError;
@@ -144,7 +144,6 @@ impl DegreeKey {
 /// Bit-exact hashable image of a [`RefWeight`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum RefWeightKey {
-    MinLeaf,
     MedianLeaf,
     Explicit(u64),
 }
@@ -191,7 +190,6 @@ impl PlanKey {
             degree: DegreeKey::of(params.degree),
             leaf_capacity: params.leaf_capacity,
             ref_weight: match params.ref_weight {
-                RefWeight::MinLeaf => RefWeightKey::MinLeaf,
                 RefWeight::MedianLeaf => RefWeightKey::MedianLeaf,
                 RefWeight::Explicit(w) => RefWeightKey::Explicit(w.to_bits()),
             },
@@ -400,8 +398,12 @@ impl Plan {
     /// charges cannot move is reused — an FMM artifact shares its
     /// geometry half and re-runs the charge pass
     /// ([`CompiledFmm::with_charges`]), a treecode artifact keeps its
-    /// sorted octree topology and re-runs aggregates, degree selection
-    /// and the upward pass.
+    /// sorted octree topology, expansion centres and radii
+    /// (`Octree::with_charges`) and re-runs only `A` and the
+    /// net charge, degree selection and the upward pass.
+    ///
+    /// A charge vector of the wrong length is refused with
+    /// [`EngineError::ChargeCountMismatch`].
     ///
     /// An FMM-keyed plan holding a fallback treecode is built afresh:
     /// whether the FMM is representable can depend on the charges.
@@ -419,10 +421,15 @@ impl Plan {
             (PlanArtifact::Treecode(_), Backend::Fmm) => {
                 return Plan::build(self.key, particles, params).map(|p| p.at_epoch(epoch));
             }
-            (PlanArtifact::Treecode(tc), _) => PlanArtifact::Treecode(Treecode::from_tree(
-                tc.tree().with_charges(&charges),
-                params,
-            )),
+            (PlanArtifact::Treecode(tc), _) => {
+                let tree = tc.tree().with_charges(&charges).map_err(|e| match e {
+                    TreeError::ChargeCountMismatch { expected, got } => {
+                        EngineError::ChargeCountMismatch { expected, got }
+                    }
+                    other => EngineError::Build(other.into()),
+                })?;
+                PlanArtifact::Treecode(Treecode::from_tree(tree, params))
+            }
         };
         let bytes = artifact.heap_bytes();
         Ok(Plan {
@@ -644,6 +651,48 @@ mod tests {
             };
             assert_eq!(eval(&recharged), eval(&fresh), "{backend:?}");
         }
+    }
+
+    #[test]
+    fn fixed_degree_treecode_recharge_is_the_frozen_degree_treecode() {
+        // under Fixed(p) nothing the charges feed (A, the net charge)
+        // reaches the degrees or the geometry, so re-resolving degrees
+        // from the new charges and freezing them give one operator
+        let before = ps(900);
+        let charges: Vec<f64> = (0..before.len())
+            .map(|i| 0.25 + (i as f64 * 0.3).sin())
+            .collect();
+        let after: Vec<Particle> = before
+            .iter()
+            .zip(&charges)
+            .map(|(p, &q)| Particle::new(p.position, q))
+            .collect();
+        let params = TreecodeParams::fixed(5, 0.6).with_eval_mode(EvalMode::Compiled);
+        let pts: Vec<Vec3> = (0..20)
+            .map(|i| Vec3::new(0.1 * f64::from(i) - 1.0, 0.3, -0.2))
+            .collect();
+        let plan = Plan::build(PlanKey::new(DatasetId(0), &params), &before, params).unwrap();
+        let recharged = plan.recharge(&after, params, 1).unwrap();
+        let frozen = plan.treecode().with_charges(&charges).unwrap();
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(recharged.treecode().potentials_at(&pts).values),
+            bits(frozen.potentials_at(&pts).values)
+        );
+    }
+
+    #[test]
+    fn treecode_recharge_refuses_a_wrong_length_charge_vector() {
+        let params = TreecodeParams::fixed(4, 0.6);
+        let particles = ps(300);
+        let plan = Plan::build(PlanKey::new(DatasetId(0), &params), &particles, params).unwrap();
+        assert_eq!(
+            plan.recharge(&particles[..299], params, 1).err(),
+            Some(EngineError::ChargeCountMismatch {
+                expected: 300,
+                got: 299,
+            })
+        );
     }
 
     #[test]

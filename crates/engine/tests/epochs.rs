@@ -264,6 +264,61 @@ fn the_updates_exercise_the_paths_they_are_aimed_at() {
     ));
 }
 
+/// `Fixed(p)` is one linear operator on every backend: the geometry a
+/// plan holds (expansion centres, radii, MAC decisions, FMM cells) is a
+/// function of the positions alone and the degrees do not read the
+/// charges, so `A(a·x + b·y) = a·A(x) + b·A(y)` to rounding, through
+/// `query` and `query_batch` alike, whichever epoch answers. The treecode is asked through
+/// `Accuracy::Params` so the resolver keeps its f64 tier: the f32 near
+/// field rounds each charge, which no operator can commute with.
+#[test]
+fn fixed_degree_answers_are_linear_in_the_charges_on_every_backend() {
+    let (a, b) = (2.0, 3.0);
+    for shape in shapes() {
+        let e = engine();
+        let ps = particles(shape.sources);
+        let points = probe_points(shape.targets);
+        let accuracy = match shape.backend {
+            Backend::Treecode => Accuracy::Params(e.resolve_params(Accuracy::Fixed(5))),
+            _ => Accuracy::Fixed(5),
+        };
+        let x: Vec<f64> = ps.iter().map(|p| p.charge).collect();
+        let y: Vec<f64> = ps
+            .iter()
+            .map(|p| 1e-5 * (3.0 * p.position.x).sin() + 4e-6 * p.position.y)
+            .collect();
+        let combined: Vec<f64> = x.iter().zip(&y).map(|(xi, yi)| a * xi + b * yi).collect();
+        let id = e.register("linear", ps.clone()).unwrap();
+        for batch in [false, true] {
+            let mut answers = Vec::new();
+            for charges in [&x, &y, &combined] {
+                e.update_charges(id, charges).unwrap();
+                let request = QueryRequest::potentials(id, accuracy, points.clone());
+                let response = if batch {
+                    e.query_batch(&[request]).pop().unwrap().unwrap()
+                } else {
+                    e.query(request).unwrap()
+                };
+                assert_eq!(response.backend, shape.backend, "{}", shape.name);
+                answers.push(response.output.potentials().unwrap().to_vec());
+            }
+            let (ax, ay, axy) = (&answers[0], &answers[1], &answers[2]);
+            let num: f64 = axy
+                .iter()
+                .zip(ax.iter().zip(ay))
+                .map(|(c, (u, v))| (c - a * u - b * v).powi(2))
+                .sum();
+            let den: f64 = axy.iter().map(|c| c * c).sum();
+            let defect = (num / den).sqrt();
+            assert!(
+                defect <= 1e-12,
+                "{} batch={batch}: linearity defect {defect:.3e}",
+                shape.name
+            );
+        }
+    }
+}
+
 #[test]
 fn all_zero_charges_are_legal_and_answer_exactly_zero() {
     for shape in shapes() {

@@ -36,24 +36,6 @@ pub fn total_abs_charge(particles: &[Particle]) -> f64 {
     particles.iter().map(Particle::abs_charge).sum()
 }
 
-/// Center of absolute charge `Σ|qᵢ| xᵢ / Σ|qᵢ|` — the expansion center used
-/// for clusters (falls back to the centroid when all charges are zero).
-#[must_use]
-pub fn center_of_charge(particles: &[Particle]) -> Vec3 {
-    let a = total_abs_charge(particles);
-    if a > 0.0 {
-        particles
-            .iter()
-            .map(|p| p.position * p.abs_charge())
-            .sum::<Vec3>()
-            / a
-    } else if particles.is_empty() {
-        Vec3::ZERO
-    } else {
-        particles.iter().map(|p| p.position).sum::<Vec3>() / particles.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,25 +45,5 @@ mod tests {
         let ps = [Particle::new(Vec3::ZERO, -2.0), Particle::new(Vec3::X, 3.0)];
         assert_eq!(ps[0].abs_charge(), 2.0);
         assert_eq!(total_abs_charge(&ps), 5.0);
-    }
-
-    #[test]
-    fn center_of_charge_weighted() {
-        let ps = [
-            Particle::new(Vec3::new(0.0, 0.0, 0.0), 1.0),
-            Particle::new(Vec3::new(4.0, 0.0, 0.0), -3.0),
-        ];
-        let c = center_of_charge(&ps);
-        assert!((c.x - 3.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn center_of_charge_zero_charges_falls_back_to_centroid() {
-        let ps = [
-            Particle::new(Vec3::new(0.0, 0.0, 0.0), 0.0),
-            Particle::new(Vec3::new(2.0, 2.0, 2.0), 0.0),
-        ];
-        assert_eq!(center_of_charge(&ps), Vec3::new(1.0, 1.0, 1.0));
-        assert_eq!(center_of_charge(&[]), Vec3::ZERO);
     }
 }

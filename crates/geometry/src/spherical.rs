@@ -51,13 +51,6 @@ impl Spherical {
         let (sp, cp) = self.phi.sin_cos();
         Vec3::new(self.rho * st * cp, self.rho * st * sp, self.rho * ct)
     }
-
-    /// `cos(theta)` without recomputing the angle.
-    #[inline]
-    #[must_use]
-    pub fn cos_theta(&self) -> f64 {
-        self.theta.cos()
-    }
 }
 
 impl From<Vec3> for Spherical {

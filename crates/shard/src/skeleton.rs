@@ -119,21 +119,20 @@ impl Skeleton {
     }
 
     /// The synthetic global root: union bounds, combined weight, the
-    /// abs-charge-weighted center (matching the per-cluster convention),
-    /// a radius covering every shard's cluster sphere, and the M2M
-    /// aggregate of all shard expansions at the max stored degree.
+    /// particle-count-weighted mean of the shard centers — the centroid of
+    /// all particles, matching the per-cluster convention, so it too
+    /// depends on positions alone — a radius covering every shard's
+    /// cluster sphere, and the M2M aggregate of all shard expansions at
+    /// the max stored degree.
     fn aggregate(roots: &[ShardRoot]) -> ShardRoot {
         let total_abs: f64 = roots.iter().map(|r| r.node.abs_charge).sum();
         let total_net: f64 = roots.iter().map(|r| r.node.net_charge).sum();
-        let center = if total_abs > 0.0 {
-            roots
-                .iter()
-                .map(|r| r.node.center * r.node.abs_charge)
-                .sum::<Vec3>()
-                / total_abs
-        } else {
-            roots.iter().map(|r| r.node.center).sum::<Vec3>() / roots.len() as f64
-        };
+        let total: u32 = roots.iter().map(|r| r.node.end - r.node.start).sum();
+        let center = roots
+            .iter()
+            .map(|r| r.node.center * f64::from(r.node.end - r.node.start))
+            .sum::<Vec3>()
+            / f64::from(total.max(1));
         // every shard's cluster sphere fits inside (center, radius), so
         // the r > radius gate of the MAC stays conservative
         let radius = roots
@@ -144,7 +143,6 @@ impl Skeleton {
         for r in &roots[1..] {
             bbox = bbox.union(&r.node.bbox);
         }
-        let total: u32 = roots.iter().map(|r| r.node.end - r.node.start).sum();
         let degree = roots.iter().map(|r| r.degree).max().unwrap_or(0);
         // M2M at target ≥ source degree is exact (lower-triangular in the
         // source coefficients), so this aggregate is the true degree-p

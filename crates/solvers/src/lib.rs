@@ -13,18 +13,14 @@
 //!   rotations,
 //! * [`DenseMatrix`] — a row-major dense matrix with parallel matvec, used
 //!   as the exact reference operator in the experiments,
-//! * [`cg`] — conjugate gradients for the symmetric positive-definite
-//!   operators of the BEM stack,
 //! * a Jacobi (diagonal) preconditioner.
 
 #![forbid(unsafe_code)]
 
-pub mod cg;
 pub mod dense;
 pub mod gmres;
 pub mod operator;
 
-pub use cg::{cg, CgOptions, CgOutcome, CgResult};
 pub use dense::DenseMatrix;
 pub use gmres::{gmres, GmresOptions, GmresOutcome, GmresResult};
 pub use operator::{JacobiPreconditioner, LinearOperator};

@@ -1,12 +1,10 @@
 //! Property-based tests of the iterative solvers on random systems.
 
-use mbt_solvers::{
-    cg, gmres, CgOptions, CgOutcome, DenseMatrix, GmresOptions, GmresOutcome, LinearOperator,
-};
+use mbt_solvers::{gmres, DenseMatrix, GmresOptions, GmresOutcome, LinearOperator};
 use proptest::prelude::*;
 
 /// A random diagonally dominant (hence nonsingular) matrix.
-fn dominant_matrix(n: usize, seed: u64, symmetric: bool) -> DenseMatrix {
+fn dominant_matrix(n: usize, seed: u64) -> DenseMatrix {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut next = move || {
         state ^= state << 13;
@@ -17,9 +15,7 @@ fn dominant_matrix(n: usize, seed: u64, symmetric: bool) -> DenseMatrix {
     let mut m = DenseMatrix::zeros(n, n);
     for i in 0..n {
         for j in 0..n {
-            if symmetric && j < i {
-                m[(i, j)] = m[(j, i)];
-            } else if i != j {
+            if i != j {
                 m[(i, j)] = next() * 0.5;
             }
         }
@@ -50,39 +46,11 @@ proptest! {
         n in 5usize..40,
         seed in 0u64..1000,
     ) {
-        let a = dominant_matrix(n, seed, false);
+        let a = dominant_matrix(n, seed);
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
         let r = gmres(&a, &b, &GmresOptions { restart: 10, tol: 1e-10, max_iters: 500, preconditioner: None });
         prop_assert_eq!(r.outcome, GmresOutcome::Converged);
         prop_assert!(residual(&a, &r.x, &b) < 1e-8);
-    }
-
-    /// CG solves every symmetric dominant (hence SPD) system.
-    #[test]
-    fn cg_solves_spd_systems(
-        n in 5usize..40,
-        seed in 0u64..1000,
-    ) {
-        let a = dominant_matrix(n, seed, true);
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let r = cg(&a, &b, &CgOptions { tol: 1e-11, max_iters: 500, preconditioner: None });
-        prop_assert_eq!(r.outcome, CgOutcome::Converged);
-        prop_assert!(residual(&a, &r.x, &b) < 1e-9);
-    }
-
-    /// CG and GMRES agree on SPD systems.
-    #[test]
-    fn cg_and_gmres_agree(
-        n in 5usize..25,
-        seed in 0u64..1000,
-    ) {
-        let a = dominant_matrix(n, seed, true);
-        let b: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let xc = cg(&a, &b, &CgOptions { tol: 1e-12, max_iters: 500, preconditioner: None }).x;
-        let xg = gmres(&a, &b, &GmresOptions { restart: n, tol: 1e-12, max_iters: 500, preconditioner: None }).x;
-        for (c, g) in xc.iter().zip(&xg) {
-            prop_assert!((c - g).abs() < 1e-8 * (1.0 + g.abs()));
-        }
     }
 
     /// GMRES reconstructs a known solution.
@@ -91,7 +59,7 @@ proptest! {
         n in 5usize..30,
         seed in 0u64..1000,
     ) {
-        let a = dominant_matrix(n, seed, false);
+        let a = dominant_matrix(n, seed);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin() - 0.5).collect();
         let b = a.apply_vec(&x_true);
         let r = gmres(&a, &b, &GmresOptions { restart: 10, tol: 1e-12, max_iters: 800, preconditioner: None });

@@ -6,7 +6,11 @@
 //!    binary search, no data movement after the one sort).
 //! 3. Split cells top-down until `leaf_capacity` is reached (or the key
 //!    resolution floor — coincident particles cannot be separated).
-//! 4. One bottom-up pass fills the cluster aggregates.
+//! 4. One pass over the nodes fills each cluster's expansion centre (the
+//!    centroid of its particles) and tight radius, a second its charge
+//!    aggregates `A = Σ|q|` and net charge. Only the second depends on the
+//!    charges, so a charge update ([`Octree::with_charges`]) re-runs only
+//!    that one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,6 +61,14 @@ pub enum TreeError {
     },
     /// `leaf_capacity` was zero.
     ZeroLeafCapacity,
+    /// A charge update supplied a vector whose length is not the tree's
+    /// particle count.
+    ChargeCountMismatch {
+        /// The tree's particle count.
+        expected: usize,
+        /// The length of the supplied charge vector.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for TreeError {
@@ -67,6 +79,12 @@ impl std::fmt::Display for TreeError {
                 write!(f, "particle {index} has a non-finite position or charge")
             }
             TreeError::ZeroLeafCapacity => write!(f, "leaf_capacity must be at least 1"),
+            TreeError::ChargeCountMismatch { expected, got } => {
+                write!(
+                    f,
+                    "expected {expected} charges (one per particle), got {got}"
+                )
+            }
         }
     }
 }
@@ -80,7 +98,7 @@ pub struct Octree {
     particles: Vec<Particle>,
     /// Structure-of-arrays mirror of `particles` (same order), consumed by
     /// the batched evaluation kernels. Charges are kept in sync by
-    /// [`Octree::with_charges`] / [`Octree::set_charges_only`].
+    /// [`Octree::with_charges`].
     soa: ParticleSoa,
     /// Single-precision mirror of `soa` for the error-budgeted f32 near
     /// field. Rounded once per build and charge-synced alongside `soa`;
@@ -156,7 +174,8 @@ impl Octree {
             radius: 0.0,
         });
         tree.split_recursive(0, params.leaf_capacity);
-        tree.compute_aggregates(0);
+        tree.compute_centres();
+        tree.compute_charge_aggregates();
         tree.height = tree
             .nodes
             .iter()
@@ -309,41 +328,31 @@ impl Octree {
         }
     }
 
-    /// Bottom-up aggregate pass: `A`, net charge, center of charge, tight
-    /// radius.
-    fn compute_aggregates(&mut self, id: NodeId) {
-        let (start, end, is_leaf, children) = {
-            let n = &self.nodes[id as usize];
-            (n.start as usize, n.end as usize, n.is_leaf, n.children)
-        };
-        if !is_leaf {
-            for cid in children {
-                if cid != NO_NODE {
-                    self.compute_aggregates(cid);
-                }
-            }
-        }
-        let slice = &self.particles[start..end];
-        let abs: f64 = slice.iter().map(|p| p.charge.abs()).sum();
-        let net: f64 = slice.iter().map(|p| p.charge).sum();
-        let center = if abs > 0.0 {
-            slice
+    /// The geometric half of the aggregates: each node's expansion centre,
+    /// the plain centroid `Σ p / len` of its particles (in particle
+    /// order), and its tight radius about that centre. A function of the
+    /// positions alone, so it runs once per build and every charge vector
+    /// over this tree shares one set of centres, radii and MAC decisions.
+    fn compute_centres(&mut self) {
+        for n in &mut self.nodes {
+            let slice = &self.particles[n.start as usize..n.end as usize];
+            let center = slice.iter().map(|p| p.position).sum::<Vec3>() / slice.len().max(1) as f64;
+            n.center = center;
+            n.radius = slice
                 .iter()
-                .map(|p| p.position * p.charge.abs())
-                .sum::<Vec3>()
-                / abs
-        } else {
-            slice.iter().map(|p| p.position).sum::<Vec3>() / slice.len().max(1) as f64
-        };
-        let radius = slice
-            .iter()
-            .map(|p| p.position.distance(center))
-            .fold(0.0, f64::max);
-        let n = &mut self.nodes[id as usize];
-        n.abs_charge = abs;
-        n.net_charge = net;
-        n.center = center;
-        n.radius = radius;
+                .map(|p| p.position.distance(center))
+                .fold(0.0, f64::max);
+        }
+    }
+
+    /// The charge half of the aggregates: each node's `A = Σ|q|` and net
+    /// charge, summed over its particle slice.
+    fn compute_charge_aggregates(&mut self) {
+        for n in &mut self.nodes {
+            let slice = &self.particles[n.start as usize..n.end as usize];
+            n.abs_charge = slice.iter().map(|p| p.charge.abs()).sum();
+            n.net_charge = slice.iter().map(|p| p.charge).sum();
+        }
     }
 
     /// The root node id (always 0).
@@ -457,60 +466,30 @@ impl Octree {
         TreeStats::of(self)
     }
 
-    /// The smallest positive leaf-cluster weight under a weighting
-    /// function — the reference weight `w_ref` of Theorem 3's degree rule.
-    pub fn min_leaf_weight(&self, weight: impl Fn(&Node) -> f64) -> f64 {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_leaf && !n.is_empty())
-            .map(weight)
-            .filter(|&w| w > 0.0)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Rebuilds the tree's charge-dependent state for a new charge vector
-    /// (positions unchanged), given in the **caller's original order**.
+    /// This tree under a new charge vector (positions unchanged), given in
+    /// the **caller's original order**.
     ///
-    /// This is the fast path for iterative solvers whose operator applies
-    /// the same geometry to a new density every iteration: the Morton sort
-    /// and topology are reused; only the aggregates are recomputed.
-    #[must_use]
-    pub fn with_charges(&self, charges: &[f64]) -> Octree {
-        assert_eq!(
-            charges.len(),
-            self.particles.len(),
-            "charge vector length must match the particle count"
-        );
+    /// The fast path for iterative solvers whose operator applies the same
+    /// geometry to a new density every iteration: the Morton sort,
+    /// topology, expansion centres and radii are reused bit for bit; only
+    /// the charges, their SoA mirrors, `A` and the net charge are
+    /// rewritten. The result equals a fresh [`Octree::build`] over the
+    /// same positions with these charges.
+    pub fn with_charges(&self, charges: &[f64]) -> Result<Octree, TreeError> {
+        if charges.len() != self.particles.len() {
+            return Err(TreeError::ChargeCountMismatch {
+                expected: self.particles.len(),
+                got: charges.len(),
+            });
+        }
         let mut out = self.clone();
         for (i, p) in out.particles.iter_mut().enumerate() {
             p.charge = charges[self.perm[i]];
         }
         out.soa.sync_charges(&out.particles);
         out.soa32.sync_charges(&out.particles);
-        out.compute_aggregates(0);
-        out
-    }
-
-    /// Replaces particle charges **without** recomputing node aggregates
-    /// (centers, radii, `abs_charge` stay as built). Charges are given in
-    /// the caller's original order.
-    ///
-    /// This keeps every geometric quantity of the decomposition fixed, so
-    /// an operator built on top of the tree is *exactly linear* in the
-    /// charge vector — required when the tree backs a matvec inside a
-    /// Krylov solver. Use [`Octree::with_charges`] when the aggregates
-    /// should track the new charges instead.
-    pub fn set_charges_only(&mut self, charges: &[f64]) {
-        assert_eq!(
-            charges.len(),
-            self.particles.len(),
-            "charge vector length must match the particle count"
-        );
-        for i in 0..self.particles.len() {
-            self.particles[i].charge = charges[self.perm[i]];
-        }
-        self.soa.sync_charges(&self.particles);
-        self.soa32.sync_charges(&self.particles);
+        out.compute_charge_aggregates();
+        Ok(out)
     }
 
     /// Exhaustive structural validation (test support): every particle in
@@ -653,7 +632,7 @@ mod tests {
     #[test]
     fn f32_mirror_tracks_sorted_particles_and_charges() {
         let ps = uniform_cube(700, 1.0, charges(), 11);
-        let mut tree = Octree::build(&ps, OctreeParams { leaf_capacity: 16 }).unwrap();
+        let tree = Octree::build(&ps, OctreeParams { leaf_capacity: 16 }).unwrap();
         let base = tree.heap_bytes();
         assert_eq!(tree.particles_soa_f32().len(), tree.particles().len());
         for (i, p) in tree.particles().iter().enumerate() {
@@ -664,15 +643,45 @@ mod tests {
         // the mirror is charged against the byte budget
         assert!(base >= tree.particles_soa_f32().heap_bytes());
         let new_q: Vec<f64> = (0..ps.len()).map(|i| 0.5 + i as f64).collect();
-        tree.set_charges_only(&new_q);
-        for (i, &orig) in tree.perm().iter().enumerate() {
+        let recharged = tree.with_charges(&new_q).unwrap();
+        for (i, &orig) in recharged.perm().iter().enumerate() {
             assert_eq!(
-                tree.particles_soa_f32().q[i].to_bits(),
+                recharged.particles_soa_f32().q[i].to_bits(),
                 (new_q[orig] as f32).to_bits()
             );
+            assert_eq!(
+                recharged.particles_soa().q[i].to_bits(),
+                new_q[orig].to_bits()
+            );
         }
-        let rebuilt = tree.with_charges(&new_q);
-        assert_eq!(rebuilt.particles_soa_f32().q, tree.particles_soa_f32().q);
+    }
+
+    #[test]
+    fn with_charges_refuses_a_wrong_length_vector() {
+        let ps = uniform_cube(100, 1.0, charges(), 4);
+        let tree = Octree::build(&ps, OctreeParams::default()).unwrap();
+        for got in [0, 99, 101] {
+            assert_eq!(
+                tree.with_charges(&vec![1.0; got]).unwrap_err(),
+                TreeError::ChargeCountMismatch { expected: 100, got }
+            );
+        }
+    }
+
+    #[test]
+    fn centres_are_centroids_whatever_the_charges() {
+        // one heavy particle must not pull the expansion centre: the
+        // centre is the plain centroid, a function of positions alone
+        let ps = [
+            Particle::new(Vec3::new(0.0, 0.0, 0.0), 100.0),
+            Particle::new(Vec3::new(2.0, 0.0, 0.0), -0.01),
+            Particle::new(Vec3::new(1.0, 3.0, 0.0), 0.0),
+        ];
+        let tree = Octree::build(&ps, OctreeParams { leaf_capacity: 4 }).unwrap();
+        let root = tree.node(tree.root());
+        assert_eq!(root.center, Vec3::new(1.0, 1.0, 0.0));
+        assert_eq!(root.radius, 2.0);
+        assert_eq!(root.abs_charge, 100.01);
     }
 
     #[test]
@@ -726,15 +735,6 @@ mod tests {
         assert_eq!(tree.len(), 1);
         assert_eq!(tree.height(), 0);
         assert_eq!(tree.node(0).abs_charge, 2.5);
-    }
-
-    #[test]
-    fn min_leaf_weight() {
-        let ps = uniform_cube(2000, 1.0, charges(), 13);
-        let tree = Octree::build(&ps, OctreeParams { leaf_capacity: 32 }).unwrap();
-        let w = tree.min_leaf_weight(|n| n.abs_charge);
-        assert!(w >= 1.0 - 1e-12); // unit |q| per particle
-        assert!(w <= 32.0 + 1e-12);
     }
 
     #[test]

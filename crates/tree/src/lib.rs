@@ -4,9 +4,11 @@
 //! in `mbt-treecode`, FMM in `mbt-fmm`) traverse. Particles are sorted once
 //! by Morton key inside their cubical hull; every octree cell then owns a
 //! contiguous index range, children are located by binary search on the key
-//! digits, and the per-node aggregates the paper's error analysis needs —
-//! total absolute charge `A = Σ|qᵢ|`, center of charge, tight cluster
-//! radius — are computed in a single bottom-up pass.
+//! digits, and the per-node aggregates the paper's error analysis needs are
+//! filled in two passes: the geometric one (expansion center = the
+//! particles' centroid, tight cluster radius) once per build, and the charge
+//! one (total absolute charge `A = Σ|qᵢ|`, net charge) per build and per
+//! charge update.
 
 #![forbid(unsafe_code)]
 

@@ -30,8 +30,10 @@ pub struct Node {
     pub level: u16,
     /// True when this node holds its particles directly.
     pub is_leaf: bool,
-    /// Center of absolute charge — the multipole expansion center. The
-    /// paper's MAC measures distance to this point.
+    /// The multipole expansion center: the centroid of the cell's
+    /// particles, a function of positions alone (Theorem 1 holds for any
+    /// center whose radius-`a` ball covers the cluster). The paper's MAC
+    /// measures distance to this point, so no charge vector moves it.
     pub center: Vec3,
     /// Total absolute charge `A = Σ|qᵢ|` (Theorems 2–3 weight clusters by
     /// this).

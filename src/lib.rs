@@ -70,9 +70,7 @@ pub mod prelude {
         kappa, theorem1_bound, theorem2_bound, DegreeSelector, DegreeWeighting, LocalExpansion,
         MultipoleExpansion,
     };
-    pub use mbt_solvers::{
-        cg, gmres, CgOptions, CgOutcome, DenseMatrix, GmresOptions, GmresOutcome, LinearOperator,
-    };
+    pub use mbt_solvers::{gmres, DenseMatrix, GmresOptions, GmresOutcome, LinearOperator};
     pub use mbt_tree::{Octree, OctreeParams};
     pub use mbt_treecode::{
         direct::{
