@@ -416,7 +416,13 @@ impl Plan {
         let charges: Vec<f64> = particles.iter().map(|p| p.charge).collect();
         let artifact = match (&self.artifact, self.key.backend()) {
             (PlanArtifact::Fmm(fmm), _) => {
-                fmm_or_fallback(fmm.with_charges(&charges), particles, params)?
+                let recharged = match fmm.with_charges(&charges) {
+                    Err(FmmError::ChargeCountMismatch { expected, got }) => {
+                        return Err(EngineError::ChargeCountMismatch { expected, got });
+                    }
+                    other => other,
+                };
+                fmm_or_fallback(recharged, particles, params)?
             }
             (PlanArtifact::Treecode(_), Backend::Fmm) => {
                 return Plan::build(self.key, particles, params).map(|p| p.at_epoch(epoch));
@@ -691,6 +697,22 @@ mod tests {
             Some(EngineError::ChargeCountMismatch {
                 expected: 300,
                 got: 299,
+            })
+        );
+    }
+
+    #[test]
+    fn fmm_recharge_refuses_a_wrong_length_charge_vector() {
+        let params = TreecodeParams::fixed(4, 0.6);
+        let particles = ps(900);
+        let key = PlanKey::routed(DatasetId(0), &params, Backend::Fmm);
+        let plan = Plan::build(key, &particles, params).unwrap();
+        assert!(matches!(plan.artifact, PlanArtifact::Fmm(_)));
+        assert_eq!(
+            plan.recharge(&particles[..899], params, 1).err(),
+            Some(EngineError::ChargeCountMismatch {
+                expected: 900,
+                got: 899,
             })
         );
     }

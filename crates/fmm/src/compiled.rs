@@ -28,16 +28,32 @@
 //! * **Geometry half** ([`FmmGeometry`], `Arc`-shared): everything that
 //!   depends on the particle *positions* and the resolved degree vector —
 //!   bounds, sort permutation, level grids, SoA positions, dense
-//!   Morton-indexed occupancy, CSR interaction lists (`(source index,
-//!   operator index)` rows per occupied cell), scale vectors and L2L
-//!   operators.
+//!   Morton-indexed occupancy, one operator-major M2L list per level (the
+//!   level's `(target, source)` cell pairs sorted by unit-operator index,
+//!   then target, with 317 run offsets), scale vectors and L2L operators.
 //! * **Charge half** ([`CompiledFmm`]'s own fields): charges, pre-scaled
 //!   multipole arenas and local arenas (occupied cells × `2·tri_len(p_l)`
 //!   per level) — P2M straight into the arenas for the levels whose
-//!   multipoles are read (`l ≥ 2`), then the downward pass as
-//!   [`mbt_multipole::m2l_apply`] calls. [`CompiledFmm::with_charges`]
-//!   re-runs only this half over the shared geometry, and is bit-identical
-//!   to [`CompiledFmm::new`] over the same positions and new charges.
+//!   multipoles are read (`l ≥ 2`), then the downward pass.
+//!   [`CompiledFmm::with_charges`] re-runs only this half over the shared
+//!   geometry, and is bit-identical to [`CompiledFmm::new`] over the same
+//!   positions and new charges.
+//! * **M2L runs operator-major.** Each worker takes one contiguous range
+//!   of a level's target cells (as many ranges as the pool has threads,
+//!   chosen per pass, not stored in the geometry). It walks the 316
+//!   operators in index order and applies each to its pairs in that run,
+//!   up to [`M2L_GROUP`] pairs per [`mbt_multipole::m2l_apply_group`]
+//!   call: the operator (25 KB at `p = 6`) is streamed once per group
+//!   instead of once per pair, and the kernel keeps a block of output
+//!   rows of all eight pairs in registers across the column sweep. Every
+//!   target meets each operator at most once and all of its pairs lie in
+//!   one range, so every local sums its M2L terms in operator-index
+//!   order, chained through correctly rounded `mul_add`s: the result is
+//!   the same bits at any thread count, range split or dispatch tier.
+//!   A pair whose source multipole is all zeros adds nothing and is
+//!   skipped. The on-demand chain of an unoccupied cell runs the same
+//!   kernel at width 1, in the same order. L2L stays one
+//!   [`mbt_multipole::m2l_apply`] call per cell.
 //! * **Evaluation: one per-cell routine** (`CompiledFmm::eval_cell`)
 //!   serves the source sweep ([`CompiledFmm::potentials`]) and the
 //!   external sweeps (`potentials_at` / `fields_at`) alike. Per finest
@@ -60,8 +76,9 @@ use std::sync::{Arc, OnceLock};
 use mbt_geometry::{Aabb, Particle, Vec3};
 use mbt_multipole::tables::tri_index;
 use mbt_multipole::{
-    l2p_field_group, l2p_potential_group, m2l_apply, p2m_into, p2p_span, simd, tri_len,
-    BatchWorkspace, Complex, ExpansionRef, LocalExpansion, Workspace, M2P_LANES,
+    l2p_field_group, l2p_potential_group, m2l_apply, m2l_apply_group, p2m_into, p2p_span, simd,
+    tri_len, BatchWorkspace, Complex, ExpansionRef, LocalExpansion, Workspace, M2L_GROUP,
+    M2P_LANES,
 };
 use mbt_treecode::{EvalResult, EvalStats};
 use rayon::prelude::*;
@@ -92,9 +109,9 @@ const M2L_OFFSET_CLASSES: usize = 316;
 /// work item of the evaluation sweeps; one [`CellScratch`] serves a block.
 const EVAL_BLOCK: usize = 16;
 
-/// Occupied cells per parallel work item of the charge pass. One
-/// workspace and one coefficient scratch serve a whole block, so the
-/// pass allocates per block, not per cell.
+/// Occupied cells per parallel work item of the P2M pass. One workspace
+/// and one coefficient scratch serve a whole block, so the pass allocates
+/// per block, not per cell.
 const CHARGE_BLOCK: usize = 32;
 
 /// Offset tables shared by every level, degree and plan: the dense offset
@@ -103,7 +120,8 @@ const CHARGE_BLOCK: usize = 32;
 struct OffsetTables {
     /// All reachable offsets, in a fixed order (= operator order).
     offsets: Vec<(i32, i32, i32)>,
-    /// Per parity class: `(dx, dy, dz, operator index)`.
+    /// Per parity class: `(dx, dy, dz, operator index)`, in ascending
+    /// operator order.
     by_parity: Vec<Vec<(i32, i32, i32, u16)>>,
 }
 
@@ -159,6 +177,8 @@ fn build_offset_tables() -> OffsetTables {
                 }
             }
         }
+        // operator order: the order every local accumulates its M2L terms
+        list.sort_unstable_by_key(|&(_, _, _, op)| op);
     }
     OffsetTables { offsets, by_parity }
 }
@@ -208,8 +228,8 @@ pub fn shared_operator_bytes() -> usize {
         .sum()
 }
 
-/// Per-level operators and interaction lists: everything the downward
-/// pass needs besides the unit M2L table and the arenas.
+/// Per-level operators and the M2L list: everything the downward pass
+/// needs besides the unit M2L table and the arenas.
 #[derive(Debug, Default)]
 struct LevelOps {
     /// `d^-n` per interleaved multipole entry `(n, m)` — the scale a
@@ -222,12 +242,14 @@ struct LevelOps {
     l2l_ops: Vec<f64>,
     /// Stride between consecutive L2L operators.
     l2l_stride: usize,
-    /// CSR row offsets over occupied target cells (`len + 1` entries).
-    csr_off: Vec<u32>,
-    /// Source cell (dense occupied index) per CSR entry.
-    csr_src: Vec<u32>,
-    /// Operator index (offset-table order) per CSR entry.
-    csr_op: Vec<u16>,
+    /// The level's M2L pairs, operator-major: pairs `m2l_run[o]..
+    /// m2l_run[o + 1]` go through unit operator `o` (offset-table order),
+    /// sorted by target cell within the run (`317` entries).
+    m2l_run: Vec<u32>,
+    /// Target cell (dense occupied index) per pair.
+    m2l_tgt: Vec<u32>,
+    /// Source cell (dense occupied index) per pair.
+    m2l_src: Vec<u32>,
 }
 
 /// Reusable SoA scratch holding the gathered 27-cell near field of one
@@ -291,15 +313,15 @@ struct FmmGeometry {
     occ: Vec<Vec<u32>>,
     /// Per level: Morton code of each occupied cell (dense order).
     mortons: Vec<Vec<u64>>,
-    /// Per level: scales, L2L operators and CSR lists (levels 0/1 empty).
+    /// Per level: scales, L2L operators and M2L lists (levels 0/1 empty).
     ops: Vec<LevelOps>,
     /// Total compiled M2L list entries across all levels.
     m2l_pairs: u64,
 }
 
 impl FmmGeometry {
-    /// Compiles occupancy, scales, L2L operators and interaction lists
-    /// over a built structure, for the degree vector its charges
+    /// Compiles occupancy, scales, L2L operators and M2L lists over a
+    /// built structure, for the degree vector its charges
     /// resolved. Hands the sorted particles back for the charge pass.
     fn compile(
         structure: FmmStructure,
@@ -341,7 +363,7 @@ impl FmmGeometry {
             mortons.push(codes);
         }
 
-        // per-level scales, L2L operators and CSR interaction lists
+        // per-level scales, L2L operators and M2L lists
         let tables = offset_tables();
         let mut ops: Vec<LevelOps> = Vec::with_capacity(levels + 1);
         ops.resize_with(levels + 1, LevelOps::default);
@@ -385,11 +407,10 @@ impl FmmGeometry {
                 probe_l2l(mat, delta, p_par, p, t_par, t);
             }
 
-            // CSR lists over occupied target cells
+            // the M2L pairs, operator-major: sorted by (operator, target)
             let grid = &grids[l];
             let side = 1i64 << l;
-            lv.csr_off = Vec::with_capacity(grid.len() + 1);
-            lv.csr_off.push(0);
+            let mut pairs: Vec<(u16, u32, u32)> = Vec::with_capacity(grid.len() * 32);
             for ci in 0..grid.len() {
                 let (x, y, z) = key_coords(grid.keys[ci]);
                 let parity = ((x & 1) | (y & 1) << 1 | (z & 1) << 2) as usize;
@@ -403,13 +424,22 @@ impl FmmGeometry {
                     let code = mbt_geometry::morton::encode(sx as u32, sy as u32, sz as u32);
                     let si = occ[l][code as usize];
                     if si != 0 {
-                        lv.csr_src.push(si - 1);
-                        lv.csr_op.push(op);
+                        pairs.push((op, ci as u32, si - 1));
                     }
                 }
-                lv.csr_off.push(lv.csr_src.len() as u32);
             }
-            m2l_pairs += lv.csr_src.len() as u64;
+            // a target meets each operator at most once: the key is unique
+            pairs.sort_unstable_by_key(|&(op, ti, _)| (op, ti));
+            lv.m2l_run = Vec::with_capacity(M2L_OFFSET_CLASSES + 1);
+            lv.m2l_run.extend(
+                (0..=M2L_OFFSET_CLASSES)
+                    .map(|o| pairs.partition_point(|&(op, _, _)| usize::from(op) < o) as u32),
+            );
+            lv.m2l_tgt = Vec::with_capacity(pairs.len());
+            lv.m2l_tgt.extend(pairs.iter().map(|&(_, ti, _)| ti));
+            lv.m2l_src = Vec::with_capacity(pairs.len());
+            lv.m2l_src.extend(pairs.iter().map(|&(_, _, si)| si));
+            m2l_pairs += pairs.len() as u64;
         }
 
         let geometry = FmmGeometry {
@@ -430,10 +460,59 @@ impl FmmGeometry {
         (geometry, sorted)
     }
 
+    /// Accumulates the unit-table M2L sums of the level-`l` target cells
+    /// `c0..c0 + acc.len() / 2T` into `acc` (their spans, in cell order),
+    /// over the level's pre-scaled multipoles `mult`. Walks the operators
+    /// in index order and applies each to its pairs in this range in
+    /// groups of up to [`M2L_GROUP`], so one operator is streamed once per
+    /// group rather than once per pair. `pack` (`2 · M2L_GROUP · 2T` long)
+    /// holds the lane-major inputs and outputs of a group.
+    ///
+    /// Every target meets each operator at most once, so each span of
+    /// `acc` receives its terms in operator-index order, chained through
+    /// [`m2l_apply_group`]'s `mul_add`s: the sums do not depend on how the
+    /// cells were split into ranges or the pairs into groups. A pair whose
+    /// source multipole is all zeros is skipped, as `m2l_apply` skips zero
+    /// columns: it would add only zeros (all-zero charges, such as a
+    /// Krylov solver's first matvec, skip the pass).
+    fn m2l_range(&self, l: usize, mult: &[f64], c0: usize, acc: &mut [f64], pack: &mut [f64]) {
+        let lv = &self.ops[l];
+        let width = 2 * tri_len(self.degrees[l]);
+        let stride = width * width;
+        let unit = unit_m2l(self.degrees[l]);
+        let c1 = c0 + acc.len() / width;
+        let mut group = [(0usize, 0usize); M2L_GROUP];
+        for (oi, run) in lv.m2l_run.windows(2).enumerate() {
+            let (s, e) = (run[0] as usize, run[1] as usize);
+            let targets = &lv.m2l_tgt[s..e];
+            let lo = s + targets.partition_point(|&t| (t as usize) < c0);
+            let hi = s + targets.partition_point(|&t| (t as usize) < c1);
+            let op = &unit[oi * stride..(oi + 1) * stride];
+            let mut lanes = 0;
+            for k in lo..hi {
+                let si = lv.m2l_src[k] as usize;
+                if all_zero(&mult[si * width..(si + 1) * width]) {
+                    continue;
+                }
+                group[lanes] = (si, lv.m2l_tgt[k] as usize - c0);
+                lanes += 1;
+                if lanes == M2L_GROUP {
+                    apply_m2l_group(op, width, &group, mult, acc, pack);
+                    lanes = 0;
+                }
+            }
+            if lanes > 0 {
+                apply_m2l_group(op, width, &group[..lanes], mult, acc, pack);
+            }
+        }
+    }
+
     /// Adds the M2L contribution of one level-`l` cell's interaction list
-    /// — unit-table operators over the level's pre-scaled multipoles,
+    /// `(source index, operator index)`, in ascending operator order —
+    /// unit-table operators over the level's pre-scaled multipoles,
     /// post-scaled to the level's edge — into the local span `y`, using
-    /// `acc` (same length, any contents) as accumulator scratch.
+    /// `acc` (same length, any contents) as accumulator scratch. The same
+    /// arithmetic as [`Self::m2l_range`] at group width 1.
     fn add_m2l(
         &self,
         l: usize,
@@ -447,14 +526,61 @@ impl FmmGeometry {
         let unit = unit_m2l(self.degrees[l]);
         acc.fill(0.0);
         for (si, oi) in list {
-            m2l_apply(
-                &unit[oi * stride..(oi + 1) * stride],
-                &mult[si * width..(si + 1) * width],
-                acc,
-            );
+            let source = &mult[si * width..(si + 1) * width];
+            if all_zero(source) {
+                continue;
+            }
+            m2l_apply_group(&unit[oi * stride..(oi + 1) * stride], source, acc, 1);
         }
-        for ((y, a), s) in y.iter_mut().zip(&*acc).zip(&self.ops[l].post_scale) {
+        self.add_post_scaled(l, acc, y);
+    }
+
+    /// `y += acc · d^-(j+1)`: a level-`l` M2L sum taken to the level's
+    /// edge and added into the local span `y`.
+    fn add_post_scaled(&self, l: usize, acc: &[f64], y: &mut [f64]) {
+        for ((y, a), s) in y.iter_mut().zip(acc).zip(&self.ops[l].post_scale) {
             *y += a * s;
+        }
+    }
+}
+
+/// Whether a coefficient span has no nonzero entry.
+fn all_zero(span: &[f64]) -> bool {
+    !span.iter().any(|v| v.abs() > 0.0)
+}
+
+/// One M2L group: the pairs `(source cell, target span index)` of one
+/// `width × width` operator `op`, packed lane-major into `pack`
+/// (multipoles from `mult`, running sums from `acc`), applied in one
+/// [`m2l_apply_group`] call, and the sums scattered back into `acc`.
+fn apply_m2l_group(
+    op: &[f64],
+    width: usize,
+    group: &[(usize, usize)],
+    mult: &[f64],
+    acc: &mut [f64],
+    pack: &mut [f64],
+) {
+    let lanes = group.len();
+    let (xs, ys) = pack.split_at_mut(M2L_GROUP * width);
+    let (x, y) = (&mut xs[..lanes * width], &mut ys[..lanes * width]);
+    for (lane, &(si, ti)) in group.iter().enumerate() {
+        let source = &mult[si * width..(si + 1) * width];
+        let target = &acc[ti * width..(ti + 1) * width];
+        for ((xc, yc), (&m, &a)) in x
+            .chunks_exact_mut(lanes)
+            .zip(y.chunks_exact_mut(lanes))
+            .zip(source.iter().zip(target))
+        {
+            xc[lane] = m;
+            yc[lane] = a;
+        }
+    }
+    m2l_apply_group(op, x, y, lanes);
+    for (lane, &(_, ti)) in group.iter().enumerate() {
+        let target = &mut acc[ti * width..(ti + 1) * width];
+        for (a, yc) in target.iter_mut().zip(y.chunks_exact(lanes)) {
+            *a = yc[lane];
         }
     }
 }
@@ -508,16 +634,16 @@ impl CompiledFmm {
     /// vector rebuilds. Either way the result is bit-identical to
     /// [`CompiledFmm::new`] over the same positions and `charges`.
     ///
-    /// # Panics
-    ///
-    /// Panics when `charges.len()` differs from the particle count.
+    /// A charge vector whose length is not the particle count is refused
+    /// with [`FmmError::ChargeCountMismatch`].
     pub fn with_charges(&self, charges: &[f64]) -> Result<CompiledFmm, FmmError> {
         let geo = &self.geo;
-        assert_eq!(
-            charges.len(),
-            geo.perm.len(),
-            "charge vector length must match the particle count"
-        );
+        if charges.len() != geo.perm.len() {
+            return Err(FmmError::ChargeCountMismatch {
+                expected: geo.perm.len(),
+                got: charges.len(),
+            });
+        }
         if let Some(index) = charges.iter().position(|q| !q.is_finite()) {
             return Err(FmmError::NonFinite { index });
         }
@@ -540,8 +666,8 @@ impl CompiledFmm {
     }
 
     /// The charge pass: P2M into pre-scaled multipole arenas, then the
-    /// downward pass (L2L from the parent plus the compiled M2L list)
-    /// into the local arenas.
+    /// downward pass (L2L from the parent plus the operator-major M2L
+    /// list) into the local arenas.
     fn charge(geo: Arc<FmmGeometry>, sorted: Vec<Particle>) -> CompiledFmm {
         let levels = geo.levels;
         let mut qs: Vec<f64> = Vec::with_capacity(sorted.len());
@@ -587,7 +713,9 @@ impl CompiledFmm {
             mult_re[l] = arena;
         }
 
-        // downward: L2L from the parent, then the compiled M2L list
+        // downward: per level, the operator-major M2L pass over one
+        // contiguous range of target cells per worker, then per cell L2L
+        // from the parent plus the post-scaled M2L sum
         let mut locals_re: Vec<Vec<f64>> = Vec::with_capacity(levels + 1);
         for l in 0..=levels {
             // lint: allow(alloc, one local arena per level and charge pass)
@@ -596,8 +724,9 @@ impl CompiledFmm {
                 geo.grids[l].len() * 2 * tri_len(geo.degrees[l])
             ]);
         }
+        let workers = rayon::current_num_threads().max(1);
         for l in 2..=levels {
-            let t = tri_len(geo.degrees[l]);
+            let width = 2 * tri_len(geo.degrees[l]);
             let t_par = tri_len(geo.degrees[l - 1]);
             let (before, after) = locals_re.split_at_mut(l);
             let parents = &before[l - 1];
@@ -605,15 +734,22 @@ impl CompiledFmm {
             let mult = &mult_re[l];
             let level_mortons = &geo.mortons[l];
             let parent_occ = &geo.occ[l - 1];
+            let per_range = geo.grids[l].len().div_ceil(workers);
             after[0]
-                .par_chunks_mut(CHARGE_BLOCK * 2 * t)
+                .par_chunks_mut(per_range * width)
                 .enumerate()
-                .for_each(|(block, spans)| {
-                    // lint: allow(alloc, one M2L accumulator per block of cells)
-                    let mut acc = vec![0.0f64; 2 * t];
-                    for (k, y) in spans.chunks_mut(2 * t).enumerate() {
-                        let ci = block * CHARGE_BLOCK + k;
-                        let tm = level_mortons[ci];
+                .for_each(|(range, spans)| {
+                    let c0 = range * per_range;
+                    // lint: allow(alloc, one M2L accumulator and group scratch per worker range)
+                    let mut scratch = vec![0.0f64; spans.len() + 2 * M2L_GROUP * width];
+                    let (acc, pack) = scratch.split_at_mut(spans.len());
+                    geo.m2l_range(l, mult, c0, acc, pack);
+                    for (k, (y, a)) in spans
+                        .chunks_mut(width)
+                        .zip(acc.chunks_exact(width))
+                        .enumerate()
+                    {
+                        let tm = level_mortons[c0 + k];
                         let pi = parent_occ[(tm >> 3) as usize] as usize - 1;
                         let octant = (tm & 7) as usize;
                         m2l_apply(
@@ -621,9 +757,7 @@ impl CompiledFmm {
                             &parents[pi * 2 * t_par..(pi + 1) * 2 * t_par],
                             y,
                         );
-                        let (s, e) = (lv.csr_off[ci] as usize, lv.csr_off[ci + 1] as usize);
-                        let list = (s..e).map(|k| (lv.csr_src[k] as usize, lv.csr_op[k] as usize));
-                        geo.add_m2l(l, mult, list, &mut acc, y);
+                        geo.add_post_scaled(l, a, y);
                     }
                 });
         }
@@ -680,9 +814,7 @@ impl CompiledFmm {
             .iter()
             .map(|o| {
                 (o.pre_scale.len() + o.post_scale.len() + o.l2l_ops.len()) * 8
-                    + o.csr_off.len() * 4
-                    + o.csr_src.len() * 4
-                    + o.csr_op.len() * 2
+                    + (o.m2l_run.len() + o.m2l_tgt.len() + o.m2l_src.len()) * 4
             })
             .sum();
         let grids: usize = geo.grids.iter().map(|g| g.len() * (8 + 24 + 8 + 48)).sum();
@@ -1273,6 +1405,20 @@ mod tests {
             CompiledFmm::new(&ps, FmmParams::fixed(3).with_levels(9)),
             Err(FmmError::DenseGridTooDeep { levels: 9, max: 8 })
         ));
+    }
+
+    #[test]
+    fn with_charges_refuses_a_wrong_length_charge_vector() {
+        let ps = uniform_cube(600, 1.0, charges(), 41);
+        let fmm = CompiledFmm::new(&ps, FmmParams::fixed(3).with_levels(2)).unwrap();
+        let short = vec![1.0; 599];
+        assert_eq!(
+            fmm.with_charges(&short).err(),
+            Some(FmmError::ChargeCountMismatch {
+                expected: 600,
+                got: 599,
+            })
+        );
     }
 
     #[test]

@@ -55,6 +55,14 @@ pub enum FmmError {
         /// The compiled maximum ([`crate::compiled::COMPILED_MAX_DEGREE`]).
         max: usize,
     },
+    /// A charge update supplied a vector whose length is not the
+    /// particle count.
+    ChargeCountMismatch {
+        /// The particle count.
+        expected: usize,
+        /// The length of the supplied charge vector.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for FmmError {
@@ -83,6 +91,12 @@ impl std::fmt::Display for FmmError {
                 write!(
                     f,
                     "expansion degree {degree} exceeds the compiled backend's operator-table maximum of {max}"
+                )
+            }
+            FmmError::ChargeCountMismatch { expected, got } => {
+                write!(
+                    f,
+                    "expected {expected} charges (one per particle), got {got}"
                 )
             }
         }

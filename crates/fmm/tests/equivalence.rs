@@ -210,3 +210,59 @@ fn simd_dispatch_level_is_bit_invariant() {
         assert_eq!(bits(&a), bits(&b), "fields_at point {k}");
     }
 }
+
+/// The charge pass is deterministic: the M2L pass splits target cells
+/// into one contiguous range per worker and groups pairs by operator, but
+/// every local still accumulates its terms in operator-index order
+/// through a kernel whose lanes never mix. So potentials at sources and
+/// at external points are bit-identical at 1, 2 and 3 workers and at
+/// every dispatch tier this machine reaches, on uniform and clustered
+/// sets, under fixed and adaptive degrees.
+#[test]
+fn charge_pass_is_bit_identical_across_worker_counts_and_tiers() {
+    let restore = simd::level();
+    let mut tiers: Vec<SimdLevel> = Vec::new();
+    for want in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+        let applied = simd::set_level(want);
+        if !tiers.contains(&applied) {
+            tiers.push(applied);
+        }
+    }
+    simd::set_level(restore);
+    let points = probe_points();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (ps, label) in [
+        (uniform(2500, 3), "uniform"),
+        (clustered(2500, 5), "clustered"),
+    ] {
+        for params in [
+            FmmParams::fixed(5).with_levels(3),
+            FmmParams::adaptive(3, 0.7).with_levels(3),
+        ] {
+            let mut reference: Option<(Vec<u64>, Vec<u64>)> = None;
+            for &tier in &tiers {
+                for workers in [1usize, 2, 3] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(workers)
+                        .build()
+                        .unwrap();
+                    simd::set_level(tier);
+                    let (at_sources, at_points) = pool.install(|| {
+                        let fmm = CompiledFmm::new(&ps, params).unwrap();
+                        (fmm.potentials().values, fmm.potentials_at(&points).values)
+                    });
+                    simd::set_level(restore);
+                    let got = (bits(&at_sources), bits(&at_points));
+                    match &reference {
+                        None => reference = Some(got),
+                        Some(want) => {
+                            let case = format!("{label} {params:?} {tier:?} {workers} workers");
+                            assert_eq!(want.0, got.0, "{case}: source potentials");
+                            assert_eq!(want.1, got.1, "{case}: external potentials");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

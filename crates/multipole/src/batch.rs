@@ -23,6 +23,11 @@
 //!   ([`P2P_LANES`] / [`P2P_LANES_F32`]) so its summation order never
 //!   depends on the dispatched level. [`p2p_potential_span`] and
 //!   [`p2p_potential_span_f32`] remain as one-line instances of it.
+//! * **Two dense operator kernels** serve the compiled FMM's real
+//!   translation matrices: [`m2l_apply`] applies one operator to one
+//!   input (L2L), and [`m2l_apply_group`] applies one operator to up to
+//!   [`M2L_GROUP`] lane-major inputs with `mul_add` (M2L, pairs grouped
+//!   by operator).
 //!
 //! # Determinism contract
 //!
@@ -828,8 +833,10 @@ pub const M2L_LANES: usize = 4;
 /// (`rows = y.len()` rows × `x.len()` columns).
 ///
 /// The compiled FMM stores each translation operator as a real matrix over
-/// interleaved `(re, im)` coefficient spans, so the whole downward pass is
-/// this one kernel. Columns whose input entry is exactly zero are skipped —
+/// interleaved `(re, im)` coefficient spans; this kernel applies one of
+/// them to one input (the FMM's L2L, one call per cell). M2L, where one
+/// operator serves many pairs, runs through [`m2l_apply_group`] instead.
+/// Columns whose input entry is exactly zero are skipped —
 /// bit-exact, since their contribution would be `+0.0` everywhere — which
 /// matters for sparse probe columns and zero high-order coefficients.
 pub fn m2l_apply(op: &[f64], x: &[f64], y: &mut [f64]) {
@@ -884,6 +891,100 @@ fn m2l_apply_impl<const L: usize>(op: &[f64], x: &[f64], y: &mut [f64]) {
                 y[r] += col_a[r] * xa;
             }
         }
+    }
+}
+
+/// Widest group of [`m2l_apply_group`]: independent inputs per call.
+pub const M2L_GROUP: usize = 8;
+
+/// Output rows held in registers per pass of [`m2l_apply_group`]: eight
+/// rows of eight lanes fill sixteen 256-bit accumulators, enough
+/// independent `mul_add` chains to cover the FMA latency.
+const M2L_GROUP_ROWS: usize = 8;
+
+/// Applies one dense real operator to `lanes ≤ M2L_GROUP` independent
+/// inputs at once: for every lane `l`, row `r` and column `c` in ascending
+/// order,
+///
+/// `y[r·lanes + l] = op[c·rows + r].mul_add(x[c·lanes + l], y[r·lanes + l])`
+///
+/// with `op` column-major (`rows = y.len() / lanes`, `cols = x.len() /
+/// lanes`) and `x`, `y` packed **lane-major** (entry `c` of lane `l` at
+/// `c·lanes + l`).
+///
+/// This is the compiled FMM's M2L kernel. A level's pairs are grouped by
+/// operator, so one call streams a `rows × cols` operator once for up to
+/// eight pairs: each operator entry is broadcast against a packed column
+/// of inputs, and a block of output rows of every lane stays in registers
+/// across the whole column sweep. Lanes never mix, and [`f64::mul_add`]
+/// is correctly rounded at every dispatch tier, so lane `l` is
+/// bit-identical to the scalar `mul_add` loop above run on lane `l` alone
+/// — whatever `lanes` is, whichever tier runs it, however the rows are
+/// blocked. At `lanes = 1` the packed layout is the plain one.
+///
+/// # Panics
+///
+/// Panics when `lanes` is `0` or above [`M2L_GROUP`].
+pub fn m2l_apply_group(op: &[f64], x: &[f64], y: &mut [f64], lanes: usize) {
+    match lanes {
+        1 => simd::dispatch(|| m2l_group_impl::<1>(op, x, y)),
+        2 => simd::dispatch(|| m2l_group_impl::<2>(op, x, y)),
+        3 => simd::dispatch(|| m2l_group_impl::<3>(op, x, y)),
+        4 => simd::dispatch(|| m2l_group_impl::<4>(op, x, y)),
+        5 => simd::dispatch(|| m2l_group_impl::<5>(op, x, y)),
+        6 => simd::dispatch(|| m2l_group_impl::<6>(op, x, y)),
+        7 => simd::dispatch(|| m2l_group_impl::<7>(op, x, y)),
+        _ => {
+            assert_eq!(lanes, M2L_GROUP, "m2l_apply_group: lanes out of range");
+            simd::dispatch(|| m2l_group_impl::<M2L_GROUP>(op, x, y));
+        }
+    }
+}
+
+#[inline(always)]
+fn m2l_group_impl<const G: usize>(op: &[f64], x: &[f64], y: &mut [f64]) {
+    let rows = y.len() / G;
+    debug_assert_eq!(y.len(), rows * G);
+    debug_assert_eq!(x.len() % G, 0);
+    debug_assert_eq!(op.len(), rows * (x.len() / G));
+    if rows == 0 {
+        return;
+    }
+    // full blocks, then one half block, then single rows
+    let mut r0 = 0;
+    while r0 + M2L_GROUP_ROWS <= rows {
+        m2l_group_rows::<G, M2L_GROUP_ROWS>(op, x, y, rows, r0);
+        r0 += M2L_GROUP_ROWS;
+    }
+    if r0 + M2L_GROUP_ROWS / 2 <= rows {
+        m2l_group_rows::<G, { M2L_GROUP_ROWS / 2 }>(op, x, y, rows, r0);
+        r0 += M2L_GROUP_ROWS / 2;
+    }
+    for r in r0..rows {
+        m2l_group_rows::<G, 1>(op, x, y, rows, r);
+    }
+}
+
+/// Rows `r0..r0 + R` of [`m2l_apply_group`], all `G` lanes, held in
+/// registers over the whole column sweep.
+#[inline(always)]
+fn m2l_group_rows<const G: usize, const R: usize>(
+    op: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+    rows: usize,
+    r0: usize,
+) {
+    let out = &mut y[r0 * G..(r0 + R) * G];
+    let mut acc: [F64Lanes<G>; R] = std::array::from_fn(|i| F64Lanes::<G>::load(&out[i * G..]));
+    for (xc, col) in x.chunks_exact(G).zip(op.chunks_exact(rows)) {
+        let xv = F64Lanes::<G>::load(xc);
+        for (a, &e) in acc.iter_mut().zip(&col[r0..r0 + R]) {
+            *a = F64Lanes::<G>::splat(e).mul_add(xv, *a);
+        }
+    }
+    for (i, a) in acc.iter().enumerate() {
+        a.store(&mut out[i * G..]);
     }
 }
 
@@ -1483,6 +1584,85 @@ mod tests {
                     assert_eq!(grad[l], full.1[l], "take {take} lane {l}");
                 }
             }
+        }
+    }
+
+    /// Every lane of the grouped M2L kernel is bit-equal to the scalar
+    /// `mul_add` chain over the same columns in ascending order, run on
+    /// that lane alone: at every group width 1–8 (ragged tails), at the
+    /// operator sizes of degrees 0, 1, 4, 6 and 14, and at every dispatch
+    /// tier this machine reaches. Lanes never mix, so neither the group
+    /// width nor the tier changes a bit.
+    #[test]
+    fn m2l_group_lanes_match_a_scalar_mul_add_chain() {
+        let mut state = 0x0dd_b1a5_e5ca_1ab1u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        let restore = simd::level();
+        let mut tiers: Vec<simd::SimdLevel> = Vec::new();
+        for want in [
+            simd::SimdLevel::Scalar,
+            simd::SimdLevel::Avx2,
+            simd::SimdLevel::Avx512,
+        ] {
+            let applied = simd::set_level(want);
+            if !tiers.contains(&applied) {
+                tiers.push(applied);
+            }
+        }
+        simd::set_level(restore);
+        for p in [0usize, 1, 4, 6, 14] {
+            let width = 2 * tri_len(p);
+            let op: Vec<f64> = (0..width * width).map(|_| next()).collect();
+            // one input and one starting accumulator per lane, plain layout
+            let inputs: Vec<Vec<f64>> = (0..M2L_GROUP)
+                .map(|_| (0..width).map(|_| next()).collect())
+                .collect();
+            let starts: Vec<Vec<f64>> = (0..M2L_GROUP)
+                .map(|_| (0..width).map(|_| next()).collect())
+                .collect();
+            let want: Vec<Vec<f64>> = (0..M2L_GROUP)
+                .map(|l| {
+                    let mut y = starts[l].clone();
+                    for (r, yr) in y.iter_mut().enumerate() {
+                        for c in 0..width {
+                            *yr = op[c * width + r].mul_add(inputs[l][c], *yr);
+                        }
+                    }
+                    y
+                })
+                .collect();
+            for &tier in &tiers {
+                simd::set_level(tier);
+                for lanes in 1..=M2L_GROUP {
+                    // lane l of this group is input (l + lanes) % 8, so
+                    // every width sees different inputs in every lane slot
+                    let pick = |l: usize| (l + lanes) % M2L_GROUP;
+                    let mut x = vec![0.0f64; width * lanes];
+                    let mut y = vec![0.0f64; width * lanes];
+                    for l in 0..lanes {
+                        for c in 0..width {
+                            x[c * lanes + l] = inputs[pick(l)][c];
+                            y[c * lanes + l] = starts[pick(l)][c];
+                        }
+                    }
+                    m2l_apply_group(&op, &x, &mut y, lanes);
+                    for l in 0..lanes {
+                        for r in 0..width {
+                            assert_eq!(
+                                y[r * lanes + l].to_bits(),
+                                want[pick(l)][r].to_bits(),
+                                "p={p} tier={tier:?} lanes={lanes} lane={l} row={r}"
+                            );
+                        }
+                    }
+                }
+            }
+            simd::set_level(restore);
         }
     }
 

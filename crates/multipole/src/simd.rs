@@ -286,10 +286,11 @@ impl Real for f32 {
 /// A `repr(transparent)` newtype over `[T; N]`: every op is an
 /// `#[inline(always)]` fixed-trip-count loop, the shape LLVM reliably
 /// lowers to vector registers inside a [`dispatch`]ed kernel. Arithmetic
-/// is plain (no FMA contraction), so lane `l` of any expression is
-/// bit-identical to evaluating the same scalar expression on lane `l`
-/// alone — the property the batch layer's lane-independence and
-/// padded-tail contracts rest on.
+/// is plain (no implicit FMA contraction); the one fused operation is the
+/// explicit `Lanes::mul_add`, which is correctly rounded at every tier.
+/// So lane `l` of any expression is bit-identical to evaluating the same
+/// scalar expression on lane `l` alone — the property the batch layer's
+/// lane-independence and padded-tail contracts rest on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(transparent)]
 pub struct Lanes<T, const N: usize>(pub [T; N]);
@@ -413,6 +414,18 @@ impl<T: Real, const N: usize> Lanes<T, N> {
             acc += v.into();
         }
         acc
+    }
+}
+
+impl<const N: usize> Lanes<f64, N> {
+    /// `self · a + b` per lane with a single rounding ([`f64::mul_add`]).
+    /// Correctly rounded, so every tier computes the same bits: a fused
+    /// multiply-add instruction where [`dispatch`] enables FMA, the
+    /// libm `fma` otherwise.
+    #[inline(always)]
+    #[must_use]
+    pub(crate) fn mul_add(self, a: Self, b: Self) -> Self {
+        Self(std::array::from_fn(|l| self.0[l].mul_add(a.0[l], b.0[l])))
     }
 }
 
