@@ -17,9 +17,9 @@
 //!   synthetic **propeller** and **gripper** stand-ins for the paper's
 //!   industrial meshes (see `DESIGN.md` for the substitution rationale),
 //! * [`quadrature`] — symmetric triangle Gauss rules (1–7 points),
-//! * [`SingleLayerOperator`] — the collocation single-layer potential
-//!   operator with piecewise-linear densities, applied either densely
-//!   (exact reference) or through the treecode,
+//! * [`DenseSingleLayer`] / [`TreecodeSingleLayer`] — the collocation
+//!   single-layer potential operator with piecewise-linear densities,
+//!   applied either densely (exact reference) or through the treecode,
 //! * [`EngineSingleLayer`] — the same operator applied through a shared
 //!   `mbt-engine` instance as routed `query_batch` traffic (all-targets
 //!   matvec shapes reach the compiled FMM backend),

@@ -19,7 +19,7 @@
 //!   from here — enforced by `cargo xtask lint`'s `sync` pass — so the
 //!   checker can never silently lose coverage.
 //!
-//! * [`sched`] + [`model`] (only under `check`) — a deterministic DFS
+//! * `sched` + `model` (only under `check`) — a deterministic DFS
 //!   **explorer**: model threads run as real OS threads but exactly one
 //!   is ever unblocked, and at every instrumented operation the scheduler
 //!   decides (a) which thread runs next, under a configurable preemption
@@ -28,7 +28,7 @@
 //!   per-location coherence are tracked with vector clocks, so a
 //!   `Release` publish demoted to `Relaxed` genuinely lets readers
 //!   observe stale values. Every decision is recorded; a failing run
-//!   prints its schedule string, and [`sched::replay`] re-executes it.
+//!   prints its schedule string, and `sched::replay` re-executes it.
 //!   Deadlocks (every live thread blocked), livelocks (step budget
 //!   exhausted), and model-thread panics that no `join` consumed are all
 //!   reported as failures with their schedule.
@@ -52,9 +52,9 @@
 //! });
 //! ```
 //!
-//! The model body is itself thread 0; [`model::spawn`]/`join` mirror
+//! The model body is itself thread 0; `model::spawn`/`join` mirror
 //! `std::thread`. `check` panics on the first failing interleaving,
-//! printing a schedule string that [`sched::replay`] accepts.
+//! printing a schedule string that `sched::replay` accepts.
 //!
 //! # What the memory model covers
 //!

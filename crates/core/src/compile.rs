@@ -35,14 +35,13 @@ use mbt_multipole::batch::{
     m2p_field_group, m2p_field_group_uniform, m2p_potential_group, m2p_potential_group_uniform,
     p2p_span, BatchWorkspace, M2pGroup, M2P_LANES,
 };
-use mbt_multipole::{simd, Complex, Real};
+use mbt_multipole::{simd, Complex};
 use mbt_tree::NodeId;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::eval::TargetKind;
 use crate::mac::{mac, MacDecision};
-use crate::params::Precision;
 use crate::stats::EvalStats;
 use crate::upward::Treecode;
 
@@ -219,7 +218,6 @@ impl Treecode {
         points: Option<&[Vec3]>,
         out: &mut [f64],
         chunk: usize,
-        precision: Precision,
     ) -> EvalStats {
         let sweep_start = std::time::Instant::now();
         let chunk = chunk.max(1);
@@ -247,7 +245,7 @@ impl Treecode {
                 compile_ns.fetch_add(compile_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 out_chunk.fill(0.0);
                 self.exec_m2p_potential(&mut cs, out_chunk);
-                self.exec_p2p_potential(&cs, points.is_none(), precision, out_chunk, &mut stats);
+                self.exec_p2p_potential(&cs, points.is_none(), out_chunk, &mut stats);
                 stats
             })
             .collect(); // lint: allow(alloc, O(chunks) stats per sweep)
@@ -267,7 +265,6 @@ impl Treecode {
         points: Option<&[Vec3]>,
         out: &mut [(f64, Vec3)],
         chunk: usize,
-        precision: Precision,
     ) -> EvalStats {
         let sweep_start = std::time::Instant::now();
         let chunk = chunk.max(1);
@@ -295,7 +292,7 @@ impl Treecode {
                 compile_ns.fetch_add(compile_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 out_chunk.fill((0.0, Vec3::ZERO));
                 self.exec_m2p_field(&mut cs, out_chunk);
-                self.exec_p2p_field(&cs, precision, out_chunk, &mut stats);
+                self.exec_p2p_field(&cs, out_chunk, &mut stats);
                 stats
             })
             .collect(); // lint: allow(alloc, O(chunks) stats per sweep)
@@ -653,72 +650,48 @@ impl Treecode {
     /// ([`p2p_span`]). `unguarded` selects the source-sweep kernel (self
     /// already excluded by span splitting, pairs counted at compile
     /// time); external sweeps use the guarded kernel and count surviving
-    /// pairs here, matching the scalar external loop. With
-    /// [`Precision::F32Near`] the spans stream over the tree's f32 mirror
-    /// instead — admitted only when the far-field truncation bound already
-    /// dominates f32 roundoff (DESIGN.md §12).
+    /// pairs here, matching the scalar external loop.
     fn exec_p2p_potential(
         &self,
         cs: &CompiledScratch,
         unguarded: bool,
-        precision: Precision,
         out: &mut [f64],
         stats: &mut EvalStats,
     ) {
         let add = |i: usize, phi: f64, _: Vec3| out[i] += phi;
-        let (soa, soa32) = (self.tree.particles_soa(), self.tree.particles_soa_f32());
-        let f64s = [&soa.x[..], &soa.y, &soa.z, &soa.q];
-        let f32s = [&soa32.x[..], &soa32.y, &soa32.z, &soa32.q];
-        match (precision, unguarded) {
-            (Precision::F32Near, true) => self.exec_p2p::<f32, false, false>(cs, f32s, stats, add),
-            (Precision::F32Near, false) => self.exec_p2p::<f32, true, false>(cs, f32s, stats, add),
-            (Precision::F64, true) => self.exec_p2p::<f64, false, false>(cs, f64s, stats, add),
-            (Precision::F64, false) => self.exec_p2p::<f64, true, false>(cs, f64s, stats, add),
+        if unguarded {
+            self.exec_p2p::<false, false>(cs, stats, add);
+        } else {
+            self.exec_p2p::<true, false>(cs, stats, add);
         }
     }
 
     /// Field P2P execution: always guarded (the scalar field loop guards
     /// both target kinds), with pairs counted here.
-    fn exec_p2p_field(
-        &self,
-        cs: &CompiledScratch,
-        precision: Precision,
-        out: &mut [(f64, Vec3)],
-        stats: &mut EvalStats,
-    ) {
-        let add = |i: usize, phi: f64, grad: Vec3| {
+    fn exec_p2p_field(&self, cs: &CompiledScratch, out: &mut [(f64, Vec3)], stats: &mut EvalStats) {
+        self.exec_p2p::<true, true>(cs, stats, |i, phi, grad| {
             out[i].0 += phi;
             out[i].1 += grad;
-        };
-        let (soa, soa32) = (self.tree.particles_soa(), self.tree.particles_soa_f32());
-        match precision {
-            Precision::F32Near => {
-                let f32s = [&soa32.x[..], &soa32.y, &soa32.z, &soa32.q];
-                self.exec_p2p::<f32, true, true>(cs, f32s, stats, add);
-            }
-            Precision::F64 => {
-                let f64s = [&soa.x[..], &soa.y, &soa.z, &soa.q];
-                self.exec_p2p::<f64, true, true>(cs, f64s, stats, add);
-            }
-        }
+        });
     }
 
-    /// Runs every span of the chunk over one SoA mirror (`[x, y, z, q]`),
-    /// handing `(target, Φ, ∇Φ)` to `add`; guarded spans count their
-    /// surviving pairs into `stats`.
-    fn exec_p2p<T: Real, const GUARD: bool, const FIELD: bool>(
+    /// Runs every span of the chunk over the tree's SoA mirror, handing
+    /// `(target, Φ, ∇Φ)` to `add`; guarded spans count their surviving
+    /// pairs into `stats`.
+    fn exec_p2p<const GUARD: bool, const FIELD: bool>(
         &self,
         cs: &CompiledScratch,
-        [x, y, z, q]: [&[T]; 4],
         stats: &mut EvalStats,
         mut add: impl FnMut(usize, f64, Vec3),
     ) {
+        let soa = self.tree.particles_soa();
+        let (x, y, z, q) = (&soa.x, &soa.y, &soa.z, &soa.q);
         let eps2 = self.params.softening * self.params.softening;
         for sp in &cs.spans {
             let (s, e) = (sp.start as usize, sp.end as usize);
             let t = cs.targets[sp.target as usize];
             let (phi, grad, pairs) =
-                p2p_span::<T, GUARD, FIELD>(&x[s..e], &y[s..e], &z[s..e], &q[s..e], t, eps2);
+                p2p_span::<f64, GUARD, FIELD>(&x[s..e], &y[s..e], &z[s..e], &q[s..e], t, eps2);
             add(sp.target as usize, phi, grad);
             if GUARD {
                 stats.record_direct(pairs);

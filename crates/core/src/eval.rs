@@ -11,7 +11,7 @@
 //! # Memory discipline
 //!
 //! The steady-state evaluation loop performs **zero heap allocations per
-//! interaction**. Each parallel task owns one [`Scratch`] — a reusable
+//! interaction**. Each parallel task owns one `Scratch` — a reusable
 //! traversal stack plus a [`Workspace`] of kernel buffers (Legendre
 //! tables, power tables, per-degree partial sums) sized to the tree's
 //! maximum degree — and writes its chunk's results into a disjoint slice
@@ -29,7 +29,7 @@ use mbt_tree::NodeId;
 use rayon::prelude::*;
 
 use crate::mac::{mac, MacDecision};
-use crate::params::{EvalMode, Precision};
+use crate::params::EvalMode;
 use crate::stats::EvalStats;
 use crate::upward::Treecode;
 
@@ -83,12 +83,7 @@ impl Treecode {
         if self.params.eval_mode == EvalMode::Compiled {
             // lint: allow(alloc, one output buffer per sweep, not per interaction)
             let mut values = vec![0.0; self.tree.particles().len()];
-            let stats = self.compiled_potential_sweep(
-                None,
-                &mut values,
-                self.params.eval_chunk,
-                self.params.near_precision,
-            );
+            let stats = self.compiled_potential_sweep(None, &mut values, self.params.eval_chunk);
             return EvalResult {
                 values: self.tree.unsort(&values),
                 stats,
@@ -121,23 +116,16 @@ impl Treecode {
     /// This is the batching entry point: a scheduler coalescing many
     /// requests against one plan evaluates them all as a single chunked
     /// sweep into one pre-sized output arena, allocating nothing here
-    /// beyond the per-chunk [`Scratch`] state. Values are identical to
+    /// beyond the per-chunk `Scratch` state. Values are identical to
     /// [`Treecode::potentials_at`] — each target's traversal is
     /// independent, so batching and chunking cannot change results.
     pub fn potentials_at_into(&self, points: &[Vec3], out: &mut [f64]) -> EvalStats {
-        self.potentials_at_into_with(
-            points,
-            out,
-            self.params.eval_chunk,
-            self.params.eval_mode,
-            self.params.near_precision,
-        )
+        self.potentials_at_into_with(points, out, self.params.eval_chunk, self.params.eval_mode)
     }
 
     /// [`Treecode::potentials_at_into`] with an explicit per-call
     /// evaluation configuration, overriding the plan's own `eval_chunk` /
-    /// `eval_mode` / `near_precision`. Chunk width and mode are pure
-    /// execution concerns —
+    /// `eval_mode`. Chunk width and mode are pure execution concerns —
     /// results are bit-invariant across chunk widths and within the
     /// documented summation-reorder tolerance across modes (DESIGN.md
     /// §10) — so a cached treecode can serve requests that differ only
@@ -148,7 +136,6 @@ impl Treecode {
         out: &mut [f64],
         chunk: usize,
         mode: EvalMode,
-        precision: Precision,
     ) -> EvalStats {
         assert_eq!(
             points.len(),
@@ -156,7 +143,7 @@ impl Treecode {
             "output buffer must match the number of points"
         );
         if mode == EvalMode::Compiled {
-            return self.compiled_potential_sweep(Some(points), out, chunk, precision);
+            return self.compiled_potential_sweep(Some(points), out, chunk);
         }
         self.eval_chunks_into(out, chunk, |i, scratch, stats| {
             self.eval_potential(points[i], TargetKind::External, scratch, stats)
@@ -169,12 +156,7 @@ impl Treecode {
         if self.params.eval_mode == EvalMode::Compiled {
             // lint: allow(alloc, one output buffer per sweep, not per interaction)
             let mut values = vec![(0.0, Vec3::ZERO); self.tree.particles().len()];
-            let stats = self.compiled_field_sweep(
-                None,
-                &mut values,
-                self.params.eval_chunk,
-                self.params.near_precision,
-            );
+            let stats = self.compiled_field_sweep(None, &mut values, self.params.eval_chunk);
             return EvalResult {
                 values: self.tree.unsort(&values),
                 stats,
@@ -205,13 +187,7 @@ impl Treecode {
     /// caller-provided buffer — the field-query analogue of
     /// [`Treecode::potentials_at_into`].
     pub fn fields_at_into(&self, points: &[Vec3], out: &mut [(f64, Vec3)]) -> EvalStats {
-        self.fields_at_into_with(
-            points,
-            out,
-            self.params.eval_chunk,
-            self.params.eval_mode,
-            self.params.near_precision,
-        )
+        self.fields_at_into_with(points, out, self.params.eval_chunk, self.params.eval_mode)
     }
 
     /// [`Treecode::fields_at_into`] with an explicit per-call evaluation
@@ -223,7 +199,6 @@ impl Treecode {
         out: &mut [(f64, Vec3)],
         chunk: usize,
         mode: EvalMode,
-        precision: Precision,
     ) -> EvalStats {
         assert_eq!(
             points.len(),
@@ -231,7 +206,7 @@ impl Treecode {
             "output buffer must match the number of points"
         );
         if mode == EvalMode::Compiled {
-            return self.compiled_field_sweep(Some(points), out, chunk, precision);
+            return self.compiled_field_sweep(Some(points), out, chunk);
         }
         self.eval_chunks_into(out, chunk, |i, scratch, stats| {
             self.eval_field(points[i], TargetKind::External, scratch, stats)

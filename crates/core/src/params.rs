@@ -35,31 +35,6 @@ pub enum EvalMode {
     Compiled,
 }
 
-/// Arithmetic precision of the near-field (P2P) kernels in compiled
-/// evaluation sweeps.
-///
-/// The far field (M2P) always runs in f64 — truncation error there is
-/// governed by the paper's Theorems 1/2 and would be swamped by f32
-/// roundoff at useful degrees. The near field has no truncation error at
-/// all, so its precision can be lowered whenever the *far-field* bound
-/// already exceeds the near-field roundoff budget
-/// ([`mbt_multipole::bounds::f32_near_admissible`] states the inequality).
-/// The engine's accuracy resolver applies that test automatically;
-/// setting `F32Near` here opts a hand-built parameter set in directly.
-///
-/// Scalar-mode sweeps ignore the knob: they are the bit-exact f64
-/// reference path by definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Precision {
-    /// Full double precision everywhere (default; bit-exact reference).
-    #[default]
-    F64,
-    /// Single-precision near field over the tree's f32 particle mirror;
-    /// far field stays f64. Sound only when the truncation bound
-    /// dominates f32 roundoff — see the admission rule above.
-    F32Near,
-}
-
 /// Parameters of a treecode run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreecodeParams {
@@ -88,9 +63,6 @@ pub struct TreecodeParams {
     pub softening: f64,
     /// Execution strategy of evaluation sweeps (default: [`EvalMode::Scalar`]).
     pub eval_mode: EvalMode,
-    /// Near-field arithmetic precision for compiled sweeps (default:
-    /// [`Precision::F64`]; ignored in scalar mode).
-    pub near_precision: Precision,
 }
 
 impl TreecodeParams {
@@ -105,7 +77,6 @@ impl TreecodeParams {
             ref_weight: RefWeight::default(),
             softening: 0.0,
             eval_mode: EvalMode::Scalar,
-            near_precision: Precision::F64,
         }
     }
 
@@ -121,7 +92,6 @@ impl TreecodeParams {
             ref_weight: RefWeight::default(),
             softening: 0.0,
             eval_mode: EvalMode::Scalar,
-            near_precision: Precision::F64,
         }
     }
 
@@ -138,7 +108,6 @@ impl TreecodeParams {
             ref_weight: RefWeight::default(),
             softening: 0.0,
             eval_mode: EvalMode::Scalar,
-            near_precision: Precision::F64,
         }
     }
 
@@ -174,13 +143,6 @@ impl TreecodeParams {
     #[must_use]
     pub fn with_eval_mode(mut self, eval_mode: EvalMode) -> Self {
         self.eval_mode = eval_mode;
-        self
-    }
-
-    /// Sets the near-field arithmetic precision (compiled sweeps only).
-    #[must_use]
-    pub fn with_near_precision(mut self, near_precision: Precision) -> Self {
-        self.near_precision = near_precision;
         self
     }
 
@@ -348,21 +310,6 @@ mod tests {
             .with_eval_chunk(0);
         assert_eq!(p.leaf_capacity, 8);
         assert_eq!(p.eval_chunk, 1); // clamped
-    }
-
-    #[test]
-    fn near_precision_defaults_to_f64() {
-        for p in [
-            TreecodeParams::fixed(4, 0.6),
-            TreecodeParams::adaptive(3, 0.5),
-            TreecodeParams::tolerance(1e-6, 0.5),
-            TreecodeParams::default(),
-        ] {
-            assert_eq!(p.near_precision, Precision::F64);
-        }
-        let p = TreecodeParams::fixed(4, 0.7).with_near_precision(Precision::F32Near);
-        assert_eq!(p.near_precision, Precision::F32Near);
-        assert!(p.validate().is_ok());
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl CoeffArena {
 ///    directly from the node's particles at the node's own degree ("the
 ///    multipole series are computed a priori to the maximum required
 ///    degree" — all degree inputs are available at tree-construction time),
-///    written into one flat [`CoeffArena`] shared by every node.
+///    written into one flat `CoeffArena` shared by every node.
 pub struct Treecode {
     pub(crate) tree: Octree,
     pub(crate) params: TreecodeParams,

@@ -8,11 +8,10 @@
 //! interactions the scalar traversal evaluates, interaction for
 //! interaction.
 
-use mbt_geometry::distribution::{overlapped_gaussians, uniform_cube, ChargeModel};
+use mbt_geometry::distribution::{uniform_cube, ChargeModel};
 use mbt_geometry::{Particle, Vec3};
-use mbt_multipole::bounds::f32_near_roundoff_rel;
 use mbt_multipole::simd::{self, SimdLevel};
-use mbt_treecode::{EvalMode, Precision, Treecode, TreecodeParams};
+use mbt_treecode::{EvalMode, Treecode, TreecodeParams};
 use proptest::prelude::*;
 
 fn arb_particles(max_n: usize) -> impl Strategy<Value = Vec<Particle>> {
@@ -154,79 +153,6 @@ proptest! {
             prop_assert_eq!(a, b, "target {} changed with chunk width {}", i, chunk);
         }
     }
-}
-
-/// Tolerance the f32 near-field tier must stay inside, scaled to the
-/// sweep's largest potential: half the 16x margin that
-/// [`mbt_treecode::f32_near_admissible`] reserves over the accumulation
-/// bound, leaving the other half to the f32 rounding of the mirrored
-/// positions and charges.
-fn f32_budget(n: usize, leaf_capacity: usize, phi_inf: f64) -> f64 {
-    8.0 * f32_near_roundoff_rel(n, leaf_capacity) * phi_inf.max(1.0)
-}
-
-/// Runs the f32-tier pins for one particle set: counters exactly equal
-/// to the f64 compiled sweep, potentials and field gradients inside the
-/// Theorem-style roundoff budget.
-fn assert_f32_tier_within_budget(ps: &[Particle], label: &str) {
-    let base = TreecodeParams::fixed(6, 0.7).with_eval_mode(EvalMode::Compiled);
-    let tc64 = Treecode::new(ps, base).unwrap();
-    let tc32 = Treecode::new(ps, base.with_near_precision(Precision::F32Near)).unwrap();
-
-    let r64 = tc64.potentials();
-    let r32 = tc32.potentials();
-    assert_eq!(r64.stats, r32.stats, "{label}: f32 tier changed counters");
-    let phi_inf = r64.values.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-    let tol = f32_budget(ps.len(), base.leaf_capacity, phi_inf);
-    for (i, (a, b)) in r64.values.iter().zip(&r32.values).enumerate() {
-        assert!(
-            (a - b).abs() <= tol,
-            "{label} target {i}: f32 {b} vs f64 {a} exceeds budget {tol:e}"
-        );
-    }
-
-    let f64s = tc64.fields();
-    let f32s = tc32.fields();
-    assert_eq!(f64s.stats, f32s.stats, "{label}: f32 field counters");
-    let g_inf = f64s
-        .values
-        .iter()
-        .fold(0.0_f64, |m, (_, g)| m.max(g.norm()));
-    let gtol = f32_budget(ps.len(), base.leaf_capacity, g_inf);
-    for (i, ((pa, ga), (pb, gb))) in f64s.values.iter().zip(&f32s.values).enumerate() {
-        assert!(
-            (pa - pb).abs() <= tol,
-            "{label} target {i}: f32 field potential {pb} vs {pa}"
-        );
-        assert!(
-            ga.distance(*gb) <= gtol,
-            "{label} target {i}: f32 gradient {gb:?} vs {ga:?} exceeds {gtol:e}"
-        );
-    }
-}
-
-/// Uniform cube: the distribution the admission budget is calibrated
-/// against (near-field neighborhoods capped at 27 leaves).
-#[test]
-fn f32_near_tier_within_budget_uniform() {
-    let ps = uniform_cube(4_000, 1.0, ChargeModel::RandomSign { magnitude: 1.0 }, 7);
-    assert_f32_tier_within_budget(&ps, "uniform");
-}
-
-/// Clustered (overlapped Gaussians): dense leaves push near-field spans
-/// to their worst case, so this is the pin that would catch an
-/// accumulation-order regression in the f32 kernels.
-#[test]
-fn f32_near_tier_within_budget_clustered() {
-    let ps = overlapped_gaussians(
-        4_000,
-        4,
-        2.0,
-        0.35,
-        ChargeModel::RandomSign { magnitude: 1.0 },
-        11,
-    );
-    assert_f32_tier_within_budget(&ps, "clustered");
 }
 
 /// The dispatched SIMD level is pure codegen: forcing the scalar

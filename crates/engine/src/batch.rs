@@ -127,17 +127,17 @@ pub(crate) fn evaluate_batch_with(
 ) -> (Vec<QueryOutput>, EvalStats) {
     packed_sweep(kind, requests, |points, arena| match arena {
         QueryOutput::Potentials(values) => {
-            treecode.potentials_at_into_with(points, values, cfg.chunk, cfg.mode, cfg.precision)
+            treecode.potentials_at_into_with(points, values, cfg.chunk, cfg.mode)
         }
         QueryOutput::Fields(values) => {
-            treecode.fields_at_into_with(points, values, cfg.chunk, cfg.mode, cfg.precision)
+            treecode.fields_at_into_with(points, values, cfg.chunk, cfg.mode)
         }
     })
 }
 
 /// Evaluates one batch against whichever artifact the plan
-/// holds: treecode plans run [`evaluate_batch_with`] under `cfg`, FMM
-/// plans run [`evaluate_fmm_batch`] (the FMM's execution shape is baked
+/// holds: treecode plans run `evaluate_batch_with` under `cfg`, FMM
+/// plans run `evaluate_fmm_batch` (the FMM's execution shape is baked
 /// into its compiled arenas, so `cfg` only applies to the treecode
 /// tier).
 #[must_use]
@@ -282,7 +282,6 @@ mod tests {
             let cfg = EvalConfig {
                 chunk,
                 mode: EvalMode::Scalar,
-                precision: mbt_treecode::Precision::F64,
             };
             let (out, stats) = evaluate_batch_with(&tc, QueryKind::Potential, &[&pts], cfg);
             assert_eq!(out, base, "chunk {chunk} changed values");
@@ -292,7 +291,6 @@ mod tests {
         let cfg = EvalConfig {
             chunk: 64,
             mode: EvalMode::Compiled,
-            precision: mbt_treecode::Precision::F64,
         };
         let (out, stats) = evaluate_batch_with(&tc, QueryKind::Potential, &[&pts], cfg);
         assert_eq!(stats, base_stats);

@@ -466,10 +466,10 @@ impl Engine {
     ///
     /// Afterwards every answer is bit-identical to what a fresh engine
     /// that registered the same positions with `charges` would give —
-    /// degrees, the f32 near-field tier and bounds are all re-resolved
-    /// from the new charges — but the dataset's cached plans are not
-    /// rebuilt: the next query for each finds it one or more epochs
-    /// behind and recharges it in place over its cached geometry
+    /// degrees and bounds are all re-resolved from the new charges — but
+    /// the dataset's cached plans are not rebuilt: the next query for
+    /// each finds it one or more epochs behind and recharges it in place
+    /// over its cached geometry
     /// ([`CacheOutcome::Recharged`]). A query that starts after this
     /// returns sees the new epoch; one racing it sees one epoch or the
     /// other, never a mixture ([`QueryResponse::epoch`]).
@@ -549,10 +549,7 @@ impl Engine {
     }
 
     /// The full parameters `accuracy` resolves to under this engine's
-    /// defaults — what a query with that accuracy will actually run with,
-    /// up to the dataset-aware near-field precision (queries additionally
-    /// apply the f32 admission test against the target dataset's size and
-    /// largest charge; see [`Accuracy::resolve_with_profile`]).
+    /// defaults — exactly what a query with that accuracy runs with.
     #[must_use]
     pub fn resolve_params(&self, accuracy: Accuracy) -> TreecodeParams {
         accuracy.resolve(
@@ -562,26 +559,15 @@ impl Engine {
         )
     }
 
-    /// [`Engine::resolve_params`] plus the dataset-aware f32 near-field
-    /// admission test — exactly what a query against `dataset` runs with.
+    /// [`Engine::resolve_params`] after checking that `dataset` is
+    /// registered — what a query against `dataset` runs with.
     pub fn resolve_params_for(
         &self,
         dataset: DatasetId,
         accuracy: Accuracy,
     ) -> Result<TreecodeParams, EngineError> {
-        let ds = self.registry.get(dataset)?;
-        Ok(self.resolve_params_profiled(&ds, accuracy))
-    }
-
-    /// The profile-aware resolution against an already-fetched dataset.
-    fn resolve_params_profiled(&self, ds: &Dataset, accuracy: Accuracy) -> TreecodeParams {
-        accuracy.resolve_with_profile(
-            self.config.alpha,
-            self.config.leaf_capacity,
-            self.config.eval_chunk,
-            ds.len(),
-            ds.q_max,
-        )
+        self.registry.get(dataset)?;
+        Ok(self.resolve_params(accuracy))
     }
 
     /// Pre-builds (or touches) every plan serving `(dataset, accuracy)`
@@ -591,7 +577,7 @@ impl Engine {
     /// report their single plan as shard 0.
     pub fn warm(&self, dataset: DatasetId, accuracy: Accuracy) -> Result<WarmReport, EngineError> {
         let ds = self.registry.get(dataset)?;
-        let params = self.resolve_params_profiled(&ds, accuracy);
+        let params = self.resolve_params(accuracy);
         params.validate().map_err(EngineError::InvalidParams)?;
         let plans = if ds.is_sharded() {
             self.shard_plans(&ds, params)?.0
@@ -624,11 +610,10 @@ impl Engine {
         params: TreecodeParams,
         backend: Backend,
     ) -> Result<Obtained, EngineError> {
-        // PlanKey excludes precision (and the other execution knobs), so
-        // the f64 and f32 tiers of one request shape share one cached
-        // tree + coefficient arena. It excludes the charges too: a plan
-        // resident at another epoch of this dataset is recharged, not
-        // rebuilt.
+        // PlanKey excludes the execution knobs, so requests differing only
+        // in chunk width or mode share one cached tree + coefficient
+        // arena. It excludes the charges too: a plan resident at another
+        // epoch of this dataset is recharged, not rebuilt.
         let key = PlanKey::routed(ds.id, &params, backend);
         self.cache
             .get_or_build_at(key, ds.epoch, &self.stats, |other| match other {
@@ -739,7 +724,7 @@ impl Engine {
     /// depend on who it shares a sweep with.
     fn resolve(&self, request: &QueryRequest) -> Result<Resolved, EngineError> {
         let ds = self.registry.get(request.dataset)?;
-        let params = self.resolve_params_profiled(&ds, request.accuracy);
+        let params = self.resolve_params(request.accuracy);
         params.validate().map_err(EngineError::InvalidParams)?;
         // sharded datasets are served by the skeleton fan-out (a
         // treecode-only path) and explicit parameters state their own
@@ -1424,57 +1409,6 @@ mod tests {
         assert!(s.evictions >= 1, "no eviction under a one-plan budget");
         assert!(s.resident_bytes <= s.cache_budget_bytes);
         assert_eq!(s.plan_builds, 3); // the third query rebuilt the evicted plan
-    }
-
-    #[test]
-    fn f32_near_tier_is_admitted_by_profile_and_shares_the_plan() {
-        use mbt_treecode::Precision;
-        // α = 0.7 with p = 4: the Theorem 1 far-field bound dominates the
-        // f32 near-field roundoff budget, so the resolver downgrades the
-        // near field
-        let engine = Engine::new(EngineConfig {
-            alpha: 0.7,
-            ..EngineConfig::default()
-        })
-        .unwrap();
-        let id = engine.register("t", particles(2000, 43)).unwrap();
-        let ds = engine.dataset(id).unwrap();
-        let resolved = Accuracy::Fixed(4).resolve_with_profile(0.7, 32, 64, ds.len(), ds.q_max);
-        assert_eq!(resolved.near_precision, Precision::F32Near);
-
-        let pts = points(16);
-        let r32 = engine
-            .query(QueryRequest::potentials(
-                id,
-                Accuracy::Fixed(4),
-                pts.clone(),
-            ))
-            .unwrap();
-        // an explicit f64 request with otherwise identical parameters …
-        let r64 = engine
-            .query(QueryRequest::potentials(
-                id,
-                Accuracy::Params(resolved.with_near_precision(Precision::F64)),
-                pts,
-            ))
-            .unwrap();
-        // … shares the cached plan (precision is an execution knob, not
-        // plan identity) and agrees far inside the request's own
-        // truncation budget
-        assert_eq!(engine.stats().plan_builds, 1);
-        assert_eq!(r64.cache, CacheOutcome::Hit);
-        for (a, b) in r32
-            .output
-            .potentials()
-            .unwrap()
-            .iter()
-            .zip(r64.output.potentials().unwrap())
-        {
-            assert!(
-                (a - b).abs() <= 1e-3 * b.abs().max(1.0),
-                "f32 tier diverged: {a} vs {b}"
-            );
-        }
     }
 
     #[test]

@@ -19,8 +19,7 @@ use std::time::{Duration, Instant};
 use mbt_fmm::{CompiledFmm, FmmError};
 use mbt_geometry::Particle;
 use mbt_treecode::{
-    f32_near_admissible, DegreeSelector, DegreeWeighting, EvalMode, Precision, RefWeight,
-    TreeError, Treecode, TreecodeParams,
+    DegreeSelector, DegreeWeighting, EvalMode, RefWeight, TreeError, Treecode, TreecodeParams,
 };
 
 use crate::error::EngineError;
@@ -67,33 +66,6 @@ impl Accuracy {
         base.with_leaf_capacity(leaf_capacity)
             .with_eval_chunk(eval_chunk)
             .with_eval_mode(EvalMode::Compiled)
-    }
-
-    /// [`Accuracy::resolve`], then — knowing the dataset's size and
-    /// largest charge — downgrades the near field to f32 **iff** the
-    /// request's own far-field truncation bound (Theorems 1/2, via the
-    /// degree policy and `alpha`) already exceeds the f32 roundoff budget
-    /// of a worst-case near-field sum, so the downgrade is invisible at
-    /// the request's accuracy level. [`Accuracy::Params`] passes through
-    /// untouched: explicit parameters state their own precision.
-    #[must_use]
-    pub fn resolve_with_profile(
-        self,
-        alpha: f64,
-        leaf_capacity: usize,
-        eval_chunk: usize,
-        n: usize,
-        q_max: f64,
-    ) -> TreecodeParams {
-        let base = self.resolve(alpha, leaf_capacity, eval_chunk);
-        if matches!(self, Accuracy::Params(_)) {
-            return base;
-        }
-        if f32_near_admissible(&base.degree, base.alpha, n, q_max, base.leaf_capacity) {
-            base.with_near_precision(Precision::F32Near)
-        } else {
-            base
-        }
     }
 }
 
@@ -259,12 +231,6 @@ pub struct EvalConfig {
     pub chunk: usize,
     /// Execution strategy (scalar reference vs compiled lists).
     pub mode: EvalMode,
-    /// Near-field arithmetic precision of compiled sweeps. Part of the
-    /// execution configuration, not plan identity: the f64 and f32 tiers
-    /// share one cached tree + coefficient arena (the f32 particle
-    /// mirror lives inside the tree), so requests differing only in
-    /// precision share one plan but batch into separate sweeps.
-    pub precision: Precision,
 }
 
 impl EvalConfig {
@@ -274,7 +240,6 @@ impl EvalConfig {
         EvalConfig {
             chunk: params.eval_chunk.max(1),
             mode: params.eval_mode,
-            precision: params.near_precision,
         }
     }
 }
@@ -564,13 +529,8 @@ mod tests {
             EvalConfig {
                 chunk: a.eval_chunk,
                 mode: EvalMode::Scalar,
-                precision: Precision::F64,
             }
         );
-        // precision is likewise an execution knob, not plan identity
-        let f32near = a.with_near_precision(Precision::F32Near);
-        assert_eq!(PlanKey::new(id0, &a), PlanKey::new(id0, &f32near));
-        assert_ne!(EvalConfig::of(&a), EvalConfig::of(&f32near));
         // the unclamped zero chunk normalises like the sweep itself does
         let mut zero_chunk = a;
         zero_chunk.eval_chunk = 0;

@@ -44,9 +44,6 @@ pub struct Dataset {
     /// Total absolute charge `A = Σ|qᵢ|` — the quantity the paper's error
     /// bounds grow with, useful for per-tenant cost attribution.
     pub abs_charge: f64,
-    /// Largest absolute charge `max|qᵢ|` — the scale factor the f32
-    /// near-field admission test compares the truncation budget against.
-    pub q_max: f64,
     /// Resident bytes of the particle storage (submitted order plus, for
     /// sharded datasets, the Hilbert-partitioned per-shard copies).
     pub bytes: usize,
@@ -128,12 +125,10 @@ impl Dataset {
     }
 }
 
-/// `(Σ|qᵢ|, max|qᵢ|)` — the charge facts a [`Dataset`] carries, computed
-/// the same way at registration and at every charge update.
-fn charge_profile(particles: &[Particle]) -> (f64, f64) {
-    let abs_charge = particles.iter().map(|p| p.charge.abs()).sum();
-    let q_max = particles.iter().map(|p| p.charge.abs()).fold(0.0, f64::max);
-    (abs_charge, q_max)
+/// `Σ|qᵢ|` — the charge fact a [`Dataset`] carries, computed the same
+/// way at registration and at every charge update.
+fn charge_profile(particles: &[Particle]) -> f64 {
+    particles.iter().map(|p| p.charge.abs()).sum()
 }
 
 /// The padded cubical hull of the particle positions, without copying
@@ -246,7 +241,7 @@ impl DatasetRegistry {
                 .map(|(p, &q)| Particle::new(p.position, q))
                 .collect(),
         );
-        let (abs_charge, q_max) = charge_profile(&particles);
+        let abs_charge = charge_profile(&particles);
 
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         // re-read under the write lock: the epoch must follow whatever
@@ -262,7 +257,6 @@ impl DatasetRegistry {
             epoch,
             bounds: slot.bounds,
             abs_charge,
-            q_max,
             bytes: slot.bytes,
             particles,
             shard_parts: Vec::new(),
@@ -307,7 +301,7 @@ impl DatasetRegistry {
         shard_infos: Vec<ShardInfo>,
     ) -> Result<DatasetId, EngineError> {
         let bounds = hull(&particles);
-        let (abs_charge, q_max) = charge_profile(&particles);
+        let abs_charge = charge_profile(&particles);
         let copies = particles.len() + shard_parts.iter().map(|p| p.len()).sum::<usize>();
         let bytes = copies * std::mem::size_of::<Particle>();
 
@@ -323,7 +317,6 @@ impl DatasetRegistry {
             epoch: 0,
             bounds,
             abs_charge,
-            q_max,
             bytes,
             particles: Arc::new(particles),
             shard_parts,
@@ -403,7 +396,6 @@ mod tests {
         assert_eq!(ds.len(), 20);
         assert_eq!(ds.name, "b");
         assert!((ds.abs_charge - 20.0).abs() < 1e-12);
-        assert!((ds.q_max - 1.0).abs() < 1e-15);
         assert_eq!(ds.bytes, 20 * std::mem::size_of::<Particle>());
         assert!(!ds.is_empty());
     }
@@ -496,7 +488,6 @@ mod tests {
         assert_eq!(after.bounds, before.bounds);
         assert_eq!(after.bytes, before.bytes);
         assert!((after.abs_charge - 5.5).abs() < 1e-15);
-        assert!((after.q_max - 3.0).abs() < 1e-15);
         for (new, old) in after.particles().iter().zip(before.particles()) {
             assert_eq!(new.position, old.position);
         }

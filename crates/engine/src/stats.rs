@@ -122,7 +122,7 @@ macro_rules! engine_metrics {
         /// A point-in-time view of everything the engine counts. Plain
         /// data — `Clone`, no atomics, no locks — so exporters can hold
         /// or diff snapshots freely. [`EngineStats::to_prometheus`] and
-        /// [`EngineStats::to_json`] (in [`crate::export`]) serialise it.
+        /// [`EngineStats::to_json`] (in `export.rs`) serialise it.
         #[derive(Debug, Clone, Default, PartialEq)]
         pub struct EngineStats {
             $($( $(#[$doc])* pub $field: $ty, )*)*

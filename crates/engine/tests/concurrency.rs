@@ -40,8 +40,7 @@ fn concurrent_cold_misses_build_exactly_once_and_serve_exact_values() {
     let accuracy = Accuracy::Adaptive { p_min: 4 };
 
     // the reference: a treecode built directly with the same parameters
-    // the engine will resolve this accuracy to (profile-aware: the
-    // resolver may downgrade the near field to f32 for this dataset)
+    // the engine will resolve this accuracy to
     let params = engine.resolve_params_for(id, accuracy).expect("resolves");
     let reference = Treecode::new(&ps, params).expect("reference builds");
 

@@ -31,7 +31,6 @@ fn probe_points(n: usize) -> Vec<Vec3> {
 fn few_targets_are_bit_identical_to_the_treecode() {
     let cfg = EngineConfig::default();
     let ps = particles(6000, 41);
-    let q_max = ps.iter().map(|p| p.charge.abs()).fold(0.0, f64::max);
     let engine = Engine::new(cfg).unwrap();
     let id = engine.register("t", ps.clone()).unwrap();
     let pts = probe_points(40);
@@ -46,13 +45,7 @@ fn few_targets_are_bit_identical_to_the_treecode() {
     assert_eq!(r.backend, Backend::Treecode);
 
     // the reference: the same resolution the engine performs
-    let params = Accuracy::Fixed(5).resolve_with_profile(
-        cfg.alpha,
-        cfg.leaf_capacity,
-        cfg.eval_chunk,
-        ps.len(),
-        q_max,
-    );
+    let params = engine.resolve_params(Accuracy::Fixed(5));
     let tc = Treecode::new(&ps, params).unwrap();
     let want = tc.potentials_at(&pts);
     assert_eq!(r.output.potentials().unwrap(), want.values.as_slice());

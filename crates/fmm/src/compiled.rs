@@ -25,7 +25,7 @@
 //!   sum by `d^-(j+1)`; no per-plan or per-level operator copy exists.
 //!   L2L needs only the 8 child-octant offsets per level and stays probed
 //!   per geometry (it adds unscaled).
-//! * **Geometry half** ([`FmmGeometry`], `Arc`-shared): everything that
+//! * **Geometry half** (`FmmGeometry`, `Arc`-shared): everything that
 //!   depends on the particle *positions* and the resolved degree vector —
 //!   bounds, sort permutation, level grids, SoA positions, dense
 //!   Morton-indexed occupancy, one operator-major M2L list per level (the

@@ -6,7 +6,7 @@
 //! Morton key, and coarse cells cover contiguous unions of their children's
 //! ranges). A grid is pure geometry: the per-cell absolute charges the
 //! degree rule weighs are computed beside it
-//! ([`crate::method::level_degrees`]), so a charge update never touches it.
+//! (`method::level_degrees`), so a charge update never touches it.
 
 use std::collections::HashMap;
 

@@ -33,6 +33,6 @@ pub mod vec3;
 
 pub use aabb::Aabb;
 pub use particle::Particle;
-pub use soa::{ParticleSoa, ParticleSoaF32};
+pub use soa::ParticleSoa;
 pub use spherical::Spherical;
 pub use vec3::Vec3;

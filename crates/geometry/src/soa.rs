@@ -67,64 +67,6 @@ impl ParticleSoa {
     }
 }
 
-/// Single-precision mirror of [`ParticleSoa`] for the error-budgeted f32
-/// near-field tier: every component rounded to nearest f32, in the same
-/// order. Built alongside the f64 mirror at tree construction (the
-/// input-quantization error it introduces is part of the roundoff budget
-/// the f32 tier is admitted under) and kept charge-synced with it.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ParticleSoaF32 {
-    /// `x` coordinates.
-    pub x: Vec<f32>,
-    /// `y` coordinates.
-    pub y: Vec<f32>,
-    /// `z` coordinates.
-    pub z: Vec<f32>,
-    /// Signed charges.
-    pub q: Vec<f32>,
-}
-
-impl ParticleSoaF32 {
-    /// Builds the rounded mirror of `particles`, preserving order.
-    #[must_use]
-    pub fn from_particles(particles: &[Particle]) -> ParticleSoaF32 {
-        ParticleSoaF32 {
-            x: particles.iter().map(|p| p.position.x as f32).collect(),
-            y: particles.iter().map(|p| p.position.y as f32).collect(),
-            z: particles.iter().map(|p| p.position.z as f32).collect(),
-            q: particles.iter().map(|p| p.charge as f32).collect(),
-        }
-    }
-
-    /// Number of mirrored particles.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.x.len()
-    }
-
-    /// Whether the mirror is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
-    }
-
-    /// Re-rounds the charges from `particles` (positions are assumed
-    /// unchanged, matching [`ParticleSoa::sync_charges`]).
-    pub fn sync_charges(&mut self, particles: &[Particle]) {
-        debug_assert_eq!(self.len(), particles.len());
-        for (q, p) in self.q.iter_mut().zip(particles) {
-            *q = p.charge as f32;
-        }
-    }
-
-    /// Resident heap bytes of the four component arrays.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        (self.x.capacity() + self.y.capacity() + self.z.capacity() + self.q.capacity())
-            * std::mem::size_of::<f32>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,30 +118,5 @@ mod tests {
         let soa = ParticleSoa::from_particles(&particles());
         assert!(soa.heap_bytes() >= 4 * soa.len() * std::mem::size_of::<f64>());
         assert_eq!(ParticleSoa::default().len(), 0);
-    }
-
-    #[test]
-    fn f32_mirror_rounds_to_nearest() {
-        let mut ps = particles();
-        let mut soa = ParticleSoaF32::from_particles(&ps);
-        assert_eq!(soa.len(), ps.len());
-        assert!(!soa.is_empty());
-        for (i, p) in ps.iter().enumerate() {
-            assert_eq!(soa.x[i].to_bits(), (p.position.x as f32).to_bits());
-            assert_eq!(soa.y[i].to_bits(), (p.position.y as f32).to_bits());
-            assert_eq!(soa.z[i].to_bits(), (p.position.z as f32).to_bits());
-            assert_eq!(soa.q[i].to_bits(), (p.charge as f32).to_bits());
-        }
-        let xs = soa.x.clone();
-        for (i, p) in ps.iter_mut().enumerate() {
-            p.charge = 0.125 * i as f64;
-        }
-        soa.sync_charges(&ps);
-        assert_eq!(soa.x, xs);
-        for (i, p) in ps.iter().enumerate() {
-            assert_eq!(soa.q[i].to_bits(), (p.charge as f32).to_bits());
-        }
-        assert!(soa.heap_bytes() >= 4 * soa.len() * std::mem::size_of::<f32>());
-        assert_eq!(ParticleSoaF32::default().len(), 0);
     }
 }

@@ -58,13 +58,11 @@
 //! whose `r²` lanes are all inside the seed's range; any other vector,
 //! the scalar tail, field spans and f32 spans divide by an IEEE square
 //! root. The near field thus stays an exact sum up to a few ULPs per pair,
-//! identically at every dispatch level. f32 spans are the one deliberate
-//! loss of precision:
-//! they evaluate the near field in single precision over an f32 mirror of
-//! the particle SoA and widen only the final reduction. Their use is gated
-//! by the Theorem 1/2 budget test in [`crate::bounds::f32_near_admissible`]
-//! — the caller opts in only when the far-field truncation error already
-//! dominates the f32 near-field roundoff.
+//! identically at every dispatch level. f32 spans evaluate the near field
+//! in single precision over f32 source arrays and widen only the final
+//! reduction. No serving path calls them: every treecode sweep runs its
+//! near field in f64. They stay only for the benchmark's
+//! `multipole.p2p_f32_pairs_per_s` probe ([`p2p_potential_span_f32`]).
 //!
 //! # Layout
 //!
@@ -580,8 +578,10 @@ pub fn p2p_potential_span(
     p2p_span::<f64, false, false>(xs, ys, zs, qs, t, eps2).0
 }
 
-/// f32 analogue of [`p2p_potential_span`] over the f32 SoA mirror; the
-/// caller opts in via [`crate::bounds::f32_near_admissible`].
+/// f32 analogue of [`p2p_potential_span`] over f32 source arrays. No
+/// serving path calls it — every treecode sweep runs its near field in
+/// f64 — it stays for the benchmark's `multipole.p2p_f32_pairs_per_s`
+/// probe, which times it.
 #[must_use]
 pub fn p2p_potential_span_f32(
     xs: &[f32],
@@ -599,11 +599,10 @@ pub fn p2p_potential_span_f32(
 /// over one SoA source span, returned widened to f64 with the number of
 /// counted pairs (`∇Φ` is zero without `FIELD`).
 ///
-/// * **Precision** `T`: f64, or f32 over the f32 mirror — pair
+/// * **Precision** `T`: f64, or f32 over f32 source arrays — pair
 ///   arithmetic and lane accumulators in f32, only the final reduction
 ///   widened. The f32 guard tests the *f32* distance, so a source within
-///   an f32 ULP of the target is skipped where f64 would keep it — inside
-///   the roundoff budget that gates the tier.
+///   an f32 ULP of the target is skipped where f64 would keep it.
 /// * **Guard** `GUARD`: pairs at exactly zero (softened) distance
 ///   contribute nothing and are not counted. It is a per-lane select
 ///   (the pair term becomes `0` where `r² > 0` fails, NaN included) plus

@@ -227,83 +227,6 @@ impl DegreeSelector {
     }
 }
 
-/// Accumulation-safety factor of the f32 near-field roundoff model:
-/// guard digits for the non-random part of the rounding (distance
-/// cancellation, the softened `sqrt`/`div`, the input quantization of
-/// the f32 SoA mirror).
-const F32_ROUNDOFF_SAFETY: f64 = 8.0;
-
-/// Margin by which the far-field truncation bound must dominate the f32
-/// near-field roundoff budget before [`f32_near_admissible`] opts in:
-/// switching tiers may not consume more than ~1/16 of the delivered
-/// error budget.
-const F32_ADMISSION_MARGIN: f64 = 16.0;
-
-/// Conservative f32 near-field roundoff budget, **relative** to the
-/// potential scale: `C · ε32 · pairs`, where `ε32` is the f32 unit
-/// roundoff, `pairs = min(n, 27·leaf_capacity)` bounds the number of
-/// near-field pairs per target (a 3×3×3 leaf neighbourhood, clamped by
-/// the particle count), and `C` = [`F32_ROUNDOFF_SAFETY`]. The true
-/// error behaves like `ε32·√pairs` (random-walk), so this linear model
-/// leaves a wide verification margin — it is the budget the f32-tier
-/// tolerance pins in `compiled_equivalence.rs` assert against.
-#[must_use]
-pub fn f32_near_roundoff_rel(n: usize, leaf_capacity: usize) -> f64 {
-    let pairs = n.min(27 * leaf_capacity.max(1)).max(1) as f64;
-    F32_ROUNDOFF_SAFETY * (f64::from(f32::EPSILON) * 0.5) * pairs
-}
-
-/// The precision-budget inequality behind the engine's `Precision` knob:
-/// may the near field of a run with this degree rule and `alpha` be
-/// evaluated in f32 without degrading delivered accuracy?
-///
-/// The far-field truncation error of an admitted interaction is bounded
-/// by Theorem 1/2; relative to the monopole scale `A/r` and maximised
-/// over admissible geometry (`a/r = κ = α·√3/2`, Theorem 2's
-/// circumradius), summing the per-level geometric tail gives
-///
-/// ```text
-/// far_rel ≥ κ^{p+1} / (1 − κ)
-/// ```
-///
-/// with `p` the smallest degree the rule can emit (`Fixed(p)`, adaptive
-/// `p_min` — adaptive runs equalise per-interaction error *at* the
-/// `p_min` level, larger clusters only add degrees to hold it there).
-/// The f32 near field adds at most [`f32_near_roundoff_rel`] relative
-/// roundoff. f32 is admitted only when
-///
-/// ```text
-/// far_rel ≥ MARGIN · C · ε32 · pairs
-/// ```
-///
-/// so the truncation error the paper's bounds already charge the run
-/// dominates the new roundoff by [`F32_ADMISSION_MARGIN`]×. For
-/// `Tolerance { tol }` runs the comparison is absolute: the near-field
-/// roundoff scale is `ε32 · pairs · q_max` (unit-scale geometry), and
-/// f32 is admitted when `tol` exceeds the margined budget. Degenerate
-/// rules (`κ ≥ 1`, non-finite inputs) stay f64.
-#[must_use]
-pub fn f32_near_admissible(
-    selector: &DegreeSelector,
-    alpha: f64,
-    n: usize,
-    q_max: f64,
-    leaf_capacity: usize,
-) -> bool {
-    let near_rel = f32_near_roundoff_rel(n, leaf_capacity);
-    let k = kappa(alpha);
-    if !(k > 0.0 && k < 1.0 && q_max.is_finite()) || q_max < 0.0 {
-        return false;
-    }
-    match *selector {
-        DegreeSelector::Fixed(p) | DegreeSelector::Adaptive { p_min: p, .. } => {
-            let far_rel = k.powi(p as i32 + 1) / (1.0 - k);
-            far_rel >= F32_ADMISSION_MARGIN * near_rel
-        }
-        DegreeSelector::Tolerance { tol, .. } => tol >= F32_ADMISSION_MARGIN * near_rel * q_max,
-    }
-}
-
 /// Smallest degree `p ≤ p_max` whose Theorem-1 bound at distance `r` for a
 /// cluster of absolute charge `abs_charge` and radius `a` falls below
 /// `tol`. Cheap: one multiply per candidate degree.
@@ -486,76 +409,6 @@ mod tests {
         let near = degree_for_tolerance_at(q, a, 0.5, tol, 40);
         let far = degree_for_tolerance_at(q, a, 5.0, tol, 40);
         assert!(near > far);
-    }
-
-    #[test]
-    fn f32_admission_follows_the_budget_inequality() {
-        // Loose runs, where truncation dwarfs f32 roundoff, opt in…
-        assert!(f32_near_admissible(
-            &DegreeSelector::Fixed(4),
-            0.7,
-            100_000,
-            1.0,
-            32
-        ));
-        assert!(f32_near_admissible(
-            &DegreeSelector::Fixed(8),
-            0.7,
-            100_000,
-            1.0,
-            32
-        ));
-        // …tight runs stay f64
-        assert!(!f32_near_admissible(
-            &DegreeSelector::Fixed(8),
-            0.5,
-            100_000,
-            1.0,
-            32
-        ));
-        assert!(!f32_near_admissible(
-            &DegreeSelector::Fixed(12),
-            0.7,
-            100_000,
-            1.0,
-            32
-        ));
-        // adaptive runs are judged at their p_min error level
-        assert!(f32_near_admissible(
-            &DegreeSelector::adaptive(3, 0.7),
-            0.7,
-            100_000,
-            1.0,
-            32
-        ));
-        // tolerance mode compares the absolute budget against ε32·pairs·q_max
-        assert!(!f32_near_admissible(
-            &DegreeSelector::tolerance(1e-5),
-            0.7,
-            100_000,
-            1.0,
-            32
-        ));
-        assert!(f32_near_admissible(
-            &DegreeSelector::tolerance(1e-1),
-            0.7,
-            100_000,
-            1.0,
-            32
-        ));
-        // divergent κ (α ≥ 2/√3) can never admit f32
-        assert!(!f32_near_admissible(
-            &DegreeSelector::Fixed(2),
-            1.2,
-            100_000,
-            1.0,
-            32
-        ));
-        // small n shrinks the pair budget and admits more
-        assert!(f32_near_roundoff_rel(100, 32) < f32_near_roundoff_rel(100_000, 32));
-        // the margin is real: the admitted far bound exceeds the budget 16×
-        let far = kappa(0.7).powi(5) / (1.0 - kappa(0.7));
-        assert!(far >= 16.0 * f32_near_roundoff_rel(100_000, 32));
     }
 
     #[test]

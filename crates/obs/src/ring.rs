@@ -130,7 +130,7 @@ impl<const W: usize> Ring<W> {
 
     /// A consistent copy of every published record, oldest first.
     /// Allocates (cold path); skips slots that are mid-write, retrying a
-    /// slot up to [`SNAPSHOT_RETRIES`](Self::SNAPSHOT_RETRIES) times when
+    /// slot up to `SNAPSHOT_RETRIES` times when
     /// its seqlock validation fails (counted in
     /// [`read_retries`](Self::read_retries)).
     #[must_use]

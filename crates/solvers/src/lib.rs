@@ -9,7 +9,7 @@
 //!
 //! * [`LinearOperator`] — anything that can apply `y = A·x` (dense matrices
 //!   and treecode-accelerated operators both implement it),
-//! * [`gmres`] — restarted GMRES(m) with modified Gram–Schmidt and Givens
+//! * [`gmres()`] — restarted GMRES(m) with modified Gram–Schmidt and Givens
 //!   rotations,
 //! * [`DenseMatrix`] — a row-major dense matrix with parallel matvec, used
 //!   as the exact reference operator in the experiments,

@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mbt_geometry::{morton, Aabb, Particle, ParticleSoa, ParticleSoaF32, Vec3};
+use mbt_geometry::{morton, Aabb, Particle, ParticleSoa, Vec3};
 use rayon::prelude::*;
 
 use crate::node::{Node, NodeId, NO_NODE};
@@ -100,10 +100,6 @@ pub struct Octree {
     /// the batched evaluation kernels. Charges are kept in sync by
     /// [`Octree::with_charges`].
     soa: ParticleSoa,
-    /// Single-precision mirror of `soa` for the error-budgeted f32 near
-    /// field. Rounded once per build and charge-synced alongside `soa`;
-    /// plans that never admit the f32 tier simply never read it.
-    soa32: ParticleSoaF32,
     keys: Vec<u64>,
     /// `perm[i]` = caller's index of sorted particle `i`.
     perm: Vec<usize>,
@@ -148,13 +144,11 @@ impl Octree {
         let perm: Vec<usize> = keyed.iter().map(|&(_, i)| i as usize).collect();
         let sorted: Vec<Particle> = perm.iter().map(|&i| particles[i]).collect();
         let soa = ParticleSoa::from_particles(&sorted);
-        let soa32 = ParticleSoaF32::from_particles(&sorted);
 
         let mut tree = Octree {
             nodes: Vec::with_capacity(2 * particles.len() / params.leaf_capacity.max(1) + 64),
             particles: sorted,
             soa,
-            soa32,
             keys,
             perm,
             bounds,
@@ -197,7 +191,6 @@ impl Octree {
         self.nodes.len() * std::mem::size_of::<Node>()
             + self.particles.len() * std::mem::size_of::<Particle>()
             + self.soa.heap_bytes()
-            + self.soa32.heap_bytes()
             + self.keys.len() * std::mem::size_of::<u64>()
             + self.perm.len() * std::mem::size_of::<usize>()
     }
@@ -263,17 +256,6 @@ impl Octree {
                     && self.soa.z[i].to_bits() == p.position.z.to_bits()
                     && self.soa.q[i].to_bits() == p.charge.to_bits(),
                 "validate: SoA mirror disagrees with particle {i}"
-            );
-        }
-        assert_eq!(
-            self.soa32.len(),
-            self.particles.len(),
-            "validate: f32 SoA mirror length drifted from the particle array"
-        );
-        for (i, p) in self.particles.iter().enumerate() {
-            assert!(
-                self.soa32.q[i].to_bits() == (p.charge as f32).to_bits(),
-                "validate: f32 SoA mirror charge disagrees with particle {i}"
             );
         }
     }
@@ -390,14 +372,6 @@ impl Octree {
         &self.soa
     }
 
-    /// The single-precision mirror of the sorted particle array, consumed
-    /// by the f32 near-field kernels when a plan admits that tier.
-    #[inline]
-    #[must_use]
-    pub fn particles_soa_f32(&self) -> &ParticleSoaF32 {
-        &self.soa32
-    }
-
     /// The particles of a node.
     #[inline]
     #[must_use]
@@ -472,7 +446,7 @@ impl Octree {
     /// The fast path for iterative solvers whose operator applies the same
     /// geometry to a new density every iteration: the Morton sort,
     /// topology, expansion centres and radii are reused bit for bit; only
-    /// the charges, their SoA mirrors, `A` and the net charge are
+    /// the charges, their SoA mirror, `A` and the net charge are
     /// rewritten. The result equals a fresh [`Octree::build`] over the
     /// same positions with these charges.
     pub fn with_charges(&self, charges: &[f64]) -> Result<Octree, TreeError> {
@@ -487,7 +461,6 @@ impl Octree {
             p.charge = charges[self.perm[i]];
         }
         out.soa.sync_charges(&out.particles);
-        out.soa32.sync_charges(&out.particles);
         out.compute_charge_aggregates();
         Ok(out)
     }
@@ -630,25 +603,21 @@ mod tests {
     }
 
     #[test]
-    fn f32_mirror_tracks_sorted_particles_and_charges() {
+    fn soa_mirror_tracks_sorted_particles_and_charges() {
         let ps = uniform_cube(700, 1.0, charges(), 11);
         let tree = Octree::build(&ps, OctreeParams { leaf_capacity: 16 }).unwrap();
         let base = tree.heap_bytes();
-        assert_eq!(tree.particles_soa_f32().len(), tree.particles().len());
+        assert_eq!(tree.particles_soa().len(), tree.particles().len());
         for (i, p) in tree.particles().iter().enumerate() {
-            let m = tree.particles_soa_f32();
-            assert_eq!(m.x[i].to_bits(), (p.position.x as f32).to_bits());
-            assert_eq!(m.q[i].to_bits(), (p.charge as f32).to_bits());
+            let m = tree.particles_soa();
+            assert_eq!(m.x[i].to_bits(), p.position.x.to_bits());
+            assert_eq!(m.q[i].to_bits(), p.charge.to_bits());
         }
         // the mirror is charged against the byte budget
-        assert!(base >= tree.particles_soa_f32().heap_bytes());
+        assert!(base >= tree.particles_soa().heap_bytes());
         let new_q: Vec<f64> = (0..ps.len()).map(|i| 0.5 + i as f64).collect();
         let recharged = tree.with_charges(&new_q).unwrap();
         for (i, &orig) in recharged.perm().iter().enumerate() {
-            assert_eq!(
-                recharged.particles_soa_f32().q[i].to_bits(),
-                (new_q[orig] as f32).to_bits()
-            );
             assert_eq!(
                 recharged.particles_soa().q[i].to_bits(),
                 new_q[orig].to_bits()

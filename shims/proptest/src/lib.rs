@@ -182,7 +182,7 @@ pub mod collection {
     use std::fmt::Debug;
     use std::ops::Range;
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec()`].
     pub trait IntoLenRange {
         fn bounds(self) -> (usize, usize); // [lo, hi) half-open
     }
