@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mbt_geometry::Particle;
-use mbt_multipole::{p2m_into, tri_len, Complex, ExpansionRef, Workspace};
+use mbt_multipole::{p2m_into, tri_len, Complex, ExpansionRef, Workspace, P2M_LANES};
 use mbt_tree::{Octree, OctreeParams};
 use rayon::prelude::*;
 
@@ -22,10 +22,80 @@ pub fn upward_pass_count() -> u64 {
     UPWARD_PASSES.load(Ordering::Relaxed)
 }
 
-/// How many node expansions one parallel P2M task builds with a single
-/// reused [`Workspace`] — allocations per upward pass are `O(tasks)`, not
-/// `O(nodes × particles)`.
-const P2M_CHUNK: usize = 64;
+/// Target cost of one upward-pass work item, in particle × coefficient
+/// units (`len · tri_len(p)` summed over what the item expands): about
+/// 20 µs of P2M. A node dearer than this is split into blocks of about
+/// `P2M_ITEM_COST / tri_len(p)` particles; runs of cheaper nodes share one
+/// item. Every item then costs about the same, so the runtime's static
+/// split of the item list into one contiguous range per worker is
+/// balanced, and one scratch [`Workspace`] per item keeps allocations at
+/// `O(items)`.
+const P2M_ITEM_COST: usize = 1 << 15;
+
+/// One unit of upward-pass work, in node order.
+#[derive(Debug)]
+enum P2mItem {
+    /// Consecutive whole nodes `first..end`, each expanded from its whole
+    /// particle span into its own arena span.
+    Nodes { first: usize, end: usize },
+    /// Particles `span` (tree order) of one node too dear for one item.
+    /// Block 0 writes the node's arena span; every later block writes
+    /// its own partial, added into the arena span in block order.
+    Block {
+        node: usize,
+        span: std::ops::Range<usize>,
+        index: usize,
+    },
+}
+
+/// The upward pass's work items: a function of the tree's particle spans
+/// and the per-node degrees alone, never of the worker count, so the
+/// expansions — partials and their block-order sums included — are the
+/// same bits at any thread count.
+fn p2m_items(tree: &Octree, degrees: &[usize]) -> Vec<P2mItem> {
+    let cost = |len: usize, p: usize| (len + P2M_LANES) * tri_len(p);
+    // lint: allow(alloc, the item list, once per upward pass)
+    let mut items = Vec::new();
+    let mut run: Option<(usize, usize)> = None; // (first node, cost so far)
+    for (id, &p) in degrees.iter().enumerate() {
+        let node = tree.node(id as u32);
+        let c = cost(node.len(), p);
+        if c <= P2M_ITEM_COST {
+            match run {
+                Some((first, acc)) if acc + c <= P2M_ITEM_COST => run = Some((first, acc + c)),
+                _ => {
+                    if let Some((first, _)) = run {
+                        items.push(P2mItem::Nodes { first, end: id });
+                    }
+                    run = Some((id, c));
+                }
+            }
+            continue;
+        }
+        if let Some((first, _)) = run.take() {
+            items.push(P2mItem::Nodes { first, end: id });
+        }
+        // equal blocks of whole lane groups, about P2M_ITEM_COST each
+        let (start, end) = (node.start as usize, node.end as usize);
+        let per = (P2M_ITEM_COST / tri_len(p)).max(P2M_LANES);
+        let blocks = (end - start).div_ceil(per);
+        let per = (end - start).div_ceil(blocks).next_multiple_of(P2M_LANES);
+        for (index, s) in (start..end).step_by(per).enumerate() {
+            items.push(P2mItem::Block {
+                node: id,
+                span: s..(s + per).min(end),
+                index,
+            });
+        }
+    }
+    if let Some((first, _)) = run {
+        items.push(P2mItem::Nodes {
+            first,
+            end: degrees.len(),
+        });
+    }
+    items
+}
 
 /// Flat coefficient storage for every node expansion in the tree.
 ///
@@ -60,14 +130,17 @@ impl CoeffArena {
         }
     }
 
-    /// Arena layout contracts, checked after every upward pass when the
+    /// Arena contracts, checked after every upward pass when the
     /// `validate` feature is enabled: offsets start at zero, grow
     /// monotonically (spans pairwise disjoint), cover `data` exactly, and
-    /// every span holds the triangular array for its node's degree.
+    /// every span holds the triangular array for its node's degree; and
+    /// every node's monopole `M_0^0` equals the net charge the tree
+    /// stores for it to within `1e-12·A`, which a dropped or
+    /// double-counted block of particles would break.
     ///
     /// Violations indicate a construction bug, never bad user input.
     #[cfg(feature = "validate")]
-    fn validate_contracts(&self, degrees: &[usize]) {
+    fn validate_contracts(&self, tree: &Octree, degrees: &[usize]) {
         assert_eq!(
             self.offsets.len(),
             degrees.len() + 1,
@@ -93,6 +166,13 @@ impl CoeffArena {
                 tri_len(p),
                 "validate: span of node {id} must be the triangular array for its degree"
             );
+            let node = tree.node(id as u32);
+            let monopole = self.span(id)[0];
+            assert!(
+                (monopole - Complex::new(node.net_charge, 0.0)).norm() <= 1e-12 * node.abs_charge,
+                "validate: node {id} monopole {monopole:?} must equal its net charge {}",
+                node.net_charge
+            );
         }
     }
 
@@ -106,19 +186,6 @@ impl CoeffArena {
     fn heap_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<usize>()
             + self.data.len() * std::mem::size_of::<Complex>()
-    }
-
-    /// Splits the whole arena into per-node mutable spans (for the
-    /// parallel upward pass: the spans are disjoint by construction).
-    fn split_mut(&mut self) -> Vec<&mut [Complex]> {
-        let mut spans = Vec::with_capacity(self.offsets.len() - 1);
-        let mut rest = self.data.as_mut_slice();
-        for w in self.offsets.windows(2) {
-            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-            spans.push(head);
-            rest = tail;
-        }
-        spans
     }
 }
 
@@ -191,8 +258,6 @@ impl Treecode {
             })
             .collect(); // lint: allow(alloc, per-node degrees, once per build)
         let arena = Self::upward_pass(&tree, &degrees);
-        #[cfg(feature = "validate")]
-        arena.validate_contracts(&degrees);
         Treecode {
             tree,
             params,
@@ -202,78 +267,97 @@ impl Treecode {
         }
     }
 
-    /// The upward pass.
+    /// The upward pass: every node's expansion is built directly from its
+    /// own particles at its own degree ("the multipole series are
+    /// computed a priori to the maximum required degree"), whatever the
+    /// degree policy, through the one lane-batched P2M kernel.
     ///
-    /// When every node carries the same degree (the original fixed-degree
-    /// method), expansions are built bottom-up: P2M at the leaves, M2M to
-    /// the parents — exact, because an M2M to an equal-or-lower target
-    /// degree loses nothing, and cheaper than re-expanding all particles
-    /// at every level. With per-cluster degrees (the improved method) a
-    /// parent's degree exceeds its children's, so its high-order
-    /// coefficients are not recoverable from the children; those nodes are
-    /// expanded directly from their particles ("the multipole series are
-    /// computed a priori to the maximum required degree").
-    ///
-    /// Both paths write straight into the flat arena: the parallel P2M
-    /// phase splits it into disjoint per-node spans (chunks of
-    /// [`P2M_CHUNK`] nodes share one scratch [`Workspace`]), and the
-    /// fixed-degree M2M phase walks the node order in reverse,
-    /// accumulating each child span into its parent span in place.
+    /// The work is cut into [`p2m_items`] of about equal cost: runs of
+    /// small nodes, and blocks of the big ones. Items run in parallel,
+    /// each writing disjoint output — arena spans, or a block's own
+    /// partial — and then each split node adds its partials into its
+    /// span in block order. The cut depends only on the tree and the
+    /// degrees, so the arena is bit-identical at any worker count.
     fn upward_pass(tree: &Octree, degrees: &[usize]) -> CoeffArena {
         // ordering: Relaxed — independent monotonic counter; no data is published through it
         UPWARD_PASSES.fetch_add(1, Ordering::Relaxed);
-        let uniform = degrees.windows(2).all(|w| w[0] == w[1]);
+        let items = p2m_items(tree, degrees);
         let mut arena = CoeffArena::zeroed(degrees);
+        let partial_len: usize = items
+            .iter()
+            .map(|it| match *it {
+                P2mItem::Block {
+                    node, index: 1.., ..
+                } => tri_len(degrees[node]),
+                _ => 0,
+            })
+            .sum();
+        // lint: allow(alloc, one partial buffer per upward pass)
+        let mut partials = vec![Complex::ZERO; partial_len];
         {
-            let mut spans = arena.split_mut();
-            // P2M: every node directly when degrees vary (a parent's extra
-            // coefficients are not recoverable from its children), leaves
-            // only in the uniform case
-            spans
-                .par_chunks_mut(P2M_CHUNK)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let mut ws = Workspace::new();
-                    for (k, out) in chunk.iter_mut().enumerate() {
-                        let id = (ci * P2M_CHUNK + k) as u32;
-                        let n = tree.node(id);
-                        if uniform && !n.is_leaf {
-                            continue; // already zero; filled by M2M below
+            // hand every item its output: arena spans and partials are
+            // both laid out in item order, so each splits off the front
+            let mut work = Vec::with_capacity(items.len());
+            let (mut rest, mut spare) = (arena.data.as_mut_slice(), partials.as_mut_slice());
+            for it in &items {
+                let (in_arena, len) = match *it {
+                    P2mItem::Nodes { first, end } => {
+                        (true, arena.offsets[end] - arena.offsets[first])
+                    }
+                    P2mItem::Block { node, index, .. } => (index == 0, tri_len(degrees[node])),
+                };
+                let front = if in_arena { &mut rest } else { &mut spare };
+                let (out, tail) = std::mem::take(front).split_at_mut(len);
+                *front = tail;
+                work.push((it, out));
+            }
+            work.par_iter_mut().for_each(|(it, out)| {
+                let mut ws = Workspace::new();
+                match **it {
+                    P2mItem::Nodes { first, end } => {
+                        let mut rest = &mut out[..];
+                        for (id, &p) in degrees.iter().enumerate().take(end).skip(first) {
+                            let (span, tail) = rest.split_at_mut(tri_len(p));
+                            let id = id as u32;
+                            p2m_into(
+                                span,
+                                tree.node(id).center,
+                                p,
+                                tree.particles_of(id),
+                                &mut ws,
+                            );
+                            rest = tail;
                         }
+                    }
+                    P2mItem::Block { node, ref span, .. } => {
                         p2m_into(
                             out,
-                            n.center,
-                            degrees[id as usize],
-                            tree.particles_of(id),
+                            tree.node(node as u32).center,
+                            degrees[node],
+                            &tree.particles()[span.start..span.end],
                             &mut ws,
                         );
                     }
-                });
+                }
+            });
         }
-        if !uniform {
-            return arena;
-        }
-        // fixed degree: M2M upward (node order reversed: children always
-        // have larger indices than parents, so splitting the arena at the
-        // parent's end yields the parent span and all child spans)
-        for id in (0..tree.len()).rev() {
-            let node = tree.node(id as u32);
-            if node.is_leaf {
-                continue;
-            }
-            let end = arena.offsets[id + 1];
-            let (head, tail) = arena.data.split_at_mut(end);
-            let parent = &mut head[arena.offsets[id]..];
-            for c in node.child_ids() {
-                let c = c as usize;
-                let child = ExpansionRef::new(
-                    tree.node(c as u32).center,
-                    degrees[c],
-                    &tail[arena.offsets[c] - end..arena.offsets[c + 1] - end],
-                );
-                child.m2m_accumulate_into(node.center, degrees[id], parent);
+        // each split node sums its partials in block order
+        let mut at = 0;
+        for it in &items {
+            if let P2mItem::Block {
+                node, index: 1.., ..
+            } = *it
+            {
+                let len = tri_len(degrees[node]);
+                let span = &mut arena.data[arena.offsets[node]..arena.offsets[node + 1]];
+                for (c, p) in span.iter_mut().zip(&partials[at..at + len]) {
+                    *c += *p;
+                }
+                at += len;
             }
         }
+        #[cfg(feature = "validate")]
+        arena.validate_contracts(tree, degrees);
         arena
     }
 
@@ -386,28 +470,86 @@ mod tests {
         uniform_cube(n, 1.0, ChargeModel::RandomSign { magnitude: 1.0 }, 11)
     }
 
+    /// Every arena span is a direct P2M of its node's particles at the
+    /// node's degree — under a fixed degree too, which no longer takes an
+    /// M2M path — up to the reassociation of a split node's block sums.
     #[test]
-    fn m2m_upward_matches_direct_p2m() {
-        // the fixed-degree fast path (P2M at leaves + M2M up) must produce
-        // the same coefficients as expanding every node's particles
-        // directly — the translation identity, checked end to end
+    fn every_arena_span_matches_a_direct_p2m_of_its_particles() {
         let ps = particles(3000);
-        let tc = Treecode::new(&ps, TreecodeParams::fixed(6, 0.5)).unwrap();
-        for (i, n) in tc.tree().nodes().iter().enumerate() {
-            let direct =
-                MultipoleExpansion::from_particles(n.center, 6, tc.tree().particles_of(i as u32));
-            let fast = tc.expansion(i as u32);
-            for deg in 0..=6usize {
-                for m in 0..=deg as i64 {
-                    let a = fast.coeff(deg, m);
-                    let b = direct.coeff(deg, m);
-                    assert!(
-                        (a - b).norm() <= 1e-9 * (1.0 + b.norm()),
-                        "node {i} coeff ({deg},{m}): {a:?} vs {b:?}"
-                    );
+        for params in [
+            TreecodeParams::fixed(6, 0.5),
+            TreecodeParams::adaptive(3, 0.6),
+        ] {
+            let tc = Treecode::new(&ps, params).unwrap();
+            for (i, n) in tc.tree().nodes().iter().enumerate() {
+                let p = tc.degrees()[i];
+                let direct = MultipoleExpansion::from_particles(
+                    n.center,
+                    p,
+                    tc.tree().particles_of(i as u32),
+                );
+                let built = tc.expansion(i as u32);
+                for deg in 0..=p {
+                    for m in 0..=deg as i64 {
+                        let a = built.coeff(deg, m);
+                        let b = direct.coeff(deg, m);
+                        assert!(
+                            (a - b).norm() <= 1e-12 * n.abs_charge,
+                            "node {i} coeff ({deg},{m}): {a:?} vs {b:?}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// The work items tile the tree exactly: every node is covered by
+    /// one `Nodes` run or by blocks that partition its particle span in
+    /// order; no item is dearer than the target unless it is one lane
+    /// group; and the root of a big tree is split.
+    #[test]
+    fn p2m_items_tile_every_node_once() {
+        let ps = particles(20_000);
+        let tc = Treecode::new(&ps, TreecodeParams::adaptive(4, 0.6)).unwrap();
+        let (tree, degrees) = (tc.tree(), tc.degrees());
+        let items = p2m_items(tree, degrees);
+        let mut next_node = 0;
+        let mut next_particle = None;
+        for it in &items {
+            match it {
+                P2mItem::Nodes { first, end } => {
+                    assert_eq!((*first, next_particle), (next_node, None));
+                    assert!(end > first);
+                    next_node = *end;
+                }
+                P2mItem::Block { node, span, index } => {
+                    let n = tree.node(*node as u32);
+                    if *index == 0 {
+                        assert_eq!((*node, next_particle), (next_node, None));
+                        assert_eq!(span.start, n.start as usize);
+                    } else {
+                        assert_eq!(Some(span.start), next_particle);
+                    }
+                    assert!(span.len() % P2M_LANES == 0 || span.end == n.end as usize);
+                    assert!(span.len() * tri_len(degrees[*node]) <= 2 * P2M_ITEM_COST);
+                    if span.end == n.end as usize {
+                        next_particle = None;
+                        next_node = node + 1;
+                    } else {
+                        next_particle = Some(span.end);
+                    }
+                }
+            }
+        }
+        assert_eq!((next_node, next_particle), (degrees.len(), None));
+        assert!(items.iter().any(|it| matches!(
+            it,
+            P2mItem::Block {
+                node: 0,
+                index: 1,
+                ..
+            }
+        )));
     }
 
     #[test]

@@ -292,7 +292,7 @@ impl Target {
         group: &GroupKey,
         slices: &[&[Vec3]],
         stats: &StatsCollector,
-    ) -> (Vec<QueryOutput>, EvalStats) {
+    ) -> Result<(Vec<QueryOutput>, EvalStats), EngineError> {
         let t0 = Instant::now();
         let (outputs, eval) = match self {
             Target::Direct(ds, softening) => {
@@ -301,17 +301,17 @@ impl Target {
             Target::Plan(plan, _) => evaluate_plan_batch(plan, group.kind, slices, group.cfg),
             Target::Sharded(plans, skeleton, _) => {
                 let (outputs, eval, fan) =
-                    evaluate_sharded(plans, skeleton, group.kind, slices, group.cfg);
+                    evaluate_sharded(plans, skeleton, group.kind, slices, group.cfg)?;
                 stats.record_fanout(&fan, t0.elapsed());
                 for shard in &fan.per_shard {
                     stats.record_batch(plans[shard.shard].key, 1, shard.points, shard.elapsed);
                 }
-                return (outputs, eval);
+                return Ok((outputs, eval));
             }
         };
         let points = slices.iter().map(|s| s.len()).sum();
         stats.record_batch(group.plan, slices.len(), points, t0.elapsed());
-        (outputs, eval)
+        Ok((outputs, eval))
     }
 
     /// How the target's plans were obtained ([`CacheOutcome::Bypassed`]
@@ -393,7 +393,15 @@ fn sweep(
     }
     let slices: Vec<&[Vec3]> = live.iter().map(|&i| riders[i].points).collect();
     let t0 = Instant::now();
-    let (outputs, eval) = target.evaluate(group, &slices, stats);
+    let (outputs, eval) = match target.evaluate(group, &slices, stats) {
+        Ok(swept) => swept,
+        Err(e) => {
+            for &i in &live {
+                answers[i] = Err(e.clone());
+            }
+            return answers;
+        }
+    };
     let share = t0.elapsed() / u32::try_from(live.len()).unwrap_or(u32::MAX);
     debug_assert_eq!(outputs.len(), live.len());
     for (&i, output) in live.iter().zip(outputs) {
@@ -645,7 +653,7 @@ impl Engine {
         let plans = built.into_iter().collect::<Result<Vec<_>, _>>()?;
         let fresh = plans.iter().any(|(_, o)| *o != CacheOutcome::Hit);
         let skey = PlanKey::sharded(ds.id, &params, 0, k);
-        let skeleton = self.skeleton_for(skey, &plans, fresh);
+        let skeleton = self.skeleton_for(skey, &plans, fresh)?;
         Ok((plans, skeleton))
     }
 
@@ -653,20 +661,28 @@ impl Engine {
     /// shard plan was freshly built (deterministic builds make the
     /// rebuild idempotent; the invalidation only exists so the summary
     /// can never outlive an evicted shard's coefficients).
-    fn skeleton_for(&self, key: PlanKey, plans: &[Obtained], rebuild: bool) -> Arc<Skeleton> {
+    fn skeleton_for(
+        &self,
+        key: PlanKey,
+        plans: &[Obtained],
+        rebuild: bool,
+    ) -> Result<Arc<Skeleton>, EngineError> {
         let mut map = self
             .skeletons
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if !rebuild {
             if let Some(sk) = map.get(&key) {
-                return Arc::clone(sk);
+                return Ok(Arc::clone(sk));
             }
         }
-        let refs: Vec<&Treecode> = plans.iter().map(|(p, _)| p.treecode()).collect();
+        let refs = plans
+            .iter()
+            .map(|(p, _)| p.treecode())
+            .collect::<Result<Vec<&Treecode>, _>>()?;
         let sk = Arc::new(Skeleton::from_treecodes(&refs));
         map.insert(key, Arc::clone(&sk));
-        sk
+        Ok(sk)
     }
 
     /// Stage 1 — admit: the whole call queues as one unit and takes one

@@ -32,9 +32,10 @@ use std::time::{Duration, Instant};
 use mbt_geometry::Vec3;
 use mbt_multipole::Workspace;
 use mbt_shard::Skeleton;
-use mbt_treecode::EvalStats;
+use mbt_treecode::{EvalStats, Treecode};
 
 use crate::batch::{evaluate_batch_with, packed_sweep, QueryKind, QueryOutput};
+use crate::error::EngineError;
 use crate::plan::{EvalConfig, Plan};
 
 /// One opened shard's near sweep inside a fan-out: which shard, how many
@@ -75,32 +76,37 @@ impl FanoutBreakdown {
 /// the per-shard plans in shard order, `skeleton` their global summary.
 /// Returns per-request outputs in request order, the merged sweep
 /// counters (with `targets` normalised to the distinct point total), and
-/// the routing breakdown.
-#[must_use]
+/// the routing breakdown. A shard plan that is not a treecode is an
+/// engine bug, reported as [`EngineError::Internal`].
 pub fn evaluate_sharded(
     plans: &[Arc<Plan>],
     skeleton: &Skeleton,
     kind: QueryKind,
     requests: &[&[Vec3]],
     cfg: EvalConfig,
-) -> (Vec<QueryOutput>, EvalStats, FanoutBreakdown) {
+) -> Result<(Vec<QueryOutput>, EvalStats, FanoutBreakdown), EngineError> {
+    let trees = plans
+        .iter()
+        .map(|p| p.treecode())
+        // lint: allow(alloc, one treecode list per fan-out, k entries)
+        .collect::<Result<Vec<_>, _>>()?;
     let (outputs, (stats, fan)) = packed_sweep(kind, requests, |points, acc| {
-        fan_out(plans, skeleton, kind, cfg, points, acc)
+        fan_out(&trees, skeleton, kind, cfg, points, acc)
     });
-    (outputs, stats, fan)
+    Ok((outputs, stats, fan))
 }
 
 /// The fan-out proper over one packed point arena, accumulating into the
 /// zeroed value arena `acc` (of `kind`).
 fn fan_out(
-    plans: &[Arc<Plan>],
+    trees: &[&Treecode],
     skeleton: &Skeleton,
     kind: QueryKind,
     cfg: EvalConfig,
     points: &[Vec3],
     acc: &mut QueryOutput,
 ) -> (EvalStats, FanoutBreakdown) {
-    let k = plans.len();
+    let k = trees.len();
     let mut ws = Workspace::with_capacity(skeleton.max_degree());
     let mut stats = EvalStats::for_targets(points.len() as u64);
     let mut fan = FanoutBreakdown::default();
@@ -162,7 +168,7 @@ fn fan_out(
             gathered.push(points[i]);
         }
         let t0 = Instant::now();
-        let (outs, sweep) = evaluate_batch_with(plans[s].treecode(), kind, &[&gathered], cfg);
+        let (outs, sweep) = evaluate_batch_with(trees[s], kind, &[&gathered], cfg);
         let elapsed = t0.elapsed();
         stats.merge(&sweep);
         match (&mut *acc, outs.into_iter().next()) {
@@ -217,7 +223,7 @@ mod tests {
                 Arc::new(Plan::build(key, &part, params).unwrap())
             })
             .collect();
-        let refs: Vec<&Treecode> = plans.iter().map(|p| p.treecode()).collect();
+        let refs: Vec<&Treecode> = plans.iter().map(|p| p.treecode().unwrap()).collect();
         let skeleton = Skeleton::from_treecodes(&refs);
         (plans, skeleton)
     }
@@ -225,7 +231,7 @@ mod tests {
     fn direct_potential(plans: &[Arc<Plan>], x: Vec3) -> f64 {
         plans
             .iter()
-            .flat_map(|p| p.treecode().particles().iter())
+            .flat_map(|p| p.treecode().unwrap().particles().iter())
             .map(|p: &Particle| p.charge / x.distance(p.position))
             .sum()
     }
@@ -242,7 +248,7 @@ mod tests {
             .collect();
         let cfg = EvalConfig::of(&params);
         let (out, stats, fan) =
-            evaluate_sharded(&plans, &sk, QueryKind::Potential, &[&near, &far], cfg);
+            evaluate_sharded(&plans, &sk, QueryKind::Potential, &[&near, &far], cfg).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(stats.targets, 15);
         // far targets take the global shortcut; near ones open shards
@@ -268,8 +274,9 @@ mod tests {
             .map(|i| Vec3::new(1.5 + 0.3 * f64::from(i), 0.7, -0.2))
             .collect();
         let cfg = EvalConfig::of(&params);
-        let (pout, _, _) = evaluate_sharded(&plans, &sk, QueryKind::Potential, &[&pts], cfg);
-        let (fout, _, _) = evaluate_sharded(&plans, &sk, QueryKind::Field, &[&pts], cfg);
+        let (pout, _, _) =
+            evaluate_sharded(&plans, &sk, QueryKind::Potential, &[&pts], cfg).unwrap();
+        let (fout, _, _) = evaluate_sharded(&plans, &sk, QueryKind::Field, &[&pts], cfg).unwrap();
         let fields = fout[0].fields().unwrap();
         for (i, phi) in pout[0].potentials().unwrap().iter().enumerate() {
             assert!((fields[i].0 - phi).abs() <= 1e-12 * phi.abs().max(1.0));
@@ -285,8 +292,10 @@ mod tests {
             .map(|i| Vec3::new(0.1 * f64::from(i) - 1.0, 0.3, 0.9))
             .collect();
         let cfg = EvalConfig::of(&params);
-        let (a, sa, fa) = evaluate_sharded(&plans, &sk, QueryKind::Potential, &[&pts], cfg);
-        let (b, sb, fb) = evaluate_sharded(&plans, &sk, QueryKind::Potential, &[&pts], cfg);
+        let (a, sa, fa) =
+            evaluate_sharded(&plans, &sk, QueryKind::Potential, &[&pts], cfg).unwrap();
+        let (b, sb, fb) =
+            evaluate_sharded(&plans, &sk, QueryKind::Potential, &[&pts], cfg).unwrap();
         assert_eq!(a, b);
         assert_eq!(sa, sb);
         // everything but the sweeps' wall time must be bit-equal
@@ -305,11 +314,12 @@ mod tests {
         let (plans, sk) = sharded_setup(200, 2, params);
         let cfg = EvalConfig::of(&params);
         let empty: Vec<Vec3> = Vec::new();
-        let (out, stats, fan) = evaluate_sharded(&plans, &sk, QueryKind::Potential, &[&empty], cfg);
+        let (out, stats, fan) =
+            evaluate_sharded(&plans, &sk, QueryKind::Potential, &[&empty], cfg).unwrap();
         assert!(out[0].is_empty());
         assert_eq!(stats.targets, 0);
         assert_eq!(fan, FanoutBreakdown::default());
-        let (none, _, _) = evaluate_sharded(&plans, &sk, QueryKind::Field, &[], cfg);
+        let (none, _, _) = evaluate_sharded(&plans, &sk, QueryKind::Field, &[], cfg).unwrap();
         assert!(none.is_empty());
     }
 }

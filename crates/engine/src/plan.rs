@@ -412,17 +412,16 @@ impl Plan {
         })
     }
 
-    /// The treecode artifact. Panics on an FMM plan: callers on
-    /// treecode-only paths (sharded fan-out, skeleton resolution) hold
-    /// the router's guarantee that those paths are pinned to
-    /// [`Backend::Treecode`].
-    #[must_use]
-    pub fn treecode(&self) -> &Treecode {
+    /// The treecode artifact. The treecode-only paths (sharded fan-out,
+    /// skeleton resolution) are pinned to [`Backend::Treecode`] by the
+    /// router, so an FMM plan here is an engine bug: it is reported as
+    /// [`EngineError::Internal`], not a panic.
+    pub fn treecode(&self) -> Result<&Treecode, EngineError> {
         match &self.artifact {
-            PlanArtifact::Treecode(t) => t,
-            PlanArtifact::Fmm(_) => {
-                unreachable!("treecode() on an FMM plan: this path is pinned to Backend::Treecode")
-            }
+            PlanArtifact::Treecode(t) => Ok(t),
+            PlanArtifact::Fmm(_) => Err(EngineError::Internal(
+                "treecode() on an FMM plan: this path is pinned to Backend::Treecode",
+            )),
         }
     }
 }
@@ -543,7 +542,7 @@ mod tests {
         let params = TreecodeParams::fixed(4, 0.6);
         let key = PlanKey::new(DatasetId(0), &params);
         let plan = Plan::build(key, &particles, params).unwrap();
-        assert_eq!(plan.bytes, plan.treecode().heap_bytes());
+        assert_eq!(plan.bytes, plan.treecode().unwrap().heap_bytes());
         assert!(plan.bytes > 500 * std::mem::size_of::<Particle>());
         assert_eq!(plan.key, key);
         assert_eq!(plan.key.backend(), Backend::Treecode);
@@ -571,6 +570,23 @@ mod tests {
         assert!(matches!(plan.artifact, PlanArtifact::Fmm(_)));
         assert_eq!(plan.bytes, plan.artifact.heap_bytes());
         assert!(plan.bytes > 0);
+    }
+
+    #[test]
+    fn treecode_on_an_fmm_plan_is_a_typed_error() {
+        let particles = ps(600);
+        let params = TreecodeParams::fixed(4, 0.6);
+        let key = PlanKey::routed(DatasetId(0), &params, Backend::Fmm);
+        let plan = Plan::build(key, &particles, params).unwrap();
+        assert!(matches!(
+            plan.treecode(),
+            Err(EngineError::Internal(why)) if why.contains("FMM plan")
+        ));
+        let key = PlanKey::routed(DatasetId(0), &params, Backend::Treecode);
+        assert!(Plan::build(key, &particles, params)
+            .unwrap()
+            .treecode()
+            .is_ok());
     }
 
     // The router never keys an FMM plan below α = 1/2, so only a direct
@@ -639,10 +655,10 @@ mod tests {
             .collect();
         let plan = Plan::build(PlanKey::new(DatasetId(0), &params), &before, params).unwrap();
         let recharged = plan.recharge(&after, params, 1).unwrap();
-        let frozen = plan.treecode().with_charges(&charges).unwrap();
+        let frozen = plan.treecode().unwrap().with_charges(&charges).unwrap();
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         assert_eq!(
-            bits(recharged.treecode().potentials_at(&pts).values),
+            bits(recharged.treecode().unwrap().potentials_at(&pts).values),
             bits(frozen.potentials_at(&pts).values)
         );
     }

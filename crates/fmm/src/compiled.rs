@@ -114,6 +114,19 @@ const EVAL_BLOCK: usize = 16;
 /// per block, not per cell.
 const CHARGE_BLOCK: usize = 32;
 
+/// The P2M contract, checked per cell when the `validate` feature is
+/// enabled: a cell's monopole `M_0^0` is its net charge to within
+/// `1e-12·A`, which a dropped or double-counted particle block breaks.
+#[cfg(feature = "validate")]
+fn validate_monopole(level: usize, cell: usize, monopole: Complex, particles: &[Particle]) {
+    let net: f64 = particles.iter().map(|p| p.charge).sum();
+    let abs: f64 = particles.iter().map(|p| p.charge.abs()).sum();
+    assert!(
+        (monopole - Complex::new(net, 0.0)).norm() <= 1e-12 * abs,
+        "validate: level {level} cell {cell} monopole {monopole:?} must equal its net charge {net}"
+    );
+}
+
 /// Offset tables shared by every level, degree and plan: the dense offset
 /// list and, per target parity class (`x&1 | y&1<<1 | z&1<<2`), the
 /// subset of offsets its interaction list can reach.
@@ -696,13 +709,10 @@ impl CompiledFmm {
                     for (k, span) in spans.chunks_mut(2 * t).enumerate() {
                         let ci = block * CHARGE_BLOCK + k;
                         let (s, e) = grid.ranges[ci];
-                        p2m_into(
-                            &mut scratch,
-                            grid.centers[ci],
-                            p,
-                            &sorted[s as usize..e as usize],
-                            &mut ws,
-                        );
+                        let cell = &sorted[s as usize..e as usize];
+                        p2m_into(&mut scratch, grid.centers[ci], p, cell, &mut ws);
+                        #[cfg(feature = "validate")]
+                        validate_monopole(l, ci, scratch[0], cell);
                         for (k, c) in scratch.iter().enumerate() {
                             span[2 * k] = c.re * pre_scale[2 * k];
                             span[2 * k + 1] = c.im * pre_scale[2 * k + 1];

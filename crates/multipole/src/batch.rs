@@ -23,6 +23,11 @@
 //!   ([`P2P_LANES`] / [`P2P_LANES_F32`]) so its summation order never
 //!   depends on the dispatched level. [`p2p_potential_span`] and
 //!   [`p2p_potential_span_f32`] remain as one-line instances of it.
+//! * **One P2M body** (`p2m_span`, behind [`crate::p2m_into`] and every
+//!   owned-expansion constructor) expands a particle span into multipole
+//!   coefficients by a trig-free solid-harmonic recurrence, also at a
+//!   fixed logical width ([`P2M_LANES`]), since it too reduces over the
+//!   span.
 //! * **Two dense operator kernels** serve the compiled FMM's real
 //!   translation matrices: [`m2l_apply`] applies one operator to one
 //!   input (L2L), and [`m2l_apply_group`] applies one operator to up to
@@ -70,7 +75,7 @@
 //! `tri_index(n, m) * L + l`, so each recurrence step is one wide-register
 //! op per table row (see DESIGN.md §10/§12 for the inspection notes).
 
-use mbt_geometry::Vec3;
+use mbt_geometry::{Particle, Vec3};
 
 use crate::complex::Complex;
 use crate::simd::{self, F64Lanes, Lanes, Real};
@@ -821,6 +826,143 @@ fn p2p_lanes<T: Real, const L: usize, const GUARD: bool, const FIELD: bool>(
         }
     }
     (phi, grad, pairs)
+}
+
+/// Logical particle lanes of the P2M kernel (`p2m_span`) — fixed at
+/// the widest register width (8×f64) for **every** SIMD level, exactly
+/// like [`P2P_LANES`], so the order in which a span's particles are
+/// summed never depends on the dispatched level.
+pub const P2M_LANES: usize = 8;
+
+/// P2M over one particle span: `out[tri_index(n, m)] += Σ_j q_j S_n^m(x_j
+/// − c)` with `S_n^m = √((n−m)!/(n+m)!) ρⁿ P_n^m(cos θ) e^{−imφ}`, the
+/// multipole coefficients `M_n^m = Σ q ρⁿ Y_n^{−m}` of the crate's
+/// convention.
+///
+/// The harmonics come from the recurrence of
+/// [`Tables::p2m_recurrence`] in `x − iy`, `z` and `ρ²`, seeded with the
+/// charge: no trig, square root or divide per particle, and a particle at
+/// the centre or on the z-axis needs no special case. Particles run
+/// [`P2M_LANES`] at a time, one accumulator row per lane (a short last
+/// group is padded with zero-charge lanes at the centre, which add only
+/// zeros). The lanes are reduced in one fixed pairwise order and added
+/// to `out` once, so the result is a function of the span and its order
+/// alone, the same bits at every dispatch level.
+///
+/// `scratch` is the lane-accumulator buffer; it grows to
+/// `2·tri_len(degree)·P2M_LANES` entries. `out` must hold
+/// `tri_len(degree)` entries.
+pub(crate) fn p2m_span(
+    out: &mut [Complex],
+    center: Vec3,
+    degree: usize,
+    particles: &[Particle],
+    scratch: &mut Vec<f64>,
+) {
+    assert!(
+        degree <= crate::tables::MAX_DEGREE,
+        "P2M degree {degree} exceeds MAX_DEGREE"
+    );
+    let len = crate::workspace::p2m_scratch_len(degree);
+    if scratch.len() < len {
+        scratch.resize(len, 0.0);
+    }
+    let acc = &mut scratch[..len];
+    simd::dispatch(|| p2m_lanes::<P2M_LANES>(out, center, degree, particles, acc));
+}
+
+#[inline(always)]
+fn p2m_lanes<const L: usize>(
+    out: &mut [Complex],
+    center: Vec3,
+    degree: usize,
+    particles: &[Particle],
+    acc: &mut [f64],
+) {
+    if particles.is_empty() {
+        return;
+    }
+    let (ra, rb) = Tables::get().p2m_recurrence();
+    for (k, group) in particles.chunks(L).enumerate() {
+        // pad lanes: zero charge at the centre, so every term they add is 0
+        let lane = |f: fn(&Particle) -> f64, pad: f64| {
+            F64Lanes::<L>::from_fn(|l| group.get(l).map_or(pad, f))
+        };
+        let offset = |f: fn(&Particle) -> f64, c: f64| lane(f, c) - F64Lanes::splat(c);
+        let src = [
+            offset(|p| p.position.x, center.x),
+            offset(|p| p.position.y, center.y),
+            offset(|p| p.position.z, center.z),
+            lane(|p| p.charge, 0.0),
+        ];
+        p2m_group(acc, degree, src, ra, rb, k == 0);
+    }
+    // lane reduction, the same pairwise tree for every coefficient:
+    // ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)) at L = 8
+    let reduce = |row: &[f64]| {
+        let mut v = Lanes::<f64, L>::load(row).0;
+        let mut w = L;
+        while w > 1 {
+            w /= 2;
+            for l in 0..w {
+                v[l] += v[l + w];
+            }
+        }
+        v[0]
+    };
+    for (c, row) in out.iter_mut().zip(acc.chunks_exact(2 * L)) {
+        *c += Complex::new(reduce(&row[..L]), reduce(&row[L..]));
+    }
+}
+
+/// One lane group of the P2M recurrence (see [`p2m_span`]): the
+/// normalised harmonics of `L` offsets `(dx, dy, dz)`, scaled by their
+/// charges, stored into (`first`) or added into the lane-major
+/// accumulator rows.
+#[inline(always)]
+fn p2m_group<const L: usize>(
+    acc: &mut [f64],
+    degree: usize,
+    [dx, dy, dz, q]: [F64Lanes<L>; 4],
+    ra: &[f64],
+    rb: &[f64],
+    first: bool,
+) {
+    let r2 = dx * dx + dy * dy + dz * dz;
+    let zero = F64Lanes::<L>::splat(0.0);
+    let mut add = |i: usize, re: F64Lanes<L>, im: F64Lanes<L>| {
+        let (row_re, row_im) = acc[2 * i * L..2 * (i + 1) * L].split_at_mut(L);
+        if first {
+            re.store(row_re);
+            im.store(row_im);
+        } else {
+            (Lanes::load(row_re) + re).store(row_re);
+            (Lanes::load(row_im) + im).store(row_im);
+        }
+    };
+    // S_m^m, carried down the diagonal
+    let (mut d_re, mut d_im) = (q, zero);
+    for m in 0..=degree {
+        let i = tri_index(m, m);
+        if m > 0 {
+            // (d_re + i d_im)(dx − i dy) · a_m^m
+            let a = F64Lanes::splat(ra[i]);
+            let re = (d_re * dx + d_im * dy) * a;
+            let im = (d_im * dx - d_re * dy) * a;
+            (d_re, d_im) = (re, im);
+        }
+        add(i, d_re, d_im);
+        // S_{n−2}^m, S_{n−1}^m up the column (S_{m−1}^m = 0)
+        let (mut p0, mut p1) = ((zero, zero), (d_re, d_im));
+        for n in m + 1..=degree {
+            let i = tri_index(n, m);
+            let a = F64Lanes::splat(ra[i]) * dz;
+            let b = F64Lanes::splat(rb[i]) * r2;
+            let s = (a * p1.0 - b * p0.0, a * p1.1 - b * p0.1);
+            add(i, s.0, s.1);
+            (p0, p1) = (p1, s);
+        }
+    }
 }
 
 /// Lane count for the dense M2L operator kernel at the scalar-fallback

@@ -12,6 +12,7 @@
 
 use mbt_geometry::{Particle, Spherical, Vec3};
 
+use crate::batch::p2m_span;
 use crate::complex::Complex;
 use crate::tables::{tri_index, tri_len, Tables, MAX_DEGREE};
 use crate::workspace::{fill_powers, Workspace};
@@ -306,13 +307,13 @@ impl<'a> ExpansionRef<'a> {
     }
 }
 
-/// Accumulates one source charge into a raw coefficient span (P2M kernel):
-/// `M_n^m += q ρⁿ Y_n^{−m}(α, β)`.
-///
-/// Shared by every P2M entry point — owned expansions and arena spans —
-/// so all of them produce bit-identical coefficients.
+/// The trig/Legendre form of one P2M accumulation, `M_n^m += q ρⁿ
+/// Y_n^{−m}(α, β)` through `acos`/`atan2` and the full Legendre table:
+/// the oracle the recurrence kernel ([`crate::batch::P2M_LANES`]) is
+/// tested against.
+#[cfg(test)]
 #[allow(clippy::needless_range_loop)] // `n` indexes several degree-keyed arrays
-pub(crate) fn p2m_accumulate(
+pub(crate) fn p2m_trig_reference(
     coeffs: &mut [Complex],
     center: Vec3,
     degree: usize,
@@ -344,7 +345,8 @@ pub(crate) fn p2m_accumulate(
 /// coefficient span (P2M into arena storage).
 ///
 /// `out` must hold exactly `(degree+1)(degree+2)/2` entries; it is zeroed
-/// and then accumulated into, so the result is bit-identical to
+/// and then accumulated into through the lane-batched recurrence kernel
+/// (`crate::batch::p2m_span`), so the result is bit-identical to
 /// [`MultipoleExpansion::from_particles`] over the same particle order.
 pub fn p2m_into(
     out: &mut [Complex],
@@ -359,9 +361,7 @@ pub fn p2m_into(
         "coefficient span length does not match degree"
     );
     out.fill(Complex::ZERO);
-    for p in particles {
-        p2m_accumulate(out, center, degree, p.charge, p.position, ws);
-    }
+    p2m_span(out, center, degree, particles, &mut ws.p2m);
 }
 
 /// A truncated multipole expansion about a center.
@@ -387,9 +387,7 @@ impl MultipoleExpansion {
     pub fn from_particles(center: Vec3, degree: usize, particles: &[Particle]) -> Self {
         let mut ws = Workspace::with_capacity(degree);
         let mut e = Self::zero(center, degree);
-        for p in particles {
-            e.add_particle_with(p.charge, p.position, &mut ws);
-        }
+        p2m_into(&mut e.coeffs.c, center, degree, particles, &mut ws);
         e
     }
 
@@ -402,13 +400,12 @@ impl MultipoleExpansion {
     /// Accumulates one source charge using caller-provided scratch;
     /// allocation-free once `ws` has grown to this expansion's degree.
     pub fn add_particle_with(&mut self, charge: f64, position: Vec3, ws: &mut Workspace) {
-        p2m_accumulate(
+        p2m_span(
             &mut self.coeffs.c,
             self.center,
             self.coeffs.degree,
-            charge,
-            position,
-            ws,
+            &[Particle::new(position, charge)],
+            &mut ws.p2m,
         );
     }
 
@@ -821,6 +818,142 @@ mod tests {
             r.potential_at_with(point, &mut ws),
             owned.potential_at(point)
         );
+    }
+
+    /// The trig/Legendre oracle over `ps`, particle by particle.
+    fn p2m_oracle(center: Vec3, degree: usize, ps: &[Particle]) -> Vec<Complex> {
+        let mut ws = Workspace::new();
+        let mut out = vec![Complex::ZERO; tri_len(degree)];
+        for p in ps {
+            p2m_trig_reference(&mut out, center, degree, p.charge, p.position, &mut ws);
+        }
+        out
+    }
+
+    /// Largest coefficient difference relative to the oracle's largest
+    /// coefficient.
+    fn rel_to_max(got: &[Complex], want: &[Complex]) -> f64 {
+        let scale = want.iter().map(|c| c.norm()).fold(0.0, f64::max);
+        let diff = got
+            .iter()
+            .zip(want)
+            .map(|(a, b)| (*a - *b).norm())
+            .fold(0.0, f64::max);
+        if scale > 0.0 {
+            diff / scale
+        } else {
+            diff
+        }
+    }
+
+    /// The recurrence kernel reproduces the trig/Legendre body at every
+    /// degree from 0 to `MAX_DEGREE`, on a cluster tight enough that the
+    /// oracle's `ρⁿ` stays far from underflow.
+    #[test]
+    fn p2m_kernel_matches_trig_oracle_across_degrees() {
+        let center = Vec3::new(0.2, -0.1, 0.3);
+        for degree in [0usize, 1, 6, 13, 14, crate::tables::MAX_DEGREE] {
+            let ps = cluster(center, 0.4, 11, degree as u64 + 3);
+            let got = MultipoleExpansion::from_particles(center, degree, &ps);
+            let want = p2m_oracle(center, degree, &ps);
+            let err = rel_to_max(&got.coeffs.c, &want);
+            assert!(err <= 1e-14, "p={degree}: {err:e}");
+        }
+    }
+
+    /// Every span length from 0 to 17 (empty, partial lane groups, whole
+    /// groups and a partial third one) matches the oracle; an empty span
+    /// gives exact zeros.
+    #[test]
+    fn p2m_kernel_matches_trig_oracle_on_every_short_span() {
+        let center = Vec3::new(-0.3, 0.1, 0.0);
+        let ps = cluster(center, 0.5, 17, 41);
+        let mut ws = Workspace::new();
+        let mut out = vec![Complex::ZERO; tri_len(6)];
+        for len in 0..=ps.len() {
+            p2m_into(&mut out, center, 6, &ps[..len], &mut ws);
+            let err = rel_to_max(&out, &p2m_oracle(center, 6, &ps[..len]));
+            assert!(err <= 1e-14, "len={len}: {err:e}");
+        }
+        p2m_into(&mut out, center, 6, &[], &mut ws);
+        assert!(out.iter().all(|c| *c == Complex::ZERO));
+    }
+
+    /// A particle at the centre contributes its charge to `M_0^0` and
+    /// nothing else; particles on the z-axis only to `m = 0`; zero charges
+    /// give exact zeros — with no special case in the kernel.
+    #[test]
+    fn p2m_kernel_handles_the_centre_the_axis_and_zero_charges() {
+        let center = Vec3::new(0.5, 0.5, 0.5);
+        let at_centre =
+            MultipoleExpansion::from_particles(center, 8, &[Particle::new(center, 2.5)]);
+        for n in 0..=8usize {
+            for m in 0..=n {
+                let want = if n == 0 {
+                    Complex::new(2.5, 0.0)
+                } else {
+                    Complex::ZERO
+                };
+                assert_eq!(at_centre.coeffs.c[tri_index(n, m)], want, "({n},{m})");
+            }
+        }
+        let axis = [
+            Particle::new(center + Vec3::new(0.0, 0.0, 0.3), 1.0),
+            Particle::new(center + Vec3::new(0.0, 0.0, -0.2), -0.7),
+            Particle::new(center, 0.4),
+        ];
+        let got = MultipoleExpansion::from_particles(center, 8, &axis);
+        assert!(rel_to_max(&got.coeffs.c, &p2m_oracle(center, 8, &axis)) <= 1e-14);
+        for n in 1..=8usize {
+            for m in 1..=n {
+                assert_eq!(got.coeffs.c[tri_index(n, m)], Complex::ZERO, "({n},{m})");
+            }
+        }
+        let neutral: Vec<Particle> = cluster(center, 0.3, 13, 7)
+            .into_iter()
+            .map(|p| Particle::new(p.position, 0.0))
+            .collect();
+        let zero = MultipoleExpansion::from_particles(center, 8, &neutral);
+        assert!(zero.coeffs.c.iter().all(|c| *c == Complex::ZERO));
+    }
+
+    /// One-particle accumulation goes through the same kernel: summing
+    /// `add_particle_with` over a cluster stays within rounding of the
+    /// oracle.
+    #[test]
+    fn add_particle_with_matches_trig_oracle() {
+        let center = Vec3::new(0.0, 0.2, -0.2);
+        let ps = cluster(center, 0.3, 9, 17);
+        let mut ws = Workspace::new();
+        let mut e = MultipoleExpansion::zero(center, 7);
+        for p in &ps {
+            e.add_particle_with(p.charge, p.position, &mut ws);
+        }
+        assert!(rel_to_max(&e.coeffs.c, &p2m_oracle(center, 7, &ps)) <= 1e-14);
+    }
+
+    /// The kernel's lanes are a fixed logical width: every dispatch tier
+    /// computes the same bits.
+    #[test]
+    fn p2m_kernel_is_bit_identical_across_tiers() {
+        use crate::simd::{self, SimdLevel};
+        let center = Vec3::new(0.1, 0.1, -0.4);
+        let ps = cluster(center, 0.5, 21, 29);
+        let restore = simd::level();
+        let mut runs: Vec<Vec<Complex>> = Vec::new();
+        for tier in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+            simd::set_level(tier);
+            runs.push(MultipoleExpansion::from_particles(center, 9, &ps).coeffs.c);
+        }
+        simd::set_level(restore);
+        let bits = |v: &[Complex]| {
+            v.iter()
+                .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for run in &runs[1..] {
+            assert_eq!(bits(run), bits(&runs[0]));
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use batch::{
     l2p_field_group, l2p_potential_group, m2l_apply, m2l_apply_group, m2p_field_group,
     m2p_field_group_uniform, m2p_potential_group, m2p_potential_group_uniform, p2p_potential_span,
     p2p_potential_span_f32, p2p_span, BatchWorkspace, M2pGroup, M2L_GROUP, M2L_LANES, M2P_LANES,
-    P2P_LANES, P2P_LANES_F32,
+    P2M_LANES, P2P_LANES, P2P_LANES_F32,
 };
 pub use bounds::{
     degree_for_tolerance, degree_for_tolerance_at, kappa, theorem1_bound, theorem2_bound,

@@ -48,6 +48,11 @@ pub struct Tables {
     a: Vec<f64>,
     /// Triangular table of `√((n−m)!/(n+m)!)` — the `Y_n^m` normalisation.
     norm: Vec<f64>,
+    /// Triangular tables (`n ≤ MAX_DEGREE`) of the two factors of the
+    /// normalised solid-harmonic recurrence P2M runs; see
+    /// [`Tables::p2m_recurrence`].
+    p2m_a: Vec<f64>,
+    p2m_b: Vec<f64>,
 }
 
 impl Tables {
@@ -69,7 +74,27 @@ impl Tables {
                 norm[idx] = (fact[n - m] / fact[n + m]).sqrt();
             }
         }
-        Tables { fact, a, norm }
+        let mut p2m_a = vec![0.0; tri_len(MAX_DEGREE)];
+        let mut p2m_b = vec![0.0; tri_len(MAX_DEGREE)];
+        p2m_a[0] = 1.0;
+        for n in 1..=MAX_DEGREE {
+            let nf = n as f64;
+            // diagonal step S_n^n = √((2n−1)/(2n)) (x − iy) S_{n−1}^{n−1}
+            p2m_a[tri_index(n, n)] = ((2.0 * nf - 1.0) / (2.0 * nf)).sqrt();
+            for m in 0..n {
+                let (up, down) = ((n + m) as f64, (n - m) as f64);
+                let idx = tri_index(n, m);
+                p2m_a[idx] = (2.0 * nf - 1.0) / (up * down).sqrt();
+                p2m_b[idx] = ((up - 1.0) * (down - 1.0) / (up * down)).sqrt();
+            }
+        }
+        Tables {
+            fact,
+            a,
+            norm,
+            p2m_a,
+            p2m_b,
+        }
     }
 
     /// The process-wide table instance.
@@ -101,6 +126,28 @@ impl Tables {
         let m = m.unsigned_abs() as usize;
         debug_assert!(m <= n && n <= TABLE_DEGREE);
         self.norm[tri_index(n, m)]
+    }
+
+    /// The factors of the P2M recurrence for the normalised regular solid
+    /// harmonics `S_n^m = √((n−m)!/(n+m)!) ρⁿ P_n^m(cos θ) e^{−imφ}`,
+    /// indexed by `tri_index(n, m)` for `n ≤ MAX_DEGREE`:
+    ///
+    /// ```text
+    /// S_0^0 = 1,   S_m^m = a_m^m (x − iy) S_{m−1}^{m−1}
+    /// S_n^m = a_n^m z S_{n−1}^m − b_n^m ρ² S_{n−2}^m          (n > m)
+    /// a_m^m = √((2m−1)/(2m)),   a_n^m = (2n−1)/√((n+m)(n−m)),
+    /// b_n^m = √((n+m−1)(n−m−1)/((n+m)(n−m)))
+    /// ```
+    ///
+    /// (`b_{m+1}^m = 0`, so the first off-diagonal step needs no
+    /// `S_{m−1}^m`.) This is the unnormalised `(n−m) R_n^m = (2n−1) z
+    /// R_{n−1}^m − (n+m−1) ρ² R_{n−2}^m`, `R_m^m = (2m−1)!! (x − iy)^m`,
+    /// with the normalisation folded into the factors: no trig, square
+    /// root or divide is left per particle.
+    #[inline]
+    #[must_use]
+    pub(crate) fn p2m_recurrence(&self) -> (&[f64], &[f64]) {
+        (&self.p2m_a, &self.p2m_b)
     }
 }
 

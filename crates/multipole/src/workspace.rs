@@ -15,6 +15,7 @@
 //! shrink; size the workspace up front with [`Workspace::with_capacity`]
 //! to make even the first interaction allocation-free.
 
+use crate::batch::P2M_LANES;
 use crate::legendre::Legendre;
 use crate::tables::tri_len;
 
@@ -34,6 +35,9 @@ pub struct Workspace {
     pub(crate) acc_dth: Vec<f64>,
     /// Per-degree partial sums of the `∂/∂φ` series.
     pub(crate) acc_dph: Vec<f64>,
+    /// Lane-major P2M accumulators: `2·tri_len(d)·P2M_LANES` entries
+    /// (see [`crate::batch::P2M_LANES`]).
+    pub(crate) p2m: Vec<f64>,
 }
 
 impl Workspace {
@@ -54,6 +58,8 @@ impl Workspace {
             acc_pot: vec![0.0; degree + 1], // lint: allow(alloc, workspace construction)
             acc_dth: vec![0.0; degree + 1], // lint: allow(alloc, workspace construction)
             acc_dph: vec![0.0; degree + 1], // lint: allow(alloc, workspace construction)
+            // lint: allow(alloc, workspace construction)
+            p2m: vec![0.0; p2m_scratch_len(degree)],
         }
     }
 
@@ -74,6 +80,13 @@ impl Default for Workspace {
     fn default() -> Workspace {
         Workspace::new()
     }
+}
+
+/// Lane-major P2M accumulator length for `degree`: a real and an
+/// imaginary row of [`P2M_LANES`] per coefficient.
+#[inline]
+pub(crate) const fn p2m_scratch_len(degree: usize) -> usize {
+    2 * tri_len(degree) * P2M_LANES
 }
 
 /// Writes `rho^0, rho^1, …` into every slot of `out`.
@@ -127,6 +140,7 @@ mod tests {
         assert!(ws.acc_pot.len() >= 13);
         assert!(ws.acc_dth.len() >= 13);
         assert!(ws.acc_dph.len() >= 13);
+        assert!(ws.p2m.len() >= p2m_scratch_len(12));
         assert_eq!(ws.leg.degree(), 12);
     }
 }
