@@ -1,5 +1,7 @@
 //! Triangle surface meshes.
 
+use std::collections::HashMap;
+
 use mbt_geometry::{Aabb, Vec3};
 
 /// An indexed triangle mesh.
@@ -136,6 +138,58 @@ impl TriMesh {
         out
     }
 
+    /// Merges vertices that lie within `tol` of each other in every
+    /// coordinate into the first of them, remapping the triangles.
+    /// Separately meshed patches meet at edges whose vertices were
+    /// computed independently — `(l·k)/n` at `k = n` need not equal `l`
+    /// bit for bit — so coincidence is judged to a tolerance, not by bits.
+    #[must_use]
+    pub fn welded(&self, tol: f64) -> TriMesh {
+        let cell = |v: Vec3| {
+            let c = |x: f64| (x / tol).floor() as i64;
+            (c(v.x), c(v.y), c(v.z))
+        };
+        let mut buckets: HashMap<(i64, i64, i64), Vec<u32>> = HashMap::new();
+        let mut vertices: Vec<Vec3> = Vec::new();
+        let mut remap = Vec::with_capacity(self.vertices.len());
+        for &v in &self.vertices {
+            let (cx, cy, cz) = cell(v);
+            let mut found = None;
+            'search: for dx in -1..=1 {
+                for dy in -1..=1 {
+                    for dz in -1..=1 {
+                        let Some(ids) = buckets.get(&(cx + dx, cy + dy, cz + dz)) else {
+                            continue;
+                        };
+                        if let Some(&id) = ids
+                            .iter()
+                            .find(|&&id| (vertices[id as usize] - v).abs().max_component() <= tol)
+                        {
+                            found = Some(id);
+                            break 'search;
+                        }
+                    }
+                }
+            }
+            let id = found.unwrap_or_else(|| {
+                let id = vertices.len() as u32;
+                vertices.push(v);
+                buckets.entry((cx, cy, cz)).or_default().push(id);
+                id
+            });
+            remap.push(id);
+        }
+        let triangles = self
+            .triangles
+            .iter()
+            .map(|t| t.map(|i| remap[i as usize]))
+            .collect();
+        TriMesh {
+            vertices,
+            triangles,
+        }
+    }
+
     /// Returns the mesh with every vertex mapped through `f`.
     #[must_use]
     pub fn transformed(&self, f: impl Fn(Vec3) -> Vec3) -> TriMesh {
@@ -196,6 +250,17 @@ mod tests {
             m.validate(),
             Err(MeshError::DegenerateTriangle { triangle: 0 })
         );
+    }
+
+    #[test]
+    fn weld_merges_near_coincident_vertices_only() {
+        let far = unit_triangle().translated(Vec3::Z);
+        let touching = unit_triangle().transformed(|v| Vec3::new(v.x + 1e-13, v.y, -v.x));
+        let m = unit_triangle().merged(&far).merged(&touching).welded(1e-9);
+        // the third triangle shares its two x = 0 vertices with the first
+        assert_eq!(m.num_vertices(), 7);
+        assert_eq!(m.triangles[2], [0, 6, 2]);
+        m.validate().unwrap();
     }
 
     #[test]

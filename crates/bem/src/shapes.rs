@@ -154,7 +154,8 @@ pub fn box_surface(lx: f64, ly: f64, lz: f64, res: usize) -> TriMesh {
     for part in [bottom, top, front, back, left, right] {
         mesh = mesh.merged(&part);
     }
-    mesh
+    // the plates share their boundary vertices: one collocation node each
+    mesh.welded(1e-9 * longest)
 }
 
 /// The synthetic **propeller**: a central hub (icosphere, squashed along
@@ -287,6 +288,34 @@ mod tests {
             let on_y = v.y.abs() < 1e-12 || (v.y - ly).abs() < 1e-12;
             let on_z = v.z.abs() < 1e-12 || (v.z - lz).abs() < 1e-12;
             assert!(on_x || on_y || on_z, "vertex {v:?} not on the surface");
+        }
+    }
+
+    #[test]
+    fn box_surface_is_a_welded_closed_manifold() {
+        use std::collections::HashMap;
+        for (lx, ly, lz, res) in [
+            (1.0, 2.0, 0.5, 4),
+            (0.25, 0.9, 0.25, 16),
+            (1.2, 0.8, 0.5, 7),
+        ] {
+            let m = box_surface(lx, ly, lz, res);
+            let longest = f64::max(lx, f64::max(ly, lz));
+            let divs = |l: f64| ((l / longest * res as f64).ceil() as usize).max(1);
+            let (nx, ny, nz) = (divs(lx), divs(ly), divs(lz));
+            // Euler: V − E + F = 2 with E = 3F/2 and F = 4(nx·ny + ny·nz + nz·nx)
+            assert_eq!(m.num_vertices(), 2 * (nx * ny + ny * nz + nz * nx) + 2);
+            let mut edges: HashMap<(u32, u32), usize> = HashMap::new();
+            for t in &m.triangles {
+                for k in 0..3 {
+                    let (a, b) = (t[k], t[(k + 1) % 3]);
+                    *edges.entry((a.min(b), a.max(b))).or_default() += 1;
+                }
+            }
+            assert!(
+                edges.values().all(|&c| c == 2),
+                "an edge of box {lx}×{ly}×{lz} is not shared by exactly two triangles"
+            );
         }
     }
 

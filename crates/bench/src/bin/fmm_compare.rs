@@ -6,7 +6,7 @@
 //! Run: `cargo run --release -p mbt-bench --bin fmm_compare`
 
 use mbt_bench::{structured_instance, timed, unstructured_instance};
-use mbt_fmm::{Fmm, FmmParams};
+use mbt_fmm::{CompiledFmm, FmmParams};
 use mbt_geometry::Particle;
 use mbt_treecode::{sampled_relative_error, Treecode, TreecodeParams};
 
@@ -56,7 +56,7 @@ fn run(name: &str, particles: &[Particle]) {
         ("FMM adaptive (p_min = 4)", FmmParams::adaptive(4, 0.7)),
     ] {
         let ((fmm, r), secs) = timed(|| {
-            let fmm = Fmm::new(particles, params).expect("valid");
+            let fmm = CompiledFmm::new(particles, params).expect("valid");
             let r = fmm.potentials();
             (fmm, r)
         });

@@ -1,16 +1,15 @@
-//! Interaction-list compilation: the plan/execute evaluation mode
-//! ([`EvalMode::Compiled`](crate::params::EvalMode)).
+//! Interaction-list compilation: the treecode's evaluation sweep.
 //!
-//! The scalar sweep interleaves branchy MAC traversal with short bursts of
-//! kernel arithmetic, so neither pipelines. This module splits each
-//! per-chunk sweep into two phases:
+//! A per-target sweep would interleave branchy MAC traversal with short
+//! bursts of kernel arithmetic, so neither pipelines. This module splits
+//! each per-chunk sweep into two phases:
 //!
-//! 1. **compile** — run the identical α-MAC traversal for every target in
-//!    the chunk (same stack discipline, same [`mac`] decisions, same
-//!    per-interaction degrees as `eval.rs`) and record, instead of
-//!    evaluating, a flat list of M2P tasks plus near-field P2P source
-//!    spans. Spans around a source target's own index are split so the
-//!    self-interaction never reaches a kernel.
+//! 1. **compile** — run the α-MAC traversal for every target in the chunk
+//!    (same stack discipline, same [`mac`] decisions, same
+//!    per-interaction degrees as a per-target traversal) and record,
+//!    instead of evaluating, a flat list of M2P tasks plus near-field P2P
+//!    source spans. Spans around a source target's own index are split so
+//!    the self-interaction never reaches a kernel.
 //! 2. **execute** — bucket the M2P tasks by interaction degree with a
 //!    stable counting sort and burn through them in groups of
 //!    [`M2P_LANES`] via the batched SoA kernels of `mbt-multipole::batch`;
@@ -28,7 +27,11 @@
 //! All list buffers live in one [`CompiledScratch`] per parallel chunk
 //! and are reused across the chunk's targets, so the steady-state sweep
 //! stays allocation-free per interaction (`alloc_count.rs` pins the
-//! compiled path to `O(chunks)` allocations, same as the scalar path).
+//! sweep to `O(chunks)` allocations).
+//!
+//! The test-only per-target traversal in `reference.rs` is the oracle:
+//! it evaluates the same interaction set one target at a time, so the
+//! counters agree exactly and the values up to summation order.
 
 use mbt_geometry::Vec3;
 use mbt_multipole::batch::{
@@ -40,7 +43,6 @@ use mbt_tree::NodeId;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::eval::TargetKind;
 use crate::mac::{mac, MacDecision};
 use crate::stats::EvalStats;
 use crate::upward::Treecode;
@@ -84,6 +86,16 @@ struct P2pSpan {
     end: u32,
 }
 
+/// Identifies a target during source-set evaluation so the traversal can
+/// exclude self-interaction.
+#[derive(Clone, Copy)]
+pub(crate) enum TargetKind {
+    /// Evaluation at source particle with this sorted index.
+    SourceParticle(usize),
+    /// Evaluation at an external point (no exclusion).
+    External,
+}
+
 /// The [`TargetKind`] for lane `l` of a chunk starting at `base`:
 /// external points for `potentials_at`/`fields_at` sweeps, the source
 /// particle at `base + l` otherwise.
@@ -96,8 +108,8 @@ fn kind_of(points: Option<&[Vec3]>, base: usize, l: usize) -> TargetKind {
 }
 
 /// Which sweep is being compiled — decides the near-field counting policy
-/// (the scalar potential loop counts source-target pairs unconditionally,
-/// while external-point and field loops count only non-coincident pairs).
+/// (a source potential sweep counts source-target pairs unconditionally,
+/// while external-point and field sweeps count only non-coincident pairs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SweepKind {
     Potential,
@@ -107,8 +119,7 @@ enum SweepKind {
 /// Reusable per-chunk compilation state: the traversal stack, the task
 /// and span lists, the counting-sort buffers, and the batched-kernel
 /// workspace. One `CompiledScratch` is allocated per parallel chunk and
-/// cleared (not freed) between targets, mirroring `Scratch` on the scalar
-/// path.
+/// cleared (not freed) between targets.
 struct CompiledScratch {
     stack: Vec<NodeId>,
     /// Secondary stack for per-target resolution of MAC-ambiguous
@@ -132,8 +143,8 @@ struct CompiledScratch {
 
 impl CompiledScratch {
     /// Scratch pre-sized so a typical chunk compiles without regrowth:
-    /// the stack gets the same `8 · (height + 1)` bound as the scalar
-    /// `Scratch`, and the lists get a starting capacity proportional to
+    /// the stacks get an `8 · (height + 1)` bound (the 8 children of every
+    /// opened ancestor on one root-to-node path), and the lists get a starting capacity proportional to
     /// the chunk width (they grow monotonically if a chunk needs more).
     fn new(height: usize, chunk: usize) -> CompiledScratch {
         CompiledScratch {
@@ -207,12 +218,11 @@ impl CompiledScratch {
 }
 
 impl Treecode {
-    /// Compiled-mode potential sweep. `points` selects external targets;
-    /// `None` evaluates at the (sorted) source particles with
-    /// self-exclusion. Writes into `out` (one slot per target, same
-    /// order) and returns the merged counters, which match the scalar
-    /// sweep's exactly — the lists are a reordering, not an
-    /// approximation.
+    /// The potential sweep. `points` selects external targets; `None`
+    /// evaluates at the (sorted) source particles with self-exclusion.
+    /// Writes into `out` (one slot per target, same order) and returns the
+    /// merged counters, which match a per-target traversal's exactly —
+    /// the lists are a reordering, not an approximation.
     pub(crate) fn compiled_potential_sweep(
         &self,
         points: Option<&[Vec3]>,
@@ -258,7 +268,7 @@ impl Treecode {
         stats
     }
 
-    /// Compiled-mode field sweep — the potential-and-gradient analogue of
+    /// The field sweep — the potential-and-gradient analogue of
     /// [`Treecode::compiled_potential_sweep`].
     pub(crate) fn compiled_field_sweep(
         &self,
@@ -326,8 +336,8 @@ impl Treecode {
     ///
     /// Because the conservative bounds imply the exact per-target
     /// decision, every target's emitted interaction set — and its DFS
-    /// emission *order* — is identical to what its own scalar traversal
-    /// produces, for any chunk width. Morton-ordered targets make ρ
+    /// emission *order* — is identical to what its own per-target
+    /// traversal produces, for any chunk width. Morton-ordered targets make ρ
     /// small, so the far field (the bulk of MAC tests) is classified
     /// once per chunk instead of once per target.
     fn compile_chunk(
@@ -411,11 +421,9 @@ impl Treecode {
     }
 
     /// Resolves one MAC-ambiguous subtree for one target with the exact
-    /// per-target criterion — the same traversal as the scalar
-    /// `eval_potential`/`eval_field`, emitting lists instead of
-    /// evaluating. Far-field interactions are counted here, at emission;
-    /// near-field pair counting follows the scalar loops' policy per
-    /// [`SweepKind`].
+    /// per-target criterion, emitting lists instead of evaluating.
+    /// Far-field interactions are counted here, at emission; near-field
+    /// pair counting follows the policy of [`SweepKind`].
     fn compile_subtree(
         &self,
         lane: u32,
@@ -453,8 +461,8 @@ impl Treecode {
 
     /// Emits one opened leaf's P2P span(s) for one target. A source
     /// target inside the leaf has its own index split out of the span so
-    /// the self-interaction never reaches a kernel; the scalar potential
-    /// loop counts source pairs unconditionally, so those are counted
+    /// the self-interaction never reaches a kernel; a source potential
+    /// sweep counts source pairs unconditionally, so those are counted
     /// here at compile time, while external-point and field pairs are
     /// counted by the guarded kernels at execution.
     fn emit_leaf(
@@ -650,7 +658,7 @@ impl Treecode {
     /// ([`p2p_span`]). `unguarded` selects the source-sweep kernel (self
     /// already excluded by span splitting, pairs counted at compile
     /// time); external sweeps use the guarded kernel and count surviving
-    /// pairs here, matching the scalar external loop.
+    /// pairs here.
     fn exec_p2p_potential(
         &self,
         cs: &CompiledScratch,
@@ -666,8 +674,8 @@ impl Treecode {
         }
     }
 
-    /// Field P2P execution: always guarded (the scalar field loop guards
-    /// both target kinds), with pairs counted here.
+    /// Field P2P execution: always guarded (a field sweep guards both
+    /// target kinds), with pairs counted here.
     fn exec_p2p_field(&self, cs: &CompiledScratch, out: &mut [(f64, Vec3)], stats: &mut EvalStats) {
         self.exec_p2p::<true, true>(cs, stats, |i, phi, grad| {
             out[i].0 += phi;

@@ -18,6 +18,15 @@
 //! the aggregate error to `O(log n)` while increasing the number of
 //! evaluated series terms only by a small constant factor (Theorem 4).
 //!
+//! # Evaluation
+//!
+//! Every sweep — [`Treecode::potentials`], [`Treecode::fields`] and their
+//! `*_at` forms at external points — runs one evaluator: each chunk of
+//! `w` proximity-ordered targets has its α-MAC traversals compiled into
+//! flat, degree-bucketed interaction lists, which batched SIMD kernels
+//! then execute. Values and counters are the same bits at any chunk
+//! width, thread count and dispatch tier.
+//!
 //! # Quick start
 //!
 //! ```
@@ -43,6 +52,8 @@ pub mod dual;
 pub mod eval;
 pub mod mac;
 pub mod params;
+#[cfg(test)]
+mod reference;
 pub mod stats;
 pub mod upward;
 

@@ -17,21 +17,17 @@ pub enum RefWeight {
     Explicit(f64),
 }
 
-/// Which execution strategy an evaluation sweep uses. Both modes run the
-/// identical α-MAC traversal and account identical interaction counts;
-/// they differ only in how the arithmetic is scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The evaluation strategy of a treecode sweep. There is one: every
+/// sweep compiles per-chunk interaction lists and executes them with the
+/// batched SoA kernels (DESIGN.md §10).
+///
+/// The type and [`TreecodeParams::with_eval_mode`] are kept only because
+/// existing callers name them (the benchmark's `sweep_adaptive` workload
+/// pins `with_eval_mode(EvalMode::Compiled)`); neither changes anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvalMode {
-    /// One target at a time, interleaved with traversal — the bit-exact
-    /// reference path (and the default, so existing results are
-    /// reproducible bit for bit).
-    #[default]
-    Scalar,
-    /// Two-phase: compile per-chunk traversals into flat, degree-bucketed
-    /// interaction lists, then execute them with batched SoA kernels
-    /// (`mbt-multipole::batch`). Per interaction the arithmetic is
-    /// bit-identical to the scalar path; per-target totals differ only by
-    /// a documented summation reordering (DESIGN.md §10).
+    /// Compile each chunk's traversals into flat, degree-bucketed
+    /// interaction lists, then execute them with batched kernels.
     Compiled,
 }
 
@@ -61,8 +57,6 @@ pub struct TreecodeParams {
     /// encounters; the far field is unchanged because the α-criterion
     /// admits clusters only at distances far beyond any sensible ε.
     pub softening: f64,
-    /// Execution strategy of evaluation sweeps (default: [`EvalMode::Scalar`]).
-    pub eval_mode: EvalMode,
 }
 
 impl TreecodeParams {
@@ -76,7 +70,6 @@ impl TreecodeParams {
             eval_chunk: 64,
             ref_weight: RefWeight::default(),
             softening: 0.0,
-            eval_mode: EvalMode::Scalar,
         }
     }
 
@@ -91,7 +84,6 @@ impl TreecodeParams {
             eval_chunk: 64,
             ref_weight: RefWeight::default(),
             softening: 0.0,
-            eval_mode: EvalMode::Scalar,
         }
     }
 
@@ -107,7 +99,6 @@ impl TreecodeParams {
             eval_chunk: 64,
             ref_weight: RefWeight::default(),
             softening: 0.0,
-            eval_mode: EvalMode::Scalar,
         }
     }
 
@@ -139,10 +130,9 @@ impl TreecodeParams {
         self
     }
 
-    /// Sets the evaluation execution strategy.
+    /// Returns the parameters unchanged: [`EvalMode`] has one value.
     #[must_use]
-    pub fn with_eval_mode(mut self, eval_mode: EvalMode) -> Self {
-        self.eval_mode = eval_mode;
+    pub fn with_eval_mode(self, _mode: EvalMode) -> Self {
         self
     }
 

@@ -1,6 +1,6 @@
 //! Pins down the evaluation memory discipline: one full `potentials()`
 //! sweep may allocate proportionally to the number of *chunks* (each
-//! parallel task owns one `Scratch`), never proportionally to the number
+//! parallel task owns one list scratch), never proportionally to the number
 //! of accepted or near-field *interactions*. A counting global allocator
 //! measures the real thing — no inspection arguments, just numbers.
 
@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mbt_geometry::distribution::{uniform_cube, ChargeModel};
-use mbt_treecode::{EvalMode, Treecode, TreecodeParams};
+use mbt_treecode::{Treecode, TreecodeParams};
 
 struct CountingAlloc;
 
@@ -74,12 +74,15 @@ fn potentials_allocate_per_chunk_not_per_interaction() {
     let chunks = N.div_ceil(CHUNK) as u64;
     let interactions = stats.pc_interactions + stats.direct_pairs;
 
-    // Per chunk: one Scratch (stack + workspace buffers), one EvalStats
-    // with its by_degree growth, plus the sweep's O(1) output/collect
-    // vectors and per-thread state. 32 allocations per chunk is a roomy
-    // ceiling for all of that; per-interaction costs would blow past it
-    // by orders of magnitude (interactions/chunks is ~10³ here).
-    let budget = 32 * chunks + 256;
+    // Per chunk: one list scratch (two stacks, task/span/sort buffers,
+    // the BatchWorkspace lane arrays) plus one EvalStats — each a handful
+    // of allocations up front, with task-list growth doubling a few times
+    // on top — plus the sweep's O(1) output/collect vectors and
+    // per-thread state. The lists themselves must be *reused growth*,
+    // never per-task boxes: a per-task cost would exceed this budget a
+    // hundredfold (tasks/chunks is ~10² here and each task would bring
+    // at least one allocation).
+    let budget = 48 * chunks + 256;
     assert!(
         allocs <= budget,
         "potentials() made {allocs} allocations for {chunks} chunks \
@@ -92,52 +95,6 @@ fn potentials_allocate_per_chunk_not_per_interaction() {
          allocation: {interactions} interactions vs {chunks} chunks"
     );
     // and the sweep must be far below one allocation per interaction
-    assert!(
-        allocs * 10 < interactions,
-        "{allocs} allocations vs {interactions} interactions"
-    );
-}
-
-#[test]
-fn compiled_sweep_allocates_per_chunk_not_per_task() {
-    const N: usize = 3000;
-    const CHUNK: usize = 64;
-    let ps = uniform_cube(N, 1.0, ChargeModel::RandomSign { magnitude: 1.0 }, 19);
-    let params = TreecodeParams::adaptive(3, 0.7)
-        .with_eval_chunk(CHUNK)
-        .with_eval_mode(EvalMode::Compiled);
-    let tc = Treecode::new(&ps, params).unwrap();
-
-    let warm = tc.potentials();
-    assert!(warm.stats.pc_interactions > 0 && warm.stats.direct_pairs > 0);
-
-    let mut stats = None;
-    let allocs = allocations_during(|| {
-        stats = Some(tc.potentials());
-    });
-    let stats = stats.unwrap().stats;
-    let chunks = N.div_ceil(CHUNK) as u64;
-    let interactions = stats.pc_interactions + stats.direct_pairs;
-
-    // Per chunk: one CompiledScratch (two stacks, task/span/sort buffers,
-    // the BatchWorkspace lane arrays) plus one EvalStats — each a handful
-    // of allocations up front, with task-list growth doubling a few times
-    // on top. The lists themselves must be *reused growth*, never
-    // per-task boxes: a per-task cost would exceed this budget a
-    // hundredfold (tasks/chunks is ~10² here and each task would bring
-    // at least one allocation).
-    let budget = 48 * chunks + 256;
-    assert!(
-        allocs <= budget,
-        "compiled potentials() made {allocs} allocations for {chunks} chunks \
-         (budget {budget}) — something allocates per task again \
-         ({interactions} interactions this sweep)"
-    );
-    assert!(
-        interactions > 100 * chunks,
-        "workload too small to distinguish per-chunk from per-task \
-         allocation: {interactions} interactions vs {chunks} chunks"
-    );
     assert!(
         allocs * 10 < interactions,
         "{allocs} allocations vs {interactions} interactions"

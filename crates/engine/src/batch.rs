@@ -118,7 +118,7 @@ pub(crate) fn packed_sweep<S>(
 /// same order plus the merged sweep counters. The sweep runs under
 /// `cfg`, not the parameters the treecode was built with — plan identity
 /// excludes execution knobs ([`crate::plan::PlanKey`]), so one cached
-/// plan serves requests at any chunk width or mode, bit-identically.
+/// plan serves requests at any chunk width, bit-identically.
 pub(crate) fn evaluate_batch_with(
     treecode: &Treecode,
     kind: QueryKind,
@@ -127,11 +127,9 @@ pub(crate) fn evaluate_batch_with(
 ) -> (Vec<QueryOutput>, EvalStats) {
     packed_sweep(kind, requests, |points, arena| match arena {
         QueryOutput::Potentials(values) => {
-            treecode.potentials_at_into_with(points, values, cfg.chunk, cfg.mode)
+            treecode.potentials_at_into_with(points, values, cfg.chunk)
         }
-        QueryOutput::Fields(values) => {
-            treecode.fields_at_into_with(points, values, cfg.chunk, cfg.mode)
-        }
+        QueryOutput::Fields(values) => treecode.fields_at_into_with(points, values, cfg.chunk),
     })
 }
 
@@ -272,35 +270,16 @@ mod tests {
 
     #[test]
     fn eval_config_changes_execution_not_values() {
-        use mbt_treecode::EvalMode;
         let ps = uniform_cube(400, 1.0, ChargeModel::RandomSign { magnitude: 1.0 }, 11);
         let tc = Treecode::new(&ps, TreecodeParams::fixed(4, 0.6)).unwrap();
         let pts: Vec<Vec3> = ps.iter().take(30).map(|p| p.position * 1.4).collect();
         let (base, base_stats) = evaluate_batch(&tc, QueryKind::Potential, &[&pts]);
-        // scalar sweeps are bit-invariant across chunk widths
+        // sweeps are bit-invariant across chunk widths
         for chunk in [1usize, 7, 256] {
-            let cfg = EvalConfig {
-                chunk,
-                mode: EvalMode::Scalar,
-            };
+            let cfg = EvalConfig { chunk };
             let (out, stats) = evaluate_batch_with(&tc, QueryKind::Potential, &[&pts], cfg);
             assert_eq!(out, base, "chunk {chunk} changed values");
             assert_eq!(stats, base_stats, "chunk {chunk} changed stats");
-        }
-        // the compiled mode agrees to round-off with identical accounting
-        let cfg = EvalConfig {
-            chunk: 64,
-            mode: EvalMode::Compiled,
-        };
-        let (out, stats) = evaluate_batch_with(&tc, QueryKind::Potential, &[&pts], cfg);
-        assert_eq!(stats, base_stats);
-        for (a, b) in out[0]
-            .potentials()
-            .unwrap()
-            .iter()
-            .zip(base[0].potentials().unwrap())
-        {
-            assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0));
         }
     }
 

@@ -257,7 +257,7 @@ struct Resolved {
 /// What requests of one [`Engine::query_batch`] call must share to ride
 /// one sweep: a plan × what is being computed × how the sweep executes ×
 /// the dataset's charge epoch. Plan identity excludes execution knobs, so
-/// requests at different chunk widths or modes share a cached plan — but
+/// requests at different chunk widths share a cached plan — but
 /// each sweep must run under a single configuration, hence the `cfg`
 /// component here. Plan identity excludes the charges too, so `epoch`
 /// keeps requests that resolved different charge vectors out of each

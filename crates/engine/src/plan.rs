@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use mbt_fmm::{CompiledFmm, FmmError};
 use mbt_geometry::Particle;
 use mbt_treecode::{
-    DegreeSelector, DegreeWeighting, EvalMode, RefWeight, TreeError, Treecode, TreecodeParams,
+    DegreeSelector, DegreeWeighting, RefWeight, TreeError, Treecode, TreecodeParams,
 };
 
 use crate::error::EngineError;
@@ -49,12 +49,8 @@ pub enum Accuracy {
 
 impl Accuracy {
     /// Resolves to full treecode parameters using the engine's default
-    /// MAC parameter and tree-shape settings.
-    ///
-    /// The three shorthand variants opt into the compiled (interaction-list)
-    /// evaluation mode — the engine's throughput path — in every build.
-    /// [`Accuracy::Params`] passes through untouched, so callers needing a
-    /// specific mode state it explicitly.
+    /// MAC parameter and tree-shape settings. [`Accuracy::Params`] passes
+    /// through untouched.
     #[must_use]
     pub fn resolve(self, alpha: f64, leaf_capacity: usize, eval_chunk: usize) -> TreecodeParams {
         let base = match self {
@@ -65,7 +61,6 @@ impl Accuracy {
         };
         base.with_leaf_capacity(leaf_capacity)
             .with_eval_chunk(eval_chunk)
-            .with_eval_mode(EvalMode::Compiled)
     }
 }
 
@@ -125,11 +120,10 @@ enum RefWeightKey {
 /// parameter, degree policy, leaf capacity, reference weight, softening.
 /// Two requests share a plan **iff** their keys are equal.
 ///
-/// Deliberately absent: `eval_chunk` and `eval_mode`. Those are pure
-/// execution knobs — results are bit-invariant across chunk widths and
-/// modes account identical stats (DESIGN.md §10) — so keying on them
-/// would duplicate an entire octree + coefficient arena per knob
-/// setting. They travel separately as [`EvalConfig`].
+/// Deliberately absent: `eval_chunk`. It is a pure execution knob —
+/// values and counters are bit-invariant across chunk widths (DESIGN.md
+/// §10) — so keying on it would duplicate an entire octree + coefficient
+/// arena per width. It travels separately as [`EvalConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     dataset: DatasetId,
@@ -229,8 +223,6 @@ impl PlanKey {
 pub struct EvalConfig {
     /// Aggregation width `w` of the sweep.
     pub chunk: usize,
-    /// Execution strategy (scalar reference vs compiled lists).
-    pub mode: EvalMode,
 }
 
 impl EvalConfig {
@@ -239,7 +231,6 @@ impl EvalConfig {
     pub fn of(params: &TreecodeParams) -> EvalConfig {
         EvalConfig {
             chunk: params.eval_chunk.max(1),
-            mode: params.eval_mode,
         }
     }
 }
@@ -512,22 +503,18 @@ mod tests {
 
     #[test]
     fn keys_ignore_eval_config() {
-        // eval_chunk and eval_mode are execution knobs, not plan
-        // identity: requests differing only there share one cached plan
+        // eval_chunk is an execution knob, not plan identity: requests
+        // differing only there share one cached plan
         let a = TreecodeParams::fixed(4, 0.6);
         let id0 = DatasetId(0);
-        let compiled = a.with_eval_mode(EvalMode::Compiled);
-        assert_eq!(PlanKey::new(id0, &a), PlanKey::new(id0, &compiled));
         let rechunked = a.with_eval_chunk(7);
         assert_eq!(PlanKey::new(id0, &a), PlanKey::new(id0, &rechunked));
         // …while EvalConfig captures exactly that difference
-        assert_ne!(EvalConfig::of(&a), EvalConfig::of(&compiled));
         assert_ne!(EvalConfig::of(&a), EvalConfig::of(&rechunked));
         assert_eq!(
             EvalConfig::of(&a),
             EvalConfig {
                 chunk: a.eval_chunk,
-                mode: EvalMode::Scalar,
             }
         );
         // the unclamped zero chunk normalises like the sweep itself does
@@ -649,7 +636,7 @@ mod tests {
             .zip(&charges)
             .map(|(p, &q)| Particle::new(p.position, q))
             .collect();
-        let params = TreecodeParams::fixed(5, 0.6).with_eval_mode(EvalMode::Compiled);
+        let params = TreecodeParams::fixed(5, 0.6);
         let pts: Vec<Vec3> = (0..20)
             .map(|i| Vec3::new(0.1 * f64::from(i) - 1.0, 0.3, -0.2))
             .collect();
@@ -691,6 +678,20 @@ mod tests {
                 got: 899,
             })
         );
+    }
+
+    #[test]
+    fn fmm_levels_past_the_dense_cap_fall_back_to_the_treecode() {
+        let params = TreecodeParams::fixed(4, 0.6);
+        let particles = ps(300);
+        let too_deep = fmm_params_for(&params).with_levels(mbt_fmm::COMPILED_MAX_LEVELS + 1);
+        let fmm = CompiledFmm::new(&particles, too_deep);
+        assert!(matches!(
+            fmm,
+            Err(FmmError::DenseGridTooDeep { levels: 9, max: 8 })
+        ));
+        let artifact = fmm_or_fallback(fmm, &particles, params).unwrap();
+        assert!(matches!(artifact, PlanArtifact::Treecode(_)));
     }
 
     #[test]

@@ -94,8 +94,8 @@ pub fn fmm_admissible(alpha: f64) -> bool {
 ///
 /// `pinned` forces the treecode: sharded datasets (served by the
 /// skeleton fan-out, a treecode-only path) and explicit
-/// [`crate::Accuracy::Params`] requests (which state their execution
-/// mode themselves) set it.
+/// [`crate::Accuracy::Params`] requests (whose parameters name a treecode
+/// run) set it.
 #[must_use]
 pub fn route(n_sources: usize, n_targets: usize, pinned: bool, params: &TreecodeParams) -> Backend {
     if pinned {

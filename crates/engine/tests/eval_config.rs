@@ -1,12 +1,12 @@
 //! Plan-identity regression: requests that differ only in execution
-//! configuration (`eval_chunk`, `eval_mode`) must share **one** cached
-//! plan. Before the `PlanKey`/`EvalConfig` split, every chunk width
+//! configuration (`eval_chunk`) must share **one** cached plan, and
+//! return the same bits. Before the `PlanKey`/`EvalConfig` split, every chunk width
 //! duplicated an entire octree + coefficient arena in the cache.
 
-use mbt_engine::{Accuracy, CacheOutcome, Engine, EngineConfig, QueryRequest};
+use mbt_engine::{Accuracy, Backend, CacheOutcome, Engine, EngineConfig, QueryRequest};
 use mbt_geometry::distribution::{uniform_cube, ChargeModel};
 use mbt_geometry::Vec3;
-use mbt_treecode::{EvalMode, TreecodeParams};
+use mbt_treecode::TreecodeParams;
 
 fn engine_with_data() -> (Engine, mbt_engine::DatasetId) {
     let engine = Engine::new(EngineConfig::default()).unwrap();
@@ -29,9 +29,8 @@ fn requests_differing_only_in_eval_config_share_one_plan() {
         base,
         base.with_eval_chunk(1),
         base.with_eval_chunk(7),
+        base.with_eval_chunk(16),
         base.with_eval_chunk(512),
-        base.with_eval_mode(EvalMode::Compiled),
-        base.with_eval_chunk(16).with_eval_mode(EvalMode::Compiled),
     ];
     let pts = points(20);
     let mut outputs = Vec::new();
@@ -59,24 +58,46 @@ fn requests_differing_only_in_eval_config_share_one_plan() {
     assert_eq!(s.cache_hits, variants.len() as u64 - 1);
     assert_eq!(s.per_plan.len(), 1);
 
-    // scalar sweeps are bit-invariant across chunk widths…
-    for i in 1..4 {
-        assert_eq!(outputs[i], outputs[0], "scalar variant {i} diverged");
-    }
-    // …and the compiled mode agrees to round-off
-    for i in 4..6 {
-        for (a, b) in outputs[i]
-            .potentials()
+    // sweeps are bit-invariant across chunk widths
+    let bits = |o: &mbt_engine::QueryOutput| -> Vec<u64> {
+        o.potentials()
             .unwrap()
             .iter()
-            .zip(outputs[0].potentials().unwrap())
-        {
-            assert!(
-                (a - b).abs() <= 1e-12 * b.abs().max(1.0),
-                "compiled variant {i} diverged: {a} vs {b}"
-            );
-        }
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    for (i, out) in outputs.iter().enumerate().skip(1) {
+        assert_eq!(bits(out), bits(&outputs[0]), "chunk variant {i} diverged");
     }
+}
+
+#[test]
+fn a_params_request_equals_the_shorthand_it_resolves_to() {
+    let (engine, id) = engine_with_data();
+    let pts = points(20);
+    let shorthand = Accuracy::Fixed(4);
+    let resolved = engine.resolve_params(shorthand);
+    let via_shorthand = engine
+        .query(QueryRequest::potentials(id, shorthand, pts.clone()))
+        .unwrap();
+    let via_params = engine
+        .query(QueryRequest::potentials(
+            id,
+            Accuracy::Params(resolved),
+            pts,
+        ))
+        .unwrap();
+    assert_eq!(via_shorthand.backend, Backend::Treecode);
+    assert_eq!(via_params.backend, Backend::Treecode);
+    assert_eq!(via_shorthand.eval, via_params.eval);
+    let bits = |o: &mbt_engine::QueryOutput| -> Vec<u64> {
+        o.potentials()
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    assert_eq!(bits(&via_shorthand.output), bits(&via_params.output));
 }
 
 #[test]

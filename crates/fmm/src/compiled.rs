@@ -1,10 +1,11 @@
-//! The compiled FMM backend: flat per-level SoA arenas, one process-wide
+//! The FMM backend: flat per-level SoA arenas, one process-wide
 //! unit-cube M2L operator table per degree, and a build split into a
 //! shared **geometry half** and a per-charge-vector **charge half**.
 //!
-//! The scalar reference ([`crate::Fmm`]) walks `HashMap` grids and
-//! re-derives every translation from spherical-harmonic recurrences on the
-//! hot path. This module compiles the level-synchronised pipeline instead:
+//! Walking `HashMap` grids and re-deriving every translation from
+//! spherical-harmonic recurrences on the hot path (what the test-only
+//! reference in `reference.rs` does) is slow. This module compiles the
+//! level-synchronised pipeline instead:
 //!
 //! * **One unit M2L table per degree, for the whole process.** Within a
 //!   level, an M2L translation depends only on the integer cell offset
@@ -86,10 +87,12 @@ use rayon::prelude::*;
 use crate::grid::{cell_center, cell_of, key_coords, FmmError, LevelGrid};
 use crate::method::{build_structure, level_degrees, FmmParams, FmmStructure};
 
-/// Deepest level the compiled backend supports: the dense Morton-indexed
-/// occupancy tables hold `8^l` entries per level, so depth is capped where
-/// that stays reasonable (level 8 ≈ 16.7M finest cells). Sparse deeper
-/// hierarchies (e.g. huge collinear clouds) stay on the scalar reference.
+/// Deepest level the FMM supports: the dense Morton-indexed occupancy
+/// tables hold `8^l` entries per level, so depth is capped where that
+/// stays reasonable (level 8 ≈ 16.7M finest cells). A deeper request —
+/// explicit, or automatic for a sparse cloud such as a huge collinear one
+/// — is refused with [`FmmError::DenseGridTooDeep`] before any grid is
+/// built; the engine serves it from the treecode.
 pub const COMPILED_MAX_LEVELS: usize = 8;
 
 /// Largest degree a level with an M2L list may resolve in the compiled
@@ -97,8 +100,8 @@ pub const COMPILED_MAX_LEVELS: usize = 8;
 /// this caps them: 146 MB for the largest single table (under the
 /// engine's default 256 MB plan budget, which a per-plan copy of it would
 /// have had to fit anyway), 527 MB if every degree up to the cap is ever
-/// used (see [`shared_operator_bytes`]). Higher degrees stay on the
-/// scalar reference or, in the engine, the treecode.
+/// used (see [`shared_operator_bytes`]). The engine serves higher
+/// degrees from the treecode.
 pub const COMPILED_MAX_DEGREE: usize = 14;
 
 /// Number of distinct geometric M2L offset classes (`Δ ∈ [-3,3]³` with
@@ -612,7 +615,7 @@ pub struct CompiledFmm {
     mult_re: Vec<Vec<f64>>,
     /// Per level: interleaved local coefficients (occupied × `2T`).
     locals_re: Vec<Vec<f64>>,
-    /// P2M terms formed during the upward pass (scalar-compatible counter).
+    /// P2M terms formed during the upward pass.
     pub translation_terms: u64,
     /// Total compiled M2L list entries across all levels.
     pub m2l_pairs: u64,
@@ -623,12 +626,6 @@ impl CompiledFmm {
     /// charge pass.
     pub fn new(particles: &[Particle], params: FmmParams) -> Result<CompiledFmm, FmmError> {
         let structure = build_structure(particles, &params)?;
-        if structure.levels > COMPILED_MAX_LEVELS {
-            return Err(FmmError::DenseGridTooDeep {
-                levels: structure.levels,
-                max: COMPILED_MAX_LEVELS,
-            });
-        }
         let degrees = level_degrees(&structure.grids, &structure.sorted, params.degree);
         if let Some(&degree) = degrees.iter().skip(2).find(|&&p| p > COMPILED_MAX_DEGREE) {
             return Err(FmmError::OperatorTableTooLarge {
@@ -1235,8 +1232,7 @@ fn probe_l2l(mat: &mut [f64], delta: Vec3, p_par: usize, p: usize, t_par: usize,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Fmm;
-    use mbt_geometry::distribution::{gaussian, uniform_cube, ChargeModel};
+    use mbt_geometry::distribution::{gaussian, overlapped_gaussians, uniform_cube, ChargeModel};
     use mbt_treecode::relative_error;
 
     fn charges() -> ChargeModel {
@@ -1305,40 +1301,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_matches_scalar_values_and_bit_stats() {
-        let ps = uniform_cube(3000, 1.0, charges(), 3);
-        for params in [
-            FmmParams::fixed(5).with_levels(3),
-            FmmParams::adaptive(3, 0.7).with_levels(3),
-        ] {
-            let scalar = Fmm::new(&ps, params).unwrap();
-            let compiled = CompiledFmm::new(&ps, params).unwrap();
-            assert_eq!(scalar.degrees(), compiled.degrees());
-            let rs = scalar.potentials();
-            let rc = compiled.potentials();
-            // identical instrumentation, bit for bit
-            assert_eq!(rs.stats, rc.stats);
-            assert_eq!(scalar.translation_terms, compiled.translation_terms);
-            // identical math up to summation order
-            assert!(relative_error(&rc.values, &rs.values) < 1e-11);
-        }
-    }
-
-    #[test]
-    fn compiled_matches_direct_uniform() {
-        let ps = uniform_cube(3000, 1.0, charges(), 3);
-        let exact = mbt_treecode::direct::direct_potentials(&ps);
-        let mut prev = f64::INFINITY;
-        for p in [3usize, 6, 8] {
-            let fmm = CompiledFmm::new(&ps, FmmParams::fixed(p).with_levels(3)).unwrap();
-            let err = relative_error(&fmm.potentials().values, &exact);
-            assert!(err < prev, "error must fall with degree: p={p}, err={err}");
-            prev = err;
-        }
-        assert!(prev < 1e-4, "p=8 error {prev}");
-    }
-
-    #[test]
     fn external_targets_match_direct_in_and_out_of_bounds() {
         let ps = gaussian(2000, Vec3::ZERO, 0.4, charges(), 21);
         let fmm = CompiledFmm::new(&ps, FmmParams::fixed(8).with_levels(3)).unwrap();
@@ -1356,7 +1318,7 @@ mod tests {
         for (k, &pt) in targets.iter().enumerate() {
             let exact: f64 = ps.iter().map(|p| p.charge / p.position.distance(pt)).sum();
             // p = 8 truncation leaves ~1e-4 relative error for deep
-            // targets (matching the scalar gaussian acceptance); targets
+            // targets (matching the gaussian source acceptance); targets
             // outside the hull must be exact up to roundoff
             assert!(
                 (got.values[k] - exact).abs() <= 1e-3 * exact.abs().max(1.0),
@@ -1407,14 +1369,31 @@ mod tests {
     }
 
     #[test]
-    fn compiled_refuses_grids_past_the_depth_cap() {
-        let ps = uniform_cube(500, 1.0, charges(), 31);
+    fn levels_past_the_depth_cap_are_refused_before_any_grid() {
         // deeper than the dense tables allow: a typed error, which the
         // engine answers with a treecode plan under the same key
-        assert!(matches!(
-            CompiledFmm::new(&ps, FmmParams::fixed(3).with_levels(9)),
-            Err(FmmError::DenseGridTooDeep { levels: 9, max: 8 })
-        ));
+        let too_deep = FmmParams::fixed(3).with_levels(COMPILED_MAX_LEVELS + 1);
+        let refused = FmmError::DenseGridTooDeep { levels: 9, max: 8 };
+        assert_eq!(too_deep.validate(), Err(refused.clone()));
+        // validation runs before the particles are looked at: an empty
+        // set is refused for its depth, not for being empty
+        assert_eq!(CompiledFmm::new(&[], too_deep).err(), Some(refused.clone()));
+        let ps = uniform_cube(500, 1.0, charges(), 31);
+        assert_eq!(CompiledFmm::new(&ps, too_deep).err(), Some(refused));
+        let deepest = FmmParams::fixed(3).with_levels(COMPILED_MAX_LEVELS);
+        assert!(deepest.validate().is_ok());
+    }
+
+    #[test]
+    fn empty_cells_are_skipped_gracefully() {
+        // a very clustered instance leaves most finest-level cells empty
+        let tight = overlapped_gaussians(1000, 2, 3.0, 0.05, charges(), 17);
+        let exact = mbt_treecode::direct::direct_potentials(&tight);
+        let fmm = CompiledFmm::new(&tight, FmmParams::fixed(10).with_levels(4)).unwrap();
+        let e = relative_error(&fmm.potentials().values, &exact);
+        assert!(e < 1e-4, "clustered instance error {e}");
+        // most cells empty: finest grid holds far fewer cells than 8^4
+        assert!(fmm.geo.grids[4].len() < 4096 / 4);
     }
 
     #[test]

@@ -22,11 +22,6 @@ pub enum FmmError {
         /// Caller-order index of the offending particle.
         index: usize,
     },
-    /// More levels than the key resolution supports.
-    TooManyLevels {
-        /// Requested level count.
-        levels: usize,
-    },
     /// The degree policy can emit a degree beyond the table limit.
     DegreeTooLarge {
         /// Largest degree the selector can emit.
@@ -34,21 +29,21 @@ pub enum FmmError {
         /// The supported maximum ([`mbt_multipole::MAX_DEGREE`]).
         max: usize,
     },
-    /// The hierarchy is deeper than the compiled backend's dense
-    /// Morton-indexed tables support. The scalar reference has no such
-    /// limit; the engine answers an FMM-routed request that hits it with
-    /// a treecode plan.
+    /// The hierarchy is deeper than the dense Morton-indexed tables
+    /// support: explicit levels are refused by [`crate::FmmParams::validate`],
+    /// an automatic depth by the build. The engine answers an FMM-routed
+    /// request that hits it with a treecode plan.
     DenseGridTooDeep {
         /// Requested level count.
         levels: usize,
-        /// The compiled maximum ([`crate::compiled::COMPILED_MAX_LEVELS`]).
+        /// The maximum ([`crate::compiled::COMPILED_MAX_LEVELS`]).
         max: usize,
     },
     /// A level with an M2L list resolved a degree above the compiled
     /// backend's cap: its unit operator table is process-wide and never
     /// freed, so its size is bounded by refusing larger degrees. The
-    /// scalar reference has no such limit; the engine answers an
-    /// FMM-routed request that hits it with a treecode plan.
+    /// engine answers an FMM-routed request that hits it with a treecode
+    /// plan.
     OperatorTableTooLarge {
         /// The offending degree.
         degree: usize,
@@ -72,9 +67,6 @@ impl std::fmt::Display for FmmError {
             FmmError::NonFinite { index } => {
                 write!(f, "particle {index} has a non-finite position or charge")
             }
-            FmmError::TooManyLevels { levels } => {
-                write!(f, "{levels} levels exceed the supported maximum of 20")
-            }
             FmmError::DegreeTooLarge { degree, max } => {
                 write!(
                     f,
@@ -82,10 +74,7 @@ impl std::fmt::Display for FmmError {
                 )
             }
             FmmError::DenseGridTooDeep { levels, max } => {
-                write!(
-                    f,
-                    "{levels} levels exceed the compiled backend's dense-table maximum of {max}"
-                )
+                write!(f, "{levels} levels exceed the dense-table maximum of {max}")
             }
             FmmError::OperatorTableTooLarge { degree, max } => {
                 write!(
@@ -141,10 +130,10 @@ impl LevelGrid {
         self.keys.is_empty()
     }
 
-    /// Dense index of the cell with the given coordinates, if occupied.
-    #[inline]
-    #[must_use]
-    pub fn find(&self, x: u32, y: u32, z: u32) -> Option<usize> {
+    /// Dense index of the cell with the given coordinates, if occupied
+    /// (the reference FMM's lookup; the compiled FMM uses dense tables).
+    #[cfg(test)]
+    pub(crate) fn find(&self, x: u32, y: u32, z: u32) -> Option<usize> {
         self.index.get(&cell_key(x, y, z)).copied()
     }
 }

@@ -14,12 +14,17 @@
 //! (children of the parent's neighbours that are not adjacent) → L2L down →
 //! L2P plus direct near field over the 27 neighbouring finest cells.
 //!
+//! [`CompiledFmm`] is the crate's one FMM: the pipeline compiled into flat
+//! per-level arenas with process-wide M2L operator tables, evaluable at
+//! the sources and at arbitrary external points, and re-chargeable over
+//! the same geometry (see [`compiled`]).
+//!
 //! ```
 //! use mbt_geometry::distribution::{uniform_cube, ChargeModel};
-//! use mbt_fmm::{Fmm, FmmParams};
+//! use mbt_fmm::{CompiledFmm, FmmParams};
 //!
 //! let ps = uniform_cube(2000, 1.0, ChargeModel::RandomSign { magnitude: 1.0 }, 7);
-//! let fmm = Fmm::new(&ps, FmmParams::fixed(6).with_levels(3)).unwrap();
+//! let fmm = CompiledFmm::new(&ps, FmmParams::fixed(6).with_levels(3)).unwrap();
 //! let result = fmm.potentials();
 //! assert_eq!(result.values.len(), ps.len());
 //! ```
@@ -29,7 +34,9 @@
 pub mod compiled;
 pub mod grid;
 pub mod method;
+#[cfg(test)]
+mod reference;
 
 pub use compiled::{shared_operator_bytes, CompiledFmm, COMPILED_MAX_DEGREE, COMPILED_MAX_LEVELS};
 pub use grid::{cell_key, FmmError, LevelGrid};
-pub use method::{Fmm, FmmParams, MAX_LEVELS};
+pub use method::FmmParams;

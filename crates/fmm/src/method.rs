@@ -1,19 +1,17 @@
-//! The FMM proper: construction, upward/downward passes, evaluation.
+//! FMM parameters and the build prefix every FMM shares: validation,
+//! the level choice, the Morton sort, the level grids and the per-level
+//! degree rule.
 
 use std::collections::HashMap;
 
 use mbt_geometry::{Aabb, Particle, Vec3};
-use mbt_multipole::{DegreeSelector, LocalExpansion, MultipoleExpansion, MAX_DEGREE};
-use mbt_treecode::EvalStats;
+use mbt_multipole::{DegreeSelector, MAX_DEGREE};
 use rayon::prelude::*;
 
+use crate::compiled::COMPILED_MAX_LEVELS;
 use crate::grid::{
     cell_center, cell_key, cell_of, key_coords, median_positive, FmmError, LevelGrid,
 };
-
-/// Deepest supported level: finest-level cell coordinates must fit the
-/// 21-bit-per-axis key resolution with headroom.
-pub const MAX_LEVELS: usize = 20;
 
 /// FMM parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,17 +79,20 @@ impl FmmParams {
                 max: MAX_DEGREE,
             });
         }
-        if let Some(levels) = self.levels {
-            if levels > MAX_LEVELS {
-                return Err(FmmError::TooManyLevels { levels });
-            }
+        match self.levels {
+            Some(levels) if levels > COMPILED_MAX_LEVELS => Err(FmmError::DenseGridTooDeep {
+                levels,
+                max: COMPILED_MAX_LEVELS,
+            }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
-/// Validates the inputs and resolves the finest level and root cube shared
-/// by both FMM implementations.
+/// Validates the inputs and resolves the finest level and root cube.
+/// A level past [`COMPILED_MAX_LEVELS`] — explicit, or picked
+/// automatically for a sparse cloud — is refused here, before any grid is
+/// built.
 ///
 /// The automatic level pick targets ~32 particles per finest cell under
 /// the occupancy the particle cloud can actually sustain: `8^l` cells for
@@ -113,11 +114,13 @@ pub(crate) fn resolve_build(
     }
     let positions: Vec<Vec3> = particles.iter().map(|p| p.position).collect();
     let bounds = Aabb::cubical_hull(&positions, 1e-9);
-    let levels = match params.levels {
-        Some(l) => l,
-        None => auto_levels(particles),
-    };
-    debug_assert!(levels <= MAX_LEVELS, "validate() caps explicit levels");
+    let levels = params.levels.unwrap_or_else(|| auto_levels(particles));
+    if levels > COMPILED_MAX_LEVELS {
+        return Err(FmmError::DenseGridTooDeep {
+            levels,
+            max: COMPILED_MAX_LEVELS,
+        });
+    }
     Ok((levels, bounds))
 }
 
@@ -132,8 +135,7 @@ fn auto_levels(particles: &[Particle]) -> usize {
         SpreadRank::Collinear => 1.0, // occupancy grows ~2^l per level
         SpreadRank::Spatial => 3.0,   // full 8^l occupancy
     };
-    let l = ((n as f64 / 32.0).log2() / log2_cells).ceil();
-    l.clamp(0.0, MAX_LEVELS as f64) as usize
+    ((n as f64 / 32.0).log2() / log2_cells).ceil() as usize
 }
 
 enum SpreadRank {
@@ -174,7 +176,7 @@ fn spread_rank(particles: &[Particle]) -> SpreadRank {
     SpreadRank::Collinear
 }
 
-/// The geometry every FMM implementation shares: Morton-sorted particles
+/// The geometry every FMM build starts from: Morton-sorted particles
 /// and per-level occupied-cell grids. A pure function of the particle
 /// **positions** and the level count — charges ride along in `sorted` but
 /// influence nothing here, which is what lets a charge update reuse it.
@@ -186,8 +188,8 @@ pub(crate) struct FmmStructure {
     pub grids: Vec<LevelGrid>,
 }
 
-/// Validates, sorts and grids — the build prefix common to the scalar
-/// reference and the compiled arenas.
+/// Validates, sorts and grids — the build prefix of the compiled arenas
+/// (and of the test-only reference FMM).
 pub(crate) fn build_structure(
     particles: &[Particle],
     params: &FmmParams,
@@ -271,9 +273,9 @@ pub(crate) fn build_structure(
 }
 
 /// The per-level expansion degrees for the charges in `sorted` — the one
-/// charge-dependent decision of the build, shared by the scalar
-/// reference, the compiled build and the compiled charge update so all
-/// three resolve identical degree vectors from identical inputs.
+/// charge-dependent decision of the build, shared by the compiled build
+/// and the compiled charge update so both resolve identical degree
+/// vectors from identical inputs.
 ///
 /// Fixed/Adaptive equalise against the finest level's median cell weight
 /// as reference (weights grow toward the root); Tolerance picks, per
@@ -331,261 +333,10 @@ pub(crate) fn level_degrees(
         .collect()
 }
 
-/// A fully built FMM, ready to evaluate.
-pub struct Fmm {
-    bounds: Aabb,
-    levels: usize,
-    degrees: Vec<usize>, // per level
-    particles: Vec<Particle>,
-    perm: Vec<usize>,
-    grids: Vec<LevelGrid>,
-    multipoles: Vec<Vec<MultipoleExpansion>>, // [level][cell]
-    locals: Vec<Vec<LocalExpansion>>,         // [level][cell]
-    /// Counters from the build's translation work (M2L/L2L/L2P are counted
-    /// during evaluation; P2M/M2L totals here).
-    pub translation_terms: u64,
-}
-
-impl Fmm {
-    /// Builds the FMM over a particle set.
-    pub fn new(particles: &[Particle], params: FmmParams) -> Result<Fmm, FmmError> {
-        let FmmStructure {
-            bounds,
-            levels,
-            sorted,
-            perm,
-            grids,
-        } = build_structure(particles, &params)?;
-        let degrees = level_degrees(&grids, &sorted, params.degree);
-
-        // upward: P2M per level directly from the particles (each level's
-        // expansion is then exact at its own degree — see the crate docs).
-        // Levels 0 and 1 have no well-separated cells, so nothing ever
-        // reads their multipoles: they are not formed.
-        let mut translation_terms = 0u64;
-        let mut multipoles: Vec<Vec<MultipoleExpansion>> = vec![Vec::new(); levels + 1];
-        for (l, grid) in grids.iter().enumerate().skip(2) {
-            let p = degrees[l];
-            let exps: Vec<MultipoleExpansion> = (0..grid.len())
-                .into_par_iter()
-                .map(|ci| {
-                    let (s, e) = grid.ranges[ci];
-                    MultipoleExpansion::from_particles(
-                        grid.centers[ci],
-                        p,
-                        &sorted[s as usize..e as usize],
-                    )
-                })
-                .collect();
-            translation_terms += (grid.len() as u64) * ((p as u64 + 1) * (p as u64 + 1));
-            multipoles[l] = exps;
-        }
-
-        // downward: locals per level; levels 0 and 1 have no
-        // well-separated cells
-        let mut locals: Vec<Vec<LocalExpansion>> = (0..=levels)
-            .map(|l| {
-                let p = degrees[l];
-                grids[l]
-                    .centers
-                    .iter()
-                    .map(|&c| LocalExpansion::zero(c, p))
-                    .collect()
-            })
-            .collect();
-        for l in 2..=levels {
-            let p = degrees[l];
-            let parent_grid = &grids[l - 1];
-            let grid = &grids[l];
-            let mults = &multipoles[l];
-            let parent_locals: Vec<LocalExpansion> = std::mem::take(&mut locals[l - 1]);
-            let new_locals: Vec<LocalExpansion> = (0..grid.len())
-                .into_par_iter()
-                .map(|ci| {
-                    let (x, y, z) = key_coords(grid.keys[ci]);
-                    let center = grid.centers[ci];
-                    // L2L from the parent
-                    let (px, py, pz) = (x >> 1, y >> 1, z >> 1);
-                    let pi = parent_grid
-                        .find(px, py, pz)
-                        // lint: allow(panic, grid levels are built by halving occupied keys, so the parent cell exists)
-                        .expect("every cell has an occupied parent");
-                    let mut local = parent_locals[pi].translated(center, p);
-                    // M2L from the interaction list: children of the
-                    // parent's neighbours that are not adjacent to us
-                    for dx in -1i64..=1 {
-                        for dy in -1i64..=1 {
-                            for dz in -1i64..=1 {
-                                let nx = i64::from(px) + dx;
-                                let ny = i64::from(py) + dy;
-                                let nz = i64::from(pz) + dz;
-                                let max = (1i64 << (l - 1)) - 1;
-                                if nx < 0 || ny < 0 || nz < 0 || nx > max || ny > max || nz > max {
-                                    continue;
-                                }
-                                for ox in 0..2i64 {
-                                    for oy in 0..2i64 {
-                                        for oz in 0..2i64 {
-                                            let cx = (nx << 1) + ox;
-                                            let cy = (ny << 1) + oy;
-                                            let cz = (nz << 1) + oz;
-                                            if (cx - i64::from(x)).abs() <= 1
-                                                && (cy - i64::from(y)).abs() <= 1
-                                                && (cz - i64::from(z)).abs() <= 1
-                                            {
-                                                continue; // adjacent: near field
-                                            }
-                                            if let Some(si) =
-                                                grid.find(cx as u32, cy as u32, cz as u32)
-                                            {
-                                                local.accumulate(&mults[si].to_local(center, p));
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    local
-                })
-                .collect();
-            locals[l - 1] = parent_locals;
-            locals[l] = new_locals;
-        }
-
-        Ok(Fmm {
-            bounds,
-            levels,
-            degrees,
-            particles: sorted,
-            perm,
-            grids,
-            multipoles,
-            locals,
-            translation_terms,
-        })
-    }
-
-    /// The finest level index.
-    #[must_use]
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
-    /// The per-level expansion degrees.
-    #[must_use]
-    pub fn degrees(&self) -> &[usize] {
-        &self.degrees
-    }
-
-    /// The root bounding cube.
-    #[must_use]
-    pub fn bounds(&self) -> Aabb {
-        self.bounds
-    }
-
-    /// The level grids (index 0 = root).
-    #[must_use]
-    pub fn grids(&self) -> &[LevelGrid] {
-        &self.grids
-    }
-
-    /// The multipole expansions of one level (diagnostics / testing).
-    /// Empty for levels 0 and 1, whose multipoles are never read and so
-    /// never formed.
-    #[must_use]
-    pub fn multipoles(&self, level: usize) -> &[MultipoleExpansion] {
-        &self.multipoles[level]
-    }
-
-    /// The local expansions of one level (diagnostics / testing).
-    #[must_use]
-    pub fn locals(&self, level: usize) -> &[LocalExpansion] {
-        &self.locals[level]
-    }
-
-    /// Potentials at all source particles, caller order.
-    #[must_use]
-    pub fn potentials(&self) -> mbt_treecode::EvalResult<f64> {
-        let finest = &self.grids[self.levels];
-        let locals = &self.locals[self.levels];
-        let p = self.degrees[self.levels];
-        let cells_finest = 1u32 << self.levels;
-
-        let per_cell: Vec<(Vec<f64>, EvalStats)> = (0..finest.len())
-            .into_par_iter()
-            .map(|ci| {
-                let mut stats = EvalStats::default();
-                let (s, e) = finest.ranges[ci];
-                let (x, y, z) = key_coords(finest.keys[ci]);
-                // gather near-field cell ranges once per cell
-                let mut near: Vec<(u32, u32)> = Vec::with_capacity(27);
-                for dx in -1i64..=1 {
-                    for dy in -1i64..=1 {
-                        for dz in -1i64..=1 {
-                            let nx = i64::from(x) + dx;
-                            let ny = i64::from(y) + dy;
-                            let nz = i64::from(z) + dz;
-                            if nx < 0
-                                || ny < 0
-                                || nz < 0
-                                || nx >= i64::from(cells_finest)
-                                || ny >= i64::from(cells_finest)
-                                || nz >= i64::from(cells_finest)
-                            {
-                                continue;
-                            }
-                            if let Some(ni) = finest.find(nx as u32, ny as u32, nz as u32) {
-                                near.push(finest.ranges[ni]);
-                            }
-                        }
-                    }
-                }
-                let vals: Vec<f64> = (s..e)
-                    .map(|i| {
-                        let xi = self.particles[i as usize].position;
-                        let mut phi = locals[ci].potential_at(xi);
-                        stats.record_interaction(p); // the L2P evaluation
-                        let mut pairs = 0u64;
-                        for &(ns, ne) in &near {
-                            for j in ns..ne {
-                                if j != i {
-                                    let pj = &self.particles[j as usize];
-                                    phi += pj.charge / pj.position.distance(xi);
-                                    pairs += 1;
-                                }
-                            }
-                        }
-                        stats.record_direct(pairs);
-                        phi
-                    })
-                    .collect();
-                stats.targets = u64::from(e - s);
-                (vals, stats)
-            })
-            .collect();
-
-        let mut values = vec![0.0f64; self.particles.len()];
-        let mut stats = EvalStats::default();
-        for (ci, (vals, s)) in per_cell.into_iter().enumerate() {
-            let (cs, _) = finest.ranges[ci];
-            for (k, v) in vals.into_iter().enumerate() {
-                values[cs as usize + k] = v;
-            }
-            stats.merge(&s);
-        }
-        // scatter to caller order
-        let mut out = vec![0.0f64; values.len()];
-        for (i, &orig) in self.perm.iter().enumerate() {
-            out[orig] = values[i];
-        }
-        mbt_treecode::EvalResult { values: out, stats }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CompiledFmm;
     use mbt_geometry::distribution::{gaussian, uniform_cube, ChargeModel};
     use mbt_treecode::relative_error;
 
@@ -599,7 +350,7 @@ mod tests {
         let exact = mbt_treecode::direct::direct_potentials(&ps);
         let mut prev = f64::INFINITY;
         for p in [3usize, 6, 10] {
-            let fmm = Fmm::new(&ps, FmmParams::fixed(p).with_levels(3)).unwrap();
+            let fmm = CompiledFmm::new(&ps, FmmParams::fixed(p).with_levels(3)).unwrap();
             let r = fmm.potentials();
             let err = relative_error(&r.values, &exact);
             assert!(err < prev, "error must fall with degree: p={p}, err={err}");
@@ -612,7 +363,7 @@ mod tests {
     fn fmm_matches_direct_gaussian() {
         let ps = gaussian(2000, Vec3::ZERO, 0.5, charges(), 11);
         let exact = mbt_treecode::direct::direct_potentials(&ps);
-        let fmm = Fmm::new(&ps, FmmParams::fixed(8).with_levels(3)).unwrap();
+        let fmm = CompiledFmm::new(&ps, FmmParams::fixed(8).with_levels(3)).unwrap();
         let r = fmm.potentials();
         assert!(relative_error(&r.values, &exact) < 1e-4);
     }
@@ -620,7 +371,7 @@ mod tests {
     #[test]
     fn adaptive_degrees_ramp_toward_root() {
         let ps = uniform_cube(8000, 1.0, charges(), 5);
-        let fmm = Fmm::new(&ps, FmmParams::adaptive(3, 0.7).with_levels(4)).unwrap();
+        let fmm = CompiledFmm::new(&ps, FmmParams::adaptive(3, 0.7).with_levels(4)).unwrap();
         let d = fmm.degrees();
         assert_eq!(d.len(), 5);
         assert!(d[4] == 3, "finest level at p_min");
@@ -638,8 +389,8 @@ mod tests {
     fn adaptive_fmm_beats_fixed_at_p_min() {
         let ps = uniform_cube(6000, 1.0, ChargeModel::UnitPositive { magnitude: 1.0 }, 7);
         let exact = mbt_treecode::direct::direct_potentials(&ps);
-        let fixed = Fmm::new(&ps, FmmParams::fixed(3).with_levels(4)).unwrap();
-        let adaptive = Fmm::new(&ps, FmmParams::adaptive(3, 0.7).with_levels(4)).unwrap();
+        let fixed = CompiledFmm::new(&ps, FmmParams::fixed(3).with_levels(4)).unwrap();
+        let adaptive = CompiledFmm::new(&ps, FmmParams::adaptive(3, 0.7).with_levels(4)).unwrap();
         let e_fixed = relative_error(&fixed.potentials().values, &exact);
         let e_adaptive = relative_error(&adaptive.potentials().values, &exact);
         assert!(
@@ -651,7 +402,7 @@ mod tests {
     #[test]
     fn auto_levels_reasonable() {
         let ps = uniform_cube(4000, 1.0, charges(), 9);
-        let fmm = Fmm::new(&ps, FmmParams::fixed(4)).unwrap();
+        let fmm = CompiledFmm::new(&ps, FmmParams::fixed(4)).unwrap();
         assert!(
             fmm.levels() >= 2 && fmm.levels() <= 6,
             "levels = {}",
@@ -662,7 +413,7 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let ps = uniform_cube(2000, 1.0, charges(), 13);
-        let fmm = Fmm::new(&ps, FmmParams::fixed(5).with_levels(3)).unwrap();
+        let fmm = CompiledFmm::new(&ps, FmmParams::fixed(5).with_levels(3)).unwrap();
         let r = fmm.potentials();
         assert_eq!(r.stats.targets, 2000);
         assert_eq!(r.stats.pc_interactions, 2000); // one L2P per particle
@@ -673,27 +424,30 @@ mod tests {
     #[test]
     fn error_cases() {
         assert_eq!(
-            Fmm::new(&[], FmmParams::fixed(4)).err().unwrap(),
+            CompiledFmm::new(&[], FmmParams::fixed(4)).err().unwrap(),
             FmmError::Empty
         );
         let bad = [Particle::new(Vec3::new(0.0, f64::NAN, 0.0), 1.0)];
         assert_eq!(
-            Fmm::new(&bad, FmmParams::fixed(4)).err().unwrap(),
+            CompiledFmm::new(&bad, FmmParams::fixed(4)).err().unwrap(),
             FmmError::NonFinite { index: 0 }
         );
         let ok = [Particle::new(Vec3::ZERO, 1.0), Particle::new(Vec3::X, 1.0)];
         assert_eq!(
-            Fmm::new(&ok, FmmParams::fixed(4).with_levels(25))
+            CompiledFmm::new(&ok, FmmParams::fixed(4).with_levels(25))
                 .err()
                 .unwrap(),
-            FmmError::TooManyLevels { levels: 25 }
+            FmmError::DenseGridTooDeep {
+                levels: 25,
+                max: COMPILED_MAX_LEVELS
+            }
         );
     }
 
     #[test]
     fn degree_validation_is_typed() {
         let ps = uniform_cube(100, 1.0, charges(), 3);
-        let err = Fmm::new(&ps, FmmParams::fixed(100)).err().unwrap();
+        let err = CompiledFmm::new(&ps, FmmParams::fixed(100)).err().unwrap();
         assert!(matches!(err, FmmError::DegreeTooLarge { degree: 100, .. }));
         // validate() alone rejects without touching particles
         assert!(FmmParams::fixed(100).validate().is_err());
@@ -704,7 +458,7 @@ mod tests {
     fn tiny_n_resolves_to_shallow_levels() {
         for n in [1usize, 2, 8, 32] {
             let ps = uniform_cube(n, 1.0, charges(), 17);
-            let fmm = Fmm::new(&ps, FmmParams::fixed(4)).unwrap();
+            let fmm = CompiledFmm::new(&ps, FmmParams::fixed(4)).unwrap();
             assert_eq!(fmm.levels(), 0, "n={n} must resolve to level 0");
             // level 0 = a single cell: everything is near field (direct sum)
             let exact = mbt_treecode::direct::direct_potentials(&ps);
@@ -714,7 +468,7 @@ mod tests {
             }
         }
         let ps = uniform_cube(64, 1.0, charges(), 19);
-        let fmm = Fmm::new(&ps, FmmParams::fixed(4)).unwrap();
+        let fmm = CompiledFmm::new(&ps, FmmParams::fixed(4)).unwrap();
         assert!(fmm.levels() <= 1, "n=64 must resolve to level 0 or 1");
     }
 
@@ -723,7 +477,7 @@ mod tests {
         let ps: Vec<Particle> = (0..500)
             .map(|i| Particle::new(Vec3::new(0.25, -0.5, 1.0), 1.0 - 2.0 * f64::from(i % 2)))
             .collect();
-        let fmm = Fmm::new(&ps, FmmParams::fixed(4)).unwrap();
+        let fmm = CompiledFmm::new(&ps, FmmParams::fixed(4)).unwrap();
         assert_eq!(fmm.levels(), 0);
         let _ = fmm.potentials(); // must not panic (pairs at distance 0 aside)
     }
@@ -736,7 +490,7 @@ mod tests {
                 Particle::new(Vec3::new(t, 2.0 * t, -t), 1.0 - 2.0 * f64::from(i % 2))
             })
             .collect();
-        let fmm = Fmm::new(&ps, FmmParams::fixed(8)).unwrap();
+        let fmm = CompiledFmm::new(&ps, FmmParams::fixed(8)).unwrap();
         // 2^l-style occupancy: ceil(log2(600/32)) = 5 levels, not 8^l-deep
         assert!(
             fmm.levels() <= 6,
@@ -746,33 +500,5 @@ mod tests {
         let exact = mbt_treecode::direct::direct_potentials(&ps);
         let r = fmm.potentials();
         assert!(relative_error(&r.values, &exact) < 1e-3);
-    }
-
-    #[test]
-    fn explicit_shallow_levels_are_exact_direct_sums() {
-        let ps = uniform_cube(300, 1.0, charges(), 23);
-        let exact = mbt_treecode::direct::direct_potentials(&ps);
-        for levels in [0usize, 1] {
-            let fmm = Fmm::new(&ps, FmmParams::fixed(3).with_levels(levels)).unwrap();
-            assert_eq!(fmm.levels(), levels);
-            let r = fmm.potentials();
-            assert!(
-                relative_error(&r.values, &exact) < 1e-13,
-                "levels={levels}: shallow grids have no far field, results must be exact"
-            );
-        }
-    }
-
-    #[test]
-    fn two_particles_far_apart() {
-        let ps = [
-            Particle::new(Vec3::ZERO, 1.0),
-            Particle::new(Vec3::new(1.0, 1.0, 1.0), -2.0),
-        ];
-        let fmm = Fmm::new(&ps, FmmParams::fixed(20).with_levels(2)).unwrap();
-        let r = fmm.potentials();
-        let d = 3.0f64.sqrt();
-        assert!((r.values[0] - -2.0 / d).abs() < 1e-8);
-        assert!((r.values[1] - 1.0 / d).abs() < 1e-8);
     }
 }

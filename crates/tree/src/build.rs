@@ -1,9 +1,11 @@
 //! Octree construction.
 //!
 //! 1. Compute the cubical hull of the particle set.
-//! 2. Sort particles by Morton key (parallel sort; the per-octant digit of
-//!    the key makes every cell a contiguous range and child partitioning a
-//!    binary search, no data movement after the one sort).
+//! 2. Sort particles by Morton key (one unstable sort through rayon's
+//!    `par_sort_unstable`, which the in-workspace rayon stand-in runs
+//!    sequentially; the per-octant digit of the key makes every cell a
+//!    contiguous range and child partitioning a binary search, no data
+//!    movement after the one sort).
 //! 3. Split cells top-down until `leaf_capacity` is reached (or the key
 //!    resolution floor — coincident particles cannot be separated).
 //! 4. One pass over the nodes fills each cluster's expansion centre (the

@@ -61,7 +61,7 @@ pub mod prelude {
         Accuracy, CacheOutcome, DatasetId, Engine, EngineConfig, EngineError, EngineStats,
         QueryKind, QueryOutput, QueryRequest, QueryResponse,
     };
-    pub use mbt_fmm::{Fmm, FmmParams};
+    pub use mbt_fmm::{CompiledFmm, FmmParams};
     pub use mbt_geometry::distribution::{
         gaussian, overlapped_gaussians, plummer, uniform_ball, uniform_cube, ChargeModel,
     };
@@ -76,8 +76,8 @@ pub mod prelude {
         direct::{
             direct_fields, direct_potentials, direct_potentials_at, direct_potentials_softened,
         },
-        relative_error, sampled_relative_error, EvalMode, EvalResult, EvalStats, RefWeight,
-        SampledError, Treecode, TreecodeParams,
+        relative_error, sampled_relative_error, EvalResult, EvalStats, RefWeight, SampledError,
+        Treecode, TreecodeParams,
     };
 }
 

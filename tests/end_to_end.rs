@@ -56,7 +56,7 @@ fn treecode_and_fmm_agree() {
     );
     let exact = direct_potentials(&ps);
     let tc = Treecode::new(&ps, TreecodeParams::fixed(8, 0.4)).unwrap();
-    let fmm = Fmm::new(&ps, FmmParams::fixed(8).with_levels(3)).unwrap();
+    let fmm = CompiledFmm::new(&ps, FmmParams::fixed(8).with_levels(3)).unwrap();
     let e_tc = rel_err_vec(&tc.potentials().values, &exact);
     let e_fmm = rel_err_vec(&fmm.potentials().values, &exact);
     assert!(e_tc < 1e-4, "treecode error {e_tc}");

@@ -27,7 +27,7 @@ fn all_methods_agree_on_one_instance() {
     results.push(("dual-tree p=8", tc_fixed.potentials_dual().values, 1e-3));
 
     // 5. FMM
-    let fmm = Fmm::new(&ps, FmmParams::fixed(8).with_levels(3)).unwrap();
+    let fmm = CompiledFmm::new(&ps, FmmParams::fixed(8).with_levels(3)).unwrap();
     results.push(("fmm p=8", fmm.potentials().values, 1e-4));
 
     for (name, values, tol) in &results {
