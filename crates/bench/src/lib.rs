@@ -112,13 +112,13 @@ pub fn load_balance_efficiency(per_chunk_work: &[u64], threads: usize) -> f64 {
 /// running the evaluation chunk-by-chunk.
 #[must_use]
 pub fn per_chunk_work(tc: &Treecode, chunk: usize) -> Vec<u64> {
-    let particles = tc.particles().to_vec();
+    let particles = tc.particles();
     let n = particles.len();
     let mut works = Vec::with_capacity(n / chunk + 1);
     let mut start = 0;
     while start < n {
         let end = (start + chunk).min(n);
-        let pts: Vec<_> = particles[start..end].iter().map(|p| p.position).collect();
+        let pts: Vec<_> = (start..end).map(|i| particles.position(i)).collect();
         let r = tc.potentials_at(&pts);
         works.push(r.stats.work());
         start = end;

@@ -13,7 +13,7 @@
 //! 2. **execute** — bucket the M2P tasks by interaction degree with a
 //!    stable counting sort and burn through them in groups of
 //!    [`M2P_LANES`] via the batched SoA kernels of `mbt-multipole::batch`;
-//!    then stream the P2P spans over the octree's [`ParticleSoa`] mirror.
+//!    then stream the P2P spans over the octree's SoA sources ([`mbt_geometry::SoaSpan`]).
 //!
 //! Degree bucketing is what amortizes per-degree table setup
 //! ([`BatchWorkspace::prepare_degree`]) over every task in a bucket; the
@@ -33,7 +33,7 @@
 //! it evaluates the same interaction set one target at a time, so the
 //! counters agree exactly and the values up to summation order.
 
-use mbt_geometry::Vec3;
+use mbt_geometry::{SoaSpan, Vec3};
 use mbt_multipole::batch::{
     m2p_field_group, m2p_field_group_uniform, m2p_potential_group, m2p_potential_group_uniform,
     p2p_span, BatchWorkspace, M2pGroup, M2P_LANES,
@@ -353,7 +353,7 @@ impl Treecode {
         for k in 0..len {
             let x = match points {
                 Some(ps) => ps[base + k],
-                None => self.tree.particles()[base + k].position,
+                None => self.tree.particles().position(base + k),
             };
             cs.targets.push(x);
         }
@@ -683,7 +683,7 @@ impl Treecode {
         });
     }
 
-    /// Runs every span of the chunk over the tree's SoA mirror, handing
+    /// Runs every span of the chunk over the tree's SoA sources, handing
     /// `(target, Φ, ∇Φ)` to `add`; guarded spans count their surviving
     /// pairs into `stats`.
     fn exec_p2p<const GUARD: bool, const FIELD: bool>(
@@ -692,8 +692,7 @@ impl Treecode {
         stats: &mut EvalStats,
         mut add: impl FnMut(usize, f64, Vec3),
     ) {
-        let soa = self.tree.particles_soa();
-        let (x, y, z, q) = (&soa.x, &soa.y, &soa.z, &soa.q);
+        let SoaSpan { x, y, z, q } = self.tree.particles();
         let eps2 = self.params.softening * self.params.softening;
         for sp in &cs.spans {
             let (s, e) = (sp.start as usize, sp.end as usize);

@@ -157,18 +157,14 @@ impl Treecode {
                 let mut pairs = 0u64;
                 let values: Vec<f64> = (start..end)
                     .map(|i| {
-                        let x = particles[i].position;
+                        let x = particles.position(i);
                         let mut phi = local.potential_at(x);
                         for &s in &near[leaf as usize] {
                             let sn = tree.node(s);
-                            for (j, p) in particles
-                                .iter()
-                                .enumerate()
-                                .take(sn.end as usize)
-                                .skip(sn.start as usize)
-                            {
+                            for j in sn.start as usize..sn.end as usize {
                                 if j != i {
-                                    phi += p.charge / (p.position.distance_sq(x) + eps2).sqrt();
+                                    let r2 = particles.position(j).distance_sq(x);
+                                    phi += particles.q[j] / (r2 + eps2).sqrt();
                                     pairs += 1;
                                 }
                             }

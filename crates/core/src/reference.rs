@@ -107,7 +107,7 @@ impl<'a> Reference<'a> {
                 MacDecision::Open if !node.is_leaf => stack.extend(node.child_ids()),
                 MacDecision::Open => {
                     let start = node.start as usize;
-                    let leaf = &tc.tree.particles()[start..node.end as usize];
+                    let leaf = tc.tree.particles().slice(start..node.end as usize);
                     for (j, p) in leaf.iter().enumerate() {
                         let own = matches!(kind, TargetKind::SourceParticle(i) if i == start + j);
                         if own {

@@ -3,8 +3,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mbt_geometry::Particle;
-use mbt_multipole::{p2m_into, tri_len, Complex, ExpansionRef, Workspace, P2M_LANES};
+use mbt_geometry::{Particle, SoaSpan};
+use mbt_multipole::{p2m_soa_into, tri_len, Complex, ExpansionRef, Workspace, P2M_LANES};
 use mbt_tree::{Octree, OctreeParams};
 use rayon::prelude::*;
 
@@ -319,7 +319,7 @@ impl Treecode {
                         for (id, &p) in degrees.iter().enumerate().take(end).skip(first) {
                             let (span, tail) = rest.split_at_mut(tri_len(p));
                             let id = id as u32;
-                            p2m_into(
+                            p2m_soa_into(
                                 span,
                                 tree.node(id).center,
                                 p,
@@ -330,11 +330,11 @@ impl Treecode {
                         }
                     }
                     P2mItem::Block { node, ref span, .. } => {
-                        p2m_into(
+                        p2m_soa_into(
                             out,
                             tree.node(node as u32).center,
                             degrees[node],
-                            &tree.particles()[span.start..span.end],
+                            tree.particles().slice(span.start..span.end),
                             &mut ws,
                         );
                     }
@@ -431,7 +431,7 @@ impl Treecode {
     /// The source particles in tree (Morton) order.
     #[inline]
     #[must_use]
-    pub fn particles(&self) -> &[Particle] {
+    pub fn particles(&self) -> SoaSpan<'_> {
         self.tree.particles()
     }
 
@@ -483,11 +483,8 @@ mod tests {
             let tc = Treecode::new(&ps, params).unwrap();
             for (i, n) in tc.tree().nodes().iter().enumerate() {
                 let p = tc.degrees()[i];
-                let direct = MultipoleExpansion::from_particles(
-                    n.center,
-                    p,
-                    tc.tree().particles_of(i as u32),
-                );
+                let sources: Vec<Particle> = tc.tree().particles_of(i as u32).iter().collect();
+                let direct = MultipoleExpansion::from_particles(n.center, p, &sources);
                 let built = tc.expansion(i as u32);
                 for deg in 0..=p {
                     for m in 0..=deg as i64 {

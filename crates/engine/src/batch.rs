@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use mbt_fmm::CompiledFmm;
-use mbt_geometry::{Particle, Vec3};
+use mbt_geometry::{Particle, ParticleSoa, Vec3};
 use mbt_obs::Phase;
 use mbt_treecode::{EvalStats, Treecode};
 
@@ -187,23 +187,14 @@ pub(crate) fn evaluate_direct(
     let t0 = Instant::now();
     let eps2 = softening * softening;
     // one SoA gather per sweep, shared by every request in the batch
-    let mut xs = Vec::with_capacity(particles.len());
-    let mut ys = Vec::with_capacity(particles.len());
-    let mut zs = Vec::with_capacity(particles.len());
-    let mut qs = Vec::with_capacity(particles.len());
-    for p in particles {
-        xs.push(p.position.x);
-        ys.push(p.position.y);
-        zs.push(p.position.z);
-        qs.push(p.charge);
-    }
+    let ParticleSoa { x, y, z, q } = ParticleSoa::gather(particles, 0..particles.len());
     let out = packed_sweep(kind, requests, |points, arena| {
         let mut stats = EvalStats::for_targets(points.len() as u64);
         match arena {
             QueryOutput::Potentials(values) => {
                 for (value, &pt) in values.iter_mut().zip(points) {
                     let (phi, _, pairs) =
-                        mbt_multipole::p2p_span::<f64, true, false>(&xs, &ys, &zs, &qs, pt, eps2);
+                        mbt_multipole::p2p_span::<f64, true, false>(&x, &y, &z, &q, pt, eps2);
                     stats.record_direct(pairs);
                     *value = phi;
                 }
@@ -211,7 +202,7 @@ pub(crate) fn evaluate_direct(
             QueryOutput::Fields(values) => {
                 for (value, &pt) in values.iter_mut().zip(points) {
                     let (phi, grad, pairs) =
-                        mbt_multipole::p2p_span::<f64, true, true>(&xs, &ys, &zs, &qs, pt, eps2);
+                        mbt_multipole::p2p_span::<f64, true, true>(&x, &y, &z, &q, pt, eps2);
                     stats.record_direct(pairs);
                     *value = (phi, grad);
                 }

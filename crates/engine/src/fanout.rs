@@ -211,8 +211,7 @@ mod tests {
 
     fn sharded_setup(n: usize, k: usize, params: TreecodeParams) -> (Vec<Arc<Plan>>, Skeleton) {
         let ps = uniform_cube(n, 1.0, ChargeModel::RandomSign { magnitude: 1.0 }, 71);
-        let positions: Vec<Vec3> = ps.iter().map(|p| p.position).collect();
-        let bounds = Aabb::cubical_hull(&positions, 1e-9);
+        let bounds = Aabb::cubical_hull_of(&ps, 1e-9);
         let partition = HilbertPartition::new(&ps, &bounds, k).unwrap();
         let plans: Vec<Arc<Plan>> = partition
             .split(&ps)
@@ -232,7 +231,7 @@ mod tests {
         plans
             .iter()
             .flat_map(|p| p.treecode().unwrap().particles().iter())
-            .map(|p: &Particle| p.charge / x.distance(p.position))
+            .map(|p: Particle| p.charge / x.distance(p.position))
             .sum()
     }
 

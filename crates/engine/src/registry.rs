@@ -131,17 +131,6 @@ fn charge_profile(particles: &[Particle]) -> f64 {
     particles.iter().map(|p| p.charge.abs()).sum()
 }
 
-/// The padded cubical hull of the particle positions, without copying
-/// them out: the hull of the tight box's two corners is the hull of the
-/// whole set.
-fn hull(particles: &[Particle]) -> Aabb {
-    let mut tight = Aabb::empty();
-    for p in particles {
-        tight.grow(p.position);
-    }
-    Aabb::cubical_hull(&[tight.min, tight.max], 1e-9)
-}
-
 #[derive(Debug, Default)]
 struct RegistryInner {
     by_id: HashMap<DatasetId, Arc<Dataset>>,
@@ -191,7 +180,7 @@ impl DatasetRegistry {
         if shards == 1 {
             return self.insert(name, particles, Vec::new(), Vec::new());
         }
-        let bounds = hull(&particles);
+        let bounds = Aabb::cubical_hull_of(&particles, 1e-9);
         let partition =
             HilbertPartition::new(&particles, &bounds, shards).map_err(|e| match e {
                 mbt_shard::ShardError::InvalidCount {
@@ -300,7 +289,7 @@ impl DatasetRegistry {
         shard_parts: Vec<Arc<[Particle]>>,
         shard_infos: Vec<ShardInfo>,
     ) -> Result<DatasetId, EngineError> {
-        let bounds = hull(&particles);
+        let bounds = Aabb::cubical_hull_of(&particles, 1e-9);
         let abs_charge = charge_profile(&particles);
         let copies = particles.len() + shard_parts.iter().map(|p| p.len()).sum::<usize>();
         let bytes = copies * std::mem::size_of::<Particle>();

@@ -1,14 +1,14 @@
 //! Level-synchronised cell grids for the FMM.
 //!
 //! Level `l` divides the root cube into `2^l` cells per axis. Only occupied
-//! cells are stored; each knows its integer coordinates, geometric center
-//! and contiguous particle range (particles are sorted by finest-level
-//! Morton key, and coarse cells cover contiguous unions of their children's
-//! ranges). A grid is pure geometry: the per-cell absolute charges the
-//! degree rule weighs are computed beside it
+//! cells are stored, in Morton order, and a cell's one name is its Morton
+//! code: it gives the integer coordinates (`morton::decode`), the parent
+//! (`code >> 3`) and the octant within it (`code & 7`). Each cell also
+//! knows its geometric center and contiguous particle range (particles are
+//! sorted by finest-level Morton code, and coarse cells cover contiguous
+//! unions of their children's ranges). A grid is pure geometry: the
+//! per-cell absolute charges the degree rule weighs are computed beside it
 //! (`method::level_degrees`), so a charge update never touches it.
-
-use std::collections::HashMap;
 
 use mbt_geometry::{Aabb, Vec3};
 
@@ -94,19 +94,13 @@ impl std::fmt::Display for FmmError {
 
 impl std::error::Error for FmmError {}
 
-// The packed cell-coordinate key lives in the shared geometry key module;
-// re-exported here under the names the FMM grids have always used.
-pub use mbt_geometry::morton::{pack_cell as cell_key, unpack_cell as key_coords};
-
 /// The occupied cells of one level.
 #[derive(Debug, Clone)]
 pub struct LevelGrid {
     /// Level index (root cube = level 0).
     pub level: usize,
-    /// Cell lookup: packed coordinates → dense index.
-    pub index: HashMap<u64, usize>,
-    /// Packed coordinates per cell (dense order).
-    pub keys: Vec<u64>,
+    /// Morton code per cell, strictly increasing (dense order).
+    pub codes: Vec<u64>,
     /// Geometric centers.
     pub centers: Vec<Vec3>,
     /// Contiguous particle ranges `[start, end)` in the sorted array.
@@ -120,21 +114,22 @@ impl LevelGrid {
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.codes.len()
     }
 
     /// True when the level has no occupied cells (never for a built FMM).
     #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.codes.is_empty()
     }
 
     /// Dense index of the cell with the given coordinates, if occupied
     /// (the reference FMM's lookup; the compiled FMM uses dense tables).
     #[cfg(test)]
     pub(crate) fn find(&self, x: u32, y: u32, z: u32) -> Option<usize> {
-        self.index.get(&cell_key(x, y, z)).copied()
+        let code = mbt_geometry::morton::encode(x, y, z);
+        self.codes.binary_search(&code).ok()
     }
 }
 
@@ -183,13 +178,6 @@ pub fn cell_of(bounds: &Aabb, cells: u32, p: Vec3) -> (u32, u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn key_roundtrip() {
-        for (x, y, z) in [(0, 0, 0), (1, 2, 3), (1 << 20, 5, (1 << 21) - 1)] {
-            assert_eq!(key_coords(cell_key(x, y, z)), (x, y, z));
-        }
-    }
 
     #[test]
     fn cell_of_and_center_consistent() {

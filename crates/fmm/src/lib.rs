@@ -38,5 +38,5 @@ pub mod method;
 mod reference;
 
 pub use compiled::{shared_operator_bytes, CompiledFmm, COMPILED_MAX_DEGREE, COMPILED_MAX_LEVELS};
-pub use grid::{cell_key, FmmError, LevelGrid};
+pub use grid::{FmmError, LevelGrid};
 pub use method::FmmParams;

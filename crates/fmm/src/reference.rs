@@ -3,25 +3,26 @@
 //!
 //! The same level-synchronised pipeline as [`crate::CompiledFmm`], over
 //! the same sorted particles, grids and degree vector, but written
-//! straight from the math: `HashMap` grid lookups, owned expansions, and
+//! straight from the math: binary-searched grid lookups, owned expansions, and
 //! every translation through the spherical-harmonic recurrences of
 //! `mbt-multipole`. The two must resolve equal degree vectors, report
 //! bit-identical [`EvalStats`] and translation-term counts, and agree on
 //! values up to summation order.
 
-use mbt_geometry::Particle;
+use mbt_geometry::morton::decode;
+use mbt_geometry::{Particle, ParticleSoa};
 use mbt_multipole::{LocalExpansion, MultipoleExpansion};
 use mbt_treecode::{EvalResult, EvalStats};
 use rayon::prelude::*;
 
-use crate::grid::{key_coords, FmmError, LevelGrid};
+use crate::grid::{FmmError, LevelGrid};
 use crate::method::{build_structure, level_degrees, FmmParams, FmmStructure};
 
 /// A fully built reference FMM, ready to evaluate at its sources.
 pub(crate) struct Fmm {
     levels: usize,
     degrees: Vec<usize>, // per level
-    particles: Vec<Particle>,
+    sources: ParticleSoa,
     perm: Vec<usize>,
     grids: Vec<LevelGrid>,
     locals: Vec<Vec<LocalExpansion>>, // [level][cell]
@@ -34,12 +35,12 @@ impl Fmm {
     pub(crate) fn new(particles: &[Particle], params: FmmParams) -> Result<Fmm, FmmError> {
         let FmmStructure {
             levels,
-            sorted,
+            sources,
             perm,
             grids,
             ..
         } = build_structure(particles, &params)?;
-        let degrees = level_degrees(&grids, &sorted, params.degree);
+        let degrees = level_degrees(&grids, &sources.q, params.degree);
 
         // upward: P2M per level directly from the particles (each level's
         // expansion is then exact at its own degree — see the crate docs).
@@ -53,11 +54,12 @@ impl Fmm {
                 .into_par_iter()
                 .map(|ci| {
                     let (s, e) = grid.ranges[ci];
-                    MultipoleExpansion::from_particles(
-                        grid.centers[ci],
-                        p,
-                        &sorted[s as usize..e as usize],
-                    )
+                    let cell: Vec<Particle> = sources
+                        .span()
+                        .slice(s as usize..e as usize)
+                        .iter()
+                        .collect();
+                    MultipoleExpansion::from_particles(grid.centers[ci], p, &cell)
                 })
                 .collect();
             translation_terms += (grid.len() as u64) * ((p as u64 + 1) * (p as u64 + 1));
@@ -84,7 +86,7 @@ impl Fmm {
             let new_locals: Vec<LocalExpansion> = (0..grid.len())
                 .into_par_iter()
                 .map(|ci| {
-                    let (x, y, z) = key_coords(grid.keys[ci]);
+                    let (x, y, z) = decode(grid.codes[ci]);
                     let center = grid.centers[ci];
                     // L2L from the parent
                     let (px, py, pz) = (x >> 1, y >> 1, z >> 1);
@@ -131,7 +133,7 @@ impl Fmm {
         Ok(Fmm {
             levels,
             degrees,
-            particles: sorted,
+            sources,
             perm,
             grids,
             locals,
@@ -151,11 +153,12 @@ impl Fmm {
         let locals = &self.locals[self.levels];
         let p = self.degrees[self.levels];
         let cells = i64::from(1u32 << self.levels);
-        let mut sorted_values = vec![0.0f64; self.particles.len()];
-        let mut stats = EvalStats::for_targets(self.particles.len() as u64);
+        let sources = self.sources.span();
+        let mut sorted_values = vec![0.0f64; sources.len()];
+        let mut stats = EvalStats::for_targets(sources.len() as u64);
         for (ci, local) in locals.iter().enumerate() {
             let (s, e) = finest.ranges[ci];
-            let (x, y, z) = key_coords(finest.keys[ci]);
+            let (x, y, z) = decode(finest.codes[ci]);
             let mut near: Vec<(u32, u32)> = Vec::with_capacity(27);
             for dx in -1i64..=1 {
                 for dy in -1i64..=1 {
@@ -173,13 +176,13 @@ impl Fmm {
                 }
             }
             for i in s..e {
-                let xi = self.particles[i as usize].position;
+                let xi = sources.position(i as usize);
                 let mut phi = local.potential_at(xi);
                 stats.record_interaction(p); // the L2P evaluation
                 for &(ns, ne) in &near {
                     for j in (ns..ne).filter(|&j| j != i) {
-                        let pj = &self.particles[j as usize];
-                        phi += pj.charge / pj.position.distance(xi);
+                        let j = j as usize;
+                        phi += sources.q[j] / sources.position(j).distance(xi);
                         stats.record_direct(1);
                     }
                 }

@@ -5,6 +5,7 @@
 //! tight bounding box of a point set into the smallest enclosing cube — the
 //! root cell of the decomposition.
 
+use crate::particle::Particle;
 use crate::vec3::Vec3;
 
 /// An axis-aligned box `[min, max]`.
@@ -75,6 +76,22 @@ impl Aabb {
             edge = 1.0; // all points coincide
         }
         Aabb::cube(center, edge * (1.0 + pad_rel))
+    }
+
+    /// [`Aabb::cubical_hull`] of the particles' positions, without copying
+    /// them out: the hull of the tight box's two corners is the hull of
+    /// the whole set.
+    #[must_use]
+    pub fn cubical_hull_of(particles: &[Particle], pad_rel: f64) -> Self {
+        let mut tight = Aabb::empty();
+        for p in particles {
+            tight.grow(p.position);
+        }
+        let corners = [tight.min, tight.max];
+        Aabb::cubical_hull(
+            &corners[..if particles.is_empty() { 0 } else { 2 }],
+            pad_rel,
+        )
     }
 
     /// True when `min <= max` on all axes (i.e. not [`Aabb::empty`]).

@@ -264,7 +264,7 @@ mod tests {
             ChargeModel::RandomSign { magnitude: 1.0 },
             5,
         );
-        let hull = Aabb::cubical_hull(&ps.iter().map(|p| p.position).collect::<Vec<_>>(), 1e-3);
+        let hull = Aabb::cubical_hull_of(&ps, 1e-3);
         let mut counts = [0usize; 64];
         for p in &ps {
             let rel = (p.position - hull.min) / hull.edge();

@@ -16,8 +16,9 @@
 //!   model for the astrophysics examples,
 //! * [`Particle`] — the `position + charge` record every other crate
 //!   operates on,
-//! * [`ParticleSoa`] — a structure-of-arrays mirror of a particle slice
-//!   for the batched (auto-vectorized) evaluation kernels.
+//! * [`ParticleSoa`] and [`SoaSpan`] — sorted sources stored one array
+//!   per component, the only copy a built tree or FMM keeps, and the
+//!   borrowed view the batched (auto-vectorized) kernels read.
 
 #![forbid(unsafe_code)]
 
@@ -33,6 +34,6 @@ pub mod vec3;
 
 pub use aabb::Aabb;
 pub use particle::Particle;
-pub use soa::ParticleSoa;
+pub use soa::{ParticleSoa, SoaSpan};
 pub use spherical::Spherical;
 pub use vec3::Vec3;

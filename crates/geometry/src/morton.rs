@@ -57,29 +57,6 @@ pub fn decode(key: u64) -> (u32, u32, u32) {
     (compact(key), compact(key >> 1), compact(key >> 2))
 }
 
-/// Packs three 21-bit grid coordinates axis-major (x in bits 0..21, y in
-/// 21..42, z in 42..63) — the cheap, non-interleaved companion of
-/// [`encode`] for callers that need a hashable cell identity without
-/// proximity order (e.g. the FMM level grids).
-#[inline]
-#[must_use]
-pub fn pack_cell(x: u32, y: u32, z: u32) -> u64 {
-    debug_assert!(x <= MAX_COORD && y <= MAX_COORD && z <= MAX_COORD);
-    u64::from(x) | u64::from(y) << BITS | u64::from(z) << (2 * BITS)
-}
-
-/// Inverse of [`pack_cell`].
-#[inline]
-#[must_use]
-pub fn unpack_cell(key: u64) -> (u32, u32, u32) {
-    let mask = u64::from(MAX_COORD);
-    (
-        (key & mask) as u32,
-        (key >> BITS & mask) as u32,
-        (key >> (2 * BITS) & mask) as u32,
-    )
-}
-
 /// Quantises a point inside `bounds` onto the grid. Points outside are
 /// clamped, so callers may pass a slightly loose box.
 #[inline]
@@ -129,19 +106,6 @@ mod tests {
         ];
         for (x, y, z) in cases {
             assert_eq!(decode(encode(x, y, z)), (x, y, z));
-        }
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let cases = [
-            (0, 0, 0),
-            (MAX_COORD, MAX_COORD, MAX_COORD),
-            (1, 2, 3),
-            (0x12_3456, 0x0f_edcb, 0x1f_ffff),
-        ];
-        for (x, y, z) in cases {
-            assert_eq!(unpack_cell(pack_cell(x, y, z)), (x, y, z));
         }
     }
 

@@ -10,7 +10,6 @@ use rayon::prelude::*;
 
 use crate::aabb::Aabb;
 use crate::particle::Particle;
-use crate::vec3::Vec3;
 use crate::{hilbert, morton};
 
 /// Which space-filling curve to sort by.
@@ -50,8 +49,7 @@ impl Ordered {
 /// Sorts particles by space-filling-curve key inside their cubical hull.
 #[must_use]
 pub fn order_particles(particles: &[Particle], curve: CurveOrder) -> Ordered {
-    let positions: Vec<Vec3> = particles.iter().map(|p| p.position).collect();
-    let bounds = Aabb::cubical_hull(&positions, 1e-9);
+    let bounds = Aabb::cubical_hull_of(particles, 1e-9);
     order_particles_in(particles, curve, bounds)
 }
 
@@ -84,6 +82,7 @@ pub fn order_particles_in(particles: &[Particle], curve: CurveOrder, bounds: Aab
 mod tests {
     use super::*;
     use crate::distribution::{uniform_cube, ChargeModel};
+    use crate::vec3::Vec3;
 
     #[test]
     fn permutation_is_valid_and_matches_particles() {

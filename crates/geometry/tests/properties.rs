@@ -30,19 +30,6 @@ proptest! {
         prop_assert_eq!(morton::decode(morton::encode(x, y, z)), (x, y, z));
     }
 
-    /// Axis-major cell keys roundtrip on the full grid, and agree with the
-    /// interleaved keys on the coordinates they carry.
-    #[test]
-    fn pack_cell_roundtrip(
-        x in 0u32..(1 << 21),
-        y in 0u32..(1 << 21),
-        z in 0u32..(1 << 21),
-    ) {
-        let k = morton::pack_cell(x, y, z);
-        prop_assert_eq!(morton::unpack_cell(k), (x, y, z));
-        prop_assert_eq!(morton::decode(morton::encode(x, y, z)), morton::unpack_cell(k));
-    }
-
     /// Hilbert keys roundtrip and are a bijection sample-wise.
     #[test]
     fn hilbert_roundtrip(

@@ -75,7 +75,7 @@
 //! `tri_index(n, m) * L + l`, so each recurrence step is one wide-register
 //! op per table row (see DESIGN.md §10/§12 for the inspection notes).
 
-use mbt_geometry::{Particle, Vec3};
+use mbt_geometry::Vec3;
 
 use crate::complex::Complex;
 use crate::simd::{self, F64Lanes, Lanes, Real};
@@ -834,8 +834,8 @@ fn p2p_lanes<T: Real, const L: usize, const GUARD: bool, const FIELD: bool>(
 /// summed never depends on the dispatched level.
 pub const P2M_LANES: usize = 8;
 
-/// P2M over one particle span: `out[tri_index(n, m)] += Σ_j q_j S_n^m(x_j
-/// − c)` with `S_n^m = √((n−m)!/(n+m)!) ρⁿ P_n^m(cos θ) e^{−imφ}`, the
+/// P2M over one span of `count` sources, source `j` at `source(j)`
+/// (position, charge): `out[tri_index(n, m)] = Σ_j q_j S_n^m(x_j − c)` with `S_n^m = √((n−m)!/(n+m)!) ρⁿ P_n^m(cos θ) e^{−imφ}`, the
 /// multipole coefficients `M_n^m = Σ q ρⁿ Y_n^{−m}` of the crate's
 /// convention.
 ///
@@ -846,29 +846,35 @@ pub const P2M_LANES: usize = 8;
 /// [`P2M_LANES`] at a time, one accumulator row per lane (a short last
 /// group is padded with zero-charge lanes at the centre, which add only
 /// zeros). The lanes are reduced in one fixed pairwise order and added
-/// to `out` once, so the result is a function of the span and its order
-/// alone, the same bits at every dispatch level.
+/// to the zeroed `out` once, so the result is a function of the span and
+/// its order alone, the same bits at every dispatch level.
 ///
 /// `scratch` is the lane-accumulator buffer; it grows to
-/// `2·tri_len(degree)·P2M_LANES` entries. `out` must hold
+/// `2·tri_len(degree)·P2M_LANES` entries. `out` must hold exactly
 /// `tri_len(degree)` entries.
 pub(crate) fn p2m_span(
     out: &mut [Complex],
     center: Vec3,
     degree: usize,
-    particles: &[Particle],
+    (count, source): (usize, impl Fn(usize) -> (Vec3, f64)),
     scratch: &mut Vec<f64>,
 ) {
     assert!(
         degree <= crate::tables::MAX_DEGREE,
         "P2M degree {degree} exceeds MAX_DEGREE"
     );
+    assert_eq!(
+        out.len(),
+        tri_len(degree),
+        "coefficient span length does not match degree"
+    );
+    out.fill(Complex::ZERO);
     let len = crate::workspace::p2m_scratch_len(degree);
     if scratch.len() < len {
         scratch.resize(len, 0.0);
     }
     let acc = &mut scratch[..len];
-    simd::dispatch(|| p2m_lanes::<P2M_LANES>(out, center, degree, particles, acc));
+    simd::dispatch(|| p2m_lanes::<P2M_LANES>(out, center, degree, count, &source, acc));
 }
 
 #[inline(always)]
@@ -876,24 +882,27 @@ fn p2m_lanes<const L: usize>(
     out: &mut [Complex],
     center: Vec3,
     degree: usize,
-    particles: &[Particle],
+    n: usize,
+    source: &impl Fn(usize) -> (Vec3, f64),
     acc: &mut [f64],
 ) {
-    if particles.is_empty() {
+    if n == 0 {
         return;
     }
     let (ra, rb) = Tables::get().p2m_recurrence();
-    for (k, group) in particles.chunks(L).enumerate() {
+    for (k, start) in (0..n).step_by(L).enumerate() {
         // pad lanes: zero charge at the centre, so every term they add is 0
-        let lane = |f: fn(&Particle) -> f64, pad: f64| {
-            F64Lanes::<L>::from_fn(|l| group.get(l).map_or(pad, f))
-        };
-        let offset = |f: fn(&Particle) -> f64, c: f64| lane(f, c) - F64Lanes::splat(c);
+        let (mut x, mut y, mut z, mut q) = ([center.x; L], [center.y; L], [center.z; L], [0.0; L]);
+        for l in 0..L.min(n - start) {
+            let (p, charge) = source(start + l);
+            (x[l], y[l], z[l], q[l]) = (p.x, p.y, p.z, charge);
+        }
+        let offset = |v: [f64; L], c: f64| Lanes(v) - F64Lanes::splat(c);
         let src = [
-            offset(|p| p.position.x, center.x),
-            offset(|p| p.position.y, center.y),
-            offset(|p| p.position.z, center.z),
-            lane(|p| p.charge, 0.0),
+            offset(x, center.x),
+            offset(y, center.y),
+            offset(z, center.z),
+            Lanes(q),
         ];
         p2m_group(acc, degree, src, ra, rb, k == 0);
     }
@@ -1423,15 +1432,6 @@ mod tests {
         }
     }
 
-    fn soa_of(ps: &[Particle]) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-        (
-            ps.iter().map(|p| p.position.x).collect(),
-            ps.iter().map(|p| p.position.y).collect(),
-            ps.iter().map(|p| p.position.z).collect(),
-            ps.iter().map(|p| p.charge).collect(),
-        )
-    }
-
     fn soa32_of(ps: &[Particle]) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
         (
             ps.iter().map(|p| p.position.x as f32).collect(),
@@ -1448,7 +1448,8 @@ mod tests {
     fn p2p_f32_spans_track_f64_within_roundoff() {
         for n in [0usize, 1, 7, 16, 19, 33] {
             let ps = cluster(Vec3::ZERO, 1.0, n, 500 + n as u64);
-            let (xs, ys, zs, qs) = soa_of(&ps);
+            let soa = mbt_geometry::ParticleSoa::gather(&ps, 0..n);
+            let (xs, ys, zs, qs) = (soa.x, soa.y, soa.z, soa.q);
             let (x3, y3, z3, q3) = soa32_of(&ps);
             let t = Vec3::new(0.4, -0.7, 0.25);
             for eps2 in [0.0, 1e-4] {

@@ -10,7 +10,7 @@
 //! * [`LocalExpansion`] represents the field of distant charges inside a
 //!   sphere: `Φ(P) = Σ_{j≤p} Σ_{|k|≤j} L_j^k Y_j^k(θ,φ) r^j`.
 
-use mbt_geometry::{Particle, Spherical, Vec3};
+use mbt_geometry::{Particle, SoaSpan, Spherical, Vec3};
 
 use crate::batch::p2m_span;
 use crate::complex::Complex;
@@ -347,7 +347,8 @@ pub(crate) fn p2m_trig_reference(
 /// `out` must hold exactly `(degree+1)(degree+2)/2` entries; it is zeroed
 /// and then accumulated into through the lane-batched recurrence kernel
 /// (`crate::batch::p2m_span`), so the result is bit-identical to
-/// [`MultipoleExpansion::from_particles`] over the same particle order.
+/// [`MultipoleExpansion::from_particles`] and to [`p2m_soa_into`] over
+/// the same particle order.
 pub fn p2m_into(
     out: &mut [Complex],
     center: Vec3,
@@ -355,13 +356,21 @@ pub fn p2m_into(
     particles: &[Particle],
     ws: &mut Workspace,
 ) {
-    assert_eq!(
-        out.len(),
-        tri_len(degree),
-        "coefficient span length does not match degree"
-    );
-    out.fill(Complex::ZERO);
-    p2m_span(out, center, degree, particles, &mut ws.p2m);
+    let source = |i: usize| (particles[i].position, particles[i].charge);
+    p2m_span(out, center, degree, (particles.len(), source), &mut ws.p2m);
+}
+
+/// [`p2m_into`] over sources stored one array per component (a sorted
+/// tree's or FMM's [`SoaSpan`]): the same kernel, the same bits.
+pub fn p2m_soa_into(
+    out: &mut [Complex],
+    center: Vec3,
+    degree: usize,
+    sources: SoaSpan<'_>,
+    ws: &mut Workspace,
+) {
+    let source = |i: usize| (sources.position(i), sources.q[i]);
+    p2m_span(out, center, degree, (sources.len(), source), &mut ws.p2m);
 }
 
 /// A truncated multipole expansion about a center.
@@ -389,24 +398,6 @@ impl MultipoleExpansion {
         let mut e = Self::zero(center, degree);
         p2m_into(&mut e.coeffs.c, center, degree, particles, &mut ws);
         e
-    }
-
-    /// Accumulates one source charge into the expansion.
-    pub fn add_particle(&mut self, charge: f64, position: Vec3) {
-        let mut ws = Workspace::with_capacity(self.coeffs.degree);
-        self.add_particle_with(charge, position, &mut ws);
-    }
-
-    /// Accumulates one source charge using caller-provided scratch;
-    /// allocation-free once `ws` has grown to this expansion's degree.
-    pub fn add_particle_with(&mut self, charge: f64, position: Vec3, ws: &mut Workspace) {
-        p2m_span(
-            &mut self.coeffs.c,
-            self.center,
-            self.coeffs.degree,
-            &[Particle::new(position, charge)],
-            &mut ws.p2m,
-        );
     }
 
     /// A borrowed evaluation view of this expansion.
@@ -799,23 +790,48 @@ mod tests {
         }
     }
 
+    /// The SoA entry, the particle-slice entry and the owned expansion run
+    /// one kernel: every span length from 0 to `3·P2M_LANES + 1`, as a
+    /// prefix and as a suffix of a set holding a source at the centre and
+    /// one on the z axis, gives the same bits through all three (the two
+    /// span entries writing over stale output).
     #[test]
-    fn p2m_into_matches_from_particles() {
-        let center = Vec3::new(-0.1, 0.4, 0.2);
-        let ps = cluster(center, 0.3, 25, 9);
-        let degree = 10;
-        let owned = MultipoleExpansion::from_particles(center, degree, &ps);
+    fn p2m_entries_agree_bit_for_bit() {
+        use crate::batch::P2M_LANES;
+        let center = Vec3::new(0.1, -0.2, 0.3);
+        let n = 3 * P2M_LANES + 1;
+        let mut ps = cluster(center, 0.5, n, 19);
+        ps[2] = Particle::new(center, 1.5);
+        ps[P2M_LANES + 3] = Particle::new(center + Vec3::new(0.0, 0.0, -0.4), -0.8);
+        let soa = mbt_geometry::ParticleSoa::gather(&ps, 0..n);
+        let degree = 9;
         let mut ws = Workspace::new();
-        let mut buf = vec![Complex::new(7.0, -3.0); tri_len(degree)]; // stale garbage
-        p2m_into(&mut buf, center, degree, &ps, &mut ws);
-        assert_eq!(
-            buf, owned.coeffs.c,
-            "arena P2M must equal owned P2M bit for bit"
-        );
-        let r = ExpansionRef::new(center, degree, &buf);
+        let mut aos = vec![Complex::new(7.0, -3.0); tri_len(degree)];
+        let mut split = vec![Complex::new(3.0, -1.0); tri_len(degree)];
+        let bits = |c: &[Complex]| -> Vec<(u64, u64)> {
+            c.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        for len in 0..=n {
+            for range in [0..len, n - len..n] {
+                p2m_into(&mut aos, center, degree, &ps[range.clone()], &mut ws);
+                p2m_soa_into(
+                    &mut split,
+                    center,
+                    degree,
+                    soa.span().slice(range.clone()),
+                    &mut ws,
+                );
+                assert_eq!(bits(&aos), bits(&split), "span {range:?}");
+                let owned = MultipoleExpansion::from_particles(center, degree, &ps[range.clone()]);
+                assert_eq!(bits(&aos), bits(&owned.coeffs.c), "span {range:?}");
+            }
+        }
+        // the arena view evaluates as the owned expansion does
         let point = Vec3::new(1.5, -1.0, 2.0);
+        let owned = MultipoleExpansion::from_particles(center, degree, &ps);
+        let view = ExpansionRef::new(center, degree, &aos);
         assert_eq!(
-            r.potential_at_with(point, &mut ws),
+            view.potential_at_with(point, &mut ws),
             owned.potential_at(point)
         );
     }
@@ -915,21 +931,6 @@ mod tests {
             .collect();
         let zero = MultipoleExpansion::from_particles(center, 8, &neutral);
         assert!(zero.coeffs.c.iter().all(|c| *c == Complex::ZERO));
-    }
-
-    /// One-particle accumulation goes through the same kernel: summing
-    /// `add_particle_with` over a cluster stays within rounding of the
-    /// oracle.
-    #[test]
-    fn add_particle_with_matches_trig_oracle() {
-        let center = Vec3::new(0.0, 0.2, -0.2);
-        let ps = cluster(center, 0.3, 9, 17);
-        let mut ws = Workspace::new();
-        let mut e = MultipoleExpansion::zero(center, 7);
-        for p in &ps {
-            e.add_particle_with(p.charge, p.position, &mut ws);
-        }
-        assert!(rel_to_max(&e.coeffs.c, &p2m_oracle(center, 7, &ps)) <= 1e-14);
     }
 
     /// The kernel's lanes are a fixed logical width: every dispatch tier

@@ -62,7 +62,8 @@ pub use bounds::{
 };
 pub use complex::Complex;
 pub use expansion::{
-    l2p_field_with, l2p_potential_with, p2m_into, ExpansionRef, LocalExpansion, MultipoleExpansion,
+    l2p_field_with, l2p_potential_with, p2m_into, p2m_soa_into, ExpansionRef, LocalExpansion,
+    MultipoleExpansion,
 };
 pub use harmonics::Harmonics;
 pub use simd::{F32Lanes, F64Lanes, Lanes, Real, SimdLevel};

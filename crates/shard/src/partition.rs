@@ -268,8 +268,7 @@ mod tests {
     use mbt_geometry::Vec3;
 
     fn bounds_of(ps: &[Particle]) -> Aabb {
-        let positions: Vec<Vec3> = ps.iter().map(|p| p.position).collect();
-        Aabb::cubical_hull(&positions, 1e-9)
+        Aabb::cubical_hull_of(ps, 1e-9)
     }
 
     fn particles(n: usize, seed: u64) -> Vec<Particle> {

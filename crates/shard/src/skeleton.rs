@@ -364,8 +364,7 @@ mod tests {
         k: usize,
         params: TreecodeParams,
     ) -> (Vec<Treecode>, Skeleton) {
-        let positions: Vec<Vec3> = ps.iter().map(|p| p.position).collect();
-        let bounds = Aabb::cubical_hull(&positions, 1e-9);
+        let bounds = Aabb::cubical_hull_of(ps, 1e-9);
         let part = HilbertPartition::new(ps, &bounds, k).unwrap();
         let shards: Vec<Treecode> = part
             .split(ps)
@@ -377,8 +376,8 @@ mod tests {
         (shards, skeleton)
     }
 
-    fn direct_potential(ps: &[Particle], x: Vec3) -> f64 {
-        ps.iter().map(|p| p.charge / x.distance(p.position)).sum()
+    fn direct_potential(ps: impl Iterator<Item = Particle>, x: Vec3) -> f64 {
+        ps.map(|p| p.charge / x.distance(p.position)).sum()
     }
 
     #[test]
@@ -411,7 +410,7 @@ mod tests {
         let mut stats = EvalStats::default();
         let x = Vec3::new(40.0, -35.0, 25.0);
         let phi = sk.try_global_potential(x, &mut ws, &mut stats).unwrap();
-        let exact = direct_potential(&ps, x);
+        let exact = direct_potential(ps.iter().copied(), x);
         assert!(
             (phi - exact).abs() / exact.abs() < 1e-10,
             "far global eval should be near-exact: {phi} vs {exact}"
@@ -443,7 +442,7 @@ mod tests {
         }
         let exact: f64 = shards
             .iter()
-            .map(|tc| direct_potential(tc.particles(), far))
+            .map(|tc| direct_potential(tc.particles().iter(), far))
             .sum();
         assert!((total - exact).abs() / exact.abs() < 1e-9);
     }

@@ -19,8 +19,7 @@ fn arb_particles(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Particl
 }
 
 fn hull(ps: &[Particle]) -> Aabb {
-    let positions: Vec<Vec3> = ps.iter().map(|p| p.position).collect();
-    Aabb::cubical_hull(&positions, 1e-9)
+    Aabb::cubical_hull_of(ps, 1e-9)
 }
 
 proptest! {

@@ -134,7 +134,7 @@ fn randomized_trees_uphold_structural_contracts() {
         assert_eq!(perm.len(), particles.len());
         for (sorted_idx, &orig) in perm.iter().enumerate() {
             assert_eq!(
-                tree.particles()[sorted_idx].position,
+                tree.particles().position(sorted_idx),
                 particles[orig].position
             );
         }
