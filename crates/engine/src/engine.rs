@@ -590,7 +590,7 @@ impl Engine {
         let plans = if ds.is_sharded() {
             self.shard_plans(&ds, params)?.0
         } else {
-            vec![self.plan_routed(&ds, params, Backend::Treecode)?]
+            vec![self.plan_routed(&ds, params, Backend::Treecode, ds.len())?]
         };
         let shards: Vec<ShardWarm> = plans
             .iter()
@@ -610,13 +610,15 @@ impl Engine {
     }
 
     /// Resolves the routed backend's cached plan for `(ds, params)` —
-    /// building it under the key's single-flight on a miss. `params`
-    /// must already be validated.
+    /// building it under the key's single-flight on a miss, with an FMM
+    /// depth counted for the `n_targets` targets of the evaluation that
+    /// missed. `params` must already be validated.
     fn plan_routed(
         &self,
         ds: &Arc<Dataset>,
         params: TreecodeParams,
         backend: Backend,
+        n_targets: usize,
     ) -> Result<Obtained, EngineError> {
         // PlanKey excludes the execution knobs, so requests differing only
         // in chunk width or mode share one cached tree + coefficient
@@ -626,7 +628,8 @@ impl Engine {
         self.cache
             .get_or_build_at(key, ds.epoch, &self.stats, |other| match other {
                 Some(plan) => plan.recharge(ds.particles(), params, ds.epoch),
-                None => Plan::build(key, ds.particles(), params).map(|p| p.at_epoch(ds.epoch)),
+                None => Plan::build_for(key, ds.particles(), params, n_targets)
+                    .map(|p| p.at_epoch(ds.epoch)),
             })
     }
 
@@ -772,10 +775,16 @@ impl Engine {
     }
 
     /// Stage 3 — prepare: resolves what `job`'s group evaluates against
-    /// (cached, built, or coalesced onto an in-flight build) and bills
-    /// `opener` for every plan it caused to be built — cache hits and
-    /// coalesced waits are free: whoever built those bytes paid for them.
-    fn prepare(&self, job: &Resolved, opener: TenantId) -> Result<Target, EngineError> {
+    /// (cached, built for the group's `n_targets` points, or coalesced
+    /// onto an in-flight build) and bills `opener` for every plan it
+    /// caused to be built — cache hits and coalesced waits are free:
+    /// whoever built those bytes paid for them.
+    fn prepare(
+        &self,
+        job: &Resolved,
+        opener: TenantId,
+        n_targets: usize,
+    ) -> Result<Target, EngineError> {
         let (target, built) = if job.ds.is_sharded() {
             let (plans, skeleton) = self.shard_plans(&job.ds, job.params)?;
             let outcome = aggregate_outcome(plans.iter().map(|(_, o)| *o));
@@ -790,7 +799,7 @@ impl Engine {
             let direct = Target::Direct(Arc::clone(&job.ds), job.params.softening);
             (direct, 0)
         } else {
-            let (plan, outcome) = self.plan_routed(&job.ds, job.params, job.backend)?;
+            let (plan, outcome) = self.plan_routed(&job.ds, job.params, job.backend, n_targets)?;
             // a recharge replaces resident bytes rather than adding any
             let built = if outcome == CacheOutcome::Built {
                 plan.bytes
@@ -898,8 +907,10 @@ impl Engine {
                 }
             }
             for (job, members) in &groups {
-                // the group shares (dataset, params): its first request opens it
-                match self.prepare(job, requests[members[0]].tenant) {
+                // the group shares (dataset, params): its first request
+                // opens it, and a plan it builds is priced for all of it
+                let n_targets = members.iter().map(|&i| requests[i].points.len()).sum();
+                match self.prepare(job, requests[members[0]].tenant, n_targets) {
                     Ok(target) => {
                         let riders: Vec<Rider<'_>> = members
                             .iter()

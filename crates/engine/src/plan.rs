@@ -276,6 +276,9 @@ pub struct Plan {
     pub build_time: Duration,
     /// The dataset charge epoch this plan's coefficients were formed at.
     pub epoch: u64,
+    /// The target count an FMM depth is priced for ([`Plan::build_for`]);
+    /// every recharge keeps it, so the depth stays the plan's own.
+    targets: usize,
 }
 
 impl std::fmt::Debug for Plan {
@@ -299,10 +302,28 @@ impl Plan {
     /// the same key — the router's choice is a performance hint, and the
     /// treecode meets the same resolved accuracy (its α is *tighter* than
     /// the FMM's effective α = 1/2 whenever the FMM was admissible).
+    ///
+    /// An FMM artifact's depth is counted for evaluations at every source
+    /// ([`Plan::build_for`] takes the target count).
     pub fn build(
         key: PlanKey,
         particles: &[Particle],
         params: TreecodeParams,
+    ) -> Result<Plan, EngineError> {
+        Plan::build_for(key, particles, params, particles.len())
+    }
+
+    /// [`Plan::build`], with an FMM artifact's depth counted for
+    /// evaluations at `n_targets` targets — the size of the request or
+    /// batch whose cache miss builds the plan. The key does not carry it:
+    /// a later request of another size reuses the plan at this depth,
+    /// which stays correct and may be slower than its own count would
+    /// pick.
+    pub fn build_for(
+        key: PlanKey,
+        particles: &[Particle],
+        params: TreecodeParams,
+        n_targets: usize,
     ) -> Result<Plan, EngineError> {
         params.validate().map_err(EngineError::InvalidParams)?;
         // Contract: an FMM-keyed plan must be Theorem-admissible — its
@@ -321,7 +342,7 @@ impl Plan {
         let t0 = Instant::now();
         let artifact = match key.backend() {
             Backend::Fmm => fmm_or_fallback(
-                CompiledFmm::new(particles, fmm_params_for(&params)),
+                CompiledFmm::new(particles, fmm_params_for(&params).for_targets(n_targets)),
                 particles,
                 params,
             )?,
@@ -337,6 +358,7 @@ impl Plan {
             bytes,
             build_time,
             epoch: 0,
+            targets: n_targets,
         })
     }
 
@@ -361,8 +383,9 @@ impl Plan {
     /// A charge vector of the wrong length is refused with
     /// [`EngineError::ChargeCountMismatch`].
     ///
-    /// An FMM-keyed plan holding a fallback treecode is built afresh:
-    /// whether the FMM is representable can depend on the charges.
+    /// An FMM-keyed plan holding a fallback treecode is built afresh, for
+    /// the target count it was first built for: whether the FMM is
+    /// representable can depend on the charges.
     pub fn recharge(
         &self,
         particles: &[Particle],
@@ -381,7 +404,8 @@ impl Plan {
                 fmm_or_fallback(recharged, particles, params)?
             }
             (PlanArtifact::Treecode(_), Backend::Fmm) => {
-                return Plan::build(self.key, particles, params).map(|p| p.at_epoch(epoch));
+                return Plan::build_for(self.key, particles, params, self.targets)
+                    .map(|p| p.at_epoch(epoch));
             }
             (PlanArtifact::Treecode(tc), _) => {
                 let tree = tc.tree().with_charges(&charges).map_err(|e| match e {
@@ -400,6 +424,7 @@ impl Plan {
             bytes,
             build_time: self.build_time,
             epoch,
+            targets: self.targets,
         })
     }
 
@@ -418,9 +443,10 @@ impl Plan {
 }
 
 /// The artifact of an FMM-keyed plan: the compiled FMM when it is
-/// representable, else — hierarchy past the dense-grid depth cap, or a
-/// resolved degree past the operator-table cap — a treecode under the
-/// same key.
+/// representable, else a treecode under the same key. A resolved degree
+/// past the operator-table cap is the case routed requests meet; the
+/// depth arm serves only explicit `with_levels` overrides past the
+/// dense-grid cap, since the counted depth never passes it.
 fn fmm_or_fallback(
     fmm: Result<CompiledFmm, FmmError>,
     particles: &[Particle],

@@ -119,12 +119,14 @@ pub fn route(n_sources: usize, n_targets: usize, pinned: bool, params: &Treecode
 /// The FMM parameters a routed request runs with: the treecode's degree
 /// policy carried over unchanged (see the module docs for why each
 /// variant stays conservative under the FMM's `α_eff = 1/2` geometry),
-/// automatic level selection.
+/// the counted depth priced at the sources as targets
+/// ([`crate::Plan::build_for`] prices it at the request's own count).
 #[must_use]
 pub fn fmm_params_for(params: &TreecodeParams) -> FmmParams {
     FmmParams {
         levels: None,
         degree: params.degree,
+        targets: None,
     }
 }
 

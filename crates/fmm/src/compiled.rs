@@ -93,10 +93,10 @@ use crate::method::{build_structure, level_degrees, FmmParams, FmmStructure};
 
 /// Deepest level the FMM supports: the dense Morton-indexed occupancy
 /// tables hold `8^l` entries per level, so depth is capped where that
-/// stays reasonable (level 8 ≈ 16.7M finest cells). A deeper request —
-/// explicit, or automatic for a sparse cloud such as a huge collinear one
-/// — is refused with [`FmmError::DenseGridTooDeep`] before any grid is
-/// built; the engine serves it from the treecode.
+/// stays reasonable (level 8 ≈ 16.7M finest cells). The counted depth
+/// never passes it; a deeper explicit request is refused with
+/// [`FmmError::DenseGridTooDeep`] before any grid is built, and the
+/// engine serves it from the treecode.
 pub const COMPILED_MAX_LEVELS: usize = 8;
 
 /// Largest degree a level with an M2L list may resolve in the compiled
@@ -353,18 +353,8 @@ impl FmmGeometry {
             sources: ParticleSoa { x, y, z, q },
             perm,
             grids,
+            occ,
         } = structure;
-
-        // dense occupancy per level
-        let mut occ: Vec<Vec<u32>> = Vec::with_capacity(levels + 1);
-        for grid in &grids {
-            // lint: allow(alloc, once per geometry build)
-            let mut table = vec![0u32; 1usize << (3 * grid.level)];
-            for (ci, &code) in grid.codes.iter().enumerate() {
-                table[code as usize] = ci as u32 + 1;
-            }
-            occ.push(table);
-        }
 
         // per-level scales, L2L operators and M2L lists
         let tables = offset_tables();

@@ -30,9 +30,10 @@ pub enum FmmError {
         max: usize,
     },
     /// The hierarchy is deeper than the dense Morton-indexed tables
-    /// support: explicit levels are refused by [`crate::FmmParams::validate`],
-    /// an automatic depth by the build. The engine answers an FMM-routed
-    /// request that hits it with a treecode plan.
+    /// support: explicit levels past the cap are refused by
+    /// [`crate::FmmParams::validate`] (the counted depth never passes
+    /// it). The engine answers an FMM-routed request that hits it with a
+    /// treecode plan.
     DenseGridTooDeep {
         /// Requested level count.
         levels: usize,

@@ -39,4 +39,4 @@ mod reference;
 
 pub use compiled::{shared_operator_bytes, CompiledFmm, COMPILED_MAX_DEGREE, COMPILED_MAX_LEVELS};
 pub use grid::{FmmError, LevelGrid};
-pub use method::FmmParams;
+pub use method::{depth_counts, DepthCount, FmmParams};

@@ -1,27 +1,38 @@
 //! FMM parameters and the build prefix every FMM shares: validation,
-//! the level choice, the Morton sort, the level grids and the per-level
+//! the Morton sort, the counted depth, the level grids and the per-level
 //! degree rule.
 
 use mbt_geometry::morton;
 use mbt_geometry::{Aabb, Particle, ParticleSoa, Vec3};
-use mbt_multipole::{DegreeSelector, MAX_DEGREE};
+use mbt_multipole::{tri_len, DegreeSelector, MAX_DEGREE};
 use rayon::prelude::*;
 
 use crate::compiled::COMPILED_MAX_LEVELS;
 use crate::grid::{cell_center, cell_of, median_positive, FmmError, LevelGrid};
 
+/// Predicted nanoseconds per M2L matrix entry: one pair at degree `p`
+/// costs `(2T)²` of them, `T = (p+1)(p+2)/2` (the unit operator is a
+/// dense `2T × 2T` real matrix).
+const M2L_NS_PER_ENTRY: f64 = 0.1;
+
+/// Predicted nanoseconds per near-field pair.
+const NEAR_NS_PER_PAIR: f64 = 1.0;
+
 /// FMM parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FmmParams {
-    /// Finest level `L` (the root is level 0). `None` picks
-    /// `⌈log₈(n / 32)⌉` automatically (degenerate particle clouds —
-    /// tiny `n`, coincident or collinear positions — resolve to level 0
-    /// or 1, where the near field covers everything).
+    /// Finest level `L` (the root is level 0). `None` counts the depth:
+    /// the level whose predicted charge pass plus one evaluation is
+    /// cheapest (see [`DepthCount`]).
     pub levels: Option<usize>,
     /// Degree policy. `Fixed(p)` is the classical FMM; `Adaptive {..}`
     /// ramps the degree per level by cluster weight (Theorem 3 applied to
     /// the level-synchronised hierarchy).
     pub degree: DegreeSelector,
+    /// Targets per evaluation the counted depth is priced for; `None`
+    /// prices the sources as the targets. Ignored under explicit
+    /// `levels`.
+    pub targets: Option<usize>,
 }
 
 impl FmmParams {
@@ -31,6 +42,7 @@ impl FmmParams {
         FmmParams {
             levels: None,
             degree: DegreeSelector::Fixed(p),
+            targets: None,
         }
     }
 
@@ -42,6 +54,7 @@ impl FmmParams {
         FmmParams {
             levels: None,
             degree: DegreeSelector::adaptive(p_min, alpha),
+            targets: None,
         }
     }
 
@@ -55,14 +68,42 @@ impl FmmParams {
         FmmParams {
             levels: None,
             degree: DegreeSelector::tolerance(tol),
+            targets: None,
         }
     }
 
-    /// Overrides the automatic level count.
+    /// Overrides the counted depth: the one way to pin the finest level.
+    /// A level past [`COMPILED_MAX_LEVELS`] is refused by
+    /// [`FmmParams::validate`].
     #[must_use]
     pub fn with_levels(mut self, levels: usize) -> Self {
         self.levels = Some(levels);
         self
+    }
+
+    /// Prices the counted depth for evaluations at `n` targets rather
+    /// than at the sources: a few targets per matvec make near pairs
+    /// cheap and M2L dear, so the depth comes out shallower.
+    #[must_use]
+    pub fn for_targets(mut self, n: usize) -> Self {
+        self.targets = Some(n);
+        self
+    }
+
+    /// The degree the counted depth prices M2L pairs at: the smallest the
+    /// policy can emit — `p` under `Fixed(p)`, `p_min` otherwise. It is
+    /// what an adaptive policy's finest level, which holds most pairs,
+    /// resolves to; the other degrees follow the charges, and the depth
+    /// must not. (The largest, `p_max`, defaults to `MAX_DEGREE`, where
+    /// one M2L pair prices as 0.3 ms and no level would ever pay off.)
+    #[must_use]
+    pub(crate) fn pricing_degree(&self) -> usize {
+        match self.degree {
+            DegreeSelector::Fixed(p) => p,
+            DegreeSelector::Adaptive { p_min, .. } | DegreeSelector::Tolerance { p_min, .. } => {
+                p_min
+            }
+        }
     }
 
     /// Checks the parameters against the structural limits, mirroring
@@ -86,21 +127,65 @@ impl FmmParams {
     }
 }
 
-/// Validates the inputs and resolves the finest level and root cube.
-/// A level past [`COMPILED_MAX_LEVELS`] — explicit, or picked
-/// automatically for a sparse cloud — is refused here, before any grid is
-/// built.
+/// What one candidate finest level `L` costs, counted from the sorted
+/// Morton codes before any expansion is formed.
 ///
-/// The automatic level pick targets ~32 particles per finest cell under
-/// the occupancy the particle cloud can actually sustain: `8^l` cells for
-/// a volumetric cloud, only `~2^l` for a collinear one, and a single cell
-/// for a coincident one — so degenerate inputs resolve to level 0 or 1
-/// instead of building empty deep grids.
-pub(crate) fn resolve_build(
-    particles: &[Particle],
-    params: &FmmParams,
-) -> Result<(usize, Aabb), FmmError> {
-    params.validate()?;
+/// The predicted cost of one charge pass plus one evaluation
+/// ([`DepthCount::cost_ns`]) is
+/// `a·(2T)²·m2l_pairs + b·near_pairs·n_targets/n`, with `a = 0.1 ns` per
+/// M2L matrix entry and `b = 1 ns` per near pair: the M2L pass and the
+/// near field are the two terms that move with the depth, in opposite
+/// directions. P2M, L2L and L2P terms are linear in `n`, the cell count
+/// or the target count at every depth and are left out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DepthCount {
+    /// The finest level.
+    pub levels: usize,
+    /// Occupied cells at the finest level.
+    pub cells: usize,
+    /// M2L pairs over levels `2..=L`: occupied cells in each cell's
+    /// interaction list, exactly what the compiled FMM lists
+    /// ([`crate::CompiledFmm::m2l_pairs`]).
+    pub m2l_pairs: u64,
+    /// Near pairs with the sources as targets,
+    /// `Σ_c n(c)·Σ_{nb ∈ N27(c)} n(nb)` less the `n` self pairs: exactly
+    /// the direct pairs [`crate::CompiledFmm::potentials`] counts for
+    /// distinct positions.
+    pub near_pairs: u64,
+}
+
+impl DepthCount {
+    /// Predicted nanoseconds of one charge pass at degree `p` plus one
+    /// evaluation at `n_targets` targets over `n_sources` sources; an
+    /// external target meets `near_pairs / n_sources` sources on average.
+    #[must_use]
+    pub fn cost_ns(&self, p: usize, n_sources: usize, n_targets: usize) -> f64 {
+        let width = 2.0 * tri_len(p) as f64;
+        let near = self.near_pairs as f64 * n_targets as f64 / n_sources.max(1) as f64;
+        M2L_NS_PER_ENTRY * width * width * self.m2l_pairs as f64 + NEAR_NS_PER_PAIR * near
+    }
+}
+
+/// The counts of every finest level `0..=levels` (at most
+/// [`COMPILED_MAX_LEVELS`]) over these positions — the table the counted
+/// depth walks only until its cost rises. The charges are only checked
+/// for finiteness.
+pub fn depth_counts(particles: &[Particle], levels: usize) -> Result<Vec<DepthCount>, FmmError> {
+    let bounds = resolve_build(particles)?;
+    let keyed = sorted_keys(particles, &bounds);
+    let mut walk = Walk::root(&keyed, &bounds);
+    let mut counts = vec![walk.count(0)];
+    while walk.finest() < levels.min(COMPILED_MAX_LEVELS) {
+        let below = counts[counts.len() - 1].m2l_pairs;
+        walk.descend();
+        counts.push(walk.count(below));
+    }
+    Ok(counts)
+}
+
+/// Validates the particles and resolves the root cube: the cubical hull
+/// padded by `1e-9`, the same for every depth.
+fn resolve_build(particles: &[Particle]) -> Result<Aabb, FmmError> {
     if particles.is_empty() {
         return Err(FmmError::Empty);
     }
@@ -111,155 +196,241 @@ pub(crate) fn resolve_build(
     }
     // freeing this buffer raises glibc's mmap threshold: ~40% fewer page faults
     let positions: Vec<Vec3> = particles.iter().map(|p| p.position).collect();
-    let bounds = Aabb::cubical_hull(&positions, 1e-9);
-    let levels = params.levels.unwrap_or_else(|| auto_levels(particles));
-    if levels > COMPILED_MAX_LEVELS {
-        return Err(FmmError::DenseGridTooDeep {
-            levels,
-            max: COMPILED_MAX_LEVELS,
-        });
-    }
-    Ok((levels, bounds))
+    Ok(Aabb::cubical_hull(&positions, 1e-9))
 }
 
-/// The automatic finest-level choice (see [`resolve_build`]).
-fn auto_levels(particles: &[Particle]) -> usize {
-    let n = particles.len();
-    if n <= 32 {
-        return 0;
-    }
-    let log2_cells = match spread_rank(particles) {
-        SpreadRank::Coincident => return 0,
-        SpreadRank::Collinear => 1.0, // occupancy grows ~2^l per level
-        SpreadRank::Spatial => 3.0,   // full 8^l occupancy
-    };
-    ((n as f64 / 32.0).log2() / log2_cells).ceil() as usize
+/// `(Morton code at level COMPILED_MAX_LEVELS, caller index)` per
+/// particle, sorted: the build's one sort. The code of a particle's cell
+/// at any level `l` is this code `>> 3·(COMPILED_MAX_LEVELS − l)`, so
+/// every candidate depth reads its cells off the same order.
+fn sorted_keys(particles: &[Particle], bounds: &Aabb) -> Vec<(u64, u32)> {
+    let cells = 1u32 << COMPILED_MAX_LEVELS;
+    let mut keyed: Vec<(u64, u32)> = particles
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let (x, y, z) = cell_of(bounds, cells, p.position);
+            (morton::encode(x, y, z), i as u32)
+        })
+        .collect();
+    keyed.par_sort_unstable();
+    keyed
 }
 
-enum SpreadRank {
-    Coincident,
-    Collinear,
-    Spatial,
+/// The level grids and dense occupancy tables grown one level at a time
+/// over the sorted keys, counting each level as it is reached.
+struct Walk<'a> {
+    keyed: &'a [(u64, u32)],
+    bounds: &'a Aabb,
+    grids: Vec<LevelGrid>,
+    /// Per level: dense Morton-indexed occupancy (`occupied index + 1`).
+    occ: Vec<Vec<u32>>,
+    /// Per cell of the level above the finest: its occupied children.
+    children: Vec<u32>,
 }
 
-/// Classifies the geometric spread of the cloud: a point, a line, or a
-/// genuinely 2/3-dimensional set. One pass to find the farthest point from
-/// the first, one pass to bound the perpendicular spread from that axis.
-fn spread_rank(particles: &[Particle]) -> SpreadRank {
-    let p0 = particles[0].position;
-    let mut axis = Vec3::ZERO;
-    let mut max_d2 = 0.0f64;
-    for p in particles {
-        let d = p.position - p0;
-        let d2 = d.norm_sq();
-        if d2 > max_d2 {
-            max_d2 = d2;
-            axis = d;
+impl<'a> Walk<'a> {
+    /// Level 0: the root cell over every particle.
+    fn root(keyed: &'a [(u64, u32)], bounds: &'a Aabb) -> Walk<'a> {
+        let root = LevelGrid {
+            level: 0,
+            codes: vec![0],
+            centers: vec![cell_center(bounds, 1, 0, 0, 0)],
+            ranges: vec![(0, keyed.len() as u32)],
+            cell_edge: bounds.edge(),
+        };
+        Walk {
+            keyed,
+            bounds,
+            grids: vec![root],
+            occ: vec![vec![1]],
+            children: Vec::new(),
         }
     }
-    let scale2 = max_d2.max(p0.norm_sq() * 1e-24);
-    // lint: allow(float_cmp, exact-zero: a coincident cloud has literally zero spread)
-    if max_d2 <= scale2 * 1e-24 || max_d2 == 0.0 {
-        return SpreadRank::Coincident;
+
+    fn finest(&self) -> usize {
+        self.grids.len() - 1
     }
-    let perp_tol2 = max_d2 * 1e-18; // 1e-9 of the cloud diameter
-    for p in particles {
-        let d = p.position - p0;
-        // squared perpendicular distance from the (p0, axis) line
-        let cross = d.cross(axis);
-        if cross.norm_sq() / max_d2 > perp_tol2 {
-            return SpreadRank::Spatial;
+
+    /// Splits every finest cell into its occupied children: one binary
+    /// search per occupied child in the cell's key range, as the octree
+    /// splits.
+    fn descend(&mut self) {
+        let parent = &self.grids[self.finest()];
+        let level = parent.level + 1;
+        let shift = 3 * (COMPILED_MAX_LEVELS - level);
+        let cells = 1u32 << level;
+        let mut grid = LevelGrid {
+            level,
+            codes: Vec::new(),
+            centers: Vec::new(),
+            ranges: Vec::new(),
+            cell_edge: self.bounds.edge() / f64::from(cells),
+        };
+        let mut children = Vec::with_capacity(parent.len());
+        for &(start, end) in &parent.ranges {
+            let (mut lo, end) = (start as usize, end as usize);
+            let first = grid.len();
+            while lo < end {
+                let code = self.keyed[lo].0 >> shift;
+                let hi = lo + self.keyed[lo..end].partition_point(|&(k, _)| k >> shift <= code);
+                let (x, y, z) = morton::decode(code);
+                grid.codes.push(code);
+                grid.centers.push(cell_center(self.bounds, cells, x, y, z));
+                grid.ranges.push((lo as u32, hi as u32));
+                lo = hi;
+            }
+            children.push((grid.len() - first) as u32);
+        }
+        // lint: allow(alloc, one occupancy table per level of a geometry build)
+        let mut table = vec![0u32; 1usize << (3 * level)];
+        for (ci, &code) in grid.codes.iter().enumerate() {
+            table[code as usize] = ci as u32 + 1;
+        }
+        self.grids.push(grid);
+        self.occ.push(table);
+        self.children = children;
+    }
+
+    /// The counts at the current finest level `L`, given the M2L pairs
+    /// of levels `2..L`. Each level is priced from its own 27-neighbour
+    /// lookups: a cell's interaction list is the children of its parent's
+    /// 27 neighbours less its own 27 neighbours, so level `L`'s M2L pairs
+    /// are `Σ_P c(P)·Σ_{P' ∈ N27(P)} c(P')` over the parents (`c` = the
+    /// occupied children) less the occupied neighbour pairs at `L`.
+    fn count(&self, m2l_below: u64) -> DepthCount {
+        let l = self.finest();
+        let grid = &self.grids[l];
+        let size = |ci: usize| u64::from(grid.ranges[ci].1 - grid.ranges[ci].0);
+        let (mut near, mut adjacent) = (0u64, 0u64);
+        for (ci, &code) in grid.codes.iter().enumerate() {
+            let mut sources = 0u64;
+            for_each_neighbour(&self.occ[l], l, code, |ni| {
+                sources += size(ni);
+                adjacent += 1;
+            });
+            near += size(ci) * sources;
+        }
+        let mut m2l = m2l_below;
+        if l >= 2 {
+            let parents = &self.grids[l - 1];
+            let mut reach = 0u64;
+            for (pi, &code) in parents.codes.iter().enumerate() {
+                let mut cousins = 0u64;
+                for_each_neighbour(&self.occ[l - 1], l - 1, code, |ni| {
+                    cousins += u64::from(self.children[ni]);
+                });
+                reach += u64::from(self.children[pi]) * cousins;
+            }
+            m2l += reach - adjacent;
+        }
+        DepthCount {
+            levels: l,
+            cells: grid.len(),
+            m2l_pairs: m2l,
+            near_pairs: near - self.keyed.len() as u64,
         }
     }
-    SpreadRank::Collinear
+
+    /// Descends while the predicted cost does not rise (or the cap is
+    /// reached) and returns the cheapest level seen; ties go to the
+    /// shallower level.
+    fn pick(&mut self, p: usize, n_targets: usize) -> usize {
+        let n = self.keyed.len();
+        let mut count = self.count(0);
+        let mut prev = count.cost_ns(p, n, n_targets);
+        let (mut best, mut best_cost) = (0, prev);
+        while self.finest() < COMPILED_MAX_LEVELS {
+            self.descend();
+            count = self.count(count.m2l_pairs);
+            let cost = count.cost_ns(p, n, n_targets);
+            if cost < best_cost {
+                (best, best_cost) = (count.levels, cost);
+            }
+            if cost > prev {
+                break;
+            }
+            prev = cost;
+        }
+        best
+    }
 }
 
-/// The geometry every FMM build starts from: the Morton-sorted sources
-/// and per-level occupied-cell grids. A pure function of the particle
-/// **positions** and the level count — charges ride along in
-/// `sources.q` but influence nothing here, which is what lets a charge
-/// update reuse it.
+/// Calls `f` with the dense index of each occupied cell in the 27-cell
+/// block around cell `code` (itself included) on level `l`, whose
+/// occupancy table is `occ`.
+fn for_each_neighbour(occ: &[u32], l: usize, code: u64, mut f: impl FnMut(usize)) {
+    let side = 1u32 << l;
+    let (x, y, z) = morton::decode(code);
+    let span = |v: u32| v.saturating_sub(1)..=(v + 1).min(side - 1);
+    for nz in span(z) {
+        let cz = morton::spread(nz) << 2;
+        for ny in span(y) {
+            let cyz = cz | morton::spread(ny) << 1;
+            for nx in span(x) {
+                if let Some(ni) = (occ[(cyz | morton::spread(nx)) as usize] as usize).checked_sub(1)
+                {
+                    f(ni);
+                }
+            }
+        }
+    }
+}
+
+/// The geometry every FMM build starts from: the Morton-sorted sources,
+/// per-level occupied-cell grids and their dense occupancy tables. A pure
+/// function of the particle **positions**, the level count (explicit, or
+/// counted from the positions, the pricing degree and the target count)
+/// — charges ride along in `sources.q` but influence nothing here, which
+/// is what lets a charge update reuse it.
 pub(crate) struct FmmStructure {
     pub bounds: Aabb,
     pub levels: usize,
     pub sources: ParticleSoa,
     pub perm: Vec<usize>,
     pub grids: Vec<LevelGrid>,
+    /// Per level: dense Morton-indexed occupancy (`occupied index + 1`).
+    pub occ: Vec<Vec<u32>>,
 }
 
-/// Validates, sorts and grids — the build prefix of the compiled arenas
-/// (and of the test-only reference FMM).
+/// Validates, sorts, resolves the depth and grids — the build prefix of
+/// the compiled arenas (and of the test-only reference FMM). The
+/// parameters are checked first, so an explicit level past
+/// [`COMPILED_MAX_LEVELS`] is refused before the particles are read;
+/// the counted depth never passes it.
 pub(crate) fn build_structure(
     particles: &[Particle],
     params: &FmmParams,
 ) -> Result<FmmStructure, FmmError> {
-    let (levels, bounds) = resolve_build(particles, params)?;
-    let cells_finest = 1u32 << levels;
-
-    // sort particles by finest-level Morton-ordered cell key
-    let mut keyed: Vec<(u64, u32)> = particles
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let (x, y, z) = cell_of(&bounds, cells_finest, p.position);
-            (morton::encode(x, y, z), i as u32)
-        })
-        .collect();
-    keyed.par_sort_unstable();
+    params.validate()?;
+    let bounds = resolve_build(particles)?;
+    let keyed = sorted_keys(particles, &bounds);
+    let mut walk = Walk::root(&keyed, &bounds);
+    let levels = match params.levels {
+        Some(levels) => levels,
+        None => walk.pick(
+            params.pricing_degree(),
+            params.targets.unwrap_or(particles.len()),
+        ),
+    };
+    while walk.finest() < levels {
+        walk.descend();
+    }
+    let Walk {
+        mut grids, mut occ, ..
+    } = walk;
+    grids.truncate(levels + 1);
+    occ.truncate(levels + 1);
     let perm: Vec<usize> = keyed.iter().map(|&(_, i)| i as usize).collect();
     let sources = ParticleSoa::gather(particles, perm.iter().copied());
-
-    // each level is a run-merge of the sorted particles' codes (finest) or
-    // of its children's `code >> 3`, which Morton order keeps contiguous
-    let mut grids: Vec<LevelGrid> = Vec::with_capacity(levels + 1);
-    for level in 0..=levels {
-        grids.push(LevelGrid {
-            level,
-            codes: Vec::new(),
-            centers: Vec::new(),
-            ranges: Vec::new(),
-            cell_edge: bounds.edge() / f64::from(1u32 << level),
-        });
-    }
-    let finest = keyed
-        .iter()
-        .enumerate()
-        .map(|(i, &(code, _))| (code, (i as u32, i as u32 + 1)));
-    push_runs(&mut grids[levels], &bounds, finest);
-    for level in (0..levels).rev() {
-        let (coarse, fine) = grids.split_at_mut(level + 1);
-        let children = fine[0].codes.iter().zip(&fine[0].ranges);
-        push_runs(
-            &mut coarse[level],
-            &bounds,
-            children.map(|(&code, &range)| (code >> 3, range)),
-        );
-    }
-
     Ok(FmmStructure {
         bounds,
         levels,
         sources,
         perm,
         grids,
+        occ,
     })
-}
-
-/// Appends to `grid` one cell per run of equal codes in `items` (sorted
-/// `(code, range)` pairs), covering the union of the run's ranges.
-fn push_runs(grid: &mut LevelGrid, bounds: &Aabb, items: impl Iterator<Item = (u64, (u32, u32))>) {
-    let cells = 1u32 << grid.level;
-    for (code, (start, end)) in items {
-        match (grid.codes.last(), grid.ranges.last_mut()) {
-            (Some(&last), Some(range)) if last == code => range.1 = end,
-            _ => {
-                let (x, y, z) = morton::decode(code);
-                grid.codes.push(code);
-                grid.centers.push(cell_center(bounds, cells, x, y, z));
-                grid.ranges.push((start, end));
-            }
-        }
-    }
 }
 
 /// The per-level expansion degrees for the sorted `charges` — the one
@@ -390,13 +561,31 @@ mod tests {
     }
 
     #[test]
-    fn auto_levels_reasonable() {
+    fn counted_depth_is_the_cheapest_level_walked() {
+        // the pick is the first minimum of the counted cost: on a uniform
+        // cube at the sources it is a few hundred sources per finest cell
+        // deep, and fewer targets never make it deeper
         let ps = uniform_cube(4000, 1.0, charges(), 9);
-        let fmm = CompiledFmm::new(&ps, FmmParams::fixed(4)).unwrap();
-        assert!(
-            fmm.levels() >= 2 && fmm.levels() <= 6,
-            "levels = {}",
-            fmm.levels()
+        let counts = depth_counts(&ps, COMPILED_MAX_LEVELS).unwrap();
+        let mut deepest = COMPILED_MAX_LEVELS;
+        for (params, n_targets) in [
+            (FmmParams::fixed(4), ps.len()),
+            (FmmParams::fixed(4).for_targets(300), 300),
+        ] {
+            let p = params.pricing_degree();
+            let fmm = CompiledFmm::new(&ps, params).unwrap();
+            let cost = |l: usize| counts[l].cost_ns(p, ps.len(), n_targets);
+            let best = (0..=COMPILED_MAX_LEVELS)
+                .min_by(|&a, &b| cost(a).total_cmp(&cost(b)))
+                .unwrap();
+            assert_eq!(fmm.levels(), best, "{params:?}");
+            assert!(best <= deepest, "{params:?}: levels = {best}");
+            deepest = best;
+            assert_eq!(fmm.m2l_pairs, counts[best].m2l_pairs);
+        }
+        assert_eq!(
+            CompiledFmm::new(&ps, FmmParams::fixed(4)).unwrap().levels(),
+            2
         );
     }
 
@@ -481,7 +670,8 @@ mod tests {
             })
             .collect();
         let fmm = CompiledFmm::new(&ps, FmmParams::fixed(8)).unwrap();
-        // 2^l-style occupancy: ceil(log2(600/32)) = 5 levels, not 8^l-deep
+        // ~2^l occupied cells per level: the counted cost bottoms out a
+        // few levels down, not at the cap
         assert!(
             fmm.levels() <= 6,
             "collinear cloud over-refined: {}",

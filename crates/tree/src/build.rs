@@ -102,7 +102,6 @@ pub struct Octree {
     nodes: Vec<Node>,
     /// The sources in sorted order, one array per component.
     soa: ParticleSoa,
-    keys: Vec<u64>,
     /// `perm[i]` = caller's index of sorted particle `i`.
     perm: Vec<usize>,
     bounds: Aabb,
@@ -141,14 +140,12 @@ impl Octree {
             .map(|(i, p)| (morton::key(p.position, &bounds), i as u32))
             .collect();
         keyed.par_sort_unstable();
-        let keys: Vec<u64> = keyed.iter().map(|&(k, _)| k).collect();
         let perm: Vec<usize> = keyed.iter().map(|&(_, i)| i as usize).collect();
         let soa = ParticleSoa::gather(particles, perm.iter().copied());
 
         let mut tree = Octree {
             nodes: Vec::with_capacity(2 * particles.len() / params.leaf_capacity.max(1) + 64),
             soa,
-            keys,
             perm,
             bounds,
             height: 0,
@@ -166,7 +163,9 @@ impl Octree {
             net_charge: 0.0,
             radius: 0.0,
         });
-        tree.split_recursive(0, params.leaf_capacity);
+        // the keys only steer the splits: the tree does not keep them
+        tree.split_recursive(0, params.leaf_capacity, &keyed);
+        drop(keyed);
         tree.compute_centres();
         tree.compute_charge_aggregates();
         tree.height = tree
@@ -183,19 +182,19 @@ impl Octree {
     }
 
     /// Resident heap footprint of the tree in bytes (nodes, the sorted
-    /// SoA sources, Morton keys, and the unsort permutation) — the
+    /// SoA sources and the unsort permutation) — the
     /// quantity a plan cache charges against its byte budget.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
             + 4 * self.perm.len() * std::mem::size_of::<f64>()
-            + self.keys.len() * std::mem::size_of::<u64>()
             + self.perm.len() * std::mem::size_of::<usize>()
     }
 
     /// Structural invariants, checked after every build when the
-    /// `validate` feature is enabled (and callable from tests): Morton
-    /// keys sorted non-decreasing, `perm` a permutation of `0..n`, and
+    /// `validate` feature is enabled (and callable from tests): the Morton
+    /// keys of the sorted positions, recomputed, non-decreasing, `perm` a
+    /// permutation of `0..n`, and
     /// everything [`Octree::validate`] checks of the nodes.
     ///
     /// # Panics
@@ -204,8 +203,14 @@ impl Octree {
     /// tree construction, never bad user input.
     #[cfg(feature = "validate")]
     pub fn validate_contracts(&self) {
+        let keys: Vec<u64> = self
+            .soa
+            .span()
+            .iter()
+            .map(|p| morton::key(p.position, &self.bounds))
+            .collect();
         assert!(
-            self.keys.windows(2).all(|w| w[0] <= w[1]),
+            keys.windows(2).all(|w| w[0] <= w[1]),
             "validate: Morton keys not sorted after build"
         );
         let mut seen = vec![false; self.perm.len()];
@@ -221,8 +226,9 @@ impl Octree {
     }
 
     /// Splits `id` while it exceeds the leaf capacity and key resolution
-    /// remains.
-    fn split_recursive(&mut self, id: NodeId, leaf_capacity: usize) {
+    /// remains; `keyed` holds the sorted particles' `(Morton key, caller
+    /// index)`.
+    fn split_recursive(&mut self, id: NodeId, leaf_capacity: usize, keyed: &[(u64, u32)]) {
         let (start, end, level, bbox) = {
             let n = &self.nodes[id as usize];
             (n.start, n.end, n.level, n.bbox)
@@ -236,8 +242,8 @@ impl Octree {
         for octant in 0..8u8 {
             // binary search for the end of this octant's key run
             let hi = lo
-                + self.keys[lo..end as usize]
-                    .partition_point(|&k| key_digit(k, child_level) <= octant);
+                + keyed[lo..end as usize]
+                    .partition_point(|&(k, _)| key_digit(k, child_level) <= octant);
             if hi > lo {
                 let cid = self.nodes.len() as NodeId;
                 self.nodes.push(Node {
@@ -265,7 +271,7 @@ impl Octree {
         }
         for cid in children {
             if cid != NO_NODE {
-                self.split_recursive(cid, leaf_capacity);
+                self.split_recursive(cid, leaf_capacity, keyed);
             }
         }
     }

@@ -63,7 +63,9 @@ fn price_backend(
 ) {
     let key = PlanKey::routed(DatasetId(0), &params, backend);
     let t0 = Instant::now();
-    let mut plan = Plan::build(key, particles, params).expect("valid parameters");
+    // priced for these targets, as the engine builds a routed plan
+    let mut plan =
+        Plan::build_for(key, particles, params, targets.len()).expect("valid parameters");
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let (mut recharge_s, mut sweep_s) = (Vec::new(), Vec::new());
     for epoch in 1..=EPOCHS {
