@@ -28,11 +28,13 @@
 //!   per geometry (it adds unscaled).
 //! * **Geometry half** (`FmmGeometry`, `Arc`-shared): everything that
 //!   depends on the particle *positions* and the resolved degree vector —
-//!   bounds, sort permutation, level grids (each cell named by its Morton
-//!   code alone), the sorted SoA positions, dense Morton-indexed
-//!   occupancy, one operator-major M2L list per level (the
-//!   level's `(target, source)` cell pairs sorted by unit-operator index,
-//!   then target, with 317 run offsets), scale vectors and L2L operators.
+//!   the Morton order (root cube, sort permutation and sorted SoA
+//!   positions: the order the octree builds on too), level grids (each
+//!   cell named by its Morton code alone, the prefix of its sources'
+//!   keys), dense Morton-indexed occupancy, one operator-major M2L list
+//!   per level (the level's `(target, source)` cell pairs sorted by
+//!   unit-operator index, then target, with 317 run offsets), scale
+//!   vectors and L2L operators.
 //! * **Charge half** ([`CompiledFmm`]'s own fields): the sorted charges
 //!   (with the geometry's positions, the one copy of the sources),
 //!   pre-scaled multipole arenas and local arenas (occupied cells ×
@@ -78,7 +80,7 @@
 use std::sync::{Arc, OnceLock};
 
 use mbt_geometry::morton;
-use mbt_geometry::{Aabb, Particle, ParticleSoa, SoaSpan, Vec3};
+use mbt_geometry::{Aabb, MortonOrder, Particle, ParticleSoa, Vec3};
 use mbt_multipole::tables::tri_index;
 use mbt_multipole::{
     l2p_field_group, l2p_potential_group, m2l_apply, m2l_apply_group, p2m_soa_into, p2p_span, simd,
@@ -88,8 +90,8 @@ use mbt_multipole::{
 use mbt_treecode::{EvalResult, EvalStats};
 use rayon::prelude::*;
 
-use crate::grid::{cell_center, cell_of, FmmError, LevelGrid};
-use crate::method::{build_structure, level_degrees, FmmParams, FmmStructure};
+use crate::grid::{cell_center, FmmError, LevelGrid};
+use crate::method::{build_structure, level_degrees, structure_over, FmmParams, FmmStructure};
 
 /// Deepest level the FMM supports: the dense Morton-indexed occupancy
 /// tables hold `8^l` entries per level, so depth is capped where that
@@ -272,16 +274,6 @@ struct LevelOps {
     m2l_src: Vec<u32>,
 }
 
-/// Reusable SoA scratch holding the gathered 27-cell near field of one
-/// finest cell.
-#[derive(Debug, Default)]
-struct NearGather {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    zs: Vec<f64>,
-    qs: Vec<f64>,
-}
-
 /// Per-work-item scratch of the finest-cell evaluation routine
 /// ([`CompiledFmm::eval_cell`]), reused across a block of cells so the
 /// sweep allocates per block, not per cell.
@@ -293,7 +285,8 @@ struct CellScratch {
     bws: BatchWorkspace,
     /// Near-field particle ranges of the current cell.
     near: Vec<(u32, u32)>,
-    gather: NearGather,
+    /// The gathered 27-cell near field of the current cell.
+    gather: ParticleSoa,
     /// Target positions of the current cell.
     targets: Vec<Vec3>,
     /// `(Φ, ∇Φ)` per target of the current cell.
@@ -320,15 +313,11 @@ impl CellScratch {
 /// `Arc` between a compiled FMM and every re-charge of it.
 struct FmmGeometry {
     params: FmmParams,
-    bounds: Aabb,
+    /// Root cube, permutation and sorted positions.
+    order: Arc<MortonOrder>,
     levels: usize,
     degrees: Vec<usize>,
-    perm: Vec<usize>,
     grids: Vec<LevelGrid>,
-    /// SoA positions of the sorted particles.
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    zs: Vec<f64>,
     /// Per level: dense Morton-indexed occupancy (`occupied index + 1`).
     occ: Vec<Vec<u32>>,
     /// Per level: scales, L2L operators and M2L lists (levels 0/1 empty).
@@ -339,19 +328,11 @@ struct FmmGeometry {
 
 impl FmmGeometry {
     /// Compiles occupancy, scales, L2L operators and M2L lists over a
-    /// built structure, for the degree vector its charges resolved. Keeps
-    /// the sorted positions and hands the sorted charges back for the
-    /// charge pass.
-    fn compile(
-        structure: FmmStructure,
-        degrees: Vec<usize>,
-        params: FmmParams,
-    ) -> (FmmGeometry, Vec<f64>) {
+    /// built structure, for the degree vector its charges resolved.
+    fn compile(structure: FmmStructure, degrees: Vec<usize>, params: FmmParams) -> FmmGeometry {
         let FmmStructure {
-            bounds,
+            order,
             levels,
-            sources: ParticleSoa { x, y, z, q },
-            perm,
             grids,
             occ,
         } = structure;
@@ -425,26 +406,16 @@ impl FmmGeometry {
             m2l_pairs += pairs.len() as u64;
         }
 
-        let geometry = FmmGeometry {
+        FmmGeometry {
             params,
-            bounds,
+            order,
             levels,
             degrees,
-            perm,
             grids,
-            xs: x,
-            ys: y,
-            zs: z,
             occ,
             ops,
             m2l_pairs,
-        };
-        (geometry, q)
-    }
-
-    /// The position of sorted source `i`.
-    fn position(&self, i: usize) -> Vec3 {
-        Vec3::new(self.xs[i], self.ys[i], self.zs[i])
+        }
     }
 
     /// Accumulates the unit-table M2L sums of the level-`l` target cells
@@ -596,7 +567,7 @@ fn apply_m2l_group(
 pub struct CompiledFmm {
     geo: Arc<FmmGeometry>,
     /// This charge vector, in the geometry's sorted order: with the
-    /// geometry's `xs/ys/zs`, the one copy of the sources.
+    /// order's positions, the one copy of the sources.
     qs: Vec<f64>,
     /// Per level: interleaved multipole coefficients (occupied × `2T`),
     /// pre-scaled by `d^-n`; empty for levels 0/1, which nothing reads.
@@ -613,15 +584,26 @@ impl CompiledFmm {
     /// Builds the compiled FMM over a particle set: geometry, then the
     /// charge pass.
     pub fn new(particles: &[Particle], params: FmmParams) -> Result<CompiledFmm, FmmError> {
-        let structure = build_structure(particles, &params)?;
-        let degrees = level_degrees(&structure.grids, &structure.sources.q, params.degree);
+        let (structure, qs) = build_structure(particles, &params)?;
+        let degrees = level_degrees(&structure.grids, &qs, params.degree);
+        CompiledFmm::compile(structure, degrees, qs, params)
+    }
+
+    /// Compiles the geometry half over `structure` for `degrees` (the
+    /// sorted charges `qs` resolved them), then runs the charge pass.
+    fn compile(
+        structure: FmmStructure,
+        degrees: Vec<usize>,
+        qs: Vec<f64>,
+        params: FmmParams,
+    ) -> Result<CompiledFmm, FmmError> {
         if let Some(&degree) = degrees.iter().skip(2).find(|&&p| p > COMPILED_MAX_DEGREE) {
             return Err(FmmError::OperatorTableTooLarge {
                 degree,
                 max: COMPILED_MAX_DEGREE,
             });
         }
-        let (geometry, qs) = FmmGeometry::compile(structure, degrees, params);
+        let geometry = FmmGeometry::compile(structure, degrees, params);
         Ok(CompiledFmm::charge(Arc::new(geometry), qs))
     }
 
@@ -629,37 +611,25 @@ impl CompiledFmm {
     /// original order), permuted once into sorted order: re-resolves the
     /// degree vector from the new charges and, when it is unchanged
     /// (always, for a fixed degree), runs only the charge pass over the
-    /// shared geometry; a moved degree vector rebuilds from caller-order
-    /// particles. Either way the result is bit-identical to
+    /// shared geometry; a moved degree vector rebuilds the structure over
+    /// the shared order. Either way the result is bit-identical to
     /// [`CompiledFmm::new`] over the same positions and `charges`.
     ///
     /// A charge vector whose length is not the particle count is refused
-    /// with [`FmmError::ChargeCountMismatch`].
+    /// with [`FmmError::ChargeCountMismatch`], a NaN/∞ charge with
+    /// [`FmmError::NonFinite`].
     pub fn with_charges(&self, charges: &[f64]) -> Result<CompiledFmm, FmmError> {
         let geo = &self.geo;
-        if charges.len() != geo.perm.len() {
-            return Err(FmmError::ChargeCountMismatch {
-                expected: geo.perm.len(),
-                got: charges.len(),
-            });
-        }
-        if let Some(index) = charges.iter().position(|q| !q.is_finite()) {
-            return Err(FmmError::NonFinite { index });
-        }
-        let mut qs: Vec<f64> = Vec::with_capacity(charges.len());
-        qs.extend(geo.perm.iter().map(|&orig| charges[orig]));
+        let qs = geo.order.sorted_charges(charges)?;
         let degrees = level_degrees(&geo.grids, &qs, geo.params.degree);
         if degrees == geo.degrees {
             return Ok(CompiledFmm::charge(Arc::clone(geo), qs));
         }
         // the L2L operators, scales and arena shapes follow the degree
-        // vector: rebuild from the caller-order particles
-        // lint: allow(alloc, once per degree-changing charge update)
-        let mut particles = vec![Particle::new(Vec3::ZERO, 0.0); charges.len()];
-        for (i, &orig) in geo.perm.iter().enumerate() {
-            particles[orig] = Particle::new(geo.position(i), charges[orig]);
-        }
-        CompiledFmm::new(&particles, geo.params)
+        // vector: recompile over the same order (its keys need no sort)
+        let keys = geo.order.keys();
+        let structure = structure_over(Arc::clone(&geo.order), &keys, &geo.params);
+        CompiledFmm::compile(structure, degrees, qs, geo.params)
     }
 
     /// The charge pass: P2M into pre-scaled multipole arenas, then the
@@ -679,6 +649,7 @@ impl CompiledFmm {
             let p = geo.degrees[l];
             let t = tri_len(p);
             let pre_scale = &geo.ops[l].pre_scale;
+            let sources = geo.order.span(&qs);
             // lint: allow(alloc, one multipole arena per level and charge pass)
             let mut arena = vec![0.0f64; grid.len() * 2 * t];
             arena
@@ -691,12 +662,7 @@ impl CompiledFmm {
                     for (k, span) in spans.chunks_mut(2 * t).enumerate() {
                         let ci = block * CHARGE_BLOCK + k;
                         let (s, e) = (grid.ranges[ci].0 as usize, grid.ranges[ci].1 as usize);
-                        let cell = SoaSpan {
-                            x: &geo.xs[s..e],
-                            y: &geo.ys[s..e],
-                            z: &geo.zs[s..e],
-                            q: &qs[s..e],
-                        };
+                        let cell = sources.slice(s..e);
                         p2m_soa_into(&mut scratch, grid.centers[ci], p, cell, &mut ws);
                         #[cfg(feature = "validate")]
                         validate_monopole(l, ci, scratch[0], cell.q);
@@ -784,7 +750,13 @@ impl CompiledFmm {
     /// The root bounding cube.
     #[must_use]
     pub fn bounds(&self) -> Aabb {
-        self.geo.bounds
+        self.geo.order.bounds()
+    }
+
+    /// The order the FMM is built over, shared with the octree's.
+    #[must_use]
+    pub fn order(&self) -> &MortonOrder {
+        &self.geo.order
     }
 
     /// Approximate owned heap footprint, both halves: arenas, L2L
@@ -795,7 +767,7 @@ impl CompiledFmm {
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let geo = &*self.geo;
-        let f64s = geo.xs.len() * 4 * 8 + geo.perm.len() * 8;
+        let f64s = geo.order.heap_bytes() + self.qs.len() * 8;
         let arenas: usize = self
             .mult_re
             .iter()
@@ -830,9 +802,9 @@ impl CompiledFmm {
         let mut values = vec![0.0f64; self.qs.len()];
         let stats = self.eval_grouped::<false>(
             &keyed,
-            |i| geo.position(i),
+            |i| geo.order.position(i),
             |i, phi, _| {
-                values[geo.perm[i]] = phi;
+                values[geo.order.perm()[i]] = phi;
             },
         );
         EvalResult { values, stats }
@@ -862,7 +834,7 @@ impl CompiledFmm {
         let geo = &*self.geo;
         let p = geo.degrees[geo.levels];
         let (x, y, z) = morton::decode(code);
-        let center = cell_center(&geo.bounds, 1u32 << geo.levels, x, y, z);
+        let center = cell_center(&geo.order.bounds(), 1u32 << geo.levels, x, y, z);
         let CellScratch {
             bws,
             near,
@@ -888,10 +860,10 @@ impl CompiledFmm {
             };
             out.extend((0..group.len()).map(|l| (phi[l], grad[l])));
         }
-        let NearGather { xs, ys, zs, qs } = gather;
+        let ParticleSoa { x, y, z, q } = gather;
         for (slot, &t) in out.iter_mut().zip(targets.iter()) {
             stats.record_interaction(p);
-            let (phi, grad, pairs) = p2p_span::<f64, true, FIELD>(xs, ys, zs, qs, t, 0.0);
+            let (phi, grad, pairs) = p2p_span::<f64, true, FIELD>(x, y, z, q, t, 0.0);
             slot.0 += phi;
             slot.1 += grad;
             stats.record_direct(pairs);
@@ -910,7 +882,7 @@ impl CompiledFmm {
         y: u32,
         z: u32,
         near: &mut Vec<(u32, u32)>,
-        out: &mut NearGather,
+        out: &mut ParticleSoa,
     ) {
         let geo = &*self.geo;
         let (l, finest) = (geo.levels, &geo.grids[geo.levels]);
@@ -925,16 +897,17 @@ impl CompiledFmm {
             }
         }
         near.sort_unstable();
-        out.xs.clear();
-        out.ys.clear();
-        out.zs.clear();
-        out.qs.clear();
+        out.x.clear();
+        out.y.clear();
+        out.z.clear();
+        out.q.clear();
+        let sources = geo.order.span(&self.qs);
         for &(ns, ne) in near.iter() {
-            let (ns, ne) = (ns as usize, ne as usize);
-            out.xs.extend_from_slice(&geo.xs[ns..ne]);
-            out.ys.extend_from_slice(&geo.ys[ns..ne]);
-            out.zs.extend_from_slice(&geo.zs[ns..ne]);
-            out.qs.extend_from_slice(&self.qs[ns..ne]);
+            let run = sources.slice(ns as usize..ne as usize);
+            out.x.extend_from_slice(run.x);
+            out.y.extend_from_slice(run.y);
+            out.z.extend_from_slice(run.z);
+            out.q.extend_from_slice(run.q);
         }
     }
 
@@ -1041,16 +1014,17 @@ impl CompiledFmm {
         mut write: impl FnMut(usize, f64, Vec3),
     ) -> EvalStats {
         let geo = &*self.geo;
-        let cells = 1u32 << geo.levels;
+        let bounds = geo.order.bounds();
+        let shift = 3 * (morton::BITS as usize - geo.levels);
 
-        // group in-bounds points by finest cell; out-of-bounds directly
+        // group in-bounds points by finest cell (the prefix of their
+        // Morton key, as for the sources); out-of-bounds directly
         let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(points.len());
         // lint: allow(alloc, O(points) grouping scratch per external query)
         let mut outside: Vec<u32> = Vec::new();
         for (i, pt) in points.iter().enumerate() {
-            if geo.bounds.contains(*pt) {
-                let (x, y, z) = cell_of(&geo.bounds, cells, *pt);
-                keyed.push((morton::encode(x, y, z), i as u32));
+            if bounds.contains(*pt) {
+                keyed.push((morton::key(*pt, &bounds) >> shift, i as u32));
             } else {
                 outside.push(i as u32);
             }
@@ -1059,14 +1033,15 @@ impl CompiledFmm {
         let mut stats = self.eval_grouped::<FIELD>(&keyed, |i| points[i], &mut write);
 
         // out-of-bounds: guarded direct sums over all particles
+        let sources = geo.order.span(&self.qs);
         let direct: Vec<(u32, f64, Vec3, u64)> = outside
             .par_iter()
             .map(|&idx| {
                 let (phi, grad, pairs) = p2p_span::<f64, true, FIELD>(
-                    &geo.xs,
-                    &geo.ys,
-                    &geo.zs,
-                    &self.qs,
+                    sources.x,
+                    sources.y,
+                    sources.z,
+                    sources.q,
                     points[idx as usize],
                     0.0,
                 );

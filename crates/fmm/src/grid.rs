@@ -3,14 +3,16 @@
 //! Level `l` divides the root cube into `2^l` cells per axis. Only occupied
 //! cells are stored, in Morton order, and a cell's one name is its Morton
 //! code: it gives the integer coordinates (`morton::decode`), the parent
-//! (`code >> 3`) and the octant within it (`code & 7`). Each cell also
-//! knows its geometric center and contiguous particle range (particles are
-//! sorted by finest-level Morton code, and coarse cells cover contiguous
-//! unions of their children's ranges). A grid is pure geometry: the
+//! (`code >> 3`) and the octant within it (`code & 7`). The code is the
+//! prefix `key >> 3·(21 − l)` of its sources' Morton keys, read off the
+//! one [`mbt_geometry::MortonOrder`] the octree also builds on, so each
+//! cell's particles are a contiguous range of that order and coarse cells
+//! cover contiguous unions of their children's ranges. Each cell also
+//! knows its geometric center. A grid is pure geometry: the
 //! per-cell absolute charges the degree rule weighs are computed beside it
 //! (`method::level_degrees`), so a charge update never touches it.
 
-use mbt_geometry::{Aabb, Vec3};
+use mbt_geometry::{Aabb, ChargeError, Vec3};
 
 /// FMM construction failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,6 +97,17 @@ impl std::fmt::Display for FmmError {
 
 impl std::error::Error for FmmError {}
 
+impl From<ChargeError> for FmmError {
+    fn from(e: ChargeError) -> Self {
+        match e {
+            ChargeError::CountMismatch { expected, got } => {
+                Self::ChargeCountMismatch { expected, got }
+            }
+            ChargeError::NonFinite { index } => Self::NonFinite { index },
+        }
+    }
+}
+
 /// The occupied cells of one level.
 #[derive(Debug, Clone)]
 pub struct LevelGrid {
@@ -161,45 +174,4 @@ pub fn cell_center(bounds: &Aabb, cells: u32, x: u32, y: u32, z: u32) -> Vec3 {
             (f64::from(y) + 0.5) * edge,
             (f64::from(z) + 0.5) * edge,
         )
-}
-
-/// The cell coordinates of a point at a level with `cells` per axis
-/// (clamped to the grid).
-#[must_use]
-pub fn cell_of(bounds: &Aabb, cells: u32, p: Vec3) -> (u32, u32, u32) {
-    let edge = bounds.edge() / f64::from(cells);
-    let f = |v: f64, lo: f64| -> u32 { (((v - lo) / edge).floor().max(0.0) as u32).min(cells - 1) };
-    (
-        f(p.x, bounds.min.x),
-        f(p.y, bounds.min.y),
-        f(p.z, bounds.min.z),
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cell_of_and_center_consistent() {
-        let b = Aabb::cube(Vec3::ZERO, 2.0);
-        let cells = 4u32;
-        let p = Vec3::new(0.3, -0.9, 0.9);
-        let (x, y, z) = cell_of(&b, cells, p);
-        let c = cell_center(&b, cells, x, y, z);
-        // the point lies within half a cell edge of its cell center
-        let half = b.edge() / f64::from(cells) / 2.0;
-        assert!((p - c).abs().max_component() <= half + 1e-12);
-    }
-
-    #[test]
-    fn boundary_points_clamp() {
-        let b = Aabb::cube(Vec3::ZERO, 2.0);
-        let (x, y, z) = cell_of(&b, 4, Vec3::new(1.0, 1.0, 1.0)); // upper corner
-        assert_eq!((x, y, z), (3, 3, 3));
-        let (x, y, z) = cell_of(&b, 4, Vec3::new(-1.0, -1.0, -1.0));
-        assert_eq!((x, y, z), (0, 0, 0));
-        let (x, y, z) = cell_of(&b, 4, Vec3::new(5.0, -5.0, 0.0)); // outside
-        assert_eq!((x, y, z), (3, 0, 2));
-    }
 }

@@ -1,14 +1,14 @@
-//! FMM parameters and the build prefix every FMM shares: validation,
-//! the Morton sort, the counted depth, the level grids and the per-level
-//! degree rule.
+//! FMM parameters and the build prefix every FMM shares: the Morton
+//! order (shared with the octree, see [`MortonOrder`]), the counted
+//! depth, the level grids and the per-level degree rule.
 
-use mbt_geometry::morton;
-use mbt_geometry::{Aabb, Particle, ParticleSoa, Vec3};
+use std::sync::Arc;
+
+use mbt_geometry::{morton, Aabb, MortonOrder, Particle};
 use mbt_multipole::{tri_len, DegreeSelector, MAX_DEGREE};
-use rayon::prelude::*;
 
 use crate::compiled::COMPILED_MAX_LEVELS;
-use crate::grid::{cell_center, cell_of, median_positive, FmmError, LevelGrid};
+use crate::grid::{cell_center, median_positive, FmmError, LevelGrid};
 
 /// Predicted nanoseconds per M2L matrix entry: one pair at degree `p`
 /// costs `(2T)²` of them, `T = (p+1)(p+2)/2` (the unit operator is a
@@ -171,9 +171,8 @@ impl DepthCount {
 /// depth walks only until its cost rises. The charges are only checked
 /// for finiteness.
 pub fn depth_counts(particles: &[Particle], levels: usize) -> Result<Vec<DepthCount>, FmmError> {
-    let bounds = resolve_build(particles)?;
-    let keyed = sorted_keys(particles, &bounds);
-    let mut walk = Walk::root(&keyed, &bounds);
+    let (order, keys) = sort_sources(particles)?;
+    let mut walk = Walk::root(&keys, order.bounds());
     let mut counts = vec![walk.count(0)];
     while walk.finest() < levels.min(COMPILED_MAX_LEVELS) {
         let below = counts[counts.len() - 1].m2l_pairs;
@@ -183,45 +182,21 @@ pub fn depth_counts(particles: &[Particle], levels: usize) -> Result<Vec<DepthCo
     Ok(counts)
 }
 
-/// Validates the particles and resolves the root cube: the cubical hull
-/// padded by `1e-9`, the same for every depth.
-fn resolve_build(particles: &[Particle]) -> Result<Aabb, FmmError> {
+/// Validates the particles and sorts them into the Morton order every
+/// depth reads its cells off: the level-`l` cell of a particle is its key
+/// `>> 3·(21 − l)`.
+fn sort_sources(particles: &[Particle]) -> Result<(MortonOrder, Vec<u64>), FmmError> {
     if particles.is_empty() {
         return Err(FmmError::Empty);
     }
-    for (i, p) in particles.iter().enumerate() {
-        if !p.position.is_finite() || !p.charge.is_finite() {
-            return Err(FmmError::NonFinite { index: i });
-        }
-    }
-    // freeing this buffer raises glibc's mmap threshold: ~40% fewer page faults
-    let positions: Vec<Vec3> = particles.iter().map(|p| p.position).collect();
-    Ok(Aabb::cubical_hull(&positions, 1e-9))
-}
-
-/// `(Morton code at level COMPILED_MAX_LEVELS, caller index)` per
-/// particle, sorted: the build's one sort. The code of a particle's cell
-/// at any level `l` is this code `>> 3·(COMPILED_MAX_LEVELS − l)`, so
-/// every candidate depth reads its cells off the same order.
-fn sorted_keys(particles: &[Particle], bounds: &Aabb) -> Vec<(u64, u32)> {
-    let cells = 1u32 << COMPILED_MAX_LEVELS;
-    let mut keyed: Vec<(u64, u32)> = particles
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let (x, y, z) = cell_of(bounds, cells, p.position);
-            (morton::encode(x, y, z), i as u32)
-        })
-        .collect();
-    keyed.par_sort_unstable();
-    keyed
+    MortonOrder::new(particles).map_err(|index| FmmError::NonFinite { index })
 }
 
 /// The level grids and dense occupancy tables grown one level at a time
 /// over the sorted keys, counting each level as it is reached.
 struct Walk<'a> {
-    keyed: &'a [(u64, u32)],
-    bounds: &'a Aabb,
+    keys: &'a [u64],
+    bounds: Aabb,
     grids: Vec<LevelGrid>,
     /// Per level: dense Morton-indexed occupancy (`occupied index + 1`).
     occ: Vec<Vec<u32>>,
@@ -231,16 +206,16 @@ struct Walk<'a> {
 
 impl<'a> Walk<'a> {
     /// Level 0: the root cell over every particle.
-    fn root(keyed: &'a [(u64, u32)], bounds: &'a Aabb) -> Walk<'a> {
+    fn root(keys: &'a [u64], bounds: Aabb) -> Walk<'a> {
         let root = LevelGrid {
             level: 0,
             codes: vec![0],
-            centers: vec![cell_center(bounds, 1, 0, 0, 0)],
-            ranges: vec![(0, keyed.len() as u32)],
+            centers: vec![cell_center(&bounds, 1, 0, 0, 0)],
+            ranges: vec![(0, keys.len() as u32)],
             cell_edge: bounds.edge(),
         };
         Walk {
-            keyed,
+            keys,
             bounds,
             grids: vec![root],
             occ: vec![vec![1]],
@@ -258,7 +233,6 @@ impl<'a> Walk<'a> {
     fn descend(&mut self) {
         let parent = &self.grids[self.finest()];
         let level = parent.level + 1;
-        let shift = 3 * (COMPILED_MAX_LEVELS - level);
         let cells = 1u32 << level;
         let mut grid = LevelGrid {
             level,
@@ -269,16 +243,13 @@ impl<'a> Walk<'a> {
         };
         let mut children = Vec::with_capacity(parent.len());
         for &(start, end) in &parent.ranges {
-            let (mut lo, end) = (start as usize, end as usize);
             let first = grid.len();
-            while lo < end {
-                let code = self.keyed[lo].0 >> shift;
-                let hi = lo + self.keyed[lo..end].partition_point(|&(k, _)| k >> shift <= code);
+            let range = start as usize..end as usize;
+            for (code, run) in morton::cell_runs(self.keys, range, level as u32) {
                 let (x, y, z) = morton::decode(code);
                 grid.codes.push(code);
-                grid.centers.push(cell_center(self.bounds, cells, x, y, z));
-                grid.ranges.push((lo as u32, hi as u32));
-                lo = hi;
+                grid.centers.push(cell_center(&self.bounds, cells, x, y, z));
+                grid.ranges.push((run.start as u32, run.end as u32));
             }
             children.push((grid.len() - first) as u32);
         }
@@ -328,7 +299,7 @@ impl<'a> Walk<'a> {
             levels: l,
             cells: grid.len(),
             m2l_pairs: m2l,
-            near_pairs: near - self.keyed.len() as u64,
+            near_pairs: near - self.keys.len() as u64,
         }
     }
 
@@ -336,7 +307,7 @@ impl<'a> Walk<'a> {
     /// reached) and returns the cheapest level seen; ties go to the
     /// shallower level.
     fn pick(&mut self, p: usize, n_targets: usize) -> usize {
-        let n = self.keyed.len();
+        let n = self.keys.len();
         let mut count = self.count(0);
         let mut prev = count.cost_ns(p, n, n_targets);
         let (mut best, mut best_cost) = (0, prev);
@@ -377,40 +348,52 @@ fn for_each_neighbour(occ: &[u32], l: usize, code: u64, mut f: impl FnMut(usize)
     }
 }
 
-/// The geometry every FMM build starts from: the Morton-sorted sources,
-/// per-level occupied-cell grids and their dense occupancy tables. A pure
-/// function of the particle **positions**, the level count (explicit, or
-/// counted from the positions, the pricing degree and the target count)
-/// — charges ride along in `sources.q` but influence nothing here, which
-/// is what lets a charge update reuse it.
+/// The geometry every FMM build starts from: the Morton order of the
+/// sources, per-level occupied-cell grids and their dense occupancy
+/// tables. A pure function of the particle **positions** and the level
+/// count (explicit, or counted from the positions, the pricing degree and
+/// the target count) — which is what lets a charge update reuse it.
 pub(crate) struct FmmStructure {
-    pub bounds: Aabb,
+    pub order: Arc<MortonOrder>,
     pub levels: usize,
-    pub sources: ParticleSoa,
-    pub perm: Vec<usize>,
     pub grids: Vec<LevelGrid>,
     /// Per level: dense Morton-indexed occupancy (`occupied index + 1`).
     pub occ: Vec<Vec<u32>>,
 }
 
 /// Validates, sorts, resolves the depth and grids — the build prefix of
-/// the compiled arenas (and of the test-only reference FMM). The
-/// parameters are checked first, so an explicit level past
-/// [`COMPILED_MAX_LEVELS`] is refused before the particles are read;
-/// the counted depth never passes it.
+/// the compiled arenas (and of the test-only reference FMM) — and hands
+/// back the sorted charges beside the structure. The parameters are
+/// checked first, so an explicit level past [`COMPILED_MAX_LEVELS`] is
+/// refused before the particles are read; the counted depth never
+/// passes it.
 pub(crate) fn build_structure(
     particles: &[Particle],
     params: &FmmParams,
-) -> Result<FmmStructure, FmmError> {
+) -> Result<(FmmStructure, Vec<f64>), FmmError> {
     params.validate()?;
-    let bounds = resolve_build(particles)?;
-    let keyed = sorted_keys(particles, &bounds);
-    let mut walk = Walk::root(&keyed, &bounds);
+    let (order, keys) = sort_sources(particles)?;
+    let charges = order.perm().iter().map(|&i| particles[i].charge).collect();
+    Ok((structure_over(Arc::new(order), &keys, params), charges))
+}
+
+/// The depth and grids over an order whose sorted keys are `keys`.
+pub(crate) fn structure_over(
+    order: Arc<MortonOrder>,
+    keys: &[u64],
+    params: &FmmParams,
+) -> FmmStructure {
+    #[cfg(feature = "validate")]
+    {
+        let contract = order.validate();
+        assert!(contract.is_ok(), "validate: {contract:?}");
+    }
+    let mut walk = Walk::root(keys, order.bounds());
     let levels = match params.levels {
         Some(levels) => levels,
         None => walk.pick(
             params.pricing_degree(),
-            params.targets.unwrap_or(particles.len()),
+            params.targets.unwrap_or(keys.len()),
         ),
     };
     while walk.finest() < levels {
@@ -421,16 +404,12 @@ pub(crate) fn build_structure(
     } = walk;
     grids.truncate(levels + 1);
     occ.truncate(levels + 1);
-    let perm: Vec<usize> = keyed.iter().map(|&(_, i)| i as usize).collect();
-    let sources = ParticleSoa::gather(particles, perm.iter().copied());
-    Ok(FmmStructure {
-        bounds,
+    FmmStructure {
+        order,
         levels,
-        sources,
-        perm,
         grids,
         occ,
-    })
+    }
 }
 
 /// The per-level expansion degrees for the sorted `charges` — the one
@@ -499,6 +478,7 @@ mod tests {
     use super::*;
     use crate::CompiledFmm;
     use mbt_geometry::distribution::{gaussian, uniform_cube, ChargeModel};
+    use mbt_geometry::Vec3;
     use mbt_treecode::relative_error;
 
     fn charges() -> ChargeModel {

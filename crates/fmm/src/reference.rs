@@ -9,8 +9,10 @@
 //! bit-identical [`EvalStats`] and translation-term counts, and agree on
 //! values up to summation order.
 
+use std::sync::Arc;
+
 use mbt_geometry::morton::decode;
-use mbt_geometry::{Particle, ParticleSoa};
+use mbt_geometry::{MortonOrder, Particle};
 use mbt_multipole::{LocalExpansion, MultipoleExpansion};
 use mbt_treecode::{EvalResult, EvalStats};
 use rayon::prelude::*;
@@ -22,8 +24,9 @@ use crate::method::{build_structure, level_degrees, FmmParams, FmmStructure};
 pub(crate) struct Fmm {
     levels: usize,
     degrees: Vec<usize>, // per level
-    sources: ParticleSoa,
-    perm: Vec<usize>,
+    order: Arc<MortonOrder>,
+    /// The charges in sorted order.
+    qs: Vec<f64>,
     grids: Vec<LevelGrid>,
     locals: Vec<Vec<LocalExpansion>>, // [level][cell]
     /// P2M terms formed during the upward pass.
@@ -33,14 +36,16 @@ pub(crate) struct Fmm {
 impl Fmm {
     /// Builds the FMM over a particle set.
     pub(crate) fn new(particles: &[Particle], params: FmmParams) -> Result<Fmm, FmmError> {
-        let FmmStructure {
-            levels,
-            sources,
-            perm,
-            grids,
-            ..
-        } = build_structure(particles, &params)?;
-        let degrees = level_degrees(&grids, &sources.q, params.degree);
+        let (
+            FmmStructure {
+                order,
+                levels,
+                grids,
+                ..
+            },
+            qs,
+        ) = build_structure(particles, &params)?;
+        let degrees = level_degrees(&grids, &qs, params.degree);
 
         // upward: P2M per level directly from the particles (each level's
         // expansion is then exact at its own degree — see the crate docs).
@@ -54,8 +59,8 @@ impl Fmm {
                 .into_par_iter()
                 .map(|ci| {
                     let (s, e) = grid.ranges[ci];
-                    let cell: Vec<Particle> = sources
-                        .span()
+                    let cell: Vec<Particle> = order
+                        .span(&qs)
                         .slice(s as usize..e as usize)
                         .iter()
                         .collect();
@@ -133,8 +138,8 @@ impl Fmm {
         Ok(Fmm {
             levels,
             degrees,
-            sources,
-            perm,
+            order,
+            qs,
             grids,
             locals,
             translation_terms,
@@ -153,7 +158,7 @@ impl Fmm {
         let locals = &self.locals[self.levels];
         let p = self.degrees[self.levels];
         let cells = i64::from(1u32 << self.levels);
-        let sources = self.sources.span();
+        let sources = self.order.span(&self.qs);
         let mut sorted_values = vec![0.0f64; sources.len()];
         let mut stats = EvalStats::for_targets(sources.len() as u64);
         for (ci, local) in locals.iter().enumerate() {
@@ -189,12 +194,10 @@ impl Fmm {
                 sorted_values[i as usize] = phi;
             }
         }
-        // scatter to caller order
-        let mut values = vec![0.0f64; sorted_values.len()];
-        for (i, &orig) in self.perm.iter().enumerate() {
-            values[orig] = sorted_values[i];
+        EvalResult {
+            values: self.order.unsort(&sorted_values),
+            stats,
         }
-        EvalResult { values, stats }
     }
 }
 

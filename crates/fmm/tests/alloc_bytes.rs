@@ -1,10 +1,10 @@
 //! Pins down what a charge epoch copies per source. A built FMM or octree
-//! stores its sorted sources once, as one array per component, so a
-//! charge update over the same geometry copies no particle array: the FMM
-//! allocates the new sorted charges (8 B per source) beside whatever its
-//! cells need, the octree its cloned SoA and permutation (40 B) beside
-//! its nodes. A counting global allocator measures the bytes
-//! requested; comparing two source counts isolates the per-source slope.
+//! shares its Morton order (permutation and sorted positions) with every
+//! re-charge of it, so a charge update over the same geometry copies no
+//! particle array: both allocate the new sorted charges (8 B per source),
+//! the FMM beside whatever its cells need, the octree beside its nodes. A
+//! counting global allocator measures the bytes requested; comparing two
+//! source counts isolates the per-source slope.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -94,8 +94,9 @@ fn charge_epochs_copy_no_particle_array() {
     );
 
     // the node arena is topology, sized by the tree rather than by the
-    // sources, so it is taken out: what remains is the sorted SoA (32 B)
-    // and the permutation (8 B); the Morton keys die with the build
+    // sources, so it is taken out: what remains is the sorted charges
+    // (8 B); the positions and permutation are shared, and the Morton
+    // keys die with the build
     let per_source = slope("Octree::with_charges", |n| {
         let (ps, q) = sources(n);
         let tree = Octree::build(&ps, OctreeParams::default()).unwrap();
@@ -103,8 +104,8 @@ fn charge_epochs_copy_no_particle_array() {
         bytes_during(|| tree.with_charges(&q).unwrap()) - nodes as u64
     });
     assert!(
-        per_source <= 48.0,
+        per_source <= 16.0,
         "an octree charge epoch allocated {per_source:.2} B per source beyond the node arena \
-         (40 B expected: SoA sources, permutation)"
+         (8 B expected: the sorted charges)"
     );
 }

@@ -4,11 +4,28 @@
 use mbt_fmm::{CompiledFmm, FmmParams};
 use mbt_geometry::distribution::{overlapped_gaussians, uniform_cube, ChargeModel};
 use mbt_geometry::{Particle, Vec3};
+use mbt_tree::{Octree, OctreeParams};
 use mbt_treecode::direct::direct_potentials;
 use mbt_treecode::relative_error;
 
 fn charges() -> ChargeModel {
     ChargeModel::RandomSign { magnitude: 1.0 }
+}
+
+#[test]
+fn octree_and_fmm_sort_the_sources_into_one_order() {
+    // one quantiser and one sort: the octree and the FMM over the same
+    // particles hold the same permutation and the same sorted positions,
+    // whatever depth or leaf size each picks
+    let mut ps = overlapped_gaussians(3000, 4, 0.8, 0.2, charges(), 7);
+    ps.extend_from_within(..40); // coincident copies
+    let tree = Octree::build(&ps, OctreeParams { leaf_capacity: 8 }).unwrap();
+    let fmm = CompiledFmm::new(&ps, FmmParams::fixed(4)).unwrap();
+    assert_eq!(tree.perm(), fmm.order().perm());
+    assert_eq!(tree.bounds(), fmm.bounds());
+    for (i, p) in tree.particles().iter().enumerate() {
+        assert_eq!(p.position, fmm.order().position(i), "sorted source {i}");
+    }
 }
 
 #[test]

@@ -11,14 +11,17 @@
 //!   proximity-preserving particle orderings of the paper (the parallel
 //!   evaluation aggregates Peano–Hilbert-sorted particles into work units),
 //! * [`sort`] — (parallel) reordering of particles by curve key,
+//! * [`MortonOrder`] — the one Morton order the octree and the FMM both
+//!   build on: one quantiser, one sort, positions shared across charge
+//!   vectors,
 //! * [`distribution`] — the particle distributions used in the paper's
 //!   evaluation (uniform, Gaussian, overlapped Gaussians) plus a Plummer
 //!   model for the astrophysics examples,
 //! * [`Particle`] — the `position + charge` record every other crate
 //!   operates on,
-//! * [`ParticleSoa`] and [`SoaSpan`] — sorted sources stored one array
-//!   per component, the only copy a built tree or FMM keeps, and the
-//!   borrowed view the batched (auto-vectorized) kernels read.
+//! * [`ParticleSoa`] and [`SoaSpan`] — sources stored one array per
+//!   component, and the borrowed view the batched (auto-vectorized)
+//!   kernels read.
 
 #![forbid(unsafe_code)]
 
@@ -26,6 +29,7 @@ pub mod aabb;
 pub mod distribution;
 pub mod hilbert;
 pub mod morton;
+pub mod order;
 pub mod particle;
 pub mod soa;
 pub mod sort;
@@ -33,6 +37,7 @@ pub mod spherical;
 pub mod vec3;
 
 pub use aabb::Aabb;
+pub use order::{ChargeError, MortonOrder};
 pub use particle::Particle;
 pub use soa::{ParticleSoa, SoaSpan};
 pub use spherical::Spherical;

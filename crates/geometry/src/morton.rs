@@ -1,11 +1,13 @@
 //! 3-D Morton (Z-order) keys.
 //!
-//! Positions are quantised on a `2^BITS`-per-axis grid inside a bounding box
-//! and their bits interleaved into a 63-bit key. Morton order is the cheaper
-//! of the two proximity-preserving orders provided (see [`crate::hilbert`]
-//! for the Peano–Hilbert order the paper uses); it is also the canonical
-//! octree cell order: the top 3 bits of the key select the root octant, and
-//! so on down the levels.
+//! Positions are quantised on a `2^BITS`-per-axis grid inside a bounding
+//! cube ([`quantize`] floors) and their bits interleaved into a 63-bit
+//! key. Morton order is the cheaper of the two proximity-preserving orders
+//! provided (see [`crate::hilbert`] for the Peano–Hilbert order the paper
+//! uses); it is also the canonical octree cell order: the top 3 bits of
+//! the key select the root octant, and so on down the levels.
+
+use std::ops::Range;
 
 use crate::aabb::Aabb;
 use crate::vec3::Vec3;
@@ -57,23 +59,28 @@ pub fn decode(key: u64) -> (u32, u32, u32) {
     (compact(key), compact(key >> 1), compact(key >> 2))
 }
 
-/// Quantises a point inside `bounds` onto the grid. Points outside are
-/// clamped, so callers may pass a slightly loose box.
+/// Quantises a point onto the grid of `2^BITS` cells per axis that cuts
+/// the cube with corner `bounds.min` and edge `bounds.edge()`: each
+/// coordinate is floored, `⌊(v − lo)/edge · 2^BITS⌋`, so the top `l` bits
+/// of a coordinate are exactly its cell at level `l` (`2^l` cells per
+/// axis) and a key's prefix `key >> 3·(BITS − l)` is that cell's Morton
+/// code. Points outside are clamped, so callers may pass a slightly loose
+/// box.
 #[inline]
 #[must_use]
 pub fn quantize(p: Vec3, bounds: &Aabb) -> (u32, u32, u32) {
-    let ext = bounds.extent();
-    let scale = |v: f64, lo: f64, e: f64| -> u32 {
-        if e <= 0.0 {
+    let edge = bounds.edge();
+    let scale = |v: f64, lo: f64| -> u32 {
+        if edge <= 0.0 {
             return 0;
         }
-        let t = ((v - lo) / e * f64::from(MAX_COORD)).round();
+        let t = ((v - lo) / edge * f64::from(1u32 << BITS)).floor();
         t.clamp(0.0, f64::from(MAX_COORD)) as u32
     };
     (
-        scale(p.x, bounds.min.x, ext.x),
-        scale(p.y, bounds.min.y, ext.y),
-        scale(p.z, bounds.min.z, ext.z),
+        scale(p.x, bounds.min.x),
+        scale(p.y, bounds.min.y),
+        scale(p.z, bounds.min.z),
     )
 }
 
@@ -83,6 +90,22 @@ pub fn quantize(p: Vec3, bounds: &Aabb) -> (u32, u32, u32) {
 pub fn key(p: Vec3, bounds: &Aabb) -> u64 {
     let (x, y, z) = quantize(p, bounds);
     encode(x, y, z)
+}
+
+/// The runs of the sorted `keys[range]` that share one level-`l` cell, as
+/// `(cell code, index range)` in key order: one binary search per run.
+pub fn cell_runs(
+    keys: &[u64],
+    range: Range<usize>,
+    l: u32,
+) -> impl Iterator<Item = (u64, Range<usize>)> + '_ {
+    let shift = 3 * (BITS - l);
+    let (mut lo, end) = (range.start, range.end);
+    std::iter::from_fn(move || {
+        let code = *keys[..end].get(lo)? >> shift;
+        let hi = lo + keys[lo..end].partition_point(|&k| k >> shift <= code);
+        Some((code, std::mem::replace(&mut lo, hi)..hi))
+    })
 }
 
 #[cfg(test)]

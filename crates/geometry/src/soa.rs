@@ -5,8 +5,9 @@
 //! array-of-structs [`Particle`] layout each lane of such a loop loads a
 //! 32-byte record to use 8 bytes of it, which defeats vectorization;
 //! [`ParticleSoa`] stores each component contiguously so the compiler can
-//! issue packed loads. A built octree keeps its sorted sources here and
-//! nowhere else; a [`SoaSpan`] is the view every reader takes of them.
+//! issue packed loads. A built octree or FMM keeps its sorted positions
+//! in a [`crate::MortonOrder`] and its charges beside them; a [`SoaSpan`]
+//! is the view every reader takes of them.
 
 use std::ops::Range;
 

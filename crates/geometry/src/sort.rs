@@ -33,49 +33,30 @@ pub struct Ordered {
     pub bounds: Aabb,
 }
 
-impl Ordered {
-    /// Scatters values computed in sorted order back to original order:
-    /// `out[perm[i]] = values[i]`.
-    pub fn unsort<T: Copy + Default + Send + Sync>(&self, values: &[T]) -> Vec<T> {
-        assert_eq!(values.len(), self.perm.len());
-        let mut out = vec![T::default(); values.len()];
-        for (i, &orig) in self.perm.iter().enumerate() {
-            out[orig] = values[i];
-        }
-        out
-    }
-}
-
 /// Sorts particles by space-filling-curve key inside their cubical hull.
 #[must_use]
 pub fn order_particles(particles: &[Particle], curve: CurveOrder) -> Ordered {
     let bounds = Aabb::cubical_hull_of(particles, 1e-9);
-    order_particles_in(particles, curve, bounds)
-}
-
-/// Like [`order_particles`] but with a caller-provided bounding cube (useful
-/// when several sets must share one decomposition).
-#[must_use]
-pub fn order_particles_in(particles: &[Particle], curve: CurveOrder, bounds: Aabb) -> Ordered {
-    let mut keyed: Vec<(u64, usize)> = particles
-        .par_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let k = match curve {
-                CurveOrder::Hilbert => hilbert::key(p.position, &bounds),
-                CurveOrder::Morton => morton::key(p.position, &bounds),
-            };
-            (k, i)
-        })
-        .collect();
-    keyed.par_sort_unstable_by_key(|&(k, i)| (k, i));
-    let perm: Vec<usize> = keyed.iter().map(|&(_, i)| i).collect();
+    let key = match curve {
+        CurveOrder::Hilbert => hilbert::key,
+        CurveOrder::Morton => morton::key,
+    };
+    let keyed = curve_sort(particles.len(), |i| key(particles[i].position, &bounds));
+    let perm: Vec<usize> = keyed.iter().map(|&(_, i)| i as usize).collect();
     let particles = perm.iter().map(|&i| particles[i]).collect();
     Ordered {
         particles,
         perm,
         bounds,
     }
+}
+
+/// `(key(i), i)` for every index `i < n`, sorted — equal keys keep the
+/// caller's order. The one curve sort, shared with [`crate::MortonOrder`].
+pub(crate) fn curve_sort(n: usize, key: impl Fn(usize) -> u64 + Sync + Send) -> Vec<(u64, u32)> {
+    let mut keyed: Vec<(u64, u32)> = (0..n).into_par_iter().map(|i| (key(i), i as u32)).collect();
+    keyed.par_sort_unstable();
+    keyed
 }
 
 #[cfg(test)]
@@ -99,14 +80,15 @@ mod tests {
     }
 
     #[test]
-    fn unsort_restores_original_order() {
+    fn morton_order_sorts_by_morton_key() {
         let ps = uniform_cube(256, 1.0, ChargeModel::UnitPositive { magnitude: 1.0 }, 1);
         let ord = order_particles(&ps, CurveOrder::Morton);
-        // values in sorted order = sorted x coordinates
-        let xs_sorted: Vec<f64> = ord.particles.iter().map(|p| p.position.x).collect();
-        let xs_back = ord.unsort(&xs_sorted);
-        let xs_orig: Vec<f64> = ps.iter().map(|p| p.position.x).collect();
-        assert_eq!(xs_back, xs_orig);
+        let keys: Vec<u64> = ord
+            .particles
+            .iter()
+            .map(|p| morton::key(p.position, &ord.bounds))
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -1,10 +1,120 @@
 //! Property-based tests of the geometry substrate.
 
-use mbt_geometry::{hilbert, morton, Aabb, Spherical, Vec3};
+use mbt_geometry::{hilbert, morton, Aabb, MortonOrder, Particle, Spherical, Vec3};
 use proptest::prelude::*;
 
 fn arb_vec3(r: f64) -> impl Strategy<Value = Vec3> {
     (-r..r, -r..r, -r..r).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+}
+
+/// The level-`l` cell of `p` floored on that level's own grid (`2^l`
+/// cells per axis of the cube `bounds`), clamped: the per-level cell an
+/// FMM grid names, computed without the Morton key.
+fn floored_cell(bounds: &Aabb, l: u32, p: Vec3) -> (u32, u32, u32) {
+    let cells = 1u32 << l;
+    let edge = bounds.edge() / f64::from(cells);
+    let f = |v: f64, lo: f64| (((v - lo) / edge).floor().max(0.0) as u32).min(cells - 1);
+    (
+        f(p.x, bounds.min.x),
+        f(p.y, bounds.min.y),
+        f(p.z, bounds.min.z),
+    )
+}
+
+/// The level-`l` prefix of `p`'s Morton key, decoded.
+fn key_cell(bounds: &Aabb, l: u32, p: Vec3) -> (u32, u32, u32) {
+    morton::decode(morton::key(p, bounds) >> (3 * (morton::BITS - l)))
+}
+
+/// Asserts that at every level `l ≤ 8` the prefix of `p`'s key is the
+/// floored level-`l` cell.
+fn assert_prefixes_are_cells(bounds: &Aabb, p: Vec3) {
+    for l in 0..=8 {
+        assert_eq!(
+            key_cell(bounds, l, p),
+            floored_cell(bounds, l, p),
+            "level {l}, point {p:?}, bounds {bounds:?}"
+        );
+    }
+}
+
+/// `v` and the doubles about one ulp below and above it.
+fn around(v: f64) -> [f64; 3] {
+    let d = v.abs() * f64::EPSILON;
+    [v - d, v, v + d]
+}
+
+#[test]
+fn key_prefixes_are_the_floored_cells_of_every_level() {
+    // the FMM grid cases: the upper corner and the lower corner of a cube
+    // fall in its last and first cells, a point outside clamps per axis,
+    // and a point lies within half a cell edge of its cell's center
+    let b = Aabb::cube(Vec3::ZERO, 2.0);
+    assert_eq!(key_cell(&b, 2, Vec3::new(1.0, 1.0, 1.0)), (3, 3, 3));
+    assert_eq!(key_cell(&b, 2, Vec3::new(-1.0, -1.0, -1.0)), (0, 0, 0));
+    assert_eq!(key_cell(&b, 2, Vec3::new(5.0, -5.0, 0.0)), (3, 0, 2));
+    let p = Vec3::new(0.3, -0.9, 0.9);
+    let (x, y, z) = key_cell(&b, 2, p);
+    let edge = b.edge() / 4.0;
+    let center = b.min
+        + Vec3::new(
+            (f64::from(x) + 0.5) * edge,
+            (f64::from(y) + 0.5) * edge,
+            (f64::from(z) + 0.5) * edge,
+        );
+    assert!((p - center).abs().max_component() <= edge / 2.0 + 1e-12);
+    for q in [
+        Vec3::new(1.0, 1.0, 1.0),
+        Vec3::new(-1.0, -1.0, -1.0),
+        Vec3::new(5.0, -5.0, 0.0),
+        p,
+    ] {
+        assert_prefixes_are_cells(&b, q);
+    }
+
+    // an order's padded hull: points on (and one ulp off) every level-8
+    // cell face along each axis, the hull's max corner, and points
+    // clamped from far outside
+    let cloud: Vec<Particle> = (0..64)
+        .map(|i| {
+            let t = f64::from(i);
+            Particle::new(
+                Vec3::new((0.7 * t).sin(), (1.3 * t).cos() * 0.4, 0.03 * t - 0.5),
+                1.0,
+            )
+        })
+        .collect();
+    let (order, _) = MortonOrder::new(&cloud).unwrap();
+    let hull = order.bounds();
+    let c = hull.center();
+    for k in 0..=256 {
+        let face = |lo: f64| lo + f64::from(k) * hull.edge() / 256.0;
+        for v in around(face(hull.min.x)) {
+            assert_prefixes_are_cells(&hull, Vec3::new(v, c.y, c.z));
+        }
+        for v in around(face(hull.min.y)) {
+            assert_prefixes_are_cells(&hull, Vec3::new(c.x, v, c.z));
+        }
+        for v in around(face(hull.min.z)) {
+            assert_prefixes_are_cells(&hull, Vec3::new(c.x, c.y, v));
+        }
+    }
+    assert_prefixes_are_cells(&hull, hull.max);
+    assert_eq!(key_cell(&hull, 8, hull.max), (255, 255, 255));
+    for far in [
+        Vec3::splat(1e6),
+        Vec3::splat(-1e6),
+        Vec3::new(-1e6, 0.0, 1e6),
+    ] {
+        assert_prefixes_are_cells(&hull, far);
+    }
+
+    // coincident points: the hull of one point is a unit cube around it,
+    // and every copy gets the one key
+    let same = vec![Particle::new(Vec3::new(0.25, -0.5, 1.0), 1.0); 7];
+    let (order, keys) = MortonOrder::new(&same).unwrap();
+    assert!(keys.iter().all(|&k| k == keys[0]));
+    assert_prefixes_are_cells(&order.bounds(), same[0].position);
 }
 
 proptest! {
@@ -70,6 +180,19 @@ proptest! {
             (chebyshev as f64) <= bound,
             "cells {delta} apart on the curve are {chebyshev} apart in space (bound {bound})"
         );
+    }
+
+    /// The key prefixes of random points are their floored cells, and a
+    /// Morton order over them sorts by key.
+    #[test]
+    fn key_prefixes_match_floored_cells(pts in prop::collection::vec(arb_vec3(50.0), 1..64)) {
+        let ps: Vec<Particle> = pts.iter().map(|&p| Particle::new(p, 1.0)).collect();
+        let (order, keys) = MortonOrder::new(&ps).unwrap();
+        prop_assert!(order.validate().is_ok());
+        prop_assert_eq!(&keys, &order.keys());
+        for p in pts {
+            assert_prefixes_are_cells(&order.bounds(), p);
+        }
     }
 
     /// Cubical hulls contain all their points and are cubes.

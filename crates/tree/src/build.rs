@@ -1,26 +1,27 @@
 //! Octree construction.
 //!
-//! 1. Compute the cubical hull of the particle set.
-//! 2. Sort particles by Morton key (one unstable sort through rayon's
-//!    `par_sort_unstable`, which the in-workspace rayon stand-in runs
-//!    sequentially; the per-octant digit of the key makes every cell a
-//!    contiguous range and child partitioning a binary search, no data
-//!    movement after the one sort).
-//! 3. Split cells top-down until `leaf_capacity` is reached (or the key
+//! 1. Order the particles: [`MortonOrder`] validates them, takes their
+//!    padded cubical hull and sorts them by floored Morton key — the same
+//!    order the FMM builds on. The per-octant digit of the key makes
+//!    every cell a contiguous range and child partitioning a binary
+//!    search, no data movement after the one sort.
+//! 2. Split cells top-down until `leaf_capacity` is reached (or the key
 //!    resolution floor — coincident particles cannot be separated).
-//! 4. One pass over the nodes fills each cluster's expansion centre (the
+//! 3. One pass over the nodes fills each cluster's expansion centre (the
 //!    centroid of its particles) and tight radius, a second its charge
 //!    aggregates `A = Σ|q|` and net charge. Only the second depends on the
 //!    charges, so a charge update ([`Octree::with_charges`]) re-runs only
 //!    that one.
 //!
-//! The tree keeps its sources once, as a [`ParticleSoa`] in sorted order;
-//! readers take a [`SoaSpan`] of it, and a charge update rewrites only `q`.
+//! The tree shares its order (permutation and sorted positions) by `Arc`
+//! with every re-charge of it and keeps only the sorted charges `q` of
+//! its own; readers take a [`SoaSpan`] of the two.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use mbt_geometry::{morton, Aabb, Particle, ParticleSoa, SoaSpan, Vec3};
-use rayon::prelude::*;
+use mbt_geometry::{morton, Aabb, ChargeError, MortonOrder, Particle, SoaSpan, Vec3};
 
 use crate::node::{Node, NodeId, NO_NODE};
 use crate::stats::TreeStats;
@@ -96,24 +97,43 @@ impl std::fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
+impl From<ChargeError> for TreeError {
+    fn from(e: ChargeError) -> Self {
+        match e {
+            ChargeError::CountMismatch { expected, got } => {
+                Self::ChargeCountMismatch { expected, got }
+            }
+            ChargeError::NonFinite { index } => Self::NonFinite { index },
+        }
+    }
+}
+
 /// The octree: an arena of [`Node`]s over a Morton-sorted particle array.
 #[derive(Debug, Clone)]
 pub struct Octree {
     nodes: Vec<Node>,
-    /// The sources in sorted order, one array per component.
-    soa: ParticleSoa,
-    /// `perm[i]` = caller's index of sorted particle `i`.
-    perm: Vec<usize>,
-    bounds: Aabb,
+    /// The sorted positions and permutation, shared with every re-charge.
+    order: Arc<MortonOrder>,
+    /// The charges in sorted order.
+    q: Vec<f64>,
     height: usize,
 }
 
-/// Morton digit (octant index) of `key` at tree `level` (root children are
-/// level 1, extracted from the top key triple).
-#[inline]
-fn key_digit(key: u64, level: u16) -> u8 {
-    let shift = 3 * (morton::BITS as u16 - level);
-    ((key >> shift) & 0x7) as u8
+/// A leaf over the sorted particles `range`, its aggregates not yet filled.
+fn leaf(bbox: Aabb, range: Range<usize>, parent: NodeId, level: u16) -> Node {
+    Node {
+        bbox,
+        start: range.start as u32,
+        end: range.end as u32,
+        children: [NO_NODE; 8],
+        parent,
+        level,
+        is_leaf: true,
+        center: Vec3::ZERO,
+        abs_charge: 0.0,
+        net_charge: 0.0,
+        radius: 0.0,
+    }
 }
 
 impl Octree {
@@ -127,45 +147,19 @@ impl Octree {
         if params.leaf_capacity == 0 {
             return Err(TreeError::ZeroLeafCapacity);
         }
-        for (i, p) in particles.iter().enumerate() {
-            if !p.position.is_finite() || !p.charge.is_finite() {
-                return Err(TreeError::NonFinite { index: i });
-            }
-        }
-        let bounds = Aabb::cubical_hull_of(particles, 1e-9);
-
-        let mut keyed: Vec<(u64, u32)> = particles
-            .par_iter()
-            .enumerate()
-            .map(|(i, p)| (morton::key(p.position, &bounds), i as u32))
-            .collect();
-        keyed.par_sort_unstable();
-        let perm: Vec<usize> = keyed.iter().map(|&(_, i)| i as usize).collect();
-        let soa = ParticleSoa::gather(particles, perm.iter().copied());
-
+        let (order, keys) =
+            MortonOrder::new(particles).map_err(|index| TreeError::NonFinite { index })?;
         let mut tree = Octree {
             nodes: Vec::with_capacity(2 * particles.len() / params.leaf_capacity.max(1) + 64),
-            soa,
-            perm,
-            bounds,
+            q: order.perm().iter().map(|&i| particles[i].charge).collect(),
+            order: Arc::new(order),
             height: 0,
         };
-        tree.nodes.push(Node {
-            bbox: bounds,
-            start: 0,
-            end: particles.len() as u32,
-            children: [NO_NODE; 8],
-            parent: NO_NODE,
-            level: 0,
-            is_leaf: true,
-            center: Vec3::ZERO,
-            abs_charge: 0.0,
-            net_charge: 0.0,
-            radius: 0.0,
-        });
+        tree.nodes
+            .push(leaf(tree.order.bounds(), 0..particles.len(), NO_NODE, 0));
         // the keys only steer the splits: the tree does not keep them
-        tree.split_recursive(0, params.leaf_capacity, &keyed);
-        drop(keyed);
+        tree.split_recursive(0, params.leaf_capacity, &keys);
+        drop(keys);
         tree.compute_centres();
         tree.compute_charge_aggregates();
         tree.height = tree
@@ -182,20 +176,20 @@ impl Octree {
     }
 
     /// Resident heap footprint of the tree in bytes (nodes, the sorted
-    /// SoA sources and the unsort permutation) — the
+    /// positions and charges and the unsort permutation) — the
     /// quantity a plan cache charges against its byte budget.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
-            + 4 * self.perm.len() * std::mem::size_of::<f64>()
-            + self.perm.len() * std::mem::size_of::<usize>()
+            + self.order.heap_bytes()
+            + self.q.len() * std::mem::size_of::<f64>()
     }
 
     /// Structural invariants, checked after every build when the
-    /// `validate` feature is enabled (and callable from tests): the Morton
-    /// keys of the sorted positions, recomputed, non-decreasing, `perm` a
-    /// permutation of `0..n`, and
-    /// everything [`Octree::validate`] checks of the nodes.
+    /// `validate` feature is enabled (and callable from tests): the
+    /// order's contract ([`MortonOrder::validate`]: keys non-decreasing,
+    /// `perm` a permutation of `0..n`) and everything
+    /// [`Octree::validate`] checks of the nodes.
     ///
     /// # Panics
     ///
@@ -203,32 +197,15 @@ impl Octree {
     /// tree construction, never bad user input.
     #[cfg(feature = "validate")]
     pub fn validate_contracts(&self) {
-        let keys: Vec<u64> = self
-            .soa
-            .span()
-            .iter()
-            .map(|p| morton::key(p.position, &self.bounds))
-            .collect();
-        assert!(
-            keys.windows(2).all(|w| w[0] <= w[1]),
-            "validate: Morton keys not sorted after build"
-        );
-        let mut seen = vec![false; self.perm.len()];
-        for &i in &self.perm {
-            assert!(
-                i < seen.len() && !seen[i],
-                "validate: perm is not a permutation (index {i})"
-            );
-            seen[i] = true;
-        }
+        let order = self.order.validate();
+        assert!(order.is_ok(), "validate: {order:?}");
         let nodes = self.validate();
         assert!(nodes.is_ok(), "validate: {nodes:?}");
     }
 
     /// Splits `id` while it exceeds the leaf capacity and key resolution
-    /// remains; `keyed` holds the sorted particles' `(Morton key, caller
-    /// index)`.
-    fn split_recursive(&mut self, id: NodeId, leaf_capacity: usize, keyed: &[(u64, u32)]) {
+    /// remains; `keys` holds the sorted particles' Morton keys.
+    fn split_recursive(&mut self, id: NodeId, leaf_capacity: usize, keys: &[u64]) {
         let (start, end, level, bbox) = {
             let n = &self.nodes[id as usize];
             (n.start, n.end, n.level, n.bbox)
@@ -238,32 +215,13 @@ impl Octree {
         }
         let child_level = level + 1;
         let mut children = [NO_NODE; 8];
-        let mut lo = start as usize;
-        for octant in 0..8u8 {
-            // binary search for the end of this octant's key run
-            let hi = lo
-                + keyed[lo..end as usize]
-                    .partition_point(|&(k, _)| key_digit(k, child_level) <= octant);
-            if hi > lo {
-                let cid = self.nodes.len() as NodeId;
-                self.nodes.push(Node {
-                    bbox: bbox.octant(octant as usize),
-                    start: lo as u32,
-                    end: hi as u32,
-                    children: [NO_NODE; 8],
-                    parent: id,
-                    level: child_level,
-                    is_leaf: true,
-                    center: Vec3::ZERO,
-                    abs_charge: 0.0,
-                    net_charge: 0.0,
-                    radius: 0.0,
-                });
-                children[octant as usize] = cid;
-            }
-            lo = hi;
+        let range = start as usize..end as usize;
+        for (code, run) in morton::cell_runs(keys, range, u32::from(child_level)) {
+            let octant = (code & 7) as usize;
+            children[octant] = self.nodes.len() as NodeId;
+            self.nodes
+                .push(leaf(bbox.octant(octant), run, id, child_level));
         }
-        debug_assert_eq!(lo, end as usize, "octant runs must cover the range");
         {
             let n = &mut self.nodes[id as usize];
             n.children = children;
@@ -271,7 +229,7 @@ impl Octree {
         }
         for cid in children {
             if cid != NO_NODE {
-                self.split_recursive(cid, leaf_capacity, keyed);
+                self.split_recursive(cid, leaf_capacity, keys);
             }
         }
     }
@@ -282,7 +240,7 @@ impl Octree {
     /// positions alone, so it runs once per build and every charge vector
     /// over this tree shares one set of centres, radii and MAC decisions.
     fn compute_centres(&mut self) {
-        let all = self.soa.span();
+        let all = self.order.span(&self.q);
         for n in &mut self.nodes {
             let slice = all.slice(n.start as usize..n.end as usize);
             let center = slice.iter().map(|p| p.position).sum::<Vec3>() / slice.len().max(1) as f64;
@@ -298,7 +256,7 @@ impl Octree {
     /// charge, summed over its charge slice.
     fn compute_charge_aggregates(&mut self) {
         for n in &mut self.nodes {
-            let q = &self.soa.q[n.start as usize..n.end as usize];
+            let q = &self.q[n.start as usize..n.end as usize];
             n.abs_charge = q.iter().map(|q| q.abs()).sum();
             n.net_charge = q.iter().sum();
         }
@@ -329,7 +287,7 @@ impl Octree {
     #[inline]
     #[must_use]
     pub fn particles(&self) -> SoaSpan<'_> {
-        self.soa.span()
+        self.order.span(&self.q)
     }
 
     /// The particles of a node.
@@ -337,31 +295,26 @@ impl Octree {
     #[must_use]
     pub fn particles_of(&self, id: NodeId) -> SoaSpan<'_> {
         let n = &self.nodes[id as usize];
-        self.soa.span().slice(n.start as usize..n.end as usize)
+        self.particles().slice(n.start as usize..n.end as usize)
     }
 
     /// `perm()[i]` = the caller's index of sorted particle `i`.
     #[inline]
     #[must_use]
     pub fn perm(&self) -> &[usize] {
-        &self.perm
+        self.order.perm()
     }
 
     /// Scatters per-sorted-particle values back to the caller's order.
     pub fn unsort<T: Copy + Default>(&self, values: &[T]) -> Vec<T> {
-        assert_eq!(values.len(), self.perm.len());
-        let mut out = vec![T::default(); values.len()];
-        for (i, &orig) in self.perm.iter().enumerate() {
-            out[orig] = values[i];
-        }
-        out
+        self.order.unsort(values)
     }
 
     /// The root bounding cube.
     #[inline]
     #[must_use]
     pub fn bounds(&self) -> Aabb {
-        self.bounds
+        self.order.bounds()
     }
 
     /// Deepest level present (root = 0) — the `l` of the paper's
@@ -404,22 +357,22 @@ impl Octree {
     /// the **caller's original order**.
     ///
     /// The fast path for iterative solvers whose operator applies the same
-    /// geometry to a new density every iteration: the Morton sort,
-    /// topology, expansion centres and radii are reused bit for bit; only
-    /// the sorted charges `q`, `A` and the net charge are rewritten. The
-    /// result equals a fresh [`Octree::build`] over the same positions
-    /// with these charges.
+    /// geometry to a new density every iteration: the Morton order
+    /// (shared, not copied), topology, expansion centres and radii are
+    /// reused bit for bit; only the sorted charges `q`, `A` and the net
+    /// charge are rewritten. The result equals a fresh [`Octree::build`]
+    /// over the same positions with these charges.
+    ///
+    /// A vector whose length is not the particle count is refused with
+    /// [`TreeError::ChargeCountMismatch`], a NaN/∞ charge with
+    /// [`TreeError::NonFinite`].
     pub fn with_charges(&self, charges: &[f64]) -> Result<Octree, TreeError> {
-        if charges.len() != self.perm.len() {
-            return Err(TreeError::ChargeCountMismatch {
-                expected: self.perm.len(),
-                got: charges.len(),
-            });
-        }
-        let mut out = self.clone();
-        for (q, &orig) in out.soa.q.iter_mut().zip(&self.perm) {
-            *q = charges[orig];
-        }
+        let mut out = Octree {
+            nodes: self.nodes.clone(),
+            q: self.order.sorted_charges(charges)?,
+            order: Arc::clone(&self.order),
+            height: self.height,
+        };
         out.compute_charge_aggregates();
         Ok(out)
     }
@@ -429,7 +382,7 @@ impl Octree {
     /// each internal node's range tiled by its children in octant order,
     /// boxes contain their particles, aggregates consistent.
     pub fn validate(&self) -> Result<(), String> {
-        let n_particles = self.perm.len();
+        let n_particles = self.order.perm().len();
         let mut covered = vec![0u8; n_particles];
         for (idx, node) in self.nodes.iter().enumerate() {
             if node.start > node.end || node.end as usize > n_particles {
@@ -463,9 +416,15 @@ impl Octree {
                     return Err(format!("children of {idx} do not cover its range"));
                 }
             }
-            // geometric containment (allow tiny quantisation slack at cell
-            // faces: the Morton grid is 2^21 cells per axis)
-            let slack = self.bounds.edge() * 2.0 / (1u64 << morton::BITS) as f64;
+            // geometric containment. The keys floor `(v − lo)/edge·2^21`,
+            // so a particle's cell is the geometric one up to rounding: the
+            // node boxes are halved in floating point (about half an ulp
+            // per level, at most 21 levels) and the key's subtraction and
+            // division add an ulp, so a particle on a face may sit a few
+            // ulps of the coordinates' magnitude outside its box
+            let bounds = self.bounds();
+            let scale = bounds.min.abs().max(bounds.max.abs()).max_component();
+            let slack = 32.0 * f64::EPSILON * scale;
             let grown = Aabb::new(
                 node.bbox.min - Vec3::splat(slack),
                 node.bbox.max + Vec3::splat(slack),
@@ -551,6 +510,40 @@ mod tests {
     }
 
     #[test]
+    fn particles_on_cell_faces_stay_in_their_boxes() {
+        // points on (and one ulp off) the faces of the cells at several
+        // levels of the padded hull: each lands in the cell its floored
+        // key names, which `validate` checks against the halved boxes up
+        // to its rounding-level slack (without the slack, each of these
+        // hulls has a particle a few ulps outside its box)
+        for (lo, edge) in [(0.1, 3.7), (-12.345, 0.013), (1e3, 7.0), (0.77, 1.3e5)] {
+            let corners = [Vec3::splat(lo), Vec3::splat(lo + edge)];
+            let hull = Aabb::cubical_hull(&corners, 1e-9);
+            let mut ps: Vec<Particle> = corners.iter().map(|&c| Particle::new(c, 1.0)).collect();
+            for l in [3, 7, 12, 18, 21] {
+                let n = 1u64 << l;
+                for t in 0..40u64 {
+                    let face =
+                        |k: u64, lo: f64| lo + (1 + k % (n - 1)) as f64 * hull.edge() / n as f64;
+                    let (a, b) = (
+                        face(t * 2654435761, hull.min.x),
+                        face(t * 40503 + 7, hull.min.y),
+                    );
+                    for v in [a * (1.0 - f64::EPSILON), a, a * (1.0 + f64::EPSILON)] {
+                        ps.push(Particle::new(
+                            Vec3::new(v, b, a - hull.min.x + hull.min.z),
+                            1.0,
+                        ));
+                    }
+                }
+            }
+            let tree = Octree::build(&ps, OctreeParams { leaf_capacity: 1 }).unwrap();
+            assert_eq!(tree.bounds(), hull);
+            tree.validate().unwrap();
+        }
+    }
+
+    #[test]
     fn root_aggregates() {
         let ps = uniform_cube(1000, 2.0, ChargeModel::Uniform { lo: -1.5, hi: 0.5 }, 9);
         let tree = Octree::build(&ps, OctreeParams::default()).unwrap();
@@ -594,6 +587,13 @@ mod tests {
                 TreeError::ChargeCountMismatch { expected: 100, got }
             );
         }
+        let mut nan = vec![1.0; 100];
+        nan[37] = f64::NAN;
+        nan[60] = f64::INFINITY;
+        assert_eq!(
+            tree.with_charges(&nan).unwrap_err(),
+            TreeError::NonFinite { index: 37 }
+        );
     }
 
     #[test]

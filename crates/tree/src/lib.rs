@@ -2,7 +2,8 @@
 //!
 //! The hierarchical domain decomposition both treecode flavours (Barnes–Hut
 //! in `mbt-treecode`, FMM in `mbt-fmm`) traverse. Particles are sorted once
-//! by Morton key inside their cubical hull; every octree cell then owns a
+//! by Morton key inside their cubical hull (the `MortonOrder` of
+//! `mbt-geometry`, which the FMM builds on too); every octree cell then owns a
 //! contiguous index range, children are located by binary search on the key
 //! digits, and the per-node aggregates the paper's error analysis needs are
 //! filled in two passes: the geometric one (expansion center = the
