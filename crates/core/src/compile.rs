@@ -11,14 +11,14 @@
 //!    source spans. Spans around a source target's own index are split so
 //!    the self-interaction never reaches a kernel.
 //! 2. **execute** — bucket the M2P tasks by interaction degree with a
-//!    stable counting sort and burn through them in groups of
-//!    [`M2P_LANES`] via the batched SoA kernels of `mbt-multipole::batch`;
-//!    then stream the P2P spans over the octree's SoA sources ([`mbt_geometry::SoaSpan`]).
+//!    stable counting sort and burn through them in lane groups via the
+//!    batched SoA kernels of `mbt-multipole::batch`; then stream the P2P
+//!    spans over the octree's SoA sources ([`mbt_geometry::SoaSpan`]).
 //!
-//! Degree bucketing is what amortizes per-degree table setup
-//! ([`BatchWorkspace::prepare_degree`]) over every task in a bucket; the
-//! node-id minor key clusters same-expansion tasks into runs the
-//! broadcast kernels exploit; and the *stable* sort gives determinism:
+//! Degree bucketing keeps every lane group on one degree, since a group
+//! kernel runs one truncation for all its lanes; the node-id minor key
+//! clusters same-expansion tasks into runs the broadcast kernels exploit;
+//! and the *stable* sort gives determinism:
 //! each target's contributions are summed in (degree, node,
 //! traversal-order) order, which depends only on that target's own
 //! interaction set — never on chunk width or on which other targets
@@ -163,7 +163,7 @@ impl CompiledScratch {
     /// Stable two-key counting sort of `tasks` into `sorted`, ordered by
     /// `(degree, node, emission order)` — LSD radix: a stable pass on the
     /// node id followed by a stable pass on the degree. Degree-major
-    /// order is what amortizes per-degree table setup; the node-id minor
+    /// order keeps each lane group on one degree; the node-id minor
     /// key clusters every task against the same expansion into one run,
     /// which is what lets the executor use the broadcast (uniform-node)
     /// kernels for nearly all groups. Determinism: both keys are
@@ -254,7 +254,7 @@ impl Treecode {
                 // ordering: Relaxed — per-chunk timing accumulator; no data is published through it
                 compile_ns.fetch_add(compile_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 out_chunk.fill(0.0);
-                self.exec_m2p_potential(&mut cs, out_chunk);
+                self.exec_m2p::<false>(&mut cs, |i, phi, _| out_chunk[i] += phi);
                 self.exec_p2p_potential(&cs, points.is_none(), out_chunk, &mut stats);
                 stats
             })
@@ -301,7 +301,10 @@ impl Treecode {
                 // ordering: Relaxed — per-chunk timing accumulator; no data is published through it
                 compile_ns.fetch_add(compile_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 out_chunk.fill((0.0, Vec3::ZERO));
-                self.exec_m2p_field(&mut cs, out_chunk);
+                self.exec_m2p::<true>(&mut cs, |i, phi, grad| {
+                    out_chunk[i].0 += phi;
+                    out_chunk[i].1 += grad;
+                });
                 self.exec_p2p_field(&cs, out_chunk, &mut stats);
                 stats
             })
@@ -509,92 +512,36 @@ impl Treecode {
         }
     }
 
-    /// Executes the degree-bucketed M2P tasks in lane groups, accumulating
-    /// potentials into `out`. The group width is the *dispatched* SIMD
-    /// lane width (8 on AVX-512, otherwise the baseline [`M2P_LANES`]);
-    /// lanes are arithmetically independent and every lane runs the same
-    /// op sequence regardless of width, so the choice never changes
-    /// results. Short trailing groups pad by replicating their last task;
-    /// padded lanes are computed and discarded.
-    fn exec_m2p_potential(&self, cs: &mut CompiledScratch, out: &mut [f64]) {
-        match simd::m2p_lanes() {
-            8 => self.exec_m2p_potential_lanes::<8>(cs, out),
-            _ => self.exec_m2p_potential_lanes::<M2P_LANES>(cs, out),
-        }
-    }
-
-    fn exec_m2p_potential_lanes<const L: usize>(&self, cs: &mut CompiledScratch, out: &mut [f64]) {
-        let CompiledScratch {
-            sorted,
-            targets,
-            bws,
-            ..
-        } = cs;
-        let mut i = 0;
-        while i < sorted.len() {
-            let degree = sorted[i].degree as usize;
-            let mut j = i;
-            while j < sorted.len() && sorted[j].degree as usize == degree {
-                j += 1;
-            }
-            bws.prepare_degree_lanes(degree, L);
-            let bucket = &sorted[i..j];
-            let mut g = 0;
-            while g < bucket.len() {
-                let take = (bucket.len() - g).min(L);
-                let node = bucket[g].node;
-                // Accept-all classification emits one task per chunk
-                // target against the same node, so most groups land
-                // inside a same-node run — those take the broadcast
-                // kernel (bit-identical to the gather kernel per lane).
-                let res = if bucket[g..g + take].iter().all(|t| t.node == node) {
-                    let points = core::array::from_fn(|l| {
-                        targets[bucket[g + l.min(take - 1)].target as usize]
-                    });
-                    m2p_potential_group_uniform::<L>(
-                        self.tree.node(node).center,
-                        self.arena.span(node as usize),
-                        &points,
-                        bws,
-                    )
-                } else {
-                    let mut centers = [Vec3::ZERO; L];
-                    let mut points = [Vec3::ZERO; L];
-                    let mut coeffs: [&[Complex]; L] = [&[]; L];
-                    for l in 0..L {
-                        let t = bucket[g + l.min(take - 1)];
-                        centers[l] = self.tree.node(t.node).center;
-                        coeffs[l] = self.arena.span(t.node as usize);
-                        points[l] = targets[t.target as usize];
-                    }
-                    let group = M2pGroup {
-                        centers,
-                        points,
-                        coeffs,
-                    };
-                    m2p_potential_group(&group, bws)
-                };
-                for l in 0..take {
-                    out[bucket[g + l].target as usize] += res[l];
-                }
-                g += take;
-            }
-            i = j;
-        }
-    }
-
-    /// Field analogue of [`Treecode::exec_m2p_potential`].
-    fn exec_m2p_field(&self, cs: &mut CompiledScratch, out: &mut [(f64, Vec3)]) {
-        match simd::m2p_lanes() {
-            8 => self.exec_m2p_field_lanes::<8>(cs, out),
-            _ => self.exec_m2p_field_lanes::<M2P_LANES>(cs, out),
-        }
-    }
-
-    fn exec_m2p_field_lanes<const L: usize>(
+    /// Executes the degree-bucketed M2P tasks in lane groups, handing each
+    /// task's `(target, Φ, ∇Φ)` to `add` (`∇Φ` only with `FIELD`). The
+    /// group width is the *dispatched* SIMD lane width (8 on AVX-512,
+    /// otherwise the baseline [`M2P_LANES`]); lanes are arithmetically
+    /// independent and every lane runs the same op sequence regardless of
+    /// width, so the choice never changes results.
+    fn exec_m2p<const FIELD: bool>(
         &self,
         cs: &mut CompiledScratch,
-        out: &mut [(f64, Vec3)],
+        add: impl FnMut(usize, f64, Vec3),
+    ) {
+        match simd::m2p_lanes() {
+            8 => self.exec_m2p_lanes::<8, FIELD>(cs, add),
+            _ => self.exec_m2p_lanes::<M2P_LANES, FIELD>(cs, add),
+        }
+    }
+
+    /// Walks the sorted tasks once. Each group is the next consecutive
+    /// slice of its degree bucket, so every target still receives its
+    /// contributions in (degree, node, traversal) order. A same-node run
+    /// (found once, with its expansion looked up once) goes out in
+    /// broadcast groups of up to `L` tasks, a short last group padded by
+    /// repeating its last task; a run of at most `L / 2` is instead
+    /// gathered together with the tasks after it, up to `L` per group,
+    /// unless it ends the bucket. Padded lanes are computed and
+    /// discarded; a broadcast lane is bit-identical to a gathered one.
+    fn exec_m2p_lanes<const L: usize, const FIELD: bool>(
+        &self,
+        cs: &mut CompiledScratch,
+        mut add: impl FnMut(usize, f64, Vec3),
     ) {
         let CompiledScratch {
             sorted,
@@ -602,55 +549,51 @@ impl Treecode {
             bws,
             ..
         } = cs;
-        let mut i = 0;
-        while i < sorted.len() {
-            let degree = sorted[i].degree as usize;
-            let mut j = i;
-            while j < sorted.len() && sorted[j].degree as usize == degree {
-                j += 1;
+        let tasks = &sorted[..];
+        let point = |t: &M2pTask| targets[t.target as usize];
+        let (mut bucket_end, mut run_end) = (0, 0);
+        let (mut center, mut coeffs): (Vec3, &[Complex]) = (Vec3::ZERO, &[]);
+        let mut g = 0;
+        while g < tasks.len() {
+            let first = tasks[g];
+            if g == bucket_end {
+                bucket_end = g + tasks[g..].partition_point(|t| t.degree == first.degree);
+                bws.prepare_degree_lanes(first.degree as usize, L);
             }
-            bws.prepare_degree_lanes(degree, L);
-            let bucket = &sorted[i..j];
-            let mut g = 0;
-            while g < bucket.len() {
-                let take = (bucket.len() - g).min(L);
-                let node = bucket[g].node;
-                // Same-node run detection as in the potential executor.
-                let (phis, grads) = if bucket[g..g + take].iter().all(|t| t.node == node) {
-                    let points = core::array::from_fn(|l| {
-                        targets[bucket[g + l.min(take - 1)].target as usize]
-                    });
-                    m2p_field_group_uniform::<L>(
-                        self.tree.node(node).center,
-                        self.arena.span(node as usize),
-                        &points,
-                        bws,
-                    )
+            if g >= run_end {
+                run_end = g + tasks[g..bucket_end].partition_point(|t| t.node == first.node);
+                center = self.tree.node(first.node).center;
+                coeffs = self.arena.span(first.node as usize);
+            }
+            let run = run_end - g;
+            let broadcast = 2 * run > L || run_end == bucket_end;
+            let take = L.min(if broadcast { run } else { bucket_end - g });
+            let group = &tasks[g..g + take];
+            let pick = |l: usize| group[l.min(take - 1)];
+            let (phi, grad) = if broadcast {
+                let points = std::array::from_fn(|l| point(&pick(l)));
+                if FIELD {
+                    m2p_field_group_uniform::<L>(center, coeffs, &points, bws)
                 } else {
-                    let mut centers = [Vec3::ZERO; L];
-                    let mut points = [Vec3::ZERO; L];
-                    let mut coeffs: [&[Complex]; L] = [&[]; L];
-                    for l in 0..L {
-                        let t = bucket[g + l.min(take - 1)];
-                        centers[l] = self.tree.node(t.node).center;
-                        coeffs[l] = self.arena.span(t.node as usize);
-                        points[l] = targets[t.target as usize];
-                    }
-                    let group = M2pGroup {
-                        centers,
-                        points,
-                        coeffs,
-                    };
-                    m2p_field_group(&group, bws)
-                };
-                for l in 0..take {
-                    let slot = &mut out[bucket[g + l].target as usize];
-                    slot.0 += phis[l];
-                    slot.1 += grads[l];
+                    let phi = m2p_potential_group_uniform::<L>(center, coeffs, &points, bws);
+                    (phi, [Vec3::ZERO; L])
                 }
-                g += take;
+            } else {
+                let group = M2pGroup {
+                    centers: std::array::from_fn(|l| self.tree.node(pick(l).node).center),
+                    points: std::array::from_fn(|l| point(&pick(l))),
+                    coeffs: std::array::from_fn(|l| self.arena.span(pick(l).node as usize)),
+                };
+                if FIELD {
+                    m2p_field_group(&group, bws)
+                } else {
+                    (m2p_potential_group(&group, bws), [Vec3::ZERO; L])
+                }
+            };
+            for (l, t) in group.iter().enumerate() {
+                add(t.target as usize, phi[l], grad[l]);
             }
-            i = j;
+            g += take;
         }
     }
 

@@ -4,8 +4,9 @@
 //! of `src/reference.rs`.)
 
 use mbt_geometry::distribution::{overlapped_gaussians, uniform_cube, ChargeModel};
+use mbt_geometry::Vec3;
 use mbt_multipole::simd::{self, SimdLevel};
-use mbt_treecode::{Treecode, TreecodeParams};
+use mbt_treecode::{EvalResult, Treecode, TreecodeParams};
 
 /// The three degree-selection modes the treecode supports, at moderate
 /// accuracy so adaptive/tolerance runs mix several degrees per sweep.
@@ -33,58 +34,68 @@ fn reachable_tiers() -> Vec<SimdLevel> {
 }
 
 /// The dispatched SIMD level is pure codegen: building the treecode and
-/// sweeping it under the scalar fallback and under the widest probed
-/// level must produce bit-identical f64 sweeps (the P2M lanes and the P2P
-/// spans run a fixed logical width at every level; M2P lanes are
-/// arithmetically independent). Safe under parallel test execution for
-/// the same reason — a concurrent build or sweep that observes either
-/// level computes identical bits.
+/// sweeping it under the scalar fallback and under every other tier this
+/// machine reaches (AVX2, AVX-512) must produce bit-identical f64 sweeps
+/// (the P2M lanes and the P2P spans run a fixed logical width at every
+/// level; M2P lanes are arithmetically independent). Safe under parallel
+/// test execution for the same reason — a concurrent build or sweep that
+/// observes any level computes identical bits.
 #[test]
 fn simd_dispatch_level_is_bit_invariant() {
     let ps = uniform_cube(3_000, 1.0, ChargeModel::RandomSign { magnitude: 1.0 }, 19);
-    let detected = simd::detect();
+    let sweep = |params| {
+        let tc = Treecode::new(&ps, params).unwrap();
+        (tc.potentials(), tc.fields())
+    };
+    let wider = &reachable_tiers()[1..];
     for params in [
         TreecodeParams::fixed(5, 0.7),
         TreecodeParams::adaptive(3, 0.6),
     ] {
         let restore = simd::level();
         simd::set_level(SimdLevel::Scalar);
-        let tc = Treecode::new(&ps, params).unwrap();
-        let narrow = tc.potentials();
-        let narrow_fields = tc.fields();
-        simd::set_level(detected);
-        let tc = Treecode::new(&ps, params).unwrap();
-        let wide = tc.potentials();
-        let wide_fields = tc.fields();
+        let (narrow, narrow_fields) = sweep(params);
+        for &tier in wider {
+            simd::set_level(tier);
+            let (wide, wide_fields) = sweep(params);
+            simd::set_level(restore);
+            assert_bits_equal(tier, (&narrow, &narrow_fields), (&wide, &wide_fields));
+        }
         simd::set_level(restore);
-        assert_eq!(narrow.stats, wide.stats);
-        for (i, (a, b)) in narrow.values.iter().zip(&wide.values).enumerate() {
+    }
+}
+
+/// Asserts that a sweep at `tier` reproduced the scalar sweep bit for bit.
+fn assert_bits_equal(
+    tier: SimdLevel,
+    (narrow, narrow_fields): (&EvalResult<f64>, &EvalResult<(f64, Vec3)>),
+    (wide, wide_fields): (&EvalResult<f64>, &EvalResult<(f64, Vec3)>),
+) {
+    assert_eq!(narrow.stats, wide.stats, "{tier:?}");
+    for (i, (a, b)) in narrow.values.iter().zip(&wide.values).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "target {i}: {tier:?} changed the potential"
+        );
+    }
+    let fields = narrow_fields.values.iter().zip(&wide_fields.values);
+    for (i, ((pa, ga), (pb, gb))) in fields.enumerate() {
+        assert_eq!(
+            pa.to_bits(),
+            pb.to_bits(),
+            "target {i}: {tier:?} field potential"
+        );
+        for (a, b) in [(ga.x, gb.x), (ga.y, gb.y), (ga.z, gb.z)] {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "target {i}: dispatch level changed the potential"
+                "target {i}: {tier:?} gradient component"
             );
-        }
-        for (i, ((pa, ga), (pb, gb))) in narrow_fields
-            .values
-            .iter()
-            .zip(&wide_fields.values)
-            .enumerate()
-        {
-            assert_eq!(pa.to_bits(), pb.to_bits(), "target {i}: field potential");
-            for (a, b) in [(ga.x, gb.x), (ga.y, gb.y), (ga.z, gb.z)] {
-                assert_eq!(a.to_bits(), b.to_bits(), "target {i}: gradient component");
-            }
         }
     }
 }
 
-/// The upward pass is deterministic: its work items depend only on the
-/// tree and the degrees, so every node's coefficients — the split nodes'
-/// block-order sums included — are the same bits at 1, 2 and 3 workers
-/// and at every reachable dispatch tier, for uniform and clustered sets
-/// under every degree policy. Mirrors the compiled FMM's
-/// `charge_pass_is_bit_identical_across_worker_counts_and_tiers`.
 #[test]
 fn upward_pass_is_bit_identical_across_worker_counts_and_tiers() {
     let tiers = reachable_tiers();

@@ -131,13 +131,13 @@ fn backends_agree_on_fields() {
 }
 
 /// The compiled FMM is pure codegen across SIMD dispatch levels:
-/// `set_level(Scalar)` and the detected level give bit-identical
+/// `set_level(Scalar)`, AVX2 and the detected level give bit-identical
 /// potentials and fields, at sources and at external points in every
 /// regime (occupied cells, empty cells, outside the bounds). L2P lanes
 /// never mix, so the group width changes nothing, and the P2P spans run
 /// a fixed logical width at every level. Safe beside concurrently running
-/// tests for the same reason: a sweep that observes either level
-/// computes the same bits.
+/// tests for the same reason: a sweep that observes any level computes
+/// the same bits.
 #[test]
 fn simd_dispatch_level_is_bit_invariant() {
     let ps = clustered(3000, 41);
@@ -151,24 +151,27 @@ fn simd_dispatch_level_is_bit_invariant() {
             fmm.fields_at(&points),
         )
     };
-    let detected = simd::detect();
+    let restore = simd::level();
     simd::set_level(SimdLevel::Scalar);
     let narrow = sweep();
-    simd::set_level(detected);
-    let wide = sweep();
-    assert_eq!(narrow.0.stats, wide.0.stats);
-    assert_eq!(narrow.1.stats, wide.1.stats);
-    assert_eq!(narrow.2.stats, wide.2.stats);
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&narrow.0.values), bits(&wide.0.values), "potentials()");
-    assert_eq!(
-        bits(&narrow.1.values),
-        bits(&wide.1.values),
-        "potentials_at"
-    );
-    for (k, ((pa, ga), (pb, gb))) in narrow.2.values.iter().zip(&wide.2.values).enumerate() {
-        let (a, b) = ([*pa, ga.x, ga.y, ga.z], [*pb, gb.x, gb.y, gb.z]);
-        assert_eq!(bits(&a), bits(&b), "fields_at point {k}");
+    // AVX2 wherever the CPU reaches it, then the detected level (the
+    // request clamps to what the CPU has, so both may be the same)
+    for want in [SimdLevel::Avx2, simd::detect()] {
+        let tier = simd::set_level(want);
+        let wide = sweep();
+        simd::set_level(restore);
+        assert_eq!(narrow.0.stats, wide.0.stats, "{tier:?}");
+        assert_eq!(narrow.1.stats, wide.1.stats, "{tier:?}");
+        assert_eq!(narrow.2.stats, wide.2.stats, "{tier:?}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (n0, w0) = (bits(&narrow.0.values), bits(&wide.0.values));
+        assert_eq!(n0, w0, "{tier:?} potentials()");
+        let (n1, w1) = (bits(&narrow.1.values), bits(&wide.1.values));
+        assert_eq!(n1, w1, "{tier:?} potentials_at");
+        for (k, ((pa, ga), (pb, gb))) in narrow.2.values.iter().zip(&wide.2.values).enumerate() {
+            let (a, b) = ([*pa, ga.x, ga.y, ga.z], [*pb, gb.x, gb.y, gb.z]);
+            assert_eq!(bits(&a), bits(&b), "{tier:?} fields_at point {k}");
+        }
     }
 }
 

@@ -12,11 +12,11 @@
 //! so they are compiled with the instruction set the CPU was probed for:
 //!
 //! * **One group body** evaluates a truncated series at `L` points per call
-//!   — M2P ([`m2p_potential_group`] and friends, radial factor
+//!   — M2P ([`m2p_potential_group`] and friends, irregular solid harmonics
 //!   `r^-(n+1)`) and L2P ([`l2p_potential_group`], [`l2p_field_group`],
-//!   radial factor `r^n`), potential or field. `L` is the **dispatched
-//!   vector width** ([`crate::simd::m2p_lanes`]: 8×f64 on AVX-512, 4×f64
-//!   otherwise; [`M2P_LANES`] is the baseline).
+//!   regular solid harmonics `r^n`), potential or field. `L` is the
+//!   **dispatched vector width** ([`crate::simd::m2p_lanes`]: 8×f64 on
+//!   AVX-512, 4×f64 otherwise; [`M2P_LANES`] is the baseline).
 //! * **One span body** ([`p2p_span`]) sums the near field of one source
 //!   span at one target, generic over precision (f64 / f32), guard and
 //!   output (potential / field), at a *fixed* logical width
@@ -36,25 +36,29 @@
 //!
 //! # Determinism contract
 //!
-//! Per lane, the group body runs the **same Legendre recurrences and
-//! multiply/accumulate association** as the scalar kernels
+//! The group body builds the normalised solid harmonics straight from the
+//! Cartesian offset `(dx, dy, dz)` by the recurrence P2M already runs
+//! (`Tables::solid_recurrence`): `1/r` and `1/r²` from one square root
+//! and one divide per lane, then a few multiplies per term — no trig, no
+//! per-term divide, no special case on the z-axis or (for a local series)
+//! at the expansion center. The gradient is one more series over the same
+//! harmonics (`Tables::ladder`), so a field needs the irregular
+//! harmonics to `p + 1` and nothing else. The scalar kernels
 //! ([`ExpansionRef::potential_at_degree_with`](crate::ExpansionRef::potential_at_degree_with),
-//! [`l2p_potential_with`](crate::l2p_potential_with) etc.), but converts
-//! the observation offset to spherical form *algebraically* — `cos θ =
-//! dz/r`, `sin θ = r_xy/r`, `e^{iφ} = (dx + i·dy)/r_xy` — instead of
-//! round-tripping through `acos`/`atan2`/`sin_cos`. The quantities are
-//! mathematically identical and agree to ULP precision (the kernel tests
-//! pin ≤ 1e-13 relative per lane), but the serial libm calls that dominate
-//! small-degree setup are replaced by straight-line `sqrt`/`div` the
-//! vectorizer packs across lanes. Lanes are arithmetically independent
-//! and the lane-`l` operation sequence does not depend on `L`, so the same
-//! task produces bit-identical output in a 4-wide and an 8-wide group —
-//! dispatching a wider width on wider hardware cannot change results
-//! (pinned by `lane_width_does_not_change_values` and
-//! `l2p_lane_width_and_padding_are_inert`). Together with the compiled
-//! mode's documented reassociation (per-interaction partials are summed in
-//! degree-bucket order), the compiled/scalar divergence stays well below
-//! 1e-12 relative for the workloads the treecode serves.
+//! [`l2p_potential_with`](crate::l2p_potential_with) etc.) instead go
+//! through `acos`/`atan2`, the Legendre table and per-degree rows; the two
+//! are mathematically identical and agree to rounding (the kernel tests
+//! pin ≤ 1e-13 relative per lane at every degree to `MAX_DEGREE`). The body
+//! uses plain [`Lanes`] ops only (no `mul_add`, whose rounding differs
+//! from a multiply and an add), lanes are arithmetically independent, and
+//! the lane-`l` operation sequence depends only on the degree, so the same
+//! task produces bit-identical output in a 4-wide and an 8-wide group and
+//! at every dispatch tier (pinned by `lane_width_does_not_change_values`,
+//! `l2p_lane_width_and_padding_are_inert` and the tier tests of the
+//! treecode and FMM suites). Together with the compiled mode's documented
+//! reassociation (per-interaction partials are summed in degree-bucket
+//! order), the compiled/scalar divergence stays well below 1e-12 relative
+//! for the workloads the treecode serves.
 //!
 //! The span body replaces two correctly rounded operations per pair in one
 //! case: an f64 *potential* span computes `q/r` as `q · (1/√r²)` from an
@@ -71,9 +75,11 @@
 //!
 //! # Layout
 //!
-//! Lane-major triangular tables: entry `(n, m)` of lane `l` lives at
-//! `tri_index(n, m) * L + l`, so each recurrence step is one wide-register
-//! op per table row (see DESIGN.md §10/§12 for the inspection notes).
+//! Lane-major: a lane group's value is one [`Lanes`] register of `L`
+//! lanes, and the few tables a kernel keeps in memory (the P2M lane
+//! accumulators, a gather field group's transposed coefficients) put
+//! entry `i` of lane `l` at `i * L + l`, so each step is one wide-register
+//! op (see DESIGN.md §10/§12 for the inspection notes).
 
 use mbt_geometry::Vec3;
 
@@ -120,32 +126,19 @@ pub struct M2pGroup<'a, const L: usize = M2P_LANES> {
     pub coeffs: [&'a [Complex]; L],
 }
 
-/// Reusable lane-major scratch for the batched M2P kernels: the shared
-/// normalization table for the current degree bucket plus per-lane
-/// Legendre and accumulator arrays. One `BatchWorkspace` lives per
-/// evaluation chunk; [`BatchWorkspace::prepare_degree`] is called once per
-/// degree bucket, which is what amortizes table setup across every task
-/// in the bucket.
+/// Reusable scratch for the group kernels: the degree of the current
+/// bucket, and the lane-major coefficient rows a gather field group
+/// transposes its `L` spans into (each coefficient is read four times by
+/// the field body). One `BatchWorkspace` lives per evaluation chunk;
+/// [`BatchWorkspace::prepare_degree`] is called once per degree bucket.
 #[derive(Debug)]
 pub struct BatchWorkspace {
     degree: usize,
-    /// Lane stride the buffers are sized for (≥ any kernel's `L`).
+    /// Lane stride the buffer is sized for (≥ any kernel's `L`).
     lanes: usize,
-    /// `norm(n, m)` for the prepared degree, indexed by `tri_index` —
-    /// shared across lanes (it depends only on `(n, m)`).
-    norm: Vec<f64>,
-    /// Lane-major `P_n^m(cos θ)`.
-    leg_p: Vec<f64>,
-    /// Lane-major `P_n^m / sin θ` (`m ≥ 1`; `m = 0` entries unused).
-    leg_q: Vec<f64>,
-    /// Lane-major `dP_n^m/dθ`.
-    leg_d: Vec<f64>,
-    /// Lane-major per-degree partial sums (potential).
-    acc_pot: Vec<f64>,
-    /// Lane-major per-degree partial sums (θ-derivative).
-    acc_dth: Vec<f64>,
-    /// Lane-major per-degree partial sums (φ-derivative).
-    acc_dph: Vec<f64>,
+    /// Lane-major coefficients: `re` of entry `ti`, lane `l` at
+    /// `2·ti·L + l`, `im` at `(2·ti + 1)·L + l`.
+    coeffs: Vec<f64>,
 }
 
 impl Default for BatchWorkspace {
@@ -162,183 +155,28 @@ impl BatchWorkspace {
         BatchWorkspace {
             degree: 0,
             lanes: 0,
-            norm: Vec::new(), // lint: allow(alloc, workspace construction, once per chunk)
-            leg_p: Vec::new(), // lint: allow(alloc, workspace construction, once per chunk)
-            leg_q: Vec::new(), // lint: allow(alloc, workspace construction, once per chunk)
-            leg_d: Vec::new(), // lint: allow(alloc, workspace construction, once per chunk)
-            acc_pot: Vec::new(), // lint: allow(alloc, workspace construction, once per chunk)
-            acc_dth: Vec::new(), // lint: allow(alloc, workspace construction, once per chunk)
-            acc_dph: Vec::new(), // lint: allow(alloc, workspace construction, once per chunk)
+            coeffs: Vec::new(), // lint: allow(alloc, workspace construction, once per chunk)
         }
     }
 
-    /// Sizes the lane buffers for `degree` at the **dispatched** lane
-    /// width ([`crate::simd::m2p_lanes`]) and fills the normalization
-    /// table — once per degree bucket, not per task.
+    /// Sets the degree of the next kernels and sizes the buffer at the
+    /// **dispatched** lane width ([`crate::simd::m2p_lanes`]).
     pub fn prepare_degree(&mut self, degree: usize) {
         self.prepare_degree_lanes(degree, simd::m2p_lanes());
     }
 
-    /// Sizes the lane buffers for `degree` at an explicit lane stride
-    /// (the `L` the caller will run kernels with). Buffers grow
-    /// monotonically, so a workspace cycled through ascending buckets
-    /// allocates only on the first visit to each high-water mark.
+    /// Sets the degree of the next kernels and sizes the buffer at an
+    /// explicit lane stride (the `L` the caller will run kernels with).
+    /// The buffer grows monotonically, so a workspace cycled through
+    /// ascending buckets allocates only on the first visit to each
+    /// high-water mark.
     pub fn prepare_degree_lanes(&mut self, degree: usize, lanes: usize) {
-        let len = tri_len(degree);
-        if self.leg_p.len() < len * lanes {
-            self.leg_p.resize(len * lanes, 0.0);
-            self.leg_q.resize(len * lanes, 0.0);
-            self.leg_d.resize(len * lanes, 0.0);
-        }
-        if self.norm.len() < len {
-            self.norm.resize(len, 0.0);
-        }
-        if self.acc_pot.len() < (degree + 1) * lanes {
-            self.acc_pot.resize((degree + 1) * lanes, 0.0);
-            self.acc_dth.resize((degree + 1) * lanes, 0.0);
-            self.acc_dph.resize((degree + 1) * lanes, 0.0);
-        }
-        let t = Tables::get();
-        for n in 0..=degree {
-            for m in 0..=n {
-                self.norm[tri_index(n, m)] = t.norm(n, m as i64);
-            }
+        let len = 2 * tri_len(degree) * lanes;
+        if self.coeffs.len() < len {
+            self.coeffs.resize(len, 0.0);
         }
         self.degree = degree;
         self.lanes = self.lanes.max(lanes);
-    }
-}
-
-/// Lane-major `P_n^m` via the same recurrences as
-/// [`Legendre::recompute`](crate::Legendre) — identical operation order
-/// per lane, so each lane's values match the scalar table bit for bit.
-#[inline(always)]
-fn legendre_p_lanes<const L: usize>(degree: usize, x: F64Lanes<L>, s: F64Lanes<L>, p: &mut [f64]) {
-    F64Lanes::<L>::splat(1.0).store(&mut p[tri_index(0, 0) * L..]);
-    let mut pmm = F64Lanes::<L>::splat(1.0);
-    for m in 1..=degree {
-        let df = F64Lanes::splat((2 * m - 1) as f64);
-        pmm = pmm * (df * s);
-        pmm.store(&mut p[tri_index(m, m) * L..]);
-    }
-    for m in 0..degree {
-        let c = F64Lanes::splat((2 * m + 1) as f64);
-        let dst = tri_index(m + 1, m) * L;
-        let src = tri_index(m, m) * L;
-        let f = x * c;
-        (f * F64Lanes::load(&p[src..])).store(&mut p[dst..]);
-    }
-    for n in 2..=degree {
-        let a_c = F64Lanes::splat((2 * n - 1) as f64);
-        for m in 0..=(n - 2) {
-            let b = F64Lanes::splat((n + m - 1) as f64);
-            let c = F64Lanes::splat((n - m) as f64);
-            let i0 = tri_index(n, m) * L;
-            let i1 = tri_index(n - 1, m) * L;
-            let i2 = tri_index(n - 2, m) * L;
-            let a = x * a_c;
-            let v = (a * F64Lanes::load(&p[i1..]) - b * F64Lanes::load(&p[i2..])) / c;
-            v.store(&mut p[i0..]);
-        }
-    }
-}
-
-/// Lane-major evaluation of all three Legendre families (`P`, `P/sin θ`,
-/// `dP/dθ`), mirroring the scalar recurrences operation for operation.
-#[inline(always)]
-fn legendre_pqd_lanes<const L: usize>(
-    degree: usize,
-    x: F64Lanes<L>,
-    s: F64Lanes<L>,
-    p: &mut [f64],
-    q: &mut [f64],
-    d: &mut [f64],
-) {
-    legendre_p_lanes(degree, x, s, p);
-    // diagonal seeds for S_m^m = (2m-1)!! sinθ^{m-1}
-    let mut smm = F64Lanes::<L>::splat(1.0);
-    for m in 1..=degree {
-        let df = F64Lanes::splat((2 * m - 1) as f64);
-        smm = if m == 1 { df } else { smm * df * s };
-        smm.store(&mut q[tri_index(m, m) * L..]);
-    }
-    for m in 1..degree {
-        let c = F64Lanes::splat((2 * m + 1) as f64);
-        let dst = tri_index(m + 1, m) * L;
-        let src = tri_index(m, m) * L;
-        let f = x * c;
-        (f * F64Lanes::load(&q[src..])).store(&mut q[dst..]);
-    }
-    for n in 2..=degree {
-        let a_c = F64Lanes::splat((2 * n - 1) as f64);
-        for m in 1..=(n - 2) {
-            let b = F64Lanes::splat((n + m - 1) as f64);
-            let c = F64Lanes::splat((n - m) as f64);
-            let i0 = tri_index(n, m) * L;
-            let i1 = tri_index(n - 1, m) * L;
-            let i2 = tri_index(n - 2, m) * L;
-            let a = x * a_c;
-            let v = (a * F64Lanes::load(&q[i1..]) - b * F64Lanes::load(&q[i2..])) / c;
-            v.store(&mut q[i0..]);
-        }
-    }
-    // θ-derivatives
-    for n in 0..=degree {
-        let row0 = tri_index(n, 0) * L;
-        if n >= 1 {
-            let p1 = tri_index(n, 1) * L;
-            (-F64Lanes::<L>::load(&p[p1..])).store(&mut d[row0..]);
-        } else {
-            F64Lanes::<L>::splat(0.0).store(&mut d[row0..]);
-        }
-        for m in 1..=n {
-            let i0 = tri_index(n, m) * L;
-            let pv = if n >= 1 && m < n {
-                F64Lanes::<L>::load(&q[tri_index(n - 1, m) * L..])
-            } else {
-                F64Lanes::splat(0.0)
-            };
-            let nv = F64Lanes::splat(n as f64);
-            let nm = F64Lanes::splat((n + m) as f64);
-            (nv * x * F64Lanes::load(&q[i0..]) - nm * pv).store(&mut d[i0..]);
-        }
-    }
-}
-
-/// Per-lane spherical form of the observation offsets `point − center`.
-struct Offsets<const L: usize> {
-    r: F64Lanes<L>,
-    inv_r: F64Lanes<L>,
-    cos_t: F64Lanes<L>,
-    sin_t: F64Lanes<L>,
-    /// `e^{iφ}`, which doubles as the in-plane unit vector `(cos φ, sin φ)`.
-    cos_p: F64Lanes<L>,
-    sin_p: F64Lanes<L>,
-}
-
-/// Algebraic spherical setup shared by the group kernels, with no
-/// `acos`/`atan2`. Conventions match `Spherical::from_cartesian`:
-/// `r_xy = 0` (z-axis) pins `e^{iφ} = 1`, and the expansion center itself
-/// (`r = 0`, reachable only by a local series) takes `θ = 0`.
-#[inline(always)]
-fn spherical_setup<const L: usize>(centers: &[Vec3; L], points: &[Vec3; L]) -> Offsets<L> {
-    let dx = F64Lanes::<L>::from_fn(|l| points[l].x - centers[l].x);
-    let dy = F64Lanes::<L>::from_fn(|l| points[l].y - centers[l].y);
-    let dz = F64Lanes::<L>::from_fn(|l| points[l].z - centers[l].z);
-    let rxy2 = dx * dx + dy * dy;
-    let r = (rxy2 + dz * dz).sqrt();
-    let rxy = rxy2.sqrt();
-    // lint: allow(float_cmp, exact expansion center: θ convention pinned to 0)
-    let center = |l: usize| r.0[l] == 0.0;
-    // lint: allow(float_cmp, exact z-axis: φ convention pinned to 0)
-    let axis = |l: usize| rxy.0[l] == 0.0;
-    Offsets {
-        r,
-        inv_r: F64Lanes::splat(1.0) / r,
-        cos_t: F64Lanes::from_fn(|l| if center(l) { 1.0 } else { dz.0[l] / r.0[l] }),
-        sin_t: F64Lanes::from_fn(|l| if center(l) { 0.0 } else { rxy.0[l] / r.0[l] }),
-        cos_p: F64Lanes::from_fn(|l| if axis(l) { 1.0 } else { dx.0[l] / rxy.0[l] }),
-        sin_p: F64Lanes::from_fn(|l| if axis(l) { 0.0 } else { dy.0[l] / rxy.0[l] }),
     }
 }
 
@@ -354,16 +192,21 @@ pub fn m2p_potential_group<const L: usize>(
     g: &M2pGroup<'_, L>,
     ws: &mut BatchWorkspace,
 ) -> [f64; L] {
-    simd::dispatch(|| group_core::<L, false, false>(&g.centers, &g.points, &gather(g), ws).0)
+    let coeff = |ti: usize| {
+        (
+            F64Lanes::from_fn(|l| g.coeffs[l][ti].re),
+            F64Lanes::from_fn(|l| g.coeffs[l][ti].im),
+        )
+    };
+    simd::dispatch(|| solid_body::<L, false, false>(ws.degree, &g.centers, &g.points, &coeff).0)
 }
 
 /// [`m2p_potential_group`] for `L` tasks that share one expansion: the
 /// per-term coefficient becomes a single broadcast instead of an
-/// `L`-pointer gather, which roughly halves the inner-loop cost. The
-/// list executor uses this for the same-node task runs the chunk
-/// compiler's accept-all classification emits. A broadcast lane holds
-/// the same value the gather would have produced, so lane `l` is
-/// bit-identical to the general kernel's (pinned by
+/// `L`-pointer gather. The list executor uses this for the same-node task
+/// runs the chunk compiler's accept-all classification emits. A broadcast
+/// lane holds the same value the gather would have produced, so lane `l`
+/// is bit-identical to the general kernel's (pinned by
 /// `uniform_group_matches_gather_group`).
 #[must_use]
 pub fn m2p_potential_group_uniform<const L: usize>(
@@ -373,20 +216,34 @@ pub fn m2p_potential_group_uniform<const L: usize>(
     ws: &mut BatchWorkspace,
 ) -> [f64; L] {
     let coeff = |ti: usize| splat_complex(coeffs[ti].re, coeffs[ti].im);
-    simd::dispatch(|| group_core::<L, false, false>(&[center; L], points, &coeff, ws).0)
+    simd::dispatch(|| solid_body::<L, false, false>(ws.degree, &[center; L], points, &coeff).0)
 }
 
 /// Potential-and-gradient analogue of [`m2p_potential_group`]; lane `l`
 /// matches
 /// [`ExpansionRef::field_at_degree_with`](crate::ExpansionRef::field_at_degree_with)
 /// to ULP precision and does not depend on `L` (see the module-level
-/// determinism contract).
+/// determinism contract). The lanes' spans are first transposed into the
+/// workspace's lane-major rows, so the body reads each coefficient with
+/// one vector load.
 #[must_use]
 pub fn m2p_field_group<const L: usize>(
     g: &M2pGroup<'_, L>,
     ws: &mut BatchWorkspace,
 ) -> ([f64; L], [Vec3; L]) {
-    simd::dispatch(|| group_core::<L, false, true>(&g.centers, &g.points, &gather(g), ws))
+    debug_assert!(ws.lanes >= L, "workspace prepared narrower than kernel");
+    let degree = ws.degree;
+    let len = tri_len(degree);
+    let rows = &mut ws.coeffs[..2 * len * L];
+    simd::dispatch(|| {
+        transpose_spans(&g.coeffs, len, rows);
+        let rows = &*rows;
+        let coeff = |ti: usize| {
+            let row = &rows[2 * ti * L..2 * (ti + 1) * L];
+            (F64Lanes::load(&row[..L]), F64Lanes::load(&row[L..]))
+        };
+        solid_body::<L, false, true>(degree, &g.centers, &g.points, &coeff)
+    })
 }
 
 /// Shared-expansion variant of [`m2p_field_group`]; see
@@ -399,18 +256,18 @@ pub fn m2p_field_group_uniform<const L: usize>(
     ws: &mut BatchWorkspace,
 ) -> ([f64; L], [Vec3; L]) {
     let coeff = |ti: usize| splat_complex(coeffs[ti].re, coeffs[ti].im);
-    simd::dispatch(|| group_core::<L, false, true>(&[center; L], points, &coeff, ws))
+    simd::dispatch(|| solid_body::<L, false, true>(ws.degree, &[center; L], points, &coeff))
 }
 
 /// L2P for `L` targets around one local expansion (the degree the
 /// workspace was last prepared for). The coefficients are an interleaved
 /// `(re, im)` span in `tri_index` order — `2·tri_len(degree)` reals, the
 /// compiled FMM's local-arena layout — broadcast to every lane, so the
-/// arena is read in place. Runs the M2P group body with the inner radial
-/// factor `r^n`; lane `l` matches
+/// arena is read in place. Runs the M2P group body over the regular
+/// harmonics; lane `l` matches
 /// [`l2p_potential_with`](crate::l2p_potential_with) to ULP precision,
-/// including a target exactly at the center (the `n = 0` term). Pad short
-/// groups by repeating a live point.
+/// including a target exactly at the center (only `R_0^0 = 1` is
+/// nonzero there). Pad short groups by repeating a live point.
 #[must_use]
 pub fn l2p_potential_group<const L: usize>(
     center: Vec3,
@@ -419,7 +276,7 @@ pub fn l2p_potential_group<const L: usize>(
     ws: &mut BatchWorkspace,
 ) -> [f64; L] {
     let coeff = |ti: usize| splat_complex(coeffs[2 * ti], coeffs[2 * ti + 1]);
-    simd::dispatch(|| group_core::<L, true, false>(&[center; L], points, &coeff, ws).0)
+    simd::dispatch(|| solid_body::<L, true, false>(ws.degree, &[center; L], points, &coeff).0)
 }
 
 /// Potential-and-gradient analogue of [`l2p_potential_group`]; lane `l`
@@ -432,19 +289,36 @@ pub fn l2p_field_group<const L: usize>(
     ws: &mut BatchWorkspace,
 ) -> ([f64; L], [Vec3; L]) {
     let coeff = |ti: usize| splat_complex(coeffs[2 * ti], coeffs[2 * ti + 1]);
-    simd::dispatch(|| group_core::<L, true, true>(&[center; L], points, &coeff, ws))
+    simd::dispatch(|| solid_body::<L, true, true>(ws.degree, &[center; L], points, &coeff))
 }
 
-/// Per-term coefficient of a gather group: lane `l` reads its own span.
+/// Copies the first `len` coefficients of `L` spans into lane-major rows
+/// (`re` of entry `ti`, lane `l` at `2·ti·L + l`, `im` at `(2·ti + 1)·L +
+/// l`), `L/2` coefficients at a time: each lane's block is read as one
+/// contiguous run of `L` reals and written out as `L/2` row pairs.
 #[inline(always)]
-fn gather<'g, const L: usize>(
-    g: &'g M2pGroup<'_, L>,
-) -> impl Fn(usize) -> (F64Lanes<L>, F64Lanes<L>) + 'g {
-    move |ti| {
-        (
-            F64Lanes::from_fn(|l| g.coeffs[l][ti].re),
-            F64Lanes::from_fn(|l| g.coeffs[l][ti].im),
-        )
+fn transpose_spans<const L: usize>(spans: &[&[Complex]; L], len: usize, rows: &mut [f64]) {
+    const { assert!(L.is_multiple_of(2)) };
+    let per = L / 2;
+    let full = len - len % per;
+    for t0 in (0..full).step_by(per) {
+        let block: [[f64; L]; L] = std::array::from_fn(|l| {
+            let s = &spans[l][t0..t0 + per];
+            std::array::from_fn(|i| if i % 2 == 0 { s[i / 2].re } else { s[i / 2].im })
+        });
+        for b in 0..per {
+            let row = &mut rows[2 * (t0 + b) * L..2 * (t0 + b + 1) * L];
+            let (re, im) = row.split_at_mut(L);
+            F64Lanes::<L>::from_fn(|l| block[l][2 * b]).store(re);
+            F64Lanes::<L>::from_fn(|l| block[l][2 * b + 1]).store(im);
+        }
+    }
+    for ti in full..len {
+        let row = &mut rows[2 * ti * L..2 * (ti + 1) * L];
+        for (l, span) in spans.iter().enumerate() {
+            row[l] = span[ti].re;
+            row[L + l] = span[ti].im;
+        }
     }
 }
 
@@ -454,118 +328,123 @@ fn splat_complex<const L: usize>(re: f64, im: f64) -> (F64Lanes<L>, F64Lanes<L>)
     (F64Lanes::splat(re), F64Lanes::splat(im))
 }
 
-/// The one group body behind M2P and L2P, potential and field:
-/// `Σ_{n,m} w_m Re(c_n^m e^{imφ}) N_n^m P_n^m(cos θ) · R_n(r)` per lane,
-/// with the radial factor `R_n` the outer `r^-(n+1)` (`LOCAL = false`,
-/// multipole series) or the inner `r^n` (`LOCAL = true`, local series).
-/// Terms accumulate into per-degree lane rows and are weighted by `R_n`
-/// last, so both series share every recurrence. With `FIELD` the gradient
-/// follows in spherical components from the same rows (`dP/dθ`,
-/// `P/sin θ`) and is rotated to Cartesian per lane; otherwise the
-/// returned gradients are zero.
+/// The per-lane offsets `point − center` in the form the harmonic
+/// recurrence steps in, `[x, y, z, ρ², seed]`: for the regular harmonics
+/// (`LOCAL`) the offset itself, its squared length and `R_0^0 = 1`; for
+/// the irregular ones the offset and `1/r²` scaled by `1/r²`, and
+/// `T_0^0 = 1/r` — one square root and one divide per lane.
 #[inline(always)]
-fn group_core<const L: usize, const LOCAL: bool, const FIELD: bool>(
+fn solid_setup<const L: usize, const LOCAL: bool>(
+    centers: &[Vec3; L],
+    points: &[Vec3; L],
+) -> [F64Lanes<L>; 5] {
+    let dx = F64Lanes::<L>::from_fn(|l| points[l].x - centers[l].x);
+    let dy = F64Lanes::<L>::from_fn(|l| points[l].y - centers[l].y);
+    let dz = F64Lanes::<L>::from_fn(|l| points[l].z - centers[l].z);
+    let r2 = dx * dx + dy * dy + dz * dz;
+    if LOCAL {
+        return [dx, dy, dz, r2, F64Lanes::splat(1.0)];
+    }
+    for l in 0..L {
+        debug_assert!(r2.0[l] > 0.0, "M2P at the expansion center");
+    }
+    let inv_r = F64Lanes::splat(1.0) / r2.sqrt();
+    let inv_r2 = inv_r * inv_r;
+    [dx * inv_r2, dy * inv_r2, dz * inv_r2, inv_r2, inv_r]
+}
+
+/// The one group body behind M2P and L2P, potential and field:
+/// `Φ = Σ_{n ≤ p} Σ_{m ≥ 0} w_m Re(c_n^m H_n^m)` per lane (`w_0 = 1`,
+/// `w_m = 2`), over the irregular harmonics `H = T` (`LOCAL = false`,
+/// multipole series) or the regular `H = R` (`LOCAL = true`, local
+/// series). The harmonics come column by column (`m` outer, `n` inner)
+/// from the recurrence of [`Tables::solid_recurrence`], one register pair
+/// per carried term, so each term costs a handful of multiplies and no
+/// divide or memory round trip.
+///
+/// With `FIELD` the gradient is one more series over the same harmonics
+/// ([`Tables::ladder`]): harmonic `(k, j)` adds `f_z Re(c H)` from the
+/// source `(k ∓ 1, j)` to `∂zΦ`, and `P·H + conj(Q·H)` to `∂xΦ + i∂yΦ`,
+/// `P` from the source `(k ∓ 1, j − 1)` (its real part only at `j = 1`,
+/// where the source is the real `m = 0` term) and `Q` from `(k ∓ 1,
+/// j + 1)`. An M2P field therefore runs the harmonics to `p + 1`.
+/// Otherwise the returned gradients are zero.
+#[inline(always)]
+fn solid_body<const L: usize, const LOCAL: bool, const FIELD: bool>(
+    degree: usize,
     centers: &[Vec3; L],
     points: &[Vec3; L],
     coeff: &impl Fn(usize) -> (F64Lanes<L>, F64Lanes<L>),
-    ws: &mut BatchWorkspace,
 ) -> ([f64; L], [Vec3; L]) {
-    let degree = ws.degree;
-    debug_assert!(ws.lanes >= L, "workspace prepared narrower than kernel");
-    let o = spherical_setup(centers, points);
-    for l in 0..L {
-        debug_assert!(LOCAL || o.r.0[l] > 0.0, "M2P at the expansion center");
-    }
-    let rows = (degree + 1) * L;
-    let BatchWorkspace {
-        norm,
-        leg_p,
-        leg_q,
-        leg_d,
-        acc_pot,
-        acc_dth,
-        acc_dph,
-        ..
-    } = ws;
-    if FIELD {
-        legendre_pqd_lanes(degree, o.cos_t, o.sin_t, leg_p, leg_q, leg_d);
-    } else {
-        legendre_p_lanes(degree, o.cos_t, o.sin_t, leg_p);
-    }
-    let pot = &mut acc_pot[..rows];
-    let dth = &mut acc_dth[..rows];
-    let dph = &mut acc_dph[..rows];
-    pot.fill(0.0);
-    if FIELD {
-        dth.fill(0.0);
-        dph.fill(0.0);
-    }
-    let mut eim_re = F64Lanes::<L>::splat(1.0);
-    let mut eim_im = F64Lanes::<L>::splat(0.0);
-    for m in 0..=degree {
-        let w = if m == 0 { 1.0 } else { 2.0 };
-        for n in m..=degree {
-            let ti = tri_index(n, m);
-            let nr = F64Lanes::splat(norm[ti]);
-            let row = n * L;
-            let lrow = ti * L;
-            let (c_re, c_im) = coeff(ti);
-            let rot_re = c_re * eim_re - c_im * eim_im;
-            let wnr = F64Lanes::splat(w) * rot_re * nr;
-            (F64Lanes::load(&pot[row..]) + wnr * F64Lanes::load(&leg_p[lrow..]))
-                .store(&mut pot[row..]);
-            if FIELD {
-                (F64Lanes::load(&dth[row..]) + wnr * F64Lanes::load(&leg_d[lrow..]))
-                    .store(&mut dth[row..]);
-                if m >= 1 {
-                    let rot_im = c_re * eim_im + c_im * eim_re;
-                    let t = F64Lanes::splat(-2.0 * m as f64) * rot_im * nr;
-                    (F64Lanes::load(&dph[row..]) + t * F64Lanes::load(&leg_q[lrow..]))
-                        .store(&mut dph[row..]);
-                }
+    let t = Tables::get();
+    let (ra, rb) = t.solid_recurrence();
+    let [lz, lp, lm] = t.ladder(LOCAL);
+    let [x, y, z, rho2, seed] = solid_setup::<L, LOCAL>(centers, points);
+    let top = if FIELD && !LOCAL { degree + 1 } else { degree };
+    let zero = F64Lanes::<L>::splat(0.0);
+    let mut phi = zero;
+    let (mut gx, mut gy, mut gz) = (zero, zero, zero);
+    // the terms of harmonic (k, j) = `(h_re, h_im)` at `tri_index(k, j)`
+    let mut term =
+        |col: &mut F64Lanes<L>, i: usize, k: usize, j: usize, h: (F64Lanes<L>, F64Lanes<L>)| {
+            let (h_re, h_im) = h;
+            if k <= degree {
+                let (c_re, c_im) = coeff(i);
+                *col += c_re * h_re - c_im * h_im;
             }
+            let has_source = if LOCAL { k < degree } else { k > 0 };
+            if FIELD && has_source {
+                let n = if LOCAL { k + 1 } else { k - 1 };
+                if j <= n {
+                    let (c_re, c_im) = coeff(tri_index(n, j));
+                    gz += F64Lanes::splat(lz[i]) * (c_re * h_re - c_im * h_im);
+                }
+                let (mut p_re, mut p_im) = (zero, zero);
+                if j >= 1 {
+                    let (c_re, c_im) = coeff(tri_index(n, j - 1));
+                    let f = F64Lanes::splat(lp[i]);
+                    p_re = c_re * f;
+                    if j >= 2 {
+                        p_im = c_im * f;
+                    }
+                }
+                let (mut q_re, mut q_im) = (zero, zero);
+                if j < n {
+                    let (c_re, c_im) = coeff(tri_index(n, j + 1));
+                    let f = F64Lanes::splat(lm[i]);
+                    (q_re, q_im) = (c_re * f, c_im * f);
+                }
+                gx += (p_re + q_re) * h_re - (p_im + q_im) * h_im;
+                gy += (p_re - q_re) * h_im + (p_im - q_im) * h_re;
+            }
+        };
+    // H_j^j, carried down the diagonal
+    let (mut d_re, mut d_im) = (seed, zero);
+    for j in 0..=top {
+        let i = tri_index(j, j);
+        if j > 0 {
+            // (d_re + i d_im)(x + i y) · a_j^j
+            let a = F64Lanes::splat(ra[i]);
+            let re = (d_re * x - d_im * y) * a;
+            let im = (d_im * x + d_re * y) * a;
+            (d_re, d_im) = (re, im);
         }
-        let re = eim_re * o.cos_p - eim_im * o.sin_p;
-        let im = eim_re * o.sin_p + eim_im * o.cos_p;
-        eim_re = re;
-        eim_im = im;
-    }
-    // Radial weights of degree n: `a` scales Φ's row, `b` the gradient's.
-    // Outer: a = r^-(n+1), b = r^-(n+2), ∂/∂r factor −(n+1). Inner:
-    // a = r^n, b = r^(n−1) (0 at n = 0, whose gradient row is zero — so a
-    // target at the center never forms 1/r), ∂/∂r factor n.
-    let step = if LOCAL { o.r } else { o.inv_r };
-    let mut a = if LOCAL { F64Lanes::splat(1.0) } else { o.inv_r };
-    let mut a_prev = F64Lanes::<L>::splat(0.0);
-    let mut phi = F64Lanes::<L>::splat(0.0);
-    let mut g_r = F64Lanes::<L>::splat(0.0);
-    let mut g_t = F64Lanes::<L>::splat(0.0);
-    let mut g_p = F64Lanes::<L>::splat(0.0);
-    for n in 0..=degree {
-        let a_next = a * step;
-        let potv = F64Lanes::<L>::load(&pot[n * L..]);
-        phi += potv * a;
-        if FIELD {
-            let b = if LOCAL { a_prev } else { a_next };
-            let dr = if LOCAL { n as f64 } else { -((n + 1) as f64) };
-            g_r += F64Lanes::splat(dr) * potv * b;
-            g_t += F64Lanes::<L>::load(&dth[n * L..]) * b;
-            g_p += F64Lanes::<L>::load(&dph[n * L..]) * b;
+        let mut col = zero;
+        term(&mut col, i, j, j, (d_re, d_im));
+        // H_{k−2}^j, H_{k−1}^j up the column (H_{j−1}^j = 0)
+        let (mut h0, mut h1) = ((zero, zero), (d_re, d_im));
+        for k in j + 1..=top {
+            let i = tri_index(k, j);
+            let a = F64Lanes::splat(ra[i]) * z;
+            let b = F64Lanes::splat(rb[i]) * rho2;
+            let h = (a * h1.0 - b * h0.0, a * h1.1 - b * h0.1);
+            term(&mut col, i, k, j, h);
+            (h0, h1) = (h1, h);
         }
-        a_prev = a;
-        a = a_next;
+        phi += F64Lanes::splat(if j == 0 { 1.0 } else { 2.0 }) * col;
     }
-    let mut grad_out = [Vec3::ZERO; L];
-    if FIELD {
-        let (st, ct, sp, cp) = (o.sin_t.0, o.cos_t.0, o.sin_p.0, o.cos_p.0);
-        for (l, out) in grad_out.iter_mut().enumerate() {
-            let e_r = Vec3::new(st[l] * cp[l], st[l] * sp[l], ct[l]);
-            let e_t = Vec3::new(ct[l] * cp[l], ct[l] * sp[l], -st[l]);
-            let e_p = Vec3::new(-sp[l], cp[l], 0.0);
-            *out = e_r * g_r.0[l] + e_t * g_t.0[l] + e_p * g_p.0[l];
-        }
-    }
-    (phi.0, grad_out)
+    let grad = std::array::from_fn(|l| Vec3::new(gx.0[l], gy.0[l], gz.0[l]));
+    (phi.0, grad)
 }
 
 /// Near-field potential over one SoA source span, **without** a
@@ -840,7 +719,7 @@ pub const P2M_LANES: usize = 8;
 /// convention.
 ///
 /// The harmonics come from the recurrence of
-/// [`Tables::p2m_recurrence`] in `x − iy`, `z` and `ρ²`, seeded with the
+/// [`Tables::solid_recurrence`] in `x − iy`, `z` and `ρ²`, seeded with the
 /// charge: no trig, square root or divide per particle, and a particle at
 /// the centre or on the z-axis needs no special case. Particles run
 /// [`P2M_LANES`] at a time, one accumulator row per lane (a short last
@@ -889,7 +768,7 @@ fn p2m_lanes<const L: usize>(
     if n == 0 {
         return;
     }
-    let (ra, rb) = Tables::get().p2m_recurrence();
+    let (ra, rb) = Tables::get().solid_recurrence();
     for (k, start) in (0..n).step_by(L).enumerate() {
         // pad lanes: zero charge at the centre, so every term they add is 0
         let (mut x, mut y, mut z, mut q) = ([center.x; L], [center.y; L], [center.z; L], [0.0; L]);
@@ -1162,71 +1041,6 @@ mod tests {
                 Particle::new(center + v * radius, next() * 2.0 - 1.0)
             })
             .collect()
-    }
-
-    /// Four distinct expansions, four distinct points, degrees 0..=12:
-    /// every lane of the group kernels must reproduce the scalar kernels
-    /// to ULP precision (the algebraic spherical setup differs from the
-    /// scalar `acos`/`atan2` path only in final-digit rounding).
-    #[test]
-    fn group_kernels_match_scalar_per_lane() {
-        let centers = [
-            Vec3::new(0.2, -0.1, 0.3),
-            Vec3::new(-0.4, 0.5, 0.0),
-            Vec3::new(0.0, 0.0, -0.6),
-            Vec3::new(0.7, 0.7, 0.7),
-        ];
-        let exps: Vec<MultipoleExpansion> = centers
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                MultipoleExpansion::from_particles(c, 12, &cluster(c, 0.3, 30, i as u64 + 1))
-            })
-            .collect();
-        let points = [
-            Vec3::new(2.0, 1.0, -1.0),
-            Vec3::new(-1.5, 2.0, 0.5),
-            Vec3::new(0.3, -0.2, 3.0),
-            Vec3::new(-2.0, -2.0, 1.0),
-        ];
-        let refs: Vec<_> = exps.iter().map(MultipoleExpansion::as_ref).collect();
-        let g = M2pGroup {
-            centers,
-            points,
-            coeffs: [
-                refs[0].coeffs,
-                refs[1].coeffs,
-                refs[2].coeffs,
-                refs[3].coeffs,
-            ],
-        };
-        let mut bws = BatchWorkspace::new();
-        let mut ws = Workspace::new();
-        for degree in [0usize, 1, 2, 5, 12] {
-            bws.prepare_degree(degree);
-            let pot = m2p_potential_group(&g, &mut bws);
-            let (fphi, fgrad) = m2p_field_group(&g, &mut bws);
-            for l in 0..M2P_LANES {
-                let close = |a: f64, b: f64| (a - b).abs() <= 1e-13 * b.abs().max(1e-300);
-                let want = refs[l].potential_at_degree_with(points[l], degree, &mut ws);
-                assert!(
-                    close(pot[l], want),
-                    "potential lane {l} degree {degree}: {} vs {want}",
-                    pot[l]
-                );
-                let (wphi, wgrad) = refs[l].field_at_degree_with(points[l], degree, &mut ws);
-                assert!(
-                    close(fphi[l], wphi),
-                    "field potential lane {l} degree {degree}: {} vs {wphi}",
-                    fphi[l]
-                );
-                assert!(
-                    fgrad[l].distance(wgrad) <= 1e-13 * wgrad.norm().max(1e-300),
-                    "gradient lane {l} degree {degree}: {:?} vs {wgrad:?}",
-                    fgrad[l]
-                );
-            }
-        }
     }
 
     /// The same tasks evaluated in a 4-wide and an 8-wide group produce
@@ -1640,49 +1454,6 @@ mod tests {
         (c, interleaved)
     }
 
-    /// Every lane of the L2P group kernels reproduces the scalar L2P
-    /// kernels to ULP precision, including a target exactly at the
-    /// expansion center (the `n = 0` term and its `θ = 0` gradient) and
-    /// targets on the z-axis through it.
-    #[test]
-    fn l2p_groups_match_scalar_per_lane() {
-        let center = Vec3::new(0.2, -0.1, 0.3);
-        let points: [Vec3; 8] = [
-            center,
-            center + Vec3::new(0.0, 0.0, 0.4),
-            center + Vec3::new(0.0, 0.0, -0.25),
-            center + Vec3::new(0.3, -0.2, 0.1),
-            center + Vec3::new(-0.4, 0.1, -0.3),
-            center + Vec3::new(0.05, 0.45, 0.2),
-            center + Vec3::new(-0.1, -0.1, 0.0),
-            center + Vec3::new(0.5, 0.0, 0.0),
-        ];
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-13 * b.abs().max(1e-300);
-        let mut bws = BatchWorkspace::new();
-        let mut ws = Workspace::new();
-        for degree in [0usize, 1, 4, 6, 14] {
-            let (c, inter) = local_spans(center, degree);
-            bws.prepare_degree_lanes(degree, 8);
-            let pot = l2p_potential_group::<8>(center, &inter, &points, &mut bws);
-            let (fphi, fgrad) = l2p_field_group::<8>(center, &inter, &points, &mut bws);
-            for (l, &pt) in points.iter().enumerate() {
-                let want = l2p_potential_with(center, degree, &c, pt, &mut ws);
-                assert!(
-                    close(pot[l], want),
-                    "Φ lane {l} p={degree}: {} vs {want}",
-                    pot[l]
-                );
-                let (wphi, wgrad) = l2p_field_with(center, degree, &c, pt, &mut ws);
-                assert!(close(fphi[l], wphi), "field Φ lane {l} p={degree}");
-                assert!(
-                    fgrad[l].distance(wgrad) <= 1e-13 * wgrad.norm().max(1e-300),
-                    "∇Φ lane {l} p={degree}: {:?} vs {wgrad:?}",
-                    fgrad[l]
-                );
-            }
-        }
-    }
-
     /// L2P lanes are independent: a 4-wide and an 8-wide group over the
     /// same points agree bit for bit, and replacing the lanes past `take`
     /// with unrelated (or replicated) points leaves the live lanes'
@@ -1724,6 +1495,219 @@ mod tests {
                         "take {take} lane {l}"
                     );
                     assert_eq!(grad[l], full.1[l], "take {take} lane {l}");
+                }
+            }
+        }
+    }
+
+    /// Relative closeness at the kernels' oracle bound.
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-13 * b.abs().max(1e-300)
+    }
+
+    fn close_vec(a: Vec3, b: Vec3) -> bool {
+        a.distance(b) <= 1e-13 * b.norm().max(1e-300)
+    }
+
+    /// Four distinct expansions, four distinct points: every lane of the
+    /// M2P group kernels reproduces the scalar kernels to 1e-13 relative
+    /// at every degree from 0 to `MAX_DEGREE`, at unit scale and scaled
+    /// by 1e±6 (sources, centers and targets alike), with two of the
+    /// targets on the z-axis through their expansion center (above and
+    /// below), where the recurrence needs no special case.
+    #[test]
+    fn group_kernels_match_scalar_per_lane() {
+        let max = crate::tables::MAX_DEGREE;
+        for scale in [1.0, 1e-6, 1e6] {
+            let centers = [
+                Vec3::new(0.2, -0.1, 0.3),
+                Vec3::new(-0.4, 0.5, 0.0),
+                Vec3::new(0.0, 0.0, -0.6),
+                Vec3::new(0.7, 0.7, 0.7),
+            ]
+            .map(|c| c * scale);
+            let exps: Vec<MultipoleExpansion> = centers
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| {
+                    let ps = cluster(c, 0.3 * scale, 30, i as u64 + 101);
+                    MultipoleExpansion::from_particles(c, max, &ps)
+                })
+                .collect();
+            let points = [
+                centers[0] + Vec3::new(0.0, 0.0, 2.5) * scale,
+                Vec3::new(-1.5, 2.0, 0.5) * scale,
+                centers[2] + Vec3::new(0.0, 0.0, -3.0) * scale,
+                Vec3::new(-2.0, -2.0, 1.0) * scale,
+            ];
+            let refs: Vec<_> = exps.iter().map(MultipoleExpansion::as_ref).collect();
+            let g = M2pGroup {
+                centers,
+                points,
+                coeffs: std::array::from_fn(|l| refs[l].coeffs),
+            };
+            let mut bws = BatchWorkspace::new();
+            let mut ws = Workspace::new();
+            for degree in 0..=max {
+                bws.prepare_degree(degree);
+                let pot = m2p_potential_group(&g, &mut bws);
+                let (fphi, fgrad) = m2p_field_group(&g, &mut bws);
+                for l in 0..M2P_LANES {
+                    let at = format!("lane {l} degree {degree} scale {scale:e}");
+                    let want = refs[l].potential_at_degree_with(points[l], degree, &mut ws);
+                    assert!(close(pot[l], want), "Φ {at}: {} vs {want}", pot[l]);
+                    let (wphi, wgrad) = refs[l].field_at_degree_with(points[l], degree, &mut ws);
+                    assert!(close(fphi[l], wphi), "field Φ {at}: {} vs {wphi}", fphi[l]);
+                    assert!(
+                        close_vec(fgrad[l], wgrad),
+                        "∇Φ {at}: {:?} vs {wgrad:?}",
+                        fgrad[l]
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every lane of the L2P group kernels reproduces the scalar L2P
+    /// kernels to 1e-13 relative at every degree from 0 to `MAX_DEGREE`,
+    /// at unit scale and scaled by 1e±6, including a target exactly at
+    /// the expansion center (there `Φ` is the `(0, 0)` term and `∇Φ` the
+    /// `n = 1` row, exactly) and targets on the z-axis through it, with
+    /// the imaginary parts of the `m = 0` row ignored as the scalar
+    /// kernels ignore them.
+    #[test]
+    fn l2p_groups_match_scalar_per_lane() {
+        let max = crate::tables::MAX_DEGREE;
+        for scale in [1.0, 1e-6, 1e6] {
+            let center = Vec3::new(0.2, -0.1, 0.3) * scale;
+            let points: [Vec3; 8] = [
+                Vec3::ZERO,
+                Vec3::new(0.0, 0.0, 0.4),
+                Vec3::new(0.0, 0.0, -0.25),
+                Vec3::new(0.3, -0.2, 0.1),
+                Vec3::new(-0.4, 0.1, -0.3),
+                Vec3::new(0.05, 0.45, 0.2),
+                Vec3::new(-0.1, -0.1, 0.0),
+                Vec3::new(0.5, 0.0, 0.0),
+            ]
+            .map(|d| center + d * scale);
+            let far = cluster(
+                center + Vec3::new(3.0, -2.0, 2.5) * scale,
+                0.8 * scale,
+                30,
+                5,
+            );
+            let e = LocalExpansion::from_distant_particles(center, max, &far);
+            let mut bws = BatchWorkspace::new();
+            let mut ws = Workspace::new();
+            for degree in 0..=max {
+                // a nonzero imaginary part on the m = 0 row (roundoff in a
+                // translated local), which every kernel ignores
+                let c: Vec<Complex> = (0..=degree)
+                    .flat_map(|n| (0..=n).map(move |m| (n, m)))
+                    .map(|(n, m)| {
+                        let z = e.coeff(n, m as i64);
+                        if m == 0 {
+                            Complex::new(z.re, 0.5 * z.re)
+                        } else {
+                            z
+                        }
+                    })
+                    .collect();
+                let inter: Vec<f64> = c.iter().flat_map(|z| [z.re, z.im]).collect();
+                bws.prepare_degree_lanes(degree, 8);
+                let pot = l2p_potential_group::<8>(center, &inter, &points, &mut bws);
+                let (fphi, fgrad) = l2p_field_group::<8>(center, &inter, &points, &mut bws);
+                for (l, &pt) in points.iter().enumerate() {
+                    let at = format!("lane {l} degree {degree} scale {scale:e}");
+                    let want = l2p_potential_with(center, degree, &c, pt, &mut ws);
+                    assert!(close(pot[l], want), "Φ {at}: {} vs {want}", pot[l]);
+                    let (wphi, wgrad) = l2p_field_with(center, degree, &c, pt, &mut ws);
+                    assert!(close(fphi[l], wphi), "field Φ {at}");
+                    assert!(
+                        close_vec(fgrad[l], wgrad),
+                        "∇Φ {at}: {:?} vs {wgrad:?}",
+                        fgrad[l]
+                    );
+                }
+                // at the center Φ is the (0, 0) term exactly and ∇Φ the
+                // n = 1 row: R_1^0 = z, R_1^1 = (x + iy)/√2
+                let (c00, c10, c11) = (c[0], c.get(1).copied(), c.get(2).copied());
+                assert_eq!(pot[0], c00.re, "Φ at the center, degree {degree}");
+                let grad = match (c10, c11) {
+                    (Some(c10), Some(c11)) => {
+                        let r2 = std::f64::consts::SQRT_2;
+                        Vec3::new(r2 * c11.re, -r2 * c11.im, c10.re)
+                    }
+                    _ => Vec3::ZERO,
+                };
+                assert!(
+                    close_vec(fgrad[0], grad),
+                    "∇Φ at the center, degree {degree}"
+                );
+            }
+        }
+    }
+
+    /// The recurrence of [`Tables::solid_recurrence`] read back through
+    /// the group kernels: a span holding `1` (or `−i`) at `(n, m)` and
+    /// zeros elsewhere returns `w_m Re` (or `w_m Im`) of that one harmonic,
+    /// which must match `√((n−m)!/(n+m)!) P_n^m(cos θ) e^{imφ}` from
+    /// [`Legendre`](crate::legendre::Legendre) times `r^{−(n+1)}` (M2P) or
+    /// `rⁿ` (L2P), for every `(n, m)` up to `MAX_DEGREE`.
+    #[test]
+    fn solid_recurrence_reproduces_normalised_legendre_harmonics() {
+        let max = crate::tables::MAX_DEGREE;
+        let t = Tables::get();
+        let center = Vec3::new(0.1, -0.3, 0.2);
+        let points = [
+            Vec3::new(1.3, 0.4, -0.9),
+            Vec3::new(-0.2, 0.8, 1.1),
+            Vec3::new(0.7, -1.6, 0.3),
+            center + Vec3::new(0.0, 0.0, -1.2),
+        ];
+        let mut bws = BatchWorkspace::new();
+        bws.prepare_degree_lanes(max, 4);
+        let mut span = vec![Complex::ZERO; tri_len(max)];
+        let mut local = vec![0.0; 2 * tri_len(max)];
+        for n in 0..=max {
+            for m in 0..=n {
+                let ti = tri_index(n, m);
+                let w = if m == 0 { 1.0 } else { 2.0 };
+                // [irregular, regular] × [Re, Im] per lane
+                let mut got = [[[0.0; 4]; 2]; 2];
+                for (part, c) in [Complex::new(1.0, 0.0), Complex::new(0.0, -1.0)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    span[ti] = c;
+                    local[2 * ti..2 * ti + 2].copy_from_slice(&[c.re, c.im]);
+                    let irr = m2p_potential_group_uniform::<4>(center, &span, &points, &mut bws);
+                    let reg = l2p_potential_group::<4>(center, &local, &points, &mut bws);
+                    got[0][part] = irr.map(|v| v / w);
+                    got[1][part] = reg.map(|v| v / w);
+                }
+                span[ti] = Complex::ZERO;
+                local[2 * ti..2 * ti + 2].fill(0.0);
+                for (l, &pt) in points.iter().enumerate() {
+                    let s = mbt_geometry::Spherical::from_cartesian(pt - center);
+                    let (sin_t, cos_t) = s.theta.sin_cos();
+                    let y = t.norm(n, m as i64)
+                        * crate::legendre::Legendre::new(n, cos_t, sin_t).p(n, m);
+                    let (sin_p, cos_p) = (m as f64 * s.phi).sin_cos();
+                    for (kind, radial) in
+                        [(0, s.rho.powi(-(n as i32 + 1))), (1, s.rho.powi(n as i32))]
+                    {
+                        let (re, im) = (got[kind][0][l], got[kind][1][l]);
+                        let tol = 1e-13 * radial;
+                        assert!(
+                            (re - y * cos_p * radial).abs() <= tol
+                                && (im - y * sin_p * radial).abs() <= tol,
+                            "{} ({n}, {m}) lane {l}: ({re}, {im}) vs {} e^(i{m}φ)",
+                            ["T", "R"][kind],
+                            y * radial
+                        );
+                    }
                 }
             }
         }

@@ -16,6 +16,10 @@ pub const MAX_DEGREE: usize = 40;
 /// Degree limit of the `A_n^m` table itself (`2·MAX_DEGREE`).
 pub const TABLE_DEGREE: usize = 2 * MAX_DEGREE;
 
+/// Degree limit of the solid-harmonic tables: one past [`MAX_DEGREE`],
+/// since a field at degree `p` reads the irregular harmonics to `p + 1`.
+const SOLID_DEGREE: usize = MAX_DEGREE + 1;
+
 /// Index of `(n, m)` (with `0 ≤ m ≤ n`) in a triangular array.
 #[inline(always)]
 #[must_use]
@@ -48,11 +52,14 @@ pub struct Tables {
     a: Vec<f64>,
     /// Triangular table of `√((n−m)!/(n+m)!)` — the `Y_n^m` normalisation.
     norm: Vec<f64>,
-    /// Triangular tables (`n ≤ MAX_DEGREE`) of the two factors of the
-    /// normalised solid-harmonic recurrence P2M runs; see
-    /// [`Tables::p2m_recurrence`].
-    p2m_a: Vec<f64>,
-    p2m_b: Vec<f64>,
+    /// Triangular tables (`n ≤ MAX_DEGREE + 1`) of the two factors of
+    /// the normalised solid-harmonic recurrence; see
+    /// [`Tables::solid_recurrence`].
+    solid_a: Vec<f64>,
+    solid_b: Vec<f64>,
+    /// The gradient ladder factors of the irregular (`[0]`) and regular
+    /// (`[1]`) harmonics; see [`Tables::ladder`].
+    ladder: [[Vec<f64>; 3]; 2],
 }
 
 impl Tables {
@@ -74,26 +81,47 @@ impl Tables {
                 norm[idx] = (fact[n - m] / fact[n + m]).sqrt();
             }
         }
-        let mut p2m_a = vec![0.0; tri_len(MAX_DEGREE)];
-        let mut p2m_b = vec![0.0; tri_len(MAX_DEGREE)];
-        p2m_a[0] = 1.0;
-        for n in 1..=MAX_DEGREE {
+        let mut solid_a = vec![0.0; tri_len(SOLID_DEGREE)];
+        let mut solid_b = vec![0.0; tri_len(SOLID_DEGREE)];
+        solid_a[0] = 1.0;
+        for n in 1..=SOLID_DEGREE {
             let nf = n as f64;
             // diagonal step S_n^n = √((2n−1)/(2n)) (x − iy) S_{n−1}^{n−1}
-            p2m_a[tri_index(n, n)] = ((2.0 * nf - 1.0) / (2.0 * nf)).sqrt();
+            solid_a[tri_index(n, n)] = ((2.0 * nf - 1.0) / (2.0 * nf)).sqrt();
             for m in 0..n {
                 let (up, down) = ((n + m) as f64, (n - m) as f64);
                 let idx = tri_index(n, m);
-                p2m_a[idx] = (2.0 * nf - 1.0) / (up * down).sqrt();
-                p2m_b[idx] = ((up - 1.0) * (down - 1.0) / (up * down)).sqrt();
+                solid_a[idx] = (2.0 * nf - 1.0) / (up * down).sqrt();
+                solid_b[idx] = ((up - 1.0) * (down - 1.0) / (up * down)).sqrt();
+            }
+        }
+        // √(u·v) over small integers, exact for u·v = 0
+        let root = |u: usize, v: usize| ((u * v) as f64).sqrt();
+        let mut ladder = [(); 2].map(|()| [(); 3].map(|()| vec![0.0; tri_len(SOLID_DEGREE)]));
+        for k in 0..=SOLID_DEGREE {
+            for j in 0..=k {
+                let idx = tri_index(k, j);
+                let w = if j == 0 { 1.0 } else { 2.0 };
+                let [irr, reg] = &mut ladder;
+                irr[0][idx] = -w * root(k - j, k + j);
+                reg[0][idx] = w * root(k + 1 - j, k + 1 + j);
+                if j >= 1 {
+                    irr[1][idx] = -root(k + j - 1, k + j);
+                    reg[1][idx] = -root(k - j + 2, k - j + 1);
+                }
+                if j + 1 < k {
+                    irr[2][idx] = root(k - j - 1, k - j);
+                }
+                reg[2][idx] = root(k + j + 2, k + j + 1);
             }
         }
         Tables {
             fact,
             a,
             norm,
-            p2m_a,
-            p2m_b,
+            solid_a,
+            solid_b,
+            ladder,
         }
     }
 
@@ -128,26 +156,65 @@ impl Tables {
         self.norm[tri_index(n, m)]
     }
 
-    /// The factors of the P2M recurrence for the normalised regular solid
-    /// harmonics `S_n^m = √((n−m)!/(n+m)!) ρⁿ P_n^m(cos θ) e^{−imφ}`,
-    /// indexed by `tri_index(n, m)` for `n ≤ MAX_DEGREE`:
+    /// The factors of the recurrence for the normalised solid harmonics,
+    /// indexed by `tri_index(n, m)` for `n ≤ MAX_DEGREE + 1`. It drives
+    /// P2M (regular harmonics `S_n^m = √((n−m)!/(n+m)!) ρⁿ P_n^m(cos θ)
+    /// e^{−imφ}`, in `x − iy`), L2P (their conjugates `R_n^m`, in
+    /// `x + iy`) and M2P (irregular harmonics `T_n^m = √((n−m)!/(n+m)!)
+    /// P_n^m(cos θ) e^{imφ} / r^{n+1}`):
     ///
     /// ```text
     /// S_0^0 = 1,   S_m^m = a_m^m (x − iy) S_{m−1}^{m−1}
     /// S_n^m = a_n^m z S_{n−1}^m − b_n^m ρ² S_{n−2}^m          (n > m)
+    /// T_0^0 = 1/r, T_m^m = a_m^m (x + iy)/r² T_{m−1}^{m−1}
+    /// T_n^m = (a_n^m z T_{n−1}^m − b_n^m T_{n−2}^m)/r²        (n > m)
     /// a_m^m = √((2m−1)/(2m)),   a_n^m = (2n−1)/√((n+m)(n−m)),
     /// b_n^m = √((n+m−1)(n−m−1)/((n+m)(n−m)))
     /// ```
     ///
     /// (`b_{m+1}^m = 0`, so the first off-diagonal step needs no
-    /// `S_{m−1}^m`.) This is the unnormalised `(n−m) R_n^m = (2n−1) z
-    /// R_{n−1}^m − (n+m−1) ρ² R_{n−2}^m`, `R_m^m = (2m−1)!! (x − iy)^m`,
-    /// with the normalisation folded into the factors: no trig, square
-    /// root or divide is left per particle.
+    /// `S_{m−1}^m`.) Both are the Legendre three-term recurrence `(n−m)
+    /// P_n^m = (2n−1) cos θ P_{n−1}^m − (n+m−1) P_{n−2}^m`, `P_m^m =
+    /// (2m−1)!! sin^m θ`, times `rⁿ` or `r^{−(n+1)}`, with the
+    /// normalisation folded into the factors: no trig is left, and no
+    /// square root or divide per term. The extra degree serves a field at
+    /// `MAX_DEGREE`, whose gradient reads `T_{p+1}`.
     #[inline]
     #[must_use]
-    pub(crate) fn p2m_recurrence(&self) -> (&[f64], &[f64]) {
-        (&self.p2m_a, &self.p2m_b)
+    pub(crate) fn solid_recurrence(&self) -> (&[f64], &[f64]) {
+        (&self.solid_a, &self.solid_b)
+    }
+
+    /// The ladder factors that turn the gradient of a solid-harmonic
+    /// series into one more series over the same harmonics, indexed by
+    /// the harmonic `(k, j)` the derivative lands on (`tri_index(k, j)`,
+    /// `k ≤ MAX_DEGREE + 1`): `[z, plus, minus]`. With `∂± = ∂x ± i∂y`,
+    /// the irregular (`local = false`) ones are
+    ///
+    /// ```text
+    /// ∂z T_n^m = −√((n−m+1)(n+m+1)) T_{n+1}^m
+    /// ∂+ T_n^m = −√((n+m+1)(n+m+2)) T_{n+1}^{m+1}
+    /// ∂− T_n^m =  √((n−m+1)(n−m+2)) T_{n+1}^{m−1}         (m ≥ 1)
+    /// ```
+    ///
+    /// and the regular (`local = true`, `R_n^m = conj(S_n^m)`) ones
+    ///
+    /// ```text
+    /// ∂z R_n^m =  √((n−m)(n+m)) R_{n−1}^m
+    /// ∂+ R_n^m = −√((n−m)(n−m−1)) R_{n−1}^{m+1}
+    /// ∂− R_n^m =  √((n+m)(n+m−1)) R_{n−1}^{m−1}           (m ≥ 1)
+    /// ```
+    ///
+    /// (`∂− H_n^0 = conj(∂+ H_n^0)`, as `H_n^0` is real). Entry `(k, j)`
+    /// is the factor of the source `(k ∓ 1, j)` for `z`, `(k ∓ 1, j − 1)`
+    /// for `plus` and `(k ∓ 1, j + 1)` for `minus`, zero where that
+    /// source does not exist. The `z` entries with `j ≥ 1` carry the
+    /// weight 2 of the `±j` pair folded into the `m ≥ 0` sum.
+    #[inline]
+    #[must_use]
+    pub(crate) fn ladder(&self, local: bool) -> [&[f64]; 3] {
+        let [z, plus, minus] = &self.ladder[usize::from(local)];
+        [z, plus, minus]
     }
 }
 
