@@ -107,15 +107,6 @@ fn kind_of(points: Option<&[Vec3]>, base: usize, l: usize) -> TargetKind {
     }
 }
 
-/// Which sweep is being compiled — decides the near-field counting policy
-/// (a source potential sweep counts source-target pairs unconditionally,
-/// while external-point and field sweeps count only non-coincident pairs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SweepKind {
-    Potential,
-    Field,
-}
-
 /// Reusable per-chunk compilation state: the traversal stack, the task
 /// and span lists, the counting-sort buffers, and the batched-kernel
 /// workspace. One `CompiledScratch` is allocated per parallel chunk and
@@ -217,63 +208,41 @@ impl CompiledScratch {
     }
 }
 
-impl Treecode {
-    /// The potential sweep. `points` selects external targets; `None`
-    /// evaluates at the (sorted) source particles with self-exclusion.
-    /// Writes into `out` (one slot per target, same order) and returns the
-    /// merged counters, which match a per-target traversal's exactly —
-    /// the lists are a reordering, not an approximation.
-    pub(crate) fn compiled_potential_sweep(
-        &self,
-        points: Option<&[Vec3]>,
-        out: &mut [f64],
-        chunk: usize,
-    ) -> EvalStats {
-        let sweep_start = std::time::Instant::now();
-        let chunk = chunk.max(1);
-        let max_degree = self.max_degree();
-        let height = self.tree.height();
-        let compile_ns = AtomicU64::new(0);
-        let chunk_stats: Vec<EvalStats> = out
-            .par_chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, out_chunk)| {
-                let base = ci * chunk;
-                let mut cs = CompiledScratch::new(height, out_chunk.len());
-                let mut stats = EvalStats::for_targets(out_chunk.len() as u64);
-                let compile_start = std::time::Instant::now();
-                self.compile_chunk(
-                    points,
-                    base,
-                    out_chunk.len(),
-                    SweepKind::Potential,
-                    &mut cs,
-                    &mut stats,
-                );
-                cs.bucket_by_degree(max_degree, self.tree.nodes().len());
-                // ordering: Relaxed — per-chunk timing accumulator; no data is published through it
-                compile_ns.fetch_add(compile_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                out_chunk.fill(0.0);
-                self.exec_m2p::<false>(&mut cs, |i, phi, _| out_chunk[i] += phi);
-                self.exec_p2p_potential(&cs, points.is_none(), out_chunk, &mut stats);
-                stats
-            })
-            .collect(); // lint: allow(alloc, O(chunks) stats per sweep)
-        let mut stats = EvalStats::default();
-        for s in &chunk_stats {
-            stats.merge(s);
-        }
-        // ordering: Relaxed — reading the timing total after the parallel loop joined
-        record_compile_and_sweep(compile_ns.load(Ordering::Relaxed), sweep_start);
-        stats
-    }
+/// A sweep's value at one target: the potential, or the potential and
+/// its gradient, accumulated term by term.
+pub(crate) trait SweepValue: Copy + Default + Send {
+    /// Adds one interaction's `(Φ, ∇Φ)`.
+    fn add(&mut self, phi: f64, grad: Vec3);
+}
 
-    /// The field sweep — the potential-and-gradient analogue of
-    /// [`Treecode::compiled_potential_sweep`].
-    pub(crate) fn compiled_field_sweep(
+impl SweepValue for f64 {
+    #[inline]
+    fn add(&mut self, phi: f64, _: Vec3) {
+        *self += phi;
+    }
+}
+
+impl SweepValue for (f64, Vec3) {
+    #[inline]
+    fn add(&mut self, phi: f64, grad: Vec3) {
+        self.0 += phi;
+        self.1 += grad;
+    }
+}
+
+impl Treecode {
+    /// The sweep: potentials, or with `FIELD` potentials and gradients.
+    /// `points` selects external targets; `None` evaluates at the
+    /// (sorted) source particles with self-exclusion. Writes into `out`
+    /// (one slot per target, same order) and returns the merged counters,
+    /// which match a per-target traversal's exactly — the lists are a
+    /// reordering, not an approximation. Near-field spans are guarded
+    /// except in a potential sweep at the sources, whose self pairs were
+    /// split out at compile time.
+    pub(crate) fn compiled_sweep<const FIELD: bool, T: SweepValue>(
         &self,
         points: Option<&[Vec3]>,
-        out: &mut [(f64, Vec3)],
+        out: &mut [T],
         chunk: usize,
     ) -> EvalStats {
         let sweep_start = std::time::Instant::now();
@@ -289,23 +258,18 @@ impl Treecode {
                 let mut cs = CompiledScratch::new(height, out_chunk.len());
                 let mut stats = EvalStats::for_targets(out_chunk.len() as u64);
                 let compile_start = std::time::Instant::now();
-                self.compile_chunk(
-                    points,
-                    base,
-                    out_chunk.len(),
-                    SweepKind::Field,
-                    &mut cs,
-                    &mut stats,
-                );
+                self.compile_chunk::<FIELD>(points, base, out_chunk.len(), &mut cs, &mut stats);
                 cs.bucket_by_degree(max_degree, self.tree.nodes().len());
                 // ordering: Relaxed — per-chunk timing accumulator; no data is published through it
                 compile_ns.fetch_add(compile_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                out_chunk.fill((0.0, Vec3::ZERO));
-                self.exec_m2p::<true>(&mut cs, |i, phi, grad| {
-                    out_chunk[i].0 += phi;
-                    out_chunk[i].1 += grad;
-                });
-                self.exec_p2p_field(&cs, out_chunk, &mut stats);
+                out_chunk.fill(T::default());
+                let mut add = |i: usize, phi: f64, grad: Vec3| out_chunk[i].add(phi, grad);
+                self.exec_m2p::<FIELD>(&mut cs, &mut add);
+                if FIELD || points.is_some() {
+                    self.exec_p2p::<true, FIELD>(&cs, &mut stats, add);
+                } else {
+                    self.exec_p2p::<false, FIELD>(&cs, &mut stats, add);
+                }
                 stats
             })
             .collect(); // lint: allow(alloc, O(chunks) stats per sweep)
@@ -343,12 +307,11 @@ impl Treecode {
     /// traversal produces, for any chunk width. Morton-ordered targets make ρ
     /// small, so the far field (the bulk of MAC tests) is classified
     /// once per chunk instead of once per target.
-    fn compile_chunk(
+    fn compile_chunk<const FIELD: bool>(
         &self,
         points: Option<&[Vec3]>,
         base: usize,
         len: usize,
-        sweep: SweepKind,
         cs: &mut CompiledScratch,
         stats: &mut EvalStats,
     ) {
@@ -409,7 +372,7 @@ impl Treecode {
             if open_all {
                 if node.is_leaf {
                     for l in 0..cs.targets.len() {
-                        self.emit_leaf(id, l as u32, kind_of(points, base, l), sweep, cs, stats);
+                        self.emit_leaf::<FIELD>(id, l as u32, kind_of(points, base, l), cs, stats);
                     }
                 } else {
                     cs.stack.extend(node.child_ids());
@@ -418,7 +381,7 @@ impl Treecode {
             }
 
             for l in 0..cs.targets.len() {
-                self.compile_subtree(l as u32, kind_of(points, base, l), sweep, id, cs, stats);
+                self.compile_subtree::<FIELD>(l as u32, kind_of(points, base, l), id, cs, stats);
             }
         }
     }
@@ -426,12 +389,11 @@ impl Treecode {
     /// Resolves one MAC-ambiguous subtree for one target with the exact
     /// per-target criterion, emitting lists instead of evaluating.
     /// Far-field interactions are counted here, at emission; near-field
-    /// pair counting follows the policy of [`SweepKind`].
-    fn compile_subtree(
+    /// pair counting follows the policy of [`Treecode::emit_leaf`].
+    fn compile_subtree<const FIELD: bool>(
         &self,
         lane: u32,
         kind: TargetKind,
-        sweep: SweepKind,
         from: NodeId,
         cs: &mut CompiledScratch,
         stats: &mut EvalStats,
@@ -453,7 +415,7 @@ impl Treecode {
                 }
                 MacDecision::Open => {
                     if node.is_leaf {
-                        self.emit_leaf(id, lane, kind, sweep, cs, stats);
+                        self.emit_leaf::<FIELD>(id, lane, kind, cs, stats);
                     } else {
                         cs.substack.extend(node.child_ids());
                     }
@@ -468,12 +430,11 @@ impl Treecode {
     /// sweep counts source pairs unconditionally, so those are counted
     /// here at compile time, while external-point and field pairs are
     /// counted by the guarded kernels at execution.
-    fn emit_leaf(
+    fn emit_leaf<const FIELD: bool>(
         &self,
         id: NodeId,
         lane: u32,
         kind: TargetKind,
-        sweep: SweepKind,
         cs: &mut CompiledScratch,
         stats: &mut EvalStats,
     ) {
@@ -495,7 +456,7 @@ impl Treecode {
                         end: end as u32,
                     });
                 }
-                if sweep == SweepKind::Potential {
+                if !FIELD {
                     stats.record_direct((end - start - 1) as u64);
                 }
             }
@@ -505,7 +466,7 @@ impl Treecode {
                     start: start as u32,
                     end: end as u32,
                 });
-                if sweep == SweepKind::Potential && matches!(kind, TargetKind::SourceParticle(_)) {
+                if !FIELD && matches!(kind, TargetKind::SourceParticle(_)) {
                     stats.record_direct((end - start) as u64);
                 }
             }
@@ -595,35 +556,6 @@ impl Treecode {
             }
             g += take;
         }
-    }
-
-    /// Streams the P2P spans through the near-field kernel
-    /// ([`p2p_span`]). `unguarded` selects the source-sweep kernel (self
-    /// already excluded by span splitting, pairs counted at compile
-    /// time); external sweeps use the guarded kernel and count surviving
-    /// pairs here.
-    fn exec_p2p_potential(
-        &self,
-        cs: &CompiledScratch,
-        unguarded: bool,
-        out: &mut [f64],
-        stats: &mut EvalStats,
-    ) {
-        let add = |i: usize, phi: f64, _: Vec3| out[i] += phi;
-        if unguarded {
-            self.exec_p2p::<false, false>(cs, stats, add);
-        } else {
-            self.exec_p2p::<true, false>(cs, stats, add);
-        }
-    }
-
-    /// Field P2P execution: always guarded (a field sweep guards both
-    /// target kinds), with pairs counted here.
-    fn exec_p2p_field(&self, cs: &CompiledScratch, out: &mut [(f64, Vec3)], stats: &mut EvalStats) {
-        self.exec_p2p::<true, true>(cs, stats, |i, phi, grad| {
-            out[i].0 += phi;
-            out[i].1 += grad;
-        });
     }
 
     /// Runs every span of the chunk over the tree's SoA sources, handing

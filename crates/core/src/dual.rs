@@ -185,7 +185,7 @@ impl Treecode {
             stats.record_direct(pairs);
         }
         EvalResult {
-            values: tree.unsort(&sorted_values),
+            values: tree.order().unsort(&sorted_values),
             stats,
         }
     }

@@ -46,9 +46,9 @@ impl Treecode {
     pub fn potentials(&self) -> EvalResult<f64> {
         // lint: allow(alloc, one output buffer per sweep, not per interaction)
         let mut values = vec![0.0; self.tree.particles().len()];
-        let stats = self.compiled_potential_sweep(None, &mut values, self.params.eval_chunk);
+        let stats = self.compiled_sweep::<false, _>(None, &mut values, self.params.eval_chunk);
         EvalResult {
-            values: self.tree.unsort(&values),
+            values: self.tree.order().unsort(&values),
             stats,
         }
     }
@@ -91,7 +91,7 @@ impl Treecode {
             out.len(),
             "output buffer must match the number of points"
         );
-        self.compiled_potential_sweep(Some(points), out, chunk)
+        self.compiled_sweep::<false, _>(Some(points), out, chunk)
     }
 
     /// Potential and gradient at all source particles, original order.
@@ -99,9 +99,9 @@ impl Treecode {
     pub fn fields(&self) -> EvalResult<(f64, Vec3)> {
         // lint: allow(alloc, one output buffer per sweep, not per interaction)
         let mut values = vec![(0.0, Vec3::ZERO); self.tree.particles().len()];
-        let stats = self.compiled_field_sweep(None, &mut values, self.params.eval_chunk);
+        let stats = self.compiled_sweep::<true, _>(None, &mut values, self.params.eval_chunk);
         EvalResult {
-            values: self.tree.unsort(&values),
+            values: self.tree.order().unsort(&values),
             stats,
         }
     }
@@ -135,14 +135,14 @@ impl Treecode {
             out.len(),
             "output buffer must match the number of points"
         );
-        self.compiled_field_sweep(Some(points), out, chunk)
+        self.compiled_sweep::<true, _>(Some(points), out, chunk)
     }
 
     /// Potential at one external point: a one-target sweep.
     #[must_use]
     pub fn potential_at(&self, point: Vec3) -> f64 {
         let mut phi = [0.0];
-        self.compiled_potential_sweep(Some(std::slice::from_ref(&point)), &mut phi, 1);
+        self.compiled_sweep::<false, _>(Some(std::slice::from_ref(&point)), &mut phi, 1);
         phi[0]
     }
 

@@ -75,7 +75,7 @@ impl<'a> Reference<'a> {
             .map(|(i, p)| self.eval(p.position, TargetKind::SourceParticle(i), field, &mut stats))
             .collect();
         EvalResult {
-            values: self.tc.tree.unsort(&sorted),
+            values: self.tc.tree.order().unsort(&sorted),
             stats,
         }
     }

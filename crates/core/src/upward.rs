@@ -2,8 +2,9 @@
 //! upward (expansion construction) pass.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use mbt_geometry::{Particle, SoaSpan};
+use mbt_geometry::{MortonOrder, Particle, SoaSpan};
 use mbt_multipole::{p2m_soa_into, tri_len, Complex, ExpansionRef, Workspace, P2M_LANES};
 use mbt_tree::{Octree, OctreeParams};
 use rayon::prelude::*;
@@ -213,12 +214,22 @@ impl Treecode {
     /// Builds the treecode over a particle set.
     pub fn new(particles: &[Particle], params: TreecodeParams) -> Result<Treecode, TreecodeError> {
         params.validate()?;
-        let tree = Octree::build(
-            particles,
-            OctreeParams {
-                leaf_capacity: params.leaf_capacity,
-            },
-        )?;
+        let leaf_capacity = params.leaf_capacity;
+        let tree = Octree::build(particles, OctreeParams { leaf_capacity })?;
+        Ok(Self::from_tree(tree, params))
+    }
+
+    /// Builds the treecode over an existing order ([`Octree::over`]: its
+    /// sorted Morton `keys` and the sorted charges `q`).
+    pub fn over(
+        order: Arc<MortonOrder>,
+        keys: &[u64],
+        q: Vec<f64>,
+        params: TreecodeParams,
+    ) -> Result<Treecode, TreecodeError> {
+        params.validate()?;
+        let leaf_capacity = params.leaf_capacity;
+        let tree = Octree::over(order, keys, q, OctreeParams { leaf_capacity })?;
         Ok(Self::from_tree(tree, params))
     }
 

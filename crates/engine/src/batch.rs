@@ -18,11 +18,12 @@
 use std::time::Instant;
 
 use mbt_fmm::CompiledFmm;
-use mbt_geometry::{Particle, ParticleSoa, Vec3};
+use mbt_geometry::{ParticleSoa, Vec3};
 use mbt_obs::Phase;
 use mbt_treecode::{EvalStats, Treecode};
 
 use crate::plan::{EvalConfig, Plan, PlanArtifact};
+use crate::registry::SourceSet;
 
 /// What a query computes at each point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -169,17 +170,18 @@ fn evaluate_fmm_batch(
 }
 
 /// Evaluates one batch of requests by guarded direct summation over
-/// `particles` — the backend for tiny-n routed queries. Below
-/// [`crate::route::DIRECT_MAX_SOURCES`] sources a guarded SIMD direct
-/// sum beats either tree build even on a cold cache, and it is *exact*
-/// (its Theorem bound is zero). There is no artifact worth caching: the
-/// particle SoA gather below is the whole "build".
+/// `sources` under `charges`, in the caller's order — the backend for
+/// tiny-n routed queries. Below [`crate::route::DIRECT_MAX_SOURCES`]
+/// sources a guarded SIMD direct sum beats either tree build even on a
+/// cold cache, and it is *exact* (its Theorem bound is zero). There is
+/// no artifact worth caching: the SoA gather below is the whole "build".
 ///
 /// The `r = 0` guard skips self-pairs when a target coincides with a
 /// source, matching the treecode's own near-field convention;
 /// `softening` is the Plummer term `ε` of the resolved parameters.
 pub(crate) fn evaluate_direct(
-    particles: &[Particle],
+    sources: &SourceSet,
+    charges: &[f64],
     softening: f64,
     kind: QueryKind,
     requests: &[&[Vec3]],
@@ -187,7 +189,7 @@ pub(crate) fn evaluate_direct(
     let t0 = Instant::now();
     let eps2 = softening * softening;
     // one SoA gather per sweep, shared by every request in the batch
-    let ParticleSoa { x, y, z, q } = ParticleSoa::gather(particles, 0..particles.len());
+    let ParticleSoa { x, y, z, q } = sources.soa(charges);
     let out = packed_sweep(kind, requests, |points, arena| {
         let mut stats = EvalStats::for_targets(points.len() as u64);
         match arena {
@@ -218,7 +220,20 @@ pub(crate) fn evaluate_direct(
 mod tests {
     use super::*;
     use mbt_geometry::distribution::{uniform_cube, ChargeModel};
+    use mbt_geometry::Particle;
     use mbt_treecode::TreecodeParams;
+
+    /// [`evaluate_direct`] over `ps` under their own charges.
+    fn direct(
+        ps: &[Particle],
+        softening: f64,
+        kind: QueryKind,
+        requests: &[&[Vec3]],
+    ) -> (Vec<QueryOutput>, EvalStats) {
+        let charges: Vec<f64> = ps.iter().map(|p| p.charge).collect();
+        let sources = SourceSet::new(ps.to_vec());
+        evaluate_direct(&sources, &charges, softening, kind, requests)
+    }
 
     /// [`evaluate_batch_with`] under the treecode's own configuration.
     fn evaluate_batch(
@@ -319,7 +334,7 @@ mod tests {
         let pts: Vec<Vec3> = (0..7)
             .map(|i| Vec3::new(0.3 * f64::from(i) - 1.0, 0.2, -0.4))
             .collect();
-        let (out, stats) = evaluate_direct(&ps, 0.0, QueryKind::Potential, &[&pts]);
+        let (out, stats) = direct(&ps, 0.0, QueryKind::Potential, &[&pts]);
         let got = out[0].potentials().unwrap();
         for (x, phi) in pts.iter().zip(got) {
             let exact: f64 = ps.iter().map(|p| p.charge / p.position.distance(*x)).sum();
@@ -335,7 +350,7 @@ mod tests {
         let ps = uniform_cube(40, 1.0, ChargeModel::UnitPositive { magnitude: 1.0 }, 5);
         // targets AT the sources: the r = 0 guard must drop each self pair
         let pts: Vec<Vec3> = ps.iter().map(|p| p.position).collect();
-        let (out, stats) = evaluate_direct(&ps, 0.0, QueryKind::Field, &[&pts]);
+        let (out, stats) = direct(&ps, 0.0, QueryKind::Field, &[&pts]);
         assert_eq!(stats.direct_pairs, 40 * 39);
         for (phi, g) in out[0].fields().unwrap() {
             assert!(phi.is_finite() && g.is_finite());
@@ -346,7 +361,7 @@ mod tests {
     fn softening_regularises_coincident_targets() {
         let ps = vec![Particle::new(Vec3::ZERO, 1.0)];
         let pt = [Vec3::new(1e-12, 0.0, 0.0)];
-        let (out, _) = evaluate_direct(&ps, 0.1, QueryKind::Potential, &[&pt]);
+        let (out, _) = direct(&ps, 0.1, QueryKind::Potential, &[&pt]);
         let phi = out[0].potentials().unwrap()[0];
         assert!((phi - 1.0 / 0.1f64.hypot(1e-12)).abs() < 1e-9);
     }
@@ -356,7 +371,7 @@ mod tests {
         let ps = uniform_cube(30, 1.0, ChargeModel::UnitPositive { magnitude: 1.0 }, 9);
         let a = [Vec3::new(2.0, 0.0, 0.0)];
         let b = [Vec3::new(0.0, 2.0, 0.0), Vec3::new(0.0, 0.0, 2.0)];
-        let (out, stats) = evaluate_direct(&ps, 0.0, QueryKind::Potential, &[&a, &b]);
+        let (out, stats) = direct(&ps, 0.0, QueryKind::Potential, &[&a, &b]);
         assert_eq!(out[0].len(), 1);
         assert_eq!(out[1].len(), 2);
         assert_eq!(stats.targets, 3);

@@ -518,11 +518,14 @@ mod tests {
         let params = TreecodeParams::fixed(4, 0.6);
         let key = PlanKey::new(DatasetId(0), &params);
         let ps = uniform_cube(300, 1.0, ChargeModel::UnitPositive { magnitude: 1.0 }, 3);
+        let charges: Vec<f64> = ps.iter().map(|p| p.charge).collect();
+        let sources = crate::registry::SourceSet::new(ps);
         let make = |epoch: u64| {
-            let ps = &ps;
+            let (sources, charges) = (&sources, &charges);
             move |other: Option<&Plan>| match other {
-                Some(old) => old.recharge(ps, params, epoch),
-                None => Plan::build(key, ps, params).map(|p| p.at_epoch(epoch)),
+                Some(old) => old.recharge(sources, charges, params, epoch),
+                None => Plan::build_for(key, sources, charges, params, sources.len())
+                    .map(|p| p.at_epoch(epoch)),
             }
         };
         let (_, outcome) = cache.get_or_build_at(key, 0, &stats, make(0)).unwrap();

@@ -296,7 +296,8 @@ impl Target {
         let t0 = Instant::now();
         let (outputs, eval) = match self {
             Target::Direct(ds, softening) => {
-                evaluate_direct(ds.particles(), *softening, group.kind, slices)
+                let (sources, charges) = ds.shard(0);
+                evaluate_direct(sources, charges, *softening, group.kind, slices)
             }
             Target::Plan(plan, _) => evaluate_plan_batch(plan, group.kind, slices, group.cfg),
             Target::Sharded(plans, skeleton, _) => {
@@ -625,10 +626,11 @@ impl Engine {
         // arena. It excludes the charges too: a plan resident at another
         // epoch of this dataset is recharged, not rebuilt.
         let key = PlanKey::routed(ds.id, &params, backend);
+        let (sources, charges) = ds.shard(0);
         self.cache
             .get_or_build_at(key, ds.epoch, &self.stats, |other| match other {
-                Some(plan) => plan.recharge(ds.particles(), params, ds.epoch),
-                None => Plan::build_for(key, ds.particles(), params, n_targets)
+                Some(plan) => plan.recharge(sources, charges, params, ds.epoch),
+                None => Plan::build_for(key, sources, charges, params, n_targets)
                     .map(|p| p.at_epoch(ds.epoch)),
             })
     }
@@ -648,8 +650,9 @@ impl Engine {
             .into_par_iter()
             .map(|s| {
                 let key = PlanKey::sharded(ds.id, &params, s, k);
+                let (sources, charges) = ds.shard(s);
                 self.cache.get_or_build(key, &self.stats, || {
-                    Plan::build(key, ds.shard_particles(s), params)
+                    Plan::build_for(key, sources, charges, params, sources.len())
                 })
             })
             .collect();
@@ -999,6 +1002,69 @@ mod tests {
         (0..n)
             .map(|i| Vec3::new(1.2 + i as f64 * 0.01, -0.3, 0.4))
             .collect()
+    }
+
+    /// The order a plan's artifact is built over.
+    fn order_of(plan: &Plan) -> &mbt_geometry::MortonOrder {
+        match &plan.artifact {
+            PlanArtifact::Treecode(tc) => tc.tree().order(),
+            PlanArtifact::Fmm(fmm) => fmm.order(),
+        }
+    }
+
+    #[test]
+    fn every_plan_and_epoch_of_a_source_set_shares_its_one_order() {
+        let engine = Engine::new(EngineConfig::default()).unwrap();
+        let n = 6000;
+        let id = engine.register("one", particles(n, 41)).unwrap();
+        let fixed = engine.resolve_params(Accuracy::Fixed(4));
+        let adaptive = engine.resolve_params(Accuracy::Adaptive { p_min: 3 });
+        let routes = [
+            (fixed, Backend::Treecode),
+            (adaptive, Backend::Treecode),
+            (fixed, Backend::Fmm),
+        ];
+        let mut plans = Vec::new();
+        for epoch in 0..=3u64 {
+            if epoch > 0 {
+                let q: Vec<f64> = (0..n)
+                    .map(|i| (0.01 * i as f64 + epoch as f64).sin())
+                    .collect();
+                assert_eq!(engine.update_charges(id, &q), Ok(epoch));
+            }
+            let ds = engine.dataset(id).unwrap();
+            for &(params, backend) in &routes {
+                let (plan, outcome) = engine.plan_routed(&ds, params, backend, n).unwrap();
+                let expected = if epoch == 0 {
+                    CacheOutcome::Built
+                } else {
+                    CacheOutcome::Recharged
+                };
+                assert_eq!((plan.epoch, outcome), (epoch, expected), "{backend:?}");
+                let fmm = matches!(plan.artifact, PlanArtifact::Fmm(_));
+                assert_eq!(fmm, backend == Backend::Fmm);
+                plans.push(plan);
+            }
+        }
+        let ds = engine.dataset(id).unwrap();
+        let (order, _) = ds.shard(0).0.order().unwrap();
+        assert!(plans
+            .iter()
+            .all(|plan| std::ptr::eq(order_of(plan), Arc::as_ptr(order))));
+
+        // a sharded dataset: one order per shard, each shared by its plan
+        let sharded = engine
+            .register_sharded("four", particles(4000, 43), 4)
+            .unwrap();
+        let ds = engine.dataset(sharded).unwrap();
+        let (plans, _) = engine.shard_plans(&ds, fixed).unwrap();
+        let orders: Vec<*const mbt_geometry::MortonOrder> = (0..4)
+            .map(|s| Arc::as_ptr(ds.shard(s).0.order().unwrap().0))
+            .collect();
+        for (s, (plan, _)) in plans.iter().enumerate() {
+            assert!(std::ptr::eq(order_of(plan), orders[s]), "shard {s}");
+            assert!((0..s).all(|t| !std::ptr::eq(orders[t], orders[s])));
+        }
     }
 
     fn gated(max_in_flight: usize, max_queued: usize) -> Engine {

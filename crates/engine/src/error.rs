@@ -6,6 +6,7 @@
 //! whole crate).
 
 use mbt_fmm::FmmError;
+use mbt_geometry::ChargeError;
 use mbt_treecode::TreecodeError;
 
 use crate::registry::DatasetId;
@@ -154,6 +155,17 @@ impl std::fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+impl From<ChargeError> for EngineError {
+    fn from(e: ChargeError) -> Self {
+        match e {
+            ChargeError::CountMismatch { expected, got } => {
+                Self::ChargeCountMismatch { expected, got }
+            }
+            ChargeError::NonFinite { index } => Self::NonFiniteCharge { index },
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

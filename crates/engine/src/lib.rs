@@ -133,7 +133,7 @@ pub use error::EngineError;
 pub use fanout::{evaluate_sharded, FanoutBreakdown, ShardSweep};
 pub use flight::{Flight, SingleFlight};
 pub use plan::{Accuracy, EvalConfig, Plan, PlanArtifact, PlanKey};
-pub use registry::{Dataset, DatasetId, DatasetRegistry};
+pub use registry::{Dataset, DatasetId, DatasetRegistry, SourceSet};
 pub use route::{
     fmm_admissible, fmm_params_for, route, Backend, DIRECT_MAX_SOURCES, FMM_ALPHA_EFF,
     FMM_MIN_SOURCES, FMM_MIN_TARGETS,

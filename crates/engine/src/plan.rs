@@ -14,6 +14,7 @@
 //! another epoch over the same geometry (sort, tree or grids, lists,
 //! operators all reused) instead of building again.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mbt_fmm::{CompiledFmm, FmmError};
@@ -23,7 +24,7 @@ use mbt_treecode::{
 };
 
 use crate::error::EngineError;
-use crate::registry::DatasetId;
+use crate::registry::{DatasetId, SourceSet};
 use crate::route::{fmm_params_for, Backend};
 
 /// Per-request accuracy, resolved against the engine's defaults into full
@@ -293,8 +294,23 @@ impl std::fmt::Debug for Plan {
 }
 
 impl Plan {
-    /// Builds the plan for the key's backend: validates the parameters,
-    /// constructs the artifact, and sizes it.
+    /// Builds the plan for the key's backend over a particle list: a
+    /// source set of its own, sorted for this plan alone, with the depth
+    /// of an FMM artifact counted for evaluations at every source.
+    pub fn build(
+        key: PlanKey,
+        particles: &[Particle],
+        params: TreecodeParams,
+    ) -> Result<Plan, EngineError> {
+        let charges: Vec<f64> = particles.iter().map(|p| p.charge).collect();
+        let sources = SourceSet::new(particles.to_vec());
+        Plan::build_for(key, &sources, &charges, params, particles.len())
+    }
+
+    /// Builds the plan for the key's backend over `sources` under
+    /// `charges` (in the set's order): validates the parameters,
+    /// constructs the artifact over the set's shared Morton order (sorted
+    /// by the set's first plan) and sizes it.
     ///
     /// An FMM-keyed build the compiled backend cannot represent (dataset
     /// geometry past the dense-grid depth cap, or a resolved degree past
@@ -303,25 +319,15 @@ impl Plan {
     /// treecode meets the same resolved accuracy (its α is *tighter* than
     /// the FMM's effective α = 1/2 whenever the FMM was admissible).
     ///
-    /// An FMM artifact's depth is counted for evaluations at every source
-    /// ([`Plan::build_for`] takes the target count).
-    pub fn build(
-        key: PlanKey,
-        particles: &[Particle],
-        params: TreecodeParams,
-    ) -> Result<Plan, EngineError> {
-        Plan::build_for(key, particles, params, particles.len())
-    }
-
-    /// [`Plan::build`], with an FMM artifact's depth counted for
-    /// evaluations at `n_targets` targets — the size of the request or
-    /// batch whose cache miss builds the plan. The key does not carry it:
-    /// a later request of another size reuses the plan at this depth,
-    /// which stays correct and may be slower than its own count would
-    /// pick.
+    /// An FMM artifact's depth is counted for evaluations at `n_targets`
+    /// targets — the size of the request or batch whose cache miss builds
+    /// the plan. The key does not carry it: a later request of another
+    /// size reuses the plan at this depth, which stays correct and may be
+    /// slower than its own count would pick.
     pub fn build_for(
         key: PlanKey,
-        particles: &[Particle],
+        sources: &SourceSet,
+        charges: &[f64],
         params: TreecodeParams,
         n_targets: usize,
     ) -> Result<Plan, EngineError> {
@@ -339,15 +345,18 @@ impl Plan {
                 params.alpha
             );
         }
+        // the order outlives the plan, so its sort is not the plan's cost
+        let (order, keys) = sources.order()?;
         let t0 = Instant::now();
+        let q = order.sorted_charges(charges)?;
         let artifact = match key.backend() {
-            Backend::Fmm => fmm_or_fallback(
-                CompiledFmm::new(particles, fmm_params_for(&params).for_targets(n_targets)),
-                particles,
-                params,
-            )?,
+            Backend::Fmm => {
+                let fmm_params = fmm_params_for(&params).for_targets(n_targets);
+                let fmm = CompiledFmm::over(Arc::clone(order), keys, q, fmm_params);
+                fmm_or_fallback(fmm, sources, charges, params)?
+            }
             Backend::Treecode | Backend::Direct => PlanArtifact::Treecode(
-                Treecode::new(particles, params).map_err(EngineError::Build)?,
+                Treecode::over(Arc::clone(order), keys, q, params).map_err(EngineError::Build)?,
             ),
         };
         let build_time = t0.elapsed();
@@ -369,16 +378,16 @@ impl Plan {
         self
     }
 
-    /// This plan's geometry under the charges of `particles` — the same
-    /// positions in the same order, at charge epoch `epoch`. The result
-    /// is bit-identical to [`Plan::build`] over `particles`: degrees and
-    /// bounds are re-resolved from the new charges, while everything the
-    /// charges cannot move is reused — an FMM artifact shares its
-    /// geometry half and re-runs the charge pass
+    /// This plan's geometry under `charges` — new charges over the same
+    /// `sources` it was built from, in the set's order — at charge epoch
+    /// `epoch`. The result is bit-identical to [`Plan::build_for`] under
+    /// `charges`: degrees and bounds are re-resolved from the new
+    /// charges, while everything the charges cannot move is reused — an
+    /// FMM artifact shares its geometry half and re-runs the charge pass
     /// ([`CompiledFmm::with_charges`]), a treecode artifact keeps its
     /// sorted octree topology, expansion centres and radii
-    /// (`Octree::with_charges`) and re-runs only `A` and the
-    /// net charge, degree selection and the upward pass.
+    /// (`Octree::with_charges`) and re-runs only `A` and the net charge,
+    /// degree selection and the upward pass.
     ///
     /// A charge vector of the wrong length is refused with
     /// [`EngineError::ChargeCountMismatch`].
@@ -388,27 +397,27 @@ impl Plan {
     /// representable can depend on the charges.
     pub fn recharge(
         &self,
-        particles: &[Particle],
+        sources: &SourceSet,
+        charges: &[f64],
         params: TreecodeParams,
         epoch: u64,
     ) -> Result<Plan, EngineError> {
-        let charges: Vec<f64> = particles.iter().map(|p| p.charge).collect();
         let artifact = match (&self.artifact, self.key.backend()) {
             (PlanArtifact::Fmm(fmm), _) => {
-                let recharged = match fmm.with_charges(&charges) {
+                let recharged = match fmm.with_charges(charges) {
                     Err(FmmError::ChargeCountMismatch { expected, got }) => {
                         return Err(EngineError::ChargeCountMismatch { expected, got });
                     }
                     other => other,
                 };
-                fmm_or_fallback(recharged, particles, params)?
+                fmm_or_fallback(recharged, sources, charges, params)?
             }
             (PlanArtifact::Treecode(_), Backend::Fmm) => {
-                return Plan::build_for(self.key, particles, params, self.targets)
+                return Plan::build_for(self.key, sources, charges, params, self.targets)
                     .map(|p| p.at_epoch(epoch));
             }
             (PlanArtifact::Treecode(tc), _) => {
-                let tree = tc.tree().with_charges(&charges).map_err(|e| match e {
+                let tree = tc.tree().with_charges(charges).map_err(|e| match e {
                     TreeError::ChargeCountMismatch { expected, got } => {
                         EngineError::ChargeCountMismatch { expected, got }
                     }
@@ -443,19 +452,23 @@ impl Plan {
 }
 
 /// The artifact of an FMM-keyed plan: the compiled FMM when it is
-/// representable, else a treecode under the same key. A resolved degree
-/// past the operator-table cap is the case routed requests meet; the
-/// depth arm serves only explicit `with_levels` overrides past the
-/// dense-grid cap, since the counted depth never passes it.
+/// representable, else a treecode over the same order under the same
+/// key. A resolved degree past the operator-table cap is the case routed
+/// requests meet; the depth arm serves only explicit `with_levels`
+/// overrides past the dense-grid cap, since the counted depth never
+/// passes it.
 fn fmm_or_fallback(
     fmm: Result<CompiledFmm, FmmError>,
-    particles: &[Particle],
+    sources: &SourceSet,
+    charges: &[f64],
     params: TreecodeParams,
 ) -> Result<PlanArtifact, EngineError> {
     match fmm {
         Ok(fmm) => Ok(PlanArtifact::Fmm(fmm)),
         Err(FmmError::DenseGridTooDeep { .. } | FmmError::OperatorTableTooLarge { .. }) => {
-            Treecode::new(particles, params)
+            let (order, keys) = sources.order()?;
+            let q = order.sorted_charges(charges)?;
+            Treecode::over(Arc::clone(order), keys, q, params)
                 .map(PlanArtifact::Treecode)
                 .map_err(EngineError::Build)
         }
@@ -478,6 +491,10 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    fn charges_of(ps: &[Particle]) -> Vec<f64> {
+        ps.iter().map(|p| p.charge).collect()
     }
 
     #[test]
@@ -626,11 +643,13 @@ mod tests {
         let pts: Vec<Vec3> = (0..20)
             .map(|i| Vec3::new(0.1 * f64::from(i) - 1.0, 0.3, -0.2))
             .collect();
+        let sources = SourceSet::new(before.clone());
+        let charges = charges_of(&after);
         for backend in [Backend::Treecode, Backend::Fmm] {
             let key = PlanKey::routed(DatasetId(0), &params, backend);
             let old = Plan::build(key, &before, params).unwrap();
             assert_eq!(old.epoch, 0);
-            let recharged = old.recharge(&after, params, 7).unwrap();
+            let recharged = old.recharge(&sources, &charges, params, 7).unwrap();
             let fresh = Plan::build(key, &after, params).unwrap();
             assert_eq!(recharged.epoch, 7);
             assert_eq!(recharged.key, key);
@@ -657,17 +676,13 @@ mod tests {
         let charges: Vec<f64> = (0..before.len())
             .map(|i| 0.25 + (i as f64 * 0.3).sin())
             .collect();
-        let after: Vec<Particle> = before
-            .iter()
-            .zip(&charges)
-            .map(|(p, &q)| Particle::new(p.position, q))
-            .collect();
         let params = TreecodeParams::fixed(5, 0.6);
         let pts: Vec<Vec3> = (0..20)
             .map(|i| Vec3::new(0.1 * f64::from(i) - 1.0, 0.3, -0.2))
             .collect();
         let plan = Plan::build(PlanKey::new(DatasetId(0), &params), &before, params).unwrap();
-        let recharged = plan.recharge(&after, params, 1).unwrap();
+        let sources = SourceSet::new(before);
+        let recharged = plan.recharge(&sources, &charges, params, 1).unwrap();
         let frozen = plan.treecode().unwrap().with_charges(&charges).unwrap();
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         assert_eq!(
@@ -681,8 +696,10 @@ mod tests {
         let params = TreecodeParams::fixed(4, 0.6);
         let particles = ps(300);
         let plan = Plan::build(PlanKey::new(DatasetId(0), &params), &particles, params).unwrap();
+        let sources = SourceSet::new(particles.clone());
         assert_eq!(
-            plan.recharge(&particles[..299], params, 1).err(),
+            plan.recharge(&sources, &charges_of(&particles[..299]), params, 1)
+                .err(),
             Some(EngineError::ChargeCountMismatch {
                 expected: 300,
                 got: 299,
@@ -697,8 +714,10 @@ mod tests {
         let key = PlanKey::routed(DatasetId(0), &params, Backend::Fmm);
         let plan = Plan::build(key, &particles, params).unwrap();
         assert!(matches!(plan.artifact, PlanArtifact::Fmm(_)));
+        let sources = SourceSet::new(particles.clone());
         assert_eq!(
-            plan.recharge(&particles[..899], params, 1).err(),
+            plan.recharge(&sources, &charges_of(&particles[..899]), params, 1)
+                .err(),
             Some(EngineError::ChargeCountMismatch {
                 expected: 900,
                 got: 899,
@@ -716,7 +735,8 @@ mod tests {
             fmm,
             Err(FmmError::DenseGridTooDeep { levels: 9, max: 8 })
         ));
-        let artifact = fmm_or_fallback(fmm, &particles, params).unwrap();
+        let sources = SourceSet::new(particles.clone());
+        let artifact = fmm_or_fallback(fmm, &sources, &charges_of(&particles), params).unwrap();
         assert!(matches!(artifact, PlanArtifact::Treecode(_)));
     }
 

@@ -7,25 +7,77 @@
 //! reject at build time — emptiness, non-finite positions or charges — so
 //! a bad upload fails at registration, not on the first query.
 //!
-//! A dataset's **positions** are fixed for its lifetime; its **charges**
-//! may be replaced ([`DatasetRegistry::update_charges`]), which publishes
-//! a new immutable [`Dataset`] snapshot under the same id at the next
-//! charge *epoch*. A query works on the one snapshot it resolved, so it
-//! sees exactly one epoch however updates race it. Retirement
-//! ([`DatasetRegistry::remove`]) frees both the id and the name.
+//! A dataset's **positions** are fixed for its lifetime, in one
+//! [`SourceSet`] per shard; its **charges** may be replaced
+//! ([`DatasetRegistry::update_charges`]), which publishes a new immutable
+//! [`Dataset`] snapshot, carrying only the new charges, under the same id
+//! at the next charge *epoch*. A query works on the one snapshot it
+//! resolved, so it sees exactly one epoch however updates race it.
+//! Retirement ([`DatasetRegistry::remove`]) frees both the id and the
+//! name.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
-use mbt_geometry::{Aabb, Particle};
-use mbt_shard::{HilbertPartition, ShardInfo};
+use mbt_geometry::{Aabb, MortonOrder, Particle, ParticleSoa};
+use mbt_shard::HilbertPartition;
 
 use crate::error::EngineError;
 
 /// Stable handle to a registered particle set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DatasetId(pub u64);
+
+/// One fixed set of source positions: the registered particles (moved
+/// in, never copied; their charges are epoch 0's) and their Morton order,
+/// sorted by the first plan build — racing first builds wait on one sort
+/// — and shared by every plan, backend and epoch over the set.
+#[derive(Debug)]
+pub struct SourceSet {
+    particles: Vec<Particle>,
+    order: OnceLock<Sorted>,
+}
+
+/// A source set's order and its sorted Morton keys, or the caller index
+/// of a non-finite particle.
+type Sorted = Result<(Arc<MortonOrder>, Vec<u64>), usize>;
+
+impl SourceSet {
+    /// A source set over `particles`; nothing is sorted yet.
+    #[must_use]
+    pub fn new(particles: Vec<Particle>) -> SourceSet {
+        SourceSet {
+            particles,
+            order: OnceLock::new(),
+        }
+    }
+
+    /// Number of sources.
+    pub(crate) fn len(&self) -> usize {
+        self.particles.len()
+    }
+
+    /// The Morton order of the positions and its sorted keys, sorted on
+    /// the first call. A non-finite particle is refused by caller index.
+    pub fn order(&self) -> Result<(&Arc<MortonOrder>, &[u64]), EngineError> {
+        let sorted = self.order.get_or_init(|| {
+            MortonOrder::new(&self.particles).map(|(order, keys)| (Arc::new(order), keys))
+        });
+        let (order, keys) = sorted
+            .as_ref()
+            .map_err(|&index| EngineError::NonFiniteParticle { index })?;
+        Ok((order, keys))
+    }
+
+    /// The sources in the caller's order under `charges`, one array per
+    /// component — the operand of a direct sum.
+    pub(crate) fn soa(&self, charges: &[f64]) -> ParticleSoa {
+        let mut soa = ParticleSoa::gather(&self.particles, 0..self.particles.len());
+        soa.q.copy_from_slice(charges);
+        soa
+    }
+}
 
 /// An immutable snapshot of a registered particle set at one charge
 /// epoch, plus the summary facts the planner reads without touching the
@@ -44,45 +96,30 @@ pub struct Dataset {
     /// Total absolute charge `A = Σ|qᵢ|` — the quantity the paper's error
     /// bounds grow with, useful for per-tenant cost attribution.
     pub abs_charge: f64,
-    /// Resident bytes of the particle storage (submitted order plus, for
-    /// sharded datasets, the Hilbert-partitioned per-shard copies).
-    pub bytes: usize,
-    /// The submitted particles; an `Arc<Vec<_>>` rather than `Arc<[_]>`
-    /// so registration takes the caller's buffer instead of copying it.
-    particles: Arc<Vec<Particle>>,
-    /// Hilbert-contiguous per-shard particle sets (empty when the dataset
-    /// was registered unsharded). Each shard preserves the submitted
-    /// relative order of its particles, so shard plans are deterministic
-    /// functions of the submitted list.
-    shard_parts: Vec<Arc<[Particle]>>,
-    /// Per-shard summary facts (index, count, weight, key range),
-    /// parallel to `shard_parts`.
-    shard_infos: Vec<ShardInfo>,
+    /// One source set per shard (one when unsharded), shared by every
+    /// epoch; a shard keeps its particles' submitted relative order.
+    sets: Arc<[SourceSet]>,
+    /// This epoch's charges, set by set, each in its set's order: the
+    /// caller's order when unsharded.
+    charges: Arc<[f64]>,
     /// Set when the dataset is unregistered; shared by every epoch's
     /// snapshot, so a query still holding one can tell its dataset is gone.
     retired: Arc<AtomicBool>,
 }
 
 impl Dataset {
-    /// The registered particles.
-    #[inline]
-    #[must_use]
-    pub fn particles(&self) -> &[Particle] {
-        &self.particles
-    }
-
     /// Number of particles.
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        self.particles.len()
+        self.charges.len()
     }
 
     /// Whether the set is empty (never true for a registered dataset).
     #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.particles.is_empty()
+        self.charges.is_empty()
     }
 
     /// Number of shards this dataset is served as (`1` when unsharded —
@@ -90,29 +127,24 @@ impl Dataset {
     #[inline]
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shard_parts.len().max(1)
+        self.sets.len()
     }
 
     /// Whether queries fan out over multiple shard plans.
     #[inline]
     #[must_use]
     pub fn is_sharded(&self) -> bool {
-        self.shard_parts.len() > 1
+        self.sets.len() > 1
     }
 
-    /// The particles of shard `s`; the whole set when unsharded (the
-    /// one-shard view of an unsharded dataset is the dataset itself).
-    #[inline]
+    /// The source set of shard `s` and its charges at this epoch, in the
+    /// set's order; shard 0 of an unsharded dataset is the whole set in
+    /// the caller's order.
     #[must_use]
-    pub fn shard_particles(&self, s: usize) -> &[Particle] {
-        self.shard_parts.get(s).map_or(&self.particles[..], |p| p)
-    }
-
-    /// Per-shard partition facts, in shard order (empty when unsharded).
-    #[inline]
-    #[must_use]
-    pub fn shards(&self) -> &[ShardInfo] {
-        &self.shard_infos
+    pub fn shard(&self, s: usize) -> (&SourceSet, &[f64]) {
+        let start: usize = self.sets[..s].iter().map(SourceSet::len).sum();
+        let set = &self.sets[s];
+        (set, &self.charges[start..start + set.len()])
     }
 
     /// Whether the dataset has been unregistered since this snapshot was
@@ -127,8 +159,8 @@ impl Dataset {
 
 /// `Σ|qᵢ|` — the charge fact a [`Dataset`] carries, computed the same
 /// way at registration and at every charge update.
-fn charge_profile(particles: &[Particle]) -> f64 {
-    particles.iter().map(|p| p.charge.abs()).sum()
+fn charge_profile(charges: &[f64]) -> f64 {
+    charges.iter().map(|q| q.abs()).sum()
 }
 
 #[derive(Debug, Default)]
@@ -153,10 +185,10 @@ impl DatasetRegistry {
     }
 
     /// Validates and registers a particle set under `name`, returning its
-    /// stable id.
+    /// stable id. The particles are moved in, not copied, and nothing is
+    /// sorted until a plan needs the order.
     pub fn register(&self, name: &str, particles: Vec<Particle>) -> Result<DatasetId, EngineError> {
-        Self::validate_particles(&particles)?;
-        self.insert(name, particles, Vec::new(), Vec::new())
+        self.register_sharded(name, particles, 1)
     }
 
     /// Validates, Hilbert-partitions into `shards` contiguous key ranges,
@@ -177,10 +209,12 @@ impl DatasetRegistry {
                 particles: particles.len(),
             });
         }
-        if shards == 1 {
-            return self.insert(name, particles, Vec::new(), Vec::new());
-        }
         let bounds = Aabb::cubical_hull_of(&particles, 1e-9);
+        if shards == 1 {
+            let charges = particles.iter().map(|p| p.charge).collect();
+            let set = vec![SourceSet::new(particles)];
+            return self.insert(name, bounds, set, charges);
+        }
         let partition =
             HilbertPartition::new(&particles, &bounds, shards).map_err(|e| match e {
                 mbt_shard::ShardError::InvalidCount {
@@ -191,21 +225,19 @@ impl DatasetRegistry {
                     particles,
                 },
             })?;
-        let parts: Vec<Arc<[Particle]>> = partition
-            .split(&particles)
-            .into_iter()
-            .map(Arc::from)
-            .collect();
-        let infos = partition.shards().to_vec();
-        self.insert(name, particles, parts, infos)
+        let parts = partition.split(&particles);
+        let charges = parts.iter().flatten().map(|p| p.charge).collect();
+        let sets = parts.into_iter().map(SourceSet::new).collect();
+        self.insert(name, bounds, sets, charges)
     }
 
     /// Replaces the charges of dataset `id` (caller's original particle
     /// order; positions, name and id unchanged) and returns the new
-    /// epoch. Queries that already resolved the previous snapshot finish
-    /// on it; every later lookup sees the new one. Sharded datasets are
-    /// refused: their per-shard particle copies and skeleton would have
-    /// to follow, and serving them stale is not an option.
+    /// epoch. The new snapshot shares the source set and its order and
+    /// carries only the new charges. Queries that already resolved the
+    /// previous snapshot finish on it; every later lookup sees the new
+    /// one. Sharded datasets are refused: their skeleton would have to
+    /// follow, and serving it stale is not an option.
     pub fn update_charges(&self, id: DatasetId, charges: &[f64]) -> Result<u64, EngineError> {
         let current = self.get(id)?;
         if current.is_sharded() {
@@ -222,15 +254,8 @@ impl DatasetRegistry {
         }
         // positions never change, so the new snapshot can be assembled
         // from any epoch's — outside the lock
-        let particles: Arc<Vec<Particle>> = Arc::new(
-            current
-                .particles
-                .iter()
-                .zip(charges)
-                .map(|(p, &q)| Particle::new(p.position, q))
-                .collect(),
-        );
-        let abs_charge = charge_profile(&particles);
+        let charges: Arc<[f64]> = Arc::from(charges);
+        let abs_charge = charge_profile(&charges);
 
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         // re-read under the write lock: the epoch must follow whatever
@@ -246,10 +271,8 @@ impl DatasetRegistry {
             epoch,
             bounds: slot.bounds,
             abs_charge,
-            bytes: slot.bytes,
-            particles,
-            shard_parts: Vec::new(),
-            shard_infos: Vec::new(),
+            sets: Arc::clone(&slot.sets),
+            charges,
             retired: Arc::clone(&slot.retired),
         });
         Ok(epoch)
@@ -257,7 +280,8 @@ impl DatasetRegistry {
 
     /// Retires dataset `id`: later lookups by id or name miss, and the
     /// name is free to register again. Snapshots already handed out stay
-    /// valid (and report [`Dataset::is_retired`]).
+    /// valid (and report [`Dataset::is_retired`]); the source set and its
+    /// order are freed with the last of them.
     pub fn remove(&self, id: DatasetId) -> Result<Arc<Dataset>, EngineError> {
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let ds = inner
@@ -285,14 +309,11 @@ impl DatasetRegistry {
     fn insert(
         &self,
         name: &str,
-        particles: Vec<Particle>,
-        shard_parts: Vec<Arc<[Particle]>>,
-        shard_infos: Vec<ShardInfo>,
+        bounds: Aabb,
+        sets: Vec<SourceSet>,
+        charges: Arc<[f64]>,
     ) -> Result<DatasetId, EngineError> {
-        let bounds = Aabb::cubical_hull_of(&particles, 1e-9);
-        let abs_charge = charge_profile(&particles);
-        let copies = particles.len() + shard_parts.iter().map(|p| p.len()).sum::<usize>();
-        let bytes = copies * std::mem::size_of::<Particle>();
+        let abs_charge = charge_profile(&charges);
 
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         if inner.by_name.contains_key(name) {
@@ -306,10 +327,8 @@ impl DatasetRegistry {
             epoch: 0,
             bounds,
             abs_charge,
-            bytes,
-            particles: Arc::new(particles),
-            shard_parts,
-            shard_infos,
+            sets: sets.into(),
+            charges,
             retired: Arc::new(AtomicBool::new(false)),
         });
         inner.by_id.insert(id, ds);
@@ -385,7 +404,6 @@ mod tests {
         assert_eq!(ds.len(), 20);
         assert_eq!(ds.name, "b");
         assert!((ds.abs_charge - 20.0).abs() < 1e-12);
-        assert_eq!(ds.bytes, 20 * std::mem::size_of::<Particle>());
         assert!(!ds.is_empty());
     }
 
@@ -419,16 +437,19 @@ mod tests {
         let ds = reg.get(id).unwrap();
         assert!(ds.is_sharded());
         assert_eq!(ds.shard_count(), 4);
-        assert_eq!(ds.shards().len(), 4);
-        let total: usize = (0..4).map(|s| ds.shard_particles(s).len()).sum();
-        assert_eq!(total, 40);
-        for (s, info) in ds.shards().iter().enumerate() {
-            assert_eq!(info.index, s);
-            assert_eq!(info.count, ds.shard_particles(s).len());
-            assert!(info.count > 0);
+        let mut total = 0;
+        for s in 0..4 {
+            // each shard carries its own particles' charges, in its order
+            let (set, charges) = ds.shard(s);
+            assert!(!set.particles.is_empty());
+            assert!(set
+                .particles
+                .iter()
+                .map(|p| p.charge)
+                .eq(charges.iter().copied()));
+            total += set.len();
         }
-        // the particle copies are accounted in the byte gauge
-        assert_eq!(ds.bytes, 2 * 40 * std::mem::size_of::<Particle>());
+        assert_eq!((total, ds.len()), (40, 40));
     }
 
     #[test]
@@ -438,8 +459,8 @@ mod tests {
         let ds = reg.get(id).unwrap();
         assert!(!ds.is_sharded());
         assert_eq!(ds.shard_count(), 1);
-        assert!(ds.shards().is_empty());
-        assert_eq!(ds.shard_particles(0), ds.particles());
+        let (set, charges) = ds.shard(0);
+        assert_eq!((set.len(), charges.len()), (10, 10));
     }
 
     #[test]
@@ -475,14 +496,13 @@ mod tests {
         let after = reg.get(id).unwrap();
         assert_eq!((after.id, after.epoch, after.name.as_str()), (id, 1, "a"));
         assert_eq!(after.bounds, before.bounds);
-        assert_eq!(after.bytes, before.bytes);
         assert!((after.abs_charge - 5.5).abs() < 1e-15);
-        for (new, old) in after.particles().iter().zip(before.particles()) {
-            assert_eq!(new.position, old.position);
-        }
-        assert_eq!(after.particles()[1].charge, -3.0);
+        // one source set, shared; only the charges are new
+        let ((new, q_new), (old, q_old)) = (after.shard(0), before.shard(0));
+        assert!(std::ptr::eq(new, old));
+        assert_eq!(q_new, &[2.0, -3.0, 0.0, 0.5]);
         // the snapshot a query already holds is untouched
-        assert_eq!(before.particles()[1].charge, -1.0);
+        assert_eq!(q_old, &[1.0, -1.0, 1.0, -1.0]);
         assert_eq!(reg.update_charges(id, &[0.0; 4]), Ok(2));
         assert_eq!(reg.lookup("a"), Some(id));
         assert_eq!(reg.len(), 1);

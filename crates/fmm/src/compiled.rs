@@ -80,7 +80,7 @@
 use std::sync::{Arc, OnceLock};
 
 use mbt_geometry::morton;
-use mbt_geometry::{Aabb, MortonOrder, Particle, ParticleSoa, Vec3};
+use mbt_geometry::{MortonOrder, Particle, ParticleSoa, Vec3};
 use mbt_multipole::tables::tri_index;
 use mbt_multipole::{
     l2p_field_group, l2p_potential_group, m2l_apply, m2l_apply_group, p2m_soa_into, p2p_span, simd,
@@ -91,7 +91,7 @@ use mbt_treecode::{EvalResult, EvalStats};
 use rayon::prelude::*;
 
 use crate::grid::{cell_center, FmmError, LevelGrid};
-use crate::method::{build_structure, level_degrees, structure_over, FmmParams, FmmStructure};
+use crate::method::{level_degrees, sort_sources, structure_over, FmmParams, FmmStructure};
 
 /// Deepest level the FMM supports: the dense Morton-indexed occupancy
 /// tables hold `8^l` entries per level, so depth is capped where that
@@ -581,10 +581,30 @@ pub struct CompiledFmm {
 }
 
 impl CompiledFmm {
-    /// Builds the compiled FMM over a particle set: geometry, then the
-    /// charge pass.
+    /// Builds the compiled FMM over a particle set: sorts it, then
+    /// [`CompiledFmm::over`]. The parameters are checked first, so an
+    /// explicit level past [`COMPILED_MAX_LEVELS`] is refused before the
+    /// particles are read.
     pub fn new(particles: &[Particle], params: FmmParams) -> Result<CompiledFmm, FmmError> {
-        let (structure, qs) = build_structure(particles, &params)?;
+        params.validate()?;
+        let (order, keys, qs) = sort_sources(particles)?;
+        CompiledFmm::over(Arc::new(order), &keys, qs, params)
+    }
+
+    /// Builds the compiled FMM over an existing order, shared rather than
+    /// copied — its sorted Morton `keys` and `qs`, one charge per sorted
+    /// source: geometry, then the charge pass.
+    pub fn over(
+        order: Arc<MortonOrder>,
+        keys: &[u64],
+        qs: Vec<f64>,
+        params: FmmParams,
+    ) -> Result<CompiledFmm, FmmError> {
+        params.validate()?;
+        if qs.is_empty() {
+            return Err(FmmError::Empty);
+        }
+        let structure = structure_over(order, keys, &params);
         let degrees = level_degrees(&structure.grids, &qs, params.degree);
         CompiledFmm::compile(structure, degrees, qs, params)
     }
@@ -611,9 +631,10 @@ impl CompiledFmm {
     /// original order), permuted once into sorted order: re-resolves the
     /// degree vector from the new charges and, when it is unchanged
     /// (always, for a fixed degree), runs only the charge pass over the
-    /// shared geometry; a moved degree vector rebuilds the structure over
-    /// the shared order. Either way the result is bit-identical to
-    /// [`CompiledFmm::new`] over the same positions and `charges`.
+    /// shared geometry; a moved degree vector recompiles the rest of the
+    /// geometry half over the same order, grids and occupancy.
+    /// Either way the result is bit-identical to [`CompiledFmm::new`]
+    /// over the same positions and `charges`.
     ///
     /// A charge vector whose length is not the particle count is refused
     /// with [`FmmError::ChargeCountMismatch`], a NaN/∞ charge with
@@ -626,9 +647,13 @@ impl CompiledFmm {
             return Ok(CompiledFmm::charge(Arc::clone(geo), qs));
         }
         // the L2L operators, scales and arena shapes follow the degree
-        // vector: recompile over the same order (its keys need no sort)
-        let keys = geo.order.keys();
-        let structure = structure_over(Arc::clone(&geo.order), &keys, &geo.params);
+        // vector; the grids and occupancy follow only the positions
+        let structure = FmmStructure {
+            order: Arc::clone(&geo.order),
+            levels: geo.levels,
+            grids: geo.grids.clone(), // lint: allow(alloc, kept: they follow the positions)
+            occ: geo.occ.clone(),     // lint: allow(alloc, kept, as the grids are)
+        };
         CompiledFmm::compile(structure, degrees, qs, geo.params)
     }
 
@@ -745,12 +770,6 @@ impl CompiledFmm {
     #[must_use]
     pub fn degrees(&self) -> &[usize] {
         &self.geo.degrees
-    }
-
-    /// The root bounding cube.
-    #[must_use]
-    pub fn bounds(&self) -> Aabb {
-        self.geo.order.bounds()
     }
 
     /// The order the FMM is built over, shared with the octree's.

@@ -171,7 +171,7 @@ impl DepthCount {
 /// depth walks only until its cost rises. The charges are only checked
 /// for finiteness.
 pub fn depth_counts(particles: &[Particle], levels: usize) -> Result<Vec<DepthCount>, FmmError> {
-    let (order, keys) = sort_sources(particles)?;
+    let (order, keys, _) = sort_sources(particles)?;
     let mut walk = Walk::root(&keys, order.bounds());
     let mut counts = vec![walk.count(0)];
     while walk.finest() < levels.min(COMPILED_MAX_LEVELS) {
@@ -183,13 +183,18 @@ pub fn depth_counts(particles: &[Particle], levels: usize) -> Result<Vec<DepthCo
 }
 
 /// Validates the particles and sorts them into the Morton order every
-/// depth reads its cells off: the level-`l` cell of a particle is its key
-/// `>> 3·(21 − l)`.
-fn sort_sources(particles: &[Particle]) -> Result<(MortonOrder, Vec<u64>), FmmError> {
+/// depth reads its cells off (the level-`l` cell of a particle is its key
+/// `>> 3·(21 − l)`), with the sorted keys and the sorted charges.
+pub(crate) fn sort_sources(
+    particles: &[Particle],
+) -> Result<(MortonOrder, Vec<u64>, Vec<f64>), FmmError> {
     if particles.is_empty() {
         return Err(FmmError::Empty);
     }
-    MortonOrder::new(particles).map_err(|index| FmmError::NonFinite { index })
+    let (order, keys) =
+        MortonOrder::new(particles).map_err(|index| FmmError::NonFinite { index })?;
+    let charges = order.perm().iter().map(|&i| particles[i].charge).collect();
+    Ok((order, keys, charges))
 }
 
 /// The level grids and dense occupancy tables grown one level at a time
@@ -361,23 +366,9 @@ pub(crate) struct FmmStructure {
     pub occ: Vec<Vec<u32>>,
 }
 
-/// Validates, sorts, resolves the depth and grids — the build prefix of
-/// the compiled arenas (and of the test-only reference FMM) — and hands
-/// back the sorted charges beside the structure. The parameters are
-/// checked first, so an explicit level past [`COMPILED_MAX_LEVELS`] is
-/// refused before the particles are read; the counted depth never
-/// passes it.
-pub(crate) fn build_structure(
-    particles: &[Particle],
-    params: &FmmParams,
-) -> Result<(FmmStructure, Vec<f64>), FmmError> {
-    params.validate()?;
-    let (order, keys) = sort_sources(particles)?;
-    let charges = order.perm().iter().map(|&i| particles[i].charge).collect();
-    Ok((structure_over(Arc::new(order), &keys, params), charges))
-}
-
-/// The depth and grids over an order whose sorted keys are `keys`.
+/// The depth and grids over an order whose sorted keys are `keys` — the
+/// build prefix of the compiled arenas (and of the test-only reference
+/// FMM).
 pub(crate) fn structure_over(
     order: Arc<MortonOrder>,
     keys: &[u64],

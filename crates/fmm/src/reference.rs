@@ -18,7 +18,7 @@ use mbt_treecode::{EvalResult, EvalStats};
 use rayon::prelude::*;
 
 use crate::grid::{FmmError, LevelGrid};
-use crate::method::{build_structure, level_degrees, FmmParams, FmmStructure};
+use crate::method::{level_degrees, sort_sources, structure_over, FmmParams, FmmStructure};
 
 /// A fully built reference FMM, ready to evaluate at its sources.
 pub(crate) struct Fmm {
@@ -36,15 +36,14 @@ pub(crate) struct Fmm {
 impl Fmm {
     /// Builds the FMM over a particle set.
     pub(crate) fn new(particles: &[Particle], params: FmmParams) -> Result<Fmm, FmmError> {
-        let (
-            FmmStructure {
-                order,
-                levels,
-                grids,
-                ..
-            },
-            qs,
-        ) = build_structure(particles, &params)?;
+        params.validate()?;
+        let (order, keys, qs) = sort_sources(particles)?;
+        let FmmStructure {
+            order,
+            levels,
+            grids,
+            ..
+        } = structure_over(Arc::new(order), &keys, &params);
         let degrees = level_degrees(&grids, &qs, params.degree);
 
         // upward: P2M per level directly from the particles (each level's

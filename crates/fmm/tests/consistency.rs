@@ -21,8 +21,8 @@ fn octree_and_fmm_sort_the_sources_into_one_order() {
     ps.extend_from_within(..40); // coincident copies
     let tree = Octree::build(&ps, OctreeParams { leaf_capacity: 8 }).unwrap();
     let fmm = CompiledFmm::new(&ps, FmmParams::fixed(4)).unwrap();
-    assert_eq!(tree.perm(), fmm.order().perm());
-    assert_eq!(tree.bounds(), fmm.bounds());
+    assert_eq!(tree.order().perm(), fmm.order().perm());
+    assert_eq!(tree.order().bounds(), fmm.order().bounds());
     for (i, p) in tree.particles().iter().enumerate() {
         assert_eq!(p.position, fmm.order().position(i), "sorted source {i}");
     }

@@ -52,8 +52,9 @@ pub fn order_particles(particles: &[Particle], curve: CurveOrder) -> Ordered {
 }
 
 /// `(key(i), i)` for every index `i < n`, sorted — equal keys keep the
-/// caller's order. The one curve sort, shared with [`crate::MortonOrder`].
-pub(crate) fn curve_sort(n: usize, key: impl Fn(usize) -> u64 + Sync + Send) -> Vec<(u64, u32)> {
+/// caller's order. The one curve sort: [`crate::MortonOrder`], the
+/// particle orderings here and the shard partitioner all sort with it.
+pub fn curve_sort(n: usize, key: impl Fn(usize) -> u64 + Sync + Send) -> Vec<(u64, u32)> {
     let mut keyed: Vec<(u64, u32)> = (0..n).into_par_iter().map(|i| (key(i), i as u32)).collect();
     keyed.par_sort_unstable();
     keyed

@@ -14,6 +14,7 @@
 //! particle's original relative order** — the property the engine's
 //! `k = 1` bit-exactness guarantee rests on.
 
+use mbt_geometry::sort::curve_sort;
 use mbt_geometry::{hilbert, Aabb, Particle};
 
 /// Partitioning failures (bad shard counts; everything else is total).
@@ -87,12 +88,7 @@ impl HilbertPartition {
         }
         // (key, original index): the index tiebreak keeps equal keys in
         // input order, so the curve order is a deterministic permutation
-        let mut order: Vec<(u64, usize)> = particles
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (hilbert::key(p.position, bounds), i))
-            .collect();
-        order.sort_unstable();
+        let order = curve_sort(n, |i| hilbert::key(particles[i].position, bounds));
 
         // positional boundaries, nudged off equal-key runs to the nearer
         // run edge (keeping cuts strictly increasing when both edges are
@@ -132,8 +128,8 @@ impl HilbertPartition {
             let seg = &order[cuts[s]..cuts[s + 1]];
             let mut weight = 0.0;
             for &(_, i) in seg {
-                assignment[i] = s;
-                weight += particles[i].charge.abs();
+                assignment[i as usize] = s;
+                weight += particles[i as usize].charge.abs();
             }
             shards.push(ShardInfo {
                 index: s,
@@ -265,6 +261,7 @@ impl HilbertPartition {
 mod tests {
     use super::*;
     use mbt_geometry::distribution::{uniform_cube, ChargeModel};
+    use mbt_geometry::sort::{order_particles, CurveOrder};
     use mbt_geometry::Vec3;
 
     fn bounds_of(ps: &[Particle]) -> Aabb {
@@ -401,6 +398,28 @@ mod tests {
             assert_eq!(info.count, 16);
         }
         assert!((part.count_ratio() - 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn shards_are_the_curve_order_cut_at_their_boundaries() {
+        // the partition is `order_particles`' Hilbert permutation, cut
+        // at the shard counts: same keys, same (key, index) tie-break,
+        // equal-key runs included
+        let mut ps: Vec<Particle> = (0..40)
+            .map(|_| Particle::new(Vec3::new(-0.2, 0.3, 0.1), 1.0))
+            .collect();
+        ps.extend(particles(700, 23));
+        let ordered = order_particles(&ps, CurveOrder::Hilbert);
+        for k in [2usize, 3, 5, 8] {
+            let part = HilbertPartition::new(&ps, &ordered.bounds, k).unwrap();
+            let mut start = 0;
+            for info in part.shards() {
+                let run = &ordered.perm[start..start + info.count];
+                assert!(run.iter().all(|&i| part.shard_of(i) == info.index), "k={k}");
+                start += info.count;
+            }
+            assert_eq!(start, ps.len());
+        }
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!    charges, so a charge update ([`Octree::with_charges`]) re-runs only
 //!    that one.
 //!
+//! [`Octree::over`] runs steps 2–3 over an order sorted once (an engine
+//! source set's, shared by all its plans); [`Octree::build`] sorts first.
 //! The tree shares its order (permutation and sorted positions) by `Arc`
-//! with every re-charge of it and keeps only the sorted charges `q` of
-//! its own; readers take a [`SoaSpan`] of the two.
+//! with every re-charge and keeps only its sorted charges `q`; readers
+//! take a [`SoaSpan`] of the two.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +42,7 @@ impl Default for OctreeParams {
     }
 }
 
-/// Process-wide count of completed [`Octree::build`] calls.
+/// Process-wide count of completed octree builds ([`Octree::over`]s).
 ///
 /// A cheap diagnostic for caching layers that must *prove* a code path
 /// built no tree (e.g. "a plan-cache hit performs zero builds"): read the
@@ -138,28 +140,39 @@ fn leaf(bbox: Aabb, range: Range<usize>, parent: NodeId, level: u16) -> Node {
 
 impl Octree {
     /// Builds the tree. Particles are validated, sorted, and retained
-    /// internally in sorted order; use [`Octree::perm`] / [`Octree::unsort`]
-    /// to map results back to the caller's order.
+    /// internally in sorted order; the tree's [`Octree::order`] maps
+    /// results back to the caller's order.
     pub fn build(particles: &[Particle], params: OctreeParams) -> Result<Octree, TreeError> {
-        if particles.is_empty() {
+        let (order, keys) =
+            MortonOrder::new(particles).map_err(|index| TreeError::NonFinite { index })?;
+        let q = order.perm().iter().map(|&i| particles[i].charge).collect();
+        Octree::over(Arc::new(order), &keys, q, params)
+    }
+
+    /// Builds the tree over an existing order, shared, not copied: `keys`
+    /// are its sorted Morton keys, which only steer the splits, and `q`
+    /// holds one charge per sorted source.
+    pub fn over(
+        order: Arc<MortonOrder>,
+        keys: &[u64],
+        q: Vec<f64>,
+        params: OctreeParams,
+    ) -> Result<Octree, TreeError> {
+        let n = q.len();
+        if n == 0 {
             return Err(TreeError::Empty);
         }
         if params.leaf_capacity == 0 {
             return Err(TreeError::ZeroLeafCapacity);
         }
-        let (order, keys) =
-            MortonOrder::new(particles).map_err(|index| TreeError::NonFinite { index })?;
         let mut tree = Octree {
-            nodes: Vec::with_capacity(2 * particles.len() / params.leaf_capacity.max(1) + 64),
-            q: order.perm().iter().map(|&i| particles[i].charge).collect(),
-            order: Arc::new(order),
+            nodes: Vec::with_capacity(2 * n / params.leaf_capacity + 64),
+            q,
+            order,
             height: 0,
         };
-        tree.nodes
-            .push(leaf(tree.order.bounds(), 0..particles.len(), NO_NODE, 0));
-        // the keys only steer the splits: the tree does not keep them
-        tree.split_recursive(0, params.leaf_capacity, &keys);
-        drop(keys);
+        tree.nodes.push(leaf(tree.order.bounds(), 0..n, NO_NODE, 0));
+        tree.split_recursive(0, params.leaf_capacity, keys);
         tree.compute_centres();
         tree.compute_charge_aggregates();
         tree.height = tree
@@ -298,23 +311,12 @@ impl Octree {
         self.particles().slice(n.start as usize..n.end as usize)
     }
 
-    /// `perm()[i]` = the caller's index of sorted particle `i`.
+    /// The order the tree is built over, shared with its re-charges: the
+    /// root cube, and the permutation back to the caller's order.
     #[inline]
     #[must_use]
-    pub fn perm(&self) -> &[usize] {
-        self.order.perm()
-    }
-
-    /// Scatters per-sorted-particle values back to the caller's order.
-    pub fn unsort<T: Copy + Default>(&self, values: &[T]) -> Vec<T> {
-        self.order.unsort(values)
-    }
-
-    /// The root bounding cube.
-    #[inline]
-    #[must_use]
-    pub fn bounds(&self) -> Aabb {
-        self.order.bounds()
+    pub fn order(&self) -> &Arc<MortonOrder> {
+        &self.order
     }
 
     /// Deepest level present (root = 0) — the `l` of the paper's
@@ -422,7 +424,7 @@ impl Octree {
             // per level, at most 21 levels) and the key's subtraction and
             // division add an ulp, so a particle on a face may sit a few
             // ulps of the coordinates' magnitude outside its box
-            let bounds = self.bounds();
+            let bounds = self.order.bounds();
             let scale = bounds.min.abs().max(bounds.max.abs()).max_component();
             let slack = 32.0 * f64::EPSILON * scale;
             let grown = Aabb::new(
@@ -538,7 +540,7 @@ mod tests {
                 }
             }
             let tree = Octree::build(&ps, OctreeParams { leaf_capacity: 1 }).unwrap();
-            assert_eq!(tree.bounds(), hull);
+            assert_eq!(tree.order().bounds(), hull);
             tree.validate().unwrap();
         }
     }
@@ -552,7 +554,7 @@ mod tests {
         let net: f64 = ps.iter().map(|p| p.charge).sum();
         assert!((root.abs_charge - a).abs() < 1e-9 * a);
         assert!((root.net_charge - net).abs() < 1e-9 * a);
-        assert!(root.radius <= tree.bounds().circumradius() * 1.001);
+        assert!(root.radius <= tree.order().bounds().circumradius() * 1.001);
     }
 
     #[test]
@@ -560,7 +562,7 @@ mod tests {
         let ps = uniform_cube(700, 1.0, charges(), 11);
         let tree = Octree::build(&ps, OctreeParams { leaf_capacity: 16 }).unwrap();
         assert_eq!(tree.particles().len(), ps.len());
-        for (p, &orig) in tree.particles().iter().zip(tree.perm()) {
+        for (p, &orig) in tree.particles().iter().zip(tree.order().perm()) {
             assert_eq!(p.position.x.to_bits(), ps[orig].position.x.to_bits());
             assert_eq!(p.charge.to_bits(), ps[orig].charge.to_bits());
         }
@@ -568,7 +570,7 @@ mod tests {
         assert!(tree.heap_bytes() >= 4 * 8 * ps.len());
         let new_q: Vec<f64> = (0..ps.len()).map(|i| 0.5 + i as f64).collect();
         let recharged = tree.with_charges(&new_q).unwrap();
-        for (i, &orig) in recharged.perm().iter().enumerate() {
+        for (i, &orig) in recharged.order().perm().iter().enumerate() {
             assert_eq!(recharged.particles().q[i].to_bits(), new_q[orig].to_bits());
             assert_eq!(
                 recharged.particles().position(i),
@@ -617,7 +619,7 @@ mod tests {
         let ps = uniform_cube(512, 1.0, charges(), 21);
         let tree = Octree::build(&ps, OctreeParams::default()).unwrap();
         let sorted_x: Vec<f64> = tree.particles().iter().map(|p| p.position.x).collect();
-        let back = tree.unsort(&sorted_x);
+        let back = tree.order().unsort(&sorted_x);
         for (i, p) in ps.iter().enumerate() {
             assert_eq!(back[i], p.position.x);
         }

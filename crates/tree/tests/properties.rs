@@ -29,14 +29,14 @@ proptest! {
     fn permutation_bijective(ps in arb_particles(200)) {
         let tree = Octree::build(&ps, OctreeParams::default()).unwrap();
         let mut seen = vec![false; ps.len()];
-        for &i in tree.perm() {
+        for &i in tree.order().perm() {
             prop_assert!(!seen[i]);
             seen[i] = true;
         }
         prop_assert!(seen.iter().all(|&s| s));
         // unsort of identity recovers original positions
         let xs: Vec<f64> = tree.particles().iter().map(|p| p.position.x).collect();
-        let back = tree.unsort(&xs);
+        let back = tree.order().unsort(&xs);
         for (b, p) in back.iter().zip(&ps) {
             prop_assert_eq!(*b, p.position.x);
         }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mbt::bem::EngineSingleLayer;
-use mbt::engine::{evaluate_plan_batch, Backend, EvalConfig, Plan, PlanKey};
+use mbt::engine::{evaluate_plan_batch, Backend, EvalConfig, Plan, PlanKey, SourceSet};
 use mbt::prelude::*;
 
 const ACCURACY: Accuracy = Accuracy::Fixed(6);
@@ -62,21 +62,24 @@ fn price_backend(
     params: TreecodeParams,
 ) {
     let key = PlanKey::routed(DatasetId(0), &params, backend);
+    let sources = SourceSet::new(particles.to_vec());
+    let charges: Vec<f64> = particles.iter().map(|p| p.charge).collect();
     let t0 = Instant::now();
-    // priced for these targets, as the engine builds a routed plan
+    // priced for these targets, as the engine builds a routed plan (the
+    // source set's order is sorted inside the build, as on a cold engine)
     let mut plan =
-        Plan::build_for(key, particles, params, targets.len()).expect("valid parameters");
+        Plan::build_for(key, &sources, &charges, params, targets.len()).expect("valid parameters");
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let (mut recharge_s, mut sweep_s) = (Vec::new(), Vec::new());
     for epoch in 1..=EPOCHS {
-        let charged: Vec<Particle> = particles
+        let charged: Vec<f64> = charges
             .iter()
             .enumerate()
-            .map(|(i, p)| Particle::new(p.position, p.charge * (1.0 + (i + epoch) as f64).sin()))
+            .map(|(i, q)| q * (1.0 + (i + epoch) as f64).sin())
             .collect();
         let t0 = Instant::now();
         plan = plan
-            .recharge(&charged, params, epoch as u64)
+            .recharge(&sources, &charged, params, epoch as u64)
             .expect("finite charges");
         recharge_s.push(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();

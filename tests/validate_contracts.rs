@@ -130,7 +130,7 @@ fn randomized_trees_uphold_structural_contracts() {
         let tree = Octree::build(&particles, OctreeParams { leaf_capacity: cap }).unwrap();
         tree.validate_contracts();
         // the permutation maps sorted storage back onto the input order
-        let perm = tree.perm();
+        let perm = tree.order().perm();
         assert_eq!(perm.len(), particles.len());
         for (sorted_idx, &orig) in perm.iter().enumerate() {
             assert_eq!(
