@@ -56,15 +56,9 @@ impl<T> JoinHandle<T> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .take();
-        match out {
-            Some(v) => Ok(v),
-            None => {
-                let msg = c
-                    .exec
-                    .panic_message(self.tid)
-                    .unwrap_or_else(|| "model thread produced no value".to_string());
-                Err(Box::new(msg))
-            }
-        }
+        out.ok_or_else(|| {
+            let msg = c.exec.panic_message(self.tid);
+            Box::new(msg.unwrap_or_else(|| "model thread produced no value".to_string())) as _
+        })
     }
 }

@@ -179,10 +179,9 @@ pub struct QueryResponse {
     /// direct-routed queries).
     pub plan_bytes: usize,
     /// The backend whose artifact computed this answer. An FMM-routed
-    /// request whose plan fell back to a treecode artifact (dense-grid
-    /// depth cap or operator-table degree cap) reports
-    /// [`Backend::Treecode`]; the `routed_*` counters keep counting the
-    /// routing decision.
+    /// request whose plan fell back to a treecode artifact (a resolved
+    /// degree past the operator-table cap) reports [`Backend::Treecode`];
+    /// the `routed_*` counters keep counting the routing decision.
     pub backend: Backend,
     /// The dataset charge epoch this answer was computed from — every
     /// value in `output` comes from that one charge vector. A query that

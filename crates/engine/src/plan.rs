@@ -312,12 +312,12 @@ impl Plan {
     /// constructs the artifact over the set's shared Morton order (sorted
     /// by the set's first plan) and sizes it.
     ///
-    /// An FMM-keyed build the compiled backend cannot represent (dataset
-    /// geometry past the dense-grid depth cap, or a resolved degree past
-    /// the operator-table cap) falls back to a treecode artifact under
-    /// the same key — the router's choice is a performance hint, and the
-    /// treecode meets the same resolved accuracy (its α is *tighter* than
-    /// the FMM's effective α = 1/2 whenever the FMM was admissible).
+    /// An FMM-keyed build whose resolved degree is past the compiled
+    /// backend's operator-table cap falls back to a treecode artifact
+    /// under the same key — the router's choice is a performance hint,
+    /// and the treecode meets the same resolved accuracy (its α is
+    /// *tighter* than the FMM's effective α = 1/2 whenever the FMM was
+    /// admissible).
     ///
     /// An FMM artifact's depth is counted for evaluations at `n_targets`
     /// targets — the size of the request or batch whose cache miss builds
@@ -451,12 +451,9 @@ impl Plan {
     }
 }
 
-/// The artifact of an FMM-keyed plan: the compiled FMM when it is
-/// representable, else a treecode over the same order under the same
-/// key. A resolved degree past the operator-table cap is the case routed
-/// requests meet; the depth arm serves only explicit `with_levels`
-/// overrides past the dense-grid cap, since the counted depth never
-/// passes it.
+/// The artifact of an FMM-keyed plan: the compiled FMM, or a treecode
+/// over the same order under the same key when a resolved degree is past
+/// the operator-table cap.
 fn fmm_or_fallback(
     fmm: Result<CompiledFmm, FmmError>,
     sources: &SourceSet,
@@ -465,7 +462,7 @@ fn fmm_or_fallback(
 ) -> Result<PlanArtifact, EngineError> {
     match fmm {
         Ok(fmm) => Ok(PlanArtifact::Fmm(fmm)),
-        Err(FmmError::DenseGridTooDeep { .. } | FmmError::OperatorTableTooLarge { .. }) => {
+        Err(FmmError::OperatorTableTooLarge { .. }) => {
             let (order, keys) = sources.order()?;
             let q = order.sorted_charges(charges)?;
             Treecode::over(Arc::clone(order), keys, q, params)
@@ -723,21 +720,6 @@ mod tests {
                 got: 899,
             })
         );
-    }
-
-    #[test]
-    fn fmm_levels_past_the_dense_cap_fall_back_to_the_treecode() {
-        let params = TreecodeParams::fixed(4, 0.6);
-        let particles = ps(300);
-        let too_deep = fmm_params_for(&params).with_levels(mbt_fmm::COMPILED_MAX_LEVELS + 1);
-        let fmm = CompiledFmm::new(&particles, too_deep);
-        assert!(matches!(
-            fmm,
-            Err(FmmError::DenseGridTooDeep { levels: 9, max: 8 })
-        ));
-        let sources = SourceSet::new(particles.clone());
-        let artifact = fmm_or_fallback(fmm, &sources, &charges_of(&particles), params).unwrap();
-        assert!(matches!(artifact, PlanArtifact::Treecode(_)));
     }
 
     #[test]

@@ -456,7 +456,8 @@ mod tests {
     #[test]
     fn backlogged_tenants_admit_by_weight() {
         let gate = FairGate::new(1, 64);
-        let order = Mutex::new(Vec::new());
+        // the test's own log, outside the model: the facade has no `into_inner`
+        let order = std::sync::Mutex::new(Vec::new());
         assert!(matches!(
             gate.admit(TenantId(0), 1, None),
             Admission::Admitted { .. }

@@ -29,12 +29,13 @@
 //! * **Geometry half** (`FmmGeometry`, `Arc`-shared): everything that
 //!   depends on the particle *positions* and the resolved degree vector —
 //!   the Morton order (root cube, sort permutation and sorted SoA
-//!   positions: the order the octree builds on too), level grids (each
-//!   cell named by its Morton code alone, the prefix of its sources'
-//!   keys), dense Morton-indexed occupancy, one operator-major M2L list
-//!   per level (the level's `(target, source)` cell pairs sorted by
-//!   unit-operator index, then target, with 317 run offsets), scale
-//!   vectors and L2L operators.
+//!   positions: the order the octree builds on too) and level grids
+//!   (each cell named by its Morton code alone, the prefix of its
+//!   sources' keys, and linked to its parent, children and neighbours) —
+//!   positions only, so `Arc`-shared even when the degrees move — then
+//!   one operator-major M2L list per level (the level's `(target,
+//!   source)` cell pairs sorted by unit-operator index, then target, with
+//!   317 run offsets), scale vectors and L2L operators.
 //! * **Charge half** ([`CompiledFmm`]'s own fields): the sorted charges
 //!   (with the geometry's positions, the one copy of the sources),
 //!   pre-scaled multipole arenas and local arenas (occupied cells ×
@@ -73,9 +74,10 @@
 //!
 //! External targets are served too: a target inside the root cube but in
 //! an *unoccupied* finest cell gets its local expansion from an on-demand
-//! L2L/M2L chain down its cell path (computed once per distinct cell and
-//! shared by all targets in it); a target outside the root cube falls back
-//! to a guarded direct sum over all particles.
+//! L2L/M2L chain down its cell path from its deepest occupied ancestor
+//! (computed once per distinct cell and shared by all targets in it); a
+//! target outside the root cube falls back to a guarded direct sum over
+//! all particles.
 
 use std::sync::{Arc, OnceLock};
 
@@ -90,16 +92,8 @@ use mbt_multipole::{
 use mbt_treecode::{EvalResult, EvalStats};
 use rayon::prelude::*;
 
-use crate::grid::{cell_center, FmmError, LevelGrid};
+use crate::grid::{cell_center, neighbour_list, occupied, resolve, FmmError};
 use crate::method::{level_degrees, sort_sources, structure_over, FmmParams, FmmStructure};
-
-/// Deepest level the FMM supports: the dense Morton-indexed occupancy
-/// tables hold `8^l` entries per level, so depth is capped where that
-/// stays reasonable (level 8 ≈ 16.7M finest cells). The counted depth
-/// never passes it; a deeper explicit request is refused with
-/// [`FmmError::DenseGridTooDeep`] before any grid is built, and the
-/// engine serves it from the treecode.
-pub const COMPILED_MAX_LEVELS: usize = 8;
 
 /// Largest degree a level with an M2L list may resolve in the compiled
 /// backend. The unit operator tables are process-wide and never freed, so
@@ -137,14 +131,16 @@ fn validate_monopole(level: usize, cell: usize, monopole: Complex, charges: &[f6
 }
 
 /// Offset tables shared by every level, degree and plan: the dense offset
-/// list and, per target parity class (`x&1 | y&1<<1 | z&1<<2`), the
-/// subset of offsets its interaction list can reach.
+/// list and, per target octant (its code `& 7`), its interaction list —
+/// the children of its parent's neighbours that are not adjacent to it.
 struct OffsetTables {
     /// All reachable offsets, in a fixed order (= operator order).
     offsets: Vec<(i32, i32, i32)>,
-    /// Per parity class: `(dx, dy, dz, operator index)`, in ascending
-    /// operator order.
-    by_parity: Vec<Vec<(i32, i32, i32, u16)>>,
+    /// Per target octant: `((slot, octant), operator index)` — the source
+    /// is the child in `octant` of the cell at `slot` of the target's
+    /// parent's neighbour list ([`crate::grid::NEAR_STEPS`]) — in
+    /// ascending operator order.
+    by_octant: Vec<Vec<((u8, u8), u16)>>,
 }
 
 /// The offset tables, built on first use.
@@ -174,12 +170,12 @@ fn build_offset_tables() -> OffsetTables {
             .expect("offset in table") as u16
     };
     // lint: allow(alloc, offset tables are built once per process)
-    let mut by_parity: Vec<Vec<(i32, i32, i32, u16)>> = vec![Vec::new(); 8];
-    for (parity, list) in by_parity.iter_mut().enumerate() {
+    let mut by_octant: Vec<Vec<((u8, u8), u16)>> = vec![Vec::new(); 8];
+    for (octant, list) in by_octant.iter_mut().enumerate() {
         let b = (
-            (parity & 1) as i32,
-            ((parity >> 1) & 1) as i32,
-            ((parity >> 2) & 1) as i32,
+            (octant & 1) as i32,
+            ((octant >> 1) & 1) as i32,
+            ((octant >> 2) & 1) as i32,
         );
         // children of the target's parent's neighbours: Δ = 2d + o − b
         for dz in -1i32..=1 {
@@ -192,7 +188,9 @@ fn build_offset_tables() -> OffsetTables {
                                 if d.0.abs().max(d.1.abs()).max(d.2.abs()) <= 1 {
                                     continue; // adjacent: near field
                                 }
-                                list.push((d.0, d.1, d.2, index_of(d)));
+                                let slot = (dx + 1) + 3 * (dy + 1) + 9 * (dz + 1);
+                                let child = ox | oy << 1 | oz << 2;
+                                list.push(((slot as u8, child as u8), index_of(d)));
                             }
                         }
                     }
@@ -200,9 +198,9 @@ fn build_offset_tables() -> OffsetTables {
             }
         }
         // operator order: the order every local accumulates its M2L terms
-        list.sort_unstable_by_key(|&(_, _, _, op)| op);
+        list.sort_unstable_by_key(|&(_, op)| op);
     }
-    OffsetTables { offsets, by_parity }
+    OffsetTables { offsets, by_octant }
 }
 
 /// The process-wide unit-cube M2L tables, one slot per degree, each
@@ -313,13 +311,10 @@ impl CellScratch {
 /// `Arc` between a compiled FMM and every re-charge of it.
 struct FmmGeometry {
     params: FmmParams,
-    /// Root cube, permutation and sorted positions.
-    order: Arc<MortonOrder>,
-    levels: usize,
+    /// The order (root cube, permutation, sorted positions) and the cells:
+    /// positions only, so shared by a recharge that moves the degrees.
+    cells: Arc<FmmStructure>,
     degrees: Vec<usize>,
-    grids: Vec<LevelGrid>,
-    /// Per level: dense Morton-indexed occupancy (`occupied index + 1`).
-    occ: Vec<Vec<u32>>,
     /// Per level: scales, L2L operators and M2L lists (levels 0/1 empty).
     ops: Vec<LevelOps>,
     /// Total compiled M2L list entries across all levels.
@@ -327,15 +322,10 @@ struct FmmGeometry {
 }
 
 impl FmmGeometry {
-    /// Compiles occupancy, scales, L2L operators and M2L lists over a
-    /// built structure, for the degree vector its charges resolved.
-    fn compile(structure: FmmStructure, degrees: Vec<usize>, params: FmmParams) -> FmmGeometry {
-        let FmmStructure {
-            order,
-            levels,
-            grids,
-            occ,
-        } = structure;
+    /// Compiles scales, L2L operators and M2L lists over built cells, for
+    /// the degree vector their charges resolved.
+    fn compile(cells: Arc<FmmStructure>, degrees: Vec<usize>, params: FmmParams) -> FmmGeometry {
+        let (levels, grids) = (cells.levels, &cells.grids);
 
         // per-level scales, L2L operators and M2L lists
         let tables = offset_tables();
@@ -382,12 +372,12 @@ impl FmmGeometry {
             }
 
             // the M2L pairs, operator-major: sorted by (operator, target)
-            let grid = &grids[l];
+            let (up, grid) = (&grids[l - 1], &grids[l]);
             let mut pairs: Vec<(u16, u32, u32)> = Vec::with_capacity(grid.len() * 32);
-            for (ci, &code) in grid.codes.iter().enumerate() {
-                let cell = morton::decode(code);
-                for &(dx, dy, dz, op) in &tables.by_parity[parity(cell)] {
-                    if let Some(si) = occupied_at(&occ[l], l, cell, (dx, dy, dz)) {
+            for (ci, (&code, &pi)) in grid.codes.iter().zip(&grid.parents).enumerate() {
+                let list = &up.neighbours[pi as usize];
+                for &(step, op) in &tables.by_octant[(code & 7) as usize] {
+                    if let Some(si) = up.child_of(list, step) {
                         pairs.push((op, ci as u32, si as u32));
                     }
                 }
@@ -408,11 +398,8 @@ impl FmmGeometry {
 
         FmmGeometry {
             params,
-            order,
-            levels,
+            cells,
             degrees,
-            grids,
-            occ,
             ops,
             m2l_pairs,
         }
@@ -502,24 +489,6 @@ impl FmmGeometry {
     }
 }
 
-/// The parity class `x&1 | y&1<<1 | z&1<<2` of a cell (see
-/// [`OffsetTables::by_parity`]).
-fn parity((x, y, z): (u32, u32, u32)) -> usize {
-    ((x & 1) | (y & 1) << 1 | (z & 1) << 2) as usize
-}
-
-/// The dense index of the occupied cell at `cell + d` on level `l`, whose
-/// occupancy table is `occ`; `None` outside the grid or unoccupied.
-fn occupied_at(occ: &[u32], l: usize, cell: (u32, u32, u32), d: (i32, i32, i32)) -> Option<usize> {
-    let side = 1i64 << l;
-    let axis = |v: u32, d: i32| {
-        let s = i64::from(v) + i64::from(d);
-        (0..side).contains(&s).then_some(s as u32)
-    };
-    let code = morton::encode(axis(cell.0, d.0)?, axis(cell.1, d.1)?, axis(cell.2, d.2)?);
-    (occ[code as usize] as usize).checked_sub(1)
-}
-
 /// Whether a coefficient span has no nonzero entry.
 fn all_zero(span: &[f64]) -> bool {
     !span.iter().any(|v| v.abs() > 0.0)
@@ -583,7 +552,7 @@ pub struct CompiledFmm {
 impl CompiledFmm {
     /// Builds the compiled FMM over a particle set: sorts it, then
     /// [`CompiledFmm::over`]. The parameters are checked first, so an
-    /// explicit level past [`COMPILED_MAX_LEVELS`] is refused before the
+    /// explicit level past [`morton::BITS`] is refused before the
     /// particles are read.
     pub fn new(particles: &[Particle], params: FmmParams) -> Result<CompiledFmm, FmmError> {
         params.validate()?;
@@ -606,13 +575,13 @@ impl CompiledFmm {
         }
         let structure = structure_over(order, keys, &params);
         let degrees = level_degrees(&structure.grids, &qs, params.degree);
-        CompiledFmm::compile(structure, degrees, qs, params)
+        CompiledFmm::compile(Arc::new(structure), degrees, qs, params)
     }
 
-    /// Compiles the geometry half over `structure` for `degrees` (the
-    /// sorted charges `qs` resolved them), then runs the charge pass.
+    /// Compiles the geometry half over `cells` for `degrees` (the sorted
+    /// charges `qs` resolved them), then runs the charge pass.
     fn compile(
-        structure: FmmStructure,
+        cells: Arc<FmmStructure>,
         degrees: Vec<usize>,
         qs: Vec<f64>,
         params: FmmParams,
@@ -623,7 +592,7 @@ impl CompiledFmm {
                 max: COMPILED_MAX_DEGREE,
             });
         }
-        let geometry = FmmGeometry::compile(structure, degrees, params);
+        let geometry = FmmGeometry::compile(cells, degrees, params);
         Ok(CompiledFmm::charge(Arc::new(geometry), qs))
     }
 
@@ -632,7 +601,7 @@ impl CompiledFmm {
     /// degree vector from the new charges and, when it is unchanged
     /// (always, for a fixed degree), runs only the charge pass over the
     /// shared geometry; a moved degree vector recompiles the rest of the
-    /// geometry half over the same order, grids and occupancy.
+    /// geometry half over the same shared order and cells.
     /// Either way the result is bit-identical to [`CompiledFmm::new`]
     /// over the same positions and `charges`.
     ///
@@ -641,27 +610,22 @@ impl CompiledFmm {
     /// [`FmmError::NonFinite`].
     pub fn with_charges(&self, charges: &[f64]) -> Result<CompiledFmm, FmmError> {
         let geo = &self.geo;
-        let qs = geo.order.sorted_charges(charges)?;
-        let degrees = level_degrees(&geo.grids, &qs, geo.params.degree);
+        let qs = geo.cells.order.sorted_charges(charges)?;
+        let degrees = level_degrees(&geo.cells.grids, &qs, geo.params.degree);
         if degrees == geo.degrees {
             return Ok(CompiledFmm::charge(Arc::clone(geo), qs));
         }
         // the L2L operators, scales and arena shapes follow the degree
-        // vector; the grids and occupancy follow only the positions
-        let structure = FmmStructure {
-            order: Arc::clone(&geo.order),
-            levels: geo.levels,
-            grids: geo.grids.clone(), // lint: allow(alloc, kept: they follow the positions)
-            occ: geo.occ.clone(),     // lint: allow(alloc, kept, as the grids are)
-        };
-        CompiledFmm::compile(structure, degrees, qs, geo.params)
+        // vector; the order and cells follow only the positions
+        CompiledFmm::compile(Arc::clone(&geo.cells), degrees, qs, geo.params)
     }
 
     /// The charge pass: P2M into pre-scaled multipole arenas, then the
     /// downward pass (L2L from the parent plus the operator-major M2L
     /// list) into the local arenas.
     fn charge(geo: Arc<FmmGeometry>, qs: Vec<f64>) -> CompiledFmm {
-        let levels = geo.levels;
+        let FmmStructure { order, grids, .. } = &*geo.cells;
+        let levels = geo.cells.levels;
 
         // upward: P2M straight into the interleaved arenas of the levels
         // whose multipoles are read (levels 0 and 1 have no M2L lists)
@@ -670,11 +634,11 @@ impl CompiledFmm {
         let mut mult_re: Vec<Vec<f64>> = vec![Vec::new(); levels + 1];
         #[allow(clippy::needless_range_loop)] // `l` indexes several level-keyed arrays
         for l in 2..=levels {
-            let grid = &geo.grids[l];
+            let grid = &grids[l];
             let p = geo.degrees[l];
             let t = tri_len(p);
             let pre_scale = &geo.ops[l].pre_scale;
-            let sources = geo.order.span(&qs);
+            let sources = order.span(&qs);
             // lint: allow(alloc, one multipole arena per level and charge pass)
             let mut arena = vec![0.0f64; grid.len() * 2 * t];
             arena
@@ -705,12 +669,9 @@ impl CompiledFmm {
         // contiguous range of target cells per worker, then per cell L2L
         // from the parent plus the post-scaled M2L sum
         let mut locals_re: Vec<Vec<f64>> = Vec::with_capacity(levels + 1);
-        for l in 0..=levels {
+        for (grid, &p) in grids.iter().zip(&geo.degrees) {
             // lint: allow(alloc, one local arena per level and charge pass)
-            locals_re.push(vec![
-                0.0f64;
-                geo.grids[l].len() * 2 * tri_len(geo.degrees[l])
-            ]);
+            locals_re.push(vec![0.0f64; grid.len() * 2 * tri_len(p)]);
         }
         let workers = rayon::current_num_threads().max(1);
         for l in 2..=levels {
@@ -720,9 +681,8 @@ impl CompiledFmm {
             let parents = &before[l - 1];
             let lv = &geo.ops[l];
             let mult = &mult_re[l];
-            let level_codes = &geo.grids[l].codes;
-            let parent_occ = &geo.occ[l - 1];
-            let per_range = geo.grids[l].len().div_ceil(workers);
+            let grid = &grids[l];
+            let per_range = grid.len().div_ceil(workers);
             after[0]
                 .par_chunks_mut(per_range * width)
                 .enumerate()
@@ -737,9 +697,8 @@ impl CompiledFmm {
                         .zip(acc.chunks_exact(width))
                         .enumerate()
                     {
-                        let tm = level_codes[c0 + k];
-                        let pi = parent_occ[(tm >> 3) as usize] as usize - 1;
-                        let octant = (tm & 7) as usize;
+                        let pi = grid.parents[c0 + k] as usize;
+                        let octant = (grid.codes[c0 + k] & 7) as usize;
                         m2l_apply(
                             &lv.l2l_ops[octant * lv.l2l_stride..(octant + 1) * lv.l2l_stride],
                             &parents[pi * 2 * t_par..(pi + 1) * 2 * t_par],
@@ -763,7 +722,7 @@ impl CompiledFmm {
     /// The finest level index.
     #[must_use]
     pub fn levels(&self) -> usize {
-        self.geo.levels
+        self.geo.cells.levels
     }
 
     /// The per-level expansion degrees.
@@ -775,25 +734,24 @@ impl CompiledFmm {
     /// The order the FMM is built over, shared with the octree's.
     #[must_use]
     pub fn order(&self) -> &MortonOrder {
-        &self.geo.order
+        &self.geo.cells.order
     }
 
     /// Approximate owned heap footprint, both halves: arenas, L2L
-    /// operators, occupancy tables, lists, grids, the sorted SoA sources
+    /// operators, lists, grids and their cell links, the sorted SoA sources
     /// and the permutation (for cache accounting). The process-wide unit
     /// M2L tables are not owned and not counted
     /// ([`shared_operator_bytes`]).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let geo = &*self.geo;
-        let f64s = geo.order.heap_bytes() + self.qs.len() * 8;
+        let f64s = geo.cells.order.heap_bytes() + self.qs.len() * 8;
         let arenas: usize = self
             .mult_re
             .iter()
             .zip(&self.locals_re)
             .map(|(m, l)| (m.len() + l.len()) * 8)
             .sum();
-        let occ: usize = geo.occ.iter().map(|t| t.len() * 4).sum();
         let ops: usize = geo
             .ops
             .iter()
@@ -802,9 +760,12 @@ impl CompiledFmm {
                     + (o.m2l_run.len() + o.m2l_tgt.len() + o.m2l_src.len()) * 4
             })
             .sum();
-        // per cell: Morton code, center, particle range
-        let grids: usize = geo.grids.iter().map(|g| g.len() * (8 + 24 + 8)).sum();
-        f64s + arenas + occ + ops + grids
+        // per cell: Morton code, center, particle range, parent; above the
+        // finest level also children and the 27-slot neighbour list
+        let grids: usize = (geo.cells.grids.iter())
+            .map(|g| g.len() * (8 + 24 + 8 + 4) + g.children.len() * 8 + g.neighbours.len() * 108)
+            .sum();
+        f64s + arenas + ops + grids
     }
 
     /// Potentials at all source particles, caller order: the sorted
@@ -812,8 +773,8 @@ impl CompiledFmm {
     /// over their positions would group them.
     #[must_use]
     pub fn potentials(&self) -> EvalResult<f64> {
-        let geo = &*self.geo;
-        let finest = &geo.grids[geo.levels];
+        let s = &*self.geo.cells;
+        let finest = &s.grids[s.levels];
         let cells = finest.codes.iter().zip(&finest.ranges);
         let mut keyed = Vec::with_capacity(self.qs.len());
         keyed.extend(cells.flat_map(|(&code, &(s, e))| (s..e).map(move |i| (code, i))));
@@ -821,9 +782,9 @@ impl CompiledFmm {
         let mut values = vec![0.0f64; self.qs.len()];
         let stats = self.eval_grouped::<false>(
             &keyed,
-            |i| geo.order.position(i),
+            |i| s.order.position(i),
             |i, phi, _| {
-                values[geo.order.perm()[i]] = phi;
+                values[s.order.perm()[i]] = phi;
             },
         );
         EvalResult { values, stats }
@@ -850,10 +811,10 @@ impl CompiledFmm {
         sc: &mut CellScratch,
         stats: &mut EvalStats,
     ) {
-        let geo = &*self.geo;
-        let p = geo.degrees[geo.levels];
+        let s = &*self.geo.cells;
+        let p = self.geo.degrees[s.levels];
         let (x, y, z) = morton::decode(code);
-        let center = cell_center(&geo.order.bounds(), 1u32 << geo.levels, x, y, z);
+        let center = cell_center(&s.order.bounds(), 1u32 << s.levels, x, y, z);
         let CellScratch {
             bws,
             near,
@@ -863,8 +824,8 @@ impl CompiledFmm {
             chain,
             ..
         } = sc;
-        let local = self.local_for_cell(code, chain);
-        self.gather_near(x, y, z, near, gather);
+        let (list, local) = self.local_for_cell(code, chain);
+        self.gather_near(&list, near, gather);
         out.clear();
         for group in targets.chunks(L) {
             // pad a short group by repeating its last point
@@ -890,37 +851,23 @@ impl CompiledFmm {
         stats.targets += targets.len() as u64;
     }
 
-    /// Copies the particles of the (up to 27) occupied finest cells around
-    /// `(x, y, z)` into one contiguous SoA scratch, in sorted-range order,
-    /// so each target makes a single span call: the gather is amortised
-    /// over every target of the cell, and one full-width sweep with one
-    /// tail replaces per-range calls with per-range tails.
-    fn gather_near(
-        &self,
-        x: u32,
-        y: u32,
-        z: u32,
-        near: &mut Vec<(u32, u32)>,
-        out: &mut ParticleSoa,
-    ) {
-        let geo = &*self.geo;
-        let (l, finest) = (geo.levels, &geo.grids[geo.levels]);
+    /// Copies the particles of the (up to 27) occupied finest cells of
+    /// neighbour list `list` into one contiguous SoA scratch, in
+    /// sorted-range order, so each target makes a single span call: the
+    /// gather is amortised over every target of the cell, and one
+    /// full-width sweep with one tail replaces per-range calls with
+    /// per-range tails.
+    fn gather_near(&self, list: &[u32; 27], near: &mut Vec<(u32, u32)>, out: &mut ParticleSoa) {
+        let s = &*self.geo.cells;
+        let finest = &s.grids[s.levels];
         near.clear();
-        for dz in -1..=1 {
-            for dy in -1..=1 {
-                for dx in -1..=1 {
-                    if let Some(ni) = occupied_at(&geo.occ[l], l, (x, y, z), (dx, dy, dz)) {
-                        near.push(finest.ranges[ni]);
-                    }
-                }
-            }
-        }
+        near.extend(occupied(list).map(|ni| finest.ranges[ni]));
         near.sort_unstable();
         out.x.clear();
         out.y.clear();
         out.z.clear();
         out.q.clear();
-        let sources = geo.order.span(&self.qs);
+        let sources = s.order.span(&self.qs);
         for &(ns, ne) in near.iter() {
             let run = sources.slice(ns as usize..ne as usize);
             out.x.extend_from_slice(run.x);
@@ -930,36 +877,45 @@ impl CompiledFmm {
         }
     }
 
-    /// The interleaved local coefficients of finest cell `code`. An
-    /// occupied cell's span is read from the arena in place; an empty cell
-    /// gets an on-demand L2L/M2L chain down its cell path, built in the
-    /// `chain` scratch (`[current, next, M2L accumulator]`).
-    fn local_for_cell<'a>(&'a self, code: u64, chain: &'a mut [Vec<f64>; 3]) -> &'a [f64] {
+    /// The neighbour list and the interleaved local coefficients of
+    /// finest cell `code`. An occupied cell's span is read from the arena
+    /// in place. An empty cell gets an on-demand L2L/M2L chain down its
+    /// cell path from its deepest occupied ancestor (found by binary
+    /// search), built in the `chain` scratch (`[current, next, M2L
+    /// accumulator]`); the lists of the empty cells on the path resolve
+    /// through their parents' as the occupied cells' do.
+    fn local_for_cell<'a>(
+        &'a self,
+        code: u64,
+        chain: &'a mut [Vec<f64>; 3],
+    ) -> ([u32; 27], &'a [f64]) {
         let geo = &*self.geo;
-        let t = tri_len(geo.degrees[geo.levels]);
-        let oc = geo.occ[geo.levels][code as usize];
-        if oc != 0 {
-            let ci = oc as usize - 1;
-            return &self.locals_re[geo.levels][ci * 2 * t..(ci + 1) * 2 * t];
+        let FmmStructure { levels, grids, .. } = &*geo.cells;
+        let levels = *levels;
+        if let Some(ci) = grids[levels].find(code) {
+            let t = tri_len(geo.degrees[levels]);
+            let local = &self.locals_re[levels][ci * 2 * t..(ci + 1) * 2 * t];
+            return (neighbour_list(grids, levels, ci), local);
         }
         // the level-`l` ancestor on the cell path from the root
-        let path = |l: usize| code >> (3 * (geo.levels - l));
-        // deepest occupied ancestor (the root is always occupied)
-        let mut la = geo.levels;
-        while geo.occ[la][path(la) as usize] == 0 {
-            la -= 1;
-        }
+        let path = |l: usize| code >> (3 * (levels - l));
+        // deepest occupied ancestor (the root is always occupied, and is
+        // not finest here: an unoccupied finest cell has a level above)
+        let (la, ai) = (0..levels)
+            .rev()
+            .find_map(|l| Some((l, grids[l].find(path(l))?)))
+            .unwrap_or((0, 0));
+        let mut list = grids[la].neighbours[ai];
         let [cur, next, acc] = chain;
         cur.clear();
         if la >= 2 {
             let tl = tri_len(geo.degrees[la]);
-            let ci = geo.occ[la][path(la) as usize] as usize - 1;
-            cur.extend_from_slice(&self.locals_re[la][ci * 2 * tl..(ci + 1) * 2 * tl]);
+            cur.extend_from_slice(&self.locals_re[la][ai * 2 * tl..(ai + 1) * 2 * tl]);
         } else {
             cur.resize(2 * tri_len(geo.degrees[la]), 0.0);
         }
-        #[allow(clippy::needless_range_loop)] // `l` indexes several level-keyed arrays
-        for l in la + 1..=geo.levels {
+        for l in la + 1..=levels {
+            let (up, octant) = (&grids[l - 1], (path(l) & 7) as usize);
             let tl = tri_len(geo.degrees[l]);
             next.clear();
             next.resize(2 * tl, 0.0);
@@ -969,27 +925,24 @@ impl CompiledFmm {
                 // parent local below level 2 is identically zero.
                 // lint: allow(float_cmp, exact-zero skip of an identically-zero parent local)
                 if l > 2 || cur.iter().any(|&v| v != 0.0) {
-                    let octant = (path(l) & 7) as usize;
                     m2l_apply(
                         &lv.l2l_ops[octant * lv.l2l_stride..(octant + 1) * lv.l2l_stride],
                         cur,
                         next,
                     );
                 }
-                // M2L over the interaction list of this (empty) cell
-                let cell = morton::decode(path(l));
-                let list = offset_tables().by_parity[parity(cell)].iter().filter_map(
-                    |&(dx, dy, dz, op)| {
-                        let si = occupied_at(&geo.occ[l], l, cell, (dx, dy, dz))?;
-                        Some((si, op as usize))
-                    },
-                );
+                // M2L over the interaction list of this (empty) cell:
+                // the children of its parent's neighbours
+                let steps = offset_tables().by_octant[octant].iter();
+                let sources = steps
+                    .filter_map(|&(step, op)| Some((up.child_of(&list, step)?, usize::from(op))));
                 acc.resize(2 * tl, 0.0);
-                geo.add_m2l(l, &self.mult_re[l], list, acc, next);
+                geo.add_m2l(l, &self.mult_re[l], sources, acc, next);
             }
+            list = resolve(up, &list, octant);
             std::mem::swap(cur, next);
         }
-        cur
+        (list, cur)
     }
 
     /// Potentials at arbitrary points (order preserved). Points outside the
@@ -1032,9 +985,9 @@ impl CompiledFmm {
         points: &[Vec3],
         mut write: impl FnMut(usize, f64, Vec3),
     ) -> EvalStats {
-        let geo = &*self.geo;
-        let bounds = geo.order.bounds();
-        let shift = 3 * (morton::BITS as usize - geo.levels);
+        let s = &*self.geo.cells;
+        let bounds = s.order.bounds();
+        let shift = 3 * (morton::BITS as usize - s.levels);
 
         // group in-bounds points by finest cell (the prefix of their
         // Morton key, as for the sources); out-of-bounds directly
@@ -1052,7 +1005,7 @@ impl CompiledFmm {
         let mut stats = self.eval_grouped::<FIELD>(&keyed, |i| points[i], &mut write);
 
         // out-of-bounds: guarded direct sums over all particles
-        let sources = geo.order.span(&self.qs);
+        let sources = s.order.span(&self.qs);
         let direct: Vec<(u32, f64, Vec3, u64)> = outside
             .par_iter()
             .map(|&idx| {
@@ -1092,7 +1045,7 @@ impl CompiledFmm {
         let results: Vec<(Vec<(u32, f64, Vec3)>, EvalStats)> = groups
             .par_chunks(EVAL_BLOCK)
             .map(|block| {
-                let mut sc = CellScratch::new(self.geo.degrees[self.geo.levels]);
+                let mut sc = CellScratch::new(self.geo.degrees[self.geo.cells.levels]);
                 let mut stats = EvalStats::default();
                 let total = block.iter().map(|group| group.len()).sum();
                 let mut vals = Vec::with_capacity(total);
@@ -1175,6 +1128,7 @@ fn probe_l2l(mat: &mut [f64], delta: Vec3, p_par: usize, p: usize, t_par: usize,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::NO_CELL;
     use mbt_geometry::distribution::{gaussian, overlapped_gaussians, uniform_cube, ChargeModel};
     use mbt_treecode::relative_error;
 
@@ -1196,9 +1150,9 @@ mod tests {
         // which tile it in code order
         let ps = gaussian(3000, Vec3::new(0.2, 0.0, -0.1), 0.3, charges(), 43);
         let fmm = CompiledFmm::new(&ps, FmmParams::fixed(3).with_levels(4)).unwrap();
-        let grids = &fmm.geo.grids;
+        let grids = &fmm.geo.cells.grids;
         assert_eq!(grids[0].ranges, [(0, ps.len() as u32)]);
-        for (coarse, fine) in grids.iter().zip(&grids[1..]) {
+        for (l, (coarse, fine)) in grids.iter().zip(&grids[1..]).enumerate() {
             assert!(fine.codes.windows(2).all(|w| w[0] < w[1]));
             let mut child = 0;
             for (&code, &(start, end)) in coarse.codes.iter().zip(&coarse.ranges) {
@@ -1216,9 +1170,79 @@ mod tests {
                 child,
                 fine.len(),
                 "every cell of level {} has a parent",
-                fine.level
+                l + 1
             );
         }
+    }
+
+    #[test]
+    fn cell_links_are_the_ones_the_codes_name() {
+        // parents, children and every neighbour list — stored above the
+        // finest level, resolved through the parents' at it — name the
+        // cells a binary search over the codes finds
+        let ps = overlapped_gaussians(3000, 3, 2.0, 0.2, charges(), 47);
+        let fmm = CompiledFmm::new(&ps, FmmParams::fixed(3).with_levels(5)).unwrap();
+        let grids = &fmm.geo.cells.grids;
+        for (l, grid) in grids.iter().enumerate() {
+            let side = 1i64 << l;
+            for (ci, &code) in grid.codes.iter().enumerate() {
+                if l > 0 {
+                    let pi = grid.parents[ci] as usize;
+                    assert_eq!(grids[l - 1].codes[pi], code >> 3);
+                    let (first, mask) = grids[l - 1].children[pi];
+                    let rank = (mask & ((1u8 << (code & 7)) - 1)).count_ones();
+                    assert_eq!(first + rank, ci as u32, "level {l} cell {ci}");
+                }
+                let list = neighbour_list(grids, l, ci);
+                if l < 5 {
+                    assert_eq!(grid.neighbours[ci], list);
+                }
+                let (x, y, z) = morton::decode(code);
+                for (slot, &got) in list.iter().enumerate() {
+                    let at = |v: u32, d: usize| i64::from(v) + d as i64 - 1;
+                    let (nx, ny, nz) = (at(x, slot % 3), at(y, slot / 3 % 3), at(z, slot / 9));
+                    let inside = [nx, ny, nz].iter().all(|c| (0..side).contains(c));
+                    let want = inside
+                        .then(|| grid.find(morton::encode(nx as u32, ny as u32, nz as u32)))
+                        .flatten();
+                    assert_eq!(
+                        want.map_or(NO_CELL, |c| c as u32),
+                        got,
+                        "level {l} slot {slot}"
+                    );
+                }
+            }
+        }
+        assert!(grids[5].children.is_empty() && grids[5].neighbours.is_empty());
+    }
+
+    #[test]
+    fn a_degree_moving_recharge_shares_the_cells() {
+        let ps = overlapped_gaussians(
+            8_000,
+            4,
+            2.5,
+            0.5,
+            ChargeModel::UnitPositive { magnitude: 1.0 },
+            77,
+        );
+        let params = FmmParams::adaptive(3, 0.7);
+        let fmm = CompiledFmm::new(&ps, params).unwrap();
+        let loud: Vec<Particle> = ps
+            .iter()
+            .enumerate()
+            .map(|(i, p)| Particle::new(p.position, if i == 17 { 1e6 } else { 1e-6 }))
+            .collect();
+        let charges: Vec<f64> = loud.iter().map(|p| p.charge).collect();
+        let recharged = fmm.with_charges(&charges).unwrap();
+        assert_ne!(recharged.degrees(), fmm.degrees(), "the degrees move");
+        assert!(Arc::ptr_eq(&recharged.geo.cells, &fmm.geo.cells));
+        let fresh = CompiledFmm::new(&loud, params).unwrap();
+        assert_eq!(recharged.degrees(), fresh.degrees());
+        assert_eq!(recharged.heap_bytes(), fresh.heap_bytes());
+        let (a, b) = (recharged.potentials(), fresh.potentials());
+        assert_eq!(a.values, b.values);
+        assert_eq!(a.stats, b.stats);
     }
 
     #[test]
@@ -1335,17 +1359,19 @@ mod tests {
 
     #[test]
     fn levels_past_the_depth_cap_are_refused_before_any_grid() {
-        // deeper than the dense tables allow: a typed error, which the
-        // engine answers with a treecode plan under the same key
-        let too_deep = FmmParams::fixed(3).with_levels(COMPILED_MAX_LEVELS + 1);
-        let refused = FmmError::DenseGridTooDeep { levels: 9, max: 8 };
+        // deeper than the Morton keys resolve: a typed error
+        let too_deep = FmmParams::fixed(3).with_levels(morton::BITS as usize + 1);
+        let refused = FmmError::TooDeep {
+            levels: 22,
+            max: 21,
+        };
         assert_eq!(too_deep.validate(), Err(refused.clone()));
         // validation runs before the particles are looked at: an empty
         // set is refused for its depth, not for being empty
         assert_eq!(CompiledFmm::new(&[], too_deep).err(), Some(refused.clone()));
         let ps = uniform_cube(500, 1.0, charges(), 31);
         assert_eq!(CompiledFmm::new(&ps, too_deep).err(), Some(refused));
-        let deepest = FmmParams::fixed(3).with_levels(COMPILED_MAX_LEVELS);
+        let deepest = FmmParams::fixed(3).with_levels(morton::BITS as usize);
         assert!(deepest.validate().is_ok());
     }
 
@@ -1358,7 +1384,7 @@ mod tests {
         let e = relative_error(&fmm.potentials().values, &exact);
         assert!(e < 1e-4, "clustered instance error {e}");
         // most cells empty: finest grid holds far fewer cells than 8^4
-        assert!(fmm.geo.grids[4].len() < 4096 / 4);
+        assert!(fmm.geo.cells.grids[4].len() < 4096 / 4);
     }
 
     #[test]

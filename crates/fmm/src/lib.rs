@@ -37,6 +37,6 @@ pub mod method;
 #[cfg(test)]
 mod reference;
 
-pub use compiled::{shared_operator_bytes, CompiledFmm, COMPILED_MAX_DEGREE, COMPILED_MAX_LEVELS};
-pub use grid::{FmmError, LevelGrid};
+pub use compiled::{shared_operator_bytes, CompiledFmm, COMPILED_MAX_DEGREE};
+pub use grid::FmmError;
 pub use method::{depth_counts, DepthCount, FmmParams};

@@ -1,14 +1,15 @@
 //! FMM parameters and the build prefix every FMM shares: the Morton
-//! order (shared with the octree, see [`MortonOrder`]), the counted
-//! depth, the level grids and the per-level degree rule.
+//! order (shared with the octree, see [`MortonOrder`]), the level grids
+//! with their parent, child and neighbour links (grown and linked one
+//! level at a time, top-down), the counted depth and the per-level degree
+//! rule.
 
 use std::sync::Arc;
 
 use mbt_geometry::{morton, Aabb, MortonOrder, Particle};
 use mbt_multipole::{tri_len, DegreeSelector, MAX_DEGREE};
 
-use crate::compiled::COMPILED_MAX_LEVELS;
-use crate::grid::{cell_center, median_positive, FmmError, LevelGrid};
+use crate::grid::{cell_center, median_positive, neighbour_list, occupied, FmmError, LevelGrid};
 
 /// Predicted nanoseconds per M2L matrix entry: one pair at degree `p`
 /// costs `(2T)²` of them, `T = (p+1)(p+2)/2` (the unit operator is a
@@ -17,6 +18,10 @@ const M2L_NS_PER_ENTRY: f64 = 0.1;
 
 /// Predicted nanoseconds per near-field pair.
 const NEAR_NS_PER_PAIR: f64 = 1.0;
+
+/// The deepest finest level: cells are read off Morton keys of
+/// [`morton::BITS`] bits per axis.
+const MAX_LEVELS: usize = morton::BITS as usize;
 
 /// FMM parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,8 +78,7 @@ impl FmmParams {
     }
 
     /// Overrides the counted depth: the one way to pin the finest level.
-    /// A level past [`COMPILED_MAX_LEVELS`] is refused by
-    /// [`FmmParams::validate`].
+    /// A level past [`morton::BITS`] is refused by [`FmmParams::validate`].
     #[must_use]
     pub fn with_levels(mut self, levels: usize) -> Self {
         self.levels = Some(levels);
@@ -118,9 +122,9 @@ impl FmmParams {
             });
         }
         match self.levels {
-            Some(levels) if levels > COMPILED_MAX_LEVELS => Err(FmmError::DenseGridTooDeep {
+            Some(levels) if levels > MAX_LEVELS => Err(FmmError::TooDeep {
                 levels,
-                max: COMPILED_MAX_LEVELS,
+                max: MAX_LEVELS,
             }),
             _ => Ok(()),
         }
@@ -167,14 +171,14 @@ impl DepthCount {
 }
 
 /// The counts of every finest level `0..=levels` (at most
-/// [`COMPILED_MAX_LEVELS`]) over these positions — the table the counted
+/// [`morton::BITS`]) over these positions — the table the counted
 /// depth walks only until its cost rises. The charges are only checked
 /// for finiteness.
 pub fn depth_counts(particles: &[Particle], levels: usize) -> Result<Vec<DepthCount>, FmmError> {
     let (order, keys, _) = sort_sources(particles)?;
     let mut walk = Walk::root(&keys, order.bounds());
     let mut counts = vec![walk.count(0)];
-    while walk.finest() < levels.min(COMPILED_MAX_LEVELS) {
+    while walk.finest() < levels.min(MAX_LEVELS) {
         let below = counts[counts.len() - 1].m2l_pairs;
         walk.descend();
         counts.push(walk.count(below));
@@ -197,34 +201,28 @@ pub(crate) fn sort_sources(
     Ok((order, keys, charges))
 }
 
-/// The level grids and dense occupancy tables grown one level at a time
-/// over the sorted keys, counting each level as it is reached.
+/// The level grids grown one level at a time over the sorted keys,
+/// counting each level as it is reached.
 struct Walk<'a> {
     keys: &'a [u64],
     bounds: Aabb,
     grids: Vec<LevelGrid>,
-    /// Per level: dense Morton-indexed occupancy (`occupied index + 1`).
-    occ: Vec<Vec<u32>>,
-    /// Per cell of the level above the finest: its occupied children.
-    children: Vec<u32>,
 }
 
 impl<'a> Walk<'a> {
     /// Level 0: the root cell over every particle.
     fn root(keys: &'a [u64], bounds: Aabb) -> Walk<'a> {
         let root = LevelGrid {
-            level: 0,
             codes: vec![0],
             centers: vec![cell_center(&bounds, 1, 0, 0, 0)],
             ranges: vec![(0, keys.len() as u32)],
             cell_edge: bounds.edge(),
+            ..LevelGrid::default()
         };
         Walk {
             keys,
             bounds,
             grids: vec![root],
-            occ: vec![vec![1]],
-            children: Vec::new(),
         }
     }
 
@@ -232,71 +230,66 @@ impl<'a> Walk<'a> {
         self.grids.len() - 1
     }
 
-    /// Splits every finest cell into its occupied children: one binary
+    /// Splits every finest cell into its occupied children (one binary
     /// search per occupied child in the cell's key range, as the octree
-    /// splits.
+    /// splits), linking parents and children. The split level first gets
+    /// its neighbour lists, through its parents', for the new one's.
     fn descend(&mut self) {
-        let parent = &self.grids[self.finest()];
-        let level = parent.level + 1;
+        let f = self.finest();
+        // lint: allow(alloc, one neighbour list per cell of a split level)
+        let lists: Vec<[u32; 27]> = (0..self.grids[f].len())
+            .map(|ci| neighbour_list(&self.grids, f, ci))
+            .collect();
+        let parent = &mut self.grids[f];
+        parent.neighbours = lists;
+        let level = f + 1;
         let cells = 1u32 << level;
         let mut grid = LevelGrid {
-            level,
-            codes: Vec::new(),
-            centers: Vec::new(),
-            ranges: Vec::new(),
             cell_edge: self.bounds.edge() / f64::from(cells),
+            ..LevelGrid::default()
         };
-        let mut children = Vec::with_capacity(parent.len());
-        for &(start, end) in &parent.ranges {
-            let first = grid.len();
+        parent.children = Vec::with_capacity(parent.len());
+        for (pi, &(start, end)) in parent.ranges.iter().enumerate() {
+            let (first, mut mask) = (grid.len() as u32, 0u8);
             let range = start as usize..end as usize;
             for (code, run) in morton::cell_runs(self.keys, range, level as u32) {
                 let (x, y, z) = morton::decode(code);
                 grid.codes.push(code);
                 grid.centers.push(cell_center(&self.bounds, cells, x, y, z));
                 grid.ranges.push((run.start as u32, run.end as u32));
+                grid.parents.push(pi as u32);
+                mask |= 1 << (code & 7);
             }
-            children.push((grid.len() - first) as u32);
-        }
-        // lint: allow(alloc, one occupancy table per level of a geometry build)
-        let mut table = vec![0u32; 1usize << (3 * level)];
-        for (ci, &code) in grid.codes.iter().enumerate() {
-            table[code as usize] = ci as u32 + 1;
+            parent.children.push((first, mask));
         }
         self.grids.push(grid);
-        self.occ.push(table);
-        self.children = children;
     }
 
     /// The counts at the current finest level `L`, given the M2L pairs
-    /// of levels `2..L`. Each level is priced from its own 27-neighbour
-    /// lookups: a cell's interaction list is the children of its parent's
-    /// 27 neighbours less its own 27 neighbours, so level `L`'s M2L pairs
-    /// are `Σ_P c(P)·Σ_{P' ∈ N27(P)} c(P')` over the parents (`c` = the
-    /// occupied children) less the occupied neighbour pairs at `L`.
+    /// of levels `2..L`, from the lists of level `L − 1` (level `L` has
+    /// none of its own). A cell's interaction list is the children of its
+    /// parent's 27 neighbours less its own 27 neighbours, so level `L`'s
+    /// M2L pairs are `Σ_P c(P)·Σ_{P' ∈ N27(P)} c(P')` over the parents
+    /// (`c` = the occupied children) less the occupied neighbour pairs at
+    /// `L`.
     fn count(&self, m2l_below: u64) -> DepthCount {
         let l = self.finest();
         let grid = &self.grids[l];
         let size = |ci: usize| u64::from(grid.ranges[ci].1 - grid.ranges[ci].0);
         let (mut near, mut adjacent) = (0u64, 0u64);
-        for (ci, &code) in grid.codes.iter().enumerate() {
-            let mut sources = 0u64;
-            for_each_neighbour(&self.occ[l], l, code, |ni| {
-                sources += size(ni);
-                adjacent += 1;
-            });
+        for ci in 0..grid.len() {
+            let list = neighbour_list(&self.grids, l, ci);
+            let sources: u64 = occupied(&list).map(size).sum();
+            adjacent += occupied(&list).count() as u64;
             near += size(ci) * sources;
         }
         let mut m2l = m2l_below;
         if l >= 2 {
             let parents = &self.grids[l - 1];
+            let children = |pi: usize| u64::from(parents.children[pi].1.count_ones());
             let mut reach = 0u64;
-            for (pi, &code) in parents.codes.iter().enumerate() {
-                let mut cousins = 0u64;
-                for_each_neighbour(&self.occ[l - 1], l - 1, code, |ni| {
-                    cousins += u64::from(self.children[ni]);
-                });
-                reach += u64::from(self.children[pi]) * cousins;
+            for (pi, list) in parents.neighbours.iter().enumerate() {
+                reach += children(pi) * occupied(list).map(children).sum::<u64>();
             }
             m2l += reach - adjacent;
         }
@@ -308,15 +301,15 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Descends while the predicted cost does not rise (or the cap is
-    /// reached) and returns the cheapest level seen; ties go to the
+    /// Descends while the predicted cost does not rise (or the keys run
+    /// out of bits) and returns the cheapest level seen; ties go to the
     /// shallower level.
     fn pick(&mut self, p: usize, n_targets: usize) -> usize {
         let n = self.keys.len();
         let mut count = self.count(0);
         let mut prev = count.cost_ns(p, n, n_targets);
         let (mut best, mut best_cost) = (0, prev);
-        while self.finest() < COMPILED_MAX_LEVELS {
+        while self.finest() < MAX_LEVELS {
             self.descend();
             count = self.count(count.m2l_pairs);
             let cost = count.cost_ns(p, n, n_targets);
@@ -332,38 +325,16 @@ impl<'a> Walk<'a> {
     }
 }
 
-/// Calls `f` with the dense index of each occupied cell in the 27-cell
-/// block around cell `code` (itself included) on level `l`, whose
-/// occupancy table is `occ`.
-fn for_each_neighbour(occ: &[u32], l: usize, code: u64, mut f: impl FnMut(usize)) {
-    let side = 1u32 << l;
-    let (x, y, z) = morton::decode(code);
-    let span = |v: u32| v.saturating_sub(1)..=(v + 1).min(side - 1);
-    for nz in span(z) {
-        let cz = morton::spread(nz) << 2;
-        for ny in span(y) {
-            let cyz = cz | morton::spread(ny) << 1;
-            for nx in span(x) {
-                if let Some(ni) = (occ[(cyz | morton::spread(nx)) as usize] as usize).checked_sub(1)
-                {
-                    f(ni);
-                }
-            }
-        }
-    }
-}
-
 /// The geometry every FMM build starts from: the Morton order of the
-/// sources, per-level occupied-cell grids and their dense occupancy
-/// tables. A pure function of the particle **positions** and the level
-/// count (explicit, or counted from the positions, the pricing degree and
-/// the target count) — which is what lets a charge update reuse it.
+/// sources and the per-level occupied-cell grids, with each cell's
+/// parent, children and (above the finest level) neighbour list. A pure
+/// function of the particle **positions** and the level count (explicit,
+/// or counted from the positions, the pricing degree and the target
+/// count) — which is what lets a charge update share it.
 pub(crate) struct FmmStructure {
     pub order: Arc<MortonOrder>,
     pub levels: usize,
     pub grids: Vec<LevelGrid>,
-    /// Per level: dense Morton-indexed occupancy (`occupied index + 1`).
-    pub occ: Vec<Vec<u32>>,
 }
 
 /// The depth and grids over an order whose sorted keys are `keys` — the
@@ -390,16 +361,15 @@ pub(crate) fn structure_over(
     while walk.finest() < levels {
         walk.descend();
     }
-    let Walk {
-        mut grids, mut occ, ..
-    } = walk;
+    let mut grids = walk.grids;
     grids.truncate(levels + 1);
-    occ.truncate(levels + 1);
+    // a level the pick split only to count the one below is finest again
+    let finest = &mut grids[levels];
+    (finest.children, finest.neighbours) = (Vec::new(), Vec::new());
     FmmStructure {
         order,
         levels,
         grids,
-        occ,
     }
 }
 
@@ -501,6 +471,18 @@ mod tests {
     }
 
     #[test]
+    fn levels_past_eight_build_and_match_direct() {
+        // a tight cluster pinned ten levels deep: each level's cells find
+        // their neighbours through their parents, with no per-level table
+        let ps = gaussian(5000, Vec3::ZERO, 0.05, charges(), 12);
+        let exact = mbt_treecode::direct::direct_potentials(&ps);
+        let fmm = CompiledFmm::new(&ps, FmmParams::fixed(8).with_levels(10)).unwrap();
+        assert_eq!(fmm.levels(), 10);
+        let r = fmm.potentials();
+        assert!(relative_error(&r.values, &exact) < 1e-4);
+    }
+
+    #[test]
     fn adaptive_degrees_ramp_toward_root() {
         let ps = uniform_cube(8000, 1.0, charges(), 5);
         let fmm = CompiledFmm::new(&ps, FmmParams::adaptive(3, 0.7).with_levels(4)).unwrap();
@@ -537,8 +519,8 @@ mod tests {
         // cube at the sources it is a few hundred sources per finest cell
         // deep, and fewer targets never make it deeper
         let ps = uniform_cube(4000, 1.0, charges(), 9);
-        let counts = depth_counts(&ps, COMPILED_MAX_LEVELS).unwrap();
-        let mut deepest = COMPILED_MAX_LEVELS;
+        let counts = depth_counts(&ps, MAX_LEVELS).unwrap();
+        let mut deepest = MAX_LEVELS;
         for (params, n_targets) in [
             (FmmParams::fixed(4), ps.len()),
             (FmmParams::fixed(4).for_targets(300), 300),
@@ -546,7 +528,7 @@ mod tests {
             let p = params.pricing_degree();
             let fmm = CompiledFmm::new(&ps, params).unwrap();
             let cost = |l: usize| counts[l].cost_ns(p, ps.len(), n_targets);
-            let best = (0..=COMPILED_MAX_LEVELS)
+            let best = (0..=MAX_LEVELS)
                 .min_by(|&a, &b| cost(a).total_cmp(&cost(b)))
                 .unwrap();
             assert_eq!(fmm.levels(), best, "{params:?}");
@@ -587,9 +569,9 @@ mod tests {
             CompiledFmm::new(&ok, FmmParams::fixed(4).with_levels(25))
                 .err()
                 .unwrap(),
-            FmmError::DenseGridTooDeep {
+            FmmError::TooDeep {
                 levels: 25,
-                max: COMPILED_MAX_LEVELS
+                max: morton::BITS as usize
             }
         );
     }

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use mbt_geometry::morton::decode;
+use mbt_geometry::morton::{decode, encode};
 use mbt_geometry::{MortonOrder, Particle};
 use mbt_multipole::{LocalExpansion, MultipoleExpansion};
 use mbt_treecode::{EvalResult, EvalStats};
@@ -95,7 +95,7 @@ impl Fmm {
                     // L2L from the parent
                     let (px, py, pz) = (x >> 1, y >> 1, z >> 1);
                     let pi = parent_grid
-                        .find(px, py, pz)
+                        .find(encode(px, py, pz))
                         // lint: allow(panic, grid levels are built by halving occupied keys, so the parent cell exists)
                         .expect("every cell has an occupied parent");
                     let mut local = parent_locals[pi].translated(center, p);
@@ -121,7 +121,9 @@ impl Fmm {
                                     {
                                         continue; // adjacent: near field
                                     }
-                                    if let Some(si) = grid.find(cx as u32, cy as u32, cz as u32) {
+                                    if let Some(si) =
+                                        grid.find(encode(cx as u32, cy as u32, cz as u32))
+                                    {
                                         local.accumulate(&mults[si].to_local(center, p));
                                     }
                                 }
@@ -173,7 +175,7 @@ impl Fmm {
                         if !(inside(nx) && inside(ny) && inside(nz)) {
                             continue;
                         }
-                        if let Some(ni) = finest.find(nx as u32, ny as u32, nz as u32) {
+                        if let Some(ni) = finest.find(encode(nx as u32, ny as u32, nz as u32)) {
                             near.push(finest.ranges[ni]);
                         }
                     }

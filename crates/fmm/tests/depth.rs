@@ -4,9 +4,9 @@
 //! table), and degenerate clouds always build.
 
 use mbt_bem::{shapes, QuadRule, SingleLayerGeometry};
-use mbt_fmm::{depth_counts, CompiledFmm, FmmParams, COMPILED_MAX_LEVELS};
+use mbt_fmm::{depth_counts, CompiledFmm, FmmParams};
 use mbt_geometry::distribution::{overlapped_gaussians, uniform_cube, ChargeModel};
-use mbt_geometry::{Particle, Vec3};
+use mbt_geometry::{morton, Particle, Vec3};
 
 fn cube(n: usize) -> Vec<Particle> {
     uniform_cube(n, 1.0, ChargeModel::RandomSign { magnitude: 1.0 }, 3)
@@ -128,7 +128,7 @@ fn degenerate_clouds_always_build() {
     ] {
         let fmm = CompiledFmm::new(&ps, FmmParams::fixed(4));
         let fmm = fmm.unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(fmm.levels() <= COMPILED_MAX_LEVELS, "{name}");
+        assert!(fmm.levels() <= morton::BITS as usize, "{name}");
     }
 }
 
